@@ -65,15 +65,14 @@ class LinkChannel:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """The four link channels of one timeslot.
+    """The link channels of one timeslot.
 
-    `v2u` and `u2v` hold one channel per vehicle; the UAV-to-ground-unit pair
+    `v2u` and `u2v` hold one channel per vehicle; the UAV-to-ground-unit link
     is vehicle independent.
     """
 
     v2u: tuple[LinkChannel, ...]
     u2r: LinkChannel
-    r2u: LinkChannel
     u2v: tuple[LinkChannel, ...]
 
 

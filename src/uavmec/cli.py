@@ -72,12 +72,7 @@ def main(argv=None) -> int:
         return 1
 
     if args.out == "-":
-        import tempfile
-
-        with tempfile.NamedTemporaryFile("r+", suffix=f".{args.format}") as tmp:
-            runner.emit_results(result, args.format, tmp.name)
-            tmp.seek(0)
-            sys.stdout.write(tmp.read())
+        sys.stdout.write(runner.format_results(result, args.format))
     else:
         runner.emit_results(result, args.format, args.out)
     return 0

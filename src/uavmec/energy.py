@@ -91,15 +91,15 @@ def flight_energy(model: FlightPowerModel, v_xy, v_z, duration: float) -> float:
     return duration * (blade + parasite + induced + climb)
 
 
-def compute_energy(bits: float, model: ComputeModel, slot_len: float,
-                   n_vehicles: int | None = None) -> float:
-    """CPU energy to process `bits` within one timeslot.
+def compute_energy(bits, model: ComputeModel, slot_len: float,
+                   n_vehicles: int | None = None):
+    """CPU energy to process `bits` (scalar or array) within one timeslot.
 
     Local form: kappa * c^3 * b^3 / tau^2.  When `n_vehicles` is given the
     node is the shared UAV server and the energy picks up the K^2 factor of
     the per-vehicle sub-slot split.
     """
-    if bits < 0:
+    if np.any(bits < 0):
         raise ValueError("bits must be non-negative")
     k2 = 1.0 if n_vehicles is None else float(n_vehicles) ** 2
     return model.capacitance * model.cycles_per_bit**3 * k2 * bits**3 / slot_len**2

@@ -78,14 +78,14 @@ class ProblemInstance:
         return per_slot * self.n_slots
 
 
-def _phase_gain(ch: LinkChannel, n_tx: int, radio: RadioConfig, bound: str) -> np.ndarray:
+def _phase_gain(ch: LinkChannel, radio: RadioConfig, bound: str) -> np.ndarray:
     """Squared singular values over noise for one link, after bound shaping.
 
     bound "exact" keeps the spectrum; "rank1" collapses it to a single value
     carrying the whole trace power (the rate lower bound); "fullrank" spreads
     the trace power evenly over min(L_tx, L_rx) values (the upper bound).
     """
-    lmin = min(n_tx, ch.n_rx)
+    lmin = min(ch.n_tx, ch.n_rx)
     lam2 = ch.singular_values[:lmin] ** 2
     if bound == "rank1":
         lam2 = np.array([ch.trace_power])
@@ -93,7 +93,7 @@ def _phase_gain(ch: LinkChannel, n_tx: int, radio: RadioConfig, bound: str) -> n
         lam2 = np.full(lmin, ch.trace_power / lmin)
     elif bound != "exact":
         raise ValueError(f"unknown channel bound {bound!r}")
-    return lam2 / (radio.bandwidth * radio.noise_density * n_tx)
+    return lam2 / (radio.bandwidth * radio.noise_density * ch.n_tx)
 
 
 def roll_out(state0: NetworkState, radio: RadioConfig) -> tuple[list, list]:
@@ -110,38 +110,28 @@ def roll_out(state0: NetworkState, radio: RadioConfig) -> tuple[list, list]:
             build_channel(st.uav, veh, radio, st.slot, st.slot_len) for veh in st.vehicles
         )
         u2r = build_channel(st.uav, st.rsu, radio, st.slot, st.slot_len)
-        r2u = build_channel(st.rsu, st.uav, radio, st.slot, st.slot_len)
-        sets.append(ChannelSet(v2u=v2u, u2r=u2r, r2u=r2u, u2v=u2v))
+        sets.append(ChannelSet(v2u=v2u, u2r=u2r, u2v=u2v))
     return states, sets
 
 
 def build_gain_tables(
     channel_sets: list, radio: RadioConfig, n_vehicles: int, bound: str = "exact"
 ) -> list:
-    """Stack per-slot channels into the four (K, N, L) gain arrays."""
-    n_slots = len(channel_sets)
-    first = channel_sets[0]
-    links = {
-        PHASE_OFFLOAD: lambda cs, k: (cs.v2u[k], cs.v2u[k].n_tx),
-        PHASE_RELAY: lambda cs, k: (cs.u2r, cs.u2r.n_tx),
-        PHASE_DOWN_UAV: lambda cs, k: (cs.u2v[k], cs.u2v[k].n_tx),
-        PHASE_DOWN_RSU: lambda cs, k: (cs.u2v[k], cs.u2v[k].n_tx),
-    }
-    gains = []
-    for ph in range(4):
-        ch0, n_tx0 = links[ph](first, 0)
-        lmin = min(n_tx0, ch0.n_rx) if bound != "rank1" else 1
-        if bound == "exact":
-            width = lmin
-        elif bound == "rank1":
-            width = 1
-        else:
-            width = min(n_tx0, ch0.n_rx)
-        table = np.zeros((n_vehicles, n_slots, width))
+    """Stack per-slot channels into the four (K, N, L) gain arrays.
+
+    Both download phases use the UAV-to-vehicle link, so they share one table.
+    """
+
+    def table(link):
+        ch0 = link(channel_sets[0], 0)
+        width = 1 if bound == "rank1" else min(ch0.n_tx, ch0.n_rx)
+        out = np.zeros((n_vehicles, len(channel_sets), width))
         for n, cs in enumerate(channel_sets):
             for k in range(n_vehicles):
-                ch, n_tx = links[ph](cs, k)
-                g = _phase_gain(ch, n_tx, radio, bound)
-                table[k, n, : g.size] = g
-        gains.append(table)
-    return gains
+                ch = link(cs, k)
+                g = _phase_gain(ch, radio, bound)
+                out[k, n, : g.size] = g
+        return out
+
+    down = table(lambda cs, k: cs.u2v[k])
+    return [table(lambda cs, k: cs.v2u[k]), table(lambda cs, k: cs.u2r), down, down]

@@ -21,12 +21,16 @@ import numpy as np
 
 from .instance import ProblemInstance
 from .lp import solve_lp
-from .protocol import Allocation, check_feasible, wtec
+from .energy import compute_energy
+from .protocol import Allocation, block_energy, carry_time, check_feasible, wtec
 
 # Index constants for the six dual families.
 D_MIN_BITS, D_SUBSLOT, D_UPLINK, D_RELAY, D_DOWN_UAV, D_DOWN_RSU = range(6)
 
 _PHASE_RATE_DUAL = (D_UPLINK, D_RELAY, D_DOWN_UAV, D_DOWN_RSU)
+
+# Relative tolerance of the sign rules (ground-unit bits, transmit times).
+SIGN_RTOL = 1e-6
 
 
 class DualInfeasible(Exception):
@@ -58,6 +62,7 @@ class DualState:
     iterations: int
     converged: bool
     feasible: np.ndarray  # (K, N) per-block primal feasibility
+    completion: tuple  # (bits, powers) of the completion that set the gap
     log: list = field(default_factory=list)
 
 
@@ -210,9 +215,6 @@ def phase1_closed_form(trace_power, n_tx, n_rx, bound, weight, price_subslot,
 # vectorized block machinery (arrays over all (k, n) blocks)
 # ---------------------------------------------------------------------------
 
-_LN2 = np.log(2.0)
-
-
 def _phase_weights(inst: ProblemInstance) -> list:
     """Objective weight multiplying each phase's radiated energy, (K, N)."""
     k_w = np.broadcast_to(inst.weights_vehicle[:, None], inst.min_bits.shape)
@@ -220,26 +222,20 @@ def _phase_weights(inst: ProblemInstance) -> list:
     return [k_w, u_w, u_w, u_w]
 
 
-def _rate(inst, ph, p):
-    return inst.bandwidth * np.log2(1.0 + p[..., None] * inst.gains[ph]).sum(axis=-1)
-
-
-def _drate(inst, ph, p):
-    g = inst.gains[ph]
-    return inst.bandwidth / _LN2 * (g / (1.0 + p[..., None] * g)).sum(axis=-1)
+def _phi(inst, ph, w, p) -> np.ndarray:
+    """Time price at which power p is stationary: w*(r/r' - p), increasing in p."""
+    return w * (inst.rate(ph, p) / np.maximum(inst.rate_derivative(ph, p), 1e-300) - p)
 
 
 def _power_from_time_price(inst, ph, w, mu, steps: int = 60) -> np.ndarray:
     """Invert w*(r/r' - p) = mu elementwise on [0, p_max] (clamped above)."""
     pmax = inst.power_max[ph]
-    phi_max = w * (_rate(inst, ph, np.full(mu.shape, pmax)) /
-                   np.maximum(_drate(inst, ph, np.full(mu.shape, pmax)), 1e-300) - pmax)
+    phi_max = _phi(inst, ph, w, np.full(mu.shape, pmax))
     lo = np.zeros_like(mu)
     hi = np.full_like(mu, pmax)
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        phi = w * (_rate(inst, ph, mid) / np.maximum(_drate(inst, ph, mid), 1e-300) - mid)
-        take = phi < mu
+        take = _phi(inst, ph, w, mid) < mu
         lo = np.where(take, mid, lo)
         hi = np.where(take, hi, mid)
     p = 0.5 * (lo + hi)
@@ -250,18 +246,52 @@ def _power_from_time_price(inst, ph, w, mu, steps: int = 60) -> np.ndarray:
 def _power_stationary(inst, ph, w, chi_rate, steps: int = 70) -> np.ndarray:
     """Vectorized root of w = chi_rate * r'(p) on [0, p_max], clamped."""
     pmax = inst.power_max[ph]
-    at_zero = chi_rate * _drate(inst, ph, np.zeros_like(chi_rate))
-    at_max = chi_rate * _drate(inst, ph, np.full(chi_rate.shape, pmax))
+    at_zero = chi_rate * inst.rate_derivative(ph, np.zeros_like(chi_rate))
+    at_max = chi_rate * inst.rate_derivative(ph, np.full(chi_rate.shape, pmax))
     lo = np.zeros_like(chi_rate)
     hi = np.full_like(chi_rate, pmax)
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        high = chi_rate * _drate(inst, ph, mid) > w
+        high = chi_rate * inst.rate_derivative(ph, mid) > w
         lo = np.where(high, mid, lo)
         hi = np.where(high, hi, mid)
     p = 0.5 * (lo + hi)
     p = np.where(at_zero <= w, 0.0, p)
     return np.where(at_max >= w, pmax, p)
+
+
+def _split(inst, chi1, chi_subslot, chi_uplink, chi_down_uav):
+    """Closed-form local and UAV bits at the given prices, per block."""
+    vc, uc = inst.vehicle_compute, inst.uav_compute
+    bl = bits_local_opt(chi1, inst.weights_vehicle[:, None], vc.capacitance,
+                        vc.cycles_per_bit, inst.slot_len, vc.cpu_freq)
+    bu = bits_uav_opt(chi1, chi_subslot, chi_uplink, chi_down_uav, inst.output_ratio[:, None],
+                      inst.weight_uav, uc.capacitance, uc.cycles_per_bit, inst.slot_len,
+                      inst.n_vehicles, uc.cpu_freq)
+    return bl, bu
+
+
+def _phase_prices(inst, mu):
+    """Per-phase stationary powers, rate prices and rates at the time price.
+
+    An interior power prices its rate at w / r'(p); a power clamped at its
+    cap takes the price that balances the time sign, (w * p_max + mu) / r.
+    """
+    wv = _phase_weights(inst)
+    powers, chis, rates = [], [], []
+    for ph in range(4):
+        p = _power_from_time_price(inst, ph, wv[ph], mu)
+        pmax = inst.power_max[ph]
+        clamped = p >= pmax * (1.0 - 1e-12)
+        chi = np.where(
+            clamped,
+            (wv[ph] * pmax + mu) / np.maximum(inst.rate(ph, np.full(mu.shape, pmax)), 1e-300),
+            wv[ph] / np.maximum(inst.rate_derivative(ph, p), 1e-300),
+        )
+        powers.append(p)
+        chis.append(chi)
+        rates.append(inst.rate(ph, p))
+    return powers, chis, rates
 
 
 def _candidate(inst, mu):
@@ -272,50 +302,16 @@ def _candidate(inst, mu):
     price then follows from the boundedness equality, and the bit split from
     the closed forms.  Returns a dict of (K, N)-shaped arrays.
     """
-    wv = _phase_weights(inst)
-    vc, uc = inst.vehicle_compute, inst.uav_compute
+    uc = inst.uav_compute
     xi = inst.output_ratio[:, None]
-    k = inst.n_vehicles
-    tau, sub = inst.slot_len, inst.subslot
-
-    powers, chis, rates = [], [], []
-    for ph in range(4):
-        p = _power_from_time_price(inst, ph, wv[ph], mu)
-        r = _rate(inst, ph, p)
-        pmax = inst.power_max[ph]
-        clamped = p >= pmax * (1.0 - 1e-12)
-        chi = np.where(
-            clamped,
-            (wv[ph] * pmax + mu) / np.maximum(_rate(inst, ph, np.full(mu.shape, pmax)), 1e-300),
-            wv[ph] / np.maximum(_drate(inst, ph, p), 1e-300),
-        )
-        powers.append(p)
-        chis.append(chi)
-        rates.append(r)
+    powers, chis, rates = _phase_prices(inst, mu)
 
     chi1 = chis[0] + chis[1] + xi * chis[3]
-    w_col = inst.weights_vehicle[:, None]
-    bl = np.minimum(
-        tau * np.sqrt(chi1 / (3.0 * w_col * vc.capacitance * vc.cycles_per_bit**3)),
-        inst.bits_local_cap,
-    )
-    zeta = uc.cpu_freq * (chi1 - chis[0] - xi * chis[2]) - mu * uc.cycles_per_bit
-    bu_raw = sub * np.sqrt(
-        np.maximum(zeta, 0.0)
-        / (3.0 * inst.weight_uav * uc.capacitance * uc.cycles_per_bit**3 * uc.cpu_freq)
-    )
-    bu = np.where(zeta > 0.0, np.minimum(bu_raw, inst.bits_uav_cap), 0.0)
+    bl, bu = _split(inst, chi1, mu, chis[0], chis[2])
     br = np.maximum(inst.min_bits - bl - bu, 0.0)
 
     loads = [bu + br, br, xi * bu, xi * br]
-    times = []
-    for ph in range(4):
-        t = np.zeros_like(mu)
-        active = loads[ph] > 0.0
-        with np.errstate(divide="ignore"):
-            t = np.where(active, loads[ph] / np.where(rates[ph] > 0.0, rates[ph], np.nan), 0.0)
-        t = np.where(active & ~(rates[ph] > 0.0), np.inf, t)
-        times.append(np.nan_to_num(t, nan=0.0, posinf=np.inf))
+    times = [carry_time(loads[ph], rates[ph]) for ph in range(4)]
     need = times[0] + times[1] + times[2] + times[3] + uc.cycles_per_bit * bu / uc.cpu_freq
 
     chi = np.stack([chi1, mu, chis[0], chis[1], chis[2], chis[3]], axis=-1)
@@ -334,10 +330,8 @@ def _time_price_ceiling(inst) -> np.ndarray:
     wv = _phase_weights(inst)
     out = np.zeros(inst.min_bits.shape)
     for ph in range(4):
-        pmax = inst.power_max[ph]
-        pfull = np.full(inst.min_bits.shape, pmax)
-        phi = wv[ph] * (_rate(inst, ph, pfull) / np.maximum(_drate(inst, ph, pfull), 1e-300) - pmax)
-        out = np.maximum(out, phi)
+        pfull = np.full(inst.min_bits.shape, inst.power_max[ph])
+        out = np.maximum(out, _phi(inst, ph, wv[ph], pfull))
     return out
 
 
@@ -349,40 +343,12 @@ def _candidate_no_relay(inst, mu):
     requirement) instead of the route-price equality; only the uplink, UAV
     compute and UAV-result download occupy the budget.
     """
-    wv = _phase_weights(inst)
     vc, uc = inst.vehicle_compute, inst.uav_compute
     xi = inst.output_ratio[:, None]
-    tau, sub = inst.slot_len, inst.subslot
+    tau = inst.slot_len
     w_col = inst.weights_vehicle[:, None]
-
-    powers, chis, rates = [], [], []
-    for ph in range(4):
-        p = _power_from_time_price(inst, ph, wv[ph], mu)
-        pmax = inst.power_max[ph]
-        clamped = p >= pmax * (1.0 - 1e-12)
-        chi = np.where(
-            clamped,
-            (wv[ph] * pmax + mu) / np.maximum(_rate(inst, ph, np.full(mu.shape, pmax)), 1e-300),
-            wv[ph] / np.maximum(_drate(inst, ph, p), 1e-300),
-        )
-        powers.append(p)
-        chis.append(chi)
-        rates.append(_rate(inst, ph, p))
-
+    _, chis, rates = _phase_prices(inst, mu)
     support = chis[0] + chis[1] + xi * chis[3]
-
-    def split_at(chi1):
-        bl = np.minimum(
-            tau * np.sqrt(chi1 / (3.0 * w_col * vc.capacitance * vc.cycles_per_bit**3)),
-            inst.bits_local_cap,
-        )
-        zeta = uc.cpu_freq * (chi1 - chis[0] - xi * chis[2]) - mu * uc.cycles_per_bit
-        bu_raw = sub * np.sqrt(
-            np.maximum(zeta, 0.0)
-            / (3.0 * inst.weight_uav * uc.capacitance * uc.cycles_per_bit**3 * uc.cpu_freq)
-        )
-        bu = np.where(zeta > 0.0, np.minimum(bu_raw, inst.bits_uav_cap), 0.0)
-        return bl, bu
 
     zeta_cap = 3.0 * inst.weight_uav * uc.capacitance * uc.cycles_per_bit * uc.cpu_freq**3
     hi = np.maximum(
@@ -392,17 +358,14 @@ def _candidate_no_relay(inst, mu):
     lo = np.zeros_like(mu)
     for _ in range(70):
         mid = 0.5 * (lo + hi)
-        bl, bu = split_at(mid)
+        bl, bu = _split(inst, mid, mu, chis[0], chis[2])
         short = bl + bu < inst.min_bits
         lo = np.where(short, mid, lo)
         hi = np.where(short, hi, mid)
     chi1 = np.minimum(hi, support)  # keep the dual point bounded
-    bl, bu = split_at(chi1)
+    bl, bu = _split(inst, chi1, mu, chis[0], chis[2])
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(bu > 0, bu / np.where(rates[0] > 0, rates[0], np.nan), 0.0)
-        t4 = np.where(bu > 0, xi * bu / np.where(rates[2] > 0, rates[2], np.nan), 0.0)
-    need = (np.nan_to_num(t1, nan=np.inf) + np.nan_to_num(t4, nan=np.inf)
+    need = (carry_time(bu, rates[0]) + carry_time(xi * bu, rates[2])
             + uc.cycles_per_bit * bu / uc.cpu_freq)
     chi = np.stack([chi1, mu, chis[0], chis[1], chis[2], chis[3]], axis=-1)
     return {"chi": chi, "need": need}
@@ -478,7 +441,7 @@ def warm_start(inst: ProblemInstance, steps: int = 80):
     return best_chi, best_value, infeasible
 
 
-def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, sign_rtol: float = 1e-6):
+def dual_point_eval(inst: ProblemInstance, chi: np.ndarray):
     """Dual value and subgradient at a feasible multiplier point, per block.
 
     Inner minimizers follow the closed forms and sign rules; indeterminate
@@ -494,21 +457,14 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, sign_rtol: float = 1
 
     chi1 = chi[..., D_MIN_BITS]
     chi2 = chi[..., D_SUBSLOT]
-
-    bl = np.minimum(tau * np.sqrt(chi1 / (3.0 * w_col * vc.capacitance * vc.cycles_per_bit**3)),
-                    inst.bits_local_cap)
-    l1 = w_col * vc.capacitance * vc.cycles_per_bit**3 * bl**3 / tau**2 - chi1 * bl
-
-    zeta = uc.cpu_freq * (chi1 - chi[..., D_UPLINK] - xi * chi[..., D_DOWN_UAV]) - chi2 * uc.cycles_per_bit
-    bu_raw = sub * np.sqrt(np.maximum(zeta, 0.0) /
-                           (3.0 * inst.weight_uav * uc.capacitance * uc.cycles_per_bit**3 * uc.cpu_freq))
-    bu = np.where(zeta > 0.0, np.minimum(bu_raw, inst.bits_uav_cap), 0.0)
+    bl, bu = _split(inst, chi1, chi2, chi[..., D_UPLINK], chi[..., D_DOWN_UAV])
+    l1 = w_col * compute_energy(bl, vc, tau) - chi1 * bl
     coef_u = chi2 * uc.cycles_per_bit / uc.cpu_freq + chi[..., D_UPLINK] + xi * chi[..., D_DOWN_UAV] - chi1
-    l2 = inst.weight_uav * uc.capacitance * uc.cycles_per_bit**3 * inst.n_vehicles**2 * bu**3 / tau**2 + coef_u * bu
+    l2 = inst.weight_uav * compute_energy(bu, uc, tau, inst.n_vehicles) + coef_u * bu
 
     margin = chi[..., D_UPLINK] + chi[..., D_RELAY] + xi * chi[..., D_DOWN_RSU] - chi1
     margin_scale = chi[..., D_UPLINK] + chi[..., D_RELAY] + xi * chi[..., D_DOWN_RSU] + chi1 + 1e-300
-    indeterminate = margin <= sign_rtol * margin_scale
+    indeterminate = margin <= SIGN_RTOL * margin_scale
     br = np.where(indeterminate, np.maximum(inst.min_bits - bl - bu, 0.0), 0.0)
 
     value = l1 + l2 + chi1 * inst.min_bits - chi2 * sub
@@ -518,11 +474,11 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, sign_rtol: float = 1
     for ph in range(4):
         chir = chi[..., _PHASE_RATE_DUAL[ph]]
         p = _power_stationary(inst, ph, wv[ph], chir)
-        r = _rate(inst, ph, p)
+        r = inst.rate(ph, p)
         s = wv[ph] * p + chi2 - chir * r
         s_scale = wv[ph] * p + chi2 + chir * r + 1e-300
-        full = s < -sign_rtol * s_scale
-        interval = np.abs(s) <= sign_rtol * s_scale
+        full = s < -SIGN_RTOL * s_scale
+        interval = np.abs(s) <= SIGN_RTOL * s_scale
         with np.errstate(divide="ignore", invalid="ignore"):
             carry = np.where(r > 0.0, loads[ph] / r, 0.0)
         t = np.where(full, sub, np.where(interval, np.minimum(carry, sub), 0.0))
@@ -561,69 +517,45 @@ def complete_primal(inst: ProblemInstance, bits, steps: int = 80):
     mask).
     """
     bl, bu, br = bits
-    vc, uc = inst.vehicle_compute, inst.uav_compute
+    uc = inst.uav_compute
     xi = inst.output_ratio[:, None]
-    tau, sub = inst.slot_len, inst.subslot
     wv = _phase_weights(inst)
     loads = [bu + br, br, xi * bu, xi * br]
-    t_cu = uc.cycles_per_bit * bu / uc.cpu_freq
-    budget = sub - t_cu
+    budget = inst.subslot - uc.cycles_per_bit * bu / uc.cpu_freq
 
-    def need_at(mu):
-        out = np.zeros_like(mu)
-        ps, rs = [], []
-        for ph in range(4):
-            p = _power_from_time_price(inst, ph, wv[ph], mu)
-            r = _rate(inst, ph, p)
-            active = loads[ph] > 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(active, loads[ph] / np.where(r > 0.0, r, np.nan), 0.0)
-            out = out + np.where(active & ~(r > 0.0), np.inf, np.nan_to_num(t, nan=0.0, posinf=np.inf))
-            ps.append(p)
-            rs.append(r)
-        return out, ps, rs
+    def times_at(mu):
+        powers = [_power_from_time_price(inst, ph, wv[ph], mu) for ph in range(4)]
+        times = [carry_time(loads[ph], inst.rate(ph, powers[ph])) for ph in range(4)]
+        return times, powers
 
     mu_hi = _time_price_ceiling(inst)
-    need_top, _, _ = need_at(mu_hi)
+    need_top = sum(times_at(mu_hi)[0])
     infeasible = (need_top > budget * (1.0 + 1e-12)) | (budget < -1e-15)
     lo = np.zeros_like(mu_hi)
     hi = mu_hi.copy()
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        over, _, _ = need_at(mid)
-        take = over > budget
+        take = sum(times_at(mid)[0]) > budget
         lo = np.where(take, mid, lo)
         hi = np.where(take, hi, mid)
-    _, ps, rs = need_at(hi)
+    times, powers = times_at(hi)
 
-    powers = np.zeros((4,) + bl.shape)
-    times = np.zeros((4,) + bl.shape)
-    for ph in range(4):
-        active = loads[ph] > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(active, loads[ph] / np.where(rs[ph] > 0.0, rs[ph], np.nan), 0.0)
-        times[ph] = np.nan_to_num(t, nan=0.0, posinf=0.0)
-        powers[ph] = np.where(active, ps[ph], 0.0)
-
-    w_col = inst.weights_vehicle[:, None]
-    energy = (
-        w_col * vc.capacitance * vc.cycles_per_bit**3 * bl**3 / tau**2
-        + inst.weight_uav * uc.capacitance * uc.cycles_per_bit**3 * inst.n_vehicles**2 * bu**3 / tau**2
-        + wv[0] * powers[0] * times[0]
-        + inst.weight_uav * (powers[1] * times[1] + powers[2] * times[2] + powers[3] * times[3])
-    )
+    times = np.stack(times)
+    times = np.where(np.isfinite(times), times, 0.0)
+    powers = np.stack([np.where(loads[ph] > 0.0, powers[ph], 0.0) for ph in range(4)])
+    energy = block_energy(inst, bl, bu, powers, times)
     return powers, times, energy, infeasible
 
 
-def blended_completion(inst: ProblemInstance, chi: np.ndarray, hard_mask, sign_rtol: float = 1e-6):
+def blended_completion(inst: ProblemInstance, chi: np.ndarray, hard_mask):
     """Completable bit split and its energy-minimal schedule at multipliers.
 
     Starts from the closed-form split (ground unit takes the shortfall); any
     feasible block whose split cannot fit the budget falls back to the greedy
     minimal-time split.  Returns (bits, (powers, times), energy, inf_mask).
     """
-    _, _, inner = dual_point_eval(inst, chi, sign_rtol)
-    bl, bu, _ = inner["bits"]
+    bl, bu = _split(inst, chi[..., D_MIN_BITS], chi[..., D_SUBSLOT],
+                    chi[..., D_UPLINK], chi[..., D_DOWN_UAV])
     br = np.maximum(inst.min_bits - bl - bu, 0.0)
     bits = [bl, bu, br]
     powers, times, energy, inf_mask = complete_primal(inst, tuple(bits))
@@ -693,13 +625,13 @@ def _restore_feasibility(center, shape, xi, scale, rounds: int = 60):
     return center, shape
 
 
-def dual_subgradients(inst: ProblemInstance, chi: np.ndarray, sign_rtol: float = 1e-6):
+def dual_subgradients(inst: ProblemInstance, chi: np.ndarray):
     """Residuals of the six constraint families at the inner solutions.
 
     Each multiplier is paired with its own constraint's residual; shape
     (K, N, 6).
     """
-    _, g, _ = dual_point_eval(inst, chi, sign_rtol)
+    _, g, _ = dual_point_eval(inst, chi)
     return g
 
 
@@ -707,7 +639,6 @@ def ellipsoid_solve(
     inst: ProblemInstance,
     eps: float = 1e-4,
     max_iterations: int = 200,
-    sign_rtol: float = 1e-6,
     radius: float = 4.0,
     min_iterations: int = 1,
 ) -> DualState:
@@ -730,7 +661,7 @@ def ellipsoid_solve(
     shape = np.broadcast_to(np.eye(d) * radius**2 * d, (k, n, d, d)).copy()
 
     def certify(chi):
-        _, _, energy, inf_mask = blended_completion(inst, chi, hard_infeasible, sign_rtol)
+        bits, (powers, _), energy, inf_mask = blended_completion(inst, chi, hard_infeasible)
         primal_ok = ~(inf_mask | hard_infeasible)
         total_primal = float(np.where(primal_ok, energy, 0.0).sum())
         total_dual = float(np.where(primal_ok, best_value, 0.0).sum())
@@ -740,10 +671,10 @@ def ellipsoid_solve(
             # a feasible block with no completable split yet keeps the run
             # uncertified until the multipliers move
             gap = np.inf
-        return gap, total_primal, total_dual, primal_ok
+        return gap, total_primal, total_dual, primal_ok, (bits, powers)
 
     log = []
-    gap, primal, dual_total, primal_ok = certify(best_chi)
+    gap, primal, dual_total, primal_ok, completion = certify(best_chi)
     log.append({"iteration": 0, "dual": dual_total, "wtec": primal, "gap": gap})
     converged = gap < eps
     it = 0
@@ -751,7 +682,7 @@ def ellipsoid_solve(
         it += 1
         center, shape = _restore_feasibility(center, shape, xi, scale)
         chi = np.maximum(center, 0.0) * scale
-        value, g, _ = dual_point_eval(inst, chi, sign_rtol)
+        value, g, _ = dual_point_eval(inst, chi)
         improved = value > best_value
         best_chi = np.where(improved[..., None], chi, best_chi)
         best_value = np.where(improved, value, best_value)
@@ -761,7 +692,7 @@ def ellipsoid_solve(
         shape = 0.5 * (shape + np.swapaxes(shape, -1, -2))
         if improved.any():
             # the completion moves only when a block's best point moved
-            gap, primal, dual_total, primal_ok = certify(best_chi)
+            gap, primal, dual_total, primal_ok, completion = certify(best_chi)
         log.append({"iteration": it, "dual": dual_total, "wtec": primal, "gap": gap})
         converged = gap < eps
 
@@ -775,6 +706,7 @@ def ellipsoid_solve(
         iterations=it,
         converged=bool(converged),
         feasible=primal_ok,
+        completion=completion,
         log=log,
     )
     if not converged:
@@ -800,7 +732,7 @@ def solve_p2(inst: ProblemInstance, bits_local, bits_uav, powers):
     uc = inst.uav_compute
     sub = inst.subslot
     xi = inst.output_ratio
-    rates = np.stack([_rate(inst, ph, powers[ph]) for ph in range(4)])
+    rates = np.stack([inst.rate(ph, powers[ph]) for ph in range(4)])
 
     bits_rsu = np.zeros_like(bits_local)
     times = np.zeros((4, k_n, n_n))
@@ -865,7 +797,6 @@ def algorithm1(
     inst: ProblemInstance,
     eps: float = 1e-4,
     max_iterations: int = 200,
-    sign_rtol: float = 1e-6,
 ) -> SolveReport:
     """Full dual pipeline: ellipsoid ascent, final closed forms, recovery LP.
 
@@ -873,17 +804,19 @@ def algorithm1(
     duality gap.  IterationCapExceeded propagates with the best-so-far state
     attached.
     """
-    state = ellipsoid_solve(inst, eps, max_iterations, sign_rtol)
+    state = ellipsoid_solve(inst, eps, max_iterations)
     return finish_from_duals(inst, state)
 
 
 def finish_from_duals(inst: ProblemInstance, state: DualState) -> SolveReport:
-    """Recover the primal allocation from a converged (or best-so-far) dual."""
-    hard = ~state.feasible
-    bits, (powers, _), _, inf_mask = blended_completion(inst, state.multipliers, hard)
-    if inf_mask.any() or hard.any():
-        bad = np.argwhere(inf_mask | hard)
-        k, n = bad[0]
+    """Recover the primal allocation from a converged (or best-so-far) dual.
+
+    Reuses the completion that certified the state's gap; its bit split and
+    powers fix the recovery LP.
+    """
+    bits, powers = state.completion
+    if not state.feasible.all():
+        k, n = np.argwhere(~state.feasible)[0]
         raise InfeasibleAllocation(
             f"minimum bits unachievable within the sub-slot for vehicle {k}, slot {n}"
         )

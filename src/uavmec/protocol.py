@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import ComputeModel
+from .energy import ComputeModel, compute_energy
 
 
 class ZeroRateWithBits(Exception):
@@ -107,6 +107,14 @@ class Allocation:
         return np.stack(
             [self.time_offload, self.time_relay, self.time_down_uav, self.time_down_rsu]
         )
+
+
+def carry_time(load, rate):
+    """Time to carry `load` bits at `rate`: 0 without load, inf when bits
+    meet a zero rate, load / rate otherwise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(load > 0, load / np.where(rate > 0, rate, np.nan), 0.0)
+    return np.nan_to_num(t, nan=np.inf, posinf=np.inf)
 
 
 @dataclass
@@ -227,12 +235,8 @@ def baseline_allocation(inst) -> Allocation:
     t_names = ("time_offload", "time_relay", "time_down_uav", "time_down_rsu")
     for ph in range(4):
         pmax = np.full((k, n), inst.power_max[ph])
-        rate = inst.rate(ph, pmax)
-        active = carried[ph] > 0
-        setattr(alloc, p_names[ph], np.where(active, pmax, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(active, carried[ph] / np.where(rate > 0, rate, np.nan), 0.0)
-        setattr(alloc, t_names[ph], np.nan_to_num(t, nan=np.inf, posinf=np.inf))
+        setattr(alloc, p_names[ph], np.where(carried[ph] > 0, pmax, 0.0))
+        setattr(alloc, t_names[ph], carry_time(carried[ph], inst.rate(ph, pmax)))
     return alloc
 
 
@@ -251,49 +255,40 @@ def tccd(alloc: Allocation, inst, include_local: bool = False) -> float:
     return total
 
 
-def wtec(alloc: Allocation, inst) -> float:
-    """Weighted total energy consumed by the vehicles and the UAV server.
+def block_energy(inst, bits_local, bits_uav, powers, times) -> np.ndarray:
+    """Weighted energy of every (vehicle, slot) block, shape (K, N).
 
     Vehicle side: local CPU energy plus phase-1 radiated energy, weighted per
     vehicle.  UAV side: relay and download radiated energy plus its CPU
     energy (with the K^2 sub-slot factor), weighted by the UAV weight.
-    Propulsion energy is reported separately by the runner.
+    `powers` and `times` are the stacked (4, K, N) per-phase arrays.
     """
     tau = inst.slot_len
-    e_local = (
-        inst.vehicle_compute.capacitance
-        * inst.vehicle_compute.cycles_per_bit**3
-        * alloc.bits_local**3
-        / tau**2
-    )
-    e_uav_cpu = (
-        inst.uav_compute.capacitance
-        * inst.uav_compute.cycles_per_bit**3
-        * inst.n_vehicles**2
-        * alloc.bits_uav**3
-        / tau**2
-    )
-    vehicle_side = inst.weights_vehicle[:, None] * (e_local + alloc.power_offload * alloc.time_offload)
+    e_local = compute_energy(bits_local, inst.vehicle_compute, tau)
+    e_uav_cpu = compute_energy(bits_uav, inst.uav_compute, tau, inst.n_vehicles)
+    vehicle_side = inst.weights_vehicle[:, None] * (e_local + powers[0] * times[0])
     uav_side = inst.weight_uav * (
-        alloc.power_relay * alloc.time_relay
-        + e_uav_cpu
-        + alloc.power_down_uav * alloc.time_down_uav
-        + alloc.power_down_rsu * alloc.time_down_rsu
+        powers[1] * times[1] + e_uav_cpu + powers[2] * times[2] + powers[3] * times[3]
     )
-    return float(vehicle_side.sum() + uav_side.sum())
+    return vehicle_side + uav_side
+
+
+def wtec(alloc: Allocation, inst) -> float:
+    """Weighted total energy consumed by the vehicles and the UAV server.
+
+    The sum of `block_energy`; propulsion energy is reported separately by
+    the runner.
+    """
+    return float(
+        block_energy(inst, alloc.bits_local, alloc.bits_uav, alloc.powers(), alloc.times()).sum()
+    )
 
 
 def energy_breakdown(alloc: Allocation, inst) -> dict:
     """Unweighted per-phase energy totals in joules."""
     tau = inst.slot_len
-    e_local = inst.vehicle_compute.capacitance * inst.vehicle_compute.cycles_per_bit**3 * alloc.bits_local**3 / tau**2
-    e_uav_cpu = (
-        inst.uav_compute.capacitance
-        * inst.uav_compute.cycles_per_bit**3
-        * inst.n_vehicles**2
-        * alloc.bits_uav**3
-        / tau**2
-    )
+    e_local = compute_energy(alloc.bits_local, inst.vehicle_compute, tau)
+    e_uav_cpu = compute_energy(alloc.bits_uav, inst.uav_compute, tau, inst.n_vehicles)
     return {
         "e_local_J": float(e_local.sum()),
         "e_offload_J": float((alloc.power_offload * alloc.time_offload).sum()),

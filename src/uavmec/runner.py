@@ -127,11 +127,9 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, include_baseline: bool = F
     result = SweepResult(axis=axis, values=[float(v) for v in values], config=cfg)
     for value in sorted(float(v) for v in values):
         point_cfg = set_axis(cfg, axis, value)
-        inst = None
         try:
             row = solve_scenario(point_cfg, sweep_value=value)
         except (optimizer.InfeasibleAllocation, optimizer.IterationCapExceeded) as exc:
-            inst = build_instance(point_cfg)
             row = {c: float("nan") for c in COLUMNS}
             row.update(
                 sweep_value=value,
@@ -155,8 +153,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_results(result: SweepResult, fmt: str, path) -> None:
-    """Write a sweep as CSV or JSON with the resolved config echoed in.
+def format_results(result: SweepResult, fmt: str) -> str:
+    """Render a sweep as CSV or JSON text with the resolved config echoed in.
 
     Floats carry 9 significant digits; JSON numbers are quantized the same
     way so a reload compares equal to the file.
@@ -169,10 +167,8 @@ def emit_results(result: SweepResult, fmt: str, path) -> None:
         lines.append(",".join(COLUMNS))
         for row in result.rows:
             lines.append(",".join(_fmt(row.get(c, float("nan"))) for c in COLUMNS))
-        text = "\n".join(lines) + "\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    elif fmt == "json":
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
         def q(v):
             if isinstance(v, bool) or not isinstance(v, float):
                 return v
@@ -185,11 +181,15 @@ def emit_results(result: SweepResult, fmt: str, path) -> None:
             "columns": list(COLUMNS),
             "rows": [{c: q(row.get(c, float("nan"))) for c in COLUMNS} for row in result.rows],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, allow_nan=True)
-            fh.write("\n")
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
+        return json.dumps(payload, indent=1, allow_nan=True) + "\n"
+    raise ValueError(f"unknown output format {fmt!r}")
+
+
+def emit_results(result: SweepResult, fmt: str, path) -> None:
+    """Write `format_results` text to `path`."""
+    text = format_results(result, fmt)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def load_results(path) -> dict:

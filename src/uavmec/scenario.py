@@ -107,7 +107,6 @@ class ScenarioConfig:
     # solver / run
     epsilon: float = 1e-4
     max_iterations: int = 200
-    sign_tolerance: float = 1e-9
     mode: str = "optimized"
     include_propulsion: bool = True
     tccd_include_local: bool = False
@@ -157,7 +156,7 @@ _SECTIONS = {
         "blade_power", "induced_power",
     ),
     "solver": (
-        "epsilon", "max_iterations", "sign_tolerance", "mode",
+        "epsilon", "max_iterations", "mode",
         "include_propulsion", "tccd_include_local", "seed",
     ),
 }

@@ -8,7 +8,10 @@ from uavmec.protocol import (
     BitSplit,
     ZeroRateWithBits,
     baseline_allocation,
+    block_energy,
+    carry_time,
     check_feasible,
+    energy_breakdown,
     phase_durations,
     tccd,
     wtec,
@@ -150,3 +153,38 @@ def test_baseline_allocation_structure():
     # durations exactly carry the bits
     carried = alloc.time_offload * inst.rate(0, alloc.power_offload)
     assert np.allclose(carried, alloc.bits_uav + alloc.bits_rsu, rtol=1e-9)
+
+
+def test_carry_time_zero_load_is_zero_even_at_zero_rate():
+    assert carry_time(0.0, 0.0) == 0.0
+    assert carry_time(0.0, 5e6) == 0.0
+
+
+def test_carry_time_load_at_zero_rate_is_inf():
+    assert carry_time(1e5, 0.0) == np.inf
+
+
+def test_carry_time_is_load_over_rate():
+    load = np.array([[1e5, 3e5], [0.0, 2e5]])
+    rate = np.array([[5e6, 1e7], [0.0, 4e6]])
+    assert np.array_equal(carry_time(load, rate), [[1e5 / 5e6, 3e5 / 1e7], [0.0, 2e5 / 4e6]])
+
+
+def test_wtec_is_sum_of_block_energy_and_weighted_breakdown():
+    inst = make_synthetic_instance(n_vehicles=3, n_slots=4, min_bits=2e5)
+    inst.weights_vehicle = np.full(3, 1.7)
+    rng = np.random.default_rng(3)
+    alloc = Allocation.zeros(3, 4)
+    for name in vars(alloc):
+        setattr(alloc, name, rng.uniform(0.0, 1e-3, (3, 4)))
+    alloc.bits_local = rng.uniform(0, 2e5, (3, 4))
+    alloc.bits_uav = rng.uniform(0, 2e5, (3, 4))
+    total = wtec(alloc, inst)
+    assert total == block_energy(
+        inst, alloc.bits_local, alloc.bits_uav, alloc.powers(), alloc.times()
+    ).sum()
+    e = energy_breakdown(alloc, inst)
+    weighted = 1.7 * (e["e_local_J"] + e["e_offload_J"]) + inst.weight_uav * (
+        e["e_relay_J"] + e["e_uav_compute_J"] + e["e_down_uav_J"] + e["e_down_rsu_J"]
+    )
+    assert np.isclose(total, weighted, rtol=1e-12, atol=0.0)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from uavmec import cli, runner
 from uavmec.runner import COLUMNS, SweepResult, emit_results, load_results, run_sweep, set_axis
@@ -131,6 +132,16 @@ def test_cli_sweep_with_baseline(tmp_path):
     assert code == 0
     lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
     assert len(lines) == 1 + 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_stdout_matches_file_output(tmp_path, capsys, fmt):
+    args = ["solve", "--baseline", "--format", fmt, "--config", str(_write_cfg(tmp_path))]
+    out = tmp_path / f"row.{fmt}"
+    assert cli.main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(args + ["--out", "-"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 def test_cli_rejects_bad_config(tmp_path):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from uavmec import instance
+from uavmec.instance import PHASE_DOWN_RSU, PHASE_DOWN_UAV
 from uavmec.scenario import (
     ParseError,
     ScenarioConfig,
@@ -80,6 +82,12 @@ def test_unknown_keys_reported_with_paths():
     assert any("radio.bandwidht" in e for e in err.value.errors)
 
 
+def test_sign_tolerance_is_not_a_config_key():
+    with pytest.raises(ValidationError) as err:
+        load_scenario("[solver]\nsign_tolerance = 1e-9\n")
+    assert "solver.sign_tolerance: unknown key" in err.value.errors
+
+
 def test_all_errors_collected_together():
     bad = "[task]\nhorizon = 8 s\nslot = 0.3 s\ncpu_vehicle = 5 GHz\n"
     with pytest.raises(ValidationError) as err:
@@ -137,6 +145,21 @@ def test_instance_caps_from_stock_values(table1_inst):
     assert np.isclose(table1_inst.bits_uav_cap, 2e5)
     assert table1_inst.min_bits.shape == (3, 40)
     assert len(table1_inst.channel_sets) == 40
+
+
+def test_roll_out_builds_each_link_once_per_slot(monkeypatch):
+    calls = []
+    real = instance.build_channel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(instance, "build_channel", counting)
+    inst = build_instance(load_scenario("[task]\nhorizon = 0.4 s\n"))
+    # per slot: K uplinks, K downlinks and the UAV-to-ground-unit relay
+    assert len(calls) == inst.n_slots * (2 * inst.n_vehicles + 1)
+    assert np.array_equal(inst.gains[PHASE_DOWN_UAV], inst.gains[PHASE_DOWN_RSU])
 
 
 def test_rank1_mode_collapses_gain_tables():
