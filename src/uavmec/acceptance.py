@@ -57,8 +57,8 @@ def criterion_convexity(cfg: ScenarioConfig, samples: int = 1000) -> CriterionRe
 
 
 def criterion_closed_form_consistency(cfg: ScenarioConfig, trials: int = 100) -> CriterionResult:
-    """Numeric phase-1 power root vs the rank-1 closed form, plus the exact
-    linear lower/upper-bound power relation."""
+    """The solver's vectorized power root vs the rank-1 closed form, plus the
+    exact linear lower/upper-bound power relation."""
     rng = np.random.default_rng(cfg.seed + 1)
     bandwidth, noise = cfg.bandwidth, cfg.noise_density
     pmax = cfg.power_max_offload
@@ -73,15 +73,15 @@ def criterion_closed_form_consistency(cfg: ScenarioConfig, trials: int = 100) ->
         g_scalar = phi / (bandwidth * noise * n_tx)
         p_target = 10.0 ** rng.uniform(-4, np.log10(pmax * 0.9))
         price = weight * np.log(2.0) * (1.0 + p_target * g_scalar) / (bandwidth * g_scalar)
-        numeric = power_opt([g_scalar], weight, price, bandwidth, pmax, tol=1e-12 * pmax)
-        closed, _, raw_lower = phase1_closed_form(
-            phi, n_tx, n_rx, "lower", weight, 0.0, price, bandwidth, noise, pmax, 1.0
+        numeric = float(power_opt(np.array([g_scalar]), weight, price, bandwidth, pmax))
+        closed, raw_lower = phase1_closed_form(
+            phi, n_tx, n_rx, "lower", weight, price, bandwidth, noise, pmax
         )
         if closed > 0:
             worst = max(worst, abs(numeric - closed) / max(closed, 1e-300))
         # exact linear relation between the unclamped bound powers
-        p_up, _, raw_upper = phase1_closed_form(
-            phi, n_tx, n_rx, "upper", weight, 0.0, price, bandwidth, noise, pmax, 1.0
+        p_up, raw_upper = phase1_closed_form(
+            phi, n_tx, n_rx, "upper", weight, price, bandwidth, noise, pmax
         )
         lmin = min(n_tx, n_rx)
         if abs(raw_upper - lmin * raw_lower) > 1e-12 * max(abs(raw_upper), 1e-300):

@@ -11,10 +11,6 @@ class FixedWingStall(Exception):
     """Fixed-wing flight energy diverges at zero horizontal speed."""
 
 
-class PowerCapExceeded(Exception):
-    """Transmit power above the configured cap: the allocation is infeasible."""
-
-
 @dataclass(frozen=True)
 class FlightPowerModel:
     """Propulsion power constants for a fixed-wing or rotary-wing UAV.
@@ -103,15 +99,6 @@ def compute_energy(bits, model: ComputeModel, slot_len: float,
         raise ValueError("bits must be non-negative")
     k2 = 1.0 if n_vehicles is None else float(n_vehicles) ** 2
     return model.capacitance * model.cycles_per_bit**3 * k2 * bits**3 / slot_len**2
-
-
-def tx_energy(power: float, duration: float, power_max: float) -> float:
-    """Radiated energy power*duration, guarding the transmit power cap."""
-    if power < 0 or duration < 0:
-        raise ValueError("power and duration must be non-negative")
-    if power > power_max * (1.0 + 1e-9):
-        raise PowerCapExceeded(f"power {power} W exceeds cap {power_max} W")
-    return power * duration
 
 
 def rotary_defaults(air_density: float = 1.225, solidity: float = 0.05,

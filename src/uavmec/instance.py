@@ -17,6 +17,19 @@ from .geometry import NetworkState, advance
 PHASE_OFFLOAD, PHASE_RELAY, PHASE_DOWN_UAV, PHASE_DOWN_RSU = range(4)
 
 
+def rate(gains, bandwidth: float, power) -> np.ndarray:
+    """B * sum_l log2(1 + p * g_l) for gains of shape (..., L) and powers of
+    the leading shape."""
+    p = np.asarray(power, dtype=float)
+    return bandwidth * np.log2(1.0 + p[..., None] * gains).sum(axis=-1)
+
+
+def rate_derivative(gains, bandwidth: float, power) -> np.ndarray:
+    """d rate / d power: B/ln2 * sum_l g_l / (1 + p * g_l)."""
+    p = np.asarray(power, dtype=float)
+    return bandwidth / np.log(2.0) * (gains / (1.0 + p[..., None] * gains)).sum(axis=-1)
+
+
 @dataclass
 class ProblemInstance:
     """Everything one optimization run needs, in SI units.
@@ -57,15 +70,11 @@ class ProblemInstance:
 
     def rate(self, phase: int, power: np.ndarray) -> np.ndarray:
         """Achievable rate (bits/s) of `phase` at per-(k, n) powers."""
-        p = np.asarray(power, dtype=float)
-        snr = p[..., None] * self.gains[phase]
-        return self.bandwidth * np.log2(1.0 + snr).sum(axis=-1)
+        return rate(self.gains[phase], self.bandwidth, power)
 
     def rate_derivative(self, phase: int, power: np.ndarray) -> np.ndarray:
         """d rate / d power at per-(k, n) powers."""
-        p = np.asarray(power, dtype=float)
-        g = self.gains[phase]
-        return self.bandwidth / np.log(2.0) * (g / (1.0 + p[..., None] * g)).sum(axis=-1)
+        return rate_derivative(self.gains[phase], self.bandwidth, power)
 
     def flight_energy_total(self) -> float:
         """Propulsion energy over the whole horizon (0 without a UAV model)."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import ProblemInstance
+from .instance import ProblemInstance, rate_derivative
 from .lp import solve_lp
 from .energy import compute_energy
 from .protocol import Allocation, block_energy, carry_time, check_feasible, wtec
@@ -32,9 +32,10 @@ _PHASE_RATE_DUAL = (D_UPLINK, D_RELAY, D_DOWN_UAV, D_DOWN_RSU)
 # Relative tolerance of the sign rules (ground-unit bits, transmit times).
 SIGN_RTOL = 1e-6
 
-
-class DualInfeasible(Exception):
-    """The multiplier point violates the boundedness condition of the dual."""
+# Initial ellipsoid radius in warm-start-scaled coordinates, and the number
+# of ellipsoid iterations run even when the warm start already certifies.
+_ELLIPSOID_RADIUS = 4.0
+_MIN_ITERATIONS = 1
 
 
 class IterationCapExceeded(Exception):
@@ -51,12 +52,10 @@ class InfeasibleAllocation(Exception):
 
 @dataclass
 class DualState:
-    """Best multipliers, per-block ellipsoids and the iteration log."""
+    """Best multipliers, the completion that certified them, and the
+    iteration log."""
 
     multipliers: np.ndarray  # (K, N, 6) best point per block
-    center: np.ndarray  # (K, N, 6) current ellipsoid centers
-    shape: np.ndarray  # (K, N, 6, 6) ellipsoid shape matrices (scaled coords)
-    scale: np.ndarray  # (K, N, 6) per-family coordinate scales
     dual_value: float
     gap: float
     iterations: int
@@ -83,8 +82,19 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# closed forms and scalar per-block operations
+# closed forms and roots, elementwise over blocks
 # ---------------------------------------------------------------------------
+
+def _bisect(below, lo, hi, steps: int):
+    """Halve every bracket [lo, hi] `steps` times, keeping the upper half
+    where below(mid) holds and the lower half elsewhere."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        take = below(mid)
+        lo = np.where(take, mid, lo)
+        hi = np.where(take, hi, mid)
+    return lo, hi
+
 
 def bits_local_opt(price_min_bits, weight, capacitance, cycles_per_bit, slot_len, cpu_freq):
     """Optimal local-compute bits for the given minimum-bits price.
@@ -124,91 +134,40 @@ def bits_uav_opt(
     return np.where(gain > 0.0, np.clip(raw, 0.0, cap), 0.0)
 
 
-def bits_rsu_rule(price_min_bits, price_uplink, price_relay, price_down_rsu,
-                  output_ratio, tol: float = 1e-9) -> str:
-    """Sign rule for ground-unit bits: zero, or indeterminate (left to the LP).
+def power_opt(gains, weight, price_rate, bandwidth, power_max) -> np.ndarray:
+    """Root of the power stationarity condition on [0, power_max], clamped.
 
-    Raises DualInfeasible when the boundedness inequality is violated beyond
-    the tolerance.
+    `gains` has shape (..., L); `weight` and `price_rate` broadcast against
+    its leading shape.  The defining function weight - price_rate *
+    d(rate)/d(power) is strictly increasing in power; endpoints clamp when no
+    interior root exists.
     """
-    expr = price_uplink + price_relay + price_down_rsu * output_ratio - price_min_bits
-    if expr < -tol:
-        raise DualInfeasible(f"boundedness margin {expr} below -{tol}")
-    return "zero" if expr > tol else "indeterminate"
+    shape = np.broadcast_shapes(gains.shape[:-1], np.shape(weight), np.shape(price_rate))
+    at_zero = price_rate * rate_derivative(gains, bandwidth, np.zeros(shape))
+    at_max = price_rate * rate_derivative(gains, bandwidth, np.full(shape, power_max))
+    lo, hi = _bisect(lambda p: price_rate * rate_derivative(gains, bandwidth, p) > weight,
+                     np.zeros(shape), np.full(shape, power_max), 70)
+    p = 0.5 * (lo + hi)
+    p = np.where(at_zero <= weight, 0.0, p)
+    return np.where(at_max >= weight, power_max, p)
 
 
-def power_opt(gains, weight, price_rate, bandwidth, power_max, tol: float = 1e-10) -> float:
-    """Bisected root of the power stationarity condition on [0, power_max].
+def phase1_closed_form(trace_power, n_tx, n_rx, bound, weight, price_rate,
+                       bandwidth, noise_density, power_max):
+    """Closed-form phase-1 power under the rank-1 / full-rank rate bounds.
 
-    The defining function weight - price_rate * d(rate)/d(power) is strictly
-    increasing in power; endpoints clamp when no interior root exists.
-    """
-    g = np.asarray(gains, dtype=float)
-    if price_rate <= 0.0 or g.size == 0:
-        return 0.0
-    ln2 = np.log(2.0)
-
-    def marginal(p):
-        return price_rate * bandwidth / ln2 * float(np.sum(g / (1.0 + p * g)))
-
-    if marginal(0.0) <= weight:
-        return 0.0
-    if marginal(power_max) >= weight:
-        return power_max
-    lo, hi = 0.0, power_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if marginal(mid) > weight:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def slot_time_opt(power, rate_at_power, weight, price_subslot, price_rate,
-                  subslot, tol: float = 1e-9):
-    """Three-case transmit-time rule from the sign of the per-time cost.
-
-    Returns (time, rule) with rule in {"full", "interval", "zero"}; the
-    interval case is left to the recovery LP.
-    """
-    s = weight * power + price_subslot - price_rate * rate_at_power
-    if s < -tol:
-        return subslot, "full"
-    if s > tol:
-        return 0.0, "zero"
-    return None, "interval"
-
-
-def phase1_closed_form(trace_power, n_tx, n_rx, bound, weight, price_subslot,
-                       price_rate, bandwidth, noise_density, power_max, subslot,
-                       tol: float = 1e-9):
-    """Closed-form phase-1 power and time rule under the rank-1 / full-rank
-    rate bounds.
-
-    Returns (power, rule, power_unclamped).  The full-rank ("upper") power is
+    Returns (power, power_unclamped).  The full-rank ("upper") power is
     exactly min(n_tx, n_rx) times the rank-1 ("lower") one before clamping.
     """
     noise = bandwidth * noise_density * n_tx
     p_lb_raw = bandwidth * (price_rate / (weight * np.log(2.0)) - noise / (bandwidth * trace_power))
-    lmin = min(n_tx, n_rx)
     if bound == "lower":
         raw = p_lb_raw
-        rate = lambda p: bandwidth * np.log2(1.0 + p * trace_power / noise)
     elif bound == "upper":
-        raw = lmin * p_lb_raw
-        rate = lambda p: bandwidth * lmin * np.log2(1.0 + p * trace_power / (noise * lmin))
+        raw = min(n_tx, n_rx) * p_lb_raw
     else:
         raise ValueError(f"unknown bound {bound!r}")
-    p = float(np.clip(raw, 0.0, power_max))
-    s = weight * p + price_subslot - price_rate * rate(p)
-    if s < -tol:
-        rule = "full"
-    elif s > tol:
-        rule = "zero"
-    else:
-        rule = "interval"
-    return p, rule, float(raw)
+    return float(np.clip(raw, 0.0, power_max)), float(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -227,37 +186,15 @@ def _phi(inst, ph, w, p) -> np.ndarray:
     return w * (inst.rate(ph, p) / np.maximum(inst.rate_derivative(ph, p), 1e-300) - p)
 
 
-def _power_from_time_price(inst, ph, w, mu, steps: int = 60) -> np.ndarray:
+def _power_from_time_price(inst, ph, w, mu) -> np.ndarray:
     """Invert w*(r/r' - p) = mu elementwise on [0, p_max] (clamped above)."""
     pmax = inst.power_max[ph]
     phi_max = _phi(inst, ph, w, np.full(mu.shape, pmax))
-    lo = np.zeros_like(mu)
-    hi = np.full_like(mu, pmax)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        take = _phi(inst, ph, w, mid) < mu
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
+    lo, hi = _bisect(lambda p: _phi(inst, ph, w, p) < mu,
+                     np.zeros_like(mu), np.full_like(mu, pmax), 60)
     p = 0.5 * (lo + hi)
     p = np.where(mu <= 0.0, 0.0, p)
     return np.where(phi_max <= mu, pmax, p)
-
-
-def _power_stationary(inst, ph, w, chi_rate, steps: int = 70) -> np.ndarray:
-    """Vectorized root of w = chi_rate * r'(p) on [0, p_max], clamped."""
-    pmax = inst.power_max[ph]
-    at_zero = chi_rate * inst.rate_derivative(ph, np.zeros_like(chi_rate))
-    at_max = chi_rate * inst.rate_derivative(ph, np.full(chi_rate.shape, pmax))
-    lo = np.zeros_like(chi_rate)
-    hi = np.full_like(chi_rate, pmax)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        high = chi_rate * inst.rate_derivative(ph, mid) > w
-        lo = np.where(high, mid, lo)
-        hi = np.where(high, hi, mid)
-    p = 0.5 * (lo + hi)
-    p = np.where(at_zero <= w, 0.0, p)
-    return np.where(at_max >= w, pmax, p)
 
 
 def _split(inst, chi1, chi_subslot, chi_uplink, chi_down_uav):
@@ -272,13 +209,13 @@ def _split(inst, chi1, chi_subslot, chi_uplink, chi_down_uav):
 
 
 def _phase_prices(inst, mu):
-    """Per-phase stationary powers, rate prices and rates at the time price.
+    """Per-phase rate prices and rates at the time price.
 
     An interior power prices its rate at w / r'(p); a power clamped at its
     cap takes the price that balances the time sign, (w * p_max + mu) / r.
     """
     wv = _phase_weights(inst)
-    powers, chis, rates = [], [], []
+    chis, rates = [], []
     for ph in range(4):
         p = _power_from_time_price(inst, ph, wv[ph], mu)
         pmax = inst.power_max[ph]
@@ -288,10 +225,9 @@ def _phase_prices(inst, mu):
             (wv[ph] * pmax + mu) / np.maximum(inst.rate(ph, np.full(mu.shape, pmax)), 1e-300),
             wv[ph] / np.maximum(inst.rate_derivative(ph, p), 1e-300),
         )
-        powers.append(p)
         chis.append(chi)
         rates.append(inst.rate(ph, p))
-    return powers, chis, rates
+    return chis, rates
 
 
 def _candidate(inst, mu):
@@ -300,11 +236,12 @@ def _candidate(inst, mu):
     At the block optimum, power stationarity plus the time-sign balance make
     every rate price a function of the time price alone; the minimum-bits
     price then follows from the boundedness equality, and the bit split from
-    the closed forms.  Returns a dict of (K, N)-shaped arrays.
+    the closed forms.  Returns the (K, N, 6) dual point and the (K, N)
+    sub-slot time its split needs.
     """
     uc = inst.uav_compute
     xi = inst.output_ratio[:, None]
-    powers, chis, rates = _phase_prices(inst, mu)
+    chis, rates = _phase_prices(inst, mu)
 
     chi1 = chis[0] + chis[1] + xi * chis[3]
     bl, bu = _split(inst, chi1, mu, chis[0], chis[2])
@@ -315,14 +252,7 @@ def _candidate(inst, mu):
     need = times[0] + times[1] + times[2] + times[3] + uc.cycles_per_bit * bu / uc.cpu_freq
 
     chi = np.stack([chi1, mu, chis[0], chis[1], chis[2], chis[3]], axis=-1)
-    return {
-        "chi": chi,
-        "powers": np.stack(powers),
-        "rates": np.stack(rates),
-        "times": np.stack(times),
-        "need": need,
-        "bits": (bl, bu, br),
-    }
+    return chi, need
 
 
 def _time_price_ceiling(inst) -> np.ndarray:
@@ -341,13 +271,14 @@ def _candidate_no_relay(inst, mu):
     The boundedness constraint is slack here, so the minimum-bits price comes
     from the local/UAV split fixed point (bits(price) summing to the
     requirement) instead of the route-price equality; only the uplink, UAV
-    compute and UAV-result download occupy the budget.
+    compute and UAV-result download occupy the budget.  Returns (chi, need)
+    as `_candidate` does.
     """
     vc, uc = inst.vehicle_compute, inst.uav_compute
     xi = inst.output_ratio[:, None]
     tau = inst.slot_len
     w_col = inst.weights_vehicle[:, None]
-    _, chis, rates = _phase_prices(inst, mu)
+    chis, rates = _phase_prices(inst, mu)
     support = chis[0] + chis[1] + xi * chis[3]
 
     zeta_cap = 3.0 * inst.weight_uav * uc.capacitance * uc.cycles_per_bit * uc.cpu_freq**3
@@ -355,20 +286,19 @@ def _candidate_no_relay(inst, mu):
         3.0 * w_col * vc.capacitance * vc.cycles_per_bit**3 * inst.bits_local_cap**2 / tau**2,
         (zeta_cap + mu * uc.cycles_per_bit) / uc.cpu_freq + chis[0] + xi * chis[2],
     ) * 1.01 + 1e-30
-    lo = np.zeros_like(mu)
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        bl, bu = _split(inst, mid, mu, chis[0], chis[2])
-        short = bl + bu < inst.min_bits
-        lo = np.where(short, mid, lo)
-        hi = np.where(short, hi, mid)
+
+    def short(chi1):
+        bl, bu = _split(inst, chi1, mu, chis[0], chis[2])
+        return bl + bu < inst.min_bits
+
+    _, hi = _bisect(short, np.zeros_like(mu), hi, 70)
     chi1 = np.minimum(hi, support)  # keep the dual point bounded
     bl, bu = _split(inst, chi1, mu, chis[0], chis[2])
 
     need = (carry_time(bu, rates[0]) + carry_time(xi * bu, rates[2])
             + uc.cycles_per_bit * bu / uc.cpu_freq)
     chi = np.stack([chi1, mu, chis[0], chis[1], chis[2], chis[3]], axis=-1)
-    return {"chi": chi, "need": need}
+    return chi, need
 
 
 def feasible_split(inst):
@@ -404,7 +334,7 @@ def feasible_split(inst):
     return feasible, (bl, bu, br)
 
 
-def warm_start(inst: ProblemInstance, steps: int = 80):
+def warm_start(inst: ProblemInstance):
     """Best dual seed per block from the one-dimensional reductions.
 
     Bisects the sub-slot budget residual (monotone decreasing in the time
@@ -419,22 +349,17 @@ def warm_start(inst: ProblemInstance, steps: int = 80):
 
     candidates = []
     for builder in (_candidate, _candidate_no_relay):
-        lo = np.zeros_like(mu_hi)
-        hi = mu_hi.copy()
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            over = builder(inst, mid)["need"] > inst.subslot
-            lo = np.where(over, mid, lo)
-            hi = np.where(over, hi, mid)
-        chi = builder(inst, hi)["chi"]
+        _, hi = _bisect(lambda mu: builder(inst, mu)[1] > inst.subslot,
+                        np.zeros_like(mu_hi), mu_hi, 80)
+        chi, _ = builder(inst, hi)
         zero_load = inst.min_bits <= 0.0
         candidates.append(np.where(zero_load[..., None], 0.0, chi))
     candidates.append(np.zeros_like(candidates[0]))
 
     best_chi = candidates[0]
-    best_value, _, _ = dual_point_eval(inst, best_chi)
+    best_value, _ = dual_point_eval(inst, best_chi)
     for chi in candidates[1:]:
-        value, _, _ = dual_point_eval(inst, chi)
+        value, _ = dual_point_eval(inst, chi)
         better = value > best_value
         best_chi = np.where(better[..., None], chi, best_chi)
         best_value = np.where(better, value, best_value)
@@ -446,8 +371,8 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray):
 
     Inner minimizers follow the closed forms and sign rules; indeterminate
     ground-unit bits and transmit times take their recovery-problem values so
-    the subgradient vanishes at the optimum.  Returns （values, subgradients,
-    inner dict).
+    the subgradient vanishes at the optimum.  Returns (values (K, N),
+    subgradients (K, N, 6)).
     """
     vc, uc = inst.vehicle_compute, inst.uav_compute
     xi = inst.output_ratio[:, None]
@@ -470,10 +395,10 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray):
     value = l1 + l2 + chi1 * inst.min_bits - chi2 * sub
 
     loads = [bu + br, br, xi * bu, xi * br]
-    times, rates, powers = [], [], []
+    times, rates = [], []
     for ph in range(4):
         chir = chi[..., _PHASE_RATE_DUAL[ph]]
-        p = _power_stationary(inst, ph, wv[ph], chir)
+        p = power_opt(inst.gains[ph], wv[ph], chir, inst.bandwidth, inst.power_max[ph])
         r = inst.rate(ph, p)
         s = wv[ph] * p + chi2 - chir * r
         s_scale = wv[ph] * p + chi2 + chir * r + 1e-300
@@ -485,7 +410,6 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray):
         value = value + np.where(full, sub * s, 0.0)
         times.append(t)
         rates.append(r)
-        powers.append(p)
 
     t_cu = uc.cycles_per_bit * bu / uc.cpu_freq
     g = np.stack(
@@ -499,16 +423,10 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray):
         ],
         axis=-1,
     )
-    inner = {
-        "bits": (bl, bu, br),
-        "powers": np.stack(powers),
-        "rates": np.stack(rates),
-        "times": np.stack(times),
-    }
-    return value, g, inner
+    return value, g
 
 
-def complete_primal(inst: ProblemInstance, bits, steps: int = 80):
+def complete_primal(inst: ProblemInstance, bits):
     """Energy-minimal feasible schedule carrying the given bit split.
 
     Powers and times come from bisecting the sub-slot budget residual at
@@ -531,13 +449,7 @@ def complete_primal(inst: ProblemInstance, bits, steps: int = 80):
     mu_hi = _time_price_ceiling(inst)
     need_top = sum(times_at(mu_hi)[0])
     infeasible = (need_top > budget * (1.0 + 1e-12)) | (budget < -1e-15)
-    lo = np.zeros_like(mu_hi)
-    hi = mu_hi.copy()
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        take = sum(times_at(mid)[0]) > budget
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
+    _, hi = _bisect(lambda mu: sum(times_at(mu)[0]) > budget, np.zeros_like(mu_hi), mu_hi, 80)
     times, powers = times_at(hi)
 
     times = np.stack(times)
@@ -598,7 +510,7 @@ def _apply_cut(center, shape, a, depth, mask):
     return center, shape, ok
 
 
-def _restore_feasibility(center, shape, xi, scale, rounds: int = 60):
+def _restore_feasibility(center, shape, xi, scale):
     """Constraint cuts until every center satisfies chi >= 0 and boundedness."""
     k, n, d = center.shape
     a3 = np.zeros((k, n, d))
@@ -608,7 +520,7 @@ def _restore_feasibility(center, shape, xi, scale, rounds: int = 60):
     a3[..., D_DOWN_RSU] = -xi
     a3 = a3 * scale
     a3 /= np.linalg.norm(a3, axis=-1, keepdims=True)
-    for _ in range(rounds):
+    for _ in range(60):
         neg = center < -1e-15
         any_neg = neg.any(axis=-1)
         bound_viol = np.einsum("...i,...i->...", a3, center) > 1e-15
@@ -625,22 +537,10 @@ def _restore_feasibility(center, shape, xi, scale, rounds: int = 60):
     return center, shape
 
 
-def dual_subgradients(inst: ProblemInstance, chi: np.ndarray):
-    """Residuals of the six constraint families at the inner solutions.
-
-    Each multiplier is paired with its own constraint's residual; shape
-    (K, N, 6).
-    """
-    _, g, _ = dual_point_eval(inst, chi)
-    return g
-
-
 def ellipsoid_solve(
     inst: ProblemInstance,
     eps: float = 1e-4,
     max_iterations: int = 200,
-    radius: float = 4.0,
-    min_iterations: int = 1,
 ) -> DualState:
     """Maximize the separable dual by per-block deep-cut ellipsoids.
 
@@ -658,7 +558,7 @@ def ellipsoid_solve(
     scale = np.maximum(np.abs(best_chi), np.max(np.abs(best_chi), axis=-1, keepdims=True) * 1e-9)
     scale = np.maximum(scale, 1e-30)  # floor keeps norms of scaled cuts above underflow
     center = best_chi / scale
-    shape = np.broadcast_to(np.eye(d) * radius**2 * d, (k, n, d, d)).copy()
+    shape = np.broadcast_to(np.eye(d) * _ELLIPSOID_RADIUS**2 * d, (k, n, d, d)).copy()
 
     def certify(chi):
         bits, (powers, _), energy, inf_mask = blended_completion(inst, chi, hard_infeasible)
@@ -678,11 +578,11 @@ def ellipsoid_solve(
     log.append({"iteration": 0, "dual": dual_total, "wtec": primal, "gap": gap})
     converged = gap < eps
     it = 0
-    while (not converged or it < min_iterations) and it < max_iterations:
+    while (not converged or it < _MIN_ITERATIONS) and it < max_iterations:
         it += 1
         center, shape = _restore_feasibility(center, shape, xi, scale)
         chi = np.maximum(center, 0.0) * scale
-        value, g, _ = dual_point_eval(inst, chi)
+        value, g = dual_point_eval(inst, chi)
         improved = value > best_value
         best_chi = np.where(improved[..., None], chi, best_chi)
         best_value = np.where(improved, value, best_value)
@@ -698,9 +598,6 @@ def ellipsoid_solve(
 
     state = DualState(
         multipliers=best_chi,
-        center=center,
-        shape=shape,
-        scale=scale,
         dual_value=float(dual_total),
         gap=float(gap),
         iterations=it,

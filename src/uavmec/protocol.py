@@ -1,4 +1,4 @@
-"""Task model, five-phase sub-slot schedule, feasibility and the two metrics.
+"""Five-phase sub-slot schedule, feasibility and the two metrics.
 
 Per timeslot each vehicle owns an equal share tau/K of the slot and runs up
 to five phases inside it: uplink offload, relay to the ground unit, UAV
@@ -12,60 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import ComputeModel, compute_energy
+from .energy import compute_energy
 
-
-class ZeroRateWithBits(Exception):
-    """Bits were assigned to a phase whose link rate is zero."""
-
-
-@dataclass(frozen=True)
-class Task:
-    """Per-vehicle computation task parameters."""
-
-    cycles_per_bit: float
-    bits_per_slot: float
-    min_bits: float
-    output_ratio: float
-    deadline: float
-
-    def __post_init__(self):
-        for name in ("cycles_per_bit", "bits_per_slot", "min_bits", "output_ratio", "deadline"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-
-@dataclass(frozen=True)
-class BitSplit:
-    """How one slot's task bits are divided between the three compute sites."""
-
-    local: float
-    uav: float
-    rsu: float
-
-    def __post_init__(self):
-        if min(self.local, self.uav, self.rsu) < 0:
-            raise ValueError("bit counts must be non-negative")
-
-    @property
-    def total(self) -> float:
-        return self.local + self.uav + self.rsu
-
-
-@dataclass(frozen=True)
-class PhaseSchedule:
-    """Durations of the five sub-slot phases plus the parallel local compute."""
-
-    offload: float
-    relay: float
-    uav_compute: float
-    down_uav: float
-    down_rsu: float
-    local_compute: float
-
-    @property
-    def occupied(self) -> float:
-        return self.offload + self.relay + self.uav_compute + self.down_uav + self.down_rsu
+# Relative tolerance of every check in `check_feasible`.
+_RTOL = 1e-9
 
 
 @dataclass
@@ -128,39 +78,7 @@ class Verdict:
         return self.feasible
 
 
-def phase_durations(
-    split: BitSplit,
-    rate_uplink: float,
-    rate_relay: float,
-    rate_down: float,
-    output_ratio: float,
-    vehicle: ComputeModel,
-    uav: ComputeModel,
-) -> PhaseSchedule:
-    """Exact-carry durations of the five phases for one (vehicle, slot) pair.
-
-    Ground-unit compute time and its return link to the UAV are negligible
-    and carry no phase.
-    """
-
-    def carry(bits, rate, label):
-        if bits <= 0:
-            return 0.0
-        if rate <= 0:
-            raise ZeroRateWithBits(f"{label}: {bits} bits with zero rate")
-        return bits / rate
-
-    return PhaseSchedule(
-        offload=carry(split.uav + split.rsu, rate_uplink, "offload"),
-        relay=carry(split.rsu, rate_relay, "relay"),
-        uav_compute=uav.cycles_per_bit * split.uav / uav.cpu_freq,
-        down_uav=carry(output_ratio * split.uav, rate_down, "down_uav"),
-        down_rsu=carry(output_ratio * split.rsu, rate_down, "down_rsu"),
-        local_compute=vehicle.cycles_per_bit * split.local / vehicle.cpu_freq,
-    )
-
-
-def check_feasible(alloc: Allocation, inst, rtol: float = 1e-9) -> Verdict:
+def check_feasible(alloc: Allocation, inst) -> Verdict:
     """Verify every constraint of the allocation against a problem instance.
 
     Checks the minimum-bits requirement, sign constraints, per-phase time
@@ -177,20 +95,20 @@ def check_feasible(alloc: Allocation, inst, rtol: float = 1e-9) -> Verdict:
             v.append(f"{label}[k={k},n={n}]")
 
     total = alloc.bits_local + alloc.bits_uav + alloc.bits_rsu
-    report(total < inst.min_bits - rtol * bits_scale, "min_bits")
+    report(total < inst.min_bits - _RTOL * bits_scale, "min_bits")
     for name in ("bits_local", "bits_uav", "bits_rsu"):
-        report(getattr(alloc, name) < -rtol * bits_scale, f"sign_{name}")
+        report(getattr(alloc, name) < -_RTOL * bits_scale, f"sign_{name}")
 
     t_uav = inst.uav_compute.cycles_per_bit * alloc.bits_uav / inst.uav_compute.cpu_freq
     t_local = inst.vehicle_compute.cycles_per_bit * alloc.bits_local / inst.vehicle_compute.cpu_freq
     times = alloc.times()
-    report(np.any(times < -rtol * sub, axis=0), "time_negative")
-    report(np.any(times > sub * (1 + rtol), axis=0), "time_over_subslot")
-    report(t_uav > sub * (1 + rtol), "uav_compute_over_subslot")
-    report(t_local > inst.slot_len * (1 + rtol), "local_compute_over_slot")
+    report(np.any(times < -_RTOL * sub, axis=0), "time_negative")
+    report(np.any(times > sub * (1 + _RTOL), axis=0), "time_over_subslot")
+    report(t_uav > sub * (1 + _RTOL), "uav_compute_over_subslot")
+    report(t_local > inst.slot_len * (1 + _RTOL), "local_compute_over_slot")
 
     budget = times.sum(axis=0) + t_uav
-    report(budget > sub * (1 + rtol), "subslot_budget")
+    report(budget > sub * (1 + _RTOL), "subslot_budget")
 
     cap_labels = ("uplink_capacity", "relay_capacity", "down_uav_capacity", "down_rsu_capacity")
     carried = np.stack(
@@ -204,9 +122,9 @@ def check_feasible(alloc: Allocation, inst, rtol: float = 1e-9) -> Verdict:
     powers = alloc.powers()
     for ph in range(4):
         capacity = times[ph] * inst.rate(ph, powers[ph])
-        report(carried[ph] > capacity + rtol * bits_scale, cap_labels[ph])
-        report(powers[ph] < -rtol, f"power_negative_{cap_labels[ph]}")
-        report(powers[ph] > inst.power_max[ph] * (1 + rtol), f"power_cap_{cap_labels[ph]}")
+        report(carried[ph] > capacity + _RTOL * bits_scale, cap_labels[ph])
+        report(powers[ph] < -_RTOL, f"power_negative_{cap_labels[ph]}")
+        report(powers[ph] > inst.power_max[ph] * (1 + _RTOL), f"power_cap_{cap_labels[ph]}")
 
     return Verdict(feasible=not v, violations=v)
 

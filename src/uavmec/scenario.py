@@ -299,6 +299,13 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     else:
         per_vehicle("min_bits")
 
+    for name in ("task_bits", "min_bits", "output_ratio", "power_max_offload",
+                 "power_max_relay", "power_max_down_uav", "power_max_down_rsu"):
+        if np.any(np.asarray(getattr(cfg, name)) < 0):
+            errors.append(f"{_FIELD_SECTION[name]}.{name}: must be non-negative")
+    for name in ("weight_vehicle", "weight_uav"):
+        if np.any(np.asarray(getattr(cfg, name)) <= 0):
+            errors.append(f"{_FIELD_SECTION[name]}.{name}: must be positive")
     if cfg.slot <= 0 or cfg.horizon <= 0:
         errors.append("task.horizon/task.slot: must be positive")
     else:

@@ -5,11 +5,9 @@ from uavmec.energy import (
     ComputeModel,
     FixedWingStall,
     FlightPowerModel,
-    PowerCapExceeded,
     compute_energy,
     flight_energy,
     rotary_defaults,
-    tx_energy,
 )
 
 
@@ -76,10 +74,3 @@ def test_compute_energy_strictly_convex():
     e = np.array([compute_energy(x, model, 0.2) for x in b])
     assert (np.diff(np.diff(e)) > 0).all()
 
-
-def test_tx_energy_values_and_cap():
-    assert tx_energy(0.0, 5.0, 1.0) == 0.0
-    p = 10 ** 3.5 / 1000.0
-    assert np.isclose(tx_energy(p, 0.01, p), p * 0.01, rtol=1e-12)
-    with pytest.raises(PowerCapExceeded):
-        tx_energy(4.0, 0.01, p)

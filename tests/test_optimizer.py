@@ -3,17 +3,16 @@ import pytest
 
 from conftest import make_synthetic_instance
 from uavmec import optimizer as opt
+from uavmec.instance import rate_derivative
 from uavmec.optimizer import (
-    DualInfeasible,
+    SIGN_RTOL,
     InfeasibleAllocation,
     bits_local_opt,
-    bits_rsu_rule,
     bits_uav_opt,
     dual_point_eval,
     ellipsoid_solve,
     phase1_closed_form,
     power_opt,
-    slot_time_opt,
     solve_p2,
     warm_start,
 )
@@ -100,21 +99,54 @@ def test_remark1_monotonicity_in_weights():
     assert ratio[0] >= ratio[1] >= ratio[2]
 
 
+def _ground_bits(inst, chi):
+    """Ground-unit bits chosen by the dual evaluation, read off the
+    minimum-bits residual."""
+    _, g = dual_point_eval(inst, chi)
+    bl, bu = opt._split(inst, chi[..., 0], chi[..., 1], chi[..., 2], chi[..., 4])
+    return (inst.min_bits - bl - bu - g[..., 0])[0, 0]
+
+
 def test_bits_rsu_rule_cases():
-    assert bits_rsu_rule(1e-7, 1e-7, 1e-7, 1e-7, 0.8) == "zero"
-    assert bits_rsu_rule(2.8e-7, 1e-7, 1e-7, 1e-7, 0.8, tol=1e-9) == "indeterminate"
-    with pytest.raises(DualInfeasible):
-        bits_rsu_rule(1e-3, 1e-7, 1e-7, 1e-7, 0.8, tol=1e-9)
+    # margin = chi_uplink + chi_relay + xi * chi_down_rsu - chi_min_bits
+    inst = make_synthetic_instance(min_bits=5e5)
+    positive = np.array([[[1e-7, 1.0, 1e-7, 1e-7, 0.0, 1e-7]]])
+    assert _ground_bits(inst, positive) == 0.0
+    # zero margin: indeterminate, the ground unit takes the shortfall
+    balanced = positive.copy()
+    balanced[..., 0] = 2.8e-7
+    shortfall = 5e5 - bits_local_opt(2.8e-7, 1.0, KAPPA, CYC, TAU, F_VEH)
+    assert np.isclose(_ground_bits(inst, balanced), shortfall)
+    # the rule's tolerance is relative to the prices, not absolute
+    within = positive.copy()
+    within[..., 0] = 2.8e-7 * (1.0 + 0.1 * SIGN_RTOL)
+    assert _ground_bits(inst, within) > 0.0
+    beyond = positive.copy()
+    beyond[..., 0] = 2.8e-7 * (1.0 - 10.0 * SIGN_RTOL)
+    assert _ground_bits(inst, beyond) == 0.0
 
 
 # ---------------------------------------------------------------- power roots
 
 def test_power_opt_zero_price_gives_zero_power():
-    assert power_opt([5000.0], 1.0, 0.0, 5e6, 3.162) == 0.0
+    assert power_opt(np.array([5000.0]), 1.0, 0.0, 5e6, 3.162) == 0.0
 
 
 def test_power_opt_huge_price_clamps_at_cap():
-    assert power_opt([5000.0], 1.0, 1.0, 5e6, 3.162) == 3.162
+    assert power_opt(np.array([5000.0]), 1.0, 1.0, 5e6, 3.162) == 3.162
+
+
+def test_power_opt_is_elementwise_over_blocks():
+    rng = np.random.default_rng(8)
+    gains = 10.0 ** rng.uniform(1, 4, (2, 3, 5))
+    weight = np.array([[0.5], [2.0]])  # per vehicle, broadcast over slots
+    price = 10.0 ** rng.uniform(-8, -6, (2, 3))
+    got = power_opt(gains, weight, price, 5e6, 3.162)
+    assert got.shape == (2, 3)
+    for k in range(2):
+        for n in range(3):
+            one = power_opt(gains[k, n], weight[k, 0], price[k, n], 5e6, 3.162)
+            assert got[k, n] == one
 
 
 def test_power_opt_matches_rank_one_closed_form():
@@ -127,9 +159,9 @@ def test_power_opt_matches_rank_one_closed_form():
         gain = phi / (bandwidth * noise * n_tx)
         target = 10.0 ** rng.uniform(-3, 0.3)
         price = weight * np.log(2.0) * (1 + target * gain) / (bandwidth * gain)
-        numeric = power_opt([gain], weight, price, bandwidth, pmax, tol=1e-13 * pmax)
-        closed, _, _ = phase1_closed_form(phi, int(n_tx), int(n_rx), "lower", weight,
-                                          0.0, price, bandwidth, noise, pmax, TAU / K)
+        numeric = power_opt(np.array([gain]), weight, price, bandwidth, pmax)
+        closed, _ = phase1_closed_form(phi, int(n_tx), int(n_rx), "lower", weight,
+                                       price, bandwidth, noise, pmax)
         if 0 < closed < pmax:
             assert abs(numeric - closed) <= 1e-6 * closed
 
@@ -139,37 +171,46 @@ def test_power_opt_defining_function_monotone():
     bandwidth = 5e6
     price, weight = 2e-7, 1.0
     ps = np.linspace(0, 3.0, 50)
-    ln2 = np.log(2.0)
-    lhs = [weight - price * bandwidth / ln2 * np.sum(gains / (1 + p * gains)) for p in ps]
+    lhs = weight - price * rate_derivative(gains, bandwidth, ps)
     assert (np.diff(lhs) > 0).all()
 
 
+def _uplink_time(inst, chi):
+    """Uplink time chosen by the dual evaluation, read off the sub-slot
+    budget residual: at these prices every other phase takes zero time."""
+    _, g = dual_point_eval(inst, chi)
+    return g[0, 0, 1] + inst.subslot
+
+
 def test_slot_time_rule_three_cases():
-    sub = TAU / K
-    t, rule = slot_time_opt(1.0, 5e7, 1.0, 0.0, 1.0, sub)
-    assert rule == "full" and t == sub
-    t, rule = slot_time_opt(1.0, 1e3, 1.0, 0.0, 1e-9, sub)
-    assert rule == "zero" and t == 0.0
-    t, rule = slot_time_opt(1.0, 1e7, 1.0, 0.0, 1e-7, sub, tol=1e-3)
-    assert rule == "interval" and t is None
+    # sign of s = w * p + chi_subslot - chi_uplink * r(p) at the stationary p
+    inst = make_synthetic_instance(min_bits=5e5)
+    chi = np.array([[[0.0, 0.0, 1e-6, 0.0, 0.0, 0.0]]])
+    assert np.isclose(_uplink_time(inst, chi), inst.subslot)  # s < 0: full
+    chi[..., 1] = 100.0
+    assert _uplink_time(inst, chi) == 0.0  # s > 0: zero
+    # s = 0: the interval case takes the exact-carry time of the ground-unit
+    # bits, which the zero boundedness margin sets to the shortfall
+    price = np.array([[2e-7]])
+    p = power_opt(inst.gains[0], 1.0, price, inst.bandwidth, inst.power_max[0])
+    rate = inst.rate(0, p)[0, 0]
+    chi = np.array([[[2e-7, 2e-7 * rate - p[0, 0], 2e-7, 0.0, 0.0, 0.0]]])
+    carry = (5e5 - bits_local_opt(2e-7, 1.0, KAPPA, CYC, TAU, F_VEH)) / rate
+    assert 0.0 < carry < inst.subslot
+    assert np.isclose(_uplink_time(inst, chi), carry, rtol=1e-9)
 
 
 def test_phase1_closed_form_cases():
     bandwidth, noise, pmax = 5e6, 1e-16, 3.162
-    p, rule, raw = phase1_closed_form(1e-4, 36, 36, "lower", 1.0, 0.0, 0.0,
-                                      bandwidth, noise, pmax, TAU / K)
+    p, raw = phase1_closed_form(1e-4, 36, 36, "lower", 1.0, 0.0, bandwidth, noise, pmax)
     assert p == 0.0
     # single-stream upper equals lower
-    p_lo, _, _ = phase1_closed_form(1e-4, 1, 16, "lower", 1.0, 0.0, 3e-7,
-                                    bandwidth, noise, pmax, TAU / K)
-    p_up, _, _ = phase1_closed_form(1e-4, 1, 16, "upper", 1.0, 0.0, 3e-7,
-                                    bandwidth, noise, pmax, TAU / K)
+    p_lo, _ = phase1_closed_form(1e-4, 1, 16, "lower", 1.0, 3e-7, bandwidth, noise, pmax)
+    p_up, _ = phase1_closed_form(1e-4, 1, 16, "upper", 1.0, 3e-7, bandwidth, noise, pmax)
     assert np.isclose(p_lo, p_up, rtol=1e-12)
     # unclamped linear relation with min(L) = 4
-    _, _, raw_lo = phase1_closed_form(1e-4, 4, 25, "lower", 1.0, 0.0, 3e-7,
-                                      bandwidth, noise, pmax, TAU / K)
-    _, _, raw_up = phase1_closed_form(1e-4, 4, 25, "upper", 1.0, 0.0, 3e-7,
-                                      bandwidth, noise, pmax, TAU / K)
+    _, raw_lo = phase1_closed_form(1e-4, 4, 25, "lower", 1.0, 3e-7, bandwidth, noise, pmax)
+    _, raw_up = phase1_closed_form(1e-4, 4, 25, "upper", 1.0, 3e-7, bandwidth, noise, pmax)
     assert np.isclose(raw_up, 4 * raw_lo, rtol=1e-12)
 
 
@@ -180,10 +221,10 @@ def test_remark2_bound_power_ordering():
         phi = 10.0 ** rng.uniform(-7, -3)
         price = 10.0 ** rng.uniform(-8, -5)
         n_tx, n_rx = rng.integers(1, 64, 2)
-        p_lo, _, raw_lo = phase1_closed_form(phi, int(n_tx), int(n_rx), "lower", 1.0,
-                                             0.0, price, bandwidth, noise, pmax, TAU / K)
-        p_up, _, raw_up = phase1_closed_form(phi, int(n_tx), int(n_rx), "upper", 1.0,
-                                             0.0, price, bandwidth, noise, pmax, TAU / K)
+        p_lo, raw_lo = phase1_closed_form(phi, int(n_tx), int(n_rx), "lower", 1.0,
+                                          price, bandwidth, noise, pmax)
+        p_up, raw_up = phase1_closed_form(phi, int(n_tx), int(n_rx), "upper", 1.0,
+                                          price, bandwidth, noise, pmax)
         if raw_lo >= 0:
             assert raw_lo <= raw_up + 1e-18
         assert p_lo <= p_up * (1 + 1e-12) + 1e-18
@@ -194,7 +235,7 @@ def test_remark2_bound_power_ordering():
 def test_dual_subgradients_track_constructed_residuals():
     inst = make_synthetic_instance(min_bits=5e5)
     chi = np.zeros((1, 1, 6))
-    value, g, inner = dual_point_eval(inst, chi)
+    value, g = dual_point_eval(inst, chi)
     # zero multipliers: the boundedness margin is exactly zero, so the inner
     # minimizer routes the whole shortfall to the ground unit with zero times;
     # the capacity residuals then expose the violated rate constraints
@@ -205,8 +246,18 @@ def test_dual_subgradients_track_constructed_residuals():
     # away from the boundedness boundary the ground-unit bits stay at zero
     chi_strict = np.zeros((1, 1, 6))
     chi_strict[..., 2] = 1e-6  # uplink price alone keeps the margin positive
-    _, g_strict, _ = dual_point_eval(inst, chi_strict)
+    _, g_strict = dual_point_eval(inst, chi_strict)
     assert np.isclose(g_strict[0, 0, 0], 5e5)
+    # large rate prices: every phase runs at full power for the full
+    # sub-slot, so the budget is over-filled by three sub-slots
+    chi_full = np.array([[[0.0, 0.0, 1.0, 1.0, 1.0, 1.0]]])
+    value, g_full = dual_point_eval(inst, chi_full)
+    sub = inst.subslot
+    r = [inst.rate(ph, np.full((1, 1), inst.power_max[ph]))[0, 0] for ph in range(4)]
+    assert np.allclose(g_full[0, 0], [5e5, 3 * sub, -sub * r[0], -sub * r[1],
+                                      -sub * r[2], -sub * r[3]], rtol=1e-12)
+    s = [inst.power_max[ph] * (1.0 if ph == 0 else inst.weight_uav) - r[ph] for ph in range(4)]
+    assert np.isclose(value[0, 0], sub * sum(s), rtol=1e-12)
 
 
 def test_dual_value_never_exceeds_feasible_energy():
@@ -241,8 +292,10 @@ def test_ellipsoid_trivial_instance_settles_at_zero():
 
 def test_ellipsoid_dual_best_is_non_decreasing():
     inst = make_synthetic_instance(n_vehicles=2, n_slots=2, min_bits=5e5)
-    state = ellipsoid_solve(inst, eps=1e-12, max_iterations=25, min_iterations=25)
-    duals = [entry["dual"] for entry in state.log]
+    with pytest.raises(opt.IterationCapExceeded) as err:
+        ellipsoid_solve(inst, eps=0.0, max_iterations=25)
+    duals = [entry["dual"] for entry in err.value.report.log]
+    assert len(duals) == 26
     assert all(b >= a - 1e-12 for a, b in zip(duals, duals[1:]))
 
 

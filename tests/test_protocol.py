@@ -1,56 +1,36 @@
 import numpy as np
-import pytest
 
 from conftest import make_synthetic_instance
-from uavmec.energy import ComputeModel
 from uavmec.protocol import (
     Allocation,
-    BitSplit,
-    ZeroRateWithBits,
     baseline_allocation,
     block_energy,
     carry_time,
     check_feasible,
     energy_breakdown,
-    phase_durations,
     tccd,
+    time_breakdown,
     wtec,
 )
 
-VEH = ComputeModel(1e9, 1e3, 1e-27)
-UAV = ComputeModel(3e9, 1e3, 1e-27)
-
-
-def test_phase_durations_all_zero_split():
-    sched = phase_durations(BitSplit(0, 0, 0), 1e7, 1e7, 1e7, 0.8, VEH, UAV)
-    assert sched.occupied == 0.0
-    assert sched.local_compute == 0.0
-
 
 def test_uav_compute_phase_duration():
-    sched = phase_durations(BitSplit(0, 1e5, 0), 1e7, 1e7, 1e7, 0.8, VEH, UAV)
-    assert np.isclose(sched.uav_compute, 1e5 * 1e3 / 3e9)  # 33.3 ms
+    inst = make_synthetic_instance(min_bits=0.0)
+    alloc = Allocation.zeros(1, 1)
+    assert all(t == 0.0 for t in time_breakdown(alloc, inst).values())
+    alloc.bits_uav[0, 0] = 1e5
+    times = time_breakdown(alloc, inst)
+    assert np.isclose(times["t_uav_compute_s"], 1e5 * 1e3 / 3e9)  # 33.3 ms
+    assert times["t_local_compute_s"] == 0.0
 
 
 def test_local_compute_spans_full_slot_at_cap():
-    sched = phase_durations(BitSplit(2e5, 0, 0), 1e7, 1e7, 1e7, 0.8, VEH, UAV)
-    assert np.isclose(sched.local_compute, 0.2)
-
-
-def test_zero_rate_with_bits_raises():
-    with pytest.raises(ZeroRateWithBits):
-        phase_durations(BitSplit(0, 0, 1e4), 0.0, 1e7, 1e7, 0.8, VEH, UAV)
-
-
-def test_doubling_rates_halves_transmission_phases():
-    split = BitSplit(0, 2e4, 3e4)
-    slow = phase_durations(split, 1e7, 1e7, 1e7, 0.8, VEH, UAV)
-    fast = phase_durations(split, 2e7, 2e7, 2e7, 0.8, VEH, UAV)
-    assert np.isclose(fast.offload, slow.offload / 2)
-    assert np.isclose(fast.relay, slow.relay / 2)
-    assert np.isclose(fast.down_uav, slow.down_uav / 2)
-    assert np.isclose(fast.down_rsu, slow.down_rsu / 2)
-    assert fast.uav_compute == slow.uav_compute
+    inst = make_synthetic_instance(min_bits=0.0)
+    alloc = Allocation.zeros(1, 1)
+    alloc.bits_local[0, 0] = inst.bits_local_cap
+    times = time_breakdown(alloc, inst)
+    assert np.isclose(times["t_local_compute_s"], 0.2)
+    assert times["t_uav_compute_s"] == 0.0
 
 
 def test_zero_allocation_feasible_when_no_bits_required():
@@ -168,6 +148,8 @@ def test_carry_time_is_load_over_rate():
     load = np.array([[1e5, 3e5], [0.0, 2e5]])
     rate = np.array([[5e6, 1e7], [0.0, 4e6]])
     assert np.array_equal(carry_time(load, rate), [[1e5 / 5e6, 3e5 / 1e7], [0.0, 2e5 / 4e6]])
+    # doubling every rate halves every transmission time
+    assert np.array_equal(carry_time(load, 2.0 * rate), carry_time(load, rate) / 2.0)
 
 
 def test_wtec_is_sum_of_block_energy_and_weighted_breakdown():

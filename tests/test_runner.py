@@ -3,9 +3,15 @@ import json
 import numpy as np
 import pytest
 
+import uavmec
 from uavmec import cli, runner
 from uavmec.runner import COLUMNS, SweepResult, emit_results, load_results, run_sweep, set_axis
 from uavmec.scenario import ScenarioConfig, validate
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in uavmec.__all__ if not hasattr(uavmec, name)]
+    assert not missing
 
 
 def small_cfg(**kw):

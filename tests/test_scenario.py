@@ -88,6 +88,30 @@ def test_sign_tolerance_is_not_a_config_key():
     assert "solver.sign_tolerance: unknown key" in err.value.errors
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("task", "task_bits", "-1"),
+        ("task", "min_bits", "-1"),
+        ("task", "output_ratio", "-0.5"),
+        ("radio", "power_max_offload", "-1 W"),
+        ("radio", "power_max_relay", "-1 W"),
+        ("radio", "power_max_down_uav", "-1 W"),
+        ("radio", "power_max_down_rsu", "-1 W"),
+        ("network", "weight_vehicle", "0"),
+        ("network", "weight_uav", "-1"),
+    ],
+)
+def test_out_of_range_value_rejected_with_its_key(section, key, value):
+    text = f"[{section}]\n{key} = {value}\n"
+    if section != "task":
+        text += "[task]\n"
+    text += "horizon = 0.2 s\n"
+    with pytest.raises(ValidationError) as err:
+        load_scenario(text)
+    assert any(e.startswith(f"{section}.{key}:") for e in err.value.errors)
+
+
 def test_all_errors_collected_together():
     bad = "[task]\nhorizon = 8 s\nslot = 0.3 s\ncpu_vehicle = 5 GHz\n"
     with pytest.raises(ValidationError) as err:
@@ -185,12 +209,3 @@ def test_bound_mode_rates_match_rate_bound():
         want = rate_bound(power, ch, radio, ch.n_tx, which)
         assert np.isclose(got, want, rtol=1e-9)
 
-
-def test_task_type_invariants():
-    from uavmec.protocol import Task
-
-    task = Task(cycles_per_bit=1e3, bits_per_slot=5e5, min_bits=5e5,
-                output_ratio=0.8, deadline=8.0)
-    assert task.deadline == 8.0
-    with pytest.raises(ValueError):
-        Task(cycles_per_bit=-1, bits_per_slot=0, min_bits=0, output_ratio=0, deadline=0)
