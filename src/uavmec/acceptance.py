@@ -5,8 +5,6 @@ suite."""
 from __future__ import annotations
 
 import copy
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,14 +271,11 @@ def criterion_derived_constants(cfg: ScenarioConfig) -> CriterionResult:
 
 def criterion_determinism(cfg: ScenarioConfig) -> CriterionResult:
     """Byte-identical CSV output across two runs of the same config."""
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, f"run{i}.csv") for i in (0, 1)]
-        for path in paths:
-            sweep = runner.run_sweep(cfg, "antennas", [cfg.antennas_uav],
-                                     include_baseline=True)
-            runner.emit_results(sweep, "csv", path)
-        blobs = [open(p, "rb").read() for p in paths]
-    same = blobs[0] == blobs[1]
+    def csv_text():
+        sweep = runner.run_sweep(cfg, "antennas", [cfg.antennas_uav], include_baseline=True)
+        return runner.format_results(sweep, "csv")
+
+    same = csv_text() == csv_text()
     return CriterionResult(
         name="determinism",
         passed=same,

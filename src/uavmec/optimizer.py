@@ -234,16 +234,33 @@ def _candidate(inst, mu):
     """Dual point and primal quantities implied by the sub-slot time price.
 
     At the block optimum, power stationarity plus the time-sign balance make
-    every rate price a function of the time price alone; the minimum-bits
-    price then follows from the boundedness equality, and the bit split from
-    the closed forms.  Returns the (K, N, 6) dual point and the (K, N)
-    sub-slot time its split needs.
+    every rate price a function of the time price alone.  The minimum-bits
+    price is the lower of the local/UAV fixed point (closed-form local and
+    UAV bits sum to the requirement) and the ground-route price, which also
+    stands when both CPU caps still fall short; the ground unit carries the
+    shortfall.  Returns the (K, N, 6) dual point and the (K, N) sub-slot
+    time its split needs.
     """
-    uc = inst.uav_compute
+    vc, uc = inst.vehicle_compute, inst.uav_compute
     xi = inst.output_ratio[:, None]
+    tau = inst.slot_len
+    w_col = inst.weights_vehicle[:, None]
     chis, rates = _phase_prices(inst, mu)
+    route = chis[0] + chis[1] + xi * chis[3]
 
-    chi1 = chis[0] + chis[1] + xi * chis[3]
+    # bracket top: both CPU caps reached
+    zeta_cap = 3.0 * inst.weight_uav * uc.capacitance * uc.cycles_per_bit * uc.cpu_freq**3
+    hi = np.maximum(
+        3.0 * w_col * vc.capacitance * vc.cycles_per_bit**3 * inst.bits_local_cap**2 / tau**2,
+        (zeta_cap + mu * uc.cycles_per_bit) / uc.cpu_freq + chis[0] + xi * chis[2],
+    ) * 1.01 + 1e-30
+
+    def short(chi1):
+        bl, bu = _split(inst, chi1, mu, chis[0], chis[2])
+        return bl + bu < inst.min_bits
+
+    _, hi = _bisect(short, np.zeros_like(mu), hi, 70)
+    chi1 = np.where(short(hi), route, np.minimum(hi, route))
     bl, bu = _split(inst, chi1, mu, chis[0], chis[2])
     br = np.maximum(inst.min_bits - bl - bu, 0.0)
 
@@ -263,42 +280,6 @@ def _time_price_ceiling(inst) -> np.ndarray:
         pfull = np.full(inst.min_bits.shape, inst.power_max[ph])
         out = np.maximum(out, _phi(inst, ph, wv[ph], pfull))
     return out
-
-
-def _candidate_no_relay(inst, mu):
-    """Dual point for the regime where local and UAV compute cover the bits.
-
-    The boundedness constraint is slack here, so the minimum-bits price comes
-    from the local/UAV split fixed point (bits(price) summing to the
-    requirement) instead of the route-price equality; only the uplink, UAV
-    compute and UAV-result download occupy the budget.  Returns (chi, need)
-    as `_candidate` does.
-    """
-    vc, uc = inst.vehicle_compute, inst.uav_compute
-    xi = inst.output_ratio[:, None]
-    tau = inst.slot_len
-    w_col = inst.weights_vehicle[:, None]
-    chis, rates = _phase_prices(inst, mu)
-    support = chis[0] + chis[1] + xi * chis[3]
-
-    zeta_cap = 3.0 * inst.weight_uav * uc.capacitance * uc.cycles_per_bit * uc.cpu_freq**3
-    hi = np.maximum(
-        3.0 * w_col * vc.capacitance * vc.cycles_per_bit**3 * inst.bits_local_cap**2 / tau**2,
-        (zeta_cap + mu * uc.cycles_per_bit) / uc.cpu_freq + chis[0] + xi * chis[2],
-    ) * 1.01 + 1e-30
-
-    def short(chi1):
-        bl, bu = _split(inst, chi1, mu, chis[0], chis[2])
-        return bl + bu < inst.min_bits
-
-    _, hi = _bisect(short, np.zeros_like(mu), hi, 70)
-    chi1 = np.minimum(hi, support)  # keep the dual point bounded
-    bl, bu = _split(inst, chi1, mu, chis[0], chis[2])
-
-    need = (carry_time(bu, rates[0]) + carry_time(xi * bu, rates[2])
-            + uc.cycles_per_bit * bu / uc.cpu_freq)
-    chi = np.stack([chi1, mu, chis[0], chis[1], chis[2], chis[3]], axis=-1)
-    return chi, need
 
 
 def feasible_split(inst):
@@ -335,35 +316,21 @@ def feasible_split(inst):
 
 
 def warm_start(inst: ProblemInstance):
-    """Best dual seed per block from the one-dimensional reductions.
+    """Dual seed per block from the one-dimensional time-price reduction.
 
-    Bisects the sub-slot budget residual (monotone decreasing in the time
-    price) once for the ground-unit-routing regime and once for the
-    local-plus-UAV regime, and keeps whichever point (or zero) scores the
-    higher dual value.  Returns (multipliers, infeasible mask); infeasible
-    blocks cannot carry their minimum bits under any split at maximum power.
+    Bisects the sub-slot budget residual of `_candidate`, which falls as the
+    time price rises, and zeroes the blocks without load.  Returns
+    (multipliers, dual values, infeasible mask); infeasible blocks cannot
+    carry their minimum bits under any split at maximum power.
     """
     mu_hi = _time_price_ceiling(inst)
-    infeasible, _ = feasible_split(inst)
-    infeasible = ~infeasible
-
-    candidates = []
-    for builder in (_candidate, _candidate_no_relay):
-        _, hi = _bisect(lambda mu: builder(inst, mu)[1] > inst.subslot,
-                        np.zeros_like(mu_hi), mu_hi, 80)
-        chi, _ = builder(inst, hi)
-        zero_load = inst.min_bits <= 0.0
-        candidates.append(np.where(zero_load[..., None], 0.0, chi))
-    candidates.append(np.zeros_like(candidates[0]))
-
-    best_chi = candidates[0]
-    best_value, _ = dual_point_eval(inst, best_chi)
-    for chi in candidates[1:]:
-        value, _ = dual_point_eval(inst, chi)
-        better = value > best_value
-        best_chi = np.where(better[..., None], chi, best_chi)
-        best_value = np.where(better, value, best_value)
-    return best_chi, best_value, infeasible
+    feasible, _ = feasible_split(inst)
+    _, hi = _bisect(lambda mu: _candidate(inst, mu)[1] > inst.subslot,
+                    np.zeros_like(mu_hi), mu_hi, 80)
+    chi, _ = _candidate(inst, hi)
+    chi = np.where((inst.min_bits <= 0.0)[..., None], 0.0, chi)
+    value, _ = dual_point_eval(inst, chi)
+    return chi, value, ~feasible
 
 
 def dual_point_eval(inst: ProblemInstance, chi: np.ndarray):
@@ -673,23 +640,6 @@ def solve_p2(inst: ProblemInstance, bits_local, bits_uav, powers):
     return bits_rsu, times
 
 
-def _assemble(inst, bits, powers, times) -> Allocation:
-    bl, bu, br = bits
-    return Allocation(
-        bits_local=np.array(bl),
-        bits_uav=np.array(bu),
-        bits_rsu=np.array(br),
-        power_offload=np.array(powers[0]),
-        power_relay=np.array(powers[1]),
-        power_down_uav=np.array(powers[2]),
-        power_down_rsu=np.array(powers[3]),
-        time_offload=np.array(times[0]),
-        time_relay=np.array(times[1]),
-        time_down_uav=np.array(times[2]),
-        time_down_rsu=np.array(times[3]),
-    )
-
-
 def algorithm1(
     inst: ProblemInstance,
     eps: float = 1e-4,
@@ -719,7 +669,8 @@ def finish_from_duals(inst: ProblemInstance, state: DualState) -> SolveReport:
         )
     bl, bu, _ = bits
     bits_rsu, times = solve_p2(inst, bl, bu, powers)
-    alloc = _assemble(inst, (bl, bu, bits_rsu), powers, times)
+    # Allocation's field order: bits, then powers, then times, phase by phase
+    alloc = Allocation(*(np.array(a) for a in (bl, bu, bits_rsu, *powers, *times)))
     verdict = check_feasible(alloc, inst)
     value = wtec(alloc, inst)
     # one trajectory entry per ellipsoid iteration (the warm-start point is

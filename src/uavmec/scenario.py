@@ -303,7 +303,10 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
                  "power_max_relay", "power_max_down_uav", "power_max_down_rsu"):
         if np.any(np.asarray(getattr(cfg, name)) < 0):
             errors.append(f"{_FIELD_SECTION[name]}.{name}: must be non-negative")
-    for name in ("weight_vehicle", "weight_uav"):
+    # a zero epsilon can never certify (the gap is clipped at 0)
+    for name in ("weight_vehicle", "weight_uav", "cpu_vehicle", "cpu_uav",
+                 "cycles_per_bit_vehicle", "cycles_per_bit_uav", "capacitance_vehicle",
+                 "capacitance_uav", "epsilon"):
         if np.any(np.asarray(getattr(cfg, name)) <= 0):
             errors.append(f"{_FIELD_SECTION[name]}.{name}: must be positive")
     if cfg.slot <= 0 or cfg.horizon <= 0:

@@ -19,12 +19,11 @@ def make_synthetic_instance(
 ):
     """Rank-1 constant-gain instance with hand-controllable numbers.
 
-    `gain` is the per-watt SNR of every link (scalar or per-phase list), so
-    phase rates are bandwidth * log2(1 + p * gain).
+    `gain` is the per-watt SNR of every link and `power_max` its power cap
+    in W (each a scalar or a per-phase list), so phase rates are
+    bandwidth * log2(1 + p * gain).
     """
-    gains_in = np.atleast_1d(np.asarray(gain, dtype=float))
-    if gains_in.size == 1:
-        gains_in = np.repeat(gains_in, 4)
+    gains_in = np.broadcast_to(np.asarray(gain, dtype=float), (4,))
     k, n = n_vehicles, n_slots
     return ProblemInstance(
         n_vehicles=k,
@@ -37,7 +36,7 @@ def make_synthetic_instance(
         output_ratio=np.full(k, output_ratio),
         min_bits=np.full((k, n), float(min_bits)),
         bandwidth=bandwidth,
-        power_max=np.full(4, power_max),
+        power_max=np.broadcast_to(np.asarray(power_max, dtype=float), (4,)).copy(),
         gains=[np.full((k, n, 1), gains_in[ph]) for ph in range(4)],
     )
 

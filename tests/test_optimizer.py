@@ -318,6 +318,39 @@ def test_iteration_cap_carries_best_state():
     assert err.value.report.dual_value > 0
 
 
+# Rank-1 gains of stock slots 24, 30 and 39 with a 1 mW relay cap: the relay
+# is too weak to carry the bits past the CPU caps at the ground-route price.
+WEAK_RELAY_GAINS = (
+    [334.8, 237.9, 334.8, 334.8],
+    [230.8, 161.1, 230.8, 230.8],
+    [146.3, 100.4, 146.3, 146.3],
+)
+STOCK_CAP = 10 ** 3.5 / 1000.0
+
+
+def weak_relay_instance(gain):
+    caps = [STOCK_CAP, 1e-3, STOCK_CAP, STOCK_CAP]
+    return make_synthetic_instance(gain=gain, power_max=caps, min_bits=2e5)
+
+
+@pytest.mark.parametrize("gain", WEAK_RELAY_GAINS)
+def test_weak_relay_block_certifies_at_warm_start(gain):
+    inst = weak_relay_instance(gain)
+    state = ellipsoid_solve(inst, eps=1e-4, max_iterations=5)
+    assert state.converged
+    assert state.log[0]["gap"] <= 1e-4
+    report = opt.algorithm1(inst)
+    assert report.feasible and not report.violations
+
+
+def test_warm_start_need_falls_with_time_price():
+    inst = weak_relay_instance(WEAK_RELAY_GAINS[1])
+    ceiling = float(opt._time_price_ceiling(inst)[0, 0])
+    need = [float(opt._candidate(inst, np.full((1, 1), mu))[1][0, 0])
+            for mu in np.geomspace(ceiling * 1e-8, ceiling, 400)]
+    assert all(b <= a for a, b in zip(need, need[1:]))
+
+
 # --------------------------------------------------------------- recovery LP
 
 def test_solve_p2_skips_ground_unit_when_covered():

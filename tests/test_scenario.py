@@ -100,6 +100,14 @@ def test_sign_tolerance_is_not_a_config_key():
         ("radio", "power_max_down_rsu", "-1 W"),
         ("network", "weight_vehicle", "0"),
         ("network", "weight_uav", "-1"),
+        ("task", "cpu_vehicle", "0"),
+        ("task", "cpu_uav", "-3 GHz"),
+        ("task", "cycles_per_bit_vehicle", "0"),
+        ("task", "cycles_per_bit_uav", "-1e3"),
+        ("task", "capacitance_vehicle", "0"),
+        ("task", "capacitance_uav", "-1e-27"),
+        ("solver", "epsilon", "0"),
+        ("solver", "epsilon", "-1e-4"),
     ],
 )
 def test_out_of_range_value_rejected_with_its_key(section, key, value):
