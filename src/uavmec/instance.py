@@ -17,17 +17,37 @@ from .geometry import NetworkState, advance
 PHASE_OFFLOAD, PHASE_RELAY, PHASE_DOWN_UAV, PHASE_DOWN_RSU = range(4)
 
 
+def _one_plus_snr(gains, power) -> np.ndarray:
+    """1 + p * g_l for gains of shape (..., L) and powers of the leading shape."""
+    return 1.0 + np.asarray(power, dtype=float)[..., None] * gains
+
+
+def _rate(bandwidth: float, one_plus_snr) -> np.ndarray:
+    return bandwidth * np.log2(one_plus_snr).sum(axis=-1)
+
+
+def _slope(bandwidth: float, terms) -> np.ndarray:
+    return bandwidth / np.log(2.0) * terms.sum(axis=-1)
+
+
 def rate(gains, bandwidth: float, power) -> np.ndarray:
     """B * sum_l log2(1 + p * g_l) for gains of shape (..., L) and powers of
     the leading shape."""
-    p = np.asarray(power, dtype=float)
-    return bandwidth * np.log2(1.0 + p[..., None] * gains).sum(axis=-1)
+    return _rate(bandwidth, _one_plus_snr(gains, power))
 
 
 def rate_derivative(gains, bandwidth: float, power) -> np.ndarray:
     """d rate / d power: B/ln2 * sum_l g_l / (1 + p * g_l)."""
-    p = np.asarray(power, dtype=float)
-    return bandwidth / np.log(2.0) * (gains / (1.0 + p[..., None] * gains)).sum(axis=-1)
+    return _slope(bandwidth, gains / _one_plus_snr(gains, power))
+
+
+def rate_terms(gains, bandwidth: float, power) -> tuple:
+    """Rate, d rate / d power and d^2 rate / d power^2, all from one
+    1 + p * g array; the second derivative is -B/ln2 * sum_l q_l^2 with
+    q_l = g_l / (1 + p * g_l)."""
+    s = _one_plus_snr(gains, power)
+    q = gains / s
+    return _rate(bandwidth, s), _slope(bandwidth, q), -_slope(bandwidth, q * q)
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Lagrangian-dual solver: closed-form bit splits, bisected power roots,
-time-sign rules, ellipsoid dual ascent and the LP recovery step.
+"""Lagrangian-dual solver: closed-form bit splits, safeguarded Newton power
+roots, time-sign rules, ellipsoid dual ascent and the LP recovery step.
 
 The dual problem separates into one 6-multiplier block per (vehicle, slot).
 Each block is warm-started from a one-dimensional reduction (all stationarity
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import ProblemInstance, rate_derivative
+from .instance import ProblemInstance, rate_derivative, rate_terms
 from .lp import solve_lp
 from .energy import compute_energy
 from .protocol import Allocation, block_energy, carry_time, check_feasible, wtec
@@ -181,20 +181,47 @@ def _phase_weights(inst: ProblemInstance) -> list:
     return [k_w, u_w, u_w, u_w]
 
 
-def _phi(inst, ph, w, p) -> np.ndarray:
-    """Time price at which power p is stationary: w*(r/r' - p), increasing in p."""
-    return w * (inst.rate(ph, p) / np.maximum(inst.rate_derivative(ph, p), 1e-300) - p)
+def _phi(inst, ph, w, p):
+    """Time price at which power p is stationary, w*(r/r' - p), and its slope
+    -w*r*r''/r'^2, which is >= 0: the price rises with the power."""
+    r, d1, d2 = rate_terms(inst.gains[ph], inst.bandwidth, p)
+    d1 = np.maximum(d1, 1e-300)
+    return w * (r / d1 - p), -w * r * d2 / d1 / d1
 
 
 def _power_from_time_price(inst, ph, w, mu) -> np.ndarray:
-    """Invert w*(r/r' - p) = mu elementwise on [0, p_max] (clamped above)."""
+    """Invert w*(r/r' - p) = mu elementwise on [0, p_max] (clamped above).
+
+    mu <= 0 gives 0 and phi(p_max) <= mu gives p_max.  Elsewhere a
+    safeguarded Newton iteration starts at p_max and keeps a bracket
+    [lo, hi] from the sign of phi(p) - mu; a step that is not finite or
+    leaves the bracket halves the bracket instead.  A block stops when
+    phi(p) = mu or its step is at most 1e-14 * p; at most 60 iterations run.
+    """
     pmax = inst.power_max[ph]
-    phi_max = _phi(inst, ph, w, np.full(mu.shape, pmax))
-    lo, hi = _bisect(lambda p: _phi(inst, ph, w, p) < mu,
-                     np.zeros_like(mu), np.full_like(mu, pmax), 60)
-    p = 0.5 * (lo + hi)
+    p = np.full(mu.shape, pmax)
+    phi, slope = _phi(inst, ph, w, p)
+    at_max = phi <= mu
+    done = (mu <= 0.0) | at_max
+    lo, hi = np.zeros(mu.shape), p
+    for _ in range(60):
+        f = phi - mu
+        lo = np.where(f < 0.0, p, lo)
+        hi = np.where(f > 0.0, p, hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = p - f / slope
+        # a Newton step that rounds onto the bracket edge has converged
+        small = np.abs(newton - p) <= 1e-14 * p
+        step = np.where((newton > lo) & (newton < hi), newton,
+                        np.where(small, p, 0.5 * (lo + hi)))
+        stop = (f == 0.0) | (np.abs(step - p) <= 1e-14 * p)
+        p = np.where(done, p, step)
+        done = done | stop
+        if done.all():
+            break
+        phi, slope = _phi(inst, ph, w, p)
     p = np.where(mu <= 0.0, 0.0, p)
-    return np.where(phi_max <= mu, pmax, p)
+    return np.where(at_max, pmax, p)
 
 
 def _split(inst, chi1, chi_subslot, chi_uplink, chi_down_uav):
@@ -278,7 +305,7 @@ def _time_price_ceiling(inst) -> np.ndarray:
     out = np.zeros(inst.min_bits.shape)
     for ph in range(4):
         pfull = np.full(inst.min_bits.shape, inst.power_max[ph])
-        out = np.maximum(out, _phi(inst, ph, wv[ph], pfull))
+        out = np.maximum(out, _phi(inst, ph, wv[ph], pfull)[0])
     return out
 
 

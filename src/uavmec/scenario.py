@@ -269,8 +269,22 @@ def load_scenario(path_or_text) -> ScenarioConfig:
 
 
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Normalize per-vehicle arrays, check ranges, derive the slot count."""
+    """Normalize per-vehicle arrays, check ranges, derive the slot count.
+
+    Every range-checked or integer key must also be finite: NaN fails every
+    `<`/`<=` comparison, so a range check alone lets it through, and int()
+    of NaN or inf raises an error that names no key.
+    """
     errors = []
+
+    def finite(name):
+        ok = bool(np.all(np.isfinite(np.asarray(getattr(cfg, name), dtype=float))))
+        if not ok:
+            errors.append(f"{_FIELD_SECTION[name]}.{name}: must be finite")
+        return ok
+
+    if not finite("vehicles"):
+        raise ValidationError(errors)
     k = int(cfg.vehicles)
     if k < 1:
         errors.append("network.vehicles: need at least one vehicle")
@@ -301,17 +315,18 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
 
     for name in ("task_bits", "min_bits", "output_ratio", "power_max_offload",
                  "power_max_relay", "power_max_down_uav", "power_max_down_rsu"):
-        if np.any(np.asarray(getattr(cfg, name)) < 0):
+        if finite(name) and np.any(np.asarray(getattr(cfg, name)) < 0):
             errors.append(f"{_FIELD_SECTION[name]}.{name}: must be non-negative")
     # a zero epsilon can never certify (the gap is clipped at 0)
     for name in ("weight_vehicle", "weight_uav", "cpu_vehicle", "cpu_uav",
                  "cycles_per_bit_vehicle", "cycles_per_bit_uav", "capacitance_vehicle",
                  "capacitance_uav", "epsilon"):
-        if np.any(np.asarray(getattr(cfg, name)) <= 0):
+        if finite(name) and np.any(np.asarray(getattr(cfg, name)) <= 0):
             errors.append(f"{_FIELD_SECTION[name]}.{name}: must be positive")
-    if cfg.slot <= 0 or cfg.horizon <= 0:
+    timing_finite = all([finite("horizon"), finite("slot")])
+    if timing_finite and (cfg.slot <= 0 or cfg.horizon <= 0):
         errors.append("task.horizon/task.slot: must be positive")
-    else:
+    elif timing_finite:
         ratio = cfg.horizon / cfg.slot
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             errors.append(
@@ -320,9 +335,11 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     if cfg.cpu_vehicle >= cfg.cpu_uav:
         errors.append("task.cpu_vehicle: vehicle CPU must be slower than the UAV server")
     for name in ("bandwidth", "wavelength", "reference_gain", "noise_density"):
-        if getattr(cfg, name) <= 0:
+        if finite(name) and getattr(cfg, name) <= 0:
             errors.append(f"radio.{name}: must be positive")
     for name in ("antennas_vehicle", "antennas_uav", "antennas_rsu"):
+        if not finite(name):
+            continue
         v = int(getattr(cfg, name))
         if v < 1:
             errors.append(f"radio.{name}: must be a positive antenna count")
@@ -333,8 +350,9 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         errors.append(f"radio.doppler_phase: {cfg.doppler_phase!r} invalid")
     if cfg.uav_model not in ("rotary_wing", "fixed_wing"):
         errors.append(f"uav.uav_model: {cfg.uav_model!r} invalid")
-    cfg.max_iterations = int(cfg.max_iterations)
-    cfg.seed = int(cfg.seed)
+    for name in ("max_iterations", "seed"):
+        if finite(name):
+            setattr(cfg, name, int(getattr(cfg, name)))
     if errors:
         raise ValidationError(errors)
     return cfg
@@ -385,6 +403,12 @@ def flight_model(cfg: ScenarioConfig) -> FlightPowerModel:
     )
 
 
+def channel_bound(mode: str) -> str:
+    """Gain-table shaping of a solver mode: the two rate-bound modes collapse
+    or spread the spectrum, every other mode keeps it exact."""
+    return {"rank1_bound": "rank1", "fullrank_bound": "fullrank"}.get(mode, "exact")
+
+
 def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
     """Roll the scenario geometry over the horizon and assemble the solver
     inputs (per-slot channels, gain tables, caps and weights)."""
@@ -422,8 +446,7 @@ def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
         doppler_phase_mode=cfg.doppler_phase,
     )
     states, channel_sets = roll_out(state0, radio)
-    bound = {"rank1_bound": "rank1", "fullrank_bound": "fullrank"}.get(cfg.mode, "exact")
-    gains = build_gain_tables(channel_sets, radio, cfg.vehicles, bound)
+    gains = build_gain_tables(channel_sets, radio, cfg.vehicles, channel_bound(cfg.mode))
 
     min_bits = np.broadcast_to(cfg.min_bits[:, None], (cfg.vehicles, cfg.n_slots)).copy()
     return ProblemInstance(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from uavmec.optimizer import (
     warm_start,
 )
 from uavmec.protocol import check_feasible, wtec
+from uavmec.scenario import ScenarioConfig, build_instance, validate
 
 TAU, K = 0.2, 3
 KAPPA, CYC = 1e-27, 1e3
@@ -316,6 +319,57 @@ def test_iteration_cap_carries_best_state():
         ellipsoid_solve(inst, eps=0.0, max_iterations=3)
     assert err.value.report.iterations == 3
     assert err.value.report.dual_value > 0
+
+
+def _root_instance(spectrum):
+    if spectrum == "rank1_stock":
+        return build_instance(validate(ScenarioConfig(mode="rank1_bound")))
+    # one dominant singular value and 35 small ones on every phase
+    g = np.concatenate([[5000.0], np.geomspace(50.0, 1e-3, 35)])
+    return dataclasses.replace(make_synthetic_instance(), gains=[g.reshape(1, 1, 36)] * 4)
+
+
+def _bisected_power(inst, ph, w, mu):
+    """Reference root of phi(p) = mu: 200 halvings of [0, p_max], same clamps."""
+    pmax = inst.power_max[ph]
+    lo, hi = np.zeros_like(mu), np.full_like(mu, pmax)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = opt._phi(inst, ph, w, mid)[0] < mu
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    p = np.where(mu <= 0.0, 0.0, 0.5 * (lo + hi))
+    return np.where(opt._phi(inst, ph, w, np.full_like(mu, pmax))[0] <= mu, pmax, p)
+
+
+@pytest.mark.parametrize("spectrum", ["rank1_stock", "spread"])
+def test_power_from_time_price_inverts_phi(spectrum):
+    inst = _root_instance(spectrum)
+    wv = opt._phase_weights(inst)
+    mu_hi = opt._time_price_ceiling(inst)
+    # the grid runs along a leading axis: mu[0] = 0, then mu_hi*2**-80 .. 2*mu_hi
+    t = np.concatenate([[0.0], np.geomspace(2.0**-80, 2.0, 325)])
+    mu = mu_hi * t[:, None, None]
+    for ph in range(4):
+        pmax, w = inst.power_max[ph], wv[ph]
+        p = opt._power_from_time_price(inst, ph, w, mu)
+        assert ((p >= 0.0) & (p <= pmax)).all()
+        assert (p[0] == 0.0).all()
+        phi_max = opt._phi(inst, ph, w, np.full(mu.shape, pmax))[0]
+        assert (p[phi_max <= mu] == pmax).all()
+        # each ln(1 + p*g_l) moves in float steps of up to eps, so phi itself
+        # is only resolved to about 2*w*eps*L / sum_l g_l/(1 + p*g_l)
+        sum_q = inst.rate_derivative(ph, p) * np.log(2.0) / inst.bandwidth
+        floor = 2.0 * w * np.finfo(float).eps * inst.gains[ph].shape[-1] / sum_q
+        interior = (p > 0.0) & (p < pmax)
+        resid = np.abs(opt._phi(inst, ph, w, p)[0] - mu)
+        assert (resid[interior] <= (1e-10 * mu + floor)[interior]).all()
+        # where phi is resolved to 1e-10*mu its root is unique
+        resolved = floor <= 1e-10 * mu
+        assert (np.diff(p, axis=0)[resolved[:-1] & resolved[1:]] >= 0.0).all()
+        ref = _bisected_power(inst, ph, w, mu)
+        assert (np.abs(p - ref)[resolved] <= 1e-12 * pmax).all()
+        # and the resolved part spans at least the top 25 octaves of the grid
+        assert resolved[t >= 2.0**-24].all()
 
 
 # Rank-1 gains of stock slots 24, 30 and 39 with a 1 mW relay cap: the relay

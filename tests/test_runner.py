@@ -6,7 +6,7 @@ import pytest
 import uavmec
 from uavmec import cli, runner
 from uavmec.runner import COLUMNS, SweepResult, emit_results, load_results, run_sweep, set_axis
-from uavmec.scenario import ScenarioConfig, validate
+from uavmec.scenario import ScenarioConfig, build_instance, validate
 
 
 def test_every_public_name_resolves():
@@ -52,6 +52,23 @@ def test_sweep_rows_ordered_and_complete(tmp_path):
     assert len(result.rows) == 4  # 2 points x (optimized + baseline)
     for row in result.rows:
         assert set(COLUMNS) <= set(row)
+
+
+@pytest.mark.parametrize("mode, builds_per_point", [("optimized", 1), ("rank1_bound", 2)])
+def test_sweep_baseline_reuses_the_instance(monkeypatch, mode, builds_per_point):
+    calls = []
+
+    def counting_build(cfg):
+        calls.append(cfg.mode)
+        return build_instance(cfg)
+
+    monkeypatch.setattr(runner, "build_instance", counting_build)
+    values = [2e5, 6e5]
+    result = run_sweep(small_cfg(mode=mode), "task_bits", values, include_baseline=True)
+    assert len(calls) == builds_per_point * len(values)
+    for value, row in zip(values, result.rows[1::2]):
+        base_cfg = set_axis(small_cfg(mode="baseline"), "task_bits", value)
+        assert row == runner.solve_scenario(base_cfg, sweep_value=value)
 
 
 def test_sweep_survives_infeasible_point():

@@ -88,6 +88,22 @@ def test_sign_tolerance_is_not_a_config_key():
     assert "solver.sign_tolerance: unknown key" in err.value.errors
 
 
+# Every key `validate` range-checks or converts to int; NaN passes any `<`
+# or `<=` check, and int() of NaN or inf raises an unnamed error.
+RANGE_CHECKED_KEYS = [
+    ("network", "vehicles"), ("network", "weight_vehicle"), ("network", "weight_uav"),
+    ("task", "horizon"), ("task", "slot"), ("task", "task_bits"), ("task", "min_bits"),
+    ("task", "output_ratio"), ("task", "cpu_vehicle"), ("task", "cpu_uav"),
+    ("task", "cycles_per_bit_vehicle"), ("task", "cycles_per_bit_uav"),
+    ("task", "capacitance_vehicle"), ("task", "capacitance_uav"),
+    ("radio", "bandwidth"), ("radio", "wavelength"), ("radio", "reference_gain"),
+    ("radio", "noise_density"), ("radio", "power_max_offload"), ("radio", "power_max_relay"),
+    ("radio", "power_max_down_uav"), ("radio", "power_max_down_rsu"),
+    ("radio", "antennas_vehicle"), ("radio", "antennas_uav"), ("radio", "antennas_rsu"),
+    ("solver", "epsilon"), ("solver", "max_iterations"), ("solver", "seed"),
+]
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -108,13 +124,17 @@ def test_sign_tolerance_is_not_a_config_key():
         ("task", "capacitance_uav", "-1e-27"),
         ("solver", "epsilon", "0"),
         ("solver", "epsilon", "-1e-4"),
+    ]
+    + [
+        (section, key, value)
+        for section, key in RANGE_CHECKED_KEYS
+        for value in ("nan", "inf")
     ],
 )
 def test_out_of_range_value_rejected_with_its_key(section, key, value):
     text = f"[{section}]\n{key} = {value}\n"
-    if section != "task":
-        text += "[task]\n"
-    text += "horizon = 0.2 s\n"
+    if key != "horizon":
+        text += ("" if section == "task" else "[task]\n") + "horizon = 0.2 s\n"
     with pytest.raises(ValidationError) as err:
         load_scenario(text)
     assert any(e.startswith(f"{section}.{key}:") for e in err.value.errors)
