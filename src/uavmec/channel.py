@@ -67,13 +67,15 @@ class LinkChannel:
 class ChannelSet:
     """The link channels of one timeslot.
 
-    `v2u` and `u2v` hold one channel per vehicle; the UAV-to-ground-unit link
-    is vehicle independent.
+    `v2u` holds one vehicle-to-UAV channel per vehicle; the UAV-to-ground-unit
+    link is vehicle independent.  No UAV-to-vehicle channel is built: swapping
+    a link's ends reverses every element-to-element distance and the relative
+    velocity, so its matrix is the transpose of the `v2u` one and has the same
+    singular values.
     """
 
     v2u: tuple[LinkChannel, ...]
     u2r: LinkChannel
-    u2v: tuple[LinkChannel, ...]
 
 
 def path_loss(center_distance, cfg: RadioConfig) -> float:

@@ -54,8 +54,7 @@ def main(argv=None) -> int:
         return 2
 
     if args.command == "verify":
-        verify(cfg)
-        return 0
+        return 0 if all(res.passed for res in verify(cfg)) else 1
 
     try:
         if args.command == "solve":

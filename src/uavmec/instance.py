@@ -135,11 +135,8 @@ def roll_out(state0: NetworkState, radio: RadioConfig) -> tuple[list, list]:
         v2u = tuple(
             build_channel(veh, st.uav, radio, st.slot, st.slot_len) for veh in st.vehicles
         )
-        u2v = tuple(
-            build_channel(st.uav, veh, radio, st.slot, st.slot_len) for veh in st.vehicles
-        )
         u2r = build_channel(st.uav, st.rsu, radio, st.slot, st.slot_len)
-        sets.append(ChannelSet(v2u=v2u, u2r=u2r, u2v=u2v))
+        sets.append(ChannelSet(v2u=v2u, u2r=u2r))
     return states, sets
 
 
@@ -148,7 +145,12 @@ def build_gain_tables(
 ) -> list:
     """Stack per-slot channels into the four (K, N, L) gain arrays.
 
-    Both download phases use the UAV-to-vehicle link, so they share one table.
+    Both download phases send over the vehicle-UAV link in reverse, so they
+    share one table made from the uplink spectrum.  Swapping the ends reverses
+    every element-to-element distance and the relative velocity, so the
+    UAV-to-vehicle matrix is the transpose of the vehicle-to-UAV one and has
+    the same singular values; only the transmit array, whose size divides each
+    gain, becomes the UAV's.
     """
 
     def table(link):
@@ -162,5 +164,7 @@ def build_gain_tables(
                 out[k, n, : g.size] = g
         return out
 
-    down = table(lambda cs, k: cs.u2v[k])
-    return [table(lambda cs, k: cs.v2u[k]), table(lambda cs, k: cs.u2r), down, down]
+    up = table(lambda cs, k: cs.v2u[k])
+    ch = channel_sets[0].v2u[0]
+    down = up * (ch.n_tx / ch.n_rx)
+    return [up, table(lambda cs, k: cs.u2r), down, down]

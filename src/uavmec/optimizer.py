@@ -32,10 +32,8 @@ _PHASE_RATE_DUAL = (D_UPLINK, D_RELAY, D_DOWN_UAV, D_DOWN_RSU)
 # Relative tolerance of the sign rules (ground-unit bits, transmit times).
 SIGN_RTOL = 1e-6
 
-# Initial ellipsoid radius in warm-start-scaled coordinates, and the number
-# of ellipsoid iterations run even when the warm start already certifies.
+# Initial ellipsoid radius in warm-start-scaled coordinates.
 _ELLIPSOID_RADIUS = 4.0
-_MIN_ITERATIONS = 1
 
 
 class IterationCapExceeded(Exception):
@@ -572,7 +570,7 @@ def ellipsoid_solve(
     log.append({"iteration": 0, "dual": dual_total, "wtec": primal, "gap": gap})
     converged = gap < eps
     it = 0
-    while (not converged or it < _MIN_ITERATIONS) and it < max_iterations:
+    while not converged and it < max_iterations:
         it += 1
         center, shape = _restore_feasibility(center, shape, xi, scale)
         chi = np.maximum(center, 0.0) * scale

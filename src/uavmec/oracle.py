@@ -23,26 +23,18 @@ class NoFeasiblePoint(Exception):
 class GridSpec:
     """Ranges and step counts for the brute-force search axes.
 
-    Each axis is (low, high, steps).  When `derive_dependent` is set (the
-    default), ground-unit bits take their minimal feasible value and each
-    transmit power the minimal value that carries its phase's bits in the
-    allotted time; both reductions are exact for the minimum, so only the
-    remaining six axes are gridded.  With the flag cleared, every axis is
-    enumerated (only sensible for very small step counts).
+    Each axis is (low, high, steps).  Ground-unit bits take their minimal
+    feasible value and each transmit power the minimal value that carries its
+    phase's bits in the allotted time; both reductions are exact for the
+    minimum, so only these six axes are gridded.
     """
 
     bits_local: tuple = (0.0, None, 14)
     bits_uav: tuple = (0.0, None, 14)
-    bits_rsu: tuple = (0.0, None, 12)
-    power_offload: tuple = (0.0, None, 10)
-    power_relay: tuple = (0.0, None, 10)
-    power_down_uav: tuple = (0.0, None, 10)
-    power_down_rsu: tuple = (0.0, None, 10)
     time_offload: tuple = (0.0, None, 12)
     time_relay: tuple = (0.0, None, 12)
     time_down_uav: tuple = (0.0, None, 12)
     time_down_rsu: tuple = (0.0, None, 12)
-    derive_dependent: bool = True
 
     def axis(self, name: str, default_high: float) -> np.ndarray:
         lo, hi, steps = getattr(self, name)
@@ -92,8 +84,6 @@ def grid_search_primal(inst, grid: GridSpec | None = None):
     if inst.n_vehicles != 1 or inst.n_slots != 1:
         raise ValueError("grid search is a desk-scale oracle: need K=1, N=1")
     grid = grid or GridSpec()
-    if not grid.derive_dependent:
-        return _grid_search_full(inst, grid)
 
     sub = inst.subslot
     uc, vc = inst.uav_compute, inst.vehicle_compute
@@ -178,40 +168,6 @@ def grid_search_primal(inst, grid: GridSpec | None = None):
             champion = (value, alloc)
     if champion is None:
         raise NoFeasiblePoint("no shortlisted grid point survives the exact check")
-    return champion
-
-
-def _grid_search_full(inst, grid: GridSpec):
-    """Literal 11-axis enumeration; only for very small step counts."""
-    sub = inst.subslot
-    axes = {
-        "bits_local": grid.axis("bits_local", inst.bits_local_cap),
-        "bits_uav": grid.axis("bits_uav", inst.bits_uav_cap),
-        "bits_rsu": grid.axis("bits_rsu", float(inst.min_bits[0, 0])),
-        "power_offload": grid.axis("power_offload", inst.power_max[0]),
-        "power_relay": grid.axis("power_relay", inst.power_max[1]),
-        "power_down_uav": grid.axis("power_down_uav", inst.power_max[2]),
-        "power_down_rsu": grid.axis("power_down_rsu", inst.power_max[3]),
-        "time_offload": grid.axis("time_offload", sub),
-        "time_relay": grid.axis("time_relay", sub),
-        "time_down_uav": grid.axis("time_down_uav", sub),
-        "time_down_rsu": grid.axis("time_down_rsu", sub),
-    }
-    names = list(axes)
-    champion = None
-    import itertools
-
-    for combo in itertools.product(*(axes[n] for n in names)):
-        alloc = Allocation.zeros(1, 1)
-        for name, value in zip(names, combo):
-            getattr(alloc, name)[0, 0] = value
-        if not check_feasible(alloc, inst):
-            continue
-        value = wtec(alloc, inst)
-        if champion is None or value < champion[0]:
-            champion = (value, alloc)
-    if champion is None:
-        raise NoFeasiblePoint("no grid point satisfies the constraints")
     return champion
 
 

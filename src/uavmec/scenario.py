@@ -271,19 +271,26 @@ def load_scenario(path_or_text) -> ScenarioConfig:
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     """Normalize per-vehicle arrays, check ranges, derive the slot count.
 
-    Every range-checked or integer key must also be finite: NaN fails every
-    `<`/`<=` comparison, so a range check alone lets it through, and int()
-    of NaN or inf raises an error that names no key.
+    Every numeric key must hold finite numbers.  NaN fails every `<`/`<=`
+    comparison, so a range check alone lets it through, and a word, NaN or
+    inf in a key without a range check (an altitude, a speed, the path-loss
+    exponent) fails later in the geometry or the SVD with an error that names
+    no key.  A key that fails here skips its range check.
     """
-    errors = []
-
-    def finite(name):
-        ok = bool(np.all(np.isfinite(np.asarray(getattr(cfg, name), dtype=float))))
+    errors, bad = [], set()
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is None or (isinstance(value, str) and isinstance(f.default, str)):
+            continue  # an unset optional key, or a text key holding text
+        try:
+            ok = bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
+        except (TypeError, ValueError):
+            ok = False
         if not ok:
-            errors.append(f"{_FIELD_SECTION[name]}.{name}: must be finite")
-        return ok
+            bad.add(f.name)
+            errors.append(f"{_FIELD_SECTION[f.name]}.{f.name}: must be a finite number")
 
-    if not finite("vehicles"):
+    if "vehicles" in bad:
         raise ValidationError(errors)
     k = int(cfg.vehicles)
     if k < 1:
@@ -292,6 +299,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     cfg.vehicles = k
 
     def per_vehicle(name):
+        if name in bad:
+            return
         v = np.atleast_1d(np.asarray(getattr(cfg, name), dtype=float))
         if v.size == 1 or (v.size != k and np.all(v == v[0])):
             v = np.repeat(v[:1], k)
@@ -304,41 +313,43 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     per_vehicle("task_bits")
     per_vehicle("output_ratio")
     # the stock elevation angles cycle when the vehicle count differs
-    elev = np.atleast_1d(np.asarray(cfg.vehicle_elevations, dtype=float))
-    if elev.size != k and np.array_equal(elev, _STOCK_ELEVATIONS):
+    elev = cfg.vehicle_elevations
+    if np.size(elev) != k and np.array_equal(elev, _STOCK_ELEVATIONS):
         cfg.vehicle_elevations = np.resize(_STOCK_ELEVATIONS, k)
     per_vehicle("vehicle_elevations")
     if cfg.min_bits is None:
         cfg.min_bits = np.array(cfg.task_bits)
+        if "task_bits" in bad:
+            bad.add("min_bits")
     else:
         per_vehicle("min_bits")
 
     for name in ("task_bits", "min_bits", "output_ratio", "power_max_offload",
                  "power_max_relay", "power_max_down_uav", "power_max_down_rsu"):
-        if finite(name) and np.any(np.asarray(getattr(cfg, name)) < 0):
+        if name not in bad and np.any(np.asarray(getattr(cfg, name)) < 0):
             errors.append(f"{_FIELD_SECTION[name]}.{name}: must be non-negative")
     # a zero epsilon can never certify (the gap is clipped at 0)
     for name in ("weight_vehicle", "weight_uav", "cpu_vehicle", "cpu_uav",
                  "cycles_per_bit_vehicle", "cycles_per_bit_uav", "capacitance_vehicle",
                  "capacitance_uav", "epsilon"):
-        if finite(name) and np.any(np.asarray(getattr(cfg, name)) <= 0):
+        if name not in bad and np.any(np.asarray(getattr(cfg, name)) <= 0):
             errors.append(f"{_FIELD_SECTION[name]}.{name}: must be positive")
-    timing_finite = all([finite("horizon"), finite("slot")])
-    if timing_finite and (cfg.slot <= 0 or cfg.horizon <= 0):
+    timing_ok = not bad & {"horizon", "slot"}
+    if timing_ok and (cfg.slot <= 0 or cfg.horizon <= 0):
         errors.append("task.horizon/task.slot: must be positive")
-    elif timing_finite:
+    elif timing_ok:
         ratio = cfg.horizon / cfg.slot
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             errors.append(
                 f"task.horizon: horizon/slot = {ratio} is not a positive integer slot count"
             )
-    if cfg.cpu_vehicle >= cfg.cpu_uav:
+    if not bad & {"cpu_vehicle", "cpu_uav"} and cfg.cpu_vehicle >= cfg.cpu_uav:
         errors.append("task.cpu_vehicle: vehicle CPU must be slower than the UAV server")
     for name in ("bandwidth", "wavelength", "reference_gain", "noise_density"):
-        if finite(name) and getattr(cfg, name) <= 0:
+        if name not in bad and getattr(cfg, name) <= 0:
             errors.append(f"radio.{name}: must be positive")
     for name in ("antennas_vehicle", "antennas_uav", "antennas_rsu"):
-        if not finite(name):
+        if name in bad:
             continue
         v = int(getattr(cfg, name))
         if v < 1:
@@ -351,7 +362,7 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     if cfg.uav_model not in ("rotary_wing", "fixed_wing"):
         errors.append(f"uav.uav_model: {cfg.uav_model!r} invalid")
     for name in ("max_iterations", "seed"):
-        if finite(name):
+        if name not in bad:
             setattr(cfg, name, int(getattr(cfg, name)))
     if errors:
         raise ValidationError(errors)

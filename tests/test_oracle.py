@@ -46,20 +46,6 @@ def test_grid_search_brackets_solver_result():
     assert abs(value - report.wtec) / report.wtec <= 0.05
 
 
-def test_full_enumeration_mode_on_micro_grid():
-    inst = make_synthetic_instance(min_bits=0.0)
-    spec = GridSpec(
-        bits_local=(0.0, 1e5, 2), bits_uav=(0.0, 1e5, 2), bits_rsu=(0.0, 1e5, 2),
-        power_offload=(0.0, 1.0, 2), power_relay=(0.0, 1.0, 2),
-        power_down_uav=(0.0, 1.0, 2), power_down_rsu=(0.0, 1.0, 2),
-        time_offload=(0.0, 0.1, 2), time_relay=(0.0, 0.1, 2),
-        time_down_uav=(0.0, 0.1, 2), time_down_rsu=(0.0, 0.1, 2),
-        derive_dependent=False,
-    )
-    value, alloc = grid_search_primal(inst, spec)
-    assert value <= 1e-12
-
-
 def test_sampled_points_are_feasible(table1_inst):
     rng = np.random.default_rng(9)
     for _ in range(5):

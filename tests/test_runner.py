@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import uavmec
-from uavmec import cli, runner
+from uavmec import acceptance, cli, runner
 from uavmec.runner import COLUMNS, SweepResult, emit_results, load_results, run_sweep, set_axis
 from uavmec.scenario import ScenarioConfig, build_instance, validate
 
@@ -171,6 +171,20 @@ def test_cli_rejects_bad_config(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[task]\nslot = 0.3 s\n")
     assert cli.main(["solve", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_cli_verify_exits_1_when_a_criterion_fails(monkeypatch, capsys):
+    def stub(passed):
+        return lambda *args, **kwargs: acceptance.CriterionResult("stub", passed, 0.0, 0.0)
+
+    monkeypatch.setattr(acceptance.runner, "solve_report", lambda cfg: (None, None))
+    for name in dir(acceptance):
+        if name.startswith("criterion_"):
+            monkeypatch.setattr(acceptance, name, stub(True))
+    assert cli.main(["verify"]) == 0
+    monkeypatch.setattr(acceptance, "criterion_trends", stub(False))
+    assert cli.main(["verify"]) == 1
+    assert "FAIL  stub" in capsys.readouterr().out
 
 
 def _write_cfg(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from uavmec import instance
-from uavmec.instance import PHASE_DOWN_RSU, PHASE_DOWN_UAV
+from uavmec.channel import RadioConfig, build_channel
+from uavmec.instance import PHASE_DOWN_RSU, PHASE_DOWN_UAV, PHASE_OFFLOAD
 from uavmec.scenario import (
     ParseError,
     ScenarioConfig,
@@ -124,6 +125,12 @@ RANGE_CHECKED_KEYS = [
         ("task", "capacitance_uav", "-1e-27"),
         ("solver", "epsilon", "0"),
         ("solver", "epsilon", "-1e-4"),
+        ("radio", "path_loss_exponent", "nan"),
+        ("geometry", "slant", "nan"),
+        ("geometry", "uav_altitude", "nan"),
+        ("geometry", "uav_speed", "inf"),
+        ("task", "task_bits", "big"),
+        ("geometry", "uav_altitude", "high"),
     ]
     + [
         (section, key, value)
@@ -209,9 +216,45 @@ def test_roll_out_builds_each_link_once_per_slot(monkeypatch):
 
     monkeypatch.setattr(instance, "build_channel", counting)
     inst = build_instance(load_scenario("[task]\nhorizon = 0.4 s\n"))
-    # per slot: K uplinks, K downlinks and the UAV-to-ground-unit relay
-    assert len(calls) == inst.n_slots * (2 * inst.n_vehicles + 1)
+    # per slot: K vehicle-UAV links, read in both directions, and the
+    # UAV-to-ground-unit relay
+    assert len(calls) == inst.n_slots * (inst.n_vehicles + 1)
+    assert np.array_equal(inst.gains[PHASE_OFFLOAD], inst.gains[PHASE_DOWN_UAV])
     assert np.array_equal(inst.gains[PHASE_DOWN_UAV], inst.gains[PHASE_DOWN_RSU])
+
+
+def _reversed_links(doppler, antennas_uav=36):
+    """The instance, its radio, and per (k, n) its uplink and the UAV-to-vehicle
+    link itself, which only these tests build, as the reference."""
+    cfg = load_scenario(f"[radio]\ndoppler_phase = {doppler}\nantennas_uav = {antennas_uav}\n")
+    inst = build_instance(cfg)
+    radio = RadioConfig(wavelength=cfg.wavelength, path_loss_exponent=cfg.path_loss_exponent,
+                        reference_gain=cfg.reference_gain, bandwidth=cfg.bandwidth,
+                        noise_density=cfg.noise_density, doppler_phase_mode=doppler)
+    links = [
+        (k, n, up, build_channel(st.uav, veh, radio, st.slot, st.slot_len))
+        for n, (st, cs) in enumerate(zip(inst.states, inst.channel_sets))
+        for k, (veh, up) in enumerate(zip(st.vehicles, cs.v2u))
+    ]
+    return inst, radio, links
+
+
+@pytest.mark.parametrize("doppler", ["literal", "accumulated"])
+def test_reversed_link_is_the_transposed_uplink(doppler):
+    _, _, links = _reversed_links(doppler)
+    for _, _, up, ref in links:
+        assert np.abs(ref.matrix - up.matrix.T).max() <= 1e-11 * np.abs(ref.matrix).max()
+        s = ref.singular_values
+        assert np.abs(s - up.singular_values).max() <= 1e-14 * s[0]
+
+
+@pytest.mark.parametrize("doppler", ["literal", "accumulated"])
+def test_download_table_with_unequal_arrays_matches_reversed_links(doppler):
+    inst, radio, links = _reversed_links(doppler, antennas_uav=16)
+    down = inst.gains[PHASE_DOWN_UAV]
+    for k, n, _, ref in links:
+        want = instance._phase_gain(ref, radio, "exact")
+        assert np.abs(down[k, n] - want).max() <= 1e-12 * want.max()
 
 
 def test_rank1_mode_collapses_gain_tables():
