@@ -1,11 +1,13 @@
 """Lagrangian-dual solver: closed-form bit splits, safeguarded Newton power
-roots, time-sign rules, ellipsoid dual ascent and the LP recovery step.
+roots, an Illinois time-price root, time-sign rules, ellipsoid dual ascent
+and the LP recovery step.
 
 The dual problem separates into one 6-multiplier block per (vehicle, slot).
 Each block is warm-started from a one-dimensional reduction (all stationarity
-conditions collapse onto the sub-slot time price) and then refined by a
-deep-cut ellipsoid; convergence is certified by the weak-duality gap between
-the completed feasible schedule and the best dual value.
+conditions collapse onto the sub-slot time price, found as one bracketed root
+in log price) and then refined by a deep-cut ellipsoid; convergence is
+certified by the weak-duality gap between the completed feasible schedule and
+the best dual value.
 
 Multiplier order inside every length-6 vector: the prices of the
 minimum-bits constraint, the sub-slot time budget, and the four link
@@ -307,6 +309,58 @@ def _time_price_ceiling(inst) -> np.ndarray:
     return out
 
 
+def _time_price_root(need, budget, mu_hi):
+    """Sub-slot time price at which need(mu) meets the budget, per block.
+
+    need(mu) falls as mu rises.  A bracketed Illinois iteration (regula falsi
+    that halves the kept end's value when the same end is kept twice) runs in
+    t = log(mu) over [mu_hi * 2**-80, mu_hi] on g = log(need / budget), which
+    is nearly linear in t; a step that is not finite or leaves the bracket
+    takes the log-midpoint instead, and one within 4e-14 of an end moves that
+    far inward.  The bracket ends move by the sign of need - budget alone.  A
+    block stops when g = 0 or its bracket is narrower than 1e-13 relative; at
+    most 100 steps run.
+
+    Returns (mu, need(mu_hi)), where mu is the feasible end of the bracket
+    (need(mu) <= budget): mu_hi where even need(mu_hi) exceeds the budget,
+    mu_hi * 2**-80 where the whole bracket fits, and 0 where mu_hi = 0.
+    """
+    lo, hi = mu_hi * 2.0**-80, mu_hi
+    need_hi, need_lo = need(hi), need(lo)
+    over_hi = need_hi > budget
+    fits_lo = (need_lo <= budget) & ~over_hi
+    done = over_hi | fits_lo | (mu_hi <= 0.0)
+    hi = np.where(fits_lo, lo, hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo, t_hi = np.log(lo), np.log(hi)
+        g_lo, g_hi = np.log(need_lo / budget), np.log(need_hi / budget)
+    kept = np.zeros(mu_hi.shape, dtype=int)  # end kept by the last step: -1 lo, +1 hi
+    for _ in range(100):
+        if done.all():
+            break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = (t_lo * g_hi - t_hi * g_lo) / (g_hi - g_lo)
+        # a step onto a bracket end moves 4e-14 inward (above the spacing of
+        # floats near |t| < 128), so a root found from one side closes the
+        # bracket from the other on the next step
+        t = np.where((t >= t_lo) & (t <= t_hi), np.clip(t, t_lo + 4e-14, t_hi - 4e-14),
+                     0.5 * (t_lo + t_hi))
+        mu = np.where(done, hi, np.exp(t))
+        value = need(mu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.log(value / budget)
+        over = value > budget
+        live_over, live_fits = ~done & over, ~done & ~over
+        g_lo = np.where(live_fits & (kept == -1), 0.5 * g_lo, g_lo)
+        g_hi = np.where(live_over & (kept == 1), 0.5 * g_hi, g_hi)
+        t_lo, g_lo = np.where(live_over, t, t_lo), np.where(live_over, g, g_lo)
+        t_hi, g_hi = np.where(live_fits, t, t_hi), np.where(live_fits, g, g_hi)
+        hi = np.where(live_fits, mu, hi)
+        kept = np.where(over, 1, -1)
+        done = done | (g == 0.0) | (t_hi - t_lo <= 1e-13)
+    return hi, need_hi
+
+
 def feasible_split(inst):
     """Greedy minimal-budget bit split at maximum power, per block.
 
@@ -343,16 +397,15 @@ def feasible_split(inst):
 def warm_start(inst: ProblemInstance):
     """Dual seed per block from the one-dimensional time-price reduction.
 
-    Bisects the sub-slot budget residual of `_candidate`, which falls as the
-    time price rises, and zeroes the blocks without load.  Returns
-    (multipliers, dual values, infeasible mask); infeasible blocks cannot
-    carry their minimum bits under any split at maximum power.
+    Finds the time price at which `_candidate`'s sub-slot need, which falls
+    as the price rises, meets the sub-slot, and zeroes the blocks without
+    load.  Returns (multipliers, dual values, infeasible mask); infeasible
+    blocks cannot carry their minimum bits under any split at maximum power.
     """
     mu_hi = _time_price_ceiling(inst)
     feasible, _ = feasible_split(inst)
-    _, hi = _bisect(lambda mu: _candidate(inst, mu)[1] > inst.subslot,
-                    np.zeros_like(mu_hi), mu_hi, 80)
-    chi, _ = _candidate(inst, hi)
+    mu, _ = _time_price_root(lambda mu: _candidate(inst, mu)[1], inst.subslot, mu_hi)
+    chi, _ = _candidate(inst, mu)
     chi = np.where((inst.min_bits <= 0.0)[..., None], 0.0, chi)
     value, _ = dual_point_eval(inst, chi)
     return chi, value, ~feasible
@@ -421,10 +474,10 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray):
 def complete_primal(inst: ProblemInstance, bits):
     """Energy-minimal feasible schedule carrying the given bit split.
 
-    Powers and times come from bisecting the sub-slot budget residual at
-    fixed bits (the same time-price machinery as the warm start).  Returns
-    (powers (4,K,N), times (4,K,N), per-block weighted energy, infeasible
-    mask).
+    Powers and times follow from the time price at which the carry times of
+    the fixed bits fill the sub-slot left after UAV compute (the same
+    time-price root as the warm start).  Returns (powers (4,K,N), times
+    (4,K,N), per-block weighted energy, infeasible mask).
     """
     bl, bu, br = bits
     uc = inst.uav_compute
@@ -438,11 +491,10 @@ def complete_primal(inst: ProblemInstance, bits):
         times = [carry_time(loads[ph], inst.rate(ph, powers[ph])) for ph in range(4)]
         return times, powers
 
-    mu_hi = _time_price_ceiling(inst)
-    need_top = sum(times_at(mu_hi)[0])
+    mu, need_top = _time_price_root(lambda mu: sum(times_at(mu)[0]), budget,
+                                    _time_price_ceiling(inst))
     infeasible = (need_top > budget * (1.0 + 1e-12)) | (budget < -1e-15)
-    _, hi = _bisect(lambda mu: sum(times_at(mu)[0]) > budget, np.zeros_like(mu_hi), mu_hi, 80)
-    times, powers = times_at(hi)
+    times, powers = times_at(mu)
 
     times = np.stack(times)
     times = np.where(np.isfinite(times), times, 0.0)

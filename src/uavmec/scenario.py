@@ -117,8 +117,14 @@ class ScenarioConfig:
         return int(round(self.horizon / self.slot))
 
     def resolved_spacing(self) -> float:
+        """Element spacing in meters; the text `lambda` or `lambda/N` is a
+        fraction of the wavelength, and any other text raises ValueError."""
         if isinstance(self.spacing, str):
-            return self.wavelength / 2.0
+            m = _LAMBDA_RE.match(self.spacing.strip())
+            divisor = float(m.group(1) or 1.0) if m else 0.0
+            if divisor <= 0.0:
+                raise ValueError(f"{self.spacing!r} is neither a length nor lambda/N")
+            return self.wavelength / divisor
         return float(self.spacing)
 
     def as_dict(self) -> dict:
@@ -172,6 +178,8 @@ _UNIT_SCALE = {
     "bit": 1.0, "bits": 1.0, "kbit": 1e3, "mbit": 1e6, "mbits": 1e6, "gbit": 1e9,
     "j": 1.0, "rad": 1.0,
 }
+
+_LAMBDA_RE = re.compile(r"^lambda\s*(?:/\s*(\d+\.?\d*))?$", re.IGNORECASE)
 
 _PI_RE = re.compile(r"^(-?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?$", re.IGNORECASE)
 
@@ -348,6 +356,13 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     for name in ("bandwidth", "wavelength", "reference_gain", "noise_density"):
         if name not in bad and getattr(cfg, name) <= 0:
             errors.append(f"radio.{name}: must be positive")
+    if isinstance(cfg.spacing, str):
+        try:
+            cfg.resolved_spacing()
+        except ValueError as exc:
+            errors.append(f"radio.spacing: {exc}")
+    elif "spacing" not in bad and cfg.spacing <= 0:
+        errors.append("radio.spacing: must be positive")
     for name in ("antennas_vehicle", "antennas_uav", "antennas_rsu"):
         if name in bad:
             continue

@@ -18,7 +18,7 @@ from uavmec.optimizer import (
     solve_p2,
     warm_start,
 )
-from uavmec.protocol import check_feasible, wtec
+from uavmec.protocol import carry_time, check_feasible, wtec
 from uavmec.scenario import ScenarioConfig, build_instance, validate
 
 TAU, K = 0.2, 3
@@ -403,6 +403,138 @@ def test_warm_start_need_falls_with_time_price():
     need = [float(opt._candidate(inst, np.full((1, 1), mu))[1][0, 0])
             for mu in np.geomspace(ceiling * 1e-8, ceiling, 400)]
     assert all(b <= a for a, b in zip(need, need[1:]))
+
+
+# ----------------------------------------------------------- time-price root
+
+ROOT_TASK_BITS = (1e5, 5e5, 9e5)
+
+
+@pytest.fixture(scope="module")
+def stock_points():
+    return {tb: build_instance(validate(ScenarioConfig(task_bits=tb))) for tb in ROOT_TASK_BITS}
+
+
+def _bisected_time_price(need, budget, mu_hi):
+    """Reference root: 200 halvings of [0, mu_hi], keeping need <= budget."""
+    lo, hi = np.zeros_like(mu_hi), mu_hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        over = need(mid) > budget
+        lo, hi = np.where(over, mid, lo), np.where(over, hi, mid)
+    return hi
+
+
+def _warm_start_need(inst):
+    return lambda mu: opt._candidate(inst, mu)[1]
+
+
+def _carry_need(inst, bits):
+    """Sum of the four carry times of `bits` at the time price, and the
+    sub-slot left after UAV compute: what `complete_primal` balances."""
+    bl, bu, br = bits
+    xi = inst.output_ratio[:, None]
+    loads = [bu + br, br, xi * bu, xi * br]
+    wv = opt._phase_weights(inst)
+    uc = inst.uav_compute
+
+    def need(mu):
+        return sum(carry_time(loads[ph], inst.rate(ph, opt._power_from_time_price(inst, ph, wv[ph], mu)))
+                   for ph in range(4))
+
+    return need, inst.subslot - uc.cycles_per_bit * bu / uc.cpu_freq
+
+
+def _split_bits(inst, chi):
+    bl, bu = opt._split(inst, chi[..., opt.D_MIN_BITS], chi[..., opt.D_SUBSLOT],
+                        chi[..., opt.D_UPLINK], chi[..., opt.D_DOWN_UAV])
+    return bl, bu, np.maximum(inst.min_bits - bl - bu, 0.0)
+
+
+@pytest.mark.parametrize("task_bits", ROOT_TASK_BITS)
+def test_warm_start_time_price_matches_fine_bisection(stock_points, task_bits):
+    inst = stock_points[task_bits]
+    mu = warm_start(inst)[0][..., 1]
+    ref = _bisected_time_price(_warm_start_need(inst), inst.subslot, opt._time_price_ceiling(inst))
+    assert (ref > 0.0).all()
+    assert (np.abs(mu - ref) <= 1e-9 * ref).all()
+    assert (opt._candidate(inst, mu)[1] <= inst.subslot * (1.0 + 1e-12)).all()
+
+
+@pytest.mark.parametrize("task_bits", ROOT_TASK_BITS)
+def test_complete_primal_time_price_matches_fine_bisection(stock_points, task_bits, monkeypatch):
+    inst = stock_points[task_bits]
+    bits = _split_bits(inst, warm_start(inst)[0])
+    root, roots = opt._time_price_root, []
+
+    def recording(need, budget, mu_hi):
+        out = root(need, budget, mu_hi)
+        roots.append(out[0])
+        return out
+
+    monkeypatch.setattr(opt, "_time_price_root", recording)
+    powers, times, _, infeasible = opt.complete_primal(inst, bits)
+    need, budget = _carry_need(inst, bits)
+    ref = _bisected_time_price(need, budget, opt._time_price_ceiling(inst))
+    (mu,) = roots
+    assert not infeasible.any()
+    assert (np.abs(mu - ref) <= 1e-9 * ref).all()
+    assert (times.sum(axis=0) <= budget * (1.0 + 1e-12)).all()
+    assert np.array_equal(times.sum(axis=0), need(mu))
+
+
+def test_time_price_root_edges():
+    # one block each: no load, a fitting load, a load no price can fit
+    inst = make_synthetic_instance(n_slots=3)
+    inst.min_bits[:] = [[0.0, 5e5, 1e9]]
+    mu_hi = opt._time_price_ceiling(inst)
+    need = _warm_start_need(inst)
+    mu, need_top = opt._time_price_root(need, inst.subslot, mu_hi)
+    assert mu[0, 0] == mu_hi[0, 0] * 2.0**-80
+    assert mu_hi[0, 1] * 2.0**-80 < mu[0, 1] < mu_hi[0, 1]
+    assert need(mu)[0, 1] <= inst.subslot
+    assert mu[0, 2] == mu_hi[0, 2] and need_top[0, 2] > inst.subslot
+    assert np.array_equal(need_top, need(mu_hi))
+    # the same answers through the completion: no load carries nothing, and
+    # only the overloaded block is infeasible
+    bits = (np.zeros((1, 3)), np.zeros((1, 3)), inst.min_bits.copy())
+    powers, times, energy, infeasible = opt.complete_primal(inst, bits)
+    assert (powers[:, 0, 0] == 0.0).all() and (times[:, 0, 0] == 0.0).all()
+    assert infeasible.tolist() == [[False, False, True]]
+
+
+def test_time_price_root_dead_links_give_zero():
+    inst = make_synthetic_instance(gain=0.0)
+    mu_hi = opt._time_price_ceiling(inst)
+    assert (mu_hi == 0.0).all()
+    bits = (np.zeros((1, 1)), np.zeros((1, 1)), inst.min_bits.copy())
+    mu, need_top = opt._time_price_root(*_carry_need(inst, bits), mu_hi)
+    assert (mu == 0.0).all() and np.isinf(need_top).all()
+    assert opt.complete_primal(inst, bits)[3].all()
+
+
+def test_time_price_searches_evaluate_need_at_most_20_times(stock_points, monkeypatch):
+    calls = {}
+
+    def counted(name):
+        inner = getattr(opt, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(opt, name, wrapper)
+
+    counted("_candidate")
+    counted("_power_from_time_price")
+    for inst in stock_points.values():
+        calls.update(_candidate=0, _power_from_time_price=0)
+        chi = warm_start(inst)[0]
+        assert calls["_candidate"] <= 20
+        # the completion's need inverts the four phase powers once
+        calls["_power_from_time_price"] = 0
+        opt.complete_primal(inst, _split_bits(inst, chi))
+        assert calls["_power_from_time_price"] <= 4 * 20
 
 
 # --------------------------------------------------------------- recovery LP

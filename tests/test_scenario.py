@@ -46,8 +46,10 @@ def test_speed_size_and_angle_units():
 
 
 def test_lambda_fraction_spacing():
-    cfg = load_scenario("[radio]\nspacing = lambda/2\nwavelength = 0.15 m\n")
-    assert np.isclose(cfg.resolved_spacing(), 0.075)
+    for text, spacing in (("lambda/2", 0.075), ("lambda/4", 0.0375), ("lambda", 0.15),
+                          ("0.05 m", 0.05)):
+        cfg = load_scenario(f"[radio]\nspacing = {text}\nwavelength = 0.15 m\n")
+        assert np.isclose(cfg.resolved_spacing(), spacing)
 
 
 def test_config_file_with_sections_and_comments(tmp_path):
@@ -131,6 +133,9 @@ RANGE_CHECKED_KEYS = [
         ("geometry", "uav_speed", "inf"),
         ("task", "task_bits", "big"),
         ("geometry", "uav_altitude", "high"),
+        ("radio", "spacing", "foo"),
+        ("radio", "spacing", "lambda/0"),
+        ("radio", "spacing", "-1 cm"),
     ]
     + [
         (section, key, value)
