@@ -101,6 +101,11 @@ def compute_energy(bits, model: ComputeModel, slot_len: float,
     return model.capacitance * model.cycles_per_bit**3 * k2 * bits**3 / slot_len**2
 
 
+def compute_time(bits, model: ComputeModel):
+    """Seconds the CPU takes to process `bits` (scalar or array)."""
+    return model.cycles_per_bit * bits / model.cpu_freq
+
+
 def rotary_defaults(air_density: float = 1.225, solidity: float = 0.05,
                     disc_area: float = 0.503) -> tuple[float, float]:
     """Blade-profile and induced power implied by the stock rotor constants."""

@@ -1,6 +1,6 @@
 """Lagrangian-dual solver: closed-form bit splits, safeguarded Newton power
 roots, an Illinois time-price root, time-sign rules, ellipsoid dual ascent
-and the LP recovery step.
+and the closed-form recovery of the schedule.
 
 The dual problem separates into one 6-multiplier block per (vehicle, slot).
 Each block is warm-started from a one-dimensional reduction (all stationarity
@@ -22,9 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import ProblemInstance, rate_derivative, rate_terms
+# no solver path calls it: perfbench/tracing.py wraps this name, its only reader
 from .lp import solve_lp
-from .energy import compute_energy
-from .protocol import Allocation, block_energy, carry_time, check_feasible, wtec
+from .energy import compute_energy, compute_time
+from .protocol import (CHECK_RTOL, Allocation, block_energy, carry_time, check_feasible,
+                       phase_loads, wtec)
 
 # Index constants for the six dual families.
 D_MIN_BITS, D_SUBSLOT, D_UPLINK, D_RELAY, D_DOWN_UAV, D_DOWN_RSU = range(6)
@@ -291,9 +293,9 @@ def _candidate(inst, mu):
     bl, bu = _split(inst, chi1, mu, chis[0], chis[2])
     br = np.maximum(inst.min_bits - bl - bu, 0.0)
 
-    loads = [bu + br, br, xi * bu, xi * br]
+    loads = phase_loads(inst, bu, br)
     times = [carry_time(loads[ph], rates[ph]) for ph in range(4)]
-    need = times[0] + times[1] + times[2] + times[3] + uc.cycles_per_bit * bu / uc.cpu_freq
+    need = times[0] + times[1] + times[2] + times[3] + compute_time(bu, uc)
 
     chi = np.stack([chi1, mu, chis[0], chis[1], chis[2], chis[3]], axis=-1)
     return chi, need
@@ -412,12 +414,14 @@ def warm_start(inst: ProblemInstance):
 
 
 def dual_point_eval(inst: ProblemInstance, chi: np.ndarray):
-    """Dual value and subgradient at a feasible multiplier point, per block.
+    """Dual value and subgradient at a multiplier point, per block.
 
     Inner minimizers follow the closed forms and sign rules; indeterminate
     ground-unit bits and transmit times take their recovery-problem values so
-    the subgradient vanishes at the optimum.  Returns (values (K, N),
-    subgradients (K, N, 6)).
+    the subgradient vanishes at the optimum.  A block whose minimum-bits price
+    exceeds its ground-route price lies outside the dual domain: its
+    ground-unit term is unbounded below, so its value is -inf.  Returns
+    (values (K, N), subgradients (K, N, 6)).
     """
     vc, uc = inst.vehicle_compute, inst.uav_compute
     xi = inst.output_ratio[:, None]
@@ -439,7 +443,7 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray):
 
     value = l1 + l2 + chi1 * inst.min_bits - chi2 * sub
 
-    loads = [bu + br, br, xi * bu, xi * br]
+    loads = phase_loads(inst, bu, br)
     times, rates = [], []
     for ph in range(4):
         chir = chi[..., _PHASE_RATE_DUAL[ph]]
@@ -456,15 +460,12 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray):
         times.append(t)
         rates.append(r)
 
-    t_cu = uc.cycles_per_bit * bu / uc.cpu_freq
+    value = np.where(margin < -SIGN_RTOL * margin_scale, -np.inf, value)
     g = np.stack(
         [
             inst.min_bits - bl - bu - br,
-            times[0] + times[1] + t_cu + times[2] + times[3] - sub,
-            bu + br - times[0] * rates[0],
-            br - times[1] * rates[1],
-            xi * bu - times[2] * rates[2],
-            xi * br - times[3] * rates[3],
+            times[0] + times[1] + compute_time(bu, uc) + times[2] + times[3] - sub,
+            *(loads[ph] - times[ph] * rates[ph] for ph in range(4)),
         ],
         axis=-1,
     )
@@ -480,11 +481,9 @@ def complete_primal(inst: ProblemInstance, bits):
     (4,K,N), per-block weighted energy, infeasible mask).
     """
     bl, bu, br = bits
-    uc = inst.uav_compute
-    xi = inst.output_ratio[:, None]
     wv = _phase_weights(inst)
-    loads = [bu + br, br, xi * bu, xi * br]
-    budget = inst.subslot - uc.cycles_per_bit * bu / uc.cpu_freq
+    loads = phase_loads(inst, bu, br)
+    budget = inst.subslot - compute_time(bu, inst.uav_compute)
 
     def times_at(mu):
         powers = [_power_from_time_price(inst, ph, wv[ph], mu) for ph in range(4)]
@@ -658,62 +657,33 @@ def ellipsoid_solve(
 
 
 # ---------------------------------------------------------------------------
-# recovery LP and the full pipeline
+# schedule recovery and the full pipeline
 # ---------------------------------------------------------------------------
 
 def solve_p2(inst: ProblemInstance, bits_local, bits_uav, powers):
-    """Per-block LP recovering ground-unit bits and the four transmit times.
+    """Ground-unit bits and the four transmit times of the recovery problem.
 
-    Minimizes the weighted radiated energy at the fixed powers subject to the
-    capacity, budget and minimum-bits constraints.  Raises
-    InfeasibleAllocation when a block cannot carry its minimum bits at those
-    powers.
+    At fixed powers and a fixed local/UAV split the recovery LP (P2) minimizes
+    the weighted radiated energy sum w * p * t subject to the minimum bits,
+    the four link capacities, the sub-slot budget and the time ranges.  Its
+    optimum is closed form, for all blocks at once: b_R costs nothing and
+    every capacity and budget row only tightens as b_R grows, so b_R =
+    max(min_bits - b_local - b_uav, 0); each time costs w * p >= 0 and its
+    capacity row bounds it below by load / rate, so it is the carry time.
+    Raises InfeasibleAllocation for the first block where a load meets a
+    zero rate or the times plus the UAV compute time exceed the sub-slot by
+    more than `check_feasible`'s tolerance.
     """
-    k_n, n_n = inst.min_bits.shape
-    uc = inst.uav_compute
-    sub = inst.subslot
-    xi = inst.output_ratio
-    rates = np.stack([inst.rate(ph, powers[ph]) for ph in range(4)])
-
-    bits_rsu = np.zeros_like(bits_local)
-    times = np.zeros((4, k_n, n_n))
-    b_scale = max(float(np.max(inst.min_bits)), 1.0)
-
-    for k in range(k_n):
-        for n in range(n_n):
-            need = max(inst.min_bits[k, n] - bits_local[k, n] - bits_uav[k, n], 0.0)
-            t_cu = uc.cycles_per_bit * bits_uav[k, n] / uc.cpu_freq
-            budget = sub - t_cu
-            r = rates[:, k, n]
-            if inst.min_bits[k, n] <= 0.0 and bits_uav[k, n] <= 0.0:
-                continue
-            # variables scaled: x = [b_R/b_scale, t1/sub, t2/sub, t4/sub, t5/sub]
-            w_k = inst.weights_vehicle[k]
-            c = np.array([
-                0.0,
-                w_k * powers[0, k, n] * sub,
-                inst.weight_uav * powers[1, k, n] * sub,
-                inst.weight_uav * powers[2, k, n] * sub,
-                inst.weight_uav * powers[3, k, n] * sub,
-            ])
-            rows, rhs = [], []
-            rows.append([-1.0, 0, 0, 0, 0]); rhs.append(-need / b_scale)
-            rows.append([b_scale, -r[0] * sub, 0, 0, 0]); rhs.append(-bits_uav[k, n])
-            rows.append([b_scale, 0, -r[1] * sub, 0, 0]); rhs.append(0.0)
-            rows.append([0, 0, 0, -r[2] * sub, 0]); rhs.append(-xi[k] * bits_uav[k, n])
-            rows.append([xi[k] * b_scale, 0, 0, 0, -r[3] * sub]); rhs.append(0.0)
-            rows.append([0, sub, sub, sub, sub]); rhs.append(budget)
-            for j in range(4):
-                e = [0.0] * 5
-                e[1 + j] = sub
-                rows.append(e); rhs.append(sub)
-            res = solve_lp(c, np.array(rows), np.array(rhs))
-            if not res.ok:
-                raise InfeasibleAllocation(
-                    f"minimum bits unachievable at fixed powers for vehicle {k}, slot {n}"
-                )
-            bits_rsu[k, n] = res.x[0] * b_scale
-            times[:, k, n] = res.x[1:] * sub
+    bits_rsu = np.maximum(inst.min_bits - bits_local - bits_uav, 0.0)
+    loads = phase_loads(inst, bits_uav, bits_rsu)
+    times = np.stack([carry_time(loads[ph], inst.rate(ph, powers[ph])) for ph in range(4)])
+    used = times.sum(axis=0) + compute_time(bits_uav, inst.uav_compute)
+    over = used > inst.subslot * (1 + CHECK_RTOL)
+    if over.any():
+        k, n = np.argwhere(over)[0]
+        raise InfeasibleAllocation(
+            f"minimum bits unachievable at fixed powers for vehicle {k}, slot {n}"
+        )
     return bits_rsu, times
 
 
@@ -722,7 +692,7 @@ def algorithm1(
     eps: float = 1e-4,
     max_iterations: int = 200,
 ) -> SolveReport:
-    """Full dual pipeline: ellipsoid ascent, final closed forms, recovery LP.
+    """Full dual pipeline: ellipsoid ascent, then the closed-form recovery.
 
     The report carries the per-iteration objective trajectory and the final
     duality gap.  IterationCapExceeded propagates with the best-so-far state
@@ -736,7 +706,7 @@ def finish_from_duals(inst: ProblemInstance, state: DualState) -> SolveReport:
     """Recover the primal allocation from a converged (or best-so-far) dual.
 
     Reuses the completion that certified the state's gap; its bit split and
-    powers fix the recovery LP.
+    powers fix the recovery problem, which `solve_p2` solves in closed form.
     """
     bits, powers = state.completion
     if not state.feasible.all():

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import compute_energy
+from .energy import compute_energy, compute_time
 
 # Relative tolerance of every check in `check_feasible`.
-_RTOL = 1e-9
+CHECK_RTOL = 1e-9
 
 
 @dataclass
@@ -59,6 +59,13 @@ class Allocation:
         )
 
 
+def phase_loads(inst, bits_uav, bits_rsu) -> list:
+    """Bits each transmit phase carries: uplink, relay, UAV-result download,
+    ground-result download."""
+    xi = inst.output_ratio[:, None]
+    return [bits_uav + bits_rsu, bits_rsu, xi * bits_uav, xi * bits_rsu]
+
+
 def carry_time(load, rate):
     """Time to carry `load` bits at `rate`: 0 without load, inf when bits
     meet a zero rate, load / rate otherwise."""
@@ -95,36 +102,29 @@ def check_feasible(alloc: Allocation, inst) -> Verdict:
             v.append(f"{label}[k={k},n={n}]")
 
     total = alloc.bits_local + alloc.bits_uav + alloc.bits_rsu
-    report(total < inst.min_bits - _RTOL * bits_scale, "min_bits")
+    report(total < inst.min_bits - CHECK_RTOL * bits_scale, "min_bits")
     for name in ("bits_local", "bits_uav", "bits_rsu"):
-        report(getattr(alloc, name) < -_RTOL * bits_scale, f"sign_{name}")
+        report(getattr(alloc, name) < -CHECK_RTOL * bits_scale, f"sign_{name}")
 
-    t_uav = inst.uav_compute.cycles_per_bit * alloc.bits_uav / inst.uav_compute.cpu_freq
-    t_local = inst.vehicle_compute.cycles_per_bit * alloc.bits_local / inst.vehicle_compute.cpu_freq
+    t_uav = compute_time(alloc.bits_uav, inst.uav_compute)
+    t_local = compute_time(alloc.bits_local, inst.vehicle_compute)
     times = alloc.times()
-    report(np.any(times < -_RTOL * sub, axis=0), "time_negative")
-    report(np.any(times > sub * (1 + _RTOL), axis=0), "time_over_subslot")
-    report(t_uav > sub * (1 + _RTOL), "uav_compute_over_subslot")
-    report(t_local > inst.slot_len * (1 + _RTOL), "local_compute_over_slot")
+    report(np.any(times < -CHECK_RTOL * sub, axis=0), "time_negative")
+    report(np.any(times > sub * (1 + CHECK_RTOL), axis=0), "time_over_subslot")
+    report(t_uav > sub * (1 + CHECK_RTOL), "uav_compute_over_subslot")
+    report(t_local > inst.slot_len * (1 + CHECK_RTOL), "local_compute_over_slot")
 
     budget = times.sum(axis=0) + t_uav
-    report(budget > sub * (1 + _RTOL), "subslot_budget")
+    report(budget > sub * (1 + CHECK_RTOL), "subslot_budget")
 
     cap_labels = ("uplink_capacity", "relay_capacity", "down_uav_capacity", "down_rsu_capacity")
-    carried = np.stack(
-        [
-            alloc.bits_uav + alloc.bits_rsu,
-            alloc.bits_rsu,
-            inst.output_ratio[:, None] * alloc.bits_uav,
-            inst.output_ratio[:, None] * alloc.bits_rsu,
-        ]
-    )
+    carried = np.stack(phase_loads(inst, alloc.bits_uav, alloc.bits_rsu))
     powers = alloc.powers()
     for ph in range(4):
         capacity = times[ph] * inst.rate(ph, powers[ph])
-        report(carried[ph] > capacity + _RTOL * bits_scale, cap_labels[ph])
-        report(powers[ph] < -_RTOL, f"power_negative_{cap_labels[ph]}")
-        report(powers[ph] > inst.power_max[ph] * (1 + _RTOL), f"power_cap_{cap_labels[ph]}")
+        report(carried[ph] > capacity + CHECK_RTOL * bits_scale, cap_labels[ph])
+        report(powers[ph] < -CHECK_RTOL, f"power_negative_{cap_labels[ph]}")
+        report(powers[ph] > inst.power_max[ph] * (1 + CHECK_RTOL), f"power_cap_{cap_labels[ph]}")
 
     return Verdict(feasible=not v, violations=v)
 
@@ -142,13 +142,7 @@ def baseline_allocation(inst) -> Allocation:
     alloc.bits_local = np.minimum(third, inst.bits_local_cap)
     alloc.bits_uav = np.minimum(third, inst.bits_uav_cap)
     alloc.bits_rsu = inst.min_bits - alloc.bits_local - alloc.bits_uav
-    xi = inst.output_ratio[:, None]
-    carried = [
-        alloc.bits_uav + alloc.bits_rsu,
-        alloc.bits_rsu,
-        xi * alloc.bits_uav,
-        xi * alloc.bits_rsu,
-    ]
+    carried = phase_loads(inst, alloc.bits_uav, alloc.bits_rsu)
     p_names = ("power_offload", "power_relay", "power_down_uav", "power_down_rsu")
     t_names = ("time_offload", "time_relay", "time_down_uav", "time_down_rsu")
     for ph in range(4):
@@ -164,12 +158,10 @@ def tccd(alloc: Allocation, inst, include_local: bool = False) -> float:
     Sums the occupied five-phase durations; local compute runs in parallel
     and is excluded unless requested.
     """
-    t_uav = inst.uav_compute.cycles_per_bit * alloc.bits_uav / inst.uav_compute.cpu_freq
+    t_uav = compute_time(alloc.bits_uav, inst.uav_compute)
     total = float(alloc.times().sum() + t_uav.sum())
     if include_local:
-        total += float(
-            (inst.vehicle_compute.cycles_per_bit * alloc.bits_local / inst.vehicle_compute.cpu_freq).sum()
-        )
+        total += float(compute_time(alloc.bits_local, inst.vehicle_compute).sum())
     return total
 
 
@@ -219,8 +211,8 @@ def energy_breakdown(alloc: Allocation, inst) -> dict:
 
 def time_breakdown(alloc: Allocation, inst) -> dict:
     """Per-phase occupied-time totals in seconds."""
-    t_uav = inst.uav_compute.cycles_per_bit * alloc.bits_uav / inst.uav_compute.cpu_freq
-    t_local = inst.vehicle_compute.cycles_per_bit * alloc.bits_local / inst.vehicle_compute.cpu_freq
+    t_uav = compute_time(alloc.bits_uav, inst.uav_compute)
+    t_local = compute_time(alloc.bits_local, inst.vehicle_compute)
     return {
         "t_offload_s": float(alloc.time_offload.sum()),
         "t_relay_s": float(alloc.time_relay.sum()),

@@ -53,9 +53,6 @@ _AXIS_ALIASES = {
     "task_bits": ("task_bits", "min_bits"),
 }
 
-_INT_FIELDS = {"vehicles", "antennas_vehicle", "antennas_uav", "antennas_rsu",
-               "max_iterations", "seed"}
-
 
 @dataclass
 class SweepResult:
@@ -109,7 +106,8 @@ def solve_report(cfg: ScenarioConfig):
 
 
 def set_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
-    """Fresh config with one sweep axis changed and revalidated."""
+    """Fresh config with one sweep axis changed and revalidated (`validate`
+    turns the integer fields back into int)."""
     out = copy.deepcopy(cfg)
     names = _AXIS_ALIASES.get(axis, (axis,))
     for name in names:
@@ -118,8 +116,6 @@ def set_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
         current = getattr(out, name)
         if isinstance(current, np.ndarray):
             setattr(out, name, np.full_like(current, float(value)))
-        elif name in _INT_FIELDS:
-            setattr(out, name, int(value))
         else:
             setattr(out, name, float(value))
     return validate(out)

@@ -1,0 +1,35 @@
+"""The package names the benchmark's tracer and workloads reach into.
+
+perfbench/tracing.py wraps package functions by (module, attribute), and
+perfbench/workloads.py copies instances without their channel matrices and
+network states.  A rename that breaks either fails here, not only in a
+traced benchmark run.
+"""
+
+import dataclasses
+import importlib.util
+import os
+
+from uavmec.instance import ProblemInstance
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_tracing():
+    path = os.path.join(ROOT, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_resolves():
+    tracing = load_tracing()
+    missing = [f"{mod}.{attr}" for mod, attr, _ in tracing.PATCHES
+               if not callable(getattr(tracing._MODULES[mod], attr, None))]
+    assert not missing
+
+
+def test_instance_keeps_the_fields_the_workloads_replace():
+    names = {f.name for f in dataclasses.fields(ProblemInstance)}
+    assert {"channel_sets", "states"} <= names

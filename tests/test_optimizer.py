@@ -537,6 +537,21 @@ def test_time_price_searches_evaluate_need_at_most_20_times(stock_points, monkey
         assert calls["_power_from_time_price"] <= 4 * 20
 
 
+def test_dual_value_is_minus_inf_outside_the_domain(stock_points):
+    # a minimum-bits price above the ground-route price leaves the
+    # ground-unit term of the Lagrangian unbounded below: the dual is -inf
+    inst = stock_points[5e5]
+    chi = warm_start(inst)[0]
+    assert np.isfinite(dual_point_eval(inst, chi)[0]).all()
+    xi = inst.output_ratio[:, None]
+    route = chi[..., opt.D_UPLINK] + chi[..., opt.D_RELAY] + xi * chi[..., opt.D_DOWN_RSU]
+    assert (route > 0.0).any()
+    outside = chi.copy()
+    outside[..., opt.D_MIN_BITS] = 2.0 * route
+    value, _ = dual_point_eval(inst, outside)
+    assert (value[route > 0.0] == -np.inf).all()
+
+
 # --------------------------------------------------------------- recovery LP
 
 def test_solve_p2_skips_ground_unit_when_covered():

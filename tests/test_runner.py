@@ -27,6 +27,13 @@ def test_set_axis_antennas_fans_out():
     assert cfg.antennas_uav == 36  # original untouched
 
 
+def test_set_axis_integer_fields_stay_int():
+    cfg = small_cfg()
+    for axis, name in (("antennas", "antennas_uav"), ("vehicles", "vehicles"),
+                       ("max_iterations", "max_iterations"), ("seed", "seed")):
+        assert type(getattr(set_axis(cfg, axis, 2.0), name)) is int
+
+
 def test_set_axis_task_bits_updates_min_bits():
     out = set_axis(small_cfg(), "task_bits", 2e5)
     assert np.allclose(out.task_bits, 2e5)
