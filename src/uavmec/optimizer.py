@@ -1,13 +1,14 @@
-"""Lagrangian-dual solver: closed-form bit splits, safeguarded Newton power
-roots, an Illinois time-price root, time-sign rules, ellipsoid dual ascent
-and the closed-form recovery of the schedule.
+"""Lagrangian-dual solver: closed-form bit splits, two monotone roots,
+time-sign rules, ellipsoid dual ascent and the closed-form recovery of the
+schedule.
 
 The dual problem separates into one 6-multiplier block per (vehicle, slot).
 Each block is warm-started from a one-dimensional reduction (all stationarity
-conditions collapse onto the sub-slot time price, found as one bracketed root
-in log price) and then refined by a deep-cut ellipsoid; convergence is
-certified by the weak-duality gap between the completed feasible schedule and
-the best dual value.
+conditions collapse onto the sub-slot time price) and then refined by a
+deep-cut ellipsoid; convergence is certified by the weak-duality gap between
+the completed feasible schedule and the best dual value.  The power at a time
+price is a safeguarded Newton root; every other price or power is one
+bracketed Illinois root in log coordinates, `_log_root`.
 
 Multiplier order inside every length-6 vector: the prices of the
 minimum-bits constraint, the sub-slot time budget, and the four link
@@ -87,15 +88,56 @@ class SolveReport:
 # closed forms and roots, elementwise over blocks
 # ---------------------------------------------------------------------------
 
-def _bisect(below, lo, hi, steps: int):
-    """Halve every bracket [lo, hi] `steps` times, keeping the upper half
-    where below(mid) holds and the lower half elsewhere."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        take = below(mid)
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    return lo, hi
+def _log_root(need, budget, hi):
+    """Point x in (0, hi] at which need(x) meets the budget, per block.
+
+    need(x) falls as x rises.  A bracketed Illinois iteration (regula falsi
+    that halves the kept end's value when the same end is kept twice) runs in
+    t = log(x) over [hi * 2**-80, hi] on g = log(need / budget), which is
+    nearly linear in t for the solver's prices and powers; a step that is not
+    finite or leaves the bracket takes the log-midpoint instead, and one
+    within 4e-14 of an end moves that far inward.  The bracket ends move by
+    the sign of need - budget alone.  A block stops when g = 0 or its bracket
+    is narrower than 1e-13 relative; at most 100 steps run.
+
+    Returns the feasible end of the bracket (need(x) <= budget): hi where even
+    need(hi) exceeds the budget, hi * 2**-80 where the whole bracket fits, and
+    0 where hi = 0.
+    """
+    lo = hi * 2.0**-80
+    need_hi, need_lo = need(hi), need(lo)
+    over_hi = need_hi > budget
+    fits_lo = (need_lo <= budget) & ~over_hi
+    done = over_hi | fits_lo | (hi <= 0.0)
+    hi = np.where(fits_lo, lo, hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo, t_hi = np.log(lo), np.log(hi)
+        g_lo, g_hi = np.log(need_lo / budget), np.log(need_hi / budget)
+    kept = np.zeros(hi.shape, dtype=int)  # end kept by the last step: -1 lo, +1 hi
+    for _ in range(100):
+        if done.all():
+            break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = (t_lo * g_hi - t_hi * g_lo) / (g_hi - g_lo)
+        # a step onto a bracket end moves 4e-14 inward (above the spacing of
+        # floats near |t| < 128), so a root found from one side closes the
+        # bracket from the other on the next step
+        t = np.where((t >= t_lo) & (t <= t_hi), np.clip(t, t_lo + 4e-14, t_hi - 4e-14),
+                     0.5 * (t_lo + t_hi))
+        x = np.where(done, hi, np.exp(t))
+        value = need(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.log(value / budget)
+        over = value > budget
+        live_over, live_fits = ~done & over, ~done & ~over
+        g_lo = np.where(live_fits & (kept == -1), 0.5 * g_lo, g_lo)
+        g_hi = np.where(live_over & (kept == 1), 0.5 * g_hi, g_hi)
+        t_lo, g_lo = np.where(live_over, t, t_lo), np.where(live_over, g, g_lo)
+        t_hi, g_hi = np.where(live_fits, t, t_hi), np.where(live_fits, g, g_hi)
+        hi = np.where(live_fits, x, hi)
+        kept = np.where(over, 1, -1)
+        done = done | (g == 0.0) | (t_hi - t_lo <= 1e-13)
+    return hi
 
 
 def bits_local_opt(price_min_bits, weight, capacitance, cycles_per_bit, slot_len, cpu_freq):
@@ -141,17 +183,16 @@ def power_opt(gains, weight, price_rate, bandwidth, power_max) -> np.ndarray:
 
     `gains` has shape (..., L); `weight` and `price_rate` broadcast against
     its leading shape.  The defining function weight - price_rate *
-    d(rate)/d(power) is strictly increasing in power; endpoints clamp when no
-    interior root exists.
+    d(rate)/d(power) is strictly increasing in power, so the root is the
+    `_log_root` of price_rate * d(rate)/d(power) / weight against 1;
+    endpoints clamp when no interior root exists.
     """
     shape = np.broadcast_shapes(gains.shape[:-1], np.shape(weight), np.shape(price_rate))
     at_zero = price_rate * rate_derivative(gains, bandwidth, np.zeros(shape))
-    at_max = price_rate * rate_derivative(gains, bandwidth, np.full(shape, power_max))
-    lo, hi = _bisect(lambda p: price_rate * rate_derivative(gains, bandwidth, p) > weight,
-                     np.zeros(shape), np.full(shape, power_max), 70)
-    p = 0.5 * (lo + hi)
-    p = np.where(at_zero <= weight, 0.0, p)
-    return np.where(at_max >= weight, power_max, p)
+    # _log_root returns power_max exactly where price * r' > weight even there
+    p = _log_root(lambda p: price_rate * rate_derivative(gains, bandwidth, p) / weight,
+                  1.0, np.full(shape, power_max))
+    return np.where(at_zero <= weight, 0.0, p)
 
 
 def phase1_closed_form(trace_power, n_tx, n_rx, bound, weight, price_rate,
@@ -199,6 +240,10 @@ def _power_from_time_price(inst, ph, w, mu) -> np.ndarray:
     [lo, hi] from the sign of phi(p) - mu; a step that is not finite or
     leaves the bracket halves the bracket instead.  A block stops when
     phi(p) = mu or its step is at most 1e-14 * p; at most 60 iterations run.
+    It is not a `_log_root`: phi cancels r/r' against p, so at that root's
+    bracket bottom p_max * 2**-80 it reads rounding noise, which steers the
+    completion off its optimum (the stock solve then stops at its
+    200-iteration cap); Newton starts at p_max instead.
     """
     pmax = inst.power_max[ph]
     p = np.full(mu.shape, pmax)
@@ -264,11 +309,11 @@ def _candidate(inst, mu):
 
     At the block optimum, power stationarity plus the time-sign balance make
     every rate price a function of the time price alone.  The minimum-bits
-    price is the lower of the local/UAV fixed point (closed-form local and
-    UAV bits sum to the requirement) and the ground-route price, which also
-    stands when both CPU caps still fall short; the ground unit carries the
-    shortfall.  Returns the (K, N, 6) dual point and the (K, N) sub-slot
-    time its split needs.
+    price is the lower of the local/UAV fixed point (the `_log_root` at which
+    closed-form local and UAV bits sum to the requirement) and the
+    ground-route price, which also stands when both CPU caps still fall
+    short; the ground unit carries the shortfall.  Returns the (K, N, 6) dual
+    point and the (K, N) sub-slot time its split needs.
     """
     vc, uc = inst.vehicle_compute, inst.uav_compute
     xi = inst.output_ratio[:, None]
@@ -284,12 +329,12 @@ def _candidate(inst, mu):
         (zeta_cap + mu * uc.cycles_per_bit) / uc.cpu_freq + chis[0] + xi * chis[2],
     ) * 1.01 + 1e-30
 
-    def short(chi1):
+    def shortfall(chi1):  # above 1 while the split carries too few bits
         bl, bu = _split(inst, chi1, mu, chis[0], chis[2])
-        return bl + bu < inst.min_bits
+        return inst.min_bits / (bl + bu)
 
-    _, hi = _bisect(short, np.zeros_like(mu), hi, 70)
-    chi1 = np.where(short(hi), route, np.minimum(hi, route))
+    chi1 = _log_root(shortfall, 1.0, hi)
+    chi1 = np.where(shortfall(chi1) > 1.0, route, np.minimum(chi1, route))
     bl, bu = _split(inst, chi1, mu, chis[0], chis[2])
     br = np.maximum(inst.min_bits - bl - bu, 0.0)
 
@@ -309,58 +354,6 @@ def _time_price_ceiling(inst) -> np.ndarray:
         pfull = np.full(inst.min_bits.shape, inst.power_max[ph])
         out = np.maximum(out, _phi(inst, ph, wv[ph], pfull)[0])
     return out
-
-
-def _time_price_root(need, budget, mu_hi):
-    """Sub-slot time price at which need(mu) meets the budget, per block.
-
-    need(mu) falls as mu rises.  A bracketed Illinois iteration (regula falsi
-    that halves the kept end's value when the same end is kept twice) runs in
-    t = log(mu) over [mu_hi * 2**-80, mu_hi] on g = log(need / budget), which
-    is nearly linear in t; a step that is not finite or leaves the bracket
-    takes the log-midpoint instead, and one within 4e-14 of an end moves that
-    far inward.  The bracket ends move by the sign of need - budget alone.  A
-    block stops when g = 0 or its bracket is narrower than 1e-13 relative; at
-    most 100 steps run.
-
-    Returns (mu, need(mu_hi)), where mu is the feasible end of the bracket
-    (need(mu) <= budget): mu_hi where even need(mu_hi) exceeds the budget,
-    mu_hi * 2**-80 where the whole bracket fits, and 0 where mu_hi = 0.
-    """
-    lo, hi = mu_hi * 2.0**-80, mu_hi
-    need_hi, need_lo = need(hi), need(lo)
-    over_hi = need_hi > budget
-    fits_lo = (need_lo <= budget) & ~over_hi
-    done = over_hi | fits_lo | (mu_hi <= 0.0)
-    hi = np.where(fits_lo, lo, hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo, t_hi = np.log(lo), np.log(hi)
-        g_lo, g_hi = np.log(need_lo / budget), np.log(need_hi / budget)
-    kept = np.zeros(mu_hi.shape, dtype=int)  # end kept by the last step: -1 lo, +1 hi
-    for _ in range(100):
-        if done.all():
-            break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = (t_lo * g_hi - t_hi * g_lo) / (g_hi - g_lo)
-        # a step onto a bracket end moves 4e-14 inward (above the spacing of
-        # floats near |t| < 128), so a root found from one side closes the
-        # bracket from the other on the next step
-        t = np.where((t >= t_lo) & (t <= t_hi), np.clip(t, t_lo + 4e-14, t_hi - 4e-14),
-                     0.5 * (t_lo + t_hi))
-        mu = np.where(done, hi, np.exp(t))
-        value = need(mu)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.log(value / budget)
-        over = value > budget
-        live_over, live_fits = ~done & over, ~done & ~over
-        g_lo = np.where(live_fits & (kept == -1), 0.5 * g_lo, g_lo)
-        g_hi = np.where(live_over & (kept == 1), 0.5 * g_hi, g_hi)
-        t_lo, g_lo = np.where(live_over, t, t_lo), np.where(live_over, g, g_lo)
-        t_hi, g_hi = np.where(live_fits, t, t_hi), np.where(live_fits, g, g_hi)
-        hi = np.where(live_fits, mu, hi)
-        kept = np.where(over, 1, -1)
-        done = done | (g == 0.0) | (t_hi - t_lo <= 1e-13)
-    return hi, need_hi
 
 
 def feasible_split(inst):
@@ -406,7 +399,7 @@ def warm_start(inst: ProblemInstance):
     """
     mu_hi = _time_price_ceiling(inst)
     feasible, _ = feasible_split(inst)
-    mu, _ = _time_price_root(lambda mu: _candidate(inst, mu)[1], inst.subslot, mu_hi)
+    mu = _log_root(lambda mu: _candidate(inst, mu)[1], inst.subslot, mu_hi)
     chi, _ = _candidate(inst, mu)
     chi = np.where((inst.min_bits <= 0.0)[..., None], 0.0, chi)
     value, _ = dual_point_eval(inst, chi)
@@ -490,10 +483,10 @@ def complete_primal(inst: ProblemInstance, bits):
         times = [carry_time(loads[ph], inst.rate(ph, powers[ph])) for ph in range(4)]
         return times, powers
 
-    mu, need_top = _time_price_root(lambda mu: sum(times_at(mu)[0]), budget,
-                                    _time_price_ceiling(inst))
-    infeasible = (need_top > budget * (1.0 + 1e-12)) | (budget < -1e-15)
+    mu = _log_root(lambda mu: sum(times_at(mu)[0]), budget, _time_price_ceiling(inst))
     times, powers = times_at(mu)
+    # the root is mu_hi wherever even that price is short
+    infeasible = (sum(times) > budget * (1.0 + 1e-12)) | (budget < -1e-15)
 
     times = np.stack(times)
     times = np.where(np.isfinite(times), times, 0.0)

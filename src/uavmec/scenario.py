@@ -205,25 +205,20 @@ def parse_quantity(text: str):
     if low.startswith("lambda"):
         return s  # resolved against the wavelength later
     parts = s.split()
-    try:
-        if len(parts) == 1:
-            try:
-                return float(parts[0])
-            except ValueError:
-                return s  # bare word: mode names and the like
-        if len(parts) == 2:
-            value, unit = float(parts[0]), parts[1].lower()
-            if unit == "db":
-                return 10.0 ** (value / 10.0)
-            if unit == "dbm":
-                return 10.0 ** (value / 10.0) / 1000.0
-            if unit in ("dbm/hz",):
-                return 10.0 ** (value / 10.0) / 1000.0
-            if unit in _UNIT_SCALE:
-                return value * _UNIT_SCALE[unit]
-            raise ValueError(f"unknown unit {unit!r}")
-    except ValueError as exc:
-        raise ValueError(str(exc))
+    if len(parts) == 1:
+        try:
+            return float(parts[0])
+        except ValueError:
+            return s  # bare word: mode names and the like
+    if len(parts) == 2:
+        value, unit = float(parts[0]), parts[1].lower()
+        if unit == "db":
+            return 10.0 ** (value / 10.0)
+        if unit in ("dbm", "dbm/hz"):
+            return 10.0 ** (value / 10.0) / 1000.0
+        if unit in _UNIT_SCALE:
+            return value * _UNIT_SCALE[unit]
+        raise ValueError(f"unknown unit {unit!r}")
     raise ValueError(f"cannot parse value {text!r}")
 
 
@@ -298,13 +293,24 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             bad.add(f.name)
             errors.append(f"{_FIELD_SECTION[f.name]}.{f.name}: must be a finite number")
 
+    # a count must be whole, not truncated; INI text and sweeps give 16.0
+    for name in ("vehicles", "antennas_vehicle", "antennas_uav", "antennas_rsu",
+                 "max_iterations", "seed"):
+        if name in bad:
+            continue
+        value = getattr(cfg, name)
+        if value != int(value):
+            bad.add(name)
+            errors.append(f"{_FIELD_SECTION[name]}.{name}: must be a whole number")
+        else:
+            setattr(cfg, name, int(value))
+
     if "vehicles" in bad:
         raise ValidationError(errors)
-    k = int(cfg.vehicles)
+    k = cfg.vehicles
     if k < 1:
         errors.append("network.vehicles: need at least one vehicle")
         raise ValidationError(errors)
-    cfg.vehicles = k
 
     def per_vehicle(name):
         if name in bad:
@@ -364,21 +370,14 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     elif "spacing" not in bad and cfg.spacing <= 0:
         errors.append("radio.spacing: must be positive")
     for name in ("antennas_vehicle", "antennas_uav", "antennas_rsu"):
-        if name in bad:
-            continue
-        v = int(getattr(cfg, name))
-        if v < 1:
+        if name not in bad and getattr(cfg, name) < 1:
             errors.append(f"radio.{name}: must be a positive antenna count")
-        setattr(cfg, name, v)
     if cfg.mode not in MODES:
         errors.append(f"solver.mode: {cfg.mode!r} not one of {MODES}")
     if cfg.doppler_phase not in ("literal", "accumulated"):
         errors.append(f"radio.doppler_phase: {cfg.doppler_phase!r} invalid")
     if cfg.uav_model not in ("rotary_wing", "fixed_wing"):
         errors.append(f"uav.uav_model: {cfg.uav_model!r} invalid")
-    for name in ("max_iterations", "seed"):
-        if name not in bad:
-            setattr(cfg, name, int(getattr(cfg, name)))
     if errors:
         raise ValidationError(errors)
     return cfg

@@ -1,15 +1,20 @@
 """The package names the benchmark's tracer and workloads reach into.
 
-perfbench/tracing.py wraps package functions by (module, attribute), and
-perfbench/workloads.py copies instances without their channel matrices and
+perfbench/tracing.py wraps package functions by (module, attribute) and
+reads the solver state's counters, and perfbench/workloads.py binds solver
+arguments by name and copies instances without their channel matrices and
 network states.  A rename that breaks either fails here, not only in a
 traced benchmark run.
 """
 
 import dataclasses
 import importlib.util
+import inspect
 import os
 
+import pytest
+
+from uavmec import optimizer
 from uavmec.instance import ProblemInstance
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -33,3 +38,16 @@ def test_every_traced_attribute_resolves():
 def test_instance_keeps_the_fields_the_workloads_replace():
     names = {f.name for f in dataclasses.fields(ProblemInstance)}
     assert {"channel_sets", "states"} <= names
+
+
+@pytest.mark.parametrize("name", ["algorithm1", "ellipsoid_solve"])
+def test_solvers_keep_the_argument_names_bound_by_name(name):
+    # workloads.SolveCapture and tracing._eps_of bind `inst` and `eps`
+    params = inspect.signature(getattr(optimizer, name)).parameters
+    assert {"inst", "eps"} <= set(params)
+
+
+def test_dual_state_keeps_the_fields_the_tracer_reads():
+    # tracing._observe reads the iteration count and the first log entry
+    names = {f.name for f in dataclasses.fields(optimizer.DualState)}
+    assert {"iterations", "log"} <= names

@@ -6,7 +6,7 @@ import pytest
 import uavmec
 from uavmec import acceptance, cli, runner
 from uavmec.runner import COLUMNS, SweepResult, emit_results, load_results, run_sweep, set_axis
-from uavmec.scenario import ScenarioConfig, build_instance, validate
+from uavmec.scenario import ScenarioConfig, ValidationError, build_instance, validate
 
 
 def test_every_public_name_resolves():
@@ -32,6 +32,15 @@ def test_set_axis_integer_fields_stay_int():
     for axis, name in (("antennas", "antennas_uav"), ("vehicles", "vehicles"),
                        ("max_iterations", "max_iterations"), ("seed", "seed")):
         assert type(getattr(set_axis(cfg, axis, 2.0), name)) is int
+
+
+def test_set_axis_rejects_a_fractional_count():
+    cfg = small_cfg()
+    with pytest.raises(ValidationError) as err:
+        set_axis(cfg, "antennas", 16.5)
+    assert "radio.antennas_uav: must be a whole number" in err.value.errors
+    out = set_axis(cfg, "antennas", 16.0)
+    assert out.antennas_uav == 16 and type(out.antennas_uav) is int
 
 
 def test_set_axis_task_bits_updates_min_bits():

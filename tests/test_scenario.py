@@ -152,6 +152,30 @@ def test_out_of_range_value_rejected_with_its_key(section, key, value):
     assert any(e.startswith(f"{section}.{key}:") for e in err.value.errors)
 
 
+COUNT_KEYS = [("network", "vehicles"), ("radio", "antennas_vehicle"), ("radio", "antennas_uav"),
+              ("radio", "antennas_rsu"), ("solver", "max_iterations"), ("solver", "seed")]
+
+
+def test_fractional_counts_rejected_not_truncated():
+    with pytest.raises(ValidationError) as err:
+        validate(ScenarioConfig(antennas_uav=16.5))
+    assert err.value.errors == ["radio.antennas_uav: must be a whole number"]
+    with pytest.raises(ValidationError) as err:
+        validate(ScenarioConfig(antennas_uav=16.5, vehicles=2.7))
+    assert err.value.errors == ["network.vehicles: must be a whole number",
+                                "radio.antennas_uav: must be a whole number"]
+
+
+@pytest.mark.parametrize("section, key", COUNT_KEYS)
+def test_count_in_config_text_must_be_whole(section, key):
+    with pytest.raises(ValidationError) as err:
+        load_scenario(f"[{section}]\n{key} = 16.5\n")
+    assert f"{section}.{key}: must be a whole number" in err.value.errors
+    # an integral float, as INI text gives every number, becomes an int
+    for cfg in (load_scenario(f"[{section}]\n{key} = 16\n"), validate(ScenarioConfig(**{key: 16.0}))):
+        assert getattr(cfg, key) == 16 and type(getattr(cfg, key)) is int
+
+
 def test_all_errors_collected_together():
     bad = "[task]\nhorizon = 8 s\nslot = 0.3 s\ncpu_vehicle = 5 GHz\n"
     with pytest.raises(ValidationError) as err:
