@@ -3,7 +3,7 @@ edge-computing network: geometry, LoS channels, the five-phase timeslot
 protocol, the Lagrangian-dual/ellipsoid solver and its verification oracles.
 """
 
-from .channel import ChannelSet, LinkChannel, RadioConfig, achievable_rate, build_channel, path_loss, rate_bound
+from .channel import LinkChannel, RadioConfig, achievable_rate, build_channel, path_loss, rate_bound
 from .energy import ComputeModel, FlightPowerModel, compute_energy, flight_energy
 from .geometry import ArraySpec, NetworkState, NodeState, advance, element_positions, make_velocity, rotation_matrix
 from .instance import ProblemInstance
@@ -14,7 +14,7 @@ from .scenario import ScenarioConfig, build_instance, load_scenario, validate
 from .acceptance import verify
 
 __all__ = [
-    "Allocation", "ArraySpec", "ChannelSet", "ComputeModel",
+    "Allocation", "ArraySpec", "ComputeModel",
     "FlightPowerModel", "LinkChannel", "NetworkState", "NodeState",
     "ProblemInstance", "RadioConfig", "ScenarioConfig", "SolveReport",
     "SweepResult", "achievable_rate", "advance", "algorithm1", "build_channel",

@@ -1,18 +1,19 @@
 """Line-of-sight massive-MIMO channel matrices and achievable rates.
 
-Each link is a complex matrix whose entries all share the magnitude
+Each link is a complex matrix per slot whose entries all share the magnitude
 sqrt(path_loss); the per-entry phase combines a Doppler term and the
 element-to-element path phase.  Rates follow from the singular values of the
-matrix.
+matrix.  A link is built over a run of slots at once: one stacked matrix
+computation and one batched SVD, of which only the spectra are kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NodeState, element_offsets
+from .geometry import NodeState, element_offsets, trajectory
 
 
 class ZeroDistance(Exception):
@@ -50,32 +51,19 @@ class RadioConfig:
 
 @dataclass(frozen=True)
 class LinkChannel:
-    """One link's matrix, its path loss and its singular-value spectrum."""
+    """One link over a run of slots: per slot its path loss and its squared
+    singular values, largest first.  The matrices are not kept;
+    `los_matrix` rebuilds them."""
 
-    matrix: np.ndarray
-    path_loss: float
-    singular_values: np.ndarray
+    path_loss: np.ndarray  # (N,)
+    spectrum: np.ndarray  # (N, min(n_tx, n_rx))
     n_tx: int
     n_rx: int
-    trace_power: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "trace_power", float(np.sum(self.singular_values**2)))
-
-
-@dataclass(frozen=True)
-class ChannelSet:
-    """The link channels of one timeslot.
-
-    `v2u` holds one vehicle-to-UAV channel per vehicle; the UAV-to-ground-unit
-    link is vehicle independent.  No UAV-to-vehicle channel is built: swapping
-    a link's ends reverses every element-to-element distance and the relative
-    velocity, so its matrix is the transpose of the `v2u` one and has the same
-    singular values.
-    """
-
-    v2u: tuple[LinkChannel, ...]
-    u2r: LinkChannel
+    @property
+    def trace_power(self) -> np.ndarray:
+        """Total singular power per slot, (N,)."""
+        return np.sum(self.spectrum, axis=-1)
 
 
 def path_loss(center_distance, cfg: RadioConfig) -> float:
@@ -90,65 +78,91 @@ def path_loss(center_distance, cfg: RadioConfig) -> float:
     return cfg.reference_gain * d ** (-cfg.path_loss_exponent)
 
 
+def los_matrix(
+    tx: NodeState,
+    rx: NodeState,
+    cfg: RadioConfig,
+    slot: int = 0,
+    slot_len: float | None = None,
+    n_slots: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Path losses (n_slots,) and LoS matrices (n_slots, L_rx, L_tx) of the
+    link from `tx` to `rx` over `n_slots` slots from `slot`, both nodes moving
+    on from their given positions as `advance` moves them.
+
+    Entry (p, m) couples receive element p with transmit element m:
+    sqrt(beta) * exp(j * theta) with theta the Doppler term plus the path
+    phase 2*pi*||d_pm||/wavelength.  Only relative node motion enters the
+    Doppler frequency, so a static ground unit contributes nothing.
+
+    The in-place steps below are, entry by entry, the same operations in the
+    same order as theta = 2*pi*(d.v)/(wavelength*||d||) * [elapsed] +
+    2*pi*||d||/wavelength, so a slot's matrix is bit for bit the same however
+    many slots are built with it.
+    """
+    if cfg.doppler_phase_mode == "accumulated" and slot_len is None:
+        raise ValueError("accumulated Doppler phase needs slot_len")
+    d_centers = trajectory(rx, n_slots, slot_len) - trajectory(tx, n_slots, slot_len)
+    beta = np.array([path_loss(dc, cfg) for dc in d_centers])
+
+    tx_off = element_offsets(tx.array)  # (Lt, 3)
+    rx_off = element_offsets(rx.array)  # (Lr, 3)
+    # d[n, p, m] = (rx_center + rx_off[p]) - (tx_center + tx_off[m]) at slot n
+    d = (d_centers[:, None, None, :] + rx_off[None, :, None, :]) - tx_off[None, None, :, :]
+    theta = d @ (tx.velocity - rx.velocity)
+    # the Euclidean norm over the last axis, squaring d in place: d is the
+    # largest temporary, three floats per entry
+    norms = np.add.reduce(np.square(d, out=d), axis=-1)
+    del d
+    np.sqrt(norms, out=norms)
+    theta /= cfg.wavelength * norms
+    theta *= 2.0 * np.pi  # the Doppler term
+    if cfg.doppler_phase_mode == "accumulated":
+        theta *= (slot + np.arange(n_slots))[:, None, None] * slot_len
+    norms *= 2.0 * np.pi
+    norms /= cfg.wavelength
+    theta += norms  # plus the path phase
+    del norms
+    matrix = 1j * theta
+    del theta
+    np.exp(matrix, out=matrix)
+    matrix *= np.sqrt(beta)[:, None, None]
+    return beta, matrix
+
+
 def build_channel(
     tx: NodeState,
     rx: NodeState,
     cfg: RadioConfig,
     slot: int = 0,
     slot_len: float | None = None,
+    n_slots: int = 1,
 ) -> LinkChannel:
-    """Construct the LoS matrix between two nodes for one timeslot.
-
-    Entry (p, m) couples receive element p with transmit element m:
-    sqrt(beta) * exp(j * theta) with theta the Doppler term plus the path
-    phase 2*pi*||d_pm||/wavelength.  Only relative node motion enters the
-    Doppler frequency, so a static ground unit contributes nothing.
-    """
-    d_centers = rx.position - tx.position
-    beta = path_loss(d_centers, cfg)
-
-    tx_off = element_offsets(tx.array)  # (Lt, 3)
-    rx_off = element_offsets(rx.array)  # (Lr, 3)
-    # d[p, m] = (rx_center + rx_off[p]) - (tx_center + tx_off[m])
-    d = d_centers[None, None, :] + rx_off[:, None, :] - tx_off[None, :, :]
-    norms = np.linalg.norm(d, axis=2)
-
-    rel_v = tx.velocity - rx.velocity
-    doppler = (d @ rel_v) / (cfg.wavelength * norms)
-    path_phase = 2.0 * np.pi * norms / cfg.wavelength
-    if cfg.doppler_phase_mode == "literal":
-        theta = 2.0 * np.pi * doppler + path_phase
-    else:
-        if slot_len is None:
-            raise ValueError("accumulated Doppler phase needs slot_len")
-        theta = 2.0 * np.pi * doppler * (slot * slot_len) + path_phase
-
-    matrix = np.sqrt(beta) * np.exp(1j * theta)
-    svals = np.linalg.svd(matrix, compute_uv=False)
+    """The spectra of `los_matrix`'s matrices, from one batched SVD."""
+    beta, matrix = los_matrix(tx, rx, cfg, slot, slot_len, n_slots)
+    spectrum = np.linalg.svd(matrix, compute_uv=False)
     return LinkChannel(
-        matrix=matrix,
         path_loss=beta,
-        singular_values=np.sort(svals)[::-1],
+        spectrum=np.square(spectrum, out=spectrum),
         n_tx=tx.array.size,
         n_rx=rx.array.size,
     )
 
 
-def achievable_rate(power: float, ch: LinkChannel, cfg: RadioConfig, n_tx: int) -> float:
-    """Sum-rate over the singular values at the given transmit power (bits/s)."""
+def achievable_rate(power: float, ch: LinkChannel, cfg: RadioConfig, n_tx: int) -> np.ndarray:
+    """Sum-rate over the singular values at the given transmit power, per
+    slot (bits/s)."""
     if power < 0:
         raise ValueError("power must be non-negative")
-    if power == 0.0:
-        return 0.0
-    lam2 = ch.singular_values[: min(n_tx, ch.n_rx)] ** 2
+    lam2 = ch.spectrum[:, : min(n_tx, ch.n_rx)]
     snr = power * lam2 / (cfg.bandwidth * cfg.noise_density * n_tx)
-    return cfg.bandwidth * float(np.sum(np.log2(1.0 + snr)))
+    return cfg.bandwidth * np.sum(np.log2(1.0 + snr), axis=-1)
 
 
 def rate_bound(
     power: float, ch: LinkChannel, cfg: RadioConfig, n_tx: int, which: str
-) -> float:
-    """Rank-1 lower / full-rank upper bound on the achievable rate.
+) -> np.ndarray:
+    """Rank-1 lower / full-rank upper bound on the achievable rate, per slot.
 
     lower: B * log2(1 + p*Phi/(B*N0*Lt))
     upper: B * Lmin * log2(1 + p*Phi/(B*N0*Lt*Lmin))
@@ -156,13 +170,11 @@ def rate_bound(
     """
     if power < 0:
         raise ValueError("power must be non-negative")
-    if power == 0.0:
-        return 0.0
     phi = ch.trace_power
     noise = cfg.bandwidth * cfg.noise_density * n_tx
     if which == "lower":
-        return cfg.bandwidth * float(np.log2(1.0 + power * phi / noise))
+        return cfg.bandwidth * np.log2(1.0 + power * phi / noise)
     if which == "upper":
         lmin = min(n_tx, ch.n_rx)
-        return cfg.bandwidth * lmin * float(np.log2(1.0 + power * phi / (noise * lmin)))
+        return cfg.bandwidth * lmin * np.log2(1.0 + power * phi / (noise * lmin))
     raise ValueError(f"unknown bound {which!r}")

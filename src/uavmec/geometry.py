@@ -168,6 +168,19 @@ def advance(state: NetworkState) -> NetworkState:
     return replace(state, slot=state.slot + 1, vehicles=vehicles, uav=uav)
 
 
+def trajectory(node: NodeState, n_slots: int, slot_len: float | None) -> np.ndarray:
+    """Center positions (n_slots, 3) of `node` over successive slots.
+
+    A running sum of the per-slot step, so row n equals the position after n
+    `advance` calls bit for bit.
+    """
+    steps = np.empty((n_slots, 3))
+    steps[0] = node.position
+    if n_slots > 1:
+        steps[1:] = node.velocity * slot_len
+    return np.cumsum(steps, axis=0)
+
+
 def initial_state(
     n_vehicles: int,
     uav_altitude: float,

@@ -1,6 +1,6 @@
 """Assembled per-run problem data: geometry rolled out over the horizon,
-per-slot channels, and the per-phase SNR-per-watt tables the solver and the
-feasibility checks consume."""
+each link's spectra over it, and the per-phase SNR-per-watt tables the
+solver and the feasibility checks consume."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSet, LinkChannel, RadioConfig, build_channel
+from .channel import LinkChannel, RadioConfig, build_channel
 from .energy import ComputeModel, FlightPowerModel
 from .geometry import NetworkState, advance
 
@@ -73,7 +73,7 @@ class ProblemInstance:
     gains: list  # 4 arrays of shape (K, N, L_phase)
     flight: FlightPowerModel | None = None
     uav_velocity: np.ndarray | None = None  # (3,) constant over the horizon
-    channel_sets: list = field(default_factory=list)  # one ChannelSet per slot
+    channel_sets: list = field(default_factory=list)  # K+1 LinkChannels: K uplinks, relay
     states: list = field(default_factory=list)  # NetworkState per slot
 
     @property
@@ -108,63 +108,50 @@ class ProblemInstance:
 
 
 def _phase_gain(ch: LinkChannel, radio: RadioConfig, bound: str) -> np.ndarray:
-    """Squared singular values over noise for one link, after bound shaping.
+    """Squared singular values over noise for one link, (N, L), after bound
+    shaping.
 
     bound "exact" keeps the spectrum; "rank1" collapses it to a single value
     carrying the whole trace power (the rate lower bound); "fullrank" spreads
     the trace power evenly over min(L_tx, L_rx) values (the upper bound).
     """
-    lmin = min(ch.n_tx, ch.n_rx)
-    lam2 = ch.singular_values[:lmin] ** 2
+    lam2 = ch.spectrum
+    lmin = lam2.shape[-1]
     if bound == "rank1":
-        lam2 = np.array([ch.trace_power])
+        lam2 = ch.trace_power[:, None]
     elif bound == "fullrank":
-        lam2 = np.full(lmin, ch.trace_power / lmin)
+        lam2 = np.broadcast_to((ch.trace_power / lmin)[:, None], lam2.shape)
     elif bound != "exact":
         raise ValueError(f"unknown channel bound {bound!r}")
     return lam2 / (radio.bandwidth * radio.noise_density * ch.n_tx)
 
 
 def roll_out(state0: NetworkState, radio: RadioConfig) -> tuple[list, list]:
-    """Advance the geometry over the horizon and build per-slot channels."""
+    """Advance the geometry over the horizon and build each link over it at
+    once: the K vehicle-to-UAV links, then the UAV-to-ground-unit relay.
+
+    No UAV-to-vehicle link is built: swapping a link's ends reverses every
+    element-to-element distance and the relative velocity, so its matrix is
+    the transpose of the vehicle-to-UAV one and has the same spectrum.
+    """
     states = [state0]
     for _ in range(state0.n_slots - 1):
         states.append(advance(states[-1]))
-    sets = []
-    for st in states:
-        v2u = tuple(
-            build_channel(veh, st.uav, radio, st.slot, st.slot_len) for veh in st.vehicles
-        )
-        u2r = build_channel(st.uav, st.rsu, radio, st.slot, st.slot_len)
-        sets.append(ChannelSet(v2u=v2u, u2r=u2r))
-    return states, sets
+    horizon = (state0.slot, state0.slot_len, state0.n_slots)
+    links = [build_channel(veh, state0.uav, radio, *horizon) for veh in state0.vehicles]
+    links.append(build_channel(state0.uav, state0.rsu, radio, *horizon))
+    return states, links
 
 
-def build_gain_tables(
-    channel_sets: list, radio: RadioConfig, n_vehicles: int, bound: str = "exact"
-) -> list:
-    """Stack per-slot channels into the four (K, N, L) gain arrays.
+def build_gain_tables(links: list, radio: RadioConfig, bound: str = "exact") -> list:
+    """Stack the links' spectra into the four (K, N, L) gain arrays.
 
     Both download phases send over the vehicle-UAV link in reverse, so they
-    share one table made from the uplink spectrum.  Swapping the ends reverses
-    every element-to-element distance and the relative velocity, so the
-    UAV-to-vehicle matrix is the transpose of the vehicle-to-UAV one and has
-    the same singular values; only the transmit array, whose size divides each
-    gain, becomes the UAV's.
+    share one table made from the uplink spectrum; only the transmit array,
+    whose size divides each gain, becomes the UAV's.
     """
-
-    def table(link):
-        ch0 = link(channel_sets[0], 0)
-        width = 1 if bound == "rank1" else min(ch0.n_tx, ch0.n_rx)
-        out = np.zeros((n_vehicles, len(channel_sets), width))
-        for n, cs in enumerate(channel_sets):
-            for k in range(n_vehicles):
-                ch = link(cs, k)
-                g = _phase_gain(ch, radio, bound)
-                out[k, n, : g.size] = g
-        return out
-
-    up = table(lambda cs, k: cs.v2u[k])
-    ch = channel_sets[0].v2u[0]
-    down = up * (ch.n_tx / ch.n_rx)
-    return [up, table(lambda cs, k: cs.u2r), down, down]
+    *v2u, u2r = links
+    up = np.stack([_phase_gain(ch, radio, bound) for ch in v2u])
+    relay = np.repeat(_phase_gain(u2r, radio, bound)[None], len(v2u), axis=0)
+    down = up * (v2u[0].n_tx / v2u[0].n_rx)
+    return [up, relay, down, down]

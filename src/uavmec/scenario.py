@@ -276,9 +276,12 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
 
     Every numeric key must hold finite numbers.  NaN fails every `<`/`<=`
     comparison, so a range check alone lets it through, and a word, NaN or
-    inf in a key without a range check (an altitude, a speed, the path-loss
-    exponent) fails later in the geometry or the SVD with an error that names
-    no key.  A key that fails here skips its range check.
+    inf in a key without a range check (an azimuth, a climb angle, the
+    bearing) fails later in the geometry or the SVD with an error that names
+    no key.  A key that fails here skips its range check.  The geometry checks
+    reject what would place a node wrongly: a UAV at or below the road, an
+    elevation angle outside (0, pi/2] that places a node, an array tilted past
+    a right angle, a negative speed.
     """
     errors, bad = [], set()
     for f in fields(cfg):
@@ -372,6 +375,23 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     for name in ("antennas_vehicle", "antennas_uav", "antennas_rsu"):
         if name not in bad and getattr(cfg, name) < 1:
             errors.append(f"radio.{name}: must be a positive antenna count")
+    if "path_loss_exponent" not in bad and cfg.path_loss_exponent < 1:
+        errors.append("radio.path_loss_exponent: must be at least 1")
+    # a UAV at or below the road coincides with, or flies under, the vehicles
+    if "uav_altitude" not in bad and cfg.uav_altitude <= 0:
+        errors.append("geometry.uav_altitude: must be positive")
+    for name in ("vehicle_speed", "uav_speed"):
+        if name not in bad and getattr(cfg, name) < 0:
+            errors.append(f"geometry.{name}: must be non-negative")
+    for name in ("slant", "downtilt"):
+        if name not in bad and abs(getattr(cfg, name)) > math.pi / 2:
+            errors.append(f"geometry.{name}: must lie in [-pi/2, pi/2]")
+    # an elevation angle places its node only when no explicit position does
+    for name, placed in (("vehicle_elevations", cfg.vehicle_positions),
+                         ("rsu_elevation", cfg.rsu_position)):
+        value = np.asarray(getattr(cfg, name))
+        if name not in bad and placed is None and np.any((value <= 0) | (value > math.pi / 2)):
+            errors.append(f"geometry.{name}: must lie in (0, pi/2]")
     if cfg.mode not in MODES:
         errors.append(f"solver.mode: {cfg.mode!r} not one of {MODES}")
     if cfg.doppler_phase not in ("literal", "accumulated"):
@@ -428,6 +448,17 @@ def flight_model(cfg: ScenarioConfig) -> FlightPowerModel:
     )
 
 
+def radio_config(cfg: ScenarioConfig) -> RadioConfig:
+    return RadioConfig(
+        wavelength=cfg.wavelength,
+        path_loss_exponent=cfg.path_loss_exponent,
+        reference_gain=cfg.reference_gain,
+        bandwidth=cfg.bandwidth,
+        noise_density=cfg.noise_density,
+        doppler_phase_mode=cfg.doppler_phase,
+    )
+
+
 def channel_bound(mode: str) -> str:
     """Gain-table shaping of a solver mode: the two rate-bound modes collapse
     or spread the spectrum, every other mode keeps it exact."""
@@ -436,7 +467,7 @@ def channel_bound(mode: str) -> str:
 
 def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
     """Roll the scenario geometry over the horizon and assemble the solver
-    inputs (per-slot channels, gain tables, caps and weights)."""
+    inputs (link spectra, gain tables, caps and weights)."""
     spacing = cfg.resolved_spacing()
 
     def array_for(count: int) -> ArraySpec:
@@ -462,16 +493,9 @@ def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
         vehicle_positions=cfg.vehicle_positions,
         rsu_position=cfg.rsu_position,
     )
-    radio = RadioConfig(
-        wavelength=cfg.wavelength,
-        path_loss_exponent=cfg.path_loss_exponent,
-        reference_gain=cfg.reference_gain,
-        bandwidth=cfg.bandwidth,
-        noise_density=cfg.noise_density,
-        doppler_phase_mode=cfg.doppler_phase,
-    )
-    states, channel_sets = roll_out(state0, radio)
-    gains = build_gain_tables(channel_sets, radio, cfg.vehicles, channel_bound(cfg.mode))
+    radio = radio_config(cfg)
+    states, links = roll_out(state0, radio)
+    gains = build_gain_tables(links, radio, channel_bound(cfg.mode))
 
     min_bits = np.broadcast_to(cfg.min_bits[:, None], (cfg.vehicles, cfg.n_slots)).copy()
     return ProblemInstance(
@@ -492,6 +516,6 @@ def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
         gains=gains,
         flight=flight_model(cfg),
         uav_velocity=state0.uav.velocity,
-        channel_sets=channel_sets,
+        channel_sets=links,
         states=states,
     )

@@ -1,7 +1,7 @@
 """The package names the benchmark's tracer and workloads reach into.
 
 perfbench/tracing.py wraps package functions by (module, attribute) and
-reads the solver state's counters, and perfbench/workloads.py binds solver
+reads the solver state's counters and the built link's array sizes, and perfbench/workloads.py binds solver
 arguments by name and copies instances without their channel matrices and
 network states.  A rename that breaks either fails here, not only in a
 traced benchmark run.
@@ -15,6 +15,8 @@ import os
 import pytest
 
 from uavmec import optimizer
+from uavmec.channel import RadioConfig, build_channel
+from uavmec.geometry import ArraySpec, NodeState
 from uavmec.instance import ProblemInstance
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -51,3 +53,14 @@ def test_dual_state_keeps_the_fields_the_tracer_reads():
     # tracing._observe reads the iteration count and the first log entry
     names = {f.name for f in dataclasses.fields(optimizer.DualState)}
     assert {"iterations", "log"} <= names
+
+
+def test_channel_build_keeps_the_array_sizes_the_tracer_reads():
+    # tracing._observe counts one Lr x Lt complex matrix per build_channel call
+    radio = RadioConfig(wavelength=0.15, path_loss_exponent=2.0, reference_gain=1e-5,
+                        bandwidth=5e6, noise_density=1e-16)
+    tx = NodeState([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], ArraySpec(2, 3, 0.075))
+    rx = NodeState([0.0, 0.0, 20.0], [0.0, 0.0, 0.0], ArraySpec(2, 2, 0.075))
+    link = build_channel(tx, rx, radio, slot_len=0.2, n_slots=5)
+    assert (link.n_tx, link.n_rx) == (6, 4)
+    assert type(link.n_tx) is int and type(link.n_rx) is int

@@ -13,6 +13,7 @@ from uavmec.geometry import (
     initial_state,
     make_velocity,
     rotation_matrix,
+    trajectory,
 )
 
 
@@ -144,6 +145,17 @@ def test_advance_telescopes_to_straight_line():
         st.vehicles[0].velocity * horizon,
         atol=1e-9,
     )
+
+
+def test_trajectory_is_the_advanced_positions_bit_for_bit():
+    st = _simple_state(make_velocity(60 / 3.6, np.pi / 3), make_velocity(10.0, np.pi / 3, np.pi / 9))
+    states = [st]
+    for _ in range(st.n_slots - 1):
+        states.append(advance(states[-1]))
+    for pick in (lambda s: s.vehicles[0], lambda s: s.uav, lambda s: s.rsu):
+        want = np.array([pick(s).position for s in states])
+        assert np.array_equal(trajectory(pick(st), st.n_slots, st.slot_len), want)
+    assert np.array_equal(trajectory(st.uav, 1, None), [st.uav.position])
 
 
 def test_ground_unit_is_fixed_point_of_advance():

@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from uavmec import instance
-from uavmec.channel import RadioConfig, build_channel
+from uavmec import channel, instance
+from uavmec.channel import los_matrix
 from uavmec.instance import PHASE_DOWN_RSU, PHASE_DOWN_UAV, PHASE_OFFLOAD
 from uavmec.scenario import (
     ParseError,
     ScenarioConfig,
     ValidationError,
     build_instance,
+    channel_bound,
     echo_config,
     load_scenario,
     parse_quantity,
+    radio_config,
     validate,
 )
 
@@ -136,6 +138,17 @@ RANGE_CHECKED_KEYS = [
         ("radio", "spacing", "foo"),
         ("radio", "spacing", "lambda/0"),
         ("radio", "spacing", "-1 cm"),
+        ("radio", "path_loss_exponent", "0.5"),
+        ("geometry", "uav_altitude", "0"),
+        ("geometry", "uav_altitude", "-10 m"),
+        ("geometry", "vehicle_elevations", "0"),
+        ("geometry", "vehicle_elevations", "pi/3, 2, pi/6"),
+        ("geometry", "rsu_elevation", "0"),
+        ("geometry", "rsu_elevation", "-pi/3"),
+        ("geometry", "slant", "2"),
+        ("geometry", "downtilt", "-2"),
+        ("geometry", "vehicle_speed", "-1 m/s"),
+        ("geometry", "uav_speed", "-10"),
     ]
     + [
         (section, key, value)
@@ -150,6 +163,12 @@ def test_out_of_range_value_rejected_with_its_key(section, key, value):
     with pytest.raises(ValidationError) as err:
         load_scenario(text)
     assert any(e.startswith(f"{section}.{key}:") for e in err.value.errors)
+
+
+def test_elevations_unchecked_when_positions_place_the_nodes():
+    cfg = load_scenario("[geometry]\nvehicle_elevations = 0\nrsu_elevation = 0\n"
+                        "vehicle_positions = 5,1,0; 8,2,0; 12,0,0\nrsu_position = -20,0,0\n")
+    assert np.all(cfg.vehicle_elevations == 0) and cfg.rsu_elevation == 0
 
 
 COUNT_KEYS = [("network", "vehicles"), ("radio", "antennas_vehicle"), ("radio", "antennas_uav"),
@@ -232,49 +251,61 @@ def test_instance_caps_from_stock_values(table1_inst):
     assert np.isclose(table1_inst.bits_local_cap, 2e5)
     assert np.isclose(table1_inst.bits_uav_cap, 2e5)
     assert table1_inst.min_bits.shape == (3, 40)
-    assert len(table1_inst.channel_sets) == 40
+    # K vehicle-UAV links and the relay, each over all 40 slots
+    assert len(table1_inst.channel_sets) == 4
+    assert all(ch.spectrum.shape == (40, 36) for ch in table1_inst.channel_sets)
 
 
 def test_roll_out_builds_each_link_once_per_slot(monkeypatch):
-    calls = []
-    real = instance.build_channel
+    calls, offsets = [], []
+    real, real_offsets = instance.build_channel, channel.element_offsets
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
+    def counting_offsets(spec):
+        offsets.append(spec)
+        return real_offsets(spec)
+
     monkeypatch.setattr(instance, "build_channel", counting)
+    monkeypatch.setattr(channel, "element_offsets", counting_offsets)
     inst = build_instance(load_scenario("[task]\nhorizon = 0.4 s\n"))
-    # per slot: K vehicle-UAV links, read in both directions, and the
-    # UAV-to-ground-unit relay
-    assert len(calls) == inst.n_slots * (inst.n_vehicles + 1)
+    # one call per link covers every slot: K vehicle-UAV links, read in both
+    # directions, and the UAV-to-ground-unit relay; each call places the
+    # elements of its two arrays once
+    assert inst.n_slots == 2
+    assert len(calls) == inst.n_vehicles + 1
+    assert len(offsets) == 2 * len(calls)
     assert np.array_equal(inst.gains[PHASE_OFFLOAD], inst.gains[PHASE_DOWN_UAV])
     assert np.array_equal(inst.gains[PHASE_DOWN_UAV], inst.gains[PHASE_DOWN_RSU])
 
 
 def _reversed_links(doppler, antennas_uav=36):
-    """The instance, its radio, and per (k, n) its uplink and the UAV-to-vehicle
-    link itself, which only these tests build, as the reference."""
+    """The instance, its radio, and per (k, n) the uplink matrix and the
+    UAV-to-vehicle matrix, which only these tests build, both from the
+    matrix formula."""
     cfg = load_scenario(f"[radio]\ndoppler_phase = {doppler}\nantennas_uav = {antennas_uav}\n")
     inst = build_instance(cfg)
-    radio = RadioConfig(wavelength=cfg.wavelength, path_loss_exponent=cfg.path_loss_exponent,
-                        reference_gain=cfg.reference_gain, bandwidth=cfg.bandwidth,
-                        noise_density=cfg.noise_density, doppler_phase_mode=doppler)
+    radio = radio_config(cfg)
     links = [
-        (k, n, up, build_channel(st.uav, veh, radio, st.slot, st.slot_len))
-        for n, (st, cs) in enumerate(zip(inst.states, inst.channel_sets))
-        for k, (veh, up) in enumerate(zip(st.vehicles, cs.v2u))
+        (k, n, los_matrix(veh, st.uav, radio, st.slot, st.slot_len)[1][0],
+         los_matrix(st.uav, veh, radio, st.slot, st.slot_len)[1][0])
+        for n, st in enumerate(inst.states)
+        for k, veh in enumerate(st.vehicles)
     ]
+    assert len(links) == inst.n_slots * inst.n_vehicles
     return inst, radio, links
 
 
 @pytest.mark.parametrize("doppler", ["literal", "accumulated"])
 def test_reversed_link_is_the_transposed_uplink(doppler):
-    _, _, links = _reversed_links(doppler)
-    for _, _, up, ref in links:
-        assert np.abs(ref.matrix - up.matrix.T).max() <= 1e-11 * np.abs(ref.matrix).max()
-        s = ref.singular_values
-        assert np.abs(s - up.singular_values).max() <= 1e-14 * s[0]
+    inst, _, links = _reversed_links(doppler)
+    for k, n, up, ref in links:
+        assert np.abs(ref - up.T).max() <= 1e-11 * np.abs(ref).max()
+        s = np.linalg.svd(ref, compute_uv=False)
+        built = np.sqrt(inst.channel_sets[k].spectrum[n])
+        assert np.abs(s - built).max() <= 1e-14 * s[0]
 
 
 @pytest.mark.parametrize("doppler", ["literal", "accumulated"])
@@ -282,8 +313,46 @@ def test_download_table_with_unequal_arrays_matches_reversed_links(doppler):
     inst, radio, links = _reversed_links(doppler, antennas_uav=16)
     down = inst.gains[PHASE_DOWN_UAV]
     for k, n, _, ref in links:
-        want = instance._phase_gain(ref, radio, "exact")
+        n_tx = ref.shape[1]
+        want = np.linalg.svd(ref, compute_uv=False) ** 2 / (radio.bandwidth * radio.noise_density * n_tx)
         assert np.abs(down[k, n] - want).max() <= 1e-12 * want.max()
+
+
+def _reference_gain_tables(cfg, inst):
+    """The four gain tables from one matrix and one SVD per slot and link."""
+    radio, bound = radio_config(cfg), channel_bound(cfg.mode)
+
+    def gain(tx, rx, st):
+        matrix = los_matrix(tx, rx, radio, st.slot, st.slot_len)[1][0]
+        lam2 = np.linalg.svd(matrix, compute_uv=False) ** 2
+        if bound == "rank1":
+            lam2 = np.array([np.sum(lam2)])
+        elif bound == "fullrank":
+            lam2 = np.full(lam2.size, np.sum(lam2) / lam2.size)
+        return lam2 / (radio.bandwidth * radio.noise_density * tx.array.size)
+
+    up = np.array([[gain(st.vehicles[k], st.uav, st) for st in inst.states]
+                   for k in range(inst.n_vehicles)])
+    relay = np.array([[gain(st.uav, st.rsu, st) for st in inst.states]] * inst.n_vehicles)
+    st = inst.states[0]
+    down = up * (st.vehicles[0].array.size / st.uav.array.size)
+    return [up, relay, down, down]
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "[radio]\ndoppler_phase = accumulated\n",
+    "[radio]\nantennas_uav = 16\n",
+    "[network]\nvehicles = 1\n",
+    "[network]\nvehicles = 4\n",
+    "[solver]\nmode = rank1_bound\n",
+    "[solver]\nmode = fullrank_bound\n[radio]\nantennas_uav = 16\n",
+])
+def test_gain_tables_equal_the_per_slot_per_link_build(text):
+    cfg = load_scenario(text)
+    inst = build_instance(cfg)
+    for got, want in zip(inst.gains, _reference_gain_tables(cfg, inst), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_rank1_mode_collapses_gain_tables():
@@ -305,7 +374,7 @@ def test_bound_mode_rates_match_rate_bound():
     for mode, which in (("rank1_bound", "lower"), ("fullrank_bound", "upper")):
         inst = build_instance(load_scenario(f"[solver]\nmode = {mode}\n"))
         got = float(inst.rate(0, np.full((3, 40), power))[0, 0])
-        ch = exact.channel_sets[0].v2u[0]
-        want = rate_bound(power, ch, radio, ch.n_tx, which)
+        ch = exact.channel_sets[0]  # vehicle 0's uplink
+        want = rate_bound(power, ch, radio, ch.n_tx, which)[0]
         assert np.isclose(got, want, rtol=1e-9)
 
