@@ -3,7 +3,7 @@ edge-computing network: geometry, LoS channels, the five-phase timeslot
 protocol, the Lagrangian-dual/ellipsoid solver and its verification oracles.
 """
 
-from .channel import LinkChannel, RadioConfig, achievable_rate, build_channel, path_loss, rate_bound
+from .channel import LinkChannel, RadioConfig, build_channel, path_loss
 from .energy import ComputeModel, FlightPowerModel, compute_energy, flight_energy
 from .geometry import ArraySpec, NetworkState, NodeState, advance, element_positions, make_velocity, rotation_matrix
 from .instance import ProblemInstance
@@ -17,10 +17,10 @@ __all__ = [
     "Allocation", "ArraySpec", "ComputeModel",
     "FlightPowerModel", "LinkChannel", "NetworkState", "NodeState",
     "ProblemInstance", "RadioConfig", "ScenarioConfig", "SolveReport",
-    "SweepResult", "achievable_rate", "advance", "algorithm1", "build_channel",
+    "SweepResult", "advance", "algorithm1", "build_channel",
     "build_instance", "check_feasible", "compute_energy", "element_positions",
     "ellipsoid_solve", "emit_results", "flight_energy", "load_scenario",
-    "make_velocity", "path_loss", "rate_bound", "rotation_matrix", "run_sweep",
+    "make_velocity", "path_loss", "rotation_matrix", "run_sweep",
     "solve_p2", "solve_scenario", "tccd", "validate", "verify", "wtec",
 ]
 

@@ -1,10 +1,11 @@
-"""Line-of-sight massive-MIMO channel matrices and achievable rates.
+"""Line-of-sight massive-MIMO channel matrices and their spectra.
 
 Each link is a complex matrix per slot whose entries all share the magnitude
 sqrt(path_loss); the per-entry phase combines a Doppler term and the
 element-to-element path phase.  Rates follow from the singular values of the
-matrix.  A link is built over a run of slots at once: one stacked matrix
-computation and one batched SVD, of which only the spectra are kept.
+matrix, which `instance` turns into per-phase gain tables.  A link is built
+over a run of slots at once: one stacked matrix computation and one batched
+SVD, of which only the spectra are kept.
 """
 
 from __future__ import annotations
@@ -147,34 +148,3 @@ def build_channel(
         n_tx=tx.array.size,
         n_rx=rx.array.size,
     )
-
-
-def achievable_rate(power: float, ch: LinkChannel, cfg: RadioConfig, n_tx: int) -> np.ndarray:
-    """Sum-rate over the singular values at the given transmit power, per
-    slot (bits/s)."""
-    if power < 0:
-        raise ValueError("power must be non-negative")
-    lam2 = ch.spectrum[:, : min(n_tx, ch.n_rx)]
-    snr = power * lam2 / (cfg.bandwidth * cfg.noise_density * n_tx)
-    return cfg.bandwidth * np.sum(np.log2(1.0 + snr), axis=-1)
-
-
-def rate_bound(
-    power: float, ch: LinkChannel, cfg: RadioConfig, n_tx: int, which: str
-) -> np.ndarray:
-    """Rank-1 lower / full-rank upper bound on the achievable rate, per slot.
-
-    lower: B * log2(1 + p*Phi/(B*N0*Lt))
-    upper: B * Lmin * log2(1 + p*Phi/(B*N0*Lt*Lmin))
-    where Phi is the channel's total singular power.
-    """
-    if power < 0:
-        raise ValueError("power must be non-negative")
-    phi = ch.trace_power
-    noise = cfg.bandwidth * cfg.noise_density * n_tx
-    if which == "lower":
-        return cfg.bandwidth * np.log2(1.0 + power * phi / noise)
-    if which == "upper":
-        lmin = min(n_tx, ch.n_rx)
-        return cfg.bandwidth * lmin * np.log2(1.0 + power * phi / (noise * lmin))
-    raise ValueError(f"unknown bound {which!r}")

@@ -22,32 +22,15 @@ def _one_plus_snr(gains, power) -> np.ndarray:
     return 1.0 + np.asarray(power, dtype=float)[..., None] * gains
 
 
-def _rate(bandwidth: float, one_plus_snr) -> np.ndarray:
-    return bandwidth * np.log2(one_plus_snr).sum(axis=-1)
-
-
-def _slope(bandwidth: float, terms) -> np.ndarray:
-    return bandwidth / np.log(2.0) * terms.sum(axis=-1)
-
-
 def rate(gains, bandwidth: float, power) -> np.ndarray:
     """B * sum_l log2(1 + p * g_l) for gains of shape (..., L) and powers of
     the leading shape."""
-    return _rate(bandwidth, _one_plus_snr(gains, power))
+    return bandwidth * np.log2(_one_plus_snr(gains, power)).sum(axis=-1)
 
 
 def rate_derivative(gains, bandwidth: float, power) -> np.ndarray:
     """d rate / d power: B/ln2 * sum_l g_l / (1 + p * g_l)."""
-    return _slope(bandwidth, gains / _one_plus_snr(gains, power))
-
-
-def rate_terms(gains, bandwidth: float, power) -> tuple:
-    """Rate, d rate / d power and d^2 rate / d power^2, all from one
-    1 + p * g array; the second derivative is -B/ln2 * sum_l q_l^2 with
-    q_l = g_l / (1 + p * g_l)."""
-    s = _one_plus_snr(gains, power)
-    q = gains / s
-    return _rate(bandwidth, s), _slope(bandwidth, q), -_slope(bandwidth, q * q)
+    return bandwidth / np.log(2.0) * (gains / _one_plus_snr(gains, power)).sum(axis=-1)
 
 
 @dataclass
@@ -56,7 +39,9 @@ class ProblemInstance:
 
     `gains[phase]` has shape (K, N, L) and holds squared singular values
     scaled by 1/(B * N0 * L_tx), so that the rate of phase `ph` at power p is
-    B * sum_l log2(1 + p * gains[ph]).
+    B * sum_l log2(1 + p * gains[ph]).  Both download phases send over the
+    vehicle-UAV link in reverse at the UAV's weight, so they share one table:
+    the solver finds one stationary power for the two of them.
     """
 
     n_vehicles: int

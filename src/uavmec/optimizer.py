@@ -7,7 +7,9 @@ Each block is warm-started from a one-dimensional reduction (all stationarity
 conditions collapse onto the sub-slot time price) and then refined by a
 deep-cut ellipsoid; convergence is certified by the weak-duality gap between
 the completed feasible schedule and the best dual value.  The power at a time
-price is a safeguarded Newton root; every other price or power is one
+price inverts phi(p) = w*(r/r' - p) by a safeguarded Newton iteration on
+log(phi) against log(p), with phi's ln(1 + p*g) terms taken by log1p; the two
+download phases share one such root.  Every other price or power is one
 bracketed Illinois root in log coordinates, `_log_root`.
 
 Multiplier order inside every length-6 vector: the prices of the
@@ -22,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import ProblemInstance, rate_derivative, rate_terms
+from .instance import (PHASE_DOWN_RSU, PHASE_DOWN_UAV, PHASE_OFFLOAD, PHASE_RELAY,
+                       ProblemInstance, rate_derivative)
 # no solver path calls it: perfbench/tracing.py wraps this name, its only reader
 from .lp import solve_lp
 from .energy import compute_energy, compute_time
@@ -226,20 +229,31 @@ def _phase_weights(inst: ProblemInstance) -> list:
 
 def _phi(inst, ph, w, p):
     """Time price at which power p is stationary, w*(r/r' - p), and its slope
-    -w*r*r''/r'^2, which is >= 0: the price rises with the power."""
-    r, d1, d2 = rate_terms(inst.gains[ph], inst.bandwidth, p)
-    d1 = np.maximum(d1, 1e-300)
-    return w * (r / d1 - p), -w * r * d2 / d1 / d1
+    w*(r/r')*sum_l q_l^2/sum_l q_l with q_l = g_l/(1 + p*g_l), which is >= 0:
+    the price rises with the power.
+
+    r/r' is sum_l log1p(p*g_l) / sum_l q_l (the bandwidth and ln 2 cancel).
+    log1p keeps the low bits of p*g_l that log(1 + p*g_l) rounds away, so phi
+    is resolved to about 8e-16*w*(r/r' + p) down to the smallest powers.
+    """
+    x = p[..., None] * inst.gains[ph]
+    q = inst.gains[ph] / (1.0 + x)
+    sum_q = np.maximum(q.sum(axis=-1), 1e-300)
+    ratio = np.log1p(x).sum(axis=-1) / sum_q
+    return w * (ratio - p), w * ratio * (q * q).sum(axis=-1) / sum_q
 
 
 def _power_from_time_price(inst, ph, w, mu) -> np.ndarray:
     """Invert w*(r/r' - p) = mu elementwise on [0, p_max] (clamped above).
 
     mu <= 0 gives 0 and phi(p_max) <= mu gives p_max.  Elsewhere a
-    safeguarded Newton iteration starts at p_max and keeps a bracket
-    [lo, hi] from the sign of phi(p) - mu; a step that is not finite or
-    leaves the bracket halves the bracket instead.  A block stops when
-    phi(p) = mu or its step is at most 1e-14 * p; at most 60 iterations run.
+    safeguarded Newton iteration on log(phi) against log(p), where phi is
+    nearly a straight line (phi ~ p**2 at low power), starts at p_max:
+    p <- p * exp(-log(phi/mu) * phi/(p*phi')).  It keeps a bracket [lo, hi]
+    from the sign of phi(p) - mu; a step that is not finite or leaves the
+    bracket halves the bracket instead.  A block stops when |phi(p) - mu| is
+    within phi's rounding floor 8e-16*w*(r/r' + p) or its step is at most
+    1e-14 * p; at most 60 iterations run.
     It is not a `_log_root`: phi cancels r/r' against p, so at that root's
     bracket bottom p_max * 2**-80 it reads rounding noise, which steers the
     completion off its optimum (the stock solve then stops at its
@@ -255,13 +269,15 @@ def _power_from_time_price(inst, ph, w, mu) -> np.ndarray:
         f = phi - mu
         lo = np.where(f < 0.0, p, lo)
         hi = np.where(f > 0.0, p, hi)
+        # phi's rounding floor, with w*(r/r' + p) = phi + 2*w*p
+        done = done | (np.abs(f) <= 8e-16 * (phi + 2.0 * w * p))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            newton = p - f / slope
+            newton = p * np.exp(-np.log(phi / mu) * phi / (p * slope))
         # a Newton step that rounds onto the bracket edge has converged
         small = np.abs(newton - p) <= 1e-14 * p
         step = np.where((newton > lo) & (newton < hi), newton,
                         np.where(small, p, 0.5 * (lo + hi)))
-        stop = (f == 0.0) | (np.abs(step - p) <= 1e-14 * p)
+        stop = np.abs(step - p) <= 1e-14 * p
         p = np.where(done, p, step)
         done = done | stop
         if done.all():
@@ -269,6 +285,20 @@ def _power_from_time_price(inst, ph, w, mu) -> np.ndarray:
         phi, slope = _phi(inst, ph, w, p)
     p = np.where(mu <= 0.0, 0.0, p)
     return np.where(at_max, pmax, p)
+
+
+def _phase_powers(inst, mu) -> list:
+    """Stationary power of each phase at the time price, per block.
+
+    Both download phases send over one gain table at one weight, so one
+    root at the larger of their caps serves both, clamped at each cap.
+    """
+    wv = _phase_weights(inst)
+    caps = inst.power_max
+    down = PHASE_DOWN_UAV if caps[PHASE_DOWN_UAV] >= caps[PHASE_DOWN_RSU] else PHASE_DOWN_RSU
+    p_down = _power_from_time_price(inst, down, wv[down], mu)
+    return [_power_from_time_price(inst, ph, wv[ph], mu) for ph in (PHASE_OFFLOAD, PHASE_RELAY)] + [
+        np.minimum(p_down, caps[ph]) for ph in (PHASE_DOWN_UAV, PHASE_DOWN_RSU)]
 
 
 def _split(inst, chi1, chi_subslot, chi_uplink, chi_down_uav):
@@ -290,8 +320,7 @@ def _phase_prices(inst, mu):
     """
     wv = _phase_weights(inst)
     chis, rates = [], []
-    for ph in range(4):
-        p = _power_from_time_price(inst, ph, wv[ph], mu)
+    for ph, p in enumerate(_phase_powers(inst, mu)):
         pmax = inst.power_max[ph]
         clamped = p >= pmax * (1.0 - 1e-12)
         chi = np.where(
@@ -474,12 +503,11 @@ def complete_primal(inst: ProblemInstance, bits):
     (4,K,N), per-block weighted energy, infeasible mask).
     """
     bl, bu, br = bits
-    wv = _phase_weights(inst)
     loads = phase_loads(inst, bu, br)
     budget = inst.subslot - compute_time(bu, inst.uav_compute)
 
     def times_at(mu):
-        powers = [_power_from_time_price(inst, ph, wv[ph], mu) for ph in range(4)]
+        powers = _phase_powers(inst, mu)
         times = [carry_time(loads[ph], inst.rate(ph, powers[ph])) for ph in range(4)]
         return times, powers
 

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from uavmec.channel import (
-    RadioConfig,
-    ZeroDistance,
-    achievable_rate,
-    build_channel,
-    los_matrix,
-    path_loss,
-    rate_bound,
-)
+from uavmec.channel import RadioConfig, ZeroDistance, build_channel, los_matrix, path_loss
 from uavmec.geometry import ArraySpec, NodeState, make_velocity
+from uavmec.instance import build_gain_tables, rate
 
 
 def radio(**kw):
@@ -23,6 +16,14 @@ def radio(**kw):
 def node(pos, vel, rows=1, cols=1, **angles):
     return NodeState(np.asarray(pos, float), np.asarray(vel, float),
                      ArraySpec(rows, cols, 0.075, **angles))
+
+
+def link_rate(power, link, cfg, bound="exact"):
+    """Rate of `link` per slot at `power` (bits/s), from its gain table with
+    the link as an uplink: the exact spectrum, the "rank1" lower bound or the
+    "fullrank" upper bound."""
+    gains = build_gain_tables([link, link], cfg, bound)[0][0]
+    return rate(gains, cfg.bandwidth, np.full(gains.shape[0], power))
 
 
 def test_path_loss_reference_distance():
@@ -85,9 +86,9 @@ def test_rate_zero_power():
     tx = node([0, 0, 0], [0, 0, 0])
     rx = node([0, 0, 20], [0, 0, 0])
     link = build_channel(tx, rx, cfg)
-    assert achievable_rate(0.0, link, cfg, 1)[0] == 0.0
-    assert rate_bound(0.0, link, cfg, 1, "lower")[0] == 0.0
-    assert rate_bound(0.0, link, cfg, 1, "upper")[0] == 0.0
+    assert link_rate(0.0, link, cfg)[0] == 0.0
+    assert link_rate(0.0, link, cfg, "rank1")[0] == 0.0
+    assert link_rate(0.0, link, cfg, "fullrank")[0] == 0.0
 
 
 def test_scalar_link_rate_value():
@@ -99,7 +100,7 @@ def test_scalar_link_rate_value():
     p = 10 ** 3.5 / 1000.0
     snr = p * 2.5e-8 / (5e6 * 1e-16 * 1)
     expected = 5e6 * np.log2(1 + snr)
-    got = achievable_rate(p, link, cfg, 1)[0]
+    got = link_rate(p, link, cfg)[0]
     assert np.isclose(got, expected, rtol=1e-9)
     assert np.isclose(got, 3.66e7, rtol=0.01)
 
@@ -111,7 +112,7 @@ def test_rank_one_rate_equals_lower_bound():
     link = build_channel(tx, rx, cfg)  # single tx antenna: exactly rank 1
     for p in (0.01, 0.5, 3.0):
         assert np.isclose(
-            achievable_rate(p, link, cfg, 1), rate_bound(p, link, cfg, 1, "lower"),
+            link_rate(p, link, cfg), link_rate(p, link, cfg, "rank1"),
             rtol=1e-12,
         )
 
@@ -122,7 +123,7 @@ def test_bounds_coincide_for_single_stream():
     rx = node([0, 0, 20], [0, 0, 0], rows=1, cols=1)
     link = build_channel(tx, rx, cfg)
     assert np.isclose(
-        rate_bound(1.0, link, cfg, 16, "lower"), rate_bound(1.0, link, cfg, 16, "upper")
+        link_rate(1.0, link, cfg, "rank1"), link_rate(1.0, link, cfg, "fullrank")
     )
 
 
@@ -137,11 +138,10 @@ def test_rate_between_bounds_over_random_geometries():
         rx = node(rng.normal(size=3) * 10 + [0, 0, 40], [0, 0, 0], rows_r, cols_r,
                   slant=rng.uniform(-1, 1), bearing=rng.uniform(0, 6))
         link = build_channel(tx, rx, cfg)
-        n_tx = tx.array.size
         p = rng.uniform(0.01, 3.0)
-        r = achievable_rate(p, link, cfg, n_tx)[0]
-        lo = rate_bound(p, link, cfg, n_tx, "lower")[0]
-        hi = rate_bound(p, link, cfg, n_tx, "upper")[0]
+        r = link_rate(p, link, cfg)[0]
+        lo = link_rate(p, link, cfg, "rank1")[0]
+        hi = link_rate(p, link, cfg, "fullrank")[0]
         assert lo <= r * (1 + 1e-12) and r <= hi * (1 + 1e-12)
         sv = np.sqrt(link.spectrum[0])
         rank_one = sv.size == 1 or sv[1] <= 1e-9 * sv[0]
@@ -179,7 +179,7 @@ def test_rate_increasing_and_concave_in_power():
     rx = node([0, 0, 30], [0, 0, 0], 3, 2)
     link = build_channel(tx, rx, cfg)
     p = np.linspace(0.01, 3.0, 40)
-    r = np.array([achievable_rate(x, link, cfg, 6)[0] for x in p])
+    r = np.array([link_rate(x, link, cfg)[0] for x in p])
     first = np.diff(r)
     second = np.diff(first)
     assert (first > 0).all()

@@ -401,20 +401,66 @@ def test_power_from_time_price_inverts_phi(spectrum):
         assert (p[0] == 0.0).all()
         phi_max = opt._phi(inst, ph, w, np.full(mu.shape, pmax))[0]
         assert (p[phi_max <= mu] == pmax).all()
-        # each ln(1 + p*g_l) moves in float steps of up to eps, so phi itself
-        # is only resolved to about 2*w*eps*L / sum_l g_l/(1 + p*g_l)
-        sum_q = inst.rate_derivative(ph, p) * np.log(2.0) / inst.bandwidth
-        floor = 2.0 * w * np.finfo(float).eps * inst.gains[ph].shape[-1] / sum_q
+        # the log1p terms keep the low bits of p*g_l, so what is left is the
+        # cancellation of r/r' against p: phi is resolved to about
+        # 8e-16*w*(r/r' + p) = 8e-16*(phi + 2*w*p)
+        phi = opt._phi(inst, ph, w, p)[0]
+        floor = 8e-16 * (phi + 2.0 * w * p)
         interior = (p > 0.0) & (p < pmax)
-        resid = np.abs(opt._phi(inst, ph, w, p)[0] - mu)
+        resid = np.abs(phi - mu)
         assert (resid[interior] <= (1e-10 * mu + floor)[interior]).all()
-        # where phi is resolved to 1e-10*mu its root is unique
-        resolved = floor <= 1e-10 * mu
-        assert (np.diff(p, axis=0)[resolved[:-1] & resolved[1:]] >= 0.0).all()
+        # the root matches a fine bisection over the whole grid and rises
+        # with the price from mu_hi*2**-60 up
         ref = _bisected_power(inst, ph, w, mu)
-        assert (np.abs(p - ref)[resolved] <= 1e-12 * pmax).all()
-        # and the resolved part spans at least the top 25 octaves of the grid
-        assert resolved[t >= 2.0**-24].all()
+        assert (np.abs(p - ref) <= 1e-12 * pmax).all()
+        assert (np.diff(p[t >= 2.0**-60], axis=0) >= 0.0).all()
+        # phi is resolved to 1e-10*mu over at least the top 40 octaves
+        resolved = floor <= 1e-10 * mu
+        assert resolved[t >= 2.0**-40].all()
+
+
+@pytest.mark.parametrize("spectrum", ["rank1_stock", "spread"])
+def test_power_from_time_price_evaluates_phi_a_few_times(spectrum, monkeypatch):
+    # a plain Newton step on phi from p_max took 61 evaluations (its cap) at
+    # mu_hi*2**-60 and mu_hi*2**-80, and 40-47 at mu_hi*2**-40
+    inst = _root_instance(spectrum)
+    wv = opt._phase_weights(inst)
+    mu_hi = opt._time_price_ceiling(inst)
+    calls = []
+    phi = opt._phi
+    monkeypatch.setattr(opt, "_phi", lambda *args: calls.append(1) or phi(*args))
+    t = np.geomspace(2.0**-60, 2.0, 245)
+    for ph in range(4):
+        calls.clear()
+        opt._power_from_time_price(inst, ph, wv[ph], mu_hi * t[:, None, None])
+        assert len(calls) <= 8
+        calls.clear()
+        opt._power_from_time_price(inst, ph, wv[ph], mu_hi * 2.0**-80)
+        assert len(calls) <= 25
+
+
+@pytest.mark.parametrize("caps", [(0.5, 3.0), (3.0, 0.5)])
+def test_download_phases_share_one_power_root(caps):
+    # unequal download caps: one root at the larger cap, clamped at each
+    cfg = ScenarioConfig(power_max_down_uav=caps[0], power_max_down_rsu=caps[1])
+    inst = build_instance(validate(cfg))
+    wv = opt._phase_weights(inst)
+    mu_hi = opt._time_price_ceiling(inst)
+    # the solver's time prices lie above mu_hi*2**-20, where both Newton runs
+    # converge to the same root
+    mu = mu_hi * np.concatenate([[0.0], np.geomspace(2.0**-20, 2.0, 200)])[:, None, None]
+    powers = opt._phase_powers(inst, mu)
+    for ph in range(4):
+        alone = opt._power_from_time_price(inst, ph, wv[ph], mu)
+        assert (np.abs(powers[ph] - alone) <= 1e-14 * alone).all()
+        pmax = inst.power_max[ph]
+        assert (alone == pmax).any() and ((alone > 0.0) & (alone < pmax)).any()
+    # lower down each stops inside phi's rounding floor, and both still
+    # match a fine bisection
+    low = mu_hi * np.geomspace(2.0**-80, 2.0**-20, 40)[:, None, None]
+    for ph, p in enumerate(opt._phase_powers(inst, low)):
+        ref = _bisected_power(inst, ph, wv[ph], low)
+        assert (np.abs(p - ref) <= 1e-12 * inst.power_max[ph]).all()
 
 
 # Rank-1 gains of stock slots 24, 30 and 39 with a 1 mW relay cap: the relay
@@ -576,10 +622,23 @@ def test_time_price_searches_evaluate_need_at_most_20_times(stock_points, monkey
         calls.update(_candidate=0, _power_from_time_price=0)
         chi = warm_start(inst)[0]
         assert calls["_candidate"] <= 20
-        # the completion's need inverts the four phase powers once
+        # the completion's need inverts the uplink, relay and shared download
+        # powers once
         calls["_power_from_time_price"] = 0
         opt.complete_primal(inst, _split_bits(inst, chi))
-        assert calls["_power_from_time_price"] <= 4 * 20
+        assert calls["_power_from_time_price"] <= 3 * 20
+
+
+def test_stock_solve_evaluates_phi_at_most_700_times(stock_points, monkeypatch):
+    # 1,188 with a plain Newton step on a log(1 + p*g_l) phi and one root
+    # per download phase
+    calls = []
+    phi = opt._phi
+    monkeypatch.setattr(opt, "_phi", lambda *args: calls.append(1) or phi(*args))
+    cfg = validate(ScenarioConfig(task_bits=5e5))
+    state = ellipsoid_solve(stock_points[5e5], eps=cfg.epsilon, max_iterations=cfg.max_iterations)
+    assert state.converged
+    assert len(calls) <= 700
 
 
 def _bisected_min_bits_price(inst, mu):

@@ -365,16 +365,18 @@ def test_rank1_mode_collapses_gain_tables():
 
 
 def test_bound_mode_rates_match_rate_bound():
-    from uavmec.channel import RadioConfig, rate_bound
-
+    # the rank-1 lower bound is the rate of one mode carrying the exact
+    # spectrum's whole trace power; the full-rank upper bound spreads it
+    # evenly over min(L_tx, L_rx) modes
     exact = build_instance(load_scenario(""))
-    radio = RadioConfig(wavelength=0.15, path_loss_exponent=2, reference_gain=1e-5,
-                        bandwidth=5e6, noise_density=1e-16)
     power = 0.5
-    for mode, which in (("rank1_bound", "lower"), ("fullrank_bound", "upper")):
+    ch = exact.channel_sets[0]  # vehicle 0's uplink
+    snr = ch.trace_power[0] / (exact.bandwidth * ScenarioConfig().noise_density * ch.n_tx)
+    lmin = min(ch.n_tx, ch.n_rx)
+    tables = {"rank1_bound": np.array([snr]), "fullrank_bound": np.full(lmin, snr / lmin)}
+    for mode, table in tables.items():
         inst = build_instance(load_scenario(f"[solver]\nmode = {mode}\n"))
         got = float(inst.rate(0, np.full((3, 40), power))[0, 0])
-        ch = exact.channel_sets[0]  # vehicle 0's uplink
-        want = rate_bound(power, ch, radio, ch.n_tx, which)[0]
+        want = instance.rate(table, exact.bandwidth, power)
         assert np.isclose(got, want, rtol=1e-9)
 
