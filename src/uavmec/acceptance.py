@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optimizer, runner
-from .oracle import GridSpec, convexity_probe, grid_search_primal, kkt_residuals
+from .oracle import convexity_probe, grid_search_primal, kkt_residuals
 from .optimizer import algorithm1, phase1_closed_form, power_opt
 from .scenario import ScenarioConfig, build_instance, validate
 
@@ -73,13 +73,13 @@ def criterion_closed_form_consistency(cfg: ScenarioConfig, trials: int = 100) ->
         price = weight * np.log(2.0) * (1.0 + p_target * g_scalar) / (bandwidth * g_scalar)
         numeric = float(power_opt(np.array([g_scalar]), weight, price, bandwidth, pmax))
         closed, raw_lower = phase1_closed_form(
-            phi, n_tx, n_rx, "lower", weight, price, bandwidth, noise, pmax
+            phi, n_tx, n_rx, "rank1", weight, price, bandwidth, noise, pmax
         )
         if closed > 0:
             worst = max(worst, abs(numeric - closed) / max(closed, 1e-300))
         # exact linear relation between the unclamped bound powers
         p_up, raw_upper = phase1_closed_form(
-            phi, n_tx, n_rx, "upper", weight, price, bandwidth, noise, pmax
+            phi, n_tx, n_rx, "fullrank", weight, price, bandwidth, noise, pmax
         )
         lmin = min(n_tx, n_rx)
         if abs(raw_upper - lmin * raw_lower) > 1e-12 * max(abs(raw_upper), 1e-300):
@@ -100,7 +100,7 @@ def criterion_oracle_equivalence(cfg: ScenarioConfig) -> CriterionResult:
     small = _single_vehicle(cfg, horizon=cfg.slot)
     inst = build_instance(small)
     report = algorithm1(inst, eps=small.epsilon, max_iterations=small.max_iterations)
-    grid_value, _ = grid_search_primal(inst, GridSpec())
+    grid_value, _ = grid_search_primal(inst)
     rel = abs(grid_value - report.wtec) / max(abs(report.wtec), 1e-300)
     weak_ok = grid_value >= report.dual_value - 1e-9 * max(abs(grid_value), 1.0)
     return CriterionResult(

@@ -126,17 +126,6 @@ def element_positions(spec: ArraySpec, center: np.ndarray) -> np.ndarray:
     return np.asarray(center, dtype=float)[None, :] + element_offsets(spec)
 
 
-def distance_vector(tx_center, tx_element, rx_center, rx_element) -> np.ndarray:
-    """Vector from a transmit element to a receive element.
-
-    Element arguments are rotated offsets relative to their array centers, so
-    the result is (rx_center + rx_element) - (tx_center + tx_element).
-    """
-    return (np.asarray(rx_center, float) + np.asarray(rx_element, float)) - (
-        np.asarray(tx_center, float) + np.asarray(tx_element, float)
-    )
-
-
 def make_velocity(speed: float, azimuth: float, elevation: float = 0.0) -> np.ndarray:
     """Velocity vector of given speed, azimuth heading and climb angle."""
     if speed < 0:

@@ -202,14 +202,14 @@ def phase1_closed_form(trace_power, n_tx, n_rx, bound, weight, price_rate,
                        bandwidth, noise_density, power_max):
     """Closed-form phase-1 power under the rank-1 / full-rank rate bounds.
 
-    Returns (power, power_unclamped).  The full-rank ("upper") power is
-    exactly min(n_tx, n_rx) times the rank-1 ("lower") one before clamping.
+    Returns (power, power_unclamped).  The "fullrank" power is exactly
+    min(n_tx, n_rx) times the "rank1" one before clamping.
     """
     noise = bandwidth * noise_density * n_tx
     p_lb_raw = bandwidth * (price_rate / (weight * np.log(2.0)) - noise / (bandwidth * trace_power))
-    if bound == "lower":
+    if bound == "rank1":
         raw = p_lb_raw
-    elif bound == "upper":
+    elif bound == "fullrank":
         raw = min(n_tx, n_rx) * p_lb_raw
     else:
         raise ValueError(f"unknown bound {bound!r}")

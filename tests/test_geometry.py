@@ -7,7 +7,6 @@ from uavmec.geometry import (
     NetworkState,
     NodeState,
     advance,
-    distance_vector,
     element_offsets,
     element_positions,
     initial_state,
@@ -73,33 +72,6 @@ def test_offsets_are_centrosymmetric():
     negated = -off
     for o in off:
         assert np.min(np.linalg.norm(negated - o, axis=1)) < 1e-12
-
-
-def test_distance_vector_zero_for_identical_points():
-    z = np.zeros(3)
-    assert np.allclose(distance_vector(z, z, z, z), 0.0)
-
-
-def test_distance_vector_elevation_geometry():
-    # centers at the pi/4 elevation geometry with 10 m altitude
-    h, theta = 10.0, np.pi / 4
-    tx_center = np.zeros(3)
-    rx_center = np.array([h / np.tan(theta), 0.0, h])
-    d = distance_vector(tx_center, np.zeros(3), rx_center, np.zeros(3))
-    assert np.allclose(d, [10.0, 0.0, 10.0])
-
-
-def test_distance_vector_triangle_inequality():
-    rng = np.random.default_rng(2)
-    spec = ArraySpec(6, 6, 0.075, slant=0.5, downtilt=0.2, bearing=1.0)
-    off = element_offsets(spec)
-    radius = np.max(np.linalg.norm(off, axis=1))
-    for _ in range(50):
-        tx_c = rng.normal(size=3) * 20
-        rx_c = rng.normal(size=3) * 20
-        i, j = rng.integers(0, len(off), 2)
-        d = distance_vector(tx_c, off[i], rx_c, off[j])
-        assert np.linalg.norm(d) >= abs(np.linalg.norm(rx_c - tx_c) - 2 * radius) - 1e-9
 
 
 def _simple_state(v_vehicle, v_uav, n_slots=40, slot_len=0.2):

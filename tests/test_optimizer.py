@@ -163,7 +163,7 @@ def test_power_opt_matches_rank_one_closed_form():
         target = 10.0 ** rng.uniform(-3, 0.3)
         price = weight * np.log(2.0) * (1 + target * gain) / (bandwidth * gain)
         numeric = power_opt(np.array([gain]), weight, price, bandwidth, pmax)
-        closed, _ = phase1_closed_form(phi, int(n_tx), int(n_rx), "lower", weight,
+        closed, _ = phase1_closed_form(phi, int(n_tx), int(n_rx), "rank1", weight,
                                        price, bandwidth, noise, pmax)
         if 0 < closed < pmax:
             assert abs(numeric - closed) <= 1e-6 * closed
@@ -250,15 +250,15 @@ def test_slot_time_rule_three_cases():
 
 def test_phase1_closed_form_cases():
     bandwidth, noise, pmax = 5e6, 1e-16, 3.162
-    p, raw = phase1_closed_form(1e-4, 36, 36, "lower", 1.0, 0.0, bandwidth, noise, pmax)
+    p, raw = phase1_closed_form(1e-4, 36, 36, "rank1", 1.0, 0.0, bandwidth, noise, pmax)
     assert p == 0.0
     # single-stream upper equals lower
-    p_lo, _ = phase1_closed_form(1e-4, 1, 16, "lower", 1.0, 3e-7, bandwidth, noise, pmax)
-    p_up, _ = phase1_closed_form(1e-4, 1, 16, "upper", 1.0, 3e-7, bandwidth, noise, pmax)
+    p_lo, _ = phase1_closed_form(1e-4, 1, 16, "rank1", 1.0, 3e-7, bandwidth, noise, pmax)
+    p_up, _ = phase1_closed_form(1e-4, 1, 16, "fullrank", 1.0, 3e-7, bandwidth, noise, pmax)
     assert np.isclose(p_lo, p_up, rtol=1e-12)
     # unclamped linear relation with min(L) = 4
-    _, raw_lo = phase1_closed_form(1e-4, 4, 25, "lower", 1.0, 3e-7, bandwidth, noise, pmax)
-    _, raw_up = phase1_closed_form(1e-4, 4, 25, "upper", 1.0, 3e-7, bandwidth, noise, pmax)
+    _, raw_lo = phase1_closed_form(1e-4, 4, 25, "rank1", 1.0, 3e-7, bandwidth, noise, pmax)
+    _, raw_up = phase1_closed_form(1e-4, 4, 25, "fullrank", 1.0, 3e-7, bandwidth, noise, pmax)
     assert np.isclose(raw_up, 4 * raw_lo, rtol=1e-12)
 
 
@@ -269,9 +269,9 @@ def test_remark2_bound_power_ordering():
         phi = 10.0 ** rng.uniform(-7, -3)
         price = 10.0 ** rng.uniform(-8, -5)
         n_tx, n_rx = rng.integers(1, 64, 2)
-        p_lo, raw_lo = phase1_closed_form(phi, int(n_tx), int(n_rx), "lower", 1.0,
+        p_lo, raw_lo = phase1_closed_form(phi, int(n_tx), int(n_rx), "rank1", 1.0,
                                           price, bandwidth, noise, pmax)
-        p_up, raw_up = phase1_closed_form(phi, int(n_tx), int(n_rx), "upper", 1.0,
+        p_up, raw_up = phase1_closed_form(phi, int(n_tx), int(n_rx), "fullrank", 1.0,
                                           price, bandwidth, noise, pmax)
         if raw_lo >= 0:
             assert raw_lo <= raw_up + 1e-18

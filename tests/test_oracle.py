@@ -1,23 +1,27 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import make_synthetic_instance
 from uavmec import optimizer as opt
+from uavmec import oracle
 from uavmec.oracle import (
-    GridSpec,
     NoFeasiblePoint,
     constraint_residuals,
     convexity_probe,
     grid_search_primal,
     kkt_residuals,
     sample_feasible,
+    wtec_batch,
 )
 from uavmec.protocol import Allocation, check_feasible, wtec
 
 
 def test_grid_search_zero_requirement_finds_zero():
     inst = make_synthetic_instance(min_bits=0.0)
-    value, alloc = grid_search_primal(inst, GridSpec())
+    value, alloc = grid_search_primal(inst)
     assert value <= 1e-12
     assert check_feasible(alloc, inst).feasible
 
@@ -31,7 +35,7 @@ def test_grid_search_rejects_multi_block_instances():
 def test_grid_search_no_feasible_point_matches_solver_infeasibility():
     inst = make_synthetic_instance(gain=10.0, min_bits=5e6)
     with pytest.raises(NoFeasiblePoint):
-        grid_search_primal(inst, GridSpec())
+        grid_search_primal(inst)
     with pytest.raises(opt.InfeasibleAllocation):
         opt.algorithm1(inst)
 
@@ -39,7 +43,7 @@ def test_grid_search_no_feasible_point_matches_solver_infeasibility():
 def test_grid_search_brackets_solver_result():
     inst = make_synthetic_instance(min_bits=4e5)
     report = opt.algorithm1(inst)
-    value, alloc = grid_search_primal(inst, GridSpec())
+    value, alloc = grid_search_primal(inst)
     assert check_feasible(alloc, inst).feasible
     # the grid minimum can only sit above the true optimum
     assert value >= report.dual_value * (1 - 1e-9)
@@ -47,10 +51,26 @@ def test_grid_search_brackets_solver_result():
 
 
 def test_sampled_points_are_feasible(table1_inst):
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        alloc = sample_feasible(table1_inst, rng)
+    batch, ok = sample_feasible(table1_inst, 5, np.random.default_rng(9))
+    assert ok.all()
+    bits = (batch.bits_local, batch.bits_uav, batch.bits_rsu)
+    values = wtec_batch(table1_inst, bits, batch.powers(), batch.times())
+    for i in range(5):
+        alloc = Allocation(**{name: v[i] for name, v in vars(batch).items()})
         assert check_feasible(alloc, table1_inst).feasible
+        # the probe's default objective is protocol's WTEC, sample by sample
+        assert values[i] == pytest.approx(wtec(alloc, table1_inst), rel=1e-12)
+
+
+def test_oracle_imports_nothing_from_the_solver():
+    names = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+    parts = {part for name in names for part in name.split(".")}
+    assert not parts & {"optimizer", "lp"}
 
 
 def test_convexity_probe_non_positive_for_objective():
@@ -61,7 +81,7 @@ def test_convexity_probe_non_positive_for_objective():
 
 def test_convexity_probe_flags_concave_negative_control():
     inst = make_synthetic_instance(min_bits=4e5)
-    concave = lambda alloc: -wtec(alloc, inst)
+    concave = lambda *batch: -wtec_batch(*batch)
     worst = convexity_probe(inst, samples=60, seed=2, objective=concave)
     assert worst > 0.0
 
