@@ -5,12 +5,17 @@ schedule.
 The dual problem separates into one 6-multiplier block per (vehicle, slot).
 Each block is warm-started from a one-dimensional reduction (all stationarity
 conditions collapse onto the sub-slot time price) and then refined by a
-deep-cut ellipsoid; convergence is certified by the weak-duality gap between
-the completed feasible schedule and the best dual value.  The power at a time
-price inverts phi(p) = w*(r/r' - p) by a safeguarded Newton iteration on
-log(phi) against log(p), with phi's ln(1 + p*g) terms taken by log1p; the two
-download phases share one such root.  Every other price or power is one
-bracketed Illinois root in log coordinates, `_log_root`.
+deep-cut ellipsoid; convergence is certified by the signed weak-duality gap
+between the completed feasible schedule and the best dual value, and a gap
+below -WEAK_DUALITY_RTOL raises.  The completion takes the multipliers' time
+price as its candidate and solves the time-price root only for the blocks
+that price does not fill, so at the warm start each root is solved once.
+The power at a time price inverts phi(p) = w*(r/r' - p) by a safeguarded
+Newton iteration on log(phi) against log(p), with phi's ln(1 + p*g) terms
+taken by log1p; the two download phases share one such root, and inside the
+warm start's time-price root each starts from the previous iterate's powers.  Every other
+price or power is one bracketed Illinois root in log coordinates,
+`_log_root`.
 
 Multiplier order inside every length-6 vector: the prices of the
 minimum-bits constraint, the sub-slot time budget, and the four link
@@ -43,6 +48,11 @@ SIGN_RTOL = 1e-6
 # Initial ellipsoid radius in warm-start-scaled coordinates.
 _ELLIPSOID_RADIUS = 4.0
 
+# Relative tolerance of the weak-duality check on the signed gap.  Rounding
+# alone leaves at most -1.7e-15 on a block and -4.5e-16 in total over the
+# stock task_bits trend and 48 random scenarios.
+WEAK_DUALITY_RTOL = 1e-12
+
 
 class IterationCapExceeded(Exception):
     """Ellipsoid loop hit its iteration cap; carries the best report so far."""
@@ -56,6 +66,11 @@ class InfeasibleAllocation(Exception):
     """The minimum bits cannot be carried at the fixed powers."""
 
 
+class WeakDualityViolated(Exception):
+    """The best dual value exceeds the completed primal energy by more than
+    `WEAK_DUALITY_RTOL`: a bound is wrong, since weak duality forbids it."""
+
+
 @dataclass
 class DualState:
     """Best multipliers, the completion that certified them, and the
@@ -63,7 +78,7 @@ class DualState:
 
     multipliers: np.ndarray  # (K, N, 6) best point per block
     dual_value: float
-    gap: float
+    gap: float  # signed (primal - dual) / primal, never clipped
     iterations: int
     converged: bool
     feasible: np.ndarray  # (K, N) per-block primal feasibility
@@ -139,7 +154,8 @@ def _log_root(need, budget, hi):
         t_hi, g_hi = np.where(live_fits, t, t_hi), np.where(live_fits, g, g_hi)
         hi = np.where(live_fits, x, hi)
         kept = np.where(over, 1, -1)
-        done = done | (g == 0.0) | (t_hi - t_lo <= 1e-13)
+        with np.errstate(invalid="ignore"):  # -inf - (-inf) where hi = 0
+            done = done | (g == 0.0) | (t_hi - t_lo <= 1e-13)
     return hi
 
 
@@ -243,62 +259,71 @@ def _phi(inst, ph, w, p):
     return w * (ratio - p), w * ratio * (q * q).sum(axis=-1) / sum_q
 
 
-def _power_from_time_price(inst, ph, w, mu) -> np.ndarray:
+def _power_from_time_price(inst, ph, w, mu, start=None, phi_max=None) -> np.ndarray:
     """Invert w*(r/r' - p) = mu elementwise on [0, p_max] (clamped above).
 
     mu <= 0 gives 0 and phi(p_max) <= mu gives p_max.  Elsewhere a
     safeguarded Newton iteration on log(phi) against log(p), where phi is
-    nearly a straight line (phi ~ p**2 at low power), starts at p_max:
-    p <- p * exp(-log(phi/mu) * phi/(p*phi')).  It keeps a bracket [lo, hi]
-    from the sign of phi(p) - mu; a step that is not finite or leaves the
-    bracket halves the bracket instead.  A block stops when |phi(p) - mu| is
-    within phi's rounding floor 8e-16*w*(r/r' + p) or its step is at most
-    1e-14 * p; at most 60 iterations run.
+    nearly a straight line (phi ~ p**2 at low power), steps
+    p <- p * exp(-log(phi/mu) * phi/(p*phi')).  It starts at p_max, or at
+    `start` when given: the powers of the previous root iterate, p_max where
+    those are 0.  A `start` comes with `phi_max`, phi(p_max) per block, which
+    decides the clamp; from p_max the first phi is that value.  It keeps a
+    bracket [lo, hi] from the sign of phi(p) - mu; a step that is not finite
+    or leaves the bracket halves the bracket instead.  A block stops when |phi(p) - mu| is
+    within phi's rounding floor 8e-16*w*(r/r' + p) or its Newton step is at
+    most 1e-14 in log(p); at most 60 iterations run.
     It is not a `_log_root`: phi cancels r/r' against p, so at that root's
     bracket bottom p_max * 2**-80 it reads rounding noise, which steers the
     completion off its optimum (the stock solve then stops at its
-    200-iteration cap); Newton starts at p_max instead.
+    200-iteration cap); Newton starts at p_max or near the root instead.
     """
     pmax = inst.power_max[ph]
-    p = np.full(mu.shape, pmax)
+    p = np.full(mu.shape, pmax) if start is None else np.where(start > 0.0, start, pmax)
     phi, slope = _phi(inst, ph, w, p)
-    at_max = phi <= mu
+    at_max = (phi if start is None else phi_max) <= mu
     done = (mu <= 0.0) | at_max
-    lo, hi = np.zeros(mu.shape), p
-    for _ in range(60):
-        f = phi - mu
-        lo = np.where(f < 0.0, p, lo)
-        hi = np.where(f > 0.0, p, hi)
-        # phi's rounding floor, with w*(r/r' + p) = phi + 2*w*p
-        done = done | (np.abs(f) <= 8e-16 * (phi + 2.0 * w * p))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            newton = p * np.exp(-np.log(phi / mu) * phi / (p * slope))
-        # a Newton step that rounds onto the bracket edge has converged
-        small = np.abs(newton - p) <= 1e-14 * p
-        step = np.where((newton > lo) & (newton < hi), newton,
-                        np.where(small, p, 0.5 * (lo + hi)))
-        stop = np.abs(step - p) <= 1e-14 * p
-        p = np.where(done, p, step)
-        done = done | stop
-        if done.all():
-            break
-        phi, slope = _phi(inst, ph, w, p)
+    lo, hi = np.zeros(mu.shape), np.full(mu.shape, pmax)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(60):
+            f = phi - mu
+            lo = np.where(f < 0.0, p, lo)
+            hi = np.where(f > 0.0, p, hi)
+            # phi's rounding floor, with w*(r/r' + p) = phi + 2*w*p
+            done |= np.abs(f) <= 8e-16 * (phi + 2.0 * w * p)
+            step = np.log(phi / mu) * phi / (p * slope)  # Newton step down in log(p)
+            newton = p * np.exp(-step)
+            # a step that small has converged, also where it rounds onto a
+            # bracket end and so leaves the bracket
+            small = np.abs(step) <= 1e-14
+            inside = (newton > lo) & (newton < hi)
+            p = np.where(done, p, np.where(inside, newton, np.where(small, p, 0.5 * (lo + hi))))
+            done |= small
+            if done.all():
+                break
+            phi, slope = _phi(inst, ph, w, p)
     p = np.where(mu <= 0.0, 0.0, p)
     return np.where(at_max, pmax, p)
 
 
-def _phase_powers(inst, mu) -> list:
+def _phase_powers(inst, mu, start=None, phi_max=None) -> list:
     """Stationary power of each phase at the time price, per block.
 
     Both download phases send over one gain table at one weight, so one
     root at the larger of their caps serves both, clamped at each cap.
+    Inside the warm start's time-price root, `start` (what this returned at
+    the previous iterate) and `phi_max` (`_phi_at_caps`) start each power
+    root there.
     """
     wv = _phase_weights(inst)
     caps = inst.power_max
     down = PHASE_DOWN_UAV if caps[PHASE_DOWN_UAV] >= caps[PHASE_DOWN_RSU] else PHASE_DOWN_RSU
-    p_down = _power_from_time_price(inst, down, wv[down], mu)
-    return [_power_from_time_price(inst, ph, wv[ph], mu) for ph in (PHASE_OFFLOAD, PHASE_RELAY)] + [
-        np.minimum(p_down, caps[ph]) for ph in (PHASE_DOWN_UAV, PHASE_DOWN_RSU)]
+    start = start or [None] * 4
+    phi_max = phi_max or [None] * 4
+    root = {ph: _power_from_time_price(inst, ph, wv[ph], mu, start[ph], phi_max[ph])
+            for ph in (PHASE_OFFLOAD, PHASE_RELAY, down)}
+    return [root[PHASE_OFFLOAD], root[PHASE_RELAY]] + [
+        np.minimum(root[down], caps[ph]) for ph in (PHASE_DOWN_UAV, PHASE_DOWN_RSU)]
 
 
 def _split(inst, chi1, chi_subslot, chi_uplink, chi_down_uav):
@@ -312,15 +337,16 @@ def _split(inst, chi1, chi_subslot, chi_uplink, chi_down_uav):
     return bl, bu
 
 
-def _phase_prices(inst, mu):
-    """Per-phase rate prices and rates at the time price.
+def _phase_prices(inst, mu, powers):
+    """Per-phase rate prices and rates at the time price and its
+    `_phase_powers`.
 
     An interior power prices its rate at w / r'(p); a power clamped at its
     cap takes the price that balances the time sign, (w * p_max + mu) / r.
     """
     wv = _phase_weights(inst)
     chis, rates = [], []
-    for ph, p in enumerate(_phase_powers(inst, mu)):
+    for ph, p in enumerate(powers):
         pmax = inst.power_max[ph]
         clamped = p >= pmax * (1.0 - 1e-12)
         chi = np.where(
@@ -333,7 +359,7 @@ def _phase_prices(inst, mu):
     return chis, rates
 
 
-def _candidate(inst, mu):
+def _candidate(inst, mu, start=None, phi_max=None):
     """Dual point and primal quantities implied by the sub-slot time price.
 
     At the block optimum, power stationarity plus the time-sign balance make
@@ -341,14 +367,16 @@ def _candidate(inst, mu):
     price is the lower of the local/UAV fixed point (the `_log_root` at which
     closed-form local and UAV bits sum to the requirement) and the
     ground-route price, which also stands when both CPU caps still fall
-    short; the ground unit carries the shortfall.  Returns the (K, N, 6) dual
-    point and the (K, N) sub-slot time its split needs.
+    short; the ground unit carries the shortfall.  `start` and `phi_max`
+    warm-start the power roots as in `_phase_powers`.  Returns the (K, N, 6)
+    dual point, the (K, N) sub-slot time its split needs, and the phase powers.
     """
     vc, uc = inst.vehicle_compute, inst.uav_compute
     xi = inst.output_ratio[:, None]
     tau = inst.slot_len
     w_col = inst.weights_vehicle[:, None]
-    chis, rates = _phase_prices(inst, mu)
+    powers = _phase_powers(inst, mu, start, phi_max)
+    chis, rates = _phase_prices(inst, mu, powers)
     route = chis[0] + chis[1] + xi * chis[3]
 
     # bracket top: both CPU caps reached
@@ -372,17 +400,21 @@ def _candidate(inst, mu):
     need = times[0] + times[1] + times[2] + times[3] + compute_time(bu, uc)
 
     chi = np.stack([chi1, mu, chis[0], chis[1], chis[2], chis[3]], axis=-1)
-    return chi, need
+    return chi, need, powers
 
 
-def _time_price_ceiling(inst) -> np.ndarray:
-    """Price above which every phase's stationary power clamps at its cap."""
+def _phi_at_caps(inst) -> list:
+    """phi at each phase's power cap, per block: the time price from which
+    that phase's stationary power clamps at the cap."""
     wv = _phase_weights(inst)
-    out = np.zeros(inst.min_bits.shape)
-    for ph in range(4):
-        pfull = np.full(inst.min_bits.shape, inst.power_max[ph])
-        out = np.maximum(out, _phi(inst, ph, wv[ph], pfull)[0])
-    return out
+    return [_phi(inst, ph, wv[ph], np.full(inst.min_bits.shape, inst.power_max[ph]))[0]
+            for ph in range(4)]
+
+
+def _time_price_ceiling(inst, phi_max=None) -> np.ndarray:
+    """Price above which every phase's stationary power clamps at its cap,
+    from `_phi_at_caps` (computed when not given)."""
+    return np.maximum(np.max(_phi_at_caps(inst) if phi_max is None else phi_max, axis=0), 0.0)
 
 
 def feasible_split(inst):
@@ -426,10 +458,19 @@ def warm_start(inst: ProblemInstance):
     load.  Returns (multipliers, dual values, infeasible mask); infeasible
     blocks cannot carry their minimum bits under any split at maximum power.
     """
-    mu_hi = _time_price_ceiling(inst)
+    phi_max = _phi_at_caps(inst)
     feasible, _ = feasible_split(inst)
-    mu = _log_root(lambda mu: _candidate(inst, mu)[1], inst.subslot, mu_hi)
-    chi, _ = _candidate(inst, mu)
+    powers = None
+
+    def need(mu):  # each power root starts from the previous iterate's powers
+        nonlocal powers
+        _, out, powers = _candidate(inst, mu, powers, phi_max)
+        return out
+
+    mu = _log_root(need, inst.subslot, _time_price_ceiling(inst, phi_max))
+    # the powers at the kept price start from p_max, as in the completion at
+    # this price, so both read the same powers whatever path the root took
+    chi, _, _ = _candidate(inst, mu)
     chi = np.where((inst.min_bits <= 0.0)[..., None], 0.0, chi)
     value, _ = dual_point_eval(inst, chi)
     return chi, value, ~feasible
@@ -494,13 +535,17 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray):
     return value, g
 
 
-def complete_primal(inst: ProblemInstance, bits):
+def complete_primal(inst: ProblemInstance, bits, mu):
     """Energy-minimal feasible schedule carrying the given bit split.
 
     Powers and times follow from the time price at which the carry times of
-    the fixed bits fill the sub-slot left after UAV compute (the same
-    time-price root as the warm start).  Returns (powers (4,K,N), times
-    (4,K,N), per-block weighted energy, infeasible mask).
+    the fixed bits fill the sub-slot left after UAV compute.  `mu` is a
+    candidate price, such as the multipliers' own: a block keeps it when its
+    carry times there fit that budget and fill it to within 1e-12 relative,
+    or when it carries no load.  Only the blocks that fail this take the
+    price from the time-price root (the same root as the warm start's), and
+    the root runs only when some block fails.  Returns (powers (4,K,N),
+    times (4,K,N), per-block weighted energy, infeasible mask).
     """
     bl, bu, br = bits
     loads = phase_loads(inst, bu, br)
@@ -511,8 +556,15 @@ def complete_primal(inst: ProblemInstance, bits):
         times = [carry_time(loads[ph], inst.rate(ph, powers[ph])) for ph in range(4)]
         return times, powers
 
-    mu = _log_root(lambda mu: sum(times_at(mu)[0]), budget, _time_price_ceiling(inst))
     times, powers = times_at(mu)
+    retry = ~((np.abs(sum(times) - budget) <= 1e-12 * budget) | (loads[0] <= 0.0))
+    if retry.any():
+        # a zero bracket top leaves the kept blocks out of the root
+        root = _log_root(lambda mu: sum(times_at(mu)[0]), budget,
+                         np.where(retry, _time_price_ceiling(inst), 0.0))
+        t_root, p_root = times_at(root)
+        times = [np.where(retry, a, b) for a, b in zip(t_root, times)]
+        powers = [np.where(retry, a, b) for a, b in zip(p_root, powers)]
     # the root is mu_hi wherever even that price is short
     infeasible = (sum(times) > budget * (1.0 + 1e-12)) | (budget < -1e-15)
 
@@ -528,18 +580,21 @@ def blended_completion(inst: ProblemInstance, chi: np.ndarray, hard_mask):
 
     Starts from the closed-form split (ground unit takes the shortfall); any
     feasible block whose split cannot fit the budget falls back to the greedy
-    minimal-time split.  Returns (bits, (powers, times), energy, inf_mask).
+    minimal-time split.  Both completions take the multipliers' time price
+    as their candidate: at the warm start the split fills the budget at that
+    price, so no time-price root runs.  Returns (bits, (powers, times),
+    energy, inf_mask).
     """
-    bl, bu = _split(inst, chi[..., D_MIN_BITS], chi[..., D_SUBSLOT],
-                    chi[..., D_UPLINK], chi[..., D_DOWN_UAV])
+    mu = chi[..., D_SUBSLOT]
+    bl, bu = _split(inst, chi[..., D_MIN_BITS], mu, chi[..., D_UPLINK], chi[..., D_DOWN_UAV])
     br = np.maximum(inst.min_bits - bl - bu, 0.0)
     bits = [bl, bu, br]
-    powers, times, energy, inf_mask = complete_primal(inst, tuple(bits))
+    powers, times, energy, inf_mask = complete_primal(inst, tuple(bits), mu)
     retry = inf_mask & ~hard_mask
     if retry.any():
         _, greedy = feasible_split(inst)
         g_bits = tuple(np.where(retry, g, b) for g, b in zip(greedy, bits))
-        p2, t2, e2, inf2 = complete_primal(inst, g_bits)
+        p2, t2, e2, inf2 = complete_primal(inst, g_bits, mu)
         sel = retry & ~inf2
         bits = [np.where(sel, g, b) for g, b in zip(g_bits, bits)]
         powers = np.where(sel[None], p2, powers)
@@ -612,7 +667,9 @@ def ellipsoid_solve(
     restores multiplier feasibility with constraint cuts, evaluates the inner
     closed forms at the centers, applies an objective cut, and re-certifies
     the weak-duality gap between the completed schedule and the best dual
-    value.  Raises IterationCapExceeded (carrying the state) past the cap.
+    value.  Raises IterationCapExceeded (carrying the state) past the cap,
+    and WeakDualityViolated, naming the block with the most negative gap,
+    when the signed gap falls below -WEAK_DUALITY_RTOL.
     """
     k, n = inst.min_bits.shape
     d = 6
@@ -629,8 +686,13 @@ def ellipsoid_solve(
         primal_ok = ~(inf_mask | hard_infeasible)
         total_primal = float(np.where(primal_ok, energy, 0.0).sum())
         total_dual = float(np.where(primal_ok, best_value, 0.0).sum())
-        # weak duality guarantees a non-negative gap; clip float noise
-        gap = max((total_primal - total_dual) / max(abs(total_primal), 1e-300), 0.0)
+        gap = (total_primal - total_dual) / max(abs(total_primal), 1e-300)
+        if gap < -WEAK_DUALITY_RTOL:
+            block_gap = np.where(primal_ok, energy - best_value, np.inf)
+            worst = np.unravel_index(np.argmin(block_gap), block_gap.shape)
+            raise WeakDualityViolated(
+                f"dual value exceeds the completed primal by {-gap:.3e} relative; "
+                f"worst block vehicle {worst[0]}, slot {worst[1]} ({block_gap[worst]:.3e} J)")
         if (inf_mask & ~hard_infeasible).any():
             # a feasible block with no completable split yet keeps the run
             # uncertified until the multipliers move

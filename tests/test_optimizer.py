@@ -9,6 +9,7 @@ from uavmec.instance import rate_derivative
 from uavmec.optimizer import (
     SIGN_RTOL,
     InfeasibleAllocation,
+    WeakDualityViolated,
     bits_local_opt,
     bits_uav_opt,
     dual_point_eval,
@@ -18,7 +19,7 @@ from uavmec.optimizer import (
     solve_p2,
     warm_start,
 )
-from uavmec.protocol import carry_time, check_feasible, wtec
+from uavmec.protocol import block_energy, carry_time, check_feasible, phase_loads, wtec
 from uavmec.scenario import ScenarioConfig, build_instance, load_scenario, validate
 
 TAU, K = 0.2, 3
@@ -366,6 +367,36 @@ def test_iteration_cap_carries_best_state():
     assert err.value.report.dual_value > 0
 
 
+def _inflated_warm_start(monkeypatch, block, rel):
+    """Warm start whose dual value at `block` is raised by `rel` of the total."""
+    seed = opt.warm_start
+
+    def inflated(inst):
+        chi, value, hard = seed(inst)
+        value = value.copy()
+        value[block] += rel * value.sum()
+        return chi, value, hard
+
+    monkeypatch.setattr(opt, "warm_start", inflated)
+
+
+def test_signed_gap_is_kept_below_zero(monkeypatch):
+    # a dual bound 1e-13 above the primal is within the tolerance: the gap
+    # stays negative instead of being clipped to 0
+    inst = make_synthetic_instance(n_vehicles=2, n_slots=3, min_bits=5e5)
+    _inflated_warm_start(monkeypatch, (1, 2), 1e-13)
+    state = ellipsoid_solve(inst)
+    assert state.converged and -2e-13 < state.gap < 0.0
+    assert state.log[0]["gap"] == state.gap
+
+
+def test_weak_duality_violation_names_the_worst_block(monkeypatch):
+    inst = make_synthetic_instance(n_vehicles=2, n_slots=3, min_bits=5e5)
+    _inflated_warm_start(monkeypatch, (1, 2), 1e-9)
+    with pytest.raises(WeakDualityViolated, match="vehicle 1, slot 2"):
+        ellipsoid_solve(inst)
+
+
 def _root_instance(spectrum):
     if spectrum == "rank1_stock":
         return build_instance(validate(ScenarioConfig(mode="rank1_bound")))
@@ -498,7 +529,7 @@ def test_warm_start_need_falls_with_time_price():
 
 # ----------------------------------------------------------- time-price root
 
-ROOT_TASK_BITS = (1e5, 5e5, 9e5)
+ROOT_TASK_BITS = (1e5, 3e5, 5e5, 7e5, 9e5)
 
 
 @pytest.fixture(scope="module")
@@ -514,6 +545,31 @@ def _bisected_time_price(need, budget, mu_hi):
         over = need(mid) > budget
         lo, hi = np.where(over, mid, lo), np.where(over, hi, mid)
     return hi
+
+
+def _count_calls(monkeypatch, calls, *names):
+    """Count calls of the named optimizer functions into `calls`."""
+    for name in names:
+        inner = getattr(opt, name)
+
+        def wrapper(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+
+        calls[name] = 0
+        monkeypatch.setattr(opt, name, wrapper)
+
+
+def _times_at_price(inst, bits, mu):
+    """Reference carry times (4, K, N) and block energy of `bits` at the time
+    price, each phase's power inverted on its own from p_max."""
+    bl, bu, br = bits
+    loads = phase_loads(inst, bu, br)
+    wv = opt._phase_weights(inst)
+    powers = np.stack([np.where(loads[ph] > 0.0, opt._power_from_time_price(inst, ph, wv[ph], mu), 0.0)
+                       for ph in range(4)])
+    times = np.stack([carry_time(loads[ph], inst.rate(ph, powers[ph])) for ph in range(4)])
+    return times, block_energy(inst, bl, bu, powers, times)
 
 
 def _warm_start_need(inst):
@@ -564,7 +620,8 @@ def test_complete_primal_time_price_matches_fine_bisection(stock_points, task_bi
         return out
 
     monkeypatch.setattr(opt, "_log_root", recording)
-    powers, times, _, infeasible = opt.complete_primal(inst, bits)
+    # a zero candidate price carries nothing, so every loaded block takes the root
+    powers, times, _, infeasible = opt.complete_primal(inst, bits, np.zeros(inst.min_bits.shape))
     need, budget = _carry_need(inst, bits)
     ref = _bisected_time_price(need, budget, opt._time_price_ceiling(inst))
     (mu,) = roots
@@ -572,6 +629,24 @@ def test_complete_primal_time_price_matches_fine_bisection(stock_points, task_bi
     assert (np.abs(mu - ref) <= 1e-9 * ref).all()
     assert (times.sum(axis=0) <= budget * (1.0 + 1e-12)).all()
     assert np.array_equal(times.sum(axis=0), need(mu))
+
+
+@pytest.mark.parametrize("task_bits", ROOT_TASK_BITS)
+def test_completion_at_the_warm_start_reuses_its_time_price(stock_points, task_bits, monkeypatch):
+    inst = stock_points[task_bits]
+    chi = warm_start(inst)[0]
+    bits = _split_bits(inst, chi)
+    calls = {}
+    _count_calls(monkeypatch, calls, "_power_from_time_price", "_log_root")
+    _, times, energy, infeasible = opt.complete_primal(inst, bits, chi[..., opt.D_SUBSLOT])
+    # the uplink, relay and shared download powers once, and no root
+    assert calls == {"_power_from_time_price": 3, "_log_root": 0}
+    need, budget = _carry_need(inst, bits)
+    mu = _bisected_time_price(need, budget, opt._time_price_ceiling(inst))
+    ref_times, ref_energy = _times_at_price(inst, bits, mu)
+    assert not infeasible.any()
+    assert (np.abs(times - ref_times) <= 1e-12 * ref_times).all()
+    assert (np.abs(energy - ref_energy) <= 1e-12 * ref_energy).all()
 
 
 def test_time_price_root_edges():
@@ -588,7 +663,7 @@ def test_time_price_root_edges():
     # the same answers through the completion: no load carries nothing, and
     # only the overloaded block is infeasible
     bits = (np.zeros((1, 3)), np.zeros((1, 3)), inst.min_bits.copy())
-    powers, times, energy, infeasible = opt.complete_primal(inst, bits)
+    powers, times, energy, infeasible = opt.complete_primal(inst, bits, np.zeros((1, 3)))
     assert (powers[:, 0, 0] == 0.0).all() and (times[:, 0, 0] == 0.0).all()
     assert infeasible.tolist() == [[False, False, True]]
 
@@ -601,51 +676,41 @@ def test_time_price_root_dead_links_give_zero():
     need, budget = _carry_need(inst, bits)
     mu = opt._log_root(need, budget, mu_hi)
     assert (mu == 0.0).all() and np.isinf(need(mu)).all()
-    assert opt.complete_primal(inst, bits)[3].all()
+    assert opt.complete_primal(inst, bits, np.zeros((1, 1)))[3].all()
 
 
 def test_time_price_searches_evaluate_need_at_most_20_times(stock_points, monkeypatch):
     calls = {}
-
-    def counted(name):
-        inner = getattr(opt, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-
-        monkeypatch.setattr(opt, name, wrapper)
-
-    counted("_candidate")
-    counted("_power_from_time_price")
+    _count_calls(monkeypatch, calls, "_candidate", "_power_from_time_price")
     for inst in stock_points.values():
         calls.update(_candidate=0, _power_from_time_price=0)
         chi = warm_start(inst)[0]
         assert calls["_candidate"] <= 20
-        # the completion's need inverts the uplink, relay and shared download
-        # powers once
+        # at the warm start's time price the completion inverts the uplink,
+        # relay and shared download powers once
         calls["_power_from_time_price"] = 0
-        opt.complete_primal(inst, _split_bits(inst, chi))
-        assert calls["_power_from_time_price"] <= 3 * 20
+        opt.complete_primal(inst, _split_bits(inst, chi), chi[..., opt.D_SUBSLOT])
+        assert calls["_power_from_time_price"] <= 3
 
 
-def test_stock_solve_evaluates_phi_at_most_700_times(stock_points, monkeypatch):
-    # 1,188 with a plain Newton step on a log(1 + p*g_l) phi and one root
-    # per download phase
+def test_stock_solve_evaluates_phi_at_most_235_times(stock_points, monkeypatch):
+    # 215 measured; 516 when the completion solved the warm start's time
+    # price again and every power root started at p_max, 1,188 with a plain
+    # Newton step on a log(1 + p*g_l) phi and one root per download phase
     calls = []
     phi = opt._phi
     monkeypatch.setattr(opt, "_phi", lambda *args: calls.append(1) or phi(*args))
     cfg = validate(ScenarioConfig(task_bits=5e5))
     state = ellipsoid_solve(stock_points[5e5], eps=cfg.epsilon, max_iterations=cfg.max_iterations)
     assert state.converged
-    assert len(calls) <= 700
+    assert len(calls) <= 235
 
 
 def _bisected_min_bits_price(inst, mu):
     """Reference minimum-bits price: the lowest price in [0, route] whose
     closed-form split carries the minimum bits, by 300 halvings, or the
     ground-route price where even that price falls short."""
-    chis, _ = opt._phase_prices(inst, mu)
+    chis, _ = opt._phase_prices(inst, mu, opt._phase_powers(inst, mu))
     route = chis[0] + chis[1] + inst.output_ratio[:, None] * chis[3]
 
     def short(chi1):
@@ -710,18 +775,28 @@ power_max_relay = 2.32 W
 """
 
 
-def test_blended_completion_falls_back_to_the_greedy_split():
+def test_blended_completion_falls_back_to_the_greedy_split(monkeypatch):
     inst = build_instance(load_scenario(UNCERTIFIED_4_VEHICLES))
     chi, _, hard = warm_start(inst)
     closed = _split_bits(inst, chi)
-    retry = opt.complete_primal(inst, closed)[3] & ~hard
+    retry = opt.complete_primal(inst, closed, chi[..., opt.D_SUBSLOT])[3] & ~hard
     assert retry.tolist() == [[True] * 4] * 2 + [[False] * 4] * 2
-    bits, _, _, infeasible = opt.blended_completion(inst, chi, hard)
+    calls = {}
+    _count_calls(monkeypatch, calls, "_log_root")
+    bits, (_, times), energy, infeasible = opt.blended_completion(inst, chi, hard)
     _, greedy = opt.feasible_split(inst)
     for got, g, c in zip(bits, greedy, closed):
         assert np.array_equal(got[retry], g[retry])
         assert np.array_equal(got[~retry], c[~retry])
     assert not infeasible.any()
+    # the retried blocks miss the budget at the warm start's price, so each
+    # of the two completions solves the time-price root for them
+    assert calls["_log_root"] == 2
+    need, budget = _carry_need(inst, bits)
+    mu = _bisected_time_price(need, budget, opt._time_price_ceiling(inst))
+    ref_times, ref_energy = _times_at_price(inst, bits, mu)
+    assert (np.abs(times - ref_times) <= 1e-12 * ref_times)[:, retry].all()
+    assert (np.abs(energy - ref_energy) <= 1e-12 * ref_energy)[retry].all()
 
 
 def test_dual_value_is_minus_inf_outside_the_domain(stock_points):

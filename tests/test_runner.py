@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,3 +208,31 @@ def _write_cfg(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[task]\nhorizon = 0.4 s\n")
     return path
+
+
+# The stock scenario's task_bits trend with baselines, as written by
+# `uavmec sweep --axis task_bits --values 100000,200000,...,900000 --baseline`
+# at commit 865d07f.
+GOLDEN_TREND = Path(__file__).parent / "data" / "trend_task_bits.csv"
+NON_FLOAT_COLUMNS = ("mode", "feasible", "iterations")
+
+
+def _csv_rows(text):
+    return [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+
+
+def test_task_bits_trend_rows_match_the_golden_csv():
+    values = [float(v) for v in range(100_000, 900_001, 100_000)]
+    result = run_sweep(validate(ScenarioConfig()), "task_bits", values, include_baseline=True)
+    header, *rows = _csv_rows(runner.format_results(result, "csv"))
+    ref_header, *ref_rows = _csv_rows(GOLDEN_TREND.read_text(encoding="utf-8"))
+    assert header == ref_header
+    assert len(rows) == len(ref_rows) == 18
+    for row, ref in zip(rows, ref_rows):
+        for column, got, want in zip(header, row, ref):
+            if column in NON_FLOAT_COLUMNS:
+                assert got == want, (column, ref)
+            else:
+                # equal to the 9 printed digits
+                a, b = float(got), float(want)
+                assert (np.isnan(a) and np.isnan(b)) or abs(a - b) <= max(1e-8 * abs(b), 1e-15), (column, ref)
