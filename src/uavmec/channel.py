@@ -139,12 +139,15 @@ def build_channel(
     slot_len: float | None = None,
     n_slots: int = 1,
 ) -> LinkChannel:
-    """The spectra of `los_matrix`'s matrices, from one batched SVD."""
+    """The spectra of `los_matrix`'s matrices, from one batched SVD.  Both
+    arrays are read-only, since repeated roll-outs share the link."""
     beta, matrix = los_matrix(tx, rx, cfg, slot, slot_len, n_slots)
     spectrum = np.linalg.svd(matrix, compute_uv=False)
+    np.square(spectrum, out=spectrum)
+    beta.flags.writeable = spectrum.flags.writeable = False
     return LinkChannel(
         path_loss=beta,
-        spectrum=np.square(spectrum, out=spectrum),
+        spectrum=spectrum,
         n_tx=tx.array.size,
         n_rx=rx.array.size,
     )

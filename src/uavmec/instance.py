@@ -111,6 +111,12 @@ def _phase_gain(ch: LinkChannel, radio: RadioConfig, bound: str) -> np.ndarray:
     return lam2 / (radio.bandwidth * radio.noise_density * ch.n_tx)
 
 
+# The last roll-out: (key, states, links).  A sweep moves one axis, so the
+# links either repeat at every point or change at every point; one entry is
+# all that can hit.
+_last_roll_out = None
+
+
 def roll_out(state0: NetworkState, radio: RadioConfig) -> tuple[list, list]:
     """Advance the geometry over the horizon and build each link over it at
     once: the K vehicle-to-UAV links, then the UAV-to-ground-unit relay.
@@ -118,14 +124,28 @@ def roll_out(state0: NetworkState, radio: RadioConfig) -> tuple[list, list]:
     No UAV-to-vehicle link is built: swapping a link's ends reverses every
     element-to-element distance and the relative velocity, so its matrix is
     the transpose of the vehicle-to-UAV one and has the same spectrum.
+
+    A call whose arguments repeat the last call's (every node's position,
+    velocity and array, the horizon and the radio) shares its read-only
+    links instead of building them again.
     """
-    states = [state0]
-    for _ in range(state0.n_slots - 1):
-        states.append(advance(states[-1]))
-    horizon = (state0.slot, state0.slot_len, state0.n_slots)
-    links = [build_channel(veh, state0.uav, radio, *horizon) for veh in state0.vehicles]
-    links.append(build_channel(state0.uav, state0.rsu, radio, *horizon))
-    return states, links
+    global _last_roll_out
+    nodes = (*state0.vehicles, state0.uav, state0.rsu)
+    key = (tuple((n.position.tobytes(), n.velocity.tobytes(), n.array) for n in nodes),
+           state0.slot, state0.slot_len, state0.n_slots, radio)
+    if _last_roll_out is None or _last_roll_out[0] != key:
+        _last_roll_out = None  # free the stale links before this build's temporaries
+        horizon = (state0.slot, state0.slot_len, state0.n_slots)
+        links = [build_channel(veh, state0.uav, radio, *horizon) for veh in state0.vehicles]
+        links.append(build_channel(state0.uav, state0.rsu, radio, *horizon))
+        # the kept states are made after the builds' large temporaries are
+        # freed, which keeps them from raising the next build's peak memory
+        states = [state0]
+        for _ in range(state0.n_slots - 1):
+            states.append(advance(states[-1]))
+        _last_roll_out = (key, states, links)
+    _, states, links = _last_roll_out
+    return list(states), list(links)
 
 
 def build_gain_tables(links: list, radio: RadioConfig, bound: str = "exact") -> list:

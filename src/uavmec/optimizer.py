@@ -470,19 +470,22 @@ def warm_start(inst: ProblemInstance):
     mu = _log_root(need, inst.subslot, _time_price_ceiling(inst, phi_max))
     # the powers at the kept price start from p_max, as in the completion at
     # this price, so both read the same powers whatever path the root took
-    chi, _, _ = _candidate(inst, mu)
-    chi = np.where((inst.min_bits <= 0.0)[..., None], 0.0, chi)
-    value, _ = dual_point_eval(inst, chi)
+    chi, _, powers = _candidate(inst, mu)
+    idle = inst.min_bits <= 0.0
+    chi = np.where(idle[..., None], 0.0, chi)
+    value, _ = dual_point_eval(inst, chi, [np.where(idle, 0.0, p) for p in powers])
     return chi, value, ~feasible
 
 
-def dual_point_eval(inst: ProblemInstance, chi: np.ndarray):
+def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
     """Dual value and subgradient at a multiplier point, per block.
 
     Inner minimizers follow the closed forms and sign rules; indeterminate
     ground-unit bits and transmit times take their recovery-problem values so
-    the subgradient vanishes at the optimum.  A block whose minimum-bits price
-    exceeds its ground-route price lies outside the dual domain: its
+    the subgradient vanishes at the optimum.  The phase powers are
+    `power_opt`'s at the rate prices, or `powers` when given: the warm
+    start's, from which its rate prices came.  A block whose minimum-bits
+    price exceeds its ground-route price lies outside the dual domain: its
     ground-unit term is unbounded below, so its value is -inf.  Returns
     (values (K, N), subgradients (K, N, 6)).
     """
@@ -510,7 +513,8 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray):
     times, rates = [], []
     for ph in range(4):
         chir = chi[..., _PHASE_RATE_DUAL[ph]]
-        p = power_opt(inst.gains[ph], wv[ph], chir, inst.bandwidth, inst.power_max[ph])
+        p = (power_opt(inst.gains[ph], wv[ph], chir, inst.bandwidth, inst.power_max[ph])
+             if powers is None else powers[ph])
         r = inst.rate(ph, p)
         s = wv[ph] * p + chi2 - chir * r
         s_scale = wv[ph] * p + chi2 + chir * r + 1e-300

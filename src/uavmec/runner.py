@@ -23,7 +23,7 @@ from .protocol import (
     time_breakdown,
     wtec,
 )
-from .scenario import ScenarioConfig, build_instance, channel_bound, echo_config, validate
+from .scenario import ScenarioConfig, build_instance, echo_config, validate
 
 COLUMNS = (
     "sweep_value",
@@ -81,11 +81,7 @@ def _row(sweep_value, mode, alloc, inst, cfg, iterations, feasible, extra_energy
 
 def solve_scenario(cfg: ScenarioConfig, sweep_value: float = 0.0) -> dict:
     """Run one scenario in its configured mode and return a result row."""
-    return _solve_instance(cfg, build_instance(cfg), sweep_value)
-
-
-def _solve_instance(cfg: ScenarioConfig, inst, sweep_value: float) -> dict:
-    """Result row of one scenario on its already built instance."""
+    inst = build_instance(cfg)
     extra = cfg.weight_uav * inst.flight_energy_total() if cfg.include_propulsion else 0.0
     if cfg.mode == "baseline":
         alloc = baseline_allocation(inst)
@@ -127,9 +123,8 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, include_baseline: bool = F
     result = SweepResult(axis=axis, values=[float(v) for v in values], config=cfg)
     for value in sorted(float(v) for v in values):
         point_cfg = set_axis(cfg, axis, value)
-        inst = build_instance(point_cfg)
         try:
-            row = _solve_instance(point_cfg, inst, value)
+            row = solve_scenario(point_cfg, value)
         except (optimizer.InfeasibleAllocation, optimizer.IterationCapExceeded) as exc:
             row = {c: float("nan") for c in COLUMNS}
             row.update(
@@ -142,10 +137,7 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, include_baseline: bool = F
         if include_baseline and point_cfg.mode != "baseline":
             base_cfg = copy.deepcopy(point_cfg)
             base_cfg.mode = "baseline"
-            # the baseline reuses the geometry when its gain tables match
-            if channel_bound(base_cfg.mode) != channel_bound(point_cfg.mode):
-                inst = build_instance(base_cfg)
-            result.rows.append(_solve_instance(base_cfg, inst, value))
+            result.rows.append(solve_scenario(base_cfg, value))
     return result
 
 

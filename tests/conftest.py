@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uavmec import instance
 from uavmec.energy import ComputeModel
 from uavmec.instance import ProblemInstance
 from uavmec.scenario import ScenarioConfig, build_instance, validate
@@ -39,6 +40,21 @@ def make_synthetic_instance(
         power_max=np.broadcast_to(np.asarray(power_max, dtype=float), (4,)).copy(),
         gains=[np.full((k, n, 1), gains_in[ph]) for ph in range(4)],
     )
+
+
+@pytest.fixture
+def built_links(monkeypatch):
+    """The arguments of every `build_channel` call a roll-out makes, from an
+    empty roll-out memo on."""
+    monkeypatch.setattr(instance, "_last_roll_out", None)
+    calls, real = [], instance.build_channel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(instance, "build_channel", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import pytest
 import uavmec
 from uavmec import acceptance, cli, runner
 from uavmec.runner import COLUMNS, SweepResult, emit_results, load_results, run_sweep, set_axis
-from uavmec.scenario import ScenarioConfig, ValidationError, build_instance, validate
+from uavmec.scenario import MODES, ScenarioConfig, ValidationError, validate
 
 
 def test_every_public_name_resolves():
@@ -71,19 +71,15 @@ def test_sweep_rows_ordered_and_complete(tmp_path):
         assert set(COLUMNS) <= set(row)
 
 
-@pytest.mark.parametrize("mode, builds_per_point", [("optimized", 1), ("rank1_bound", 2)])
-def test_sweep_baseline_reuses_the_instance(monkeypatch, mode, builds_per_point):
-    calls = []
-
-    def counting_build(cfg):
-        calls.append(cfg.mode)
-        return build_instance(cfg)
-
-    monkeypatch.setattr(runner, "build_instance", counting_build)
+@pytest.mark.parametrize("mode", MODES)
+def test_sweep_with_baselines_builds_its_links_once(built_links, mode):
     values = [2e5, 6e5]
     result = run_sweep(small_cfg(mode=mode), "task_bits", values, include_baseline=True)
-    assert len(calls) == builds_per_point * len(values)
-    for value, row in zip(values, result.rows[1::2]):
+    # K + 1 links in total: every later build repeats the geometry
+    assert len(built_links) == small_cfg().vehicles + 1
+    base_rows = result.rows if mode == "baseline" else result.rows[1::2]
+    assert [row["mode"] for row in base_rows] == ["baseline"] * len(values)
+    for value, row in zip(values, base_rows):
         base_cfg = set_axis(small_cfg(mode="baseline"), "task_bits", value)
         assert row == runner.solve_scenario(base_cfg, sweep_value=value)
 

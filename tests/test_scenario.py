@@ -1,4 +1,6 @@
+import copy
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -256,29 +258,87 @@ def test_instance_caps_from_stock_values(table1_inst):
     assert all(ch.spectrum.shape == (40, 36) for ch in table1_inst.channel_sets)
 
 
-def test_roll_out_builds_each_link_once_per_slot(monkeypatch):
-    calls, offsets = [], []
-    real, real_offsets = instance.build_channel, channel.element_offsets
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+def test_roll_out_builds_each_link_once_per_slot(monkeypatch, built_links):
+    offsets, real_offsets = [], channel.element_offsets
 
     def counting_offsets(spec):
         offsets.append(spec)
         return real_offsets(spec)
 
-    monkeypatch.setattr(instance, "build_channel", counting)
     monkeypatch.setattr(channel, "element_offsets", counting_offsets)
     inst = build_instance(load_scenario("[task]\nhorizon = 0.4 s\n"))
     # one call per link covers every slot: K vehicle-UAV links, read in both
     # directions, and the UAV-to-ground-unit relay; each call places the
     # elements of its two arrays once
     assert inst.n_slots == 2
-    assert len(calls) == inst.n_vehicles + 1
-    assert len(offsets) == 2 * len(calls)
+    assert len(built_links) == inst.n_vehicles + 1
+    assert len(offsets) == 2 * len(built_links)
     assert np.array_equal(inst.gains[PHASE_OFFLOAD], inst.gains[PHASE_DOWN_UAV])
     assert np.array_equal(inst.gains[PHASE_DOWN_UAV], inst.gains[PHASE_DOWN_RSU])
+
+
+def test_repeated_roll_out_builds_no_link(built_links):
+    cold = build_instance(load_scenario(""))
+    assert len(built_links) == 4  # K + 1 on the stock scenario
+    repeat = build_instance(load_scenario(""))
+    assert len(built_links) == 4
+    assert all(np.array_equal(a, b) for a, b in zip(repeat.gains, cold.gains))
+    # a fresh list of the shared states
+    assert repeat.states is not cold.states
+    assert len(repeat.states) == 40 and all(map(operator.is_, repeat.states, cold.states))
+
+
+# Every scenario field that reaches the slot-0 state, the array specs or the
+# radio, with a changed value.
+ROLL_OUT_INPUTS = (
+    ("vehicles", 2),
+    ("uav_altitude", 12.0),
+    ("vehicle_elevations", np.array([1.0, 0.8, 0.6])),
+    ("rsu_elevation", 1.0),
+    ("vehicle_positions", np.array([[5.0, 1.0, 0.0], [8.0, -1.0, 0.0], [12.0, 0.0, 0.0]])),
+    ("rsu_position", np.array([-9.0, 2.0, 0.0])),
+    ("vehicle_speed", 10.0),
+    ("uav_speed", 5.0),
+    ("vehicle_azimuth", 0.5),
+    ("uav_azimuth", 0.5),
+    ("uav_climb", 0.1),
+    ("antennas_vehicle", 16),
+    ("antennas_uav", 16),
+    ("antennas_rsu", 16),
+    ("spacing", 0.05),
+    ("slant", 0.5),
+    ("downtilt", 0.5),
+    ("bearing", 0.5),
+    ("horizon", 0.6),
+    ("slot", 0.1),
+    ("wavelength", 0.1),
+    ("path_loss_exponent", 2.5),
+    ("reference_gain", 2e-5),
+    ("bandwidth", 1e7),
+    ("noise_density", 2e-16),
+    ("doppler_phase", "accumulated"),
+)
+
+
+@pytest.mark.parametrize("name, value", ROLL_OUT_INPUTS, ids=[n for n, _ in ROLL_OUT_INPUTS])
+def test_roll_out_memo_misses_when_an_input_changes(built_links, name, value):
+    base = load_scenario("[task]\nhorizon = 0.4 s\n")
+    changed = copy.deepcopy(base)
+    setattr(changed, name, value)
+    changed = validate(changed)
+    cold = build_instance(changed)
+    build_instance(base)
+    built_links.clear()
+    again = build_instance(changed)
+    assert len(built_links) == changed.vehicles + 1
+    assert all(np.array_equal(a, b) for a, b in zip(again.gains, cold.gains))
+
+
+def test_shared_link_arrays_are_read_only(table1_inst):
+    link = table1_inst.channel_sets[0]
+    for values in (link.spectrum, link.path_loss):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
 
 
 def _reversed_links(doppler, antennas_uav=36):
