@@ -2,10 +2,11 @@
 
 Each link is a complex matrix per slot whose entries all share the magnitude
 sqrt(path_loss); the per-entry phase combines a Doppler term and the
-element-to-element path phase.  Rates follow from the singular values of the
-matrix, which `instance` turns into per-phase gain tables.  A link is built
-over a run of slots at once: one stacked matrix computation and one batched
-SVD, of which only the spectra are kept.
+element-to-element path phase.  Rates follow from the singular values, which
+`instance` turns into per-phase gain tables.  A link is built over a run of
+slots at once, from per-slot and per-element dot products with no
+element-displacement tensor, and one batched SVD, of which only the spectra
+are kept.
 """
 
 from __future__ import annotations
@@ -67,16 +68,18 @@ class LinkChannel:
         return np.sum(self.spectrum, axis=-1)
 
 
-def path_loss(center_distance, cfg: RadioConfig) -> float:
-    """Distance power law: reference_gain * ||d||**(-alpha).
-
-    A single scalar per link and slot; the element offsets are negligible
-    against the center distance.
-    """
-    d = np.linalg.norm(np.asarray(center_distance, dtype=float))
-    if d == 0.0:
+def path_loss(center_distance, cfg: RadioConfig):
+    """Distance power law reference_gain * ||d||**(-alpha) per row of (..., 3)
+    center offsets d; the element offsets are negligible against ||d||."""
+    d = np.linalg.norm(np.asarray(center_distance, dtype=float), axis=-1)
+    if np.any(d == 0.0):
         raise ZeroDistance("link endpoints coincide")
     return cfg.reference_gain * d ** (-cfg.path_loss_exponent)
+
+
+def _dot3(x, y) -> np.ndarray:
+    """x . y over a last axis of length 3, summed term by term: alike in any batch."""
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
 def los_matrix(
@@ -91,42 +94,48 @@ def los_matrix(
     link from `tx` to `rx` over `n_slots` slots from `slot`, both nodes moving
     on from their given positions as `advance` moves them.
 
-    Entry (p, m) couples receive element p with transmit element m:
-    sqrt(beta) * exp(j * theta) with theta the Doppler term plus the path
-    phase 2*pi*||d_pm||/wavelength.  Only relative node motion enters the
-    Doppler frequency, so a static ground unit contributes nothing.
+    Entry (p, m) at slot n is sqrt(beta) * exp(j * theta), theta =
+    2*pi/wavelength * ((d.v)/||d|| * [elapsed] + ||d||) for d = c_n + a_p - b_m
+    (center offset, receive and transmit element offsets) and the relative
+    velocity v, so a static ground unit adds no Doppler.
 
-    The in-place steps below are, entry by entry, the same operations in the
-    same order as theta = 2*pi*(d.v)/(wavelength*||d||) * [elapsed] +
-    2*pi*||d||/wavelength, so a slot's matrix is bit for bit the same however
-    many slots are built with it.
+    The (n_slots, L_rx, L_tx, 3) tensor d is never formed: d.v and
+    ||d||**2 - ||c_n||**2 = 2*(c_n.a_p - c_n.b_m) + ||a_p - b_m||**2 come from
+    per-slot and per-element dot products, ||d|| - ||c_n|| is the latter
+    over ||d|| + ||c_n||, and the common phase of ||c_n|| is reduced to one
+    wavelength exactly, which keeps a long link accurate.  At most three
+    float64 layers of n_slots*L_rx*L_tx are held, and every step is
+    elementwise, so a slot's matrix is bit for bit the same however many
+    slots are built with it.
     """
     if cfg.doppler_phase_mode == "accumulated" and slot_len is None:
         raise ValueError("accumulated Doppler phase needs slot_len")
-    d_centers = trajectory(rx, n_slots, slot_len) - trajectory(tx, n_slots, slot_len)
-    beta = np.array([path_loss(dc, cfg) for dc in d_centers])
-
-    tx_off = element_offsets(tx.array)  # (Lt, 3)
-    rx_off = element_offsets(rx.array)  # (Lr, 3)
-    # d[n, p, m] = (rx_center + rx_off[p]) - (tx_center + tx_off[m]) at slot n
-    d = (d_centers[:, None, None, :] + rx_off[None, :, None, :]) - tx_off[None, None, :, :]
-    theta = d @ (tx.velocity - rx.velocity)
-    # the Euclidean norm over the last axis, squaring d in place: d is the
-    # largest temporary, three floats per entry
-    norms = np.add.reduce(np.square(d, out=d), axis=-1)
-    del d
-    np.sqrt(norms, out=norms)
-    theta /= cfg.wavelength * norms
-    theta *= 2.0 * np.pi  # the Doppler term
+    c = trajectory(rx, n_slots, slot_len) - trajectory(tx, n_slots, slot_len)
+    beta = path_loss(c, cfg)
+    a, b = element_offsets(rx.array), element_offsets(tx.array)
+    v = tx.velocity - rx.velocity
+    c2 = _dot3(c, c)
+    c_norm = np.sqrt(c2)
+    theta = np.subtract((_dot3(c, v)[:, None] + _dot3(a, v))[:, :, None], _dot3(b, v))  # d.v
+    two_c = 2.0 * c[:, None]  # exact, and so is 2*(c.a) = (2c).a
+    excess = np.subtract(_dot3(two_c, a)[:, :, None], _dot3(two_c, b)[:, None, :])
+    excess += np.square(a[:, None] - b).sum(axis=-1)  # ||d||**2 - ||c||**2
+    dist = excess + c2[:, None, None]
+    np.sqrt(dist, out=dist)
+    theta /= dist
     if cfg.doppler_phase_mode == "accumulated":
         theta *= (slot + np.arange(n_slots))[:, None, None] * slot_len
-    norms *= 2.0 * np.pi
-    norms /= cfg.wavelength
-    theta += norms  # plus the path phase
-    del norms
-    matrix = 1j * theta
-    del theta
-    np.exp(matrix, out=matrix)
+    dist += c_norm[:, None, None]
+    excess /= dist  # ||d|| - ||c||
+    theta += excess
+    del excess, dist
+    k = 2.0 * np.pi / cfg.wavelength
+    theta *= k
+    theta += (k * np.fmod(c_norm, cfg.wavelength))[:, None, None]
+    matrix = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=matrix.real)
+    np.sin(theta, out=matrix.imag)
+    del theta  # before the scaling's casting buffer
     matrix *= np.sqrt(beta)[:, None, None]
     return beta, matrix
 
@@ -145,9 +154,4 @@ def build_channel(
     spectrum = np.linalg.svd(matrix, compute_uv=False)
     np.square(spectrum, out=spectrum)
     beta.flags.writeable = spectrum.flags.writeable = False
-    return LinkChannel(
-        path_loss=beta,
-        spectrum=spectrum,
-        n_tx=tx.array.size,
-        n_rx=rx.array.size,
-    )
+    return LinkChannel(beta, spectrum, n_tx=tx.array.size, n_rx=rx.array.size)

@@ -1,6 +1,6 @@
-"""Assembled per-run problem data: geometry rolled out over the horizon,
-each link's spectra over it, and the per-phase SNR-per-watt tables the
-solver and the feasibility checks consume."""
+"""Assembled per-run problem data: each link's spectra over the horizon and
+the per-phase SNR-per-watt tables the solver and the feasibility checks
+consume."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import numpy as np
 
 from .channel import LinkChannel, RadioConfig, build_channel
 from .energy import ComputeModel, FlightPowerModel
+# Nothing here calls `advance`; the benchmark's tracer wraps `instance.advance`,
+# so the name stays until the benchmark drops that layer (ROADMAP item 3).
 from .geometry import NetworkState, advance
 
 # Phase indices used throughout the solver: uplink offload, UAV-to-ground
@@ -59,7 +61,7 @@ class ProblemInstance:
     flight: FlightPowerModel | None = None
     uav_velocity: np.ndarray | None = None  # (3,) constant over the horizon
     channel_sets: list = field(default_factory=list)  # K+1 LinkChannels: K uplinks, relay
-    states: list = field(default_factory=list)  # NetworkState per slot
+    states: list = field(default_factory=list)  # the slot-0 NetworkState
 
     @property
     def subslot(self) -> float:
@@ -111,15 +113,15 @@ def _phase_gain(ch: LinkChannel, radio: RadioConfig, bound: str) -> np.ndarray:
     return lam2 / (radio.bandwidth * radio.noise_density * ch.n_tx)
 
 
-# The last roll-out: (key, states, links).  A sweep moves one axis, so the
-# links either repeat at every point or change at every point; one entry is
-# all that can hit.
+# The last roll-out: (key, links).  A sweep moves one axis, so the links
+# either repeat at every point or change at every point; one entry is all
+# that can hit.
 _last_roll_out = None
 
 
-def roll_out(state0: NetworkState, radio: RadioConfig) -> tuple[list, list]:
-    """Advance the geometry over the horizon and build each link over it at
-    once: the K vehicle-to-UAV links, then the UAV-to-ground-unit relay.
+def roll_out(state0: NetworkState, radio: RadioConfig) -> list:
+    """Build each link over the horizon from the slot-0 state at once: the K
+    vehicle-to-UAV links, then the UAV-to-ground-unit relay.
 
     No UAV-to-vehicle link is built: swapping a link's ends reverses every
     element-to-element distance and the relative velocity, so its matrix is
@@ -138,14 +140,8 @@ def roll_out(state0: NetworkState, radio: RadioConfig) -> tuple[list, list]:
         horizon = (state0.slot, state0.slot_len, state0.n_slots)
         links = [build_channel(veh, state0.uav, radio, *horizon) for veh in state0.vehicles]
         links.append(build_channel(state0.uav, state0.rsu, radio, *horizon))
-        # the kept states are made after the builds' large temporaries are
-        # freed, which keeps them from raising the next build's peak memory
-        states = [state0]
-        for _ in range(state0.n_slots - 1):
-            states.append(advance(states[-1]))
-        _last_roll_out = (key, states, links)
-    _, states, links = _last_roll_out
-    return list(states), list(links)
+        _last_roll_out = (key, links)
+    return list(_last_roll_out[1])
 
 
 def build_gain_tables(links: list, radio: RadioConfig, bound: str = "exact") -> list:

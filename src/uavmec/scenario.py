@@ -494,7 +494,7 @@ def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
         rsu_position=cfg.rsu_position,
     )
     radio = radio_config(cfg)
-    states, links = roll_out(state0, radio)
+    links = roll_out(state0, radio)
     gains = build_gain_tables(links, radio, channel_bound(cfg.mode))
 
     min_bits = np.broadcast_to(cfg.min_bits[:, None], (cfg.vehicles, cfg.n_slots)).copy()
@@ -517,5 +517,5 @@ def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
         flight=flight_model(cfg),
         uav_velocity=state0.uav.velocity,
         channel_sets=links,
-        states=states,
+        states=[state0],
     )

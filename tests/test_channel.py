@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from uavmec.channel import RadioConfig, ZeroDistance, build_channel, los_matrix, path_loss
-from uavmec.geometry import ArraySpec, NodeState, make_velocity
+from uavmec.geometry import ArraySpec, NodeState, element_offsets, make_velocity, trajectory
 from uavmec.instance import build_gain_tables, rate
 
 
@@ -42,6 +44,15 @@ def test_path_loss_inverse_square():
 def test_path_loss_zero_distance_raises():
     with pytest.raises(ZeroDistance):
         path_loss([0, 0, 0], radio())
+
+
+def test_path_loss_gives_one_loss_per_row():
+    cfg = radio()
+    rows = np.array([[1.0, 0, 0], [0, 10, 0], [3, 4, 12], [-7.5, 0.2, 31]])
+    assert np.array_equal(path_loss(rows, cfg), [path_loss(row, cfg) for row in rows])
+    assert path_loss(rows[None], cfg).shape == (1, 4)
+    with pytest.raises(ZeroDistance):
+        path_loss(np.vstack([rows, np.zeros(3)]), cfg)
 
 
 def test_scalar_channel_magnitude_and_singular_value():
@@ -198,3 +209,70 @@ def test_accumulated_doppler_mode():
     assert np.isclose(link.trace_power[0], lit.trace_power[0], rtol=1e-9)
     assert not np.allclose(los_matrix(tx, rx, cfg, slot=3, slot_len=0.2)[1],
                            los_matrix(tx, rx, radio(), slot=3)[1])
+
+
+def _displacement_matrices(tx, rx, cfg, slot, slot_len, n_slots):
+    """The LoS matrices from the element displacement tensor
+    d[n, p, m] = c_n + a_p - b_m, written out directly and evaluated in
+    extended precision (np.longdouble, where the platform has one), so the
+    float64 rounding of a long link's path phase, about 4e4 rad at 1 km,
+    stays out of the comparison."""
+    xp = np.longdouble
+    c = (trajectory(rx, n_slots, slot_len) - trajectory(tx, n_slots, slot_len)).astype(xp)
+    a, b = element_offsets(rx.array).astype(xp), element_offsets(tx.array).astype(xp)
+    d = c[:, None, None, :] + a[None, :, None, :] - b[None, None, :, :]
+    dist = np.sqrt(np.sum(d * d, axis=-1))
+    freq = np.sum(d * (tx.velocity - rx.velocity).astype(xp), axis=-1) / (xp(cfg.wavelength) * dist)
+    if cfg.doppler_phase_mode == "accumulated":
+        freq *= ((slot + np.arange(n_slots)) * xp(slot_len))[:, None, None]
+    theta = 2 * xp(np.pi) * (freq + dist / xp(cfg.wavelength))
+    beta = cfg.reference_gain * np.sum(c * c, axis=-1) ** (-xp(cfg.path_loss_exponent) / 2)
+    return (np.sqrt(beta)[:, None, None] * (np.cos(theta) + 1j * np.sin(theta))).astype(complex)
+
+
+UAV_POS, UAV_VEL = [0, 0, 20.0], make_velocity(10, np.pi / 3, np.pi / 9)
+VEH_POS, VEH_VEL = [20 / np.tan(np.pi / 3), 0, 0], make_velocity(16.67, np.pi / 3)
+TILT = dict(slant=np.pi / 3, downtilt=np.pi / 4, bearing=np.pi / 3)
+# (tx, rx, doppler mode) per link
+DISPLACEMENT_LINKS = {
+    "stock-literal": (node(VEH_POS, VEH_VEL, 6, 6), node(UAV_POS, UAV_VEL, 6, 6), "literal"),
+    "stock-accumulated": (node(VEH_POS, VEH_VEL, 6, 6), node(UAV_POS, UAV_VEL, 6, 6), "accumulated"),
+    "16-to-64": (node(VEH_POS, VEH_VEL, 4, 4), node(UAV_POS, UAV_VEL, 8, 8), "accumulated"),
+    "64-to-36": (node(UAV_POS, UAV_VEL, 8, 8), node([-25, 5, 0], [0, 0, 0], 6, 6), "literal"),
+    "rotated": (node(VEH_POS, VEH_VEL, 6, 6, **TILT), node(UAV_POS, UAV_VEL, 4, 4, slant=-0.4, bearing=2.0),
+                "accumulated"),
+    "1.2-km": (node([1200, 300, 0], make_velocity(30, 2.0), 6, 6),
+               node([0, 0, 60], make_velocity(20, 0.1, 0.05), 6, 6), "accumulated"),
+    # center distance 0.61 m against an aperture of 0.525 m per side
+    "aperture-distance": (node([0, 0, 0], make_velocity(1, 0), 8, 8), node([0.1, 0, 0.6], [0, 0, 0], 8, 8),
+                          "literal"),
+}
+
+
+@pytest.mark.parametrize("link", DISPLACEMENT_LINKS)
+def test_los_matrix_matches_the_displacement_formula(link):
+    tx, rx, mode = DISPLACEMENT_LINKS[link]
+    cfg = radio(doppler_phase_mode=mode)
+    horizon = (3, 0.2, 5)  # slots 3 to 7
+    beta, matrix = los_matrix(tx, rx, cfg, *horizon)
+    want = _displacement_matrices(tx, rx, cfg, *horizon)
+    assert matrix.shape == want.shape == (5, rx.array.size, tx.array.size)
+    assert np.all(np.abs(matrix - want).max(axis=(1, 2)) <= 1e-11 * np.sqrt(beta))
+    s = np.linalg.svd(want, compute_uv=False)
+    built = np.sqrt(build_channel(tx, rx, cfg, *horizon).spectrum)
+    assert np.all(np.abs(built - s).max(axis=1) <= 1e-13 * s[:, 0])
+
+
+def test_build_peak_memory_stays_near_the_complex_matrix():
+    # L = 64 on every array over the stock 40-slot horizon: the complex
+    # matrices are two float64 layers of N * L_rx * L_tx; the build holds at
+    # most one more layer besides them
+    tx, rx = node(VEH_POS, VEH_VEL, 8, 8), node(UAV_POS, UAV_VEL, 8, 8)
+    layer = 8 * 40 * 64 * 64
+    tracemalloc.start()
+    try:
+        build_channel(tx, rx, radio(), 0, 0.2, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * layer

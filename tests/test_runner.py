@@ -232,3 +232,21 @@ def test_task_bits_trend_rows_match_the_golden_csv():
                 # equal to the 9 printed digits
                 a, b = float(got), float(want)
                 assert (np.isnan(a) and np.isnan(b)) or abs(a - b) <= max(1e-8 * abs(b), 1e-15), (column, ref)
+
+
+# The stock scenario in baseline mode at each point of the geometry axes, one
+# CSV per point, as `run_sweep` and `emit_results` wrote them at commit
+# ed866b6: every point builds new links, so these rows pin the channel build.
+GOLDEN_GEOMETRY = Path(__file__).parent / "data" / "geometry_sweep"
+GEOMETRY_POINTS = [("antennas", v) for v in (9, 16, 25, 36, 49, 64)] + [
+    ("uav_altitude", v) for v in (20, 30, 40, 50, 60)
+]
+
+
+@pytest.mark.parametrize("axis, value", GEOMETRY_POINTS, ids=[f"{a}_{v}" for a, v in GEOMETRY_POINTS])
+def test_geometry_rows_match_the_golden_csvs(axis, value):
+    result = run_sweep(validate(ScenarioConfig(mode="baseline")), axis, [value])
+    rows = _csv_rows(runner.format_results(result, "csv"))
+    golden = GOLDEN_GEOMETRY / f"{axis}_{value}.csv"
+    assert rows == _csv_rows(golden.read_text(encoding="utf-8"))
+    assert len(rows) == 2

@@ -5,7 +5,7 @@ import operator
 import numpy as np
 import pytest
 
-from uavmec import channel, instance
+from uavmec import channel, geometry, instance
 from uavmec.channel import los_matrix
 from uavmec.instance import PHASE_DOWN_RSU, PHASE_DOWN_UAV, PHASE_OFFLOAD
 from uavmec.scenario import (
@@ -283,9 +283,24 @@ def test_repeated_roll_out_builds_no_link(built_links):
     repeat = build_instance(load_scenario(""))
     assert len(built_links) == 4
     assert all(np.array_equal(a, b) for a, b in zip(repeat.gains, cold.gains))
-    # a fresh list of the shared states
-    assert repeat.states is not cold.states
-    assert len(repeat.states) == 40 and all(map(operator.is_, repeat.states, cold.states))
+    # a fresh list of the shared links
+    assert repeat.channel_sets is not cold.channel_sets
+    assert all(map(operator.is_, repeat.channel_sets, cold.channel_sets))
+
+
+def test_cold_build_advances_no_state(monkeypatch, built_links):
+    advanced, real = [], geometry.advance
+
+    def counting(state):
+        advanced.append(state.slot)
+        return real(state)
+
+    for module in (geometry, instance):
+        monkeypatch.setattr(module, "advance", counting)
+    inst = build_instance(load_scenario(""))
+    assert len(built_links) == 4 and advanced == []
+    # only the slot-0 state is kept
+    assert [st.slot for st in inst.states] == [0]
 
 
 # Every scenario field that reaches the slot-0 state, the array specs or the
@@ -341,6 +356,15 @@ def test_shared_link_arrays_are_read_only(table1_inst):
             values[0] = 0.0
 
 
+def _slot_states(inst):
+    """The network state of every slot, advanced from the instance's slot-0
+    state."""
+    states = list(inst.states)
+    while len(states) < inst.n_slots:
+        states.append(geometry.advance(states[-1]))
+    return states
+
+
 def _reversed_links(doppler, antennas_uav=36):
     """The instance, its radio, and per (k, n) the uplink matrix and the
     UAV-to-vehicle matrix, which only these tests build, both from the
@@ -351,7 +375,7 @@ def _reversed_links(doppler, antennas_uav=36):
     links = [
         (k, n, los_matrix(veh, st.uav, radio, st.slot, st.slot_len)[1][0],
          los_matrix(st.uav, veh, radio, st.slot, st.slot_len)[1][0])
-        for n, st in enumerate(inst.states)
+        for n, st in enumerate(_slot_states(inst))
         for k, veh in enumerate(st.vehicles)
     ]
     assert len(links) == inst.n_slots * inst.n_vehicles
@@ -391,10 +415,11 @@ def _reference_gain_tables(cfg, inst):
             lam2 = np.full(lam2.size, np.sum(lam2) / lam2.size)
         return lam2 / (radio.bandwidth * radio.noise_density * tx.array.size)
 
-    up = np.array([[gain(st.vehicles[k], st.uav, st) for st in inst.states]
+    states = _slot_states(inst)
+    up = np.array([[gain(st.vehicles[k], st.uav, st) for st in states]
                    for k in range(inst.n_vehicles)])
-    relay = np.array([[gain(st.uav, st.rsu, st) for st in inst.states]] * inst.n_vehicles)
-    st = inst.states[0]
+    relay = np.array([[gain(st.uav, st.rsu, st) for st in states]] * inst.n_vehicles)
+    st = states[0]
     down = up * (st.vehicles[0].array.size / st.uav.array.size)
     return [up, relay, down, down]
 
