@@ -5,7 +5,7 @@ protocol, the Lagrangian-dual/ellipsoid solver and its verification oracles.
 
 from .channel import LinkChannel, RadioConfig, build_channel, path_loss
 from .energy import ComputeModel, FlightPowerModel, compute_energy, flight_energy
-from .geometry import ArraySpec, NetworkState, NodeState, advance, element_positions, make_velocity, rotation_matrix
+from .geometry import ArraySpec, NetworkState, NodeState, advance, make_velocity, rotation_matrix
 from .instance import ProblemInstance
 from .optimizer import SolveReport, algorithm1, ellipsoid_solve, solve_p2
 from .protocol import Allocation, check_feasible, tccd, wtec
@@ -18,10 +18,10 @@ __all__ = [
     "FlightPowerModel", "LinkChannel", "NetworkState", "NodeState",
     "ProblemInstance", "RadioConfig", "ScenarioConfig", "SolveReport",
     "SweepResult", "advance", "algorithm1", "build_channel",
-    "build_instance", "check_feasible", "compute_energy", "element_positions",
-    "ellipsoid_solve", "emit_results", "flight_energy", "load_scenario",
-    "make_velocity", "path_loss", "rotation_matrix", "run_sweep",
-    "solve_p2", "solve_scenario", "tccd", "validate", "verify", "wtec",
+    "build_instance", "check_feasible", "compute_energy", "ellipsoid_solve",
+    "emit_results", "flight_energy", "load_scenario", "make_velocity",
+    "path_loss", "rotation_matrix", "run_sweep", "solve_p2",
+    "solve_scenario", "tccd", "validate", "verify", "wtec",
 ]
 
 __version__ = "0.1.0"

@@ -142,7 +142,7 @@ def criterion_strong_duality(cfg: ScenarioConfig, report=None, inst=None) -> Cri
         report, inst = runner.solve_report(cfg)
     return CriterionResult(
         name="strong_duality",
-        passed=report.gap <= 1e-3,
+        passed=abs(report.gap) <= 1e-3,
         measured=report.gap,
         threshold=1e-3,
         detail=f"primal {report.wtec:.6e}, dual {report.dual_value:.6e}",

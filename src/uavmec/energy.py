@@ -7,6 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+UAV_KINDS = ("fixed_wing", "rotary_wing")
+
+
 class FixedWingStall(Exception):
     """Fixed-wing flight energy diverges at zero horizontal speed."""
 
@@ -21,7 +24,7 @@ class FlightPowerModel:
     density, disc area).
     """
 
-    kind: str  # "fixed_wing" or "rotary_wing"
+    kind: str  # one of UAV_KINDS
     c1: float = 9.26e-4
     c2: float = 2250.0
     c3: float = 3.33
@@ -36,7 +39,7 @@ class FlightPowerModel:
     disc_area: float = 0.503
 
     def __post_init__(self):
-        if self.kind not in ("fixed_wing", "rotary_wing"):
+        if self.kind not in UAV_KINDS:
             raise ValueError(f"unknown UAV kind {self.kind!r}")
         if self.p0 is None or self.p1 is None:
             p0, p1 = rotary_defaults(self.air_density, self.solidity, self.disc_area)

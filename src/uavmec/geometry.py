@@ -121,11 +121,6 @@ def element_offsets(spec: ArraySpec) -> np.ndarray:
     return local.reshape(-1, 3) @ rot.T
 
 
-def element_positions(spec: ArraySpec, center: np.ndarray) -> np.ndarray:
-    """Absolute element positions: center plus rotated local offsets."""
-    return np.asarray(center, dtype=float)[None, :] + element_offsets(spec)
-
-
 def make_velocity(speed: float, azimuth: float, elevation: float = 0.0) -> np.ndarray:
     """Velocity vector of given speed, azimuth heading and climb angle."""
     if speed < 0:

@@ -93,7 +93,7 @@ class SolveReport:
     allocation: Allocation
     wtec: float  # objective value (no propulsion)
     dual_value: float
-    gap: float
+    gap: float  # signed (wtec - dual_value) / wtec
     iterations: int
     converged: bool
     wtec_trajectory: list
@@ -803,14 +803,13 @@ def finish_from_duals(inst: ProblemInstance, state: DualState) -> SolveReport:
         )
     bl, bu, _ = bits
     bits_rsu, times = solve_p2(inst, bl, bu, powers)
-    # Allocation's field order: bits, then powers, then times, phase by phase
-    alloc = Allocation(*(np.array(a) for a in (bl, bu, bits_rsu, *powers, *times)))
+    alloc = Allocation(*(np.array(a) for a in (bl, bu, bits_rsu, powers, times)))
     verdict = check_feasible(alloc, inst)
     value = wtec(alloc, inst)
     # one trajectory entry per ellipsoid iteration (the warm-start point is
     # iteration 0 in the state log)
     trajectory = [entry["wtec"] for entry in state.log[1:]]
-    gap = abs(value - state.dual_value) / max(abs(value), 1e-300)
+    gap = (value - state.dual_value) / max(abs(value), 1e-300)
     return SolveReport(
         allocation=alloc,
         wtec=value,

@@ -110,8 +110,8 @@ def grid_search_primal(inst):
                            for ph in range(4)])
         if not np.isfinite(powers).all():
             continue
-        alloc = Allocation(*bits, *powers.reshape(4, 1, 1),
-                           *np.where(loads > 0, times.reshape(4, 1, 1), 0.0))
+        alloc = Allocation(*bits, powers.reshape(4, 1, 1),
+                           np.where(loads > 0, times.reshape(4, 1, 1), 0.0))
         if not check_feasible(alloc, inst):
             continue
         value = wtec(alloc, inst)
@@ -127,8 +127,10 @@ def grid_search_primal(inst):
 # ---------------------------------------------------------------------------
 
 def sample_feasible(inst, count: int, rng: np.random.Generator):
-    """`count` random allocations as one batch Allocation whose arrays have
-    shape (count, K, N), and a (count,) mask of the samples that are feasible.
+    """`count` random allocations as one batch Allocation, and a (count,) mask
+    of the samples that are feasible.  The batch's bits have shape
+    (count, K, N) and its powers and times (4, count, K, N), phase first as
+    `block_energy` reads them.
 
     Bits are drawn within the compute caps with the ground unit covering any
     shortfall; every phase first gets its minimum carry time at the drawn
@@ -181,7 +183,7 @@ def sample_feasible(inst, count: int, rng: np.random.Generator):
     times = t_min * (1 + 1e-9) + frac * leftover * rng.uniform(0.5, 0.95, shape)
     good = ok.all(axis=(1, 2))
     times[:, ~good] = 0.0
-    return Allocation(bl, bu, br, *powers, *times), good
+    return Allocation(bl, bu, br, powers, times), good
 
 
 def wtec_batch(inst, bits, powers, times) -> np.ndarray:
@@ -204,7 +206,7 @@ def convexity_probe(inst, samples: int = 1000, seed: int = 0, objective=wtec_bat
     keep = a_ok & b_ok
     if not keep.any():
         raise NoFeasiblePoint("could not sample a feasible pair")
-    ends = [((x.bits_local, x.bits_uav, x.bits_rsu), x.powers(), x.times()) for x in (a, b)]
+    ends = [((x.bits_local, x.bits_uav, x.bits_rsu), x.powers, x.times) for x in (a, b)]
     (bits_a, powers_a, times_a), (bits_b, powers_b, times_b) = ends
     bits_m = tuple(0.5 * (x + y) for x, y in zip(bits_a, bits_b))
     energy_m = 0.5 * (powers_a * times_a + powers_b * times_b)
@@ -222,18 +224,10 @@ def convexity_probe(inst, samples: int = 1000, seed: int = 0, objective=wtec_bat
 # KKT residuals
 # ---------------------------------------------------------------------------
 
-_COORDS = (
-    "bits_local", "bits_uav", "bits_rsu",
-    "power_offload", "power_relay", "power_down_uav", "power_down_rsu",
-    "time_offload", "time_relay", "time_down_uav", "time_down_rsu",
-)
-
-
 def constraint_residuals(inst, alloc: Allocation) -> np.ndarray:
     """Signed residuals (<= 0 when satisfied) of the six dualized constraint
     families, shape (K, N, 6)."""
-    times = alloc.times()
-    powers = alloc.powers()
+    times, powers = alloc.times, alloc.powers
     loads = phase_loads(inst, alloc.bits_uav, alloc.bits_rsu)
     t_cu = compute_time(alloc.bits_uav, inst.uav_compute)
     return np.stack(
@@ -248,7 +242,7 @@ def constraint_residuals(inst, alloc: Allocation) -> np.ndarray:
 
 def _lagrangian_blocks(inst, alloc: Allocation, duals: np.ndarray) -> np.ndarray:
     """Per-(k, n) Lagrangian value: weighted energy plus priced residuals."""
-    blocks = block_energy(inst, alloc.bits_local, alloc.bits_uav, alloc.powers(), alloc.times())
+    blocks = block_energy(inst, alloc.bits_local, alloc.bits_uav, alloc.powers, alloc.times)
     return blocks + (duals * constraint_residuals(inst, alloc)).sum(axis=-1)
 
 
@@ -265,30 +259,22 @@ def kkt_residuals(inst, alloc: Allocation, duals: np.ndarray,
     direction instead).
     """
     obj_scale = max(abs(wtec(alloc, inst)), 1e-12)
-    sub = inst.subslot
-    bounds_hi = {
-        "bits_local": inst.bits_local_cap,
-        "bits_uav": inst.bits_uav_cap,
-        "bits_rsu": np.inf,
-        "power_offload": inst.power_max[0],
-        "power_relay": inst.power_max[1],
-        "power_down_uav": inst.power_max[2],
-        "power_down_rsu": inst.power_max[3],
-        "time_offload": sub,
-        "time_relay": sub,
-        "time_down_uav": sub,
-        "time_down_rsu": sub,
-    }
+    # (field, index into it, upper bound): the three bit routes, then each
+    # phase's power and time
+    coords = [("bits_local", (), inst.bits_local_cap), ("bits_uav", (), inst.bits_uav_cap),
+              ("bits_rsu", (), np.inf)]
+    coords += [(name, (ph,), hi) for name, caps in (("powers", inst.power_max),
+                                                     ("times", [inst.subslot] * 4))
+               for ph, hi in enumerate(caps)]
     stationarity = 0.0
-    for name in _COORDS:
-        x = getattr(alloc, name)
-        hi = bounds_hi[name]
+    for name, index, hi in coords:
+        x = getattr(alloc, name)[index]
         coord_scale = hi if np.isfinite(hi) else max(float(np.max(np.abs(x))), 1.0)
         h = np.maximum(1e-6 * np.abs(x), 1e-10 * coord_scale)
         lower = np.maximum(x - h, 0.0)
         up, dn = alloc.copy(), alloc.copy()
-        setattr(up, name, x + h)
-        setattr(dn, name, lower)
+        getattr(up, name)[index] = x + h
+        getattr(dn, name)[index] = lower
         grad = (_lagrangian_blocks(inst, up, duals) - _lagrangian_blocks(inst, dn, duals)) / (x + h - lower)
         at_lo = x <= 1e-9 * coord_scale
         at_hi = np.isfinite(hi) & (x >= hi * (1 - 1e-9))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import compute_energy, compute_time
+from .instance import PHASE_DOWN_RSU, PHASE_DOWN_UAV, PHASE_OFFLOAD, PHASE_RELAY
 
 # Relative tolerance of every check in `check_feasible`.
 CHECK_RTOL = 1e-9
@@ -22,41 +23,24 @@ CHECK_RTOL = 1e-9
 class Allocation:
     """Decision variables for all (vehicle, slot) pairs.
 
-    All arrays have shape (K, N).  Phase-3 and local compute times are derived
-    from the bit counts, not stored.
+    The bit routes have shape (K, N); `powers` and `times` are the stacked
+    (4, K, N) per-phase arrays in `instance.PHASE_*` order.  Phase-3 and
+    local compute times are derived from the bit counts, not stored.
     """
 
     bits_local: np.ndarray
     bits_uav: np.ndarray
     bits_rsu: np.ndarray
-    power_offload: np.ndarray
-    power_relay: np.ndarray
-    power_down_uav: np.ndarray
-    power_down_rsu: np.ndarray
-    time_offload: np.ndarray
-    time_relay: np.ndarray
-    time_down_uav: np.ndarray
-    time_down_rsu: np.ndarray
+    powers: np.ndarray
+    times: np.ndarray
 
     @classmethod
     def zeros(cls, n_vehicles: int, n_slots: int) -> "Allocation":
-        z = lambda: np.zeros((n_vehicles, n_slots))
-        return cls(z(), z(), z(), z(), z(), z(), z(), z(), z(), z(), z())
+        z = lambda *lead: np.zeros(lead + (n_vehicles, n_slots))
+        return cls(z(), z(), z(), z(4), z(4))
 
     def copy(self) -> "Allocation":
         return Allocation(**{k: np.array(v) for k, v in self.__dict__.items()})
-
-    def powers(self) -> np.ndarray:
-        """Stacked per-phase powers, shape (4, K, N)."""
-        return np.stack(
-            [self.power_offload, self.power_relay, self.power_down_uav, self.power_down_rsu]
-        )
-
-    def times(self) -> np.ndarray:
-        """Stacked per-phase transmit times, shape (4, K, N)."""
-        return np.stack(
-            [self.time_offload, self.time_relay, self.time_down_uav, self.time_down_rsu]
-        )
 
 
 def phase_loads(inst, bits_uav, bits_rsu) -> list:
@@ -108,7 +92,7 @@ def check_feasible(alloc: Allocation, inst) -> Verdict:
 
     t_uav = compute_time(alloc.bits_uav, inst.uav_compute)
     t_local = compute_time(alloc.bits_local, inst.vehicle_compute)
-    times = alloc.times()
+    times = alloc.times
     report(np.any(times < -CHECK_RTOL * sub, axis=0), "time_negative")
     report(np.any(times > sub * (1 + CHECK_RTOL), axis=0), "time_over_subslot")
     report(t_uav > sub * (1 + CHECK_RTOL), "uav_compute_over_subslot")
@@ -119,7 +103,7 @@ def check_feasible(alloc: Allocation, inst) -> Verdict:
 
     cap_labels = ("uplink_capacity", "relay_capacity", "down_uav_capacity", "down_rsu_capacity")
     carried = np.stack(phase_loads(inst, alloc.bits_uav, alloc.bits_rsu))
-    powers = alloc.powers()
+    powers = alloc.powers
     for ph in range(4):
         capacity = times[ph] * inst.rate(ph, powers[ph])
         report(carried[ph] > capacity + CHECK_RTOL * bits_scale, cap_labels[ph])
@@ -143,12 +127,10 @@ def baseline_allocation(inst) -> Allocation:
     alloc.bits_uav = np.minimum(third, inst.bits_uav_cap)
     alloc.bits_rsu = inst.min_bits - alloc.bits_local - alloc.bits_uav
     carried = phase_loads(inst, alloc.bits_uav, alloc.bits_rsu)
-    p_names = ("power_offload", "power_relay", "power_down_uav", "power_down_rsu")
-    t_names = ("time_offload", "time_relay", "time_down_uav", "time_down_rsu")
     for ph in range(4):
         pmax = np.full((k, n), inst.power_max[ph])
-        setattr(alloc, p_names[ph], np.where(carried[ph] > 0, pmax, 0.0))
-        setattr(alloc, t_names[ph], carry_time(carried[ph], inst.rate(ph, pmax)))
+        alloc.powers[ph] = np.where(carried[ph] > 0, pmax, 0.0)
+        alloc.times[ph] = carry_time(carried[ph], inst.rate(ph, pmax))
     return alloc
 
 
@@ -159,7 +141,7 @@ def tccd(alloc: Allocation, inst, include_local: bool = False) -> float:
     and is excluded unless requested.
     """
     t_uav = compute_time(alloc.bits_uav, inst.uav_compute)
-    total = float(alloc.times().sum() + t_uav.sum())
+    total = float(alloc.times.sum() + t_uav.sum())
     if include_local:
         total += float(compute_time(alloc.bits_local, inst.vehicle_compute).sum())
     return total
@@ -189,9 +171,7 @@ def wtec(alloc: Allocation, inst) -> float:
     The sum of `block_energy`; propulsion energy is reported separately by
     the runner.
     """
-    return float(
-        block_energy(inst, alloc.bits_local, alloc.bits_uav, alloc.powers(), alloc.times()).sum()
-    )
+    return float(block_energy(inst, alloc.bits_local, alloc.bits_uav, alloc.powers, alloc.times).sum())
 
 
 def energy_breakdown(alloc: Allocation, inst) -> dict:
@@ -199,13 +179,14 @@ def energy_breakdown(alloc: Allocation, inst) -> dict:
     tau = inst.slot_len
     e_local = compute_energy(alloc.bits_local, inst.vehicle_compute, tau)
     e_uav_cpu = compute_energy(alloc.bits_uav, inst.uav_compute, tau, inst.n_vehicles)
+    radiated = alloc.powers * alloc.times
     return {
         "e_local_J": float(e_local.sum()),
-        "e_offload_J": float((alloc.power_offload * alloc.time_offload).sum()),
-        "e_relay_J": float((alloc.power_relay * alloc.time_relay).sum()),
+        "e_offload_J": float(radiated[PHASE_OFFLOAD].sum()),
+        "e_relay_J": float(radiated[PHASE_RELAY].sum()),
         "e_uav_compute_J": float(e_uav_cpu.sum()),
-        "e_down_uav_J": float((alloc.power_down_uav * alloc.time_down_uav).sum()),
-        "e_down_rsu_J": float((alloc.power_down_rsu * alloc.time_down_rsu).sum()),
+        "e_down_uav_J": float(radiated[PHASE_DOWN_UAV].sum()),
+        "e_down_rsu_J": float(radiated[PHASE_DOWN_RSU].sum()),
     }
 
 
@@ -213,11 +194,12 @@ def time_breakdown(alloc: Allocation, inst) -> dict:
     """Per-phase occupied-time totals in seconds."""
     t_uav = compute_time(alloc.bits_uav, inst.uav_compute)
     t_local = compute_time(alloc.bits_local, inst.vehicle_compute)
+    times = alloc.times
     return {
-        "t_offload_s": float(alloc.time_offload.sum()),
-        "t_relay_s": float(alloc.time_relay.sum()),
+        "t_offload_s": float(times[PHASE_OFFLOAD].sum()),
+        "t_relay_s": float(times[PHASE_RELAY].sum()),
         "t_uav_compute_s": float(t_uav.sum()),
-        "t_down_uav_s": float(alloc.time_down_uav.sum()),
-        "t_down_rsu_s": float(alloc.time_down_rsu.sum()),
+        "t_down_uav_s": float(times[PHASE_DOWN_UAV].sum()),
+        "t_down_rsu_s": float(times[PHASE_DOWN_RSU].sum()),
         "t_local_compute_s": float(t_local.sum()),
     }

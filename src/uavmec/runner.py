@@ -186,9 +186,3 @@ def emit_results(result: SweepResult, fmt: str, path) -> None:
     text = format_results(result, fmt)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def load_results(path) -> dict:
-    """Reload a JSON result file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import RadioConfig
-from .energy import ComputeModel, FlightPowerModel
+from .channel import DOPPLER_PHASE_MODES, RadioConfig
+from .energy import UAV_KINDS, ComputeModel, FlightPowerModel
 from .geometry import ArraySpec, initial_state
 from .instance import ProblemInstance, build_gain_tables, roll_out
 
@@ -61,9 +61,7 @@ class ScenarioConfig:
     capacitance_uav: float = 1e-27
     # geometry / mobility
     uav_altitude: float = 10.0
-    vehicle_elevations: np.ndarray = field(
-        default_factory=lambda: np.array([math.pi / 3, math.pi / 4, math.pi / 6])
-    )
+    vehicle_elevations: np.ndarray = field(default_factory=_STOCK_ELEVATIONS.copy)
     rsu_elevation: float = math.pi / 3
     slant: float = math.pi / 3
     downtilt: float = math.pi / 4
@@ -345,7 +343,7 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
                  "power_max_relay", "power_max_down_uav", "power_max_down_rsu"):
         if name not in bad and np.any(np.asarray(getattr(cfg, name)) < 0):
             errors.append(f"{_FIELD_SECTION[name]}.{name}: must be non-negative")
-    # a zero epsilon can never certify (the gap is clipped at 0)
+    # a zero epsilon would certify only a gap that rounding pushed below 0
     for name in ("weight_vehicle", "weight_uav", "cpu_vehicle", "cpu_uav",
                  "cycles_per_bit_vehicle", "cycles_per_bit_uav", "capacitance_vehicle",
                  "capacitance_uav", "epsilon"):
@@ -394,9 +392,9 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             errors.append(f"geometry.{name}: must lie in (0, pi/2]")
     if cfg.mode not in MODES:
         errors.append(f"solver.mode: {cfg.mode!r} not one of {MODES}")
-    if cfg.doppler_phase not in ("literal", "accumulated"):
+    if cfg.doppler_phase not in DOPPLER_PHASE_MODES:
         errors.append(f"radio.doppler_phase: {cfg.doppler_phase!r} invalid")
-    if cfg.uav_model not in ("rotary_wing", "fixed_wing"):
+    if cfg.uav_model not in UAV_KINDS:
         errors.append(f"uav.uav_model: {cfg.uav_model!r} invalid")
     if errors:
         raise ValidationError(errors)

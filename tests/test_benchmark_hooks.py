@@ -3,7 +3,8 @@
 perfbench/tracing.py wraps package functions by (module, attribute) and
 reads the solver state's counters and the built link's array sizes, and perfbench/workloads.py binds solver
 arguments by name and copies instances without their channel matrices and
-network states.  A rename that breaks either fails here, not only in a
+network states.  Its correctness check reads a solve report's gap and
+allocation.  A rename that breaks any of these fails here, not only in a
 traced benchmark run.
 """
 
@@ -14,7 +15,7 @@ import os
 
 import pytest
 
-from uavmec import optimizer
+from uavmec import optimizer, runner
 from uavmec.channel import RadioConfig, build_channel
 from uavmec.geometry import ArraySpec, NodeState
 from uavmec.instance import ProblemInstance
@@ -22,16 +23,16 @@ from uavmec.instance import ProblemInstance
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def load_tracing():
-    path = os.path.join(ROOT, "perfbench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def load_perfbench(name):
+    path = os.path.join(ROOT, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_attribute_resolves():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     missing = [f"{mod}.{attr}" for mod, attr, _ in tracing.PATCHES
                if not callable(getattr(tracing._MODULES[mod], attr, None))]
     assert not missing
@@ -64,3 +65,20 @@ def test_channel_build_keeps_the_array_sizes_the_tracer_reads():
     link = build_channel(tx, rx, radio, slot_len=0.2, n_slots=5)
     assert (link.n_tx, link.n_rx) == (6, 4)
     assert type(link.n_tx) is int and type(link.n_rx) is int
+
+
+def test_stock_solve_passes_the_workloads_correctness_check(monkeypatch, table1_cfg):
+    # workloads.check_solves reads report.gap and checks report.allocation
+    # with protocol.check_feasible against the captured instance
+    workloads = load_perfbench("workloads")
+    monkeypatch.setattr(optimizer, "algorithm1", optimizer.algorithm1)  # undone after the test
+    capture = workloads.SolveCapture()
+    capture.install()
+    runner.solve_scenario(table1_cfg)
+    records = capture.take()
+    assert len(records) == 1 and records[0][2] is not None
+    assert workloads.check_solves(records) == []
+    # the check does read the allocation: a schedule without air time fails it
+    light, eps, report, exc = records[0]
+    report.allocation.times[:] = 0.0
+    assert workloads.check_solves([(light, eps, report, exc)])

@@ -8,7 +8,6 @@ from uavmec.geometry import (
     NodeState,
     advance,
     element_offsets,
-    element_positions,
     initial_state,
     make_velocity,
     rotation_matrix,
@@ -43,7 +42,7 @@ def test_rotation_orthonormal_random_angles():
 
 def test_single_element_array_sits_at_center():
     spec = ArraySpec(1, 1, 0.075)
-    pos = element_positions(spec, np.array([3.0, -2.0, 7.0]))
+    pos = np.array([3.0, -2.0, 7.0]) + element_offsets(spec)
     assert pos.shape == (1, 3)
     assert np.allclose(pos[0], [3.0, -2.0, 7.0])
 
@@ -141,9 +140,9 @@ def test_advance_preserves_inter_element_distances():
     st = _simple_state(make_velocity(12, 0.5), make_velocity(9, 0.1, 0.2))
     st = NetworkState(0, (NodeState(st.vehicles[0].position, st.vehicles[0].velocity, spec),),
                       st.uav, st.rsu, st.n_slots, st.slot_len)
-    before = element_positions(spec, st.vehicles[0].position)
+    before = st.vehicles[0].position + element_offsets(spec)
     nxt = advance(st)
-    after = element_positions(spec, nxt.vehicles[0].position)
+    after = nxt.vehicles[0].position + element_offsets(spec)
     d_before = np.linalg.norm(before[:, None] - before[None, :], axis=2)
     d_after = np.linalg.norm(after[:, None] - after[None, :], axis=2)
     assert np.allclose(d_before, d_after, atol=1e-12)

@@ -320,13 +320,11 @@ def test_dual_value_never_exceeds_feasible_energy():
     alloc = Allocation.zeros(1, 1)
     alloc.bits_local[:] = 2e5
     alloc.bits_rsu[:] = 2e5
-    alloc.power_offload[:] = 1.0
-    alloc.power_relay[:] = 1.0
-    alloc.power_down_rsu[:] = 1.0
-    r0 = float(inst.rate(0, alloc.power_offload)[0, 0])
-    alloc.time_offload[:] = 2e5 / r0 * 1.0001
-    alloc.time_relay[:] = 2e5 / float(inst.rate(1, alloc.power_relay)[0, 0]) * 1.0001
-    alloc.time_down_rsu[:] = 0.8 * 2e5 / float(inst.rate(3, alloc.power_down_rsu)[0, 0]) * 1.0001
+    alloc.powers[[0, 1, 3]] = 1.0  # offload, relay, ground-result download
+    r0 = float(inst.rate(0, alloc.powers[0])[0, 0])
+    alloc.times[0] = 2e5 / r0 * 1.0001
+    alloc.times[1] = 2e5 / float(inst.rate(1, alloc.powers[1])[0, 0]) * 1.0001
+    alloc.times[3] = 0.8 * 2e5 / float(inst.rate(3, alloc.powers[3])[0, 0]) * 1.0001
     assert check_feasible(alloc, inst).feasible
     assert state.dual_value <= wtec(alloc, inst) * (1 + 1e-9)
 
@@ -388,6 +386,14 @@ def test_signed_gap_is_kept_below_zero(monkeypatch):
     state = ellipsoid_solve(inst)
     assert state.converged and -2e-13 < state.gap < 0.0
     assert state.log[0]["gap"] == state.gap
+
+
+def test_signed_gap_reaches_the_solve_report(monkeypatch):
+    # the report keeps the sign too: its gap is (wtec - dual) / wtec
+    inst = make_synthetic_instance(n_vehicles=2, n_slots=3, min_bits=5e5)
+    _inflated_warm_start(monkeypatch, (1, 2), 1e-13)
+    report = opt.algorithm1(inst)
+    assert report.feasible and -2e-13 < report.gap < 0.0
 
 
 def test_weak_duality_violation_names_the_worst_block(monkeypatch):
@@ -860,7 +866,7 @@ def test_algorithm1_feasible_and_certified():
     inst = make_synthetic_instance(n_vehicles=2, n_slots=3, min_bits=5e5)
     report = opt.algorithm1(inst)
     assert report.feasible and not report.violations
-    assert report.gap <= 1e-4
+    assert abs(report.gap) <= 1e-4
     assert len(report.wtec_trajectory) == report.iterations
     total = report.allocation.bits_local + report.allocation.bits_uav + report.allocation.bits_rsu
     assert (total >= inst.min_bits * (1 - 1e-9)).all()
@@ -885,10 +891,10 @@ def test_dead_relay_routes_through_uav_compute():
     inst = make_synthetic_instance(gain=[5000.0, 1e-12, 5000.0, 5000.0], min_bits=3e5)
     report = opt.algorithm1(inst)
     a = report.allocation
-    assert report.feasible and report.gap <= 1e-4
+    assert report.feasible and abs(report.gap) <= 1e-4
     assert a.bits_rsu[0, 0] == 0.0
     assert np.isclose(a.bits_local[0, 0] + a.bits_uav[0, 0], 3e5, rtol=1e-9)
-    assert a.time_relay[0, 0] <= 1e-12  # simplex vertex noise only
+    assert a.times[1, 0, 0] <= 1e-12  # simplex vertex noise only
 
 
 def test_dead_downloads_make_offloading_impossible():

@@ -54,9 +54,10 @@ def test_sampled_points_are_feasible(table1_inst):
     batch, ok = sample_feasible(table1_inst, 5, np.random.default_rng(9))
     assert ok.all()
     bits = (batch.bits_local, batch.bits_uav, batch.bits_rsu)
-    values = wtec_batch(table1_inst, bits, batch.powers(), batch.times())
+    assert batch.powers.shape == batch.times.shape == (4, 5) + table1_inst.min_bits.shape
+    values = wtec_batch(table1_inst, bits, batch.powers, batch.times)
     for i in range(5):
-        alloc = Allocation(**{name: v[i] for name, v in vars(batch).items()})
+        alloc = Allocation(*(b[i] for b in bits), batch.powers[:, i], batch.times[:, i])
         assert check_feasible(alloc, table1_inst).feasible
         # the probe's default objective is protocol's WTEC, sample by sample
         assert values[i] == pytest.approx(wtec(alloc, table1_inst), rel=1e-12)

@@ -44,8 +44,8 @@ def test_uplink_capacity_violation_is_reported():
     inst = make_synthetic_instance(min_bits=0.0)
     alloc = Allocation.zeros(1, 1)
     alloc.bits_uav[0, 0] = 1e5
-    alloc.power_offload[0, 0] = 0.01
-    alloc.time_offload[0, 0] = 1e-4  # far too short to carry the bits
+    alloc.powers[0, 0, 0] = 0.01
+    alloc.times[0, 0, 0] = 1e-4  # far too short to carry the bits
     verdict = check_feasible(alloc, inst)
     assert not verdict.feasible
     assert any(v.startswith("uplink_capacity") for v in verdict.violations)
@@ -60,7 +60,7 @@ def test_min_bits_violation_is_reported():
 def test_power_cap_violation_is_reported():
     inst = make_synthetic_instance(min_bits=0.0)
     alloc = Allocation.zeros(1, 1)
-    alloc.power_relay[0, 0] = inst.power_max[1] * 2
+    alloc.powers[1, 0, 0] = inst.power_max[1] * 2
     verdict = check_feasible(alloc, inst)
     assert any(v.startswith("power_cap_relay") for v in verdict.violations)
 
@@ -73,11 +73,8 @@ def test_tccd_zero_allocation():
 def test_tccd_sums_five_phases():
     inst = make_synthetic_instance(min_bits=0.0)
     alloc = Allocation.zeros(1, 1)
-    alloc.time_offload[0, 0] = 1e-3
-    alloc.time_relay[0, 0] = 2e-3
+    alloc.times[:, 0, 0] = [1e-3, 2e-3, 4e-3, 5e-3]  # offload, relay, both downloads
     alloc.bits_uav[0, 0] = 3e-3 * 3e9 / 1e3  # 3 ms of UAV compute
-    alloc.time_down_uav[0, 0] = 4e-3
-    alloc.time_down_rsu[0, 0] = 5e-3
     assert np.isclose(tccd(alloc, inst), 15e-3)
     # local compute joins only via the flag
     alloc.bits_local[0, 0] = 1e5
@@ -102,8 +99,8 @@ def test_wtec_linear_in_vehicle_weights():
     inst = make_synthetic_instance(n_vehicles=2, n_slots=2, min_bits=1e5)
     alloc = Allocation.zeros(2, 2)
     alloc.bits_local[:] = 1e5
-    alloc.power_offload[:] = 0.5
-    alloc.time_offload[:] = 1e-3
+    alloc.powers[0] = 0.5
+    alloc.times[0] = 1e-3
     base = wtec(alloc, inst)
     inst.weights_vehicle = inst.weights_vehicle * 2.0
     assert np.isclose(wtec(alloc, inst), 2.0 * base, rtol=1e-12)
@@ -113,13 +110,13 @@ def test_wtec_invariant_under_vehicle_permutation():
     inst = make_synthetic_instance(n_vehicles=3, n_slots=2, min_bits=2e5)
     rng = np.random.default_rng(0)
     alloc = Allocation.zeros(3, 2)
-    for name in vars(alloc):
-        setattr(alloc, name, rng.uniform(0.0, 1e-3, (3, 2)))
+    alloc.powers = rng.uniform(0.0, 1e-3, (4, 3, 2))
+    alloc.times = rng.uniform(0.0, 1e-3, (4, 3, 2))
     alloc.bits_local = rng.uniform(0, 1e5, (3, 2))
     alloc.bits_uav = rng.uniform(0, 1e5, (3, 2))
     alloc.bits_rsu = rng.uniform(0, 1e5, (3, 2))
     perm = [2, 0, 1]
-    swapped = Allocation(**{k: np.array(v[perm]) for k, v in vars(alloc).items()})
+    swapped = Allocation(**{k: np.array(v[..., perm, :]) for k, v in vars(alloc).items()})
     assert np.isclose(wtec(alloc, inst), wtec(swapped, inst), rtol=1e-12)
 
 
@@ -129,9 +126,9 @@ def test_baseline_allocation_structure():
     total = alloc.bits_local + alloc.bits_uav + alloc.bits_rsu
     assert np.allclose(total, inst.min_bits)
     assert np.allclose(alloc.bits_local, np.minimum(5e5 / 3, inst.bits_local_cap))
-    assert (alloc.power_offload == inst.power_max[0]).all()
+    assert (alloc.powers[0] == inst.power_max[0]).all()
     # durations exactly carry the bits
-    carried = alloc.time_offload * inst.rate(0, alloc.power_offload)
+    carried = alloc.times[0] * inst.rate(0, alloc.powers[0])
     assert np.allclose(carried, alloc.bits_uav + alloc.bits_rsu, rtol=1e-9)
 
 
@@ -157,13 +154,13 @@ def test_wtec_is_sum_of_block_energy_and_weighted_breakdown():
     inst.weights_vehicle = np.full(3, 1.7)
     rng = np.random.default_rng(3)
     alloc = Allocation.zeros(3, 4)
-    for name in vars(alloc):
-        setattr(alloc, name, rng.uniform(0.0, 1e-3, (3, 4)))
+    alloc.powers = rng.uniform(0.0, 1e-3, (4, 3, 4))
+    alloc.times = rng.uniform(0.0, 1e-3, (4, 3, 4))
     alloc.bits_local = rng.uniform(0, 2e5, (3, 4))
     alloc.bits_uav = rng.uniform(0, 2e5, (3, 4))
     total = wtec(alloc, inst)
     assert total == block_energy(
-        inst, alloc.bits_local, alloc.bits_uav, alloc.powers(), alloc.times()
+        inst, alloc.bits_local, alloc.bits_uav, alloc.powers, alloc.times
     ).sum()
     e = energy_breakdown(alloc, inst)
     weighted = 1.7 * (e["e_local_J"] + e["e_offload_J"]) + inst.weight_uav * (

@@ -6,7 +6,7 @@ import pytest
 
 import uavmec
 from uavmec import acceptance, cli, runner
-from uavmec.runner import COLUMNS, SweepResult, emit_results, load_results, run_sweep, set_axis
+from uavmec.runner import COLUMNS, SweepResult, emit_results, run_sweep, set_axis
 from uavmec.scenario import MODES, ScenarioConfig, ValidationError, validate
 
 
@@ -118,7 +118,8 @@ def test_json_round_trip_to_last_digit(tmp_path):
     result = run_sweep(cfg, "antennas", [36])
     path = tmp_path / "sweep.json"
     emit_results(result, "json", path)
-    loaded = load_results(path)
+    with open(path, encoding="utf-8") as fh:
+        loaded = json.load(fh)
     emitted = json.loads(path.read_text())
     assert loaded == emitted
     # reload quantizes identically: writing again is byte-stable
@@ -210,6 +211,7 @@ def _write_cfg(tmp_path):
 # `uavmec sweep --axis task_bits --values 100000,200000,...,900000 --baseline`
 # at commit 865d07f.
 GOLDEN_TREND = Path(__file__).parent / "data" / "trend_task_bits.csv"
+TREND_VALUES = [float(v) for v in range(100_000, 900_001, 100_000)]
 NON_FLOAT_COLUMNS = ("mode", "feasible", "iterations")
 
 
@@ -218,12 +220,24 @@ def _csv_rows(text):
 
 
 def test_task_bits_trend_rows_match_the_golden_csv():
-    values = [float(v) for v in range(100_000, 900_001, 100_000)]
-    result = run_sweep(validate(ScenarioConfig()), "task_bits", values, include_baseline=True)
+    result = run_sweep(validate(ScenarioConfig()), "task_bits", TREND_VALUES, include_baseline=True)
+    _assert_trend_matches(result, GOLDEN_TREND, 18)
+
+
+# The same trend in each bound mode, without baselines, as `run_sweep` and
+# `emit_results` wrote it at commit 03b395b: these rows pin the per-phase
+# breakdown columns of the bound-mode schedules.
+@pytest.mark.parametrize("mode", ["rank1_bound", "fullrank_bound"])
+def test_bound_mode_trend_rows_match_the_golden_csvs(mode):
+    result = run_sweep(validate(ScenarioConfig(mode=mode)), "task_bits", TREND_VALUES)
+    _assert_trend_matches(result, GOLDEN_TREND.with_name(f"trend_task_bits_{mode}.csv"), 9)
+
+
+def _assert_trend_matches(result, golden, n_rows):
     header, *rows = _csv_rows(runner.format_results(result, "csv"))
-    ref_header, *ref_rows = _csv_rows(GOLDEN_TREND.read_text(encoding="utf-8"))
+    ref_header, *ref_rows = _csv_rows(golden.read_text(encoding="utf-8"))
     assert header == ref_header
-    assert len(rows) == len(ref_rows) == 18
+    assert len(rows) == len(ref_rows) == n_rows
     for row, ref in zip(rows, ref_rows):
         for column, got, want in zip(header, row, ref):
             if column in NON_FLOAT_COLUMNS:
