@@ -13,9 +13,9 @@ that price does not fill, so at the warm start each root is solved once.
 The power at a time price inverts phi(p) = w*(r/r' - p) by a safeguarded
 Newton iteration on log(phi) against log(p), with phi's ln(1 + p*g) terms
 taken by log1p; the two download phases share one such root, and inside the
-warm start's time-price root each starts from the previous iterate's powers.  Every other
-price or power is one bracketed Illinois root in log coordinates,
-`_log_root`.
+warm start's time-price root each starts from the previous iterate's powers.
+The minimum-bits price is closed form; the time prices and `power_opt`'s
+powers are bracketed Illinois roots in log coordinates, `_log_root`.
 
 Multiplier order inside every length-6 vector: the prices of the
 minimum-bits constraint, the sub-slot time budget, and the four link
@@ -44,6 +44,9 @@ _PHASE_RATE_DUAL = (D_UPLINK, D_RELAY, D_DOWN_UAV, D_DOWN_RSU)
 
 # Relative tolerance of the sign rules (ground-unit bits, transmit times).
 SIGN_RTOL = 1e-6
+
+# Most doublings of the warm start's time-price bracket top past the ceiling.
+_TIME_PRICE_DOUBLINGS = 40
 
 # Initial ellipsoid radius in warm-start-scaled coordinates.
 _ELLIPSOID_RADIUS = 4.0
@@ -157,44 +160,6 @@ def _log_root(need, budget, hi):
         with np.errstate(invalid="ignore"):  # -inf - (-inf) where hi = 0
             done = done | (g == 0.0) | (t_hi - t_lo <= 1e-13)
     return hi
-
-
-def bits_local_opt(price_min_bits, weight, capacitance, cycles_per_bit, slot_len, cpu_freq):
-    """Optimal local-compute bits for the given minimum-bits price.
-
-    Stationary point of the local subproblem, clamped to the per-slot CPU
-    cap slot_len * cpu_freq / cycles_per_bit.
-    """
-    price = np.maximum(np.asarray(price_min_bits, dtype=float), 0.0)
-    raw = slot_len * np.sqrt(price / (3.0 * weight * capacitance * cycles_per_bit**3))
-    return np.clip(raw, 0.0, slot_len * cpu_freq / cycles_per_bit)
-
-
-def bits_uav_opt(
-    price_min_bits,
-    price_subslot,
-    price_uplink,
-    price_down_uav,
-    output_ratio,
-    weight_uav,
-    capacitance,
-    cycles_per_bit,
-    slot_len,
-    n_vehicles,
-    cpu_freq,
-):
-    """Optimal UAV-compute bits; zero when the net price gain is negative."""
-    gain = cpu_freq * (
-        np.asarray(price_min_bits, dtype=float)
-        - price_uplink
-        - price_down_uav * output_ratio
-    ) - np.asarray(price_subslot, dtype=float) * cycles_per_bit
-    sub = slot_len / n_vehicles
-    cap = cpu_freq * sub / cycles_per_bit
-    raw = (slot_len / n_vehicles) * np.sqrt(
-        np.maximum(gain, 0.0) / (3.0 * weight_uav * capacitance * cycles_per_bit**3 * cpu_freq)
-    )
-    return np.where(gain > 0.0, np.clip(raw, 0.0, cap), 0.0)
 
 
 def power_opt(gains, weight, price_rate, bandwidth, power_max) -> np.ndarray:
@@ -326,15 +291,51 @@ def _phase_powers(inst, mu, start=None, phi_max=None) -> list:
         np.minimum(root[down], caps[ph]) for ph in (PHASE_DOWN_UAV, PHASE_DOWN_RSU)]
 
 
-def _split(inst, chi1, chi_subslot, chi_uplink, chi_down_uav):
-    """Closed-form local and UAV bits at the given prices, per block."""
+def _split_terms(inst, chi_subslot, chi_uplink, chi_down_uav):
+    """Terms (A, cap_L, B, c0, cap_U) of the closed-form split at the given
+    prices, per block: local bits minimize w*kappa*c^3*b^3/tau^2 - chi1*b and
+    UAV bits w_u*kappa_u*c_u^3*K^2*b^3/tau^2 + (c0 - chi1)*b within their CPU
+    caps, so b_local = min(A*sqrt(chi1), cap_L) and b_uav = min(B*sqrt((chi1 -
+    c0)+), cap_U), with c0 the UAV route's price per bit."""
     vc, uc = inst.vehicle_compute, inst.uav_compute
-    bl = bits_local_opt(chi1, inst.weights_vehicle[:, None], vc.capacitance,
-                        vc.cycles_per_bit, inst.slot_len, vc.cpu_freq)
-    bu = bits_uav_opt(chi1, chi_subslot, chi_uplink, chi_down_uav, inst.output_ratio[:, None],
-                      inst.weight_uav, uc.capacitance, uc.cycles_per_bit, inst.slot_len,
-                      inst.n_vehicles, uc.cpu_freq)
-    return bl, bu
+    a = inst.slot_len / np.sqrt(3.0 * inst.weights_vehicle[:, None] * vc.capacitance * vc.cycles_per_bit**3)
+    b = inst.subslot / np.sqrt(3.0 * inst.weight_uav * uc.capacitance * uc.cycles_per_bit**3)
+    c0 = chi_subslot * uc.cycles_per_bit / uc.cpu_freq + chi_uplink + inst.output_ratio[:, None] * chi_down_uav
+    return a, inst.bits_local_cap, b, c0, inst.bits_uav_cap
+
+
+def _split(terms, chi1):
+    """Closed-form local and UAV bits at the minimum-bits price, per block."""
+    a, cap_l, b, c0, cap_u = terms
+    return (np.minimum(a * np.sqrt(np.maximum(chi1, 0.0)), cap_l),
+            np.minimum(b * np.sqrt(np.maximum(chi1 - c0, 0.0)), cap_u))
+
+
+def _min_bits_price(terms, min_bits):
+    """Lowest price at which `_split` carries min_bits m, per block (inf where
+    both CPU caps fall short).  The split's total rises continuously with the
+    price; its values at the breakpoints (cap_L/A)^2, c0 and c0 + (cap_U/B)^2
+    pick the piece that holds the root: (m/A)^2 with no UAV bits, c0 + ((m -
+    cap_L)/B)^2 past the local cap, ((m - cap_U)/A)^2 past the UAV cap, the
+    later cap past both, else the square of the cancellation-free root of
+    A*s + B*sqrt(s^2 - c0) = m.  Where rounding leaves that split short of m,
+    the price steps up float by float to the first one that carries m."""
+    a, cap_l, b, c0, cap_u = terms
+    m = min_bits
+    knees = np.stack(np.broadcast_arrays(c0, (cap_l / a) ** 2, c0 + (cap_u / b) ** 2))
+    at_c0, at_local_cap, at_uav_cap = sum(_split(terms, knees))
+    local_capped, uav_capped = m >= at_local_cap, m >= at_uav_cap
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # 0/0 or overflow only off its piece
+        s = (m * m + b * b * c0) / (a * m + b * np.sqrt(np.maximum(m * m + (b * b - a * a) * c0, 0.0)))
+    price = np.select([m > cap_l + cap_u, m <= at_c0, local_capped & uav_capped, local_capped, uav_capped],
+                      [np.inf, (m / a) ** 2, knees[1:].max(axis=0), c0 + ((m - cap_l) / b) ** 2,
+                       ((m - cap_u) / a) ** 2], s * s)
+    # the float total rises with the price and reaches cap_L + cap_U >= m
+    short = (sum(_split(terms, price)) < m) & np.isfinite(price)
+    while short.any():
+        price = np.where(short, np.nextafter(price, np.inf), price)
+        short &= sum(_split(terms, price)) < m
+    return price
 
 
 def _phase_prices(inst, mu, powers):
@@ -364,40 +365,24 @@ def _candidate(inst, mu, start=None, phi_max=None):
 
     At the block optimum, power stationarity plus the time-sign balance make
     every rate price a function of the time price alone.  The minimum-bits
-    price is the lower of the local/UAV fixed point (the `_log_root` at which
-    closed-form local and UAV bits sum to the requirement) and the
-    ground-route price, which also stands when both CPU caps still fall
-    short; the ground unit carries the shortfall.  `start` and `phi_max`
-    warm-start the power roots as in `_phase_powers`.  Returns the (K, N, 6)
-    dual point, the (K, N) sub-slot time its split needs, and the phase powers.
+    price is the lower of `_min_bits_price`, the closed-form price at which
+    the local and UAV bits sum to the requirement, and the ground-route
+    price, which also stands when both CPU caps fall short; the ground unit
+    carries the shortfall.  `start` and `phi_max` warm-start the power roots
+    as in `_phase_powers`.  Returns the (K, N, 6) dual point, the (K, N)
+    sub-slot time its split needs, and the phase powers.
     """
-    vc, uc = inst.vehicle_compute, inst.uav_compute
-    xi = inst.output_ratio[:, None]
-    tau = inst.slot_len
-    w_col = inst.weights_vehicle[:, None]
     powers = _phase_powers(inst, mu, start, phi_max)
     chis, rates = _phase_prices(inst, mu, powers)
-    route = chis[0] + chis[1] + xi * chis[3]
-
-    # bracket top: both CPU caps reached
-    zeta_cap = 3.0 * inst.weight_uav * uc.capacitance * uc.cycles_per_bit * uc.cpu_freq**3
-    hi = np.maximum(
-        3.0 * w_col * vc.capacitance * vc.cycles_per_bit**3 * inst.bits_local_cap**2 / tau**2,
-        (zeta_cap + mu * uc.cycles_per_bit) / uc.cpu_freq + chis[0] + xi * chis[2],
-    ) * 1.01 + 1e-30
-
-    def shortfall(chi1):  # above 1 while the split carries too few bits
-        bl, bu = _split(inst, chi1, mu, chis[0], chis[2])
-        return inst.min_bits / (bl + bu)
-
-    chi1 = _log_root(shortfall, 1.0, hi)
-    chi1 = np.where(shortfall(chi1) > 1.0, route, np.minimum(chi1, route))
-    bl, bu = _split(inst, chi1, mu, chis[0], chis[2])
+    route = chis[0] + chis[1] + inst.output_ratio[:, None] * chis[3]
+    terms = _split_terms(inst, mu, chis[0], chis[2])
+    chi1 = np.minimum(_min_bits_price(terms, inst.min_bits), route)
+    bl, bu = _split(terms, chi1)
     br = np.maximum(inst.min_bits - bl - bu, 0.0)
 
     loads = phase_loads(inst, bu, br)
     times = [carry_time(loads[ph], rates[ph]) for ph in range(4)]
-    need = times[0] + times[1] + times[2] + times[3] + compute_time(bu, uc)
+    need = times[0] + times[1] + times[2] + times[3] + compute_time(bu, inst.uav_compute)
 
     chi = np.stack([chi1, mu, chis[0], chis[1], chis[2], chis[3]], axis=-1)
     return chi, need, powers
@@ -428,8 +413,7 @@ def feasible_split(inst):
     xi = inst.output_ratio[:, None]
     shape = inst.min_bits.shape
     r = [inst.rate(ph, np.full(shape, inst.power_max[ph])) for ph in range(4)]
-    with np.errstate(divide="ignore"):
-        inv = [np.where(x > 0, 1.0 / np.where(x > 0, x, 1.0), np.inf) for x in r]
+    inv = [carry_time(1.0, x) for x in r]  # time per bit, inf on a dead link
     cost_uav = inv[0] + uc.cycles_per_bit / uc.cpu_freq + xi * inv[2]
     cost_rsu = inv[0] + inv[1] + xi * inv[3]
 
@@ -455,8 +439,12 @@ def warm_start(inst: ProblemInstance):
 
     Finds the time price at which `_candidate`'s sub-slot need, which falls
     as the price rises, meets the sub-slot, and zeroes the blocks without
-    load.  Returns (multipliers, dual values, infeasible mask); infeasible
-    blocks cannot carry their minimum bits under any split at maximum power.
+    load.  Past the power-cap ceiling the powers stay capped but the rate
+    prices rise and the split tends to `feasible_split`'s, so the need keeps
+    falling: where a block that split calls feasible needs more than the
+    sub-slot at the ceiling, the bracket top doubles until the need fits.
+    Returns (multipliers, dual values, infeasible mask); infeasible blocks
+    cannot carry their minimum bits under any split at maximum power.
     """
     phi_max = _phi_at_caps(inst)
     feasible, _ = feasible_split(inst)
@@ -467,7 +455,18 @@ def warm_start(inst: ProblemInstance):
         _, out, powers = _candidate(inst, mu, powers, phi_max)
         return out
 
-    mu = _log_root(need, inst.subslot, _time_price_ceiling(inst, phi_max))
+    ceiling = _time_price_ceiling(inst, phi_max)
+    mu = _log_root(need, inst.subslot, ceiling)
+    # the root stops at its top where the need there exceeds the sub-slot
+    top, over = ceiling, feasible & (mu >= ceiling)
+    for _ in range(_TIME_PRICE_DOUBLINGS):
+        if not over.any():
+            break
+        top = np.where(over, 2.0 * top, top)
+        over &= need(top) > inst.subslot
+    raised = top > ceiling
+    if raised.any():  # a zero bracket top leaves the other blocks out of the root
+        mu = np.where(raised, _log_root(need, inst.subslot, np.where(raised, top, 0.0)), mu)
     # the powers at the kept price start from p_max, as in the completion at
     # this price, so both read the same powers whatever path the root took
     chi, _, powers = _candidate(inst, mu)
@@ -497,13 +496,13 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
 
     chi1 = chi[..., D_MIN_BITS]
     chi2 = chi[..., D_SUBSLOT]
-    bl, bu = _split(inst, chi1, chi2, chi[..., D_UPLINK], chi[..., D_DOWN_UAV])
+    terms = _split_terms(inst, chi2, chi[..., D_UPLINK], chi[..., D_DOWN_UAV])
+    bl, bu = _split(terms, chi1)
     l1 = w_col * compute_energy(bl, vc, tau) - chi1 * bl
-    coef_u = chi2 * uc.cycles_per_bit / uc.cpu_freq + chi[..., D_UPLINK] + xi * chi[..., D_DOWN_UAV] - chi1
-    l2 = inst.weight_uav * compute_energy(bu, uc, tau, inst.n_vehicles) + coef_u * bu
+    l2 = inst.weight_uav * compute_energy(bu, uc, tau, inst.n_vehicles) + (terms[3] - chi1) * bu
 
-    margin = chi[..., D_UPLINK] + chi[..., D_RELAY] + xi * chi[..., D_DOWN_RSU] - chi1
-    margin_scale = chi[..., D_UPLINK] + chi[..., D_RELAY] + xi * chi[..., D_DOWN_RSU] + chi1 + 1e-300
+    route = chi[..., D_UPLINK] + chi[..., D_RELAY] + xi * chi[..., D_DOWN_RSU]
+    margin, margin_scale = route - chi1, route + chi1 + 1e-300
     indeterminate = margin <= SIGN_RTOL * margin_scale
     br = np.where(indeterminate, np.maximum(inst.min_bits - bl - bu, 0.0), 0.0)
 
@@ -590,7 +589,7 @@ def blended_completion(inst: ProblemInstance, chi: np.ndarray, hard_mask):
     energy, inf_mask).
     """
     mu = chi[..., D_SUBSLOT]
-    bl, bu = _split(inst, chi[..., D_MIN_BITS], mu, chi[..., D_UPLINK], chi[..., D_DOWN_UAV])
+    bl, bu = _split(_split_terms(inst, mu, chi[..., D_UPLINK], chi[..., D_DOWN_UAV]), chi[..., D_MIN_BITS])
     br = np.maximum(inst.min_bits - bl - bu, 0.0)
     bits = [bl, bu, br]
     powers, times, energy, inf_mask = complete_primal(inst, tuple(bits), mu)

@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,18 @@ from uavmec import instance
 from uavmec.energy import ComputeModel
 from uavmec.instance import ProblemInstance
 from uavmec.scenario import ScenarioConfig, build_instance, validate
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_perfbench(name):
+    """The module perfbench/<name>.py, loaded from its file: perfbench is not
+    a package."""
+    path = os.path.join(ROOT, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_synthetic_instance(

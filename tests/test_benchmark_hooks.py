@@ -9,26 +9,15 @@ traced benchmark run.
 """
 
 import dataclasses
-import importlib.util
 import inspect
-import os
 
 import pytest
 
+from conftest import load_perfbench
 from uavmec import optimizer, runner
 from uavmec.channel import RadioConfig, build_channel
 from uavmec.geometry import ArraySpec, NodeState
 from uavmec.instance import ProblemInstance
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def load_perfbench(name):
-    path = os.path.join(ROOT, "perfbench", f"{name}.py")
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_traced_attribute_resolves():

@@ -1,17 +1,16 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from conftest import make_synthetic_instance
+from conftest import load_perfbench, make_synthetic_instance
 from uavmec import optimizer as opt
 from uavmec.instance import rate_derivative
 from uavmec.optimizer import (
     SIGN_RTOL,
     InfeasibleAllocation,
     WeakDualityViolated,
-    bits_local_opt,
-    bits_uav_opt,
     dual_point_eval,
     ellipsoid_solve,
     phase1_closed_form,
@@ -24,25 +23,36 @@ from uavmec.scenario import ScenarioConfig, build_instance, load_scenario, valid
 
 TAU, K = 0.2, 3
 KAPPA, CYC = 1e-27, 1e3
-F_VEH, F_UAV = 1e9, 3e9
+F_UAV = 3e9
 
 
 # ---------------------------------------------------------------- closed forms
+
+def _split_at(inst, chi1, chi_subslot=0.0, chi_uplink=0.0, chi_down_uav=0.0):
+    """Closed-form (local, UAV) bits of every block at scalar prices."""
+    terms = opt._split_terms(inst, chi_subslot, chi_uplink, chi_down_uav)
+    return opt._split(terms, np.full(inst.min_bits.shape, chi1))
+
+
+def _local_bits(chi1, weight=1.0):
+    inst = dataclasses.replace(make_synthetic_instance(), weights_vehicle=np.array([weight]))
+    return _split_at(inst, chi1)[0][0, 0]
+
 
 def local_subproblem(price, weight, bits):
     return weight * KAPPA * CYC**3 * bits**3 / TAU**2 - price * bits
 
 
 def test_bits_local_zero_price():
-    assert bits_local_opt(0.0, 1.0, KAPPA, CYC, TAU, F_VEH) == 0.0
+    assert _local_bits(0.0) == 0.0
 
 
 def test_bits_local_clamps_at_cpu_cap():
-    assert np.isclose(bits_local_opt(1.0, 1.0, KAPPA, CYC, TAU, F_VEH), 2e5)
+    assert np.isclose(_local_bits(1.0), 2e5)
 
 
 def test_bits_local_known_stationary_point():
-    assert np.isclose(bits_local_opt(7.5e-7, 1.0, KAPPA, CYC, TAU, F_VEH), 1e5, rtol=1e-12)
+    assert np.isclose(_local_bits(7.5e-7), 1e5, rtol=1e-12)
 
 
 def test_bits_local_matches_grid_search():
@@ -52,8 +62,14 @@ def test_bits_local_matches_grid_search():
         price = 10.0 ** rng.uniform(-9, -5)
         weight = 10.0 ** rng.uniform(-1, 0.5)
         best = grid[np.argmin(local_subproblem(price, weight, grid))]
-        closed = bits_local_opt(price, weight, KAPPA, CYC, TAU, F_VEH)
+        closed = _local_bits(price, weight)
         assert abs(closed - best) <= grid[1] - grid[0]
+
+
+def _uav_bits(chi1, chi2, chi3, chi5, xi=0.8, w_u=0.1):
+    # K vehicles share the UAV server: its bits carry the K^2 energy factor
+    inst = make_synthetic_instance(n_vehicles=K, weight_uav=w_u, output_ratio=xi)
+    return _split_at(inst, chi1, chi2, chi3, chi5)[1][0, 0]
 
 
 def uav_subproblem(chi1, chi2, chi3, chi5, xi, w_u, bits):
@@ -62,15 +78,14 @@ def uav_subproblem(chi1, chi2, chi3, chi5, xi, w_u, bits):
 
 
 def test_bits_uav_zero_when_net_gain_negative():
-    assert bits_uav_opt(0.0, 1.0, 0.0, 0.0, 0.8, 0.1, KAPPA, CYC, TAU, K, F_UAV) == 0.0
-    assert bits_uav_opt(0.0, 0.0, 0.0, 0.0, 0.8, 0.1, KAPPA, CYC, TAU, K, F_UAV) == 0.0
+    assert _uav_bits(0.0, 1.0, 0.0, 0.0) == 0.0
+    assert _uav_bits(0.0, 0.0, 0.0, 0.0) == 0.0
 
 
 def test_bits_uav_clamps_at_subslot_cpu_cap():
     cap = F_UAV * TAU / (K * CYC)
     assert np.isclose(cap, 2e5)
-    got = bits_uav_opt(1.0, 0.0, 0.0, 0.0, 0.8, 0.1, KAPPA, CYC, TAU, K, F_UAV)
-    assert np.isclose(got, cap)
+    assert np.isclose(_uav_bits(1.0, 0.0, 0.0, 0.0), cap)
 
 
 def test_bits_uav_matches_grid_search():
@@ -83,23 +98,17 @@ def test_bits_uav_matches_grid_search():
         chi5 = chi1 * rng.uniform(0.0, 0.5)
         xi, w_u = 0.8, 0.1
         best = grid[np.argmin(uav_subproblem(chi1, chi2, chi3, chi5, xi, w_u, grid))]
-        closed = bits_uav_opt(chi1, chi2, chi3, chi5, xi, w_u, KAPPA, CYC, TAU, K, F_UAV)
+        closed = _uav_bits(chi1, chi2, chi3, chi5, xi, w_u)
         assert abs(closed - best) <= grid[1] - grid[0]
 
 
 def test_remark1_monotonicity_in_weights():
     price = 5e-7
-    heavier = [bits_local_opt(price, w, KAPPA, CYC, TAU, F_VEH) for w in (0.5, 1.0, 2.0)]
+    heavier = [_local_bits(price, w) for w in (0.5, 1.0, 2.0)]
     assert heavier[0] >= heavier[1] >= heavier[2]
-    uav = [
-        bits_uav_opt(1e-6, 1e-5, 1e-8, 1e-8, 0.8, w, KAPPA, CYC, TAU, K, F_UAV)
-        for w in (0.05, 0.1, 0.2)
-    ]
+    uav = [_uav_bits(1e-6, 1e-5, 1e-8, 1e-8, 0.8, w) for w in (0.05, 0.1, 0.2)]
     assert uav[0] >= uav[1] >= uav[2]
-    ratio = [
-        bits_uav_opt(1e-6, 1e-5, 1e-8, 1e-7, xi, 0.1, KAPPA, CYC, TAU, K, F_UAV)
-        for xi in (0.4, 0.8, 1.6)
-    ]
+    ratio = [_uav_bits(1e-6, 1e-5, 1e-8, 1e-7, xi, 0.1) for xi in (0.4, 0.8, 1.6)]
     assert ratio[0] >= ratio[1] >= ratio[2]
 
 
@@ -107,7 +116,7 @@ def _ground_bits(inst, chi):
     """Ground-unit bits chosen by the dual evaluation, read off the
     minimum-bits residual."""
     _, g = dual_point_eval(inst, chi)
-    bl, bu = opt._split(inst, chi[..., 0], chi[..., 1], chi[..., 2], chi[..., 4])
+    bl, bu, _ = _split_bits(inst, chi)
     return (inst.min_bits - bl - bu - g[..., 0])[0, 0]
 
 
@@ -119,7 +128,7 @@ def test_bits_rsu_rule_cases():
     # zero margin: indeterminate, the ground unit takes the shortfall
     balanced = positive.copy()
     balanced[..., 0] = 2.8e-7
-    shortfall = 5e5 - bits_local_opt(2.8e-7, 1.0, KAPPA, CYC, TAU, F_VEH)
+    shortfall = 5e5 - _local_bits(2.8e-7)
     assert np.isclose(_ground_bits(inst, balanced), shortfall)
     # the rule's tolerance is relative to the prices, not absolute
     within = positive.copy()
@@ -244,7 +253,7 @@ def test_slot_time_rule_three_cases():
     p = power_opt(inst.gains[0], 1.0, price, inst.bandwidth, inst.power_max[0])
     rate = inst.rate(0, p)[0, 0]
     chi = np.array([[[2e-7, 2e-7 * rate - p[0, 0], 2e-7, 0.0, 0.0, 0.0]]])
-    carry = (5e5 - bits_local_opt(2e-7, 1.0, KAPPA, CYC, TAU, F_VEH)) / rate
+    carry = (5e5 - _local_bits(2e-7)) / rate
     assert 0.0 < carry < inst.subslot
     assert np.isclose(_uplink_time(inst, chi), carry, rtol=1e-9)
 
@@ -599,8 +608,9 @@ def _carry_need(inst, bits):
 
 
 def _split_bits(inst, chi):
-    bl, bu = opt._split(inst, chi[..., opt.D_MIN_BITS], chi[..., opt.D_SUBSLOT],
-                        chi[..., opt.D_UPLINK], chi[..., opt.D_DOWN_UAV])
+    terms = opt._split_terms(inst, chi[..., opt.D_SUBSLOT], chi[..., opt.D_UPLINK],
+                             chi[..., opt.D_DOWN_UAV])
+    bl, bu = opt._split(terms, chi[..., opt.D_MIN_BITS])
     return bl, bu, np.maximum(inst.min_bits - bl - bu, 0.0)
 
 
@@ -714,35 +724,83 @@ def test_stock_solve_evaluates_phi_at_most_235_times(stock_points, monkeypatch):
 
 def _bisected_min_bits_price(inst, mu):
     """Reference minimum-bits price: the lowest price in [0, route] whose
-    closed-form split carries the minimum bits, by 300 halvings, or the
-    ground-route price where even that price falls short."""
+    closed-form split carries the minimum bits, by 300 halvings (0 where the
+    split carries them at price 0), or the ground-route price where even that
+    price falls short.  Also returns the route price and the split's terms."""
     chis, _ = opt._phase_prices(inst, mu, opt._phase_powers(inst, mu))
     route = chis[0] + chis[1] + inst.output_ratio[:, None] * chis[3]
+    terms = opt._split_terms(inst, mu, chis[0], chis[2])
 
     def short(chi1):
-        bl, bu = opt._split(inst, chi1, mu, chis[0], chis[2])
-        return bl + bu < inst.min_bits
+        return sum(opt._split(terms, chi1)) < inst.min_bits
 
     lo, hi = np.zeros_like(route), route
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         below = short(mid)
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return np.where(short(route), route, hi), route
+    ref = np.where(short(route), route, np.where(short(np.zeros_like(route)), hi, 0.0))
+    return ref, route, terms
 
 
-@pytest.mark.parametrize("task_bits", ROOT_TASK_BITS)
+# One synthetic slot per piece of the closed-form minimum-bits price (K = 1:
+# CPU caps of 2e5 local and 6e5 UAV bits): no bits, local bits alone, both
+# interior, bits exactly at the local cap, the UAV capped first, the local
+# cap first, both caps exactly, and more than both caps carry.  A weak relay
+# lets the UAV route undercut the ground route, and a light UAV weight lets
+# it reach its cap before the local one.
+PIECE_BITS = (0.0, 5e4, 2e5, 3e5, 7e5, 8e5, 1e6)
+
+
+def _piece_instance():
+    inst = make_synthetic_instance(n_slots=len(PIECE_BITS), gain=[5000.0, 1e-2, 5000.0, 5000.0],
+                                   weight_uav=0.01)
+    inst.min_bits[:] = PIECE_BITS
+    return inst
+
+
+def _price_pieces(inst, chi1, route, terms):
+    """Blocks of each piece of the closed-form minimum-bits price."""
+    a, cap_l, b, c0, cap_u = terms
+    m = inst.min_bits
+    below = (m > 0.0) & (chi1 < route)
+    local_capped = chi1 >= (cap_l / a) ** 2
+    uav_on, uav_capped = chi1 > c0, chi1 >= c0 + (cap_u / b) ** 2
+    return {
+        "no bits": m == 0.0,
+        "local only": below & ~uav_on & ~local_capped,
+        "both interior": below & uav_on & ~local_capped & ~uav_capped,
+        "bits at the local cap": below & (m == cap_l),
+        "UAV capped": below & uav_capped & ~local_capped,
+        "local capped": below & local_capped & uav_on & ~uav_capped,
+        "both capped": below & local_capped & uav_capped,
+        "route price": m > cap_l + cap_u,
+    }
+
+
+@pytest.mark.parametrize("task_bits", [*ROOT_TASK_BITS, "pieces"])
 def test_min_bits_price_matches_fine_bisection(stock_points, task_bits):
-    inst = stock_points[task_bits]
-    # the grid runs along a leading axis, from ceiling * 1e-8 to the ceiling
-    mu = opt._time_price_ceiling(inst) * np.geomspace(1e-8, 1.0, 40)[:, None, None]
+    if task_bits == "pieces":
+        # past the power-cap ceiling too, where a raised warm start looks
+        inst = _piece_instance()
+        mu = opt._time_price_ceiling(inst) * np.geomspace(1e-8, 1e3, 45)[:, None, None]
+    else:
+        inst = stock_points[task_bits]
+        # the grid runs along a leading axis, from ceiling * 1e-8 to the ceiling
+        mu = opt._time_price_ceiling(inst) * np.geomspace(1e-8, 1.0, 40)[:, None, None]
     chi1 = opt._candidate(inst, mu)[0][..., opt.D_MIN_BITS]
-    ref, route = _bisected_min_bits_price(inst, mu)
+    ref, route, terms = _bisected_min_bits_price(inst, mu)
     assert (np.abs(chi1 - ref) <= 1e-12 * ref).all()
+    # under the route price the split at chi1 carries the minimum bits
+    carried = sum(opt._split(terms, chi1)) >= inst.min_bits
+    assert carried[chi1 < route].all()
     if task_bits == 1e5:
         # below the CPU caps the split meets the bits under the route price
         # on most blocks near the ceiling
         assert (chi1 < route).mean(axis=(1, 2)).max() >= 0.5
+    if task_bits == "pieces":
+        pieces = _price_pieces(inst, chi1, route, terms)
+        assert [name for name, blocks in pieces.items() if not blocks.any()] == []
 
 
 def test_warm_start_splits_at_most_250_times(stock_points, monkeypatch):
@@ -760,8 +818,9 @@ def test_warm_start_splits_at_most_250_times(stock_points, monkeypatch):
         assert len(calls) <= 250
 
 
-# The 4-vehicle scenario that does not certify: at the warm start the
-# closed-form split of vehicles 0 and 1 cannot be completed in any slot.
+# A 4-vehicle scenario that certifies only once the warm start's time price
+# rises past the power-cap ceiling: at the ceiling the closed-form split of
+# vehicles 0 and 1 cannot be completed in any slot.
 UNCERTIFIED_4_VEHICLES = """
 [network]
 vehicles = 4
@@ -781,8 +840,44 @@ power_max_relay = 2.32 W
 """
 
 
+def test_raised_time_price_certifies_at_the_warm_start():
+    cfg = load_scenario(UNCERTIFIED_4_VEHICLES)
+    inst = build_instance(cfg)
+    report = opt.algorithm1(inst, eps=cfg.epsilon, max_iterations=cfg.max_iterations)
+    assert report.iterations == 0
+    assert report.feasible and abs(report.gap) <= cfg.epsilon
+    mu = report.duals[..., opt.D_SUBSLOT]
+    raised = mu > opt._time_price_ceiling(inst)
+    assert raised[:2].all() and not raised[2:].any()
+
+
+def test_random_draws_certify_or_name_an_infeasible_block():
+    # the 48 draws of the benchmark's random scenarios at seeds 1-4: four
+    # need a time price above the power-cap ceiling, and the draws (1, 1),
+    # (2, 3), (3, 8) and (4, 5) hold blocks no split carries at full power
+    workloads = load_perfbench("workloads")
+    infeasible = 0
+    for seed in range(1, 5):
+        for text in workloads.draw_block(np.random.default_rng(seed)):
+            cfg = load_scenario(text)
+            inst = build_instance(cfg)
+            feasible, _ = opt.feasible_split(inst)
+            try:
+                report = opt.algorithm1(inst, eps=cfg.epsilon, max_iterations=cfg.max_iterations)
+            except InfeasibleAllocation as err:
+                k, n = map(int, re.search(r"vehicle (\d+), slot (\d+)", str(err)).groups())
+                assert not feasible[k, n]
+                infeasible += 1
+            else:
+                assert report.converged and report.feasible
+    assert infeasible == 4
+
+
 def test_blended_completion_falls_back_to_the_greedy_split(monkeypatch):
+    # the warm start with no doubling past the power-cap ceiling stops there,
+    # at multipliers whose closed-form split cannot be completed
     inst = build_instance(load_scenario(UNCERTIFIED_4_VEHICLES))
+    monkeypatch.setattr(opt, "_TIME_PRICE_DOUBLINGS", 0)
     chi, _, hard = warm_start(inst)
     closed = _split_bits(inst, chi)
     retry = opt.complete_primal(inst, closed, chi[..., opt.D_SUBSLOT])[3] & ~hard
