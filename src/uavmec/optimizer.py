@@ -15,7 +15,7 @@ Newton iteration on log(phi) against log(p), with phi's ln(1 + p*g) terms
 taken by log1p; the two download phases share one such root, and inside the
 warm start's time-price root each starts from the previous iterate's powers.
 The minimum-bits price is closed form; the time prices and `power_opt`'s
-powers are bracketed Illinois roots in log coordinates, `_log_root`.
+powers come from one safeguarded Newton root on analytic slopes, `_log_root`.
 
 Multiplier order inside every length-6 vector: the prices of the
 minimum-bits constraint, the sub-slot time budget, and the four link
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import (PHASE_DOWN_RSU, PHASE_DOWN_UAV, PHASE_OFFLOAD, PHASE_RELAY,
-                       ProblemInstance, rate_derivative)
+                       ProblemInstance)
 # no solver path calls it: perfbench/tracing.py wraps this name, its only reader
 from .lp import solve_lp
 from .energy import compute_energy, compute_time
@@ -112,53 +112,51 @@ class SolveReport:
 def _log_root(need, budget, hi):
     """Point x in (0, hi] at which need(x) meets the budget, per block.
 
-    need(x) falls as x rises.  A bracketed Illinois iteration (regula falsi
-    that halves the kept end's value when the same end is kept twice) runs in
-    t = log(x) over [hi * 2**-80, hi] on g = log(need / budget), which is
-    nearly linear in t for the solver's prices and powers; a step that is not
-    finite or leaves the bracket takes the log-midpoint instead, and one
-    within 4e-14 of an end moves that far inward.  The bracket ends move by
-    the sign of need - budget alone.  A block stops when g = 0 or its bracket
-    is narrower than 1e-13 relative; at most 100 steps run.
+    need(x) returns the need, which falls as x rises, and its slope d need/dx.
+    Safeguarded Newton steps run in t = log(x) on g = log(need/budget), which
+    is nearly linear in t for the solver's prices and powers; below a tenth
+    of the budget g steepens, so there the step is at least Newton's step on
+    the need itself.  Each step aims 4e-14 (above the spacing of floats near
+    |t| < 128) above the root, so the iterates settle on its feasible side.
+    The first evaluation is at hi; the bottom hi * 2**-80 stays an open end
+    until a step lands below the root, and the ends move by the sign of
+    need - budget.  A step that is not finite or leaves the bracket takes the
+    log-midpoint, or moves 16 halvings down (to the bottom at most) while the
+    low end is open.  A block stops at a feasible point that is the bottom or
+    whose step is at most 1e-14 down (there the need fills the budget to its
+    rounding), or when its bracket is narrower than 1e-13; at most 100 steps
+    run.
 
     Returns the feasible end of the bracket (need(x) <= budget): hi where even
     need(hi) exceeds the budget, hi * 2**-80 where the whole bracket fits, and
     0 where hi = 0.
     """
-    lo = hi * 2.0**-80
-    need_hi, need_lo = need(hi), need(lo)
-    over_hi = need_hi > budget
-    fits_lo = (need_lo <= budget) & ~over_hi
-    done = over_hi | fits_lo | (hi <= 0.0)
-    hi = np.where(fits_lo, lo, hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo, t_hi = np.log(lo), np.log(hi)
-        g_lo, g_hi = np.log(need_lo / budget), np.log(need_hi / budget)
-    kept = np.zeros(hi.shape, dtype=int)  # end kept by the last step: -1 lo, +1 hi
+    bottom, x = hi * 2.0**-80, hi
+    with np.errstate(divide="ignore"):
+        t_lo = t_bottom = np.log(bottom)
+        t = t_hi = np.log(hi)
+    closed = np.zeros(hi.shape, dtype=bool)  # the low end was evaluated
+    value, slope = need(x)
+    done = (value > budget) | (hi <= 0.0)
     for _ in range(100):
-        if done.all():
-            break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = (t_lo * g_hi - t_hi * g_lo) / (g_hi - g_lo)
-        # a step onto a bracket end moves 4e-14 inward (above the spacing of
-        # floats near |t| < 128), so a root found from one side closes the
-        # bracket from the other on the next step
-        t = np.where((t >= t_lo) & (t <= t_hi), np.clip(t, t_lo + 4e-14, t_hi - 4e-14),
-                     0.5 * (t_lo + t_hi))
-        x = np.where(done, hi, np.exp(t))
-        value = need(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.log(value / budget)
         over = value > budget
         live_over, live_fits = ~done & over, ~done & ~over
-        g_lo = np.where(live_fits & (kept == -1), 0.5 * g_lo, g_lo)
-        g_hi = np.where(live_over & (kept == 1), 0.5 * g_hi, g_hi)
-        t_lo, g_lo = np.where(live_over, t, t_lo), np.where(live_over, g, g_lo)
-        t_hi, g_hi = np.where(live_fits, t, t_hi), np.where(live_fits, g, g_hi)
-        hi = np.where(live_fits, x, hi)
-        kept = np.where(over, 1, -1)
-        with np.errstate(invalid="ignore"):  # -inf - (-inf) where hi = 0
-            done = done | (g == 0.0) | (t_hi - t_lo <= 1e-13)
+        t_lo, closed = np.where(live_over, t, t_lo), closed | live_over
+        t_hi, hi = np.where(live_fits, t, t_hi), np.where(live_fits, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = -np.log(value / budget) * value / (x * slope)
+            step = 4e-14 + np.where(value < 0.1 * budget,
+                                    np.minimum(step, (budget - value) / (x * slope)), step)
+            done |= live_fits & (((step >= -1e-14) & (step <= 4e-14)) | (t <= t_bottom))
+            done |= t_hi - t_lo <= 1e-13
+        if done.all():
+            break
+        t_new = t + step
+        t = np.where(done, t, np.where((t_new > t_lo) & (t_new < t_hi), t_new,
+                                       np.where(closed, 0.5 * (t_lo + t_hi),
+                                                np.maximum(t - 16.0 * np.log(2.0), t_bottom))))
+        x = np.where(done, hi, np.where(t <= t_bottom, bottom, np.exp(t)))
+        value, slope = need(x)
     return hi
 
 
@@ -168,15 +166,20 @@ def power_opt(gains, weight, price_rate, bandwidth, power_max) -> np.ndarray:
     `gains` has shape (..., L); `weight` and `price_rate` broadcast against
     its leading shape.  The defining function weight - price_rate *
     d(rate)/d(power) is strictly increasing in power, so the root is the
-    `_log_root` of price_rate * d(rate)/d(power) / weight against 1;
-    endpoints clamp when no interior root exists.
+    `_log_root` of price_rate * r'(p) / weight against 1, whose slope comes
+    from r''(p) = -B/ln2 * sum_l g_l^2/(1 + p*g_l)^2; endpoints clamp when no
+    interior root exists.
     """
     shape = np.broadcast_shapes(gains.shape[:-1], np.shape(weight), np.shape(price_rate))
-    at_zero = price_rate * rate_derivative(gains, bandwidth, np.zeros(shape))
+    scale = price_rate * bandwidth / (np.log(2.0) * weight)
+
+    def need(p):
+        q = gains / (1.0 + p[..., None] * gains)
+        return scale * q.sum(axis=-1), -scale * (q * q).sum(axis=-1)
+
     # _log_root returns power_max exactly where price * r' > weight even there
-    p = _log_root(lambda p: price_rate * rate_derivative(gains, bandwidth, p) / weight,
-                  1.0, np.full(shape, power_max))
-    return np.where(at_zero <= weight, 0.0, p)
+    p = _log_root(need, 1.0, np.full(shape, power_max))
+    return np.where(need(np.zeros(shape))[0] <= 1.0, 0.0, p)
 
 
 def phase1_closed_form(trace_power, n_tx, n_rx, bound, weight, price_rate,
@@ -224,8 +227,10 @@ def _phi(inst, ph, w, p):
     return w * (ratio - p), w * ratio * (q * q).sum(axis=-1) / sum_q
 
 
-def _power_from_time_price(inst, ph, w, mu, start=None, phi_max=None) -> np.ndarray:
-    """Invert w*(r/r' - p) = mu elementwise on [0, p_max] (clamped above).
+def _power_from_time_price(inst, ph, w, mu, start=None, phi_max=None):
+    """Invert w*(r/r' - p) = mu elementwise on [0, p_max] (clamped above);
+    returns the power and its slope dp/dmu, 1/phi'(p) inside (0, p_max) and 0
+    where the power clamps.
 
     mu <= 0 gives 0 and phi(p_max) <= mu gives p_max.  Elsewhere a
     safeguarded Newton iteration on log(phi) against log(p), where phi is
@@ -238,10 +243,9 @@ def _power_from_time_price(inst, ph, w, mu, start=None, phi_max=None) -> np.ndar
     or leaves the bracket halves the bracket instead.  A block stops when |phi(p) - mu| is
     within phi's rounding floor 8e-16*w*(r/r' + p) or its Newton step is at
     most 1e-14 in log(p); at most 60 iterations run.
-    It is not a `_log_root`: phi cancels r/r' against p, so at that root's
-    bracket bottom p_max * 2**-80 it reads rounding noise, which steers the
-    completion off its optimum (the stock solve then stops at its
-    200-iteration cap); Newton starts at p_max or near the root instead.
+    It is not a `_log_root`: phi cancels r/r' against p, so near that root's
+    bracket bottom p_max * 2**-80 it reads rounding noise that steers the
+    completion off its optimum; Newton starts at p_max or near the root.
     """
     pmax = inst.power_max[ph]
     p = np.full(mu.shape, pmax) if start is None else np.where(start > 0.0, start, pmax)
@@ -267,18 +271,20 @@ def _power_from_time_price(inst, ph, w, mu, start=None, phi_max=None) -> np.ndar
             if done.all():
                 break
             phi, slope = _phi(inst, ph, w, p)
-    p = np.where(mu <= 0.0, 0.0, p)
-    return np.where(at_max, pmax, p)
+    interior = (mu > 0.0) & ~at_max
+    with np.errstate(divide="ignore"):  # phi' = 0 only on a dead link, which clamps
+        return np.where(interior, p, np.where(at_max, pmax, 0.0)), np.where(interior, 1.0 / slope, 0.0)
 
 
-def _phase_powers(inst, mu, start=None, phi_max=None) -> list:
-    """Stationary power of each phase at the time price, per block.
+def _phase_powers(inst, mu, start=None, phi_max=None):
+    """Stationary power of each phase at the time price and its slope
+    dp/dmu, per block.
 
     Both download phases send over one gain table at one weight, so one
     root at the larger of their caps serves both, clamped at each cap.
-    Inside the warm start's time-price root, `start` (what this returned at
-    the previous iterate) and `phi_max` (`_phi_at_caps`) start each power
-    root there.
+    Inside the warm start's time-price root, `start` (the powers this
+    returned at the previous iterate) and `phi_max` (`_at_caps`) start each
+    power root there.
     """
     wv = _phase_weights(inst)
     caps = inst.power_max
@@ -287,8 +293,10 @@ def _phase_powers(inst, mu, start=None, phi_max=None) -> list:
     phi_max = phi_max or [None] * 4
     root = {ph: _power_from_time_price(inst, ph, wv[ph], mu, start[ph], phi_max[ph])
             for ph in (PHASE_OFFLOAD, PHASE_RELAY, down)}
-    return [root[PHASE_OFFLOAD], root[PHASE_RELAY]] + [
-        np.minimum(root[down], caps[ph]) for ph in (PHASE_DOWN_UAV, PHASE_DOWN_RSU)]
+    (p_down, dp_down), downs = root[down], (PHASE_DOWN_UAV, PHASE_DOWN_RSU)
+    return ([root[PHASE_OFFLOAD][0], root[PHASE_RELAY][0]] + [np.minimum(p_down, caps[ph]) for ph in downs],
+            [root[PHASE_OFFLOAD][1], root[PHASE_RELAY][1]]
+            + [np.where(p_down < caps[ph], dp_down, 0.0) for ph in downs])
 
 
 def _split_terms(inst, chi_subslot, chi_uplink, chi_down_uav):
@@ -311,15 +319,17 @@ def _split(terms, chi1):
             np.minimum(b * np.sqrt(np.maximum(chi1 - c0, 0.0)), cap_u))
 
 
-def _min_bits_price(terms, min_bits):
+def _min_bits_price(terms, min_bits, d_c0):
     """Lowest price at which `_split` carries min_bits m, per block (inf where
-    both CPU caps fall short).  The split's total rises continuously with the
-    price; its values at the breakpoints (cap_L/A)^2, c0 and c0 + (cap_U/B)^2
-    pick the piece that holds the root: (m/A)^2 with no UAV bits, c0 + ((m -
-    cap_L)/B)^2 past the local cap, ((m - cap_U)/A)^2 past the UAV cap, the
-    later cap past both, else the square of the cancellation-free root of
-    A*s + B*sqrt(s^2 - c0) = m.  Where rounding leaves that split short of m,
-    the price steps up float by float to the first one that carries m."""
+    both CPU caps fall short), and its slope in mu given d_c0 = dc0/dmu.  The
+    split's total rises continuously with the price; its values at the
+    breakpoints (cap_L/A)^2, c0 and c0 + (cap_U/B)^2 pick the piece that
+    holds the root: (m/A)^2 with no UAV bits, c0 + ((m - cap_L)/B)^2 past the
+    local cap, ((m - cap_U)/A)^2 past the UAV cap, the later cap past both,
+    else the square of the cancellation-free root of A*s + B*sqrt(s^2 - c0)
+    = m, whose slope s_U*d_c0/(s_L + s_U) keeps b_L + b_U = m (s_L, s_U: the
+    splits' slopes in the price).  Where rounding leaves that split short of
+    m, the price steps up float by float to the first one that carries m."""
     a, cap_l, b, c0, cap_u = terms
     m = min_bits
     knees = np.stack(np.broadcast_arrays(c0, (cap_l / a) ** 2, c0 + (cap_u / b) ** 2))
@@ -327,79 +337,93 @@ def _min_bits_price(terms, min_bits):
     local_capped, uav_capped = m >= at_local_cap, m >= at_uav_cap
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # 0/0 or overflow only off its piece
         s = (m * m + b * b * c0) / (a * m + b * np.sqrt(np.maximum(m * m + (b * b - a * a) * c0, 0.0)))
-    price = np.select([m > cap_l + cap_u, m <= at_c0, local_capped & uav_capped, local_capped, uav_capped],
-                      [np.inf, (m / a) ** 2, knees[1:].max(axis=0), c0 + ((m - cap_l) / b) ** 2,
-                       ((m - cap_u) / a) ** 2], s * s)
+    pieces = [m > cap_l + cap_u, m <= at_c0, local_capped & uav_capped, local_capped, uav_capped]
+    price = np.select(pieces, [np.inf, (m / a) ** 2, knees[1:].max(axis=0), c0 + ((m - cap_l) / b) ** 2,
+                               ((m - cap_u) / a) ** 2], s * s)
+    # on the interior piece s_U/(s_L + s_U) = B^2*b_L/(A^2*b_U + B^2*b_L) with b_L = A*s
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope = np.select(pieces, [0.0, 0.0, np.where(knees[2] >= knees[1], d_c0, 0.0), d_c0, 0.0],
+                          d_c0 * b * b * s / (a * (m - a * s) + b * b * s))
     # the float total rises with the price and reaches cap_L + cap_U >= m
     short = (sum(_split(terms, price)) < m) & np.isfinite(price)
     while short.any():
         price = np.where(short, np.nextafter(price, np.inf), price)
         short &= sum(_split(terms, price)) < m
-    return price
+    return price, slope
 
 
-def _phase_prices(inst, mu, powers):
-    """Per-phase rate prices and rates at the time price and its
-    `_phase_powers`.
-
-    An interior power prices its rate at w / r'(p); a power clamped at its
-    cap takes the price that balances the time sign, (w * p_max + mu) / r.
-    """
-    wv = _phase_weights(inst)
-    chis, rates = [], []
-    for ph, p in enumerate(powers):
-        pmax = inst.power_max[ph]
-        clamped = p >= pmax * (1.0 - 1e-12)
-        chi = np.where(
-            clamped,
-            (wv[ph] * pmax + mu) / np.maximum(inst.rate(ph, np.full(mu.shape, pmax)), 1e-300),
-            wv[ph] / np.maximum(inst.rate_derivative(ph, p), 1e-300),
-        )
-        chis.append(chi)
-        rates.append(inst.rate(ph, p))
-    return chis, rates
+def _carry_slope(loads, dloads, rates, drates):
+    """d/dmu of the carry times sum_ph load/rate from the loads' and rates'
+    slopes; a phase with no load and no load slope adds 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sum(np.where((load > 0.0) | (dload != 0.0), (dload - load * dr / r) / r, 0.0)
+                   for load, dload, r, dr in zip(loads, dloads, rates, drates))
 
 
-def _candidate(inst, mu, start=None, phi_max=None):
+def _candidate(inst, mu, start=None, caps=None):
     """Dual point and primal quantities implied by the sub-slot time price.
 
     At the block optimum, power stationarity plus the time-sign balance make
-    every rate price a function of the time price alone.  The minimum-bits
-    price is the lower of `_min_bits_price`, the closed-form price at which
-    the local and UAV bits sum to the requirement, and the ground-route
-    price, which also stands when both CPU caps fall short; the ground unit
-    carries the shortfall.  `start` and `phi_max` warm-start the power roots
-    as in `_phase_powers`.  Returns the (K, N, 6) dual point, the (K, N)
-    sub-slot time its split needs, and the phase powers.
+    every rate price a function of the time price alone: w / r'(p) at an
+    interior power, (w * p_max + mu) / r at one clamped at its cap.  The
+    minimum-bits price is the lower of `_min_bits_price`, the closed-form
+    price at which the local and UAV bits sum to the requirement, and the
+    ground-route price, which also stands when both CPU caps fall short; the
+    ground unit carries the shortfall.  The need's slope is analytic:
+    dp/dmu = 1/phi'(p) gives dr/dmu, the envelope theorem d(chi_ph)/dmu =
+    1/r_ph (clamped powers too), and the minimum-bits price's slope on its
+    piece the bits'.  `start` warm-starts the power roots as in
+    `_phase_powers`; `caps` is `_at_caps(inst)`, computed when not given.
+    Returns the (K, N, 6) dual point, the (K, N) sub-slot time its split
+    needs, that need's slope d need/dmu, and the phase powers.
     """
-    powers = _phase_powers(inst, mu, start, phi_max)
-    chis, rates = _phase_prices(inst, mu, powers)
-    route = chis[0] + chis[1] + inst.output_ratio[:, None] * chis[3]
+    phi_max, rate_max = _at_caps(inst) if caps is None else caps
+    powers, dpowers = _phase_powers(inst, mu, start, phi_max)
+    wv, xi, uc = _phase_weights(inst), inst.output_ratio[:, None], inst.uav_compute
+    chis, rates, drates = [], [], []
+    for ph, p in enumerate(powers):
+        pmax, r_prime = inst.power_max[ph], inst.rate_derivative(ph, p)
+        clamped = p >= pmax * (1.0 - 1e-12)
+        chis.append(np.where(clamped, (wv[ph] * pmax + mu) / np.maximum(rate_max[ph], 1e-300),
+                             wv[ph] / np.maximum(r_prime, 1e-300)))
+        rates.append(inst.rate(ph, p))
+        drates.append(r_prime * dpowers[ph])
+    inv = [1.0 / np.maximum(r, 1e-300) for r in rates]  # d(chi_ph)/dmu
+    route, d_route = chis[0] + chis[1] + xi * chis[3], inv[0] + inv[1] + xi * inv[3]
     terms = _split_terms(inst, mu, chis[0], chis[2])
-    chi1 = np.minimum(_min_bits_price(terms, inst.min_bits), route)
+    _, cap_l, _, c0, cap_u = terms
+    d_c0 = uc.cycles_per_bit / uc.cpu_freq + inv[0] + xi * inv[2]
+    price, d_price = _min_bits_price(terms, inst.min_bits, d_c0)
+    chi1, d_chi1 = np.minimum(price, route), np.where(price < route, d_price, d_route)
     bl, bu = _split(terms, chi1)
     br = np.maximum(inst.min_bits - bl - bu, 0.0)
-
     loads = phase_loads(inst, bu, br)
     times = [carry_time(loads[ph], rates[ph]) for ph in range(4)]
-    need = times[0] + times[1] + times[2] + times[3] + compute_time(bu, inst.uav_compute)
+    need = times[0] + times[1] + times[2] + times[3] + compute_time(bu, uc)
+    # a split off its interior has slope 0; slopes overflow only beside a
+    # dead link, where the need is inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dbl = np.where((bl < cap_l) & (chi1 > 0.0), bl / (2.0 * chi1) * d_chi1, 0.0)
+        dbu = np.where((bu < cap_u) & (chi1 > c0), bu / (2.0 * (chi1 - c0)) * (d_chi1 - d_c0), 0.0)
+        dbr = np.where(br > 0.0, -dbl - dbu, 0.0)
+        slope = _carry_slope(loads, phase_loads(inst, dbu, dbr), rates, drates) + compute_time(dbu, uc)
 
     chi = np.stack([chi1, mu, chis[0], chis[1], chis[2], chis[3]], axis=-1)
-    return chi, need, powers
+    return chi, need, slope, powers
 
 
-def _phi_at_caps(inst) -> list:
-    """phi at each phase's power cap, per block: the time price from which
-    that phase's stationary power clamps at the cap."""
-    wv = _phase_weights(inst)
-    return [_phi(inst, ph, wv[ph], np.full(inst.min_bits.shape, inst.power_max[ph]))[0]
-            for ph in range(4)]
+def _at_caps(inst):
+    """phi and the rate at each phase's power cap, per block: phi there is the
+    time price from which that phase's stationary power clamps at the cap."""
+    wv, shape = _phase_weights(inst), inst.min_bits.shape
+    return ([_phi(inst, ph, wv[ph], np.full(shape, inst.power_max[ph]))[0] for ph in range(4)],
+            [inst.rate(ph, np.full(shape, inst.power_max[ph])) for ph in range(4)])
 
 
 def _time_price_ceiling(inst, phi_max=None) -> np.ndarray:
     """Price above which every phase's stationary power clamps at its cap,
-    from `_phi_at_caps` (computed when not given)."""
-    return np.maximum(np.max(_phi_at_caps(inst) if phi_max is None else phi_max, axis=0), 0.0)
+    from phi at the caps (`_at_caps`, computed when not given)."""
+    return np.maximum(np.max(_at_caps(inst)[0] if phi_max is None else phi_max, axis=0), 0.0)
 
 
 def feasible_split(inst):
@@ -426,10 +450,8 @@ def feasible_split(inst):
     br_dead = ~np.isfinite(cost_rsu) & (br > 0)
     bu = np.where(br_dead, np.minimum(rem, inst.bits_uav_cap), bu)
     br = np.where(br_dead, rem - bu, br)
-    need = bu * np.where(np.isfinite(cost_uav), cost_uav, np.inf) + br * np.where(
-        np.isfinite(cost_rsu), cost_rsu, np.inf
-    )
-    need = np.where(rem <= 0, 0.0, need)
+    # a route without bits adds 0, also over a dead link (cost inf)
+    need = carry_time(bu, 1.0 / cost_uav) + carry_time(br, 1.0 / cost_rsu)
     feasible = need <= inst.subslot * (1.0 + 1e-12)
     return feasible, (bl, bu, br)
 
@@ -438,24 +460,25 @@ def warm_start(inst: ProblemInstance):
     """Dual seed per block from the one-dimensional time-price reduction.
 
     Finds the time price at which `_candidate`'s sub-slot need, which falls
-    as the price rises, meets the sub-slot, and zeroes the blocks without
-    load.  Past the power-cap ceiling the powers stay capped but the rate
-    prices rise and the split tends to `feasible_split`'s, so the need keeps
-    falling: where a block that split calls feasible needs more than the
-    sub-slot at the ceiling, the bracket top doubles until the need fits.
+    as the price rises, meets the sub-slot, by `_log_root`'s Newton steps on
+    the analytic need' that `_candidate` returns, and zeroes the blocks
+    without load.  Past the power-cap ceiling the powers stay capped but the
+    rate prices rise and the split tends to `feasible_split`'s, so the need
+    keeps falling: where a block that split calls feasible needs more than
+    the sub-slot at the ceiling, the bracket top doubles until the need fits.
     Returns (multipliers, dual values, infeasible mask); infeasible blocks
     cannot carry their minimum bits under any split at maximum power.
     """
-    phi_max = _phi_at_caps(inst)
+    caps = _at_caps(inst)
     feasible, _ = feasible_split(inst)
     powers = None
 
     def need(mu):  # each power root starts from the previous iterate's powers
         nonlocal powers
-        _, out, powers = _candidate(inst, mu, powers, phi_max)
-        return out
+        _, value, slope, powers = _candidate(inst, mu, powers, caps)
+        return value, slope
 
-    ceiling = _time_price_ceiling(inst, phi_max)
+    ceiling = _time_price_ceiling(inst, caps[0])
     mu = _log_root(need, inst.subslot, ceiling)
     # the root stops at its top where the need there exceeds the sub-slot
     top, over = ceiling, feasible & (mu >= ceiling)
@@ -463,13 +486,13 @@ def warm_start(inst: ProblemInstance):
         if not over.any():
             break
         top = np.where(over, 2.0 * top, top)
-        over &= need(top) > inst.subslot
+        over &= need(top)[0] > inst.subslot
     raised = top > ceiling
     if raised.any():  # a zero bracket top leaves the other blocks out of the root
         mu = np.where(raised, _log_root(need, inst.subslot, np.where(raised, top, 0.0)), mu)
     # the powers at the kept price start from p_max, as in the completion at
     # this price, so both read the same powers whatever path the root took
-    chi, _, powers = _candidate(inst, mu)
+    chi, _, _, powers = _candidate(inst, mu, None, caps)
     idle = inst.min_bits <= 0.0
     chi = np.where(idle[..., None], 0.0, chi)
     value, _ = dual_point_eval(inst, chi, [np.where(idle, 0.0, p) for p in powers])
@@ -554,18 +577,19 @@ def complete_primal(inst: ProblemInstance, bits, mu):
     loads = phase_loads(inst, bu, br)
     budget = inst.subslot - compute_time(bu, inst.uav_compute)
 
-    def times_at(mu):
-        powers = _phase_powers(inst, mu)
-        times = [carry_time(loads[ph], inst.rate(ph, powers[ph])) for ph in range(4)]
-        return times, powers
+    def carry(mu):  # sum of the carry times, its slope in mu (bits fixed), the times, the powers
+        powers, dpowers = _phase_powers(inst, mu)
+        rates = [inst.rate(ph, p) for ph, p in enumerate(powers)]
+        drates = [inst.rate_derivative(ph, p) * dp for ph, (p, dp) in enumerate(zip(powers, dpowers))]
+        times = [carry_time(load, r) for load, r in zip(loads, rates)]
+        return sum(times), _carry_slope(loads, [0.0] * 4, rates, drates), times, powers
 
-    times, powers = times_at(mu)
-    retry = ~((np.abs(sum(times) - budget) <= 1e-12 * budget) | (loads[0] <= 0.0))
+    need, _, times, powers = carry(mu)
+    retry = ~((np.abs(need - budget) <= 1e-12 * budget) | (loads[0] <= 0.0))
     if retry.any():
         # a zero bracket top leaves the kept blocks out of the root
-        root = _log_root(lambda mu: sum(times_at(mu)[0]), budget,
-                         np.where(retry, _time_price_ceiling(inst), 0.0))
-        t_root, p_root = times_at(root)
+        root = _log_root(lambda mu: carry(mu)[:2], budget, np.where(retry, _time_price_ceiling(inst), 0.0))
+        _, _, t_root, p_root = carry(root)
         times = [np.where(retry, a, b) for a, b in zip(t_root, times)]
         powers = [np.where(retry, a, b) for a, b in zip(p_root, powers)]
     # the root is mu_hi wherever even that price is short

@@ -233,6 +233,24 @@ def test_power_opt_matches_fine_bisection_on_random_gains():
     assert 0.5 < interior.mean() < 1.0
 
 
+def test_power_opt_root_slope_matches_a_central_difference(monkeypatch):
+    # the slope power_opt hands its root, price * r''(p) / weight
+    needs, root = [], opt._log_root
+    monkeypatch.setattr(opt, "_log_root", lambda need, budget, hi: needs.append(need) or root(need, budget, hi))
+    rng = np.random.default_rng(4)
+    gains = 10.0 ** rng.uniform(-2, 4, (40, 6))
+    weight, price = 10.0 ** rng.uniform(-1, 0.3, 40), 10.0 ** rng.uniform(-9, -6, 40)
+    power_opt(gains, weight, price, 5e6, 3.162)
+    (need,) = needs
+    h = 1e-6
+    for p in 3.162 * np.geomspace(1e-6, 1.0, 7):
+        p = np.full(40, p)
+        slope = need(p)[1]
+        ref = (need(p * np.exp(h))[0] - need(p * np.exp(-h))[0]) / (2.0 * h * p)
+        assert (slope < 0.0).all()
+        assert (np.abs(slope - ref) <= 1e-5 * np.abs(ref)).all()
+
+
 def _uplink_time(inst, chi):
     """Uplink time chosen by the dual evaluation, read off the sub-slot
     budget residual: at these prices every other phase takes zero time."""
@@ -442,7 +460,7 @@ def test_power_from_time_price_inverts_phi(spectrum):
     mu = mu_hi * t[:, None, None]
     for ph in range(4):
         pmax, w = inst.power_max[ph], wv[ph]
-        p = opt._power_from_time_price(inst, ph, w, mu)
+        p = opt._power_from_time_price(inst, ph, w, mu)[0]
         assert ((p >= 0.0) & (p <= pmax)).all()
         assert (p[0] == 0.0).all()
         phi_max = opt._phi(inst, ph, w, np.full(mu.shape, pmax))[0]
@@ -495,16 +513,16 @@ def test_download_phases_share_one_power_root(caps):
     # the solver's time prices lie above mu_hi*2**-20, where both Newton runs
     # converge to the same root
     mu = mu_hi * np.concatenate([[0.0], np.geomspace(2.0**-20, 2.0, 200)])[:, None, None]
-    powers = opt._phase_powers(inst, mu)
+    powers = opt._phase_powers(inst, mu)[0]
     for ph in range(4):
-        alone = opt._power_from_time_price(inst, ph, wv[ph], mu)
+        alone = opt._power_from_time_price(inst, ph, wv[ph], mu)[0]
         assert (np.abs(powers[ph] - alone) <= 1e-14 * alone).all()
         pmax = inst.power_max[ph]
         assert (alone == pmax).any() and ((alone > 0.0) & (alone < pmax)).any()
     # lower down each stops inside phi's rounding floor, and both still
     # match a fine bisection
     low = mu_hi * np.geomspace(2.0**-80, 2.0**-20, 40)[:, None, None]
-    for ph, p in enumerate(opt._phase_powers(inst, low)):
+    for ph, p in enumerate(opt._phase_powers(inst, low)[0]):
         ref = _bisected_power(inst, ph, wv[ph], low)
         assert (np.abs(p - ref) <= 1e-12 * inst.power_max[ph]).all()
 
@@ -557,7 +575,7 @@ def _bisected_time_price(need, budget, mu_hi):
     lo, hi = np.zeros_like(mu_hi), mu_hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        over = need(mid) > budget
+        over = need(mid)[0] > budget
         lo, hi = np.where(over, mid, lo), np.where(over, hi, mid)
     return hi
 
@@ -581,19 +599,21 @@ def _times_at_price(inst, bits, mu):
     bl, bu, br = bits
     loads = phase_loads(inst, bu, br)
     wv = opt._phase_weights(inst)
-    powers = np.stack([np.where(loads[ph] > 0.0, opt._power_from_time_price(inst, ph, wv[ph], mu), 0.0)
+    powers = np.stack([np.where(loads[ph] > 0.0, opt._power_from_time_price(inst, ph, wv[ph], mu)[0], 0.0)
                        for ph in range(4)])
     times = np.stack([carry_time(loads[ph], inst.rate(ph, powers[ph])) for ph in range(4)])
     return times, block_energy(inst, bl, bu, powers, times)
 
 
 def _warm_start_need(inst):
-    return lambda mu: opt._candidate(inst, mu)[1]
+    """The warm start's sub-slot need at the time price and its slope."""
+    return lambda mu: opt._candidate(inst, mu)[1:3]
 
 
 def _carry_need(inst, bits):
-    """Sum of the four carry times of `bits` at the time price, and the
-    sub-slot left after UAV compute: what `complete_primal` balances."""
+    """Sum of the four carry times of `bits` at the time price with its slope
+    in the price, and the sub-slot left after UAV compute: what
+    `complete_primal` balances."""
     bl, bu, br = bits
     xi = inst.output_ratio[:, None]
     loads = [bu + br, br, xi * bu, xi * br]
@@ -601,8 +621,12 @@ def _carry_need(inst, bits):
     uc = inst.uav_compute
 
     def need(mu):
-        return sum(carry_time(loads[ph], inst.rate(ph, opt._power_from_time_price(inst, ph, wv[ph], mu)))
-                   for ph in range(4))
+        roots = [opt._power_from_time_price(inst, ph, wv[ph], mu) for ph in range(4)]
+        rates = [inst.rate(ph, p) for ph, (p, _) in enumerate(roots)]
+        with np.errstate(divide="ignore", invalid="ignore"):  # inf on a dead link
+            slope = sum(np.where(loads[ph] > 0.0, -loads[ph] * inst.rate_derivative(ph, p) * dp / rates[ph]**2, 0.0)
+                        for ph, (p, dp) in enumerate(roots))
+        return sum(carry_time(loads[ph], rates[ph]) for ph in range(4)), slope
 
     return need, inst.subslot - uc.cycles_per_bit * bu / uc.cpu_freq
 
@@ -644,7 +668,7 @@ def test_complete_primal_time_price_matches_fine_bisection(stock_points, task_bi
     assert not infeasible.any()
     assert (np.abs(mu - ref) <= 1e-9 * ref).all()
     assert (times.sum(axis=0) <= budget * (1.0 + 1e-12)).all()
-    assert np.array_equal(times.sum(axis=0), need(mu))
+    assert np.array_equal(times.sum(axis=0), need(mu)[0])
 
 
 @pytest.mark.parametrize("task_bits", ROOT_TASK_BITS)
@@ -674,8 +698,8 @@ def test_time_price_root_edges():
     mu = opt._log_root(need, inst.subslot, mu_hi)
     assert mu[0, 0] == mu_hi[0, 0] * 2.0**-80
     assert mu_hi[0, 1] * 2.0**-80 < mu[0, 1] < mu_hi[0, 1]
-    assert need(mu)[0, 1] <= inst.subslot
-    assert mu[0, 2] == mu_hi[0, 2] and need(mu_hi)[0, 2] > inst.subslot
+    assert need(mu)[0][0, 1] <= inst.subslot
+    assert mu[0, 2] == mu_hi[0, 2] and need(mu_hi)[0][0, 2] > inst.subslot
     # the same answers through the completion: no load carries nothing, and
     # only the overloaded block is infeasible
     bits = (np.zeros((1, 3)), np.zeros((1, 3)), inst.min_bits.copy())
@@ -691,17 +715,19 @@ def test_time_price_root_dead_links_give_zero():
     bits = (np.zeros((1, 1)), np.zeros((1, 1)), inst.min_bits.copy())
     need, budget = _carry_need(inst, bits)
     mu = opt._log_root(need, budget, mu_hi)
-    assert (mu == 0.0).all() and np.isinf(need(mu)).all()
+    assert (mu == 0.0).all() and np.isinf(need(mu)[0]).all()
     assert opt.complete_primal(inst, bits, np.zeros((1, 1)))[3].all()
 
 
-def test_time_price_searches_evaluate_need_at_most_20_times(stock_points, monkeypatch):
+def test_time_price_searches_evaluate_need_at_most_9_times(stock_points, monkeypatch):
+    # 7 measured at task_bits 1e5 and 8 at 3e5-9e5, the final call from p_max
+    # included; 13-14 with an Illinois root over [ceiling * 2**-80, ceiling]
     calls = {}
     _count_calls(monkeypatch, calls, "_candidate", "_power_from_time_price")
     for inst in stock_points.values():
         calls.update(_candidate=0, _power_from_time_price=0)
         chi = warm_start(inst)[0]
-        assert calls["_candidate"] <= 20
+        assert calls["_candidate"] <= 9
         # at the warm start's time price the completion inverts the uplink,
         # relay and shared download powers once
         calls["_power_from_time_price"] = 0
@@ -709,17 +735,18 @@ def test_time_price_searches_evaluate_need_at_most_20_times(stock_points, monkey
         assert calls["_power_from_time_price"] <= 3
 
 
-def test_stock_solve_evaluates_phi_at_most_235_times(stock_points, monkeypatch):
-    # 215 measured; 516 when the completion solved the warm start's time
-    # price again and every power root started at p_max, 1,188 with a plain
-    # Newton step on a log(1 + p*g_l) phi and one root per download phase
+def test_stock_solve_evaluates_phi_at_most_132_times(stock_points, monkeypatch):
+    # 120 measured; 215 with an Illinois time-price root, 516 when the
+    # completion solved the warm start's time price again and every power
+    # root started at p_max, 1,188 with a plain Newton step on a
+    # log(1 + p*g_l) phi and one root per download phase
     calls = []
     phi = opt._phi
     monkeypatch.setattr(opt, "_phi", lambda *args: calls.append(1) or phi(*args))
     cfg = validate(ScenarioConfig(task_bits=5e5))
     state = ellipsoid_solve(stock_points[5e5], eps=cfg.epsilon, max_iterations=cfg.max_iterations)
     assert state.converged
-    assert len(calls) <= 235
+    assert len(calls) <= 132
 
 
 def _bisected_min_bits_price(inst, mu):
@@ -727,9 +754,9 @@ def _bisected_min_bits_price(inst, mu):
     closed-form split carries the minimum bits, by 300 halvings (0 where the
     split carries them at price 0), or the ground-route price where even that
     price falls short.  Also returns the route price and the split's terms."""
-    chis, _ = opt._phase_prices(inst, mu, opt._phase_powers(inst, mu))
-    route = chis[0] + chis[1] + inst.output_ratio[:, None] * chis[3]
-    terms = opt._split_terms(inst, mu, chis[0], chis[2])
+    chi = opt._candidate(inst, mu)[0]
+    route = chi[..., opt.D_UPLINK] + chi[..., opt.D_RELAY] + inst.output_ratio[:, None] * chi[..., opt.D_DOWN_RSU]
+    terms = opt._split_terms(inst, mu, chi[..., opt.D_UPLINK], chi[..., opt.D_DOWN_UAV])
 
     def short(chi1):
         return sum(opt._split(terms, chi1)) < inst.min_bits
@@ -801,6 +828,66 @@ def test_min_bits_price_matches_fine_bisection(stock_points, task_bits):
     if task_bits == "pieces":
         pieces = _price_pieces(inst, chi1, route, terms)
         assert [name for name, blocks in pieces.items() if not blocks.any()] == []
+
+
+def _log_difference(f, mu, h=1e-6):
+    """d f/dmu by a central difference in log(mu)."""
+    return (f(mu * np.exp(h)) - f(mu * np.exp(-h))) / (2.0 * h * mu)
+
+
+@pytest.mark.parametrize("task_bits", np.linspace(1e5, 9e5, 9))
+def test_need_slope_matches_a_central_difference(task_bits):
+    # at the warm start's time price, and an e-fold to either side
+    inst = build_instance(validate(ScenarioConfig(task_bits=task_bits)))
+    mu = warm_start(inst)[0][..., opt.D_SUBSLOT] * np.exp([-1.0, 0.0, 1.0])[:, None, None]
+    slope = opt._candidate(inst, mu)[2]
+    ref = _log_difference(lambda m: opt._candidate(inst, m)[1], mu)
+    assert (ref[1] < 0.0).all()
+    assert (np.abs(slope - ref) <= 1e-5 * np.abs(ref)).all()
+
+
+def test_need_slope_matches_a_central_difference_on_every_piece():
+    # every piece of the minimum-bits price, up to 1e3 times the power-cap
+    # ceiling; the grid misses the kinks at 0.01 and 1 times the ceiling, where
+    # the download and then the uplink powers reach their caps
+    inst = _piece_instance()
+    ceiling = opt._time_price_ceiling(inst)
+    mu = ceiling * np.geomspace(1.1e-8, 1.1e3, 45)[:, None, None]
+    chi, need, slope, _ = opt._candidate(inst, mu)
+    ref = _log_difference(lambda m: opt._candidate(inst, m)[1], mu)
+    # where the need is flat the difference reads its rounding, about
+    # 1e-14*need/h per unit of log(mu)
+    assert (np.abs(slope - ref) <= 1e-5 * np.abs(ref) + 1e-7 * need / mu).all()
+    route = chi[..., opt.D_UPLINK] + chi[..., opt.D_RELAY] + inst.output_ratio[:, None] * chi[..., opt.D_DOWN_RSU]
+    terms = opt._split_terms(inst, mu, chi[..., opt.D_UPLINK], chi[..., opt.D_DOWN_UAV])
+    pieces = _price_pieces(inst, chi[..., opt.D_MIN_BITS], route, terms)
+    assert [name for name, blocks in pieces.items() if not blocks.any()] == []
+
+
+def test_need_slope_matches_a_central_difference_past_the_ceiling():
+    # the raised time prices of the 4-vehicle reproducer: every power sits at
+    # its cap, and the split alone moves the need
+    inst = build_instance(load_scenario(UNCERTIFIED_4_VEHICLES))
+    mu = warm_start(inst)[0][..., opt.D_SUBSLOT]
+    raised = mu > opt._time_price_ceiling(inst)
+    _, _, slope, powers = opt._candidate(inst, mu)
+    ref = _log_difference(lambda m: opt._candidate(inst, m)[1], mu)
+    assert raised[:2].all()
+    assert all((p[raised] == pmax).all() for p, pmax in zip(powers, inst.power_max))
+    assert (slope[raised] < 0.0).all()
+    assert (np.abs(slope - ref) <= 1e-5 * np.abs(ref)).all()
+
+
+@pytest.mark.parametrize("task_bits", ROOT_TASK_BITS)
+def test_rate_prices_rise_at_one_over_the_rate(stock_points, task_bits):
+    # the envelope theorem on phi: d(chi_ph)/dmu = 1/r_ph, for interior and
+    # clamped powers alike
+    inst = stock_points[task_bits]
+    mu = opt._time_price_ceiling(inst) * np.geomspace(0.01, 2.0, 12)[:, None, None]
+    rates = [inst.rate(ph, p) for ph, p in enumerate(opt._candidate(inst, mu)[3])]
+    for ph in range(4):
+        d_chi = _log_difference(lambda m: opt._candidate(inst, m)[0][..., opt._PHASE_RATE_DUAL[ph]], mu)
+        assert (np.abs(rates[ph] * d_chi - 1.0) <= 1e-6).all()
 
 
 def test_warm_start_splits_at_most_250_times(stock_points, monkeypatch):
@@ -1007,3 +1094,16 @@ def test_feasible_split_oracle():
     assert np.isclose(bl[0, 0] + bu[0, 0] + br[0, 0], 5e5)
     ok, _ = feasible_split(make_synthetic_instance(gain=10.0, min_bits=5e6))
     assert not ok.any()
+
+
+@pytest.mark.parametrize("gain", [0.0, 1e-300])
+def test_dead_uav_result_link_leaves_the_ground_route(gain):
+    # the UAV route carries no bits, so its dead download adds no time to the
+    # greedy split's need (no 0 * inf): the block stays feasible and certifies
+    # like one whose UAV download is merely weak
+    inst = make_synthetic_instance(gain=[5000.0, 5000.0, gain, 5000.0], min_bits=5e5)
+    assert opt.feasible_split(inst)[0].all()
+    report = opt.algorithm1(inst)
+    weak = opt.algorithm1(make_synthetic_instance(gain=[5000.0, 5000.0, 1e-9, 5000.0], min_bits=5e5))
+    assert report.iterations == 0 and report.feasible
+    assert abs(report.wtec - weak.wtec) <= 1e-12 * weak.wtec
