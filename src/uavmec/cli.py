@@ -12,13 +12,11 @@ from .acceptance import verify
 
 
 def _load(args) -> ScenarioConfig:
-    if args.config:
-        cfg = load_scenario(args.config)
-    else:
-        cfg = validate(ScenarioConfig())
-    if getattr(args, "seed", None) is not None:
+    """The scenario of --config (stock values without one), --seed applied before validation."""
+    cfg = load_scenario(args.config) if args.config else ScenarioConfig()
+    if args.seed is not None:
         cfg.seed = args.seed
-    return cfg
+    return validate(cfg)
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import LinkChannel, RadioConfig, build_channel
-from .energy import ComputeModel, FlightPowerModel
+from .energy import ComputeModel, FlightPowerModel, flight_energy
 # Nothing here calls `advance`; the benchmark's tracer wraps `instance.advance`,
 # so the name stays until the benchmark drops that layer (ROADMAP item 3).
 from .geometry import NetworkState, advance
@@ -87,8 +87,6 @@ class ProblemInstance:
         """Propulsion energy over the whole horizon (0 without a UAV model)."""
         if self.flight is None or self.uav_velocity is None:
             return 0.0
-        from .energy import flight_energy
-
         v = self.uav_velocity
         per_slot = flight_energy(self.flight, v[:2], v[2:], self.slot_len)
         return per_slot * self.n_slots

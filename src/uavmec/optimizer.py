@@ -3,7 +3,9 @@ time-sign rules, ellipsoid dual ascent and the closed-form recovery of the
 schedule.
 
 The dual problem separates into one 6-multiplier block per (vehicle, slot).
-Each block is warm-started from a one-dimensional reduction (all stationarity
+Each block's facts at the power caps are settled once per solve, and a block
+that no split carries at full power raises before the dual stage.  Each
+block is warm-started from a one-dimensional reduction (all stationarity
 conditions collapse onto the sub-slot time price) and then refined by a
 deep-cut ellipsoid; convergence is certified by the signed weak-duality gap
 between the completed feasible schedule and the best dual value, and a gap
@@ -84,7 +86,6 @@ class DualState:
     gap: float  # signed (primal - dual) / primal, never clipped
     iterations: int
     converged: bool
-    feasible: np.ndarray  # (K, N) per-block primal feasibility
     completion: tuple  # (bits, powers) of the completion that set the gap
     log: list = field(default_factory=list)
 
@@ -276,27 +277,23 @@ def _power_from_time_price(inst, ph, w, mu, start=None, phi_max=None):
         return np.where(interior, p, np.where(at_max, pmax, 0.0)), np.where(interior, 1.0 / slope, 0.0)
 
 
-def _phase_powers(inst, mu, start=None, phi_max=None):
+def _phase_powers(inst, caps, mu, start=None):
     """Stationary power of each phase at the time price and its slope
     dp/dmu, per block.
 
-    Both download phases send over one gain table at one weight, so one
-    root at the larger of their caps serves both, clamped at each cap.
-    Inside the warm start's time-price root, `start` (the powers this
-    returned at the previous iterate) and `phi_max` (`_at_caps`) start each
-    power root there.
+    One root per phase of `caps.phi`; the download root serves both
+    download phases, clamped at each cap.  Inside the warm start's
+    time-price root, `start` (the powers this returned at the previous
+    iterate) starts each power root there, with `caps.phi` deciding the clamp.
     """
-    wv = _phase_weights(inst)
-    caps = inst.power_max
-    down = PHASE_DOWN_UAV if caps[PHASE_DOWN_UAV] >= caps[PHASE_DOWN_RSU] else PHASE_DOWN_RSU
+    wv, pmax = _phase_weights(inst), inst.power_max
     start = start or [None] * 4
-    phi_max = phi_max or [None] * 4
-    root = {ph: _power_from_time_price(inst, ph, wv[ph], mu, start[ph], phi_max[ph])
-            for ph in (PHASE_OFFLOAD, PHASE_RELAY, down)}
+    root = {ph: _power_from_time_price(inst, ph, wv[ph], mu, start[ph], phi) for ph, phi in caps.phi.items()}
+    offload, relay, down = root
     (p_down, dp_down), downs = root[down], (PHASE_DOWN_UAV, PHASE_DOWN_RSU)
-    return ([root[PHASE_OFFLOAD][0], root[PHASE_RELAY][0]] + [np.minimum(p_down, caps[ph]) for ph in downs],
-            [root[PHASE_OFFLOAD][1], root[PHASE_RELAY][1]]
-            + [np.where(p_down < caps[ph], dp_down, 0.0) for ph in downs])
+    return ([root[offload][0], root[relay][0]] + [np.minimum(p_down, pmax[ph]) for ph in downs],
+            [root[offload][1], root[relay][1]]
+            + [np.where(p_down < pmax[ph], dp_down, 0.0) for ph in downs])
 
 
 def _split_terms(inst, chi_subslot, chi_uplink, chi_down_uav):
@@ -360,7 +357,7 @@ def _carry_slope(loads, dloads, rates, drates):
                    for load, dload, r, dr in zip(loads, dloads, rates, drates))
 
 
-def _candidate(inst, mu, start=None, caps=None):
+def _candidate(inst, caps, mu, start=None):
     """Dual point and primal quantities implied by the sub-slot time price.
 
     At the block optimum, power stationarity plus the time-sign balance make
@@ -372,19 +369,18 @@ def _candidate(inst, mu, start=None, caps=None):
     ground unit carries the shortfall.  The need's slope is analytic:
     dp/dmu = 1/phi'(p) gives dr/dmu, the envelope theorem d(chi_ph)/dmu =
     1/r_ph (clamped powers too), and the minimum-bits price's slope on its
-    piece the bits'.  `start` warm-starts the power roots as in
-    `_phase_powers`; `caps` is `_at_caps(inst)`, computed when not given.
-    Returns the (K, N, 6) dual point, the (K, N) sub-slot time its split
-    needs, that need's slope d need/dmu, and the phase powers.
+    piece the bits'.  `caps` is the solve's `CapFacts`, and `start`
+    warm-starts the power roots as in `_phase_powers`.  Returns the (K, N, 6)
+    dual point, the (K, N) sub-slot time its split needs, that need's slope
+    d need/dmu, and the phase powers.
     """
-    phi_max, rate_max = _at_caps(inst) if caps is None else caps
-    powers, dpowers = _phase_powers(inst, mu, start, phi_max)
+    powers, dpowers = _phase_powers(inst, caps, mu, start)
     wv, xi, uc = _phase_weights(inst), inst.output_ratio[:, None], inst.uav_compute
     chis, rates, drates = [], [], []
     for ph, p in enumerate(powers):
         pmax, r_prime = inst.power_max[ph], inst.rate_derivative(ph, p)
         clamped = p >= pmax * (1.0 - 1e-12)
-        chis.append(np.where(clamped, (wv[ph] * pmax + mu) / np.maximum(rate_max[ph], 1e-300),
+        chis.append(np.where(clamped, (wv[ph] * pmax + mu) / np.maximum(caps.rates[ph], 1e-300),
                              wv[ph] / np.maximum(r_prime, 1e-300)))
         rates.append(inst.rate(ph, p))
         drates.append(r_prime * dpowers[ph])
@@ -412,22 +408,34 @@ def _candidate(inst, mu, start=None, caps=None):
     return chi, need, slope, powers
 
 
-def _at_caps(inst):
-    """phi and the rate at each phase's power cap, per block: phi there is the
-    time price from which that phase's stationary power clamps at the cap."""
-    wv, shape = _phase_weights(inst), inst.min_bits.shape
-    return ([_phi(inst, ph, wv[ph], np.full(shape, inst.power_max[ph]))[0] for ph in range(4)],
-            [inst.rate(ph, np.full(shape, inst.power_max[ph])) for ph in range(4)])
+@dataclass(frozen=True)
+class CapFacts:
+    """Each block's facts at the power caps, settled once per solve."""
+
+    rates: list  # 4 (K, N): each phase's rate at its cap
+    phi: dict  # (K, N) phi at the uplink, relay and larger download caps, by phase
+    ceiling: np.ndarray  # (K, N) time price above which every power clamps
+    feasible: np.ndarray  # (K, N) `feasible_split`'s mask
+    greedy: tuple  # `feasible_split`'s (local, uav, rsu) bits
 
 
-def _time_price_ceiling(inst, phi_max=None) -> np.ndarray:
-    """Price above which every phase's stationary power clamps at its cap,
-    from phi at the caps (`_at_caps`, computed when not given)."""
-    return np.maximum(np.max(_at_caps(inst)[0] if phi_max is None else phi_max, axis=0), 0.0)
+def _at_caps(inst) -> CapFacts:
+    """The cap facts of every block: the rates at the caps, phi (the price
+    from which a power clamps at its cap) at each power root's cap, their
+    ceiling, and `feasible_split` at those rates.  Both download phases share
+    one root at the larger cap, and phi rises with p, so no phi is taken at
+    the smaller one."""
+    wv, pmax, shape = _phase_weights(inst), inst.power_max, inst.min_bits.shape
+    rates = [inst.rate(ph, np.full(shape, pmax[ph])) for ph in range(4)]
+    down = PHASE_DOWN_UAV if pmax[PHASE_DOWN_UAV] >= pmax[PHASE_DOWN_RSU] else PHASE_DOWN_RSU
+    phi = {ph: _phi(inst, ph, wv[ph], np.full(shape, pmax[ph]))[0] for ph in (PHASE_OFFLOAD, PHASE_RELAY, down)}
+    ceiling = np.maximum(np.max(list(phi.values()), axis=0), 0.0)
+    return CapFacts(rates, phi, ceiling, *feasible_split(inst, rates))
 
 
-def feasible_split(inst):
-    """Greedy minimal-budget bit split at maximum power, per block.
+def feasible_split(inst, rates):
+    """Greedy minimal-budget bit split at maximum power, per block, from the
+    rates at the power caps.
 
     Assigns free local compute first, then the cheaper of the UAV and
     ground-unit routes by per-bit budget cost; exact for the linear cost.
@@ -435,9 +443,7 @@ def feasible_split(inst):
     """
     uc = inst.uav_compute
     xi = inst.output_ratio[:, None]
-    shape = inst.min_bits.shape
-    r = [inst.rate(ph, np.full(shape, inst.power_max[ph])) for ph in range(4)]
-    inv = [carry_time(1.0, x) for x in r]  # time per bit, inf on a dead link
+    inv = [carry_time(1.0, x) for x in rates]  # time per bit, inf on a dead link
     cost_uav = inv[0] + uc.cycles_per_bit / uc.cpu_freq + xi * inv[2]
     cost_rsu = inv[0] + inv[1] + xi * inv[3]
 
@@ -456,7 +462,7 @@ def feasible_split(inst):
     return feasible, (bl, bu, br)
 
 
-def warm_start(inst: ProblemInstance):
+def warm_start(inst: ProblemInstance, caps: CapFacts):
     """Dual seed per block from the one-dimensional time-price reduction.
 
     Finds the time price at which `_candidate`'s sub-slot need, which falls
@@ -464,39 +470,36 @@ def warm_start(inst: ProblemInstance):
     the analytic need' that `_candidate` returns, and zeroes the blocks
     without load.  Past the power-cap ceiling the powers stay capped but the
     rate prices rise and the split tends to `feasible_split`'s, so the need
-    keeps falling: where a block that split calls feasible needs more than
-    the sub-slot at the ceiling, the bracket top doubles until the need fits.
-    Returns (multipliers, dual values, infeasible mask); infeasible blocks
-    cannot carry their minimum bits under any split at maximum power.
+    keeps falling: every block carries its bits under that split (the solve
+    checks `caps.feasible` first), so where one needs more than the sub-slot
+    at the ceiling, the bracket top doubles until the need fits.  Returns
+    (multipliers, dual values).
     """
-    caps = _at_caps(inst)
-    feasible, _ = feasible_split(inst)
     powers = None
 
     def need(mu):  # each power root starts from the previous iterate's powers
         nonlocal powers
-        _, value, slope, powers = _candidate(inst, mu, powers, caps)
+        _, value, slope, powers = _candidate(inst, caps, mu, powers)
         return value, slope
 
-    ceiling = _time_price_ceiling(inst, caps[0])
-    mu = _log_root(need, inst.subslot, ceiling)
+    mu = _log_root(need, inst.subslot, caps.ceiling)
     # the root stops at its top where the need there exceeds the sub-slot
-    top, over = ceiling, feasible & (mu >= ceiling)
+    top, over = caps.ceiling, mu >= caps.ceiling
     for _ in range(_TIME_PRICE_DOUBLINGS):
         if not over.any():
             break
         top = np.where(over, 2.0 * top, top)
         over &= need(top)[0] > inst.subslot
-    raised = top > ceiling
+    raised = top > caps.ceiling
     if raised.any():  # a zero bracket top leaves the other blocks out of the root
         mu = np.where(raised, _log_root(need, inst.subslot, np.where(raised, top, 0.0)), mu)
     # the powers at the kept price start from p_max, as in the completion at
     # this price, so both read the same powers whatever path the root took
-    chi, _, _, powers = _candidate(inst, mu, None, caps)
+    chi, _, _, powers = _candidate(inst, caps, mu)
     idle = inst.min_bits <= 0.0
     chi = np.where(idle[..., None], 0.0, chi)
     value, _ = dual_point_eval(inst, chi, [np.where(idle, 0.0, p) for p in powers])
-    return chi, value, ~feasible
+    return chi, value
 
 
 def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
@@ -561,7 +564,7 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
     return value, g
 
 
-def complete_primal(inst: ProblemInstance, bits, mu):
+def complete_primal(inst: ProblemInstance, caps: CapFacts, bits, mu):
     """Energy-minimal feasible schedule carrying the given bit split.
 
     Powers and times follow from the time price at which the carry times of
@@ -569,8 +572,8 @@ def complete_primal(inst: ProblemInstance, bits, mu):
     candidate price, such as the multipliers' own: a block keeps it when its
     carry times there fit that budget and fill it to within 1e-12 relative,
     or when it carries no load.  Only the blocks that fail this take the
-    price from the time-price root (the same root as the warm start's), and
-    the root runs only when some block fails.  Returns (powers (4,K,N),
+    price from the time-price root (the warm start's, up to `caps.ceiling`),
+    and the root runs only when some block fails.  Returns (powers (4,K,N),
     times (4,K,N), per-block weighted energy, infeasible mask).
     """
     bl, bu, br = bits
@@ -578,7 +581,7 @@ def complete_primal(inst: ProblemInstance, bits, mu):
     budget = inst.subslot - compute_time(bu, inst.uav_compute)
 
     def carry(mu):  # sum of the carry times, its slope in mu (bits fixed), the times, the powers
-        powers, dpowers = _phase_powers(inst, mu)
+        powers, dpowers = _phase_powers(inst, caps, mu)
         rates = [inst.rate(ph, p) for ph, p in enumerate(powers)]
         drates = [inst.rate_derivative(ph, p) * dp for ph, (p, dp) in enumerate(zip(powers, dpowers))]
         times = [carry_time(load, r) for load, r in zip(loads, rates)]
@@ -588,7 +591,7 @@ def complete_primal(inst: ProblemInstance, bits, mu):
     retry = ~((np.abs(need - budget) <= 1e-12 * budget) | (loads[0] <= 0.0))
     if retry.any():
         # a zero bracket top leaves the kept blocks out of the root
-        root = _log_root(lambda mu: carry(mu)[:2], budget, np.where(retry, _time_price_ceiling(inst), 0.0))
+        root = _log_root(lambda mu: carry(mu)[:2], budget, np.where(retry, caps.ceiling, 0.0))
         _, _, t_root, p_root = carry(root)
         times = [np.where(retry, a, b) for a, b in zip(t_root, times)]
         powers = [np.where(retry, a, b) for a, b in zip(p_root, powers)]
@@ -602,27 +605,25 @@ def complete_primal(inst: ProblemInstance, bits, mu):
     return powers, times, energy, infeasible
 
 
-def blended_completion(inst: ProblemInstance, chi: np.ndarray, hard_mask):
+def blended_completion(inst: ProblemInstance, chi: np.ndarray, caps: CapFacts):
     """Completable bit split and its energy-minimal schedule at multipliers.
 
     Starts from the closed-form split (ground unit takes the shortfall); any
-    feasible block whose split cannot fit the budget falls back to the greedy
-    minimal-time split.  Both completions take the multipliers' time price
-    as their candidate: at the warm start the split fills the budget at that
-    price, so no time-price root runs.  Returns (bits, (powers, times),
-    energy, inf_mask).
+    block whose split cannot fit the budget falls back to the greedy
+    minimal-time split, `caps.greedy`.  Both completions take the
+    multipliers' time price as their candidate: at the warm start the split
+    fills the budget at that price, so no time-price root runs.  Returns
+    (bits, (powers, times), energy, inf_mask).
     """
     mu = chi[..., D_SUBSLOT]
     bl, bu = _split(_split_terms(inst, mu, chi[..., D_UPLINK], chi[..., D_DOWN_UAV]), chi[..., D_MIN_BITS])
     br = np.maximum(inst.min_bits - bl - bu, 0.0)
     bits = [bl, bu, br]
-    powers, times, energy, inf_mask = complete_primal(inst, tuple(bits), mu)
-    retry = inf_mask & ~hard_mask
-    if retry.any():
-        _, greedy = feasible_split(inst)
-        g_bits = tuple(np.where(retry, g, b) for g, b in zip(greedy, bits))
-        p2, t2, e2, inf2 = complete_primal(inst, g_bits, mu)
-        sel = retry & ~inf2
+    powers, times, energy, inf_mask = complete_primal(inst, caps, tuple(bits), mu)
+    if inf_mask.any():
+        g_bits = tuple(np.where(inf_mask, g, b) for g, b in zip(caps.greedy, bits))
+        p2, t2, e2, inf2 = complete_primal(inst, caps, g_bits, mu)
+        sel = inf_mask & ~inf2
         bits = [np.where(sel, g, b) for g, b in zip(g_bits, bits)]
         powers = np.where(sel[None], p2, powers)
         times = np.where(sel[None], t2, times)
@@ -690,6 +691,8 @@ def ellipsoid_solve(
 ) -> DualState:
     """Maximize the separable dual by per-block deep-cut ellipsoids.
 
+    Raises InfeasibleAllocation, naming the first block in row-major order,
+    when `feasible_split` finds a block that no split carries at full power.
     Blocks are warm-started from the time-price reduction; every iteration
     restores multiplier feasibility with constraint cuts, evaluates the inner
     closed forms at the centers, applies an objective cut, and re-certifies
@@ -698,9 +701,13 @@ def ellipsoid_solve(
     and WeakDualityViolated, naming the block with the most negative gap,
     when the signed gap falls below -WEAK_DUALITY_RTOL.
     """
+    caps = _at_caps(inst)
+    if not caps.feasible.all():
+        k, n = np.argwhere(~caps.feasible)[0]
+        raise InfeasibleAllocation(f"minimum bits unachievable within the sub-slot for vehicle {k}, slot {n}")
     k, n = inst.min_bits.shape
     d = 6
-    best_chi, best_value, hard_infeasible = warm_start(inst)
+    best_chi, best_value = warm_start(inst, caps)
     xi = inst.output_ratio[:, None]
 
     scale = np.maximum(np.abs(best_chi), np.max(np.abs(best_chi), axis=-1, keepdims=True) * 1e-9)
@@ -709,25 +716,24 @@ def ellipsoid_solve(
     shape = np.broadcast_to(np.eye(d) * _ELLIPSOID_RADIUS**2 * d, (k, n, d, d)).copy()
 
     def certify(chi):
-        bits, (powers, _), energy, inf_mask = blended_completion(inst, chi, hard_infeasible)
-        primal_ok = ~(inf_mask | hard_infeasible)
-        total_primal = float(np.where(primal_ok, energy, 0.0).sum())
-        total_dual = float(np.where(primal_ok, best_value, 0.0).sum())
+        bits, (powers, _), energy, inf_mask = blended_completion(inst, chi, caps)
+        total_primal = float(np.where(inf_mask, 0.0, energy).sum())
+        total_dual = float(np.where(inf_mask, 0.0, best_value).sum())
         gap = (total_primal - total_dual) / max(abs(total_primal), 1e-300)
         if gap < -WEAK_DUALITY_RTOL:
-            block_gap = np.where(primal_ok, energy - best_value, np.inf)
+            block_gap = np.where(inf_mask, np.inf, energy - best_value)
             worst = np.unravel_index(np.argmin(block_gap), block_gap.shape)
             raise WeakDualityViolated(
                 f"dual value exceeds the completed primal by {-gap:.3e} relative; "
                 f"worst block vehicle {worst[0]}, slot {worst[1]} ({block_gap[worst]:.3e} J)")
-        if (inf_mask & ~hard_infeasible).any():
-            # a feasible block with no completable split yet keeps the run
+        if inf_mask.any():
+            # a block with no completable split yet keeps the run
             # uncertified until the multipliers move
             gap = np.inf
-        return gap, total_primal, total_dual, primal_ok, (bits, powers)
+        return gap, total_primal, total_dual, (bits, powers)
 
     log = []
-    gap, primal, dual_total, primal_ok, completion = certify(best_chi)
+    gap, primal, dual_total, completion = certify(best_chi)
     log.append({"iteration": 0, "dual": dual_total, "wtec": primal, "gap": gap})
     converged = gap < eps
     it = 0
@@ -745,7 +751,7 @@ def ellipsoid_solve(
         shape = 0.5 * (shape + np.swapaxes(shape, -1, -2))
         if improved.any():
             # the completion moves only when a block's best point moved
-            gap, primal, dual_total, primal_ok, completion = certify(best_chi)
+            gap, primal, dual_total, completion = certify(best_chi)
         log.append({"iteration": it, "dual": dual_total, "wtec": primal, "gap": gap})
         converged = gap < eps
 
@@ -755,7 +761,6 @@ def ellipsoid_solve(
         gap=float(gap),
         iterations=it,
         converged=bool(converged),
-        feasible=primal_ok,
         completion=completion,
         log=log,
     )
@@ -817,14 +822,10 @@ def finish_from_duals(inst: ProblemInstance, state: DualState) -> SolveReport:
 
     Reuses the completion that certified the state's gap; its bit split and
     powers fix the recovery problem, which `solve_p2` solves in closed form.
+    A converged state completed every block; on a best-so-far one, `solve_p2`
+    names the first block its completion could not fit.
     """
-    bits, powers = state.completion
-    if not state.feasible.all():
-        k, n = np.argwhere(~state.feasible)[0]
-        raise InfeasibleAllocation(
-            f"minimum bits unachievable within the sub-slot for vehicle {k}, slot {n}"
-        )
-    bl, bu, _ = bits
+    (bl, bu, _), powers = state.completion
     bits_rsu, times = solve_p2(inst, bl, bu, powers)
     alloc = Allocation(*(np.array(a) for a in (bl, bu, bits_rsu, powers, times)))
     verdict = check_feasible(alloc, inst)

@@ -78,7 +78,7 @@ def check_feasible(alloc: Allocation, inst) -> Verdict:
     violations rather than stopping at the first.
     """
     v: list[str] = []
-    sub = inst.slot_len / inst.n_vehicles
+    sub = inst.subslot
     bits_scale = max(1.0, float(np.max(inst.min_bits)))
 
     def report(mask, label):

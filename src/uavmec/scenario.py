@@ -340,7 +340,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         per_vehicle("min_bits")
 
     for name in ("task_bits", "min_bits", "output_ratio", "power_max_offload",
-                 "power_max_relay", "power_max_down_uav", "power_max_down_rsu"):
+                 "power_max_relay", "power_max_down_uav", "power_max_down_rsu",
+                 "max_iterations", "seed"):
         if name not in bad and np.any(np.asarray(getattr(cfg, name)) < 0):
             errors.append(f"{_FIELD_SECTION[name]}.{name}: must be non-negative")
     # a zero epsilon would certify only a gap that rounding pushed below 0

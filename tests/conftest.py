@@ -32,28 +32,33 @@ def make_synthetic_instance(
     slot_len=0.2,
     output_ratio=0.8,
     bandwidth=5e6,
+    weight_vehicle=1.0,
 ):
     """Rank-1 constant-gain instance with hand-controllable numbers.
 
     `gain` is the per-watt SNR of every link and `power_max` its power cap
     in W (each a scalar or a per-phase list), so phase rates are
-    bandwidth * log2(1 + p * gain).
+    bandwidth * log2(1 + p * gain); a per-phase gain may also be a
+    per-vehicle list.  `weight_vehicle`, `output_ratio` and `min_bits` are
+    each a scalar or a per-vehicle list.
     """
-    gains_in = np.broadcast_to(np.asarray(gain, dtype=float), (4,))
     k, n = n_vehicles, n_slots
+    gain = np.asarray(gain, dtype=float)
+    gains_in = np.broadcast_to(gain.reshape(gain.shape + (1,) * (2 - gain.ndim)), (4, k))
+    per_vehicle = lambda v: np.broadcast_to(np.asarray(v, dtype=float), (k,)).copy()
     return ProblemInstance(
         n_vehicles=k,
         n_slots=n,
         slot_len=slot_len,
-        weights_vehicle=np.ones(k),
+        weights_vehicle=per_vehicle(weight_vehicle),
         weight_uav=weight_uav,
         vehicle_compute=ComputeModel(1e9, 1e3, 1e-27),
         uav_compute=ComputeModel(3e9, 1e3, 1e-27),
-        output_ratio=np.full(k, output_ratio),
-        min_bits=np.full((k, n), float(min_bits)),
+        output_ratio=per_vehicle(output_ratio),
+        min_bits=np.repeat(per_vehicle(min_bits)[:, None], n, axis=1),
         bandwidth=bandwidth,
         power_max=np.broadcast_to(np.asarray(power_max, dtype=float), (4,)).copy(),
-        gains=[np.full((k, n, 1), gains_in[ph]) for ph in range(4)],
+        gains=[np.repeat(gains_in[ph][:, None, None], n, axis=1) for ph in range(4)],
     )
 
 

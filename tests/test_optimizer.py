@@ -338,8 +338,7 @@ def test_dual_subgradients_track_constructed_residuals():
 
 def test_dual_value_never_exceeds_feasible_energy():
     inst = make_synthetic_instance(min_bits=4e5)
-    _, _, infeasible = warm_start(inst)
-    assert not infeasible.any()
+    assert opt._at_caps(inst).feasible.all()
     state = ellipsoid_solve(inst, eps=1e-4, max_iterations=50)
     # weak duality against a hand-built feasible allocation
     from uavmec.protocol import Allocation
@@ -396,11 +395,11 @@ def _inflated_warm_start(monkeypatch, block, rel):
     """Warm start whose dual value at `block` is raised by `rel` of the total."""
     seed = opt.warm_start
 
-    def inflated(inst):
-        chi, value, hard = seed(inst)
+    def inflated(inst, caps):
+        chi, value = seed(inst, caps)
         value = value.copy()
         value[block] += rel * value.sum()
-        return chi, value, hard
+        return chi, value
 
     monkeypatch.setattr(opt, "warm_start", inflated)
 
@@ -454,7 +453,7 @@ def _bisected_power(inst, ph, w, mu):
 def test_power_from_time_price_inverts_phi(spectrum):
     inst = _root_instance(spectrum)
     wv = opt._phase_weights(inst)
-    mu_hi = opt._time_price_ceiling(inst)
+    mu_hi = opt._at_caps(inst).ceiling
     # the grid runs along a leading axis: mu[0] = 0, then mu_hi*2**-80 .. 2*mu_hi
     t = np.concatenate([[0.0], np.geomspace(2.0**-80, 2.0, 325)])
     mu = mu_hi * t[:, None, None]
@@ -489,7 +488,7 @@ def test_power_from_time_price_evaluates_phi_a_few_times(spectrum, monkeypatch):
     # mu_hi*2**-60 and mu_hi*2**-80, and 40-47 at mu_hi*2**-40
     inst = _root_instance(spectrum)
     wv = opt._phase_weights(inst)
-    mu_hi = opt._time_price_ceiling(inst)
+    mu_hi = opt._at_caps(inst).ceiling
     calls = []
     phi = opt._phi
     monkeypatch.setattr(opt, "_phi", lambda *args: calls.append(1) or phi(*args))
@@ -508,12 +507,13 @@ def test_download_phases_share_one_power_root(caps):
     # unequal download caps: one root at the larger cap, clamped at each
     cfg = ScenarioConfig(power_max_down_uav=caps[0], power_max_down_rsu=caps[1])
     inst = build_instance(validate(cfg))
+    facts = opt._at_caps(inst)
     wv = opt._phase_weights(inst)
-    mu_hi = opt._time_price_ceiling(inst)
+    mu_hi = facts.ceiling
     # the solver's time prices lie above mu_hi*2**-20, where both Newton runs
     # converge to the same root
     mu = mu_hi * np.concatenate([[0.0], np.geomspace(2.0**-20, 2.0, 200)])[:, None, None]
-    powers = opt._phase_powers(inst, mu)[0]
+    powers = opt._phase_powers(inst, facts, mu)[0]
     for ph in range(4):
         alone = opt._power_from_time_price(inst, ph, wv[ph], mu)[0]
         assert (np.abs(powers[ph] - alone) <= 1e-14 * alone).all()
@@ -522,7 +522,7 @@ def test_download_phases_share_one_power_root(caps):
     # lower down each stops inside phi's rounding floor, and both still
     # match a fine bisection
     low = mu_hi * np.geomspace(2.0**-80, 2.0**-20, 40)[:, None, None]
-    for ph, p in enumerate(opt._phase_powers(inst, low)[0]):
+    for ph, p in enumerate(opt._phase_powers(inst, facts, low)[0]):
         ref = _bisected_power(inst, ph, wv[ph], low)
         assert (np.abs(p - ref) <= 1e-12 * inst.power_max[ph]).all()
 
@@ -554,8 +554,9 @@ def test_weak_relay_block_certifies_at_warm_start(gain):
 
 def test_warm_start_need_falls_with_time_price():
     inst = weak_relay_instance(WEAK_RELAY_GAINS[1])
-    ceiling = float(opt._time_price_ceiling(inst)[0, 0])
-    need = [float(opt._candidate(inst, np.full((1, 1), mu))[1][0, 0])
+    caps = opt._at_caps(inst)
+    ceiling = float(caps.ceiling[0, 0])
+    need = [float(opt._candidate(inst, caps, np.full((1, 1), mu))[1][0, 0])
             for mu in np.geomspace(ceiling * 1e-8, ceiling, 400)]
     assert all(b <= a for a, b in zip(need, need[1:]))
 
@@ -607,7 +608,8 @@ def _times_at_price(inst, bits, mu):
 
 def _warm_start_need(inst):
     """The warm start's sub-slot need at the time price and its slope."""
-    return lambda mu: opt._candidate(inst, mu)[1:3]
+    caps = opt._at_caps(inst)
+    return lambda mu: opt._candidate(inst, caps, mu)[1:3]
 
 
 def _carry_need(inst, bits):
@@ -641,17 +643,19 @@ def _split_bits(inst, chi):
 @pytest.mark.parametrize("task_bits", ROOT_TASK_BITS)
 def test_warm_start_time_price_matches_fine_bisection(stock_points, task_bits):
     inst = stock_points[task_bits]
-    mu = warm_start(inst)[0][..., 1]
-    ref = _bisected_time_price(_warm_start_need(inst), inst.subslot, opt._time_price_ceiling(inst))
+    caps = opt._at_caps(inst)
+    mu = warm_start(inst, caps)[0][..., 1]
+    ref = _bisected_time_price(_warm_start_need(inst), inst.subslot, caps.ceiling)
     assert (ref > 0.0).all()
     assert (np.abs(mu - ref) <= 1e-9 * ref).all()
-    assert (opt._candidate(inst, mu)[1] <= inst.subslot * (1.0 + 1e-12)).all()
+    assert (opt._candidate(inst, caps, mu)[1] <= inst.subslot * (1.0 + 1e-12)).all()
 
 
 @pytest.mark.parametrize("task_bits", ROOT_TASK_BITS)
 def test_complete_primal_time_price_matches_fine_bisection(stock_points, task_bits, monkeypatch):
     inst = stock_points[task_bits]
-    bits = _split_bits(inst, warm_start(inst)[0])
+    caps = opt._at_caps(inst)
+    bits = _split_bits(inst, warm_start(inst, caps)[0])
     root, roots = opt._log_root, []
 
     def recording(need, budget, mu_hi):
@@ -661,9 +665,9 @@ def test_complete_primal_time_price_matches_fine_bisection(stock_points, task_bi
 
     monkeypatch.setattr(opt, "_log_root", recording)
     # a zero candidate price carries nothing, so every loaded block takes the root
-    powers, times, _, infeasible = opt.complete_primal(inst, bits, np.zeros(inst.min_bits.shape))
+    powers, times, _, infeasible = opt.complete_primal(inst, caps, bits, np.zeros(inst.min_bits.shape))
     need, budget = _carry_need(inst, bits)
-    ref = _bisected_time_price(need, budget, opt._time_price_ceiling(inst))
+    ref = _bisected_time_price(need, budget, caps.ceiling)
     (mu,) = roots
     assert not infeasible.any()
     assert (np.abs(mu - ref) <= 1e-9 * ref).all()
@@ -674,15 +678,16 @@ def test_complete_primal_time_price_matches_fine_bisection(stock_points, task_bi
 @pytest.mark.parametrize("task_bits", ROOT_TASK_BITS)
 def test_completion_at_the_warm_start_reuses_its_time_price(stock_points, task_bits, monkeypatch):
     inst = stock_points[task_bits]
-    chi = warm_start(inst)[0]
+    caps = opt._at_caps(inst)
+    chi = warm_start(inst, caps)[0]
     bits = _split_bits(inst, chi)
     calls = {}
     _count_calls(monkeypatch, calls, "_power_from_time_price", "_log_root")
-    _, times, energy, infeasible = opt.complete_primal(inst, bits, chi[..., opt.D_SUBSLOT])
+    _, times, energy, infeasible = opt.complete_primal(inst, caps, bits, chi[..., opt.D_SUBSLOT])
     # the uplink, relay and shared download powers once, and no root
     assert calls == {"_power_from_time_price": 3, "_log_root": 0}
     need, budget = _carry_need(inst, bits)
-    mu = _bisected_time_price(need, budget, opt._time_price_ceiling(inst))
+    mu = _bisected_time_price(need, budget, caps.ceiling)
     ref_times, ref_energy = _times_at_price(inst, bits, mu)
     assert not infeasible.any()
     assert (np.abs(times - ref_times) <= 1e-12 * ref_times).all()
@@ -693,7 +698,8 @@ def test_time_price_root_edges():
     # one block each: no load, a fitting load, a load no price can fit
     inst = make_synthetic_instance(n_slots=3)
     inst.min_bits[:] = [[0.0, 5e5, 1e9]]
-    mu_hi = opt._time_price_ceiling(inst)
+    caps = opt._at_caps(inst)
+    mu_hi = caps.ceiling
     need = _warm_start_need(inst)
     mu = opt._log_root(need, inst.subslot, mu_hi)
     assert mu[0, 0] == mu_hi[0, 0] * 2.0**-80
@@ -703,20 +709,21 @@ def test_time_price_root_edges():
     # the same answers through the completion: no load carries nothing, and
     # only the overloaded block is infeasible
     bits = (np.zeros((1, 3)), np.zeros((1, 3)), inst.min_bits.copy())
-    powers, times, energy, infeasible = opt.complete_primal(inst, bits, np.zeros((1, 3)))
+    powers, times, energy, infeasible = opt.complete_primal(inst, caps, bits, np.zeros((1, 3)))
     assert (powers[:, 0, 0] == 0.0).all() and (times[:, 0, 0] == 0.0).all()
     assert infeasible.tolist() == [[False, False, True]]
 
 
 def test_time_price_root_dead_links_give_zero():
     inst = make_synthetic_instance(gain=0.0)
-    mu_hi = opt._time_price_ceiling(inst)
+    caps = opt._at_caps(inst)
+    mu_hi = caps.ceiling
     assert (mu_hi == 0.0).all()
     bits = (np.zeros((1, 1)), np.zeros((1, 1)), inst.min_bits.copy())
     need, budget = _carry_need(inst, bits)
     mu = opt._log_root(need, budget, mu_hi)
     assert (mu == 0.0).all() and np.isinf(need(mu)[0]).all()
-    assert opt.complete_primal(inst, bits, np.zeros((1, 1)))[3].all()
+    assert opt.complete_primal(inst, caps, bits, np.zeros((1, 1)))[3].all()
 
 
 def test_time_price_searches_evaluate_need_at_most_9_times(stock_points, monkeypatch):
@@ -725,13 +732,14 @@ def test_time_price_searches_evaluate_need_at_most_9_times(stock_points, monkeyp
     calls = {}
     _count_calls(monkeypatch, calls, "_candidate", "_power_from_time_price")
     for inst in stock_points.values():
+        caps = opt._at_caps(inst)
         calls.update(_candidate=0, _power_from_time_price=0)
-        chi = warm_start(inst)[0]
+        chi = warm_start(inst, caps)[0]
         assert calls["_candidate"] <= 9
         # at the warm start's time price the completion inverts the uplink,
         # relay and shared download powers once
         calls["_power_from_time_price"] = 0
-        opt.complete_primal(inst, _split_bits(inst, chi), chi[..., opt.D_SUBSLOT])
+        opt.complete_primal(inst, caps, _split_bits(inst, chi), chi[..., opt.D_SUBSLOT])
         assert calls["_power_from_time_price"] <= 3
 
 
@@ -754,7 +762,8 @@ def _bisected_min_bits_price(inst, mu):
     closed-form split carries the minimum bits, by 300 halvings (0 where the
     split carries them at price 0), or the ground-route price where even that
     price falls short.  Also returns the route price and the split's terms."""
-    chi = opt._candidate(inst, mu)[0]
+    caps = opt._at_caps(inst)
+    chi = opt._candidate(inst, caps, mu)[0]
     route = chi[..., opt.D_UPLINK] + chi[..., opt.D_RELAY] + inst.output_ratio[:, None] * chi[..., opt.D_DOWN_RSU]
     terms = opt._split_terms(inst, mu, chi[..., opt.D_UPLINK], chi[..., opt.D_DOWN_UAV])
 
@@ -810,12 +819,14 @@ def test_min_bits_price_matches_fine_bisection(stock_points, task_bits):
     if task_bits == "pieces":
         # past the power-cap ceiling too, where a raised warm start looks
         inst = _piece_instance()
-        mu = opt._time_price_ceiling(inst) * np.geomspace(1e-8, 1e3, 45)[:, None, None]
+        grid = np.geomspace(1e-8, 1e3, 45)
     else:
         inst = stock_points[task_bits]
         # the grid runs along a leading axis, from ceiling * 1e-8 to the ceiling
-        mu = opt._time_price_ceiling(inst) * np.geomspace(1e-8, 1.0, 40)[:, None, None]
-    chi1 = opt._candidate(inst, mu)[0][..., opt.D_MIN_BITS]
+        grid = np.geomspace(1e-8, 1.0, 40)
+    caps = opt._at_caps(inst)
+    mu = caps.ceiling * grid[:, None, None]
+    chi1 = opt._candidate(inst, caps, mu)[0][..., opt.D_MIN_BITS]
     ref, route, terms = _bisected_min_bits_price(inst, mu)
     assert (np.abs(chi1 - ref) <= 1e-12 * ref).all()
     # under the route price the split at chi1 carries the minimum bits
@@ -839,9 +850,10 @@ def _log_difference(f, mu, h=1e-6):
 def test_need_slope_matches_a_central_difference(task_bits):
     # at the warm start's time price, and an e-fold to either side
     inst = build_instance(validate(ScenarioConfig(task_bits=task_bits)))
-    mu = warm_start(inst)[0][..., opt.D_SUBSLOT] * np.exp([-1.0, 0.0, 1.0])[:, None, None]
-    slope = opt._candidate(inst, mu)[2]
-    ref = _log_difference(lambda m: opt._candidate(inst, m)[1], mu)
+    caps = opt._at_caps(inst)
+    mu = warm_start(inst, caps)[0][..., opt.D_SUBSLOT] * np.exp([-1.0, 0.0, 1.0])[:, None, None]
+    slope = opt._candidate(inst, caps, mu)[2]
+    ref = _log_difference(lambda m: opt._candidate(inst, caps, m)[1], mu)
     assert (ref[1] < 0.0).all()
     assert (np.abs(slope - ref) <= 1e-5 * np.abs(ref)).all()
 
@@ -851,10 +863,11 @@ def test_need_slope_matches_a_central_difference_on_every_piece():
     # ceiling; the grid misses the kinks at 0.01 and 1 times the ceiling, where
     # the download and then the uplink powers reach their caps
     inst = _piece_instance()
-    ceiling = opt._time_price_ceiling(inst)
+    caps = opt._at_caps(inst)
+    ceiling = caps.ceiling
     mu = ceiling * np.geomspace(1.1e-8, 1.1e3, 45)[:, None, None]
-    chi, need, slope, _ = opt._candidate(inst, mu)
-    ref = _log_difference(lambda m: opt._candidate(inst, m)[1], mu)
+    chi, need, slope, _ = opt._candidate(inst, caps, mu)
+    ref = _log_difference(lambda m: opt._candidate(inst, caps, m)[1], mu)
     # where the need is flat the difference reads its rounding, about
     # 1e-14*need/h per unit of log(mu)
     assert (np.abs(slope - ref) <= 1e-5 * np.abs(ref) + 1e-7 * need / mu).all()
@@ -868,10 +881,11 @@ def test_need_slope_matches_a_central_difference_past_the_ceiling():
     # the raised time prices of the 4-vehicle reproducer: every power sits at
     # its cap, and the split alone moves the need
     inst = build_instance(load_scenario(UNCERTIFIED_4_VEHICLES))
-    mu = warm_start(inst)[0][..., opt.D_SUBSLOT]
-    raised = mu > opt._time_price_ceiling(inst)
-    _, _, slope, powers = opt._candidate(inst, mu)
-    ref = _log_difference(lambda m: opt._candidate(inst, m)[1], mu)
+    caps = opt._at_caps(inst)
+    mu = warm_start(inst, caps)[0][..., opt.D_SUBSLOT]
+    raised = mu > caps.ceiling
+    _, _, slope, powers = opt._candidate(inst, caps, mu)
+    ref = _log_difference(lambda m: opt._candidate(inst, caps, m)[1], mu)
     assert raised[:2].all()
     assert all((p[raised] == pmax).all() for p, pmax in zip(powers, inst.power_max))
     assert (slope[raised] < 0.0).all()
@@ -883,10 +897,11 @@ def test_rate_prices_rise_at_one_over_the_rate(stock_points, task_bits):
     # the envelope theorem on phi: d(chi_ph)/dmu = 1/r_ph, for interior and
     # clamped powers alike
     inst = stock_points[task_bits]
-    mu = opt._time_price_ceiling(inst) * np.geomspace(0.01, 2.0, 12)[:, None, None]
-    rates = [inst.rate(ph, p) for ph, p in enumerate(opt._candidate(inst, mu)[3])]
+    caps = opt._at_caps(inst)
+    mu = caps.ceiling * np.geomspace(0.01, 2.0, 12)[:, None, None]
+    rates = [inst.rate(ph, p) for ph, p in enumerate(opt._candidate(inst, caps, mu)[3])]
     for ph in range(4):
-        d_chi = _log_difference(lambda m: opt._candidate(inst, m)[0][..., opt._PHASE_RATE_DUAL[ph]], mu)
+        d_chi = _log_difference(lambda m: opt._candidate(inst, caps, m)[0][..., opt._PHASE_RATE_DUAL[ph]], mu)
         assert (np.abs(rates[ph] * d_chi - 1.0) <= 1e-6).all()
 
 
@@ -900,8 +915,9 @@ def test_warm_start_splits_at_most_250_times(stock_points, monkeypatch):
 
     monkeypatch.setattr(opt, "_split", counted)
     for inst in [*stock_points.values(), build_instance(validate(ScenarioConfig()))]:
+        caps = opt._at_caps(inst)
         calls.clear()
-        warm_start(inst)
+        warm_start(inst, caps)
         assert len(calls) <= 250
 
 
@@ -934,7 +950,7 @@ def test_raised_time_price_certifies_at_the_warm_start():
     assert report.iterations == 0
     assert report.feasible and abs(report.gap) <= cfg.epsilon
     mu = report.duals[..., opt.D_SUBSLOT]
-    raised = mu > opt._time_price_ceiling(inst)
+    raised = mu > opt._at_caps(inst).ceiling
     assert raised[:2].all() and not raised[2:].any()
 
 
@@ -948,7 +964,7 @@ def test_random_draws_certify_or_name_an_infeasible_block():
         for text in workloads.draw_block(np.random.default_rng(seed)):
             cfg = load_scenario(text)
             inst = build_instance(cfg)
-            feasible, _ = opt.feasible_split(inst)
+            feasible = opt._at_caps(inst).feasible
             try:
                 report = opt.algorithm1(inst, eps=cfg.epsilon, max_iterations=cfg.max_iterations)
             except InfeasibleAllocation as err:
@@ -964,16 +980,17 @@ def test_blended_completion_falls_back_to_the_greedy_split(monkeypatch):
     # the warm start with no doubling past the power-cap ceiling stops there,
     # at multipliers whose closed-form split cannot be completed
     inst = build_instance(load_scenario(UNCERTIFIED_4_VEHICLES))
+    caps = opt._at_caps(inst)
+    assert caps.feasible.all()
     monkeypatch.setattr(opt, "_TIME_PRICE_DOUBLINGS", 0)
-    chi, _, hard = warm_start(inst)
+    chi, _ = warm_start(inst, caps)
     closed = _split_bits(inst, chi)
-    retry = opt.complete_primal(inst, closed, chi[..., opt.D_SUBSLOT])[3] & ~hard
+    retry = opt.complete_primal(inst, caps, closed, chi[..., opt.D_SUBSLOT])[3]
     assert retry.tolist() == [[True] * 4] * 2 + [[False] * 4] * 2
     calls = {}
     _count_calls(monkeypatch, calls, "_log_root")
-    bits, (_, times), energy, infeasible = opt.blended_completion(inst, chi, hard)
-    _, greedy = opt.feasible_split(inst)
-    for got, g, c in zip(bits, greedy, closed):
+    bits, (_, times), energy, infeasible = opt.blended_completion(inst, chi, caps)
+    for got, g, c in zip(bits, caps.greedy, closed):
         assert np.array_equal(got[retry], g[retry])
         assert np.array_equal(got[~retry], c[~retry])
     assert not infeasible.any()
@@ -981,17 +998,60 @@ def test_blended_completion_falls_back_to_the_greedy_split(monkeypatch):
     # of the two completions solves the time-price root for them
     assert calls["_log_root"] == 2
     need, budget = _carry_need(inst, bits)
-    mu = _bisected_time_price(need, budget, opt._time_price_ceiling(inst))
+    mu = _bisected_time_price(need, budget, caps.ceiling)
     ref_times, ref_energy = _times_at_price(inst, bits, mu)
     assert (np.abs(times - ref_times) <= 1e-12 * ref_times)[:, retry].all()
     assert (np.abs(energy - ref_energy) <= 1e-12 * ref_energy)[retry].all()
+
+
+@pytest.mark.parametrize("case", ["stock", "unequal download caps", "greedy fallback"])
+def test_cap_facts_are_settled_once_per_solve(case, monkeypatch):
+    # the cap pass and the greedy split run once per solve, also when the
+    # completion falls back to that split, and no phi
+    # is evaluated at the smaller download cap, whose power root is shared
+    if case == "greedy fallback":
+        inst = build_instance(load_scenario(UNCERTIFIED_4_VEHICLES))
+        monkeypatch.setattr(opt, "_TIME_PRICE_DOUBLINGS", 0)
+    else:
+        caps = (0.5, 3.0) if case == "unequal download caps" else (STOCK_CAP, STOCK_CAP)
+        inst = build_instance(validate(ScenarioConfig(power_max_down_uav=caps[0], power_max_down_rsu=caps[1])))
+    pmax = inst.power_max
+    shared = opt.PHASE_DOWN_RSU if pmax[opt.PHASE_DOWN_UAV] >= pmax[opt.PHASE_DOWN_RSU] else opt.PHASE_DOWN_UAV
+    calls = {}
+    _count_calls(monkeypatch, calls, "_at_caps", "feasible_split", "blended_completion", "complete_primal")
+    phases, phi = [], opt._phi
+    monkeypatch.setattr(opt, "_phi", lambda inst, ph, *args: phases.append(ph) or phi(inst, ph, *args))
+    if case == "greedy fallback":
+        with pytest.raises(opt.IterationCapExceeded):
+            ellipsoid_solve(inst, eps=1e-4, max_iterations=3)
+        # each completion retried the greedy split on the blocks it missed
+        assert calls["complete_primal"] == 2 * calls["blended_completion"] > 0
+    else:
+        assert ellipsoid_solve(inst).converged
+    assert calls["_at_caps"] == calls["feasible_split"] == 1
+    assert phases and shared not in phases
+
+
+def test_rejected_block_raises_before_the_warm_start(monkeypatch):
+    # blocks (1, 1) and (1, 2) need more than any split carries at full
+    # power: the solve names the first in row-major order, and no multiplier
+    # moves
+    inst = make_synthetic_instance(n_vehicles=2, n_slots=3, min_bits=5e5)
+    inst.min_bits[1, 1:] = 5e7
+    assert opt._at_caps(inst).feasible.tolist() == [[True] * 3, [True, False, False]]
+    calls = {}
+    _count_calls(monkeypatch, calls, "warm_start")
+    with pytest.raises(InfeasibleAllocation, match="within the sub-slot for vehicle 1, slot 1$"):
+        ellipsoid_solve(inst)
+    assert calls["warm_start"] == 0
 
 
 def test_dual_value_is_minus_inf_outside_the_domain(stock_points):
     # a minimum-bits price above the ground-route price leaves the
     # ground-unit term of the Lagrangian unbounded below: the dual is -inf
     inst = stock_points[5e5]
-    chi = warm_start(inst)[0]
+    caps = opt._at_caps(inst)
+    chi = warm_start(inst, caps)[0]
     assert np.isfinite(dual_point_eval(inst, chi)[0]).all()
     xi = inst.output_ratio[:, None]
     route = chi[..., opt.D_UPLINK] + chi[..., opt.D_RELAY] + xi * chi[..., opt.D_DOWN_RSU]
@@ -1087,13 +1147,11 @@ def test_dead_downloads_make_offloading_impossible():
 
 
 def test_feasible_split_oracle():
-    from uavmec.optimizer import feasible_split
-
-    ok, (bl, bu, br) = feasible_split(make_synthetic_instance(min_bits=5e5))
+    caps = opt._at_caps(make_synthetic_instance(min_bits=5e5))
+    ok, (bl, bu, br) = caps.feasible, caps.greedy
     assert ok.all()
     assert np.isclose(bl[0, 0] + bu[0, 0] + br[0, 0], 5e5)
-    ok, _ = feasible_split(make_synthetic_instance(gain=10.0, min_bits=5e6))
-    assert not ok.any()
+    assert not opt._at_caps(make_synthetic_instance(gain=10.0, min_bits=5e6)).feasible.any()
 
 
 @pytest.mark.parametrize("gain", [0.0, 1e-300])
@@ -1102,7 +1160,7 @@ def test_dead_uav_result_link_leaves_the_ground_route(gain):
     # greedy split's need (no 0 * inf): the block stays feasible and certifies
     # like one whose UAV download is merely weak
     inst = make_synthetic_instance(gain=[5000.0, 5000.0, gain, 5000.0], min_bits=5e5)
-    assert opt.feasible_split(inst)[0].all()
+    assert opt._at_caps(inst).feasible.all()
     report = opt.algorithm1(inst)
     weak = opt.algorithm1(make_synthetic_instance(gain=[5000.0, 5000.0, 1e-9, 5000.0], min_bits=5e5))
     assert report.iterations == 0 and report.feasible

@@ -1,12 +1,15 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_synthetic_instance
+from uavmec import instance, oracle
 from uavmec import optimizer as opt
-from uavmec import oracle
 from uavmec.oracle import (
     NoFeasiblePoint,
     constraint_residuals,
@@ -16,7 +19,8 @@ from uavmec.oracle import (
     sample_feasible,
     wtec_batch,
 )
-from uavmec.protocol import Allocation, check_feasible, wtec
+from uavmec.protocol import Allocation, block_energy, check_feasible, wtec
+from uavmec.scenario import MODES, ScenarioConfig, build_instance, validate
 
 
 def test_grid_search_zero_requirement_finds_zero():
@@ -116,22 +120,24 @@ def test_constraint_residuals_signs():
     assert np.allclose(res[0, 0, 2:], 0.0)
 
 
-def _slsqp_optimum(inst):
-    """Independent nonlinear-programming solution of one block in the convex
-    (bits, radiated energy, time) coordinates."""
+def _slsqp_optimum(inst, k, n):
+    """Independent nonlinear-programming solution of block (k, n) in the
+    convex (bits, radiated energy, time) coordinates: vehicle k's weight,
+    output ratio and gain rows, and the UAV CPU energy's K^2 sub-slot factor."""
     from scipy.optimize import minimize
 
     uc, vc = inst.uav_compute, inst.vehicle_compute
-    xi = float(inst.output_ratio[0])
-    w_k = float(inst.weights_vehicle[0])
+    xi = float(inst.output_ratio[k])
+    w_k = float(inst.weights_vehicle[k])
     w_u = inst.weight_uav
-    b_min = float(inst.min_bits[0, 0])
+    k2 = float(inst.n_vehicles) ** 2
+    b_min = float(inst.min_bits[k, n])
     sub, tau = inst.subslot, inst.slot_len
     pmax = inst.power_max
     b_s, e_s, t_s = max(b_min, 1e5), float(pmax.max()) * sub, sub
 
     def rate(ph, p):
-        return float(inst.rate(ph, np.full((1, 1), p))[0, 0])
+        return float(instance.rate(inst.gains[ph][k, n], inst.bandwidth, p))
 
     def unpack(z):
         bits = z[:3] * b_s
@@ -143,7 +149,7 @@ def _slsqp_optimum(inst):
         (bl, bu, _), energy, _ = unpack(z)
         return (
             w_k * (vc.capacitance * vc.cycles_per_bit**3 * bl**3 / tau**2 + energy[0])
-            + w_u * (energy[1] + uc.capacitance * uc.cycles_per_bit**3 * bu**3 / tau**2
+            + w_u * (energy[1] + k2 * uc.capacitance * uc.cycles_per_bit**3 * bu**3 / tau**2
                      + energy[2] + energy[3])
         )
 
@@ -158,10 +164,10 @@ def _slsqp_optimum(inst):
             out.append(pmax[ph] * times[ph] - energy[ph])
         return np.array(out)
 
-    ok, (bl0, bu0, br0) = __import__("uavmec.optimizer", fromlist=["feasible_split"]).feasible_split(inst)
-    assert ok.all()
+    caps = opt._at_caps(inst)
+    assert caps.feasible[k, n]
     z0 = np.zeros(11)
-    z0[:3] = np.array([bl0[0, 0], bu0[0, 0], br0[0, 0]]) / b_s
+    z0[:3] = np.array([bits[k, n] for bits in caps.greedy]) / b_s
     z0[7:] = 0.2
     for ph in range(4):
         p = pmax[ph] * 0.5
@@ -183,11 +189,66 @@ def _slsqp_optimum(inst):
     dict(gain=[5000.0, 1e-12, 5000.0, 5000.0], min_bits=3.0e5),  # no ground route
     dict(gain=60.0, min_bits=3.2e5),                              # high powers
     dict(gain=[1e5, 5.0, 5.0, 5.0], min_bits=2.5e5),              # asymmetric links
+    # three vehicles, each with its own weight, output ratio, bits and gains
+    dict(n_vehicles=3, weight_vehicle=[1.0, 2.5, 0.6], output_ratio=[0.8, 1.4, 0.3],
+         min_bits=[3e5, 2e5, 3.5e5],
+         gain=[[5000.0, 300.0, 2e4], [5000.0, 2.0, 800.0], [5000.0, 60.0, 3000.0], [5000.0, 60.0, 3000.0]]),
 ])
 def test_solver_not_beaten_by_nlp_oracle(kw):
     inst = make_synthetic_instance(**kw)
     report = opt.algorithm1(inst)
-    reference = _slsqp_optimum(inst)
-    # the dual pipeline may never sit above an independent solution
-    assert report.wtec <= reference * (1 + 5e-4) + 1e-12
-    assert abs(report.wtec - reference) <= 0.02 * max(reference, 1e-12)
+    a = report.allocation
+    energy = block_energy(inst, a.bits_local, a.bits_uav, a.powers, a.times)
+    for k, n in np.ndindex(inst.min_bits.shape):
+        reference = _slsqp_optimum(inst, k, n)
+        # the dual pipeline may never sit above an independent solution
+        assert energy[k, n] <= reference * (1 + 5e-4) + 1e-12
+        assert abs(energy[k, n] - reference) <= 0.02 * max(reference, 1e-12)
+
+
+@st.composite
+def _valid_scenarios(draw):
+    """A scenario `validate` accepts, and one of its blocks: 1-4 vehicles,
+    2-5 slots, per-vehicle weights, task bits and output ratios up to 1.5,
+    the four power caps, 9, 16 or 36 antennas per array, and every optimized
+    mode (the exact spectrum and both bounds)."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+
+    def per_vehicle(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k)))
+
+    antennas = draw(st.sampled_from((9, 16, 36)))
+    caps = {f"power_max_{phase}": draw(st.floats(0.3, 3.2)) for phase in ("offload", "relay", "down_uav", "down_rsu")}
+    cfg = validate(ScenarioConfig(
+        vehicles=k, horizon=n * 0.2, slot=0.2, weight_vehicle=per_vehicle(0.5, 2.0),
+        weight_uav=draw(st.floats(0.05, 1.0)), task_bits=per_vehicle(1e5, 9e5),
+        output_ratio=per_vehicle(0.05, 1.5), uav_altitude=draw(st.floats(10.0, 60.0)),
+        antennas_vehicle=antennas, antennas_uav=antennas, antennas_rsu=antennas,
+        mode=draw(st.sampled_from([m for m in MODES if m != "baseline"])), **caps))
+    return cfg, (draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(_valid_scenarios())
+def test_valid_scenarios_certify_or_name_a_rejected_block(drawn):
+    cfg, (k, n) = drawn
+    inst = build_instance(cfg)
+    feasible = opt._at_caps(inst).feasible
+    warm_starts, warm_start = [], opt.warm_start
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opt, "warm_start", lambda *args: warm_starts.append(1) or warm_start(*args))
+        try:
+            report = opt.algorithm1(inst, eps=cfg.epsilon, max_iterations=cfg.max_iterations)
+        except opt.InfeasibleAllocation as err:
+            # the first block in row-major order that no split carries at
+            # full power, named before any multiplier moved
+            named = tuple(map(int, re.search(r"vehicle (\d+), slot (\d+)$", str(err)).groups()))
+            assert named == tuple(np.argwhere(~feasible)[0]) and not warm_starts
+            event("a rejected block raised")
+            return
+    assert feasible.all() and report.converged and abs(report.gap) <= cfg.epsilon
+    assert report.dual_value <= report.wtec * (1 + opt.WEAK_DUALITY_RTOL)
+    a = report.allocation
+    energy = block_energy(inst, a.bits_local, a.bits_uav, a.powers, a.times)[k, n]
+    assert energy <= _slsqp_optimum(inst, k, n) * (1 + 5e-4) + 1e-12
+    event(f"certified at iteration {report.iterations}")

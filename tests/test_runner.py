@@ -187,6 +187,17 @@ def test_cli_rejects_bad_config(tmp_path):
     assert cli.main(["solve", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_cli_rejects_a_negative_seed_by_its_key(tmp_path, capsys, source):
+    # the --seed flag is applied before validation, so it meets the same
+    # check as the config key and overrides a valid one
+    path = tmp_path / "seed.ini"
+    path.write_text(f"[solver]\nseed = {-1 if source == 'config' else 3}\n")
+    args = ["verify", "--config", str(path)] + (["--seed", "-1"] if source == "flag" else [])
+    assert cli.main(args) == 2
+    assert "solver.seed: must be non-negative" in capsys.readouterr().err
+
+
 def test_cli_verify_exits_1_when_a_criterion_fails(monkeypatch, capsys):
     def stub(passed):
         return lambda *args, **kwargs: acceptance.CriterionResult("stub", passed, 0.0, 0.0)

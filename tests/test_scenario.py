@@ -167,6 +167,14 @@ def test_out_of_range_value_rejected_with_its_key(section, key, value):
     assert any(e.startswith(f"{section}.{key}:") for e in err.value.errors)
 
 
+@pytest.mark.parametrize("key, value", [("seed", -1), ("max_iterations", -3)])
+def test_negative_solver_counts_rejected(key, value):
+    with pytest.raises(ValidationError) as err:
+        load_scenario(f"[solver]\n{key} = {value}\n")
+    assert f"solver.{key}: must be non-negative" in err.value.errors
+    assert getattr(load_scenario(f"[solver]\n{key} = 0\n"), key) == 0
+
+
 def test_elevations_unchecked_when_positions_place_the_nodes():
     cfg = load_scenario("[geometry]\nvehicle_elevations = 0\nrsu_elevation = 0\n"
                         "vehicle_positions = 5,1,0; 8,2,0; 12,0,0\nrsu_position = -20,0,0\n")
