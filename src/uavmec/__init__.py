@@ -11,7 +11,6 @@ from .optimizer import SolveReport, algorithm1, ellipsoid_solve, solve_p2
 from .protocol import Allocation, check_feasible, tccd, wtec
 from .runner import SweepResult, emit_results, run_sweep, solve_scenario
 from .scenario import ScenarioConfig, build_instance, load_scenario, validate
-from .acceptance import verify
 
 __all__ = [
     "Allocation", "ArraySpec", "ComputeModel",
@@ -25,3 +24,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # `verify` loads the acceptance checks and their oracle on first use, so
+    # importing the package leaves both modules unloaded
+    if name == "verify":
+        from .acceptance import verify
+        return verify
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

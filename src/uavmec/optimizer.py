@@ -10,12 +10,13 @@ conditions collapse onto the sub-slot time price) and then refined by a
 deep-cut ellipsoid; convergence is certified by the signed weak-duality gap
 between the completed feasible schedule and the best dual value, and a gap
 below -WEAK_DUALITY_RTOL raises.  The completion takes the multipliers' time
-price as its candidate and solves the time-price root only for the blocks
-that price does not fill, so at the warm start each root is solved once.
-The power at a time price inverts phi(p) = w*(r/r' - p) by a safeguarded
-Newton iteration on log(phi) against log(p), with phi's ln(1 + p*g) terms
-taken by log1p; the two download phases share one such root, and inside the
-warm start's time-price root each starts from the previous iterate's powers.
+price as its candidate, and at the warm start its powers too, and solves the
+time-price root only for the blocks that price does not fill.  The power at
+a time price inverts phi(p) = w*(r/r' - p) by a safeguarded Newton iteration
+on log(phi) against log(p), with phi's ln(1 + p*g) terms taken by log1p; the
+uplink, relay and shared download roots step in one loop over a leading
+phase axis, from p_max (phi and phi' there come from the cap pass) or, inside
+the warm start's time-price root, from the previous iterate's powers.
 The minimum-bits price is closed form; the time prices and `power_opt`'s
 powers come from one safeguarded Newton root on analytic slopes, `_log_root`.
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import (PHASE_DOWN_RSU, PHASE_DOWN_UAV, PHASE_OFFLOAD, PHASE_RELAY,
-                       ProblemInstance)
+                       ProblemInstance, rate, rate_derivative)
 # no solver path calls it: perfbench/tracing.py wraps this name, its only reader
 from .lp import solve_lp
 from .energy import compute_energy, compute_time
@@ -205,55 +206,67 @@ def phase1_closed_form(trace_power, n_tx, n_rx, bound, weight, price_rate,
 # vectorized block machinery (arrays over all (k, n) blocks)
 # ---------------------------------------------------------------------------
 
-def _phase_weights(inst: ProblemInstance) -> list:
-    """Objective weight multiplying each phase's radiated energy, (K, N)."""
+def _phase_weights(inst: ProblemInstance) -> np.ndarray:
+    """Objective weight multiplying each phase's radiated energy, (4, K, N)."""
     k_w = np.broadcast_to(inst.weights_vehicle[:, None], inst.min_bits.shape)
-    u_w = np.full(inst.min_bits.shape, inst.weight_uav)
-    return [k_w, u_w, u_w, u_w]
+    return np.stack([k_w] + [np.full(inst.min_bits.shape, inst.weight_uav)] * 3)
 
 
-def _phi(inst, ph, w, p):
+def _lead(table, ndim):
+    """A phase-leading table (P, K, N, ...) with singleton axes after the phase
+    axis, to line up with (P, ..., K, N) arrays at a time price of `ndim` axes."""
+    return table.reshape(table.shape[:1] + (1,) * (ndim - 2) + table.shape[1:])
+
+
+def _phi(gains, w, p):
     """Time price at which power p is stationary, w*(r/r' - p), and its slope
     w*(r/r')*sum_l q_l^2/sum_l q_l with q_l = g_l/(1 + p*g_l), which is >= 0:
-    the price rises with the power.
+    the price rises with the power.  The roots' phase axis leads `gains`
+    (..., L), `w` and `p`; a zero (padding) gain adds 0 to every sum.
 
     r/r' is sum_l log1p(p*g_l) / sum_l q_l (the bandwidth and ln 2 cancel).
     log1p keeps the low bits of p*g_l that log(1 + p*g_l) rounds away, so phi
     is resolved to about 8e-16*w*(r/r' + p) down to the smallest powers.
     """
-    x = p[..., None] * inst.gains[ph]
-    q = inst.gains[ph] / (1.0 + x)
+    x = p[..., None] * gains
+    q = gains / (1.0 + x)
     sum_q = np.maximum(q.sum(axis=-1), 1e-300)
     ratio = np.log1p(x).sum(axis=-1) / sum_q
     return w * (ratio - p), w * ratio * (q * q).sum(axis=-1) / sum_q
 
 
-def _power_from_time_price(inst, ph, w, mu, start=None, phi_max=None):
-    """Invert w*(r/r' - p) = mu elementwise on [0, p_max] (clamped above);
-    returns the power and its slope dp/dmu, 1/phi'(p) inside (0, p_max) and 0
-    where the power clamps.
+def _power_from_time_price(gains, w, pmax, at_cap, mu, start=None):
+    """Invert w*(r/r' - p) = mu elementwise on [0, p_max] (clamped above) for
+    the power roots stacked on a leading axis, `gains` (P, K, N, L), `w` (P,
+    K, N), `pmax` (P,) and `at_cap`, (phi, phi') at p_max, each (P, K, N), at
+    a time price `mu` (..., K, N); returns the powers and their slopes
+    dp/dmu, (P, ..., K, N): 1/phi'(p) inside (0, p_max), 0 where it clamps.
 
     mu <= 0 gives 0 and phi(p_max) <= mu gives p_max.  Elsewhere a
     safeguarded Newton iteration on log(phi) against log(p), where phi is
     nearly a straight line (phi ~ p**2 at low power), steps
-    p <- p * exp(-log(phi/mu) * phi/(p*phi')).  It starts at p_max, or at
-    `start` when given: the powers of the previous root iterate, p_max where
-    those are 0.  A `start` comes with `phi_max`, phi(p_max) per block, which
-    decides the clamp; from p_max the first phi is that value.  It keeps a
-    bracket [lo, hi] from the sign of phi(p) - mu; a step that is not finite
-    or leaves the bracket halves the bracket instead.  A block stops when |phi(p) - mu| is
-    within phi's rounding floor 8e-16*w*(r/r' + p) or its Newton step is at
-    most 1e-14 in log(p); at most 60 iterations run.
+    p <- p * exp(-log(phi/mu) * phi/(p*phi')).  It starts at `start`, the
+    powers of the previous root iterate (p_max where those are 0), or at
+    p_max, where it reads phi and phi' from `at_cap`, which also decides the
+    clamp.  It keeps a bracket [lo, hi] from the sign of phi(p) - mu; a step
+    that is not finite or leaves the bracket halves the bracket instead.  A
+    block stops when |phi(p) - mu| is within phi's rounding floor
+    8e-16*w*(r/r' + p) or its Newton step is at most 1e-14 in log(p).  At
+    most 60 iterations run, one stacked `_phi` call each; a root whose blocks
+    have all stopped keeps its last phi and phi', as a loop of its own would.
     It is not a `_log_root`: phi cancels r/r' against p, so near that root's
     bracket bottom p_max * 2**-80 it reads rounding noise that steers the
     completion off its optimum; Newton starts at p_max or near the root.
     """
-    pmax = inst.power_max[ph]
-    p = np.full(mu.shape, pmax) if start is None else np.where(start > 0.0, start, pmax)
-    phi, slope = _phi(inst, ph, w, p)
-    at_max = (phi if start is None else phi_max) <= mu
+    n = np.ndim(mu)
+    gains, w, pmax = _lead(gains, n), _lead(w, n), np.reshape(pmax, (-1,) + (1,) * n)
+    phi_max, dphi_max = (_lead(a, n) for a in at_cap)
+    shape = np.broadcast_shapes(w.shape, np.shape(mu))
+    p = np.broadcast_to(pmax, shape) if start is None else np.where(start > 0.0, start, pmax)
+    phi, slope = (np.broadcast_to(a, shape) for a in (phi_max, dphi_max)) if start is None else _phi(gains, w, p)
+    at_max = phi_max <= mu
     done = (mu <= 0.0) | at_max
-    lo, hi = np.zeros(mu.shape), np.full(mu.shape, pmax)
+    lo, hi = np.zeros(shape), np.full(shape, pmax)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(60):
             f = phi - mu
@@ -269,9 +282,10 @@ def _power_from_time_price(inst, ph, w, mu, start=None, phi_max=None):
             inside = (newton > lo) & (newton < hi)
             p = np.where(done, p, np.where(inside, newton, np.where(small, p, 0.5 * (lo + hi))))
             done |= small
-            if done.all():
+            stopped = done.reshape(len(done), -1).all(axis=1).reshape(pmax.shape)
+            if stopped.all():
                 break
-            phi, slope = _phi(inst, ph, w, p)
+            phi, slope = (np.where(stopped, a, b) for a, b in zip((phi, slope), _phi(gains, w, p)))
     interior = (mu > 0.0) & ~at_max
     with np.errstate(divide="ignore"):  # phi' = 0 only on a dead link, which clamps
         return np.where(interior, p, np.where(at_max, pmax, 0.0)), np.where(interior, 1.0 / slope, 0.0)
@@ -279,21 +293,16 @@ def _power_from_time_price(inst, ph, w, mu, start=None, phi_max=None):
 
 def _phase_powers(inst, caps, mu, start=None):
     """Stationary power of each phase at the time price and its slope
-    dp/dmu, per block.
-
-    One root per phase of `caps.phi`; the download root serves both
-    download phases, clamped at each cap.  Inside the warm start's
-    time-price root, `start` (the powers this returned at the previous
-    iterate) starts each power root there, with `caps.phi` deciding the clamp.
-    """
-    wv, pmax = _phase_weights(inst), inst.power_max
-    start = start or [None] * 4
-    root = {ph: _power_from_time_price(inst, ph, wv[ph], mu, start[ph], phi) for ph, phi in caps.phi.items()}
-    offload, relay, down = root
-    (p_down, dp_down), downs = root[down], (PHASE_DOWN_UAV, PHASE_DOWN_RSU)
-    return ([root[offload][0], root[relay][0]] + [np.minimum(p_down, pmax[ph]) for ph in downs],
-            [root[offload][1], root[relay][1]]
-            + [np.where(p_down < pmax[ph], dp_down, 0.0) for ph in downs])
+    dp/dmu, each (4, ..., K, N): one stacked `_power_from_time_price` call on
+    the three roots of `caps`, from p_max at the phi and phi' the cap pass
+    took or, inside the warm start's time-price root, from `start`, the
+    powers this returned at the previous iterate.  The download root serves
+    both download phases, clamped at each cap."""
+    p, dp = _power_from_time_price(caps.root_gains, caps.root_weights, caps.root_caps, caps.phi, mu,
+                                   None if start is None else start[caps.roots])
+    p, dp = p[[0, 1, 2, 2]], dp[[0, 1, 2, 2]]
+    cap = np.reshape([np.inf, np.inf, *inst.power_max[2:]], (4,) + (1,) * (p.ndim - 1))
+    return np.minimum(p, cap), np.where(p < cap, dp, 0.0)
 
 
 def _split_terms(inst, chi_subslot, chi_uplink, chi_down_uav):
@@ -372,19 +381,16 @@ def _candidate(inst, caps, mu, start=None):
     piece the bits'.  `caps` is the solve's `CapFacts`, and `start`
     warm-starts the power roots as in `_phase_powers`.  Returns the (K, N, 6)
     dual point, the (K, N) sub-slot time its split needs, that need's slope
-    d need/dmu, and the phase powers.
+    d need/dmu, and the (4, ..., K, N) phase powers.
     """
     powers, dpowers = _phase_powers(inst, caps, mu, start)
-    wv, xi, uc = _phase_weights(inst), inst.output_ratio[:, None], inst.uav_compute
-    chis, rates, drates = [], [], []
-    for ph, p in enumerate(powers):
-        pmax, r_prime = inst.power_max[ph], inst.rate_derivative(ph, p)
-        clamped = p >= pmax * (1.0 - 1e-12)
-        chis.append(np.where(clamped, (wv[ph] * pmax + mu) / np.maximum(caps.rates[ph], 1e-300),
-                             wv[ph] / np.maximum(r_prime, 1e-300)))
-        rates.append(inst.rate(ph, p))
-        drates.append(r_prime * dpowers[ph])
-    inv = [1.0 / np.maximum(r, 1e-300) for r in rates]  # d(chi_ph)/dmu
+    n, xi, uc = np.ndim(mu), inst.output_ratio[:, None], inst.uav_compute
+    gains, wv, pmax = _lead(caps.gains, n), _lead(caps.weights, n), np.reshape(inst.power_max, (4,) + (1,) * n)
+    rates, r_prime = rate(gains, inst.bandwidth, powers), rate_derivative(gains, inst.bandwidth, powers)
+    chis = np.where(powers >= pmax * (1.0 - 1e-12), (wv * pmax + mu) / np.maximum(_lead(caps.rates, n), 1e-300),
+                    wv / np.maximum(r_prime, 1e-300))
+    drates = r_prime * dpowers
+    inv = 1.0 / np.maximum(rates, 1e-300)  # d(chi_ph)/dmu
     route, d_route = chis[0] + chis[1] + xi * chis[3], inv[0] + inv[1] + xi * inv[3]
     terms = _split_terms(inst, mu, chis[0], chis[2])
     _, cap_l, _, c0, cap_u = terms
@@ -404,33 +410,45 @@ def _candidate(inst, caps, mu, start=None):
         dbr = np.where(br > 0.0, -dbl - dbu, 0.0)
         slope = _carry_slope(loads, phase_loads(inst, dbu, dbr), rates, drates) + compute_time(dbu, uc)
 
-    chi = np.stack([chi1, mu, chis[0], chis[1], chis[2], chis[3]], axis=-1)
+    chi = np.stack([chi1, mu, *chis], axis=-1)
     return chi, need, slope, powers
 
 
 @dataclass(frozen=True)
 class CapFacts:
-    """Each block's facts at the power caps, settled once per solve."""
+    """Each block's facts at the power caps, settled once per solve, stacked
+    on a leading phase axis: the four phases, then the three power roots."""
 
-    rates: list  # 4 (K, N): each phase's rate at its cap
-    phi: dict  # (K, N) phi at the uplink, relay and larger download caps, by phase
+    gains: np.ndarray  # (4, K, N, L) each phase's gain table, zero-padded to one L
+    weights: np.ndarray  # (4, K, N) each phase's objective weight
+    rates: np.ndarray  # (4, K, N) each phase's rate at its cap
+    roots: list  # the phases whose tables, weights and caps the power roots take:
+    # the uplink, the relay and the download phase with the larger cap
+    root_gains: np.ndarray  # (3, K, N, L)
+    root_weights: np.ndarray  # (3, K, N)
+    root_caps: np.ndarray  # (3,)
+    phi: tuple  # (phi, phi') at the root caps, each (3, K, N)
     ceiling: np.ndarray  # (K, N) time price above which every power clamps
     feasible: np.ndarray  # (K, N) `feasible_split`'s mask
     greedy: tuple  # `feasible_split`'s (local, uav, rsu) bits
 
 
 def _at_caps(inst) -> CapFacts:
-    """The cap facts of every block: the rates at the caps, phi (the price
-    from which a power clamps at its cap) at each power root's cap, their
-    ceiling, and `feasible_split` at those rates.  Both download phases share
-    one root at the larger cap, and phi rises with p, so no phi is taken at
-    the smaller one."""
-    wv, pmax, shape = _phase_weights(inst), inst.power_max, inst.min_bits.shape
-    rates = [inst.rate(ph, np.full(shape, pmax[ph])) for ph in range(4)]
-    down = PHASE_DOWN_UAV if pmax[PHASE_DOWN_UAV] >= pmax[PHASE_DOWN_RSU] else PHASE_DOWN_RSU
-    phi = {ph: _phi(inst, ph, wv[ph], np.full(shape, pmax[ph]))[0] for ph in (PHASE_OFFLOAD, PHASE_RELAY, down)}
-    ceiling = np.maximum(np.max(list(phi.values()), axis=0), 0.0)
-    return CapFacts(rates, phi, ceiling, *feasible_split(inst, rates))
+    """The cap facts of every block: the stacked tables, the rates at the
+    caps, phi (the price from which a power clamps at its cap) and phi' at
+    each power root's cap in one `_phi` call, their ceiling, and
+    `feasible_split` at those rates.  Both download phases share one root at
+    the larger cap, where phi is higher, so none is taken at the smaller."""
+    pmax, width = inst.power_max, max(g.shape[-1] for g in inst.gains)
+    gains = np.stack([np.pad(g, [(0, 0)] * (g.ndim - 1) + [(0, width - g.shape[-1])]) for g in inst.gains])
+    weights = _phase_weights(inst)
+    rates = rate(gains, inst.bandwidth, np.broadcast_to(pmax[:, None, None], weights.shape))
+    roots = [PHASE_OFFLOAD, PHASE_RELAY,
+             PHASE_DOWN_UAV if pmax[PHASE_DOWN_UAV] >= pmax[PHASE_DOWN_RSU] else PHASE_DOWN_RSU]
+    phi = _phi(gains[roots], weights[roots], np.broadcast_to(pmax[roots, None, None], weights[roots].shape))
+    ceiling = np.maximum(phi[0].max(axis=0), 0.0)
+    return CapFacts(gains, weights, rates, roots, gains[roots], weights[roots], pmax[roots], phi, ceiling,
+                    *feasible_split(inst, rates))
 
 
 def feasible_split(inst, rates):
@@ -473,7 +491,8 @@ def warm_start(inst: ProblemInstance, caps: CapFacts):
     keeps falling: every block carries its bits under that split (the solve
     checks `caps.feasible` first), so where one needs more than the sub-slot
     at the ceiling, the bracket top doubles until the need fits.  Returns
-    (multipliers, dual values).
+    (multipliers, dual values, phase powers at the kept price), zeroed on
+    the blocks without load.
     """
     powers = None
 
@@ -497,9 +516,9 @@ def warm_start(inst: ProblemInstance, caps: CapFacts):
     # this price, so both read the same powers whatever path the root took
     chi, _, _, powers = _candidate(inst, caps, mu)
     idle = inst.min_bits <= 0.0
-    chi = np.where(idle[..., None], 0.0, chi)
-    value, _ = dual_point_eval(inst, chi, [np.where(idle, 0.0, p) for p in powers])
-    return chi, value
+    chi, powers = np.where(idle[..., None], 0.0, chi), np.where(idle, 0.0, powers)
+    value, _ = dual_point_eval(inst, chi, powers)
+    return chi, value, powers
 
 
 def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
@@ -553,48 +572,49 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
         rates.append(r)
 
     value = np.where(margin < -SIGN_RTOL * margin_scale, -np.inf, value)
-    g = np.stack(
-        [
-            inst.min_bits - bl - bu - br,
-            times[0] + times[1] + compute_time(bu, uc) + times[2] + times[3] - sub,
-            *(loads[ph] - times[ph] * rates[ph] for ph in range(4)),
-        ],
-        axis=-1,
-    )
+    g = np.stack([inst.min_bits - bl - bu - br,
+                  times[0] + times[1] + compute_time(bu, uc) + times[2] + times[3] - sub,
+                  *(loads[ph] - times[ph] * rates[ph] for ph in range(4))], axis=-1)
     return value, g
 
 
-def complete_primal(inst: ProblemInstance, caps: CapFacts, bits, mu):
+def complete_primal(inst: ProblemInstance, caps: CapFacts, bits, mu, powers=None):
     """Energy-minimal feasible schedule carrying the given bit split.
 
     Powers and times follow from the time price at which the carry times of
     the fixed bits fill the sub-slot left after UAV compute.  `mu` is a
-    candidate price, such as the multipliers' own: a block keeps it when its
-    carry times there fit that budget and fill it to within 1e-12 relative,
-    or when it carries no load.  Only the blocks that fail this take the
-    price from the time-price root (the warm start's, up to `caps.ceiling`),
-    and the root runs only when some block fails.  Returns (powers (4,K,N),
-    times (4,K,N), per-block weighted energy, infeasible mask).
+    candidate price, such as the multipliers' own, with its phase `powers`
+    when known (the warm start's), else `_phase_powers`': a block keeps it
+    when its carry times there fit that budget and fill it to within 1e-12
+    relative, or when it carries no load.  Only the blocks that fail this
+    take the price from the time-price root (the warm start's, up to
+    `caps.ceiling`), and the root runs only when some block fails.  Returns
+    (powers (4,K,N), times (4,K,N), per-block weighted energy, infeasible
+    mask).
     """
     bl, bu, br = bits
     loads = phase_loads(inst, bu, br)
     budget = inst.subslot - compute_time(bu, inst.uav_compute)
 
-    def carry(mu):  # sum of the carry times, its slope in mu (bits fixed), the times, the powers
-        powers, dpowers = _phase_powers(inst, caps, mu)
-        rates = [inst.rate(ph, p) for ph, p in enumerate(powers)]
-        drates = [inst.rate_derivative(ph, p) * dp for ph, (p, dp) in enumerate(zip(powers, dpowers))]
-        times = [carry_time(load, r) for load, r in zip(loads, rates)]
-        return sum(times), _carry_slope(loads, [0.0] * 4, rates, drates), times, powers
+    def carry_times(powers):  # the carry times at the phase powers, and the rates
+        rates = rate(caps.gains, inst.bandwidth, powers)
+        return [carry_time(load, r) for load, r in zip(loads, rates)], rates
 
-    need, _, times, powers = carry(mu)
-    retry = ~((np.abs(need - budget) <= 1e-12 * budget) | (loads[0] <= 0.0))
+    def carry(mu):  # sum of the carry times and its slope in mu, bits fixed
+        powers, dpowers = _phase_powers(inst, caps, mu)
+        times, rates = carry_times(powers)
+        drates = rate_derivative(caps.gains, inst.bandwidth, powers) * dpowers
+        return sum(times), _carry_slope(loads, [0.0] * 4, rates, drates)
+
+    if powers is None:
+        powers = _phase_powers(inst, caps, mu)[0]
+    times = carry_times(powers)[0]
+    retry = ~((np.abs(sum(times) - budget) <= 1e-12 * budget) | (loads[0] <= 0.0))
     if retry.any():
         # a zero bracket top leaves the kept blocks out of the root
-        root = _log_root(lambda mu: carry(mu)[:2], budget, np.where(retry, caps.ceiling, 0.0))
-        _, _, t_root, p_root = carry(root)
-        times = [np.where(retry, a, b) for a, b in zip(t_root, times)]
-        powers = [np.where(retry, a, b) for a, b in zip(p_root, powers)]
+        p_root = _phase_powers(inst, caps, _log_root(carry, budget, np.where(retry, caps.ceiling, 0.0)))[0]
+        times = [np.where(retry, a, b) for a, b in zip(carry_times(p_root)[0], times)]
+        powers = np.where(retry, p_root, powers)
     # the root is mu_hi wherever even that price is short
     infeasible = (sum(times) > budget * (1.0 + 1e-12)) | (budget < -1e-15)
 
@@ -605,24 +625,25 @@ def complete_primal(inst: ProblemInstance, caps: CapFacts, bits, mu):
     return powers, times, energy, infeasible
 
 
-def blended_completion(inst: ProblemInstance, chi: np.ndarray, caps: CapFacts):
+def blended_completion(inst: ProblemInstance, chi: np.ndarray, caps: CapFacts, powers=None):
     """Completable bit split and its energy-minimal schedule at multipliers.
 
     Starts from the closed-form split (ground unit takes the shortfall); any
     block whose split cannot fit the budget falls back to the greedy
     minimal-time split, `caps.greedy`.  Both completions take the
-    multipliers' time price as their candidate: at the warm start the split
-    fills the budget at that price, so no time-price root runs.  Returns
+    multipliers' time price as their candidate, with `powers` when given: at
+    the warm start, whose powers they are, the split fills the budget at that
+    price, so neither a time-price root nor a power root runs.  Returns
     (bits, (powers, times), energy, inf_mask).
     """
     mu = chi[..., D_SUBSLOT]
     bl, bu = _split(_split_terms(inst, mu, chi[..., D_UPLINK], chi[..., D_DOWN_UAV]), chi[..., D_MIN_BITS])
     br = np.maximum(inst.min_bits - bl - bu, 0.0)
     bits = [bl, bu, br]
-    powers, times, energy, inf_mask = complete_primal(inst, caps, tuple(bits), mu)
+    powers, times, energy, inf_mask = complete_primal(inst, caps, tuple(bits), mu, powers)
     if inf_mask.any():
         g_bits = tuple(np.where(inf_mask, g, b) for g, b in zip(caps.greedy, bits))
-        p2, t2, e2, inf2 = complete_primal(inst, caps, g_bits, mu)
+        p2, t2, e2, inf2 = complete_primal(inst, caps, g_bits, mu, powers)
         sel = inf_mask & ~inf2
         bits = [np.where(sel, g, b) for g, b in zip(g_bits, bits)]
         powers = np.where(sel[None], p2, powers)
@@ -684,11 +705,7 @@ def _restore_feasibility(center, shape, xi, scale):
     return center, shape
 
 
-def ellipsoid_solve(
-    inst: ProblemInstance,
-    eps: float = 1e-4,
-    max_iterations: int = 200,
-) -> DualState:
+def ellipsoid_solve(inst: ProblemInstance, eps: float = 1e-4, max_iterations: int = 200) -> DualState:
     """Maximize the separable dual by per-block deep-cut ellipsoids.
 
     Raises InfeasibleAllocation, naming the first block in row-major order,
@@ -707,7 +724,7 @@ def ellipsoid_solve(
         raise InfeasibleAllocation(f"minimum bits unachievable within the sub-slot for vehicle {k}, slot {n}")
     k, n = inst.min_bits.shape
     d = 6
-    best_chi, best_value = warm_start(inst, caps)
+    best_chi, best_value, warm_powers = warm_start(inst, caps)
     xi = inst.output_ratio[:, None]
 
     scale = np.maximum(np.abs(best_chi), np.max(np.abs(best_chi), axis=-1, keepdims=True) * 1e-9)
@@ -715,8 +732,8 @@ def ellipsoid_solve(
     center = best_chi / scale
     shape = np.broadcast_to(np.eye(d) * _ELLIPSOID_RADIUS**2 * d, (k, n, d, d)).copy()
 
-    def certify(chi):
-        bits, (powers, _), energy, inf_mask = blended_completion(inst, chi, caps)
+    def certify(chi, powers=None):
+        bits, (powers, _), energy, inf_mask = blended_completion(inst, chi, caps, powers)
         total_primal = float(np.where(inf_mask, 0.0, energy).sum())
         total_dual = float(np.where(inf_mask, 0.0, best_value).sum())
         gap = (total_primal - total_dual) / max(abs(total_primal), 1e-300)
@@ -733,7 +750,7 @@ def ellipsoid_solve(
         return gap, total_primal, total_dual, (bits, powers)
 
     log = []
-    gap, primal, dual_total, completion = certify(best_chi)
+    gap, primal, dual_total, completion = certify(best_chi, warm_powers)
     log.append({"iteration": 0, "dual": dual_total, "wtec": primal, "gap": gap})
     converged = gap < eps
     it = 0
@@ -755,15 +772,8 @@ def ellipsoid_solve(
         log.append({"iteration": it, "dual": dual_total, "wtec": primal, "gap": gap})
         converged = gap < eps
 
-    state = DualState(
-        multipliers=best_chi,
-        dual_value=float(dual_total),
-        gap=float(gap),
-        iterations=it,
-        converged=bool(converged),
-        completion=completion,
-        log=log,
-    )
+    state = DualState(multipliers=best_chi, dual_value=float(dual_total), gap=float(gap), iterations=it,
+                      converged=bool(converged), completion=completion, log=log)
     if not converged:
         raise IterationCapExceeded(
             f"gap {gap:.3e} after {it} iterations (eps {eps})", report=state
@@ -802,11 +812,7 @@ def solve_p2(inst: ProblemInstance, bits_local, bits_uav, powers):
     return bits_rsu, times
 
 
-def algorithm1(
-    inst: ProblemInstance,
-    eps: float = 1e-4,
-    max_iterations: int = 200,
-) -> SolveReport:
+def algorithm1(inst: ProblemInstance, eps: float = 1e-4, max_iterations: int = 200) -> SolveReport:
     """Full dual pipeline: ellipsoid ascent, then the closed-form recovery.
 
     The report carries the per-iteration objective trajectory and the final
@@ -834,15 +840,6 @@ def finish_from_duals(inst: ProblemInstance, state: DualState) -> SolveReport:
     # iteration 0 in the state log)
     trajectory = [entry["wtec"] for entry in state.log[1:]]
     gap = (value - state.dual_value) / max(abs(value), 1e-300)
-    return SolveReport(
-        allocation=alloc,
-        wtec=value,
-        dual_value=state.dual_value,
-        gap=gap,
-        iterations=state.iterations,
-        converged=state.converged,
-        wtec_trajectory=trajectory,
-        duals=state.multipliers,
-        feasible=verdict.feasible,
-        violations=verdict.violations,
-    )
+    return SolveReport(allocation=alloc, wtec=value, dual_value=state.dual_value, gap=gap,
+                       iterations=state.iterations, converged=state.converged, wtec_trajectory=trajectory,
+                       duals=state.multipliers, feasible=verdict.feasible, violations=verdict.violations)

@@ -269,6 +269,11 @@ def load_scenario(path_or_text) -> ScenarioConfig:
     return validate(cfg)
 
 
+def _any(value, test) -> bool:
+    """Whether `test` holds for a Python number (without numpy's per-call cost) or any array element."""
+    return bool(test(value) if isinstance(value, (int, float)) else np.any(test(np.asarray(value))))
+
+
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     """Normalize per-vehicle arrays, check ranges, derive the slot count.
 
@@ -287,7 +292,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         if value is None or (isinstance(value, str) and isinstance(f.default, str)):
             continue  # an unset optional key, or a text key holding text
         try:
-            ok = bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
+            ok = (math.isfinite(value) if isinstance(value, (int, float))
+                  else bool(np.all(np.isfinite(np.asarray(value, dtype=float)))))
         except (TypeError, ValueError):
             ok = False
         if not ok:
@@ -342,13 +348,13 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     for name in ("task_bits", "min_bits", "output_ratio", "power_max_offload",
                  "power_max_relay", "power_max_down_uav", "power_max_down_rsu",
                  "max_iterations", "seed"):
-        if name not in bad and np.any(np.asarray(getattr(cfg, name)) < 0):
+        if name not in bad and _any(getattr(cfg, name), lambda v: v < 0):
             errors.append(f"{_FIELD_SECTION[name]}.{name}: must be non-negative")
     # a zero epsilon would certify only a gap that rounding pushed below 0
     for name in ("weight_vehicle", "weight_uav", "cpu_vehicle", "cpu_uav",
                  "cycles_per_bit_vehicle", "cycles_per_bit_uav", "capacitance_vehicle",
                  "capacitance_uav", "epsilon"):
-        if name not in bad and np.any(np.asarray(getattr(cfg, name)) <= 0):
+        if name not in bad and _any(getattr(cfg, name), lambda v: v <= 0):
             errors.append(f"{_FIELD_SECTION[name]}.{name}: must be positive")
     timing_ok = not bad & {"horizon", "slot"}
     if timing_ok and (cfg.slot <= 0 or cfg.horizon <= 0):
@@ -388,8 +394,7 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     # an elevation angle places its node only when no explicit position does
     for name, placed in (("vehicle_elevations", cfg.vehicle_positions),
                          ("rsu_elevation", cfg.rsu_position)):
-        value = np.asarray(getattr(cfg, name))
-        if name not in bad and placed is None and np.any((value <= 0) | (value > math.pi / 2)):
+        if name not in bad and placed is None and _any(getattr(cfg, name), lambda v: (v <= 0) | (v > math.pi / 2)):
             errors.append(f"geometry.{name}: must lie in (0, pi/2]")
     if cfg.mode not in MODES:
         errors.append(f"solver.mode: {cfg.mode!r} not one of {MODES}")

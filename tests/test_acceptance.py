@@ -1,8 +1,13 @@
 """Acceptance suite: every checked claim at its pinned tolerance, one
 pass/fail line per criterion (run with -s to watch them stream)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+from conftest import ROOT
 from uavmec import acceptance
 from uavmec.runner import solve_report
 
@@ -61,3 +66,19 @@ def test_criterion_8_derived_constants(stock):
 def test_criterion_9_determinism(stock):
     cfg, _, _ = stock
     _check(acceptance.criterion_determinism(cfg))
+
+
+def test_importing_the_package_leaves_the_acceptance_checks_unloaded():
+    # `verify` resolves on first use, through the package and through `*`
+    code = """
+import sys
+import uavmec
+assert not {"uavmec.acceptance", "uavmec.oracle"} & set(sys.modules), sorted(sys.modules)
+from uavmec.acceptance import verify
+assert uavmec.verify is verify
+names = {}
+exec("from uavmec import *", names)
+assert names["verify"] is verify and set(uavmec.__all__) <= set(names)
+"""
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})

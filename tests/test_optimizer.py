@@ -396,10 +396,10 @@ def _inflated_warm_start(monkeypatch, block, rel):
     seed = opt.warm_start
 
     def inflated(inst, caps):
-        chi, value = seed(inst, caps)
+        chi, value, powers = seed(inst, caps)
         value = value.copy()
         value[block] += rel * value.sum()
-        return chi, value
+        return chi, value, powers
 
     monkeypatch.setattr(opt, "warm_start", inflated)
 
@@ -437,16 +437,25 @@ def _root_instance(spectrum):
     return dataclasses.replace(make_synthetic_instance(), gains=[g.reshape(1, 1, 36)] * 4)
 
 
+def _root_alone(inst, ph, mu, start=None):
+    """Power root of phase `ph` alone (a phase axis of 1) at the time price,
+    from phi and phi' at its own cap: (power, dp/dmu)."""
+    gains, w, pmax = inst.gains[ph][None], opt._phase_weights(inst)[ph][None], inst.power_max[ph:ph + 1]
+    at_cap = opt._phi(gains, w, np.full(w.shape, pmax[0]))
+    p, dp = opt._power_from_time_price(gains, w, pmax, at_cap, mu, None if start is None else start[None])
+    return p[0], dp[0]
+
+
 def _bisected_power(inst, ph, w, mu):
     """Reference root of phi(p) = mu: 200 halvings of [0, p_max], same clamps."""
     pmax = inst.power_max[ph]
     lo, hi = np.zeros_like(mu), np.full_like(mu, pmax)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        below = opt._phi(inst, ph, w, mid)[0] < mu
+        below = opt._phi(inst.gains[ph], w, mid)[0] < mu
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     p = np.where(mu <= 0.0, 0.0, 0.5 * (lo + hi))
-    return np.where(opt._phi(inst, ph, w, np.full_like(mu, pmax))[0] <= mu, pmax, p)
+    return np.where(opt._phi(inst.gains[ph], w, np.full_like(mu, pmax))[0] <= mu, pmax, p)
 
 
 @pytest.mark.parametrize("spectrum", ["rank1_stock", "spread"])
@@ -459,15 +468,15 @@ def test_power_from_time_price_inverts_phi(spectrum):
     mu = mu_hi * t[:, None, None]
     for ph in range(4):
         pmax, w = inst.power_max[ph], wv[ph]
-        p = opt._power_from_time_price(inst, ph, w, mu)[0]
+        p = _root_alone(inst, ph, mu)[0]
         assert ((p >= 0.0) & (p <= pmax)).all()
         assert (p[0] == 0.0).all()
-        phi_max = opt._phi(inst, ph, w, np.full(mu.shape, pmax))[0]
+        phi_max = opt._phi(inst.gains[ph], w, np.full(mu.shape, pmax))[0]
         assert (p[phi_max <= mu] == pmax).all()
         # the log1p terms keep the low bits of p*g_l, so what is left is the
         # cancellation of r/r' against p: phi is resolved to about
         # 8e-16*w*(r/r' + p) = 8e-16*(phi + 2*w*p)
-        phi = opt._phi(inst, ph, w, p)[0]
+        phi = opt._phi(inst.gains[ph], w, p)[0]
         floor = 8e-16 * (phi + 2.0 * w * p)
         interior = (p > 0.0) & (p < pmax)
         resid = np.abs(phi - mu)
@@ -487,7 +496,6 @@ def test_power_from_time_price_evaluates_phi_a_few_times(spectrum, monkeypatch):
     # a plain Newton step on phi from p_max took 61 evaluations (its cap) at
     # mu_hi*2**-60 and mu_hi*2**-80, and 40-47 at mu_hi*2**-40
     inst = _root_instance(spectrum)
-    wv = opt._phase_weights(inst)
     mu_hi = opt._at_caps(inst).ceiling
     calls = []
     phi = opt._phi
@@ -495,10 +503,10 @@ def test_power_from_time_price_evaluates_phi_a_few_times(spectrum, monkeypatch):
     t = np.geomspace(2.0**-60, 2.0, 245)
     for ph in range(4):
         calls.clear()
-        opt._power_from_time_price(inst, ph, wv[ph], mu_hi * t[:, None, None])
+        _root_alone(inst, ph, mu_hi * t[:, None, None])
         assert len(calls) <= 8
         calls.clear()
-        opt._power_from_time_price(inst, ph, wv[ph], mu_hi * 2.0**-80)
+        _root_alone(inst, ph, mu_hi * 2.0**-80)
         assert len(calls) <= 25
 
 
@@ -515,7 +523,7 @@ def test_download_phases_share_one_power_root(caps):
     mu = mu_hi * np.concatenate([[0.0], np.geomspace(2.0**-20, 2.0, 200)])[:, None, None]
     powers = opt._phase_powers(inst, facts, mu)[0]
     for ph in range(4):
-        alone = opt._power_from_time_price(inst, ph, wv[ph], mu)[0]
+        alone = _root_alone(inst, ph, mu)[0]
         assert (np.abs(powers[ph] - alone) <= 1e-14 * alone).all()
         pmax = inst.power_max[ph]
         assert (alone == pmax).any() and ((alone > 0.0) & (alone < pmax)).any()
@@ -525,6 +533,75 @@ def test_download_phases_share_one_power_root(caps):
     for ph, p in enumerate(opt._phase_powers(inst, facts, low)[0]):
         ref = _bisected_power(inst, ph, wv[ph], low)
         assert (np.abs(p - ref) <= 1e-12 * inst.power_max[ph]).all()
+
+
+def _stacked_cases(stock_points):
+    """(instance, time prices, start prices) on which the stacked power root
+    is checked, the start price None for roots from p_max: the spectrum
+    fixtures over a grid from -mu_hi to 4*mu_hi, so mu <= 0 and mu above
+    phi(p_max) too; the stock rank-1 slots with dead (zero-gain) relay rows;
+    a 1 mW relay cap that clamps from the first step while the other roots
+    iterate; and stock points started from the powers at the warm start's
+    time price, where the roots stop after different steps."""
+    t = np.concatenate([[-1.0, 0.0], np.geomspace(2.0**-80, 4.0, 120)])[:, None, None]
+    cases = []
+    for spectrum in ("rank1_stock", "spread"):
+        inst = _root_instance(spectrum)
+        mu = opt._at_caps(inst).ceiling * t
+        cases += [(inst, mu, None), (inst, mu, 1.25 * mu)]
+    inst = _root_instance("rank1_stock")
+    relay = inst.gains[opt.PHASE_RELAY].copy()
+    relay[:, ::7] = 0.0
+    dead = dataclasses.replace(inst, gains=[inst.gains[0], relay, *inst.gains[2:]])
+    cases.append((dead, opt._at_caps(dead).ceiling * t[2::5], None))
+    weak = weak_relay_instance(WEAK_RELAY_GAINS[0])
+    cases.append((weak, opt._at_caps(weak).ceiling * np.geomspace(1e-3, 0.5, 30)[:, None, None], None))
+    for task_bits in (1e5, 5e5):
+        inst = stock_points[task_bits]
+        mu = warm_start(inst, opt._at_caps(inst))[0][..., opt.D_SUBSLOT]
+        cases += [(inst, f * mu, mu) for f in (0.1, 0.5, 2.0)]
+    return cases
+
+
+def test_stacked_power_root_matches_each_phase_alone(stock_points):
+    # one Newton loop over the three roots gives the bits of three loops of
+    # their own, from p_max and from a start, also where a root stops first
+    clamped = []
+    for inst, mu, start_mu in _stacked_cases(stock_points):
+        caps = opt._at_caps(inst)
+        args = (caps.root_gains, caps.root_weights, caps.root_caps, caps.phi)
+        start = None if start_mu is None else opt._power_from_time_price(*args, start_mu)[0]
+        p, dp = opt._power_from_time_price(*args, mu, start)
+        for row, ph in enumerate(caps.roots):
+            alone = _root_alone(inst, ph, mu, None if start is None else start[row])
+            assert np.array_equal(p[row], alone[0]) and np.array_equal(dp[row], alone[1])
+        clamped.append(p == np.reshape(caps.root_caps, (3,) + (1,) * mu.ndim))
+    # the weak relay clamps everywhere while the uplink root iterates
+    assert clamped[5][1].all() and not clamped[5][0].any()
+
+
+def test_power_root_from_p_max_evaluates_no_phi_there(monkeypatch):
+    # a root that starts at p_max reads phi and phi' there from the cap pass:
+    # one phi call fewer than a root given p_max as its start, the same bits,
+    # and none at all where every power clamps at once
+    inst = weak_relay_instance(WEAK_RELAY_GAINS[0])
+    caps = opt._at_caps(inst)
+    calls = []
+    phi = opt._phi
+    monkeypatch.setattr(opt, "_phi", lambda *args: calls.append(1) or phi(*args))
+    args = (caps.root_gains, caps.root_weights, caps.root_caps, caps.phi)
+    at_max = np.broadcast_to(caps.root_caps[:, None, None], caps.phi[0].shape)
+    for t in (0.01, 0.1, 0.5):
+        calls.clear()
+        started = opt._power_from_time_price(*args, caps.ceiling * t, at_max)
+        n_started = len(calls)
+        calls.clear()
+        read = opt._power_from_time_price(*args, caps.ceiling * t)
+        assert len(calls) == n_started - 1 > 0
+        assert all(np.array_equal(a, b) for a, b in zip(started, read))
+    calls.clear()
+    p = opt._phase_powers(inst, caps, 2.0 * caps.ceiling)[0]
+    assert not calls and (p == inst.power_max[:, None, None]).all()
 
 
 # Rank-1 gains of stock slots 24, 30 and 39 with a 1 mW relay cap: the relay
@@ -599,9 +676,7 @@ def _times_at_price(inst, bits, mu):
     price, each phase's power inverted on its own from p_max."""
     bl, bu, br = bits
     loads = phase_loads(inst, bu, br)
-    wv = opt._phase_weights(inst)
-    powers = np.stack([np.where(loads[ph] > 0.0, opt._power_from_time_price(inst, ph, wv[ph], mu)[0], 0.0)
-                       for ph in range(4)])
+    powers = np.stack([np.where(loads[ph] > 0.0, _root_alone(inst, ph, mu)[0], 0.0) for ph in range(4)])
     times = np.stack([carry_time(loads[ph], inst.rate(ph, powers[ph])) for ph in range(4)])
     return times, block_energy(inst, bl, bu, powers, times)
 
@@ -619,11 +694,10 @@ def _carry_need(inst, bits):
     bl, bu, br = bits
     xi = inst.output_ratio[:, None]
     loads = [bu + br, br, xi * bu, xi * br]
-    wv = opt._phase_weights(inst)
     uc = inst.uav_compute
 
     def need(mu):
-        roots = [opt._power_from_time_price(inst, ph, wv[ph], mu) for ph in range(4)]
+        roots = [_root_alone(inst, ph, mu) for ph in range(4)]
         rates = [inst.rate(ph, p) for ph, (p, _) in enumerate(roots)]
         with np.errstate(divide="ignore", invalid="ignore"):  # inf on a dead link
             slope = sum(np.where(loads[ph] > 0.0, -loads[ph] * inst.rate_derivative(ph, p) * dp / rates[ph]**2, 0.0)
@@ -679,13 +753,19 @@ def test_complete_primal_time_price_matches_fine_bisection(stock_points, task_bi
 def test_completion_at_the_warm_start_reuses_its_time_price(stock_points, task_bits, monkeypatch):
     inst = stock_points[task_bits]
     caps = opt._at_caps(inst)
-    chi = warm_start(inst, caps)[0]
+    chi, _, powers = warm_start(inst, caps)
     bits = _split_bits(inst, chi)
+    mu = chi[..., opt.D_SUBSLOT]
     calls = {}
     _count_calls(monkeypatch, calls, "_power_from_time_price", "_log_root")
-    _, times, energy, infeasible = opt.complete_primal(inst, caps, bits, chi[..., opt.D_SUBSLOT])
-    # the uplink, relay and shared download powers once, and no root
-    assert calls == {"_power_from_time_price": 3, "_log_root": 0}
+    # handed the warm start's powers, it solves no power root and no time-price root
+    completed = opt.complete_primal(inst, caps, bits, mu, powers)
+    assert calls == {"_power_from_time_price": 0, "_log_root": 0}
+    # without them, one stacked root from p_max solves the same powers
+    for got, want in zip(opt.complete_primal(inst, caps, bits, mu), completed):
+        assert np.array_equal(got, want)
+    assert calls == {"_power_from_time_price": 1, "_log_root": 0}
+    _, times, energy, infeasible = completed
     need, budget = _carry_need(inst, bits)
     mu = _bisected_time_price(need, budget, caps.ceiling)
     ref_times, ref_energy = _times_at_price(inst, bits, mu)
@@ -734,27 +814,30 @@ def test_time_price_searches_evaluate_need_at_most_9_times(stock_points, monkeyp
     for inst in stock_points.values():
         caps = opt._at_caps(inst)
         calls.update(_candidate=0, _power_from_time_price=0)
-        chi = warm_start(inst, caps)[0]
+        chi, _, powers = warm_start(inst, caps)
         assert calls["_candidate"] <= 9
-        # at the warm start's time price the completion inverts the uplink,
-        # relay and shared download powers once
+        # at the warm start's time price the completion reads the warm
+        # start's powers and inverts none
         calls["_power_from_time_price"] = 0
-        opt.complete_primal(inst, caps, _split_bits(inst, chi), chi[..., opt.D_SUBSLOT])
-        assert calls["_power_from_time_price"] <= 3
+        opt.complete_primal(inst, caps, _split_bits(inst, chi), chi[..., opt.D_SUBSLOT], powers)
+        assert calls["_power_from_time_price"] == 0
 
 
-def test_stock_solve_evaluates_phi_at_most_132_times(stock_points, monkeypatch):
-    # 120 measured; 215 with an Illinois time-price root, 516 when the
-    # completion solved the warm start's time price again and every power
-    # root started at p_max, 1,188 with a plain Newton step on a
-    # log(1 + p*g_l) phi and one root per download phase
-    calls = []
+def test_stock_solve_evaluates_phi_in_at_most_35_calls_on_105_phase_rows(stock_points, monkeypatch):
+    # 32 stacked calls on 96 phase rows measured: the cap pass and 31 calls
+    # on the three power roots.  One root per phase took 119 single-phase
+    # calls, 120 when the completion solved the warm start's powers again
+    # and the roots from p_max evaluated phi there; 215 with an Illinois
+    # time-price root, 1,188 with a plain Newton step on a log(1 + p*g_l)
+    # phi and one root per download phase
+    rows = []
     phi = opt._phi
-    monkeypatch.setattr(opt, "_phi", lambda *args: calls.append(1) or phi(*args))
+    monkeypatch.setattr(opt, "_phi", lambda gains, *args: rows.append(len(gains)) or phi(gains, *args))
     cfg = validate(ScenarioConfig(task_bits=5e5))
     state = ellipsoid_solve(stock_points[5e5], eps=cfg.epsilon, max_iterations=cfg.max_iterations)
     assert state.converged
-    assert len(calls) <= 132
+    assert set(rows) == {3}
+    assert len(rows) <= 35 and sum(rows) <= 105
 
 
 def _bisected_min_bits_price(inst, mu):
@@ -983,7 +1066,7 @@ def test_blended_completion_falls_back_to_the_greedy_split(monkeypatch):
     caps = opt._at_caps(inst)
     assert caps.feasible.all()
     monkeypatch.setattr(opt, "_TIME_PRICE_DOUBLINGS", 0)
-    chi, _ = warm_start(inst, caps)
+    chi = warm_start(inst, caps)[0]
     closed = _split_bits(inst, chi)
     retry = opt.complete_primal(inst, caps, closed, chi[..., opt.D_SUBSLOT])[3]
     assert retry.tolist() == [[True] * 4] * 2 + [[False] * 4] * 2
@@ -1007,8 +1090,9 @@ def test_blended_completion_falls_back_to_the_greedy_split(monkeypatch):
 @pytest.mark.parametrize("case", ["stock", "unequal download caps", "greedy fallback"])
 def test_cap_facts_are_settled_once_per_solve(case, monkeypatch):
     # the cap pass and the greedy split run once per solve, also when the
-    # completion falls back to that split, and no phi
-    # is evaluated at the smaller download cap, whose power root is shared
+    # completion falls back to that split, and no phi is evaluated at the
+    # smaller download cap, whose power root is shared: every phi call takes
+    # the three roots' stacked tables
     if case == "greedy fallback":
         inst = build_instance(load_scenario(UNCERTIFIED_4_VEHICLES))
         monkeypatch.setattr(opt, "_TIME_PRICE_DOUBLINGS", 0)
@@ -1017,10 +1101,12 @@ def test_cap_facts_are_settled_once_per_solve(case, monkeypatch):
         inst = build_instance(validate(ScenarioConfig(power_max_down_uav=caps[0], power_max_down_rsu=caps[1])))
     pmax = inst.power_max
     shared = opt.PHASE_DOWN_RSU if pmax[opt.PHASE_DOWN_UAV] >= pmax[opt.PHASE_DOWN_RSU] else opt.PHASE_DOWN_UAV
+    caps = opt._at_caps(inst)
+    assert shared not in caps.roots and np.array_equal(caps.root_caps, pmax[caps.roots])
     calls = {}
     _count_calls(monkeypatch, calls, "_at_caps", "feasible_split", "blended_completion", "complete_primal")
-    phases, phi = [], opt._phi
-    monkeypatch.setattr(opt, "_phi", lambda inst, ph, *args: phases.append(ph) or phi(inst, ph, *args))
+    tables, phi = [], opt._phi
+    monkeypatch.setattr(opt, "_phi", lambda gains, *args: tables.append(gains) or phi(gains, *args))
     if case == "greedy fallback":
         with pytest.raises(opt.IterationCapExceeded):
             ellipsoid_solve(inst, eps=1e-4, max_iterations=3)
@@ -1029,7 +1115,7 @@ def test_cap_facts_are_settled_once_per_solve(case, monkeypatch):
     else:
         assert ellipsoid_solve(inst).converged
     assert calls["_at_caps"] == calls["feasible_split"] == 1
-    assert phases and shared not in phases
+    assert tables and all(np.array_equal(g.reshape(caps.root_gains.shape), caps.root_gains) for g in tables)
 
 
 def test_rejected_block_raises_before_the_warm_start(monkeypatch):
