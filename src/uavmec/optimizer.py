@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import (PHASE_DOWN_RSU, PHASE_DOWN_UAV, PHASE_OFFLOAD, PHASE_RELAY,
-                       ProblemInstance, rate, rate_derivative)
+                       ProblemInstance, rate, rate_derivative, spectral_sum)
 # no solver path calls it: perfbench/tracing.py wraps this name, its only reader
 from .lp import solve_lp
 from .energy import compute_energy, compute_time
@@ -177,7 +177,7 @@ def power_opt(gains, weight, price_rate, bandwidth, power_max) -> np.ndarray:
 
     def need(p):
         q = gains / (1.0 + p[..., None] * gains)
-        return scale * q.sum(axis=-1), -scale * (q * q).sum(axis=-1)
+        return scale * spectral_sum(q), -scale * spectral_sum(q, q)
 
     # _log_root returns power_max exactly where price * r' > weight even there
     p = _log_root(need, 1.0, np.full(shape, power_max))
@@ -226,13 +226,15 @@ def _phi(gains, w, p):
 
     r/r' is sum_l log1p(p*g_l) / sum_l q_l (the bandwidth and ln 2 cancel).
     log1p keeps the low bits of p*g_l that log(1 + p*g_l) rounds away, so phi
-    is resolved to about 8e-16*w*(r/r' + p) down to the smallest powers.
+    is resolved to about 8e-16*w*(r/r' + p) down to the smallest powers.  The
+    three per-link sums are `spectral_sum`s, one einsum pass each (no BLAS).
     """
     x = p[..., None] * gains
-    q = gains / (1.0 + x)
-    sum_q = np.maximum(q.sum(axis=-1), 1e-300)
-    ratio = np.log1p(x).sum(axis=-1) / sum_q
-    return w * (ratio - p), w * ratio * (q * q).sum(axis=-1) / sum_q
+    q = 1.0 + x
+    np.divide(gains, q, out=q)  # in place: a fresh (..., L) array costs more than the pass
+    sum_q = np.maximum(spectral_sum(q), 1e-300)
+    ratio = spectral_sum(np.log1p(x, out=x)) / sum_q
+    return w * (ratio - p), w * ratio * spectral_sum(q, q) / sum_q
 
 
 def _power_from_time_price(gains, w, pmax, at_cap, mu, start=None):
@@ -338,18 +340,20 @@ def _min_bits_price(terms, min_bits, d_c0):
     m, the price steps up float by float to the first one that carries m."""
     a, cap_l, b, c0, cap_u = terms
     m = min_bits
-    knees = np.stack(np.broadcast_arrays(c0, (cap_l / a) ** 2, c0 + (cap_u / b) ** 2))
-    at_c0, at_local_cap, at_uav_cap = sum(_split(terms, knees))
+    local_knee, uav_knee = (cap_l / a) ** 2, c0 + (cap_u / b) ** 2
+    at_c0, at_local_cap, at_uav_cap = (sum(_split(terms, knee)) for knee in (c0, local_knee, uav_knee))
     local_capped, uav_capped = m >= at_local_cap, m >= at_uav_cap
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # 0/0 or overflow only off its piece
-        s = (m * m + b * b * c0) / (a * m + b * np.sqrt(np.maximum(m * m + (b * b - a * a) * c0, 0.0)))
-    pieces = [m > cap_l + cap_u, m <= at_c0, local_capped & uav_capped, local_capped, uav_capped]
-    price = np.select(pieces, [np.inf, (m / a) ** 2, knees[1:].max(axis=0), c0 + ((m - cap_l) / b) ** 2,
-                               ((m - cap_u) / a) ** 2], s * s)
-    # on the interior piece s_U/(s_L + s_U) = B^2*b_L/(A^2*b_U + B^2*b_L) with b_L = A*s
+    over, low = m > cap_l + cap_u, m <= at_c0  # the route price; no UAV bits
+    # every piece is evaluated on every block: 0/0 or overflow only off its piece
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slope = np.select(pieces, [0.0, 0.0, np.where(knees[2] >= knees[1], d_c0, 0.0), d_c0, 0.0],
-                          d_c0 * b * b * s / (a * (m - a * s) + b * b * s))
+        s = (m * m + b * b * c0) / (a * m + b * np.sqrt(np.maximum(m * m + (b * b - a * a) * c0, 0.0)))
+        price = np.where(over, np.inf, np.where(low, (m / a) ** 2, np.where(
+            local_capped, np.where(uav_capped, np.maximum(local_knee, uav_knee), c0 + ((m - cap_l) / b) ** 2),
+            np.where(uav_capped, ((m - cap_u) / a) ** 2, s * s))))
+        # on the interior piece s_U/(s_L + s_U) = B^2*b_L/(A^2*b_U + B^2*b_L) with b_L = A*s
+        slope = np.where(over | low, 0.0, np.where(
+            local_capped, np.where(~uav_capped | (uav_knee >= local_knee), d_c0, 0.0),
+            np.where(uav_capped, 0.0, d_c0 * b * b * s / (a * (m - a * s) + b * b * s))))
     # the float total rises with the price and reaches cap_L + cap_U >= m
     short = (sum(_split(terms, price)) < m) & np.isfinite(price)
     while short.any():
@@ -359,11 +363,10 @@ def _min_bits_price(terms, min_bits, d_c0):
 
 
 def _carry_slope(loads, dloads, rates, drates):
-    """d/dmu of the carry times sum_ph load/rate from the loads' and rates'
-    slopes; a phase with no load and no load slope adds 0."""
+    """d/dmu of the carry times sum_ph load/rate from the stacked (4, ...)
+    loads' and rates' slopes; a phase with no load and no load slope adds 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return sum(np.where((load > 0.0) | (dload != 0.0), (dload - load * dr / r) / r, 0.0)
-                   for load, dload, r, dr in zip(loads, dloads, rates, drates))
+        return sum(np.where((loads > 0.0) | (dloads != 0.0), (dloads - loads * drates / rates) / rates, 0.0))
 
 
 def _candidate(inst, caps, mu, start=None):
@@ -400,7 +403,7 @@ def _candidate(inst, caps, mu, start=None):
     bl, bu = _split(terms, chi1)
     br = np.maximum(inst.min_bits - bl - bu, 0.0)
     loads = phase_loads(inst, bu, br)
-    times = [carry_time(loads[ph], rates[ph]) for ph in range(4)]
+    times = carry_time(loads, rates)
     need = times[0] + times[1] + times[2] + times[3] + compute_time(bu, uc)
     # a split off its interior has slope 0; slopes overflow only beside a
     # dead link, where the need is inf
@@ -459,9 +462,8 @@ def feasible_split(inst, rates):
     ground-unit routes by per-bit budget cost; exact for the linear cost.
     Returns (feasible mask, (local, uav, rsu) bits).
     """
-    uc = inst.uav_compute
-    xi = inst.output_ratio[:, None]
-    inv = [carry_time(1.0, x) for x in rates]  # time per bit, inf on a dead link
+    uc, xi = inst.uav_compute, inst.output_ratio[:, None]
+    inv = carry_time(1.0, rates)  # time per bit, inf on a dead link
     cost_uav = inv[0] + uc.cycles_per_bit / uc.cpu_freq + xi * inv[2]
     cost_rsu = inv[0] + inv[1] + xi * inv[3]
 
@@ -553,28 +555,23 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
 
     value = l1 + l2 + chi1 * inst.min_bits - chi2 * sub
 
-    loads = phase_loads(inst, bu, br)
-    times, rates = [], []
-    for ph in range(4):
-        chir = chi[..., _PHASE_RATE_DUAL[ph]]
-        p = (power_opt(inst.gains[ph], wv[ph], chir, inst.bandwidth, inst.power_max[ph])
-             if powers is None else powers[ph])
-        r = inst.rate(ph, p)
-        s = wv[ph] * p + chi2 - chir * r
-        s_scale = wv[ph] * p + chi2 + chir * r + 1e-300
-        full = s < -SIGN_RTOL * s_scale
-        interval = np.abs(s) <= SIGN_RTOL * s_scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            carry = np.where(r > 0.0, loads[ph] / r, 0.0)
-        t = np.where(full, sub, np.where(interval, np.minimum(carry, sub), 0.0))
-        value = value + np.where(full, sub * s, 0.0)
-        times.append(t)
-        rates.append(r)
-
-    value = np.where(margin < -SIGN_RTOL * margin_scale, -np.inf, value)
+    loads, chir = phase_loads(inst, bu, br), np.moveaxis(chi[..., _PHASE_RATE_DUAL], -1, 0)  # (4, K, N)
+    if powers is None:
+        powers = np.stack([power_opt(inst.gains[ph], wv[ph], chir[ph], inst.bandwidth, cap)
+                           for ph, cap in enumerate(inst.power_max)])
+    rates = np.stack([inst.rate(ph, p) for ph, p in enumerate(powers)])
+    s = wv * powers + chi2 - chir * rates
+    s_scale = wv * powers + chi2 + chir * rates + 1e-300
+    full = s < -SIGN_RTOL * s_scale
+    interval = np.abs(s) <= SIGN_RTOL * s_scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        carry = np.where(rates > 0.0, loads / rates, 0.0)
+    times = np.where(full, sub, np.where(interval, np.minimum(carry, sub), 0.0))
+    # the full phases' terms join the value phase by phase
+    value = np.where(margin < -SIGN_RTOL * margin_scale, -np.inf, sum(np.where(full, sub * s, 0.0), value))
     g = np.stack([inst.min_bits - bl - bu - br,
                   times[0] + times[1] + compute_time(bu, uc) + times[2] + times[3] - sub,
-                  *(loads[ph] - times[ph] * rates[ph] for ph in range(4))], axis=-1)
+                  *(loads - times * rates)], axis=-1)
     return value, g
 
 
@@ -596,15 +593,15 @@ def complete_primal(inst: ProblemInstance, caps: CapFacts, bits, mu, powers=None
     loads = phase_loads(inst, bu, br)
     budget = inst.subslot - compute_time(bu, inst.uav_compute)
 
-    def carry_times(powers):  # the carry times at the phase powers, and the rates
+    def carry_times(powers):  # the (4, K, N) carry times at the phase powers, and the rates
         rates = rate(caps.gains, inst.bandwidth, powers)
-        return [carry_time(load, r) for load, r in zip(loads, rates)], rates
+        return carry_time(loads, rates), rates
 
     def carry(mu):  # sum of the carry times and its slope in mu, bits fixed
         powers, dpowers = _phase_powers(inst, caps, mu)
         times, rates = carry_times(powers)
         drates = rate_derivative(caps.gains, inst.bandwidth, powers) * dpowers
-        return sum(times), _carry_slope(loads, [0.0] * 4, rates, drates)
+        return sum(times), _carry_slope(loads, 0.0, rates, drates)
 
     if powers is None:
         powers = _phase_powers(inst, caps, mu)[0]
@@ -613,14 +610,12 @@ def complete_primal(inst: ProblemInstance, caps: CapFacts, bits, mu, powers=None
     if retry.any():
         # a zero bracket top leaves the kept blocks out of the root
         p_root = _phase_powers(inst, caps, _log_root(carry, budget, np.where(retry, caps.ceiling, 0.0)))[0]
-        times = [np.where(retry, a, b) for a, b in zip(carry_times(p_root)[0], times)]
+        times = np.where(retry, carry_times(p_root)[0], times)
         powers = np.where(retry, p_root, powers)
     # the root is mu_hi wherever even that price is short
     infeasible = (sum(times) > budget * (1.0 + 1e-12)) | (budget < -1e-15)
-
-    times = np.stack(times)
     times = np.where(np.isfinite(times), times, 0.0)
-    powers = np.stack([np.where(loads[ph] > 0.0, powers[ph], 0.0) for ph in range(4)])
+    powers = np.where(loads > 0.0, powers, 0.0)
     energy = block_energy(inst, bl, bu, powers, times)
     return powers, times, energy, infeasible
 
@@ -801,7 +796,7 @@ def solve_p2(inst: ProblemInstance, bits_local, bits_uav, powers):
     """
     bits_rsu = np.maximum(inst.min_bits - bits_local - bits_uav, 0.0)
     loads = phase_loads(inst, bits_uav, bits_rsu)
-    times = np.stack([carry_time(loads[ph], inst.rate(ph, powers[ph])) for ph in range(4)])
+    times = carry_time(loads, np.stack([inst.rate(ph, powers[ph]) for ph in range(4)]))
     used = times.sum(axis=0) + compute_time(bits_uav, inst.uav_compute)
     over = used > inst.subslot * (1 + CHECK_RTOL)
     if over.any():

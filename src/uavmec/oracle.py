@@ -89,7 +89,7 @@ def grid_search_primal(inst):
             ok = t_sum <= (sub - t_cu) * (1 + 1e-12)
             if not ok.any():
                 continue
-            loads = np.stack(phase_loads(inst, bits[1], bits[2]))
+            loads = phase_loads(inst, bits[1], bits[2])
             powers = np.stack([min_power_interp(ph, loads[ph], times[ph]) for ph in range(4)])
             feasible = ok & (powers <= p_cap).all(axis=0)
             if not feasible.any():
@@ -161,8 +161,6 @@ def sample_feasible(inst, count: int, rng: np.random.Generator):
         shortfall = np.maximum(inst.min_bits[None] - bl - bu, 0.0)
         br_new = shortfall + rng.uniform(0.0, 0.1, shape) * np.maximum(inst.min_bits[None], 1.0)
         br = np.where(redo, br_new, br)
-        loads = phase_loads(inst, bu, br)
-        need = np.zeros(shape)
         # the low-power end of the draw range rises for stragglers so heavy
         # blocks find carrying powers in a handful of rounds
         floor = min(-2.0 + 0.5 * round_no, -0.3)
@@ -170,13 +168,12 @@ def sample_feasible(inst, count: int, rng: np.random.Generator):
             p_new = inst.power_max[ph] * 10.0 ** rng.uniform(floor, 0.0, shape)
             powers[ph] = np.where(redo, p_new, powers[ph])
             rates[ph] = np.where(redo, inst.rate(ph, powers[ph]), rates[ph])
-            need += carry_time(loads[ph], rates[ph])
-        ok = need <= (sub - compute_time(bu, inst.uav_compute)) * 0.999
+        ok = sum(carry_time(phase_loads(inst, bu, br), rates)) <= (sub - compute_time(bu, inst.uav_compute)) * 0.999
         keep = ok | ~redo
         bl = np.where(keep, bl, rng.uniform(0.0, inst.bits_local_cap, shape))
         bu = np.where(keep, bu, rng.uniform(0.0, bu_hi, shape))
 
-    t_min = carry_time(np.stack(phase_loads(inst, bu, br)), rates)
+    t_min = carry_time(phase_loads(inst, bu, br), rates)
     leftover = np.maximum(sub - compute_time(bu, inst.uav_compute) - t_min.sum(axis=0), 0.0)
     frac = rng.uniform(0.05, 1.0, (4,) + shape)
     frac /= frac.sum(axis=0)

@@ -43,19 +43,19 @@ class Allocation:
         return Allocation(**{k: np.array(v) for k, v in self.__dict__.items()})
 
 
-def phase_loads(inst, bits_uav, bits_rsu) -> list:
-    """Bits each transmit phase carries: uplink, relay, UAV-result download,
-    ground-result download."""
+def phase_loads(inst, bits_uav, bits_rsu) -> np.ndarray:
+    """Bits each transmit phase carries, stacked (4, ...) in phase order:
+    uplink, relay, UAV-result download, ground-result download."""
     xi = inst.output_ratio[:, None]
-    return [bits_uav + bits_rsu, bits_rsu, xi * bits_uav, xi * bits_rsu]
+    return np.stack([bits_uav + bits_rsu, bits_rsu, xi * bits_uav, xi * bits_rsu])
 
 
 def carry_time(load, rate):
     """Time to carry `load` bits at `rate`: 0 without load, inf when bits
-    meet a zero rate, load / rate otherwise."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(load > 0, load / np.where(rate > 0, rate, np.nan), 0.0)
-    return np.nan_to_num(t, nan=np.inf, posinf=np.inf)
+    meet a zero (or negative) rate, load / rate otherwise (inf where it
+    overflows).  np.divide, not `/`, so Python floats divide by 0 too."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(load > 0, np.where(rate > 0, np.divide(load, rate), np.inf), 0.0)
 
 
 @dataclass
@@ -102,7 +102,7 @@ def check_feasible(alloc: Allocation, inst) -> Verdict:
     report(budget > sub * (1 + CHECK_RTOL), "subslot_budget")
 
     cap_labels = ("uplink_capacity", "relay_capacity", "down_uav_capacity", "down_rsu_capacity")
-    carried = np.stack(phase_loads(inst, alloc.bits_uav, alloc.bits_rsu))
+    carried = phase_loads(inst, alloc.bits_uav, alloc.bits_rsu)
     powers = alloc.powers
     for ph in range(4):
         capacity = times[ph] * inst.rate(ph, powers[ph])
@@ -120,17 +120,15 @@ def baseline_allocation(inst) -> Allocation:
 
     The result is not necessarily feasible; callers check the verdict.
     """
-    k, n = inst.min_bits.shape
-    alloc = Allocation.zeros(k, n)
+    alloc = Allocation.zeros(*inst.min_bits.shape)
     third = inst.min_bits / 3.0
     alloc.bits_local = np.minimum(third, inst.bits_local_cap)
     alloc.bits_uav = np.minimum(third, inst.bits_uav_cap)
     alloc.bits_rsu = inst.min_bits - alloc.bits_local - alloc.bits_uav
     carried = phase_loads(inst, alloc.bits_uav, alloc.bits_rsu)
-    for ph in range(4):
-        pmax = np.full((k, n), inst.power_max[ph])
-        alloc.powers[ph] = np.where(carried[ph] > 0, pmax, 0.0)
-        alloc.times[ph] = carry_time(carried[ph], inst.rate(ph, pmax))
+    pmax = np.broadcast_to(inst.power_max[:, None, None], carried.shape)
+    alloc.powers = np.where(carried > 0, pmax, 0.0)
+    alloc.times = carry_time(carried, np.stack([inst.rate(ph, pmax[ph]) for ph in range(4)]))
     return alloc
 
 

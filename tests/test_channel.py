@@ -5,7 +5,7 @@ import pytest
 
 from uavmec.channel import RadioConfig, ZeroDistance, build_channel, los_matrix, path_loss
 from uavmec.geometry import ArraySpec, NodeState, element_offsets, make_velocity, trajectory
-from uavmec.instance import build_gain_tables, rate
+from uavmec.instance import build_gain_tables, rate, spectral_sum
 
 
 def radio(**kw):
@@ -90,6 +90,25 @@ def test_table_size_array_trace_power():
     link = build_channel(tx, rx, cfg)
     assert link.spectrum[0, 0] > 0
     assert np.isclose(link.trace_power[0], link.path_loss[0] * 1296, rtol=1e-9)
+
+
+def test_spectral_sum_matches_a_plain_sum():
+    # random spectra over 1e-30..1e4 with zero-padded columns, as the (L,)
+    # spectrum of one link, a (K, N, L) gain table and a phase-leading (P, 1,
+    # K, N, L) table lined up with a time price of shape (M, K, N); every term
+    # is >= 0, so the two sums agree to 4*L ulp of the sum
+    rng = np.random.default_rng(11)
+    width = 36
+    table = 10.0 ** rng.uniform(-30.0, 4.0, (3, 4, 40, width))
+    table[..., 30:] = 0.0
+    table[1, :, ::3, 9:] = 0.0
+    lead = table[:, None]
+    price_axis = rng.uniform(0.5, 2.0, (3, 5, 4, 40))[..., None]
+    for a in (table[0, 0, 0], table[0], lead, price_axis * lead, table[..., ::2]):
+        tol = 4 * a.shape[-1] * np.finfo(float).eps
+        for got, want in ((spectral_sum(a), a.sum(axis=-1)), (spectral_sum(a, a), (a * a).sum(axis=-1))):
+            assert got.shape == want.shape
+            assert (np.abs(got - want) <= tol * want).all()
 
 
 def test_rate_zero_power():

@@ -924,6 +924,51 @@ def test_min_bits_price_matches_fine_bisection(stock_points, task_bits):
         assert [name for name, blocks in pieces.items() if not blocks.any()] == []
 
 
+def _min_bits_price_by_select(terms, min_bits, d_c0):
+    """Reference: `_min_bits_price` with broadcast knees and `np.select` over
+    the pieces, in the precedence the solver's nested `np.where` keeps."""
+    a, cap_l, b, c0, cap_u = terms
+    m = min_bits
+    knees = np.stack(np.broadcast_arrays(c0, (cap_l / a) ** 2, c0 + (cap_u / b) ** 2))
+    at_c0, at_local_cap, at_uav_cap = sum(opt._split(terms, knees))
+    local_capped, uav_capped = m >= at_local_cap, m >= at_uav_cap
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = (m * m + b * b * c0) / (a * m + b * np.sqrt(np.maximum(m * m + (b * b - a * a) * c0, 0.0)))
+        pieces = [m > cap_l + cap_u, m <= at_c0, local_capped & uav_capped, local_capped, uav_capped]
+        price = np.select(pieces, [np.inf, (m / a) ** 2, knees[1:].max(axis=0), c0 + ((m - cap_l) / b) ** 2,
+                                   ((m - cap_u) / a) ** 2], s * s)
+        slope = np.select(pieces, [0.0, 0.0, np.where(knees[2] >= knees[1], d_c0, 0.0), d_c0, 0.0],
+                          d_c0 * b * b * s / (a * (m - a * s) + b * b * s))
+    short = (sum(opt._split(terms, price)) < m) & np.isfinite(price)
+    while short.any():
+        price = np.where(short, np.nextafter(price, np.inf), price)
+        short &= sum(opt._split(terms, price)) < m
+    return price, slope
+
+
+def test_min_bits_price_is_bitwise_the_select_form(monkeypatch):
+    # every block of the piece slots, those with bits exactly at a CPU cap
+    # included, from 1e-8 to 1e3 times the power-cap ceiling, and the stock
+    # trend points at their warm starts and over the price grid below the
+    # ceiling
+    seen = []
+    price_at = opt._min_bits_price
+    monkeypatch.setattr(opt, "_min_bits_price", lambda *args: seen.append(args) or price_at(*args))
+    inst = _piece_instance()
+    caps = opt._at_caps(inst)
+    opt._candidate(inst, caps, caps.ceiling * np.geomspace(1e-8, 1e3, 45)[:, None, None])
+    for task_bits in np.linspace(1e5, 9e5, 9):
+        inst = build_instance(validate(ScenarioConfig(task_bits=task_bits)))
+        caps = opt._at_caps(inst)
+        warm_start(inst, caps)
+        opt._candidate(inst, caps, caps.ceiling * np.geomspace(1e-8, 1.0, 40)[:, None, None])
+    assert len(seen) >= 9 * 8
+    for args in seen:
+        for got, want in zip(price_at(*args), _min_bits_price_by_select(*args)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _log_difference(f, mu, h=1e-6):
     """d f/dmu by a central difference in log(mu)."""
     return (f(mu * np.exp(h)) - f(mu * np.exp(-h))) / (2.0 * h * mu)

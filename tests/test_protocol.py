@@ -149,6 +149,31 @@ def test_carry_time_is_load_over_rate():
     assert np.array_equal(carry_time(load, 2.0 * rate), carry_time(load, rate) / 2.0)
 
 
+def _carry_time_nan_to_num(load, rate):
+    """Reference: the carry time through a NaN rate and `np.nan_to_num` (with
+    overflow silenced too, which the solver's form silences)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.where(load > 0, load / np.where(rate > 0, rate, np.nan), 0.0)
+    return np.nan_to_num(t, nan=np.inf, posinf=np.inf)
+
+
+def test_carry_time_is_bitwise_the_nan_to_num_form():
+    # finite loads: no load at a zero rate, a load at a zero or negative
+    # rate, a quotient that overflows, no load at an inf rate, and a load at
+    # an inf rate or a tiny one
+    loads = np.array([0.0, -0.0, 1e5, 1e5, 1e5, 1e308, 0.0, 1e5, 1e-300, 3e5, -2.0, 0.0])
+    rates = np.array([0.0, 0.0, 0.0, -1.0, -np.inf, 1e-300, np.inf, np.inf, 1e-300, 7e6, 5.0, -3.0])
+    cases = [(loads, rates), (loads[:, None], rates[None, :]), (np.stack([loads] * 4), rates)]
+    cases += [(float(a), float(b)) for a, b in zip(loads, rates)]
+    cases += [(1.0, rates), (loads, 1.0)]
+    rng = np.random.default_rng(5)
+    cases.append((rng.uniform(-1.0, 1.0, (4, 3, 40)) * 1e6, rng.uniform(-0.1, 1.0, (4, 3, 40)) * 1e8))
+    for load, rate in cases:
+        got, want = carry_time(load, rate), _carry_time_nan_to_num(load, rate)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
 def test_wtec_is_sum_of_block_energy_and_weighted_breakdown():
     inst = make_synthetic_instance(n_vehicles=3, n_slots=4, min_bits=2e5)
     inst.weights_vehicle = np.full(3, 1.7)
