@@ -19,11 +19,6 @@ from .geometry import NetworkState, advance
 PHASE_OFFLOAD, PHASE_RELAY, PHASE_DOWN_UAV, PHASE_DOWN_RSU = range(4)
 
 
-def _one_plus_snr(gains, power) -> np.ndarray:
-    """1 + p * g_l, a fresh (..., L) array, for powers of the leading shape."""
-    return 1.0 + np.asarray(power, dtype=float)[..., None] * gains
-
-
 def spectral_sum(a, b=None) -> np.ndarray:
     """Sum over the trailing singular-value axis of `a`, or of a*b, in one
     einsum pass: about half the time of `.sum(axis=-1)` on the solver's
@@ -32,16 +27,17 @@ def spectral_sum(a, b=None) -> np.ndarray:
 
 
 def rate(gains, bandwidth: float, power) -> np.ndarray:
-    """B * sum_l log2(1 + p * g_l) for gains of shape (..., L) and powers of
-    the leading shape; the per-link sum is a `spectral_sum` (einsum, no BLAS)."""
-    snr = _one_plus_snr(gains, power)
-    return bandwidth * spectral_sum(np.log2(snr, out=snr))
+    """B * sum_l log2(1 + p * g_l), taken as B/ln2 * sum_l log1p(p * g_l) as
+    the solver's phi sums are, for gains of shape (..., L) and powers of the
+    leading shape; the per-link sum is a `spectral_sum` (einsum, no BLAS)."""
+    snr = np.asarray(power, dtype=float)[..., None] * gains
+    return bandwidth / np.log(2.0) * spectral_sum(np.log1p(snr))
 
 
 def rate_derivative(gains, bandwidth: float, power) -> np.ndarray:
     """d rate / d power: B/ln2 * sum_l g_l / (1 + p * g_l), the per-link sum
     a `spectral_sum` (einsum, no BLAS)."""
-    snr = _one_plus_snr(gains, power)
+    snr = 1.0 + np.asarray(power, dtype=float)[..., None] * gains
     return bandwidth / np.log(2.0) * spectral_sum(np.divide(gains, snr, out=snr))
 
 

@@ -15,10 +15,12 @@ time-price root only for the blocks that price does not fill.  The power at
 a time price inverts phi(p) = w*(r/r' - p) by a safeguarded Newton iteration
 on log(phi) against log(p), with phi's ln(1 + p*g) terms taken by log1p; the
 uplink, relay and shared download roots step in one loop over a leading
-phase axis, from p_max (phi and phi' there come from the cap pass) or, inside
-the warm start's time-price root, from the previous iterate's powers.
-The minimum-bits price is closed form; the time prices and `power_opt`'s
-powers come from one safeguarded Newton root on analytic slopes, `_log_root`.
+phase axis, from p_max (phi there comes from the cap pass) or, inside the
+warm start's time-price root, from the tangent at the previous iterate's
+powers.  Rates come from the root's last phi sums, so a time price passes
+over the spectra only there.  The minimum-bits price is closed form; the
+time prices and `power_opt`'s powers come from one safeguarded Newton root
+on analytic slopes, `_log_root`.
 
 Multiplier order inside every length-6 vector: the prices of the
 minimum-bits constraint, the sub-slot time budget, and the four link
@@ -219,10 +221,10 @@ def _lead(table, ndim):
 
 
 def _phi(gains, w, p):
-    """Time price at which power p is stationary, w*(r/r' - p), and its slope
-    w*(r/r')*sum_l q_l^2/sum_l q_l with q_l = g_l/(1 + p*g_l), which is >= 0:
-    the price rises with the power.  The roots' phase axis leads `gains`
-    (..., L), `w` and `p`; a zero (padding) gain adds 0 to every sum.
+    """Time price at which power p is stationary, w*(r/r' - p), its slope
+    w*(r/r')*sum_l q_l^2/sum_l q_l >= 0 with q_l = g_l/(1 + p*g_l), and the
+    sums sum_l log1p(p*g_l) and sum_l q_l, r and r' over B/ln2.  The roots'
+    phase axis leads `gains` (..., L), `w` and `p`; a zero gain adds 0.
 
     r/r' is sum_l log1p(p*g_l) / sum_l q_l (the bandwidth and ln 2 cancel).
     log1p keeps the low bits of p*g_l that log(1 + p*g_l) rounds away, so phi
@@ -233,44 +235,47 @@ def _phi(gains, w, p):
     q = 1.0 + x
     np.divide(gains, q, out=q)  # in place: a fresh (..., L) array costs more than the pass
     sum_q = np.maximum(spectral_sum(q), 1e-300)
-    ratio = spectral_sum(np.log1p(x, out=x)) / sum_q
-    return w * (ratio - p), w * ratio * spectral_sum(q, q) / sum_q
+    ratio = (sum_log := spectral_sum(np.log1p(x, out=x))) / sum_q
+    return w * (ratio - p), w * ratio * spectral_sum(q, q) / sum_q, sum_log, sum_q
 
 
 def _power_from_time_price(gains, w, pmax, at_cap, mu, start=None):
     """Invert w*(r/r' - p) = mu elementwise on [0, p_max] (clamped above) for
     the power roots stacked on a leading axis, `gains` (P, K, N, L), `w` (P,
-    K, N), `pmax` (P,) and `at_cap`, (phi, phi') at p_max, each (P, K, N), at
-    a time price `mu` (..., K, N); returns the powers and their slopes
-    dp/dmu, (P, ..., K, N): 1/phi'(p) inside (0, p_max), 0 where it clamps.
+    K, N), `pmax` (P,) and `at_cap`, `_phi` at p_max, each (P, K, N), at a
+    time price `mu` (..., K, N); returns the powers, their slopes dp/dmu and
+    the last `_phi` call's two sums, each (P, ..., K, N): 1/phi'(p) and the
+    sums at p inside (0, p_max), a 0 slope and stale sums where p clamps.
 
     mu <= 0 gives 0 and phi(p_max) <= mu gives p_max.  Elsewhere a
     safeguarded Newton iteration on log(phi) against log(p), where phi is
     nearly a straight line (phi ~ p**2 at low power), steps
     p <- p * exp(-log(phi/mu) * phi/(p*phi')).  It starts at `start`, the
-    powers of the previous root iterate (p_max where those are 0), or at
-    p_max, where it reads phi and phi' from `at_cap`, which also decides the
-    clamp.  It keeps a bracket [lo, hi] from the sign of phi(p) - mu; a step
-    that is not finite or leaves the bracket halves the bracket instead.  A
-    block stops when |phi(p) - mu| is within phi's rounding floor
-    8e-16*w*(r/r' + p) or its Newton step is at most 1e-14 in log(p).  At
-    most 60 iterations run, one stacked `_phi` call each; a root whose blocks
-    have all stopped keeps its last phi and phi', as a loop of its own would.
-    It is not a `_log_root`: phi cancels r/r' against p, so near that root's
-    bracket bottom p_max * 2**-80 it reads rounding noise that steers the
-    completion off its optimum; Newton starts at p_max or near the root.
+    warm start's prediction (p_max where that is not positive), or at p_max,
+    where it reads `_phi` from `at_cap`, which also decides the clamp.  It
+    keeps a bracket [lo, hi] from the sign of phi(p) - mu; a step that is not
+    finite or leaves the bracket halves the bracket instead.  A block stops
+    when |phi(p) - mu| is within phi's rounding floor 8e-16*w*(r/r' + p) or
+    its Newton step is at most 5e-15 in log(p), on the iterate it evaluated,
+    so a start on the root confirms in one call.  At most 60 iterations run,
+    one stacked `_phi` call each; a root whose blocks have all stopped keeps
+    its last values, as a loop of its own would.  It is not a `_log_root`:
+    phi cancels r/r' against p, so near that root's bracket bottom p_max *
+    2**-80 it reads rounding noise that steers the completion off its
+    optimum; Newton starts at p_max or near the root.
     """
     n = np.ndim(mu)
     gains, w, pmax = _lead(gains, n), _lead(w, n), np.reshape(pmax, (-1,) + (1,) * n)
-    phi_max, dphi_max = (_lead(a, n) for a in at_cap)
+    at_cap = [_lead(a, n) for a in at_cap]
     shape = np.broadcast_shapes(w.shape, np.shape(mu))
     p = np.broadcast_to(pmax, shape) if start is None else np.where(start > 0.0, start, pmax)
-    phi, slope = (np.broadcast_to(a, shape) for a in (phi_max, dphi_max)) if start is None else _phi(gains, w, p)
-    at_max = phi_max <= mu
+    values = [np.broadcast_to(a, shape) for a in at_cap] if start is None else _phi(gains, w, p)
+    at_max = at_cap[0] <= mu
     done = (mu <= 0.0) | at_max
     lo, hi = np.zeros(shape), np.full(shape, pmax)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(60):
+            phi, slope = values[:2]
             f = phi - mu
             lo = np.where(f < 0.0, p, lo)
             hi = np.where(f > 0.0, p, hi)
@@ -280,31 +285,38 @@ def _power_from_time_price(gains, w, pmax, at_cap, mu, start=None):
             newton = p * np.exp(-step)
             # a step that small has converged, also where it rounds onto a
             # bracket end and so leaves the bracket
-            small = np.abs(step) <= 1e-14
-            inside = (newton > lo) & (newton < hi)
-            p = np.where(done, p, np.where(inside, newton, np.where(small, p, 0.5 * (lo + hi))))
-            done |= small
+            done |= np.abs(step) <= 5e-15
+            p = np.where(done, p, np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi)))
             stopped = done.reshape(len(done), -1).all(axis=1).reshape(pmax.shape)
             if stopped.all():
                 break
-            phi, slope = (np.where(stopped, a, b) for a, b in zip((phi, slope), _phi(gains, w, p)))
+            values = [np.where(stopped, a, b) for a, b in zip(values, _phi(gains, w, p))]
     interior = (mu > 0.0) & ~at_max
     with np.errstate(divide="ignore"):  # phi' = 0 only on a dead link, which clamps
-        return np.where(interior, p, np.where(at_max, pmax, 0.0)), np.where(interior, 1.0 / slope, 0.0)
+        dp = np.where(interior, 1.0 / values[1], 0.0)
+    return np.where(interior, p, np.where(at_max, pmax, 0.0)), dp, *values[2:]
 
 
 def _phase_powers(inst, caps, mu, start=None):
-    """Stationary power of each phase at the time price and its slope
-    dp/dmu, each (4, ..., K, N): one stacked `_power_from_time_price` call on
-    the three roots of `caps`, from p_max at the phi and phi' the cap pass
-    took or, inside the warm start's time-price root, from `start`, the
-    powers this returned at the previous iterate.  The download root serves
-    both download phases, clamped at each cap."""
-    p, dp = _power_from_time_price(caps.root_gains, caps.root_weights, caps.root_caps, caps.phi, mu,
+    """Stationary power of each phase at the time price, dp/dmu, the rate
+    and r', each (4, ..., K, N), by one stacked `_power_from_time_price` on
+    `caps`' three roots from p_max or the warm start's `start`.  The download
+    root serves both download phases, clamped at each cap.  Rate and r' are
+    B/ln2 times the root's sums inside (0, p_max), `caps`' at the cap, 0 and
+    B/ln2*sum_l g_l at 0; a download table not the root's takes its own pass."""
+    roots = _power_from_time_price(caps.root_gains, caps.root_weights, caps.root_caps, caps.phi, mu,
                                    None if start is None else start[caps.roots])
-    p, dp = p[[0, 1, 2, 2]], dp[[0, 1, 2, 2]]
-    cap = np.reshape([np.inf, np.inf, *inst.power_max[2:]], (4,) + (1,) * (p.ndim - 1))
-    return np.minimum(p, cap), np.where(p < cap, dp, 0.0)
+    p, dp, sum_log, sum_q = (a[[0, 1, 2, 2]] for a in roots)
+    n, scale = np.ndim(mu), inst.bandwidth / np.log(2.0)
+    cap = np.reshape(inst.power_max, (4,) + (1,) * n)
+    powers, dpowers = np.minimum(p, cap), np.where(p < cap, dp, 0.0)
+    rates = np.where(powers >= cap, _lead(caps.rates, n), np.where(powers > 0.0, scale * sum_log, 0.0))
+    r_prime = np.where(powers >= cap, _lead(caps.slopes[1], n),
+                       np.where(powers > 0.0, scale * sum_q, _lead(caps.slopes[0], n)))
+    if not caps.download_shared:
+        ph = PHASE_DOWN_UAV + PHASE_DOWN_RSU - caps.roots[2]
+        rates[ph], r_prime[ph] = (f(caps.gains[ph], inst.bandwidth, powers[ph]) for f in (rate, rate_derivative))
+    return powers, dpowers, rates, r_prime
 
 
 def _split_terms(inst, chi_subslot, chi_uplink, chi_down_uav):
@@ -381,15 +393,14 @@ def _candidate(inst, caps, mu, start=None):
     ground unit carries the shortfall.  The need's slope is analytic:
     dp/dmu = 1/phi'(p) gives dr/dmu, the envelope theorem d(chi_ph)/dmu =
     1/r_ph (clamped powers too), and the minimum-bits price's slope on its
-    piece the bits'.  `caps` is the solve's `CapFacts`, and `start`
-    warm-starts the power roots as in `_phase_powers`.  Returns the (K, N, 6)
-    dual point, the (K, N) sub-slot time its split needs, that need's slope
-    d need/dmu, and the (4, ..., K, N) phase powers.
+    piece the bits'.  `caps` is the solve's `CapFacts`; `start` and the
+    rates are `_phase_powers`'.  Returns the (K, N, 6) dual point, the (K, N)
+    sub-slot time its split needs, that need's slope d need/dmu, and the (4,
+    ..., K, N) phase powers and their slopes dp/dmu.
     """
-    powers, dpowers = _phase_powers(inst, caps, mu, start)
+    powers, dpowers, rates, r_prime = _phase_powers(inst, caps, mu, start)
     n, xi, uc = np.ndim(mu), inst.output_ratio[:, None], inst.uav_compute
-    gains, wv, pmax = _lead(caps.gains, n), _lead(caps.weights, n), np.reshape(inst.power_max, (4,) + (1,) * n)
-    rates, r_prime = rate(gains, inst.bandwidth, powers), rate_derivative(gains, inst.bandwidth, powers)
+    wv, pmax = _lead(caps.weights, n), np.reshape(inst.power_max, (4,) + (1,) * n)
     chis = np.where(powers >= pmax * (1.0 - 1e-12), (wv * pmax + mu) / np.maximum(_lead(caps.rates, n), 1e-300),
                     wv / np.maximum(r_prime, 1e-300))
     drates = r_prime * dpowers
@@ -414,7 +425,7 @@ def _candidate(inst, caps, mu, start=None):
         slope = _carry_slope(loads, phase_loads(inst, dbu, dbr), rates, drates) + compute_time(dbu, uc)
 
     chi = np.stack([chi1, mu, *chis], axis=-1)
-    return chi, need, slope, powers
+    return chi, need, slope, powers, dpowers
 
 
 @dataclass(frozen=True)
@@ -425,33 +436,37 @@ class CapFacts:
     gains: np.ndarray  # (4, K, N, L) each phase's gain table, zero-padded to one L
     weights: np.ndarray  # (4, K, N) each phase's objective weight
     rates: np.ndarray  # (4, K, N) each phase's rate at its cap
+    slopes: np.ndarray  # (2, 4, K, N) each phase's r' at power 0 and at its cap
+    download_shared: bool  # both download phases send over one gain table
     roots: list  # the phases whose tables, weights and caps the power roots take:
     # the uplink, the relay and the download phase with the larger cap
     root_gains: np.ndarray  # (3, K, N, L)
     root_weights: np.ndarray  # (3, K, N)
     root_caps: np.ndarray  # (3,)
-    phi: tuple  # (phi, phi') at the root caps, each (3, K, N)
+    phi: tuple  # `_phi`'s values at the root caps, each (3, K, N)
     ceiling: np.ndarray  # (K, N) time price above which every power clamps
     feasible: np.ndarray  # (K, N) `feasible_split`'s mask
     greedy: tuple  # `feasible_split`'s (local, uav, rsu) bits
 
 
 def _at_caps(inst) -> CapFacts:
-    """The cap facts of every block: the stacked tables, the rates at the
-    caps, phi (the price from which a power clamps at its cap) and phi' at
-    each power root's cap in one `_phi` call, their ceiling, and
+    """The cap facts of every block: the stacked tables, the rates and r' at
+    the caps (r' at 0 too), `_phi` at each power root's cap in one call (phi
+    is the price from which a power clamps), their ceiling, and
     `feasible_split` at those rates.  Both download phases share one root at
     the larger cap, where phi is higher, so none is taken at the smaller."""
     pmax, width = inst.power_max, max(g.shape[-1] for g in inst.gains)
     gains = np.stack([np.pad(g, [(0, 0)] * (g.ndim - 1) + [(0, width - g.shape[-1])]) for g in inst.gains])
     weights = _phase_weights(inst)
-    rates = rate(gains, inst.bandwidth, np.broadcast_to(pmax[:, None, None], weights.shape))
+    at_cap = np.broadcast_to(pmax[:, None, None], weights.shape)
+    rates = rate(gains, inst.bandwidth, at_cap)
+    slopes = np.stack([rate_derivative(gains, inst.bandwidth, p) for p in (0.0, at_cap)])
     roots = [PHASE_OFFLOAD, PHASE_RELAY,
              PHASE_DOWN_UAV if pmax[PHASE_DOWN_UAV] >= pmax[PHASE_DOWN_RSU] else PHASE_DOWN_RSU]
     phi = _phi(gains[roots], weights[roots], np.broadcast_to(pmax[roots, None, None], weights[roots].shape))
     ceiling = np.maximum(phi[0].max(axis=0), 0.0)
-    return CapFacts(gains, weights, rates, roots, gains[roots], weights[roots], pmax[roots], phi, ceiling,
-                    *feasible_split(inst, rates))
+    return CapFacts(gains, weights, rates, slopes, np.array_equal(gains[PHASE_DOWN_UAV], gains[PHASE_DOWN_RSU]),
+                    roots, gains[roots], weights[roots], pmax[roots], phi, ceiling, *feasible_split(inst, rates))
 
 
 def feasible_split(inst, rates):
@@ -492,15 +507,23 @@ def warm_start(inst: ProblemInstance, caps: CapFacts):
     rate prices rise and the split tends to `feasible_split`'s, so the need
     keeps falling: every block carries its bits under that split (the solve
     checks `caps.feasible` first), so where one needs more than the sub-slot
-    at the ceiling, the bracket top doubles until the need fits.  Returns
-    (multipliers, dual values, phase powers at the kept price), zeroed on
-    the blocks without load.
+    at the ceiling, the bracket top doubles until the need fits.  Each power
+    root starts on the tangent at the last evaluation, p*exp(dlog(mu) *
+    mu*(dp/dmu)/p) capped at p_max (an Euler predictor), or at p_max past a
+    clamped or zero power, so an unchanged price costs one `_phi` call.  The
+    kept price takes its last evaluation's dual point and powers; one more
+    `_candidate` runs only where a block was last evaluated elsewhere (after
+    the doubling).  Returns (multipliers, dual values, phase powers at the
+    kept price), zeroed on the blocks without load.
     """
-    powers = None
+    pmax, last = np.reshape(inst.power_max, (4, 1, 1)), None  # (mu, chi, powers, dp/dmu) last evaluated
 
-    def need(mu):  # each power root starts from the previous iterate's powers
-        nonlocal powers
-        _, value, slope, powers = _candidate(inst, caps, mu, powers)
+    def need(mu):
+        nonlocal last
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # nan, so p_max, after a zero power
+            start = last and np.minimum(last[2] * (mu / last[0]) ** (last[0] * last[3] / last[2]), pmax)
+        chi, value, slope, powers, dpowers = _candidate(inst, caps, mu, start)
+        last = mu, chi, powers, dpowers
         return value, slope
 
     mu = _log_root(need, inst.subslot, caps.ceiling)
@@ -514,9 +537,9 @@ def warm_start(inst: ProblemInstance, caps: CapFacts):
     raised = top > caps.ceiling
     if raised.any():  # a zero bracket top leaves the other blocks out of the root
         mu = np.where(raised, _log_root(need, inst.subslot, np.where(raised, top, 0.0)), mu)
-    # the powers at the kept price start from p_max, as in the completion at
-    # this price, so both read the same powers whatever path the root took
-    chi, _, _, powers = _candidate(inst, caps, mu)
+    if (last[0] != mu).any():  # a block last evaluated at another price
+        need(mu)
+    _, chi, powers, _ = last
     idle = inst.min_bits <= 0.0
     chi, powers = np.where(idle[..., None], 0.0, chi), np.where(idle, 0.0, powers)
     value, _ = dual_point_eval(inst, chi, powers)
@@ -593,24 +616,21 @@ def complete_primal(inst: ProblemInstance, caps: CapFacts, bits, mu, powers=None
     loads = phase_loads(inst, bu, br)
     budget = inst.subslot - compute_time(bu, inst.uav_compute)
 
-    def carry_times(powers):  # the (4, K, N) carry times at the phase powers, and the rates
-        rates = rate(caps.gains, inst.bandwidth, powers)
-        return carry_time(loads, rates), rates
+    def carry_times(powers):  # the (4, K, N) carry times at the phase powers
+        return carry_time(loads, rate(caps.gains, inst.bandwidth, powers))
 
     def carry(mu):  # sum of the carry times and its slope in mu, bits fixed
-        powers, dpowers = _phase_powers(inst, caps, mu)
-        times, rates = carry_times(powers)
-        drates = rate_derivative(caps.gains, inst.bandwidth, powers) * dpowers
-        return sum(times), _carry_slope(loads, 0.0, rates, drates)
+        _, dpowers, rates, r_prime = _phase_powers(inst, caps, mu)
+        return sum(carry_time(loads, rates)), _carry_slope(loads, 0.0, rates, r_prime * dpowers)
 
     if powers is None:
         powers = _phase_powers(inst, caps, mu)[0]
-    times = carry_times(powers)[0]
+    times = carry_times(powers)
     retry = ~((np.abs(sum(times) - budget) <= 1e-12 * budget) | (loads[0] <= 0.0))
     if retry.any():
         # a zero bracket top leaves the kept blocks out of the root
         p_root = _phase_powers(inst, caps, _log_root(carry, budget, np.where(retry, caps.ceiling, 0.0)))[0]
-        times = np.where(retry, carry_times(p_root)[0], times)
+        times = np.where(retry, carry_times(p_root), times)
         powers = np.where(retry, p_root, powers)
     # the root is mu_hi wherever even that price is short
     infeasible = (sum(times) > budget * (1.0 + 1e-12)) | (budget < -1e-15)
