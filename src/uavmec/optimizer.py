@@ -8,17 +8,18 @@ that no split carries at full power raises before the dual stage.  Each
 block is warm-started from a one-dimensional reduction (all stationarity
 conditions collapse onto the sub-slot time price) and then refined by a
 deep-cut ellipsoid; convergence is certified by the signed weak-duality gap
-between the completed feasible schedule and the best dual value, and a gap
+between the best dual value and one completion of the closed-form split at
+the best multipliers (inf while a block's split does not fit), and a gap
 below -WEAK_DUALITY_RTOL raises.  The completion takes the multipliers' time
 price as its candidate, and at the warm start its powers too, and solves the
 time-price root only for the blocks that price does not fill.  The power at
 a time price inverts phi(p) = w*(r/r' - p) by a safeguarded Newton iteration
 on log(phi) against log(p), with phi's ln(1 + p*g) terms taken by log1p; the
-uplink, relay and shared download roots step in one loop over a leading
-phase axis, from p_max (phi there comes from the cap pass) or, inside the
-warm start's time-price root, from the tangent at the previous iterate's
-powers.  Rates come from the root's last phi sums, so a time price passes
-over the spectra only there.  The minimum-bits price is closed form; the
+uplink, relay and download roots (both download phases share one table)
+step in one loop over a leading phase axis, from p_max (phi there comes
+from the cap pass) or, inside the warm start's time-price root, from the
+tangent at the previous iterate's powers.  Rates come from the root's last
+phi sums, so a time price passes over the spectra only there.  The minimum-bits price is closed form; the
 time prices and `power_opt`'s powers come from one safeguarded Newton root
 on analytic slopes, `_log_root`.
 
@@ -301,9 +302,9 @@ def _phase_powers(inst, caps, mu, start=None):
     """Stationary power of each phase at the time price, dp/dmu, the rate
     and r', each (4, ..., K, N), by one stacked `_power_from_time_price` on
     `caps`' three roots from p_max or the warm start's `start`.  The download
-    root serves both download phases, clamped at each cap.  Rate and r' are
-    B/ln2 times the root's sums inside (0, p_max), `caps`' at the cap, 0 and
-    B/ln2*sum_l g_l at 0; a download table not the root's takes its own pass."""
+    root serves both download phases, clamped at each cap, over their one
+    table.  Rate and r' are B/ln2 times the root's sums inside (0, p_max),
+    `caps`' at the cap, 0 and B/ln2*sum_l g_l at 0."""
     roots = _power_from_time_price(caps.root_gains, caps.root_weights, caps.root_caps, caps.phi, mu,
                                    None if start is None else start[caps.roots])
     p, dp, sum_log, sum_q = (a[[0, 1, 2, 2]] for a in roots)
@@ -313,9 +314,6 @@ def _phase_powers(inst, caps, mu, start=None):
     rates = np.where(powers >= cap, _lead(caps.rates, n), np.where(powers > 0.0, scale * sum_log, 0.0))
     r_prime = np.where(powers >= cap, _lead(caps.slopes[1], n),
                        np.where(powers > 0.0, scale * sum_q, _lead(caps.slopes[0], n)))
-    if not caps.download_shared:
-        ph = PHASE_DOWN_UAV + PHASE_DOWN_RSU - caps.roots[2]
-        rates[ph], r_prime[ph] = (f(caps.gains[ph], inst.bandwidth, powers[ph]) for f in (rate, rate_derivative))
     return powers, dpowers, rates, r_prime
 
 
@@ -437,7 +435,6 @@ class CapFacts:
     weights: np.ndarray  # (4, K, N) each phase's objective weight
     rates: np.ndarray  # (4, K, N) each phase's rate at its cap
     slopes: np.ndarray  # (2, 4, K, N) each phase's r' at power 0 and at its cap
-    download_shared: bool  # both download phases send over one gain table
     roots: list  # the phases whose tables, weights and caps the power roots take:
     # the uplink, the relay and the download phase with the larger cap
     root_gains: np.ndarray  # (3, K, N, L)
@@ -446,17 +443,20 @@ class CapFacts:
     phi: tuple  # `_phi`'s values at the root caps, each (3, K, N)
     ceiling: np.ndarray  # (K, N) time price above which every power clamps
     feasible: np.ndarray  # (K, N) `feasible_split`'s mask
-    greedy: tuple  # `feasible_split`'s (local, uav, rsu) bits
 
 
 def _at_caps(inst) -> CapFacts:
     """The cap facts of every block: the stacked tables, the rates and r' at
     the caps (r' at 0 too), `_phi` at each power root's cap in one call (phi
     is the price from which a power clamps), their ceiling, and
-    `feasible_split` at those rates.  Both download phases share one root at
-    the larger cap, where phi is higher, so none is taken at the smaller."""
+    `feasible_split`'s mask at those rates.  Both download phases share one
+    root at the larger cap, where phi is higher, so none is taken at the
+    smaller.  Raises ValueError when the two download tables differ: both
+    send over the vehicle-UAV link in reverse (`ProblemInstance`)."""
     pmax, width = inst.power_max, max(g.shape[-1] for g in inst.gains)
     gains = np.stack([np.pad(g, [(0, 0)] * (g.ndim - 1) + [(0, width - g.shape[-1])]) for g in inst.gains])
+    if not np.array_equal(gains[PHASE_DOWN_UAV], gains[PHASE_DOWN_RSU]):
+        raise ValueError("both download phases must share one gain table (the vehicle-UAV link in reverse)")
     weights = _phase_weights(inst)
     at_cap = np.broadcast_to(pmax[:, None, None], weights.shape)
     rates = rate(gains, inst.bandwidth, at_cap)
@@ -465,8 +465,8 @@ def _at_caps(inst) -> CapFacts:
              PHASE_DOWN_UAV if pmax[PHASE_DOWN_UAV] >= pmax[PHASE_DOWN_RSU] else PHASE_DOWN_RSU]
     phi = _phi(gains[roots], weights[roots], np.broadcast_to(pmax[roots, None, None], weights[roots].shape))
     ceiling = np.maximum(phi[0].max(axis=0), 0.0)
-    return CapFacts(gains, weights, rates, slopes, np.array_equal(gains[PHASE_DOWN_UAV], gains[PHASE_DOWN_RSU]),
-                    roots, gains[roots], weights[roots], pmax[roots], phi, ceiling, *feasible_split(inst, rates))
+    return CapFacts(gains, weights, rates, slopes, roots, gains[roots], weights[roots], pmax[roots], phi,
+                    ceiling, feasible_split(inst, rates)[0])
 
 
 def feasible_split(inst, rates):
@@ -641,31 +641,18 @@ def complete_primal(inst: ProblemInstance, caps: CapFacts, bits, mu, powers=None
 
 
 def blended_completion(inst: ProblemInstance, chi: np.ndarray, caps: CapFacts, powers=None):
-    """Completable bit split and its energy-minimal schedule at multipliers.
-
-    Starts from the closed-form split (ground unit takes the shortfall); any
-    block whose split cannot fit the budget falls back to the greedy
-    minimal-time split, `caps.greedy`.  Both completions take the
-    multipliers' time price as their candidate, with `powers` when given: at
-    the warm start, whose powers they are, the split fills the budget at that
-    price, so neither a time-price root nor a power root runs.  Returns
-    (bits, (powers, times), energy, inf_mask).
-    """
+    """The closed-form bit split at multipliers (the ground unit takes the
+    shortfall) and its energy-minimal schedule, by one `complete_primal`; a
+    block whose split cannot fit the budget stays in `inf_mask`.  The
+    completion takes the multipliers' time price as its candidate, with
+    `powers` when given: at the warm start, whose powers they are, the split
+    fills the budget at that price, so neither a time-price root nor a power
+    root runs.  Returns (bits, (powers, times), energy, inf_mask)."""
     mu = chi[..., D_SUBSLOT]
     bl, bu = _split(_split_terms(inst, mu, chi[..., D_UPLINK], chi[..., D_DOWN_UAV]), chi[..., D_MIN_BITS])
-    br = np.maximum(inst.min_bits - bl - bu, 0.0)
-    bits = [bl, bu, br]
-    powers, times, energy, inf_mask = complete_primal(inst, caps, tuple(bits), mu, powers)
-    if inf_mask.any():
-        g_bits = tuple(np.where(inf_mask, g, b) for g, b in zip(caps.greedy, bits))
-        p2, t2, e2, inf2 = complete_primal(inst, caps, g_bits, mu, powers)
-        sel = inf_mask & ~inf2
-        bits = [np.where(sel, g, b) for g, b in zip(g_bits, bits)]
-        powers = np.where(sel[None], p2, powers)
-        times = np.where(sel[None], t2, times)
-        energy = np.where(sel, e2, energy)
-        inf_mask = inf_mask & ~sel
-    return tuple(bits), (powers, times), energy, inf_mask
+    bits = bl, bu, np.maximum(inst.min_bits - bl - bu, 0.0)
+    powers, times, energy, inf_mask = complete_primal(inst, caps, bits, mu, powers)
+    return bits, (powers, times), energy, inf_mask
 
 
 # ---------------------------------------------------------------------------

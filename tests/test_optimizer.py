@@ -406,6 +406,40 @@ def _inflated_warm_start(monkeypatch, block, rel):
     monkeypatch.setattr(opt, "warm_start", inflated)
 
 
+def _scaled_warm_start(monkeypatch, f):
+    """Warm start whose multipliers are scaled by f, with their own dual
+    value and no powers, so the first completion solves its own roots."""
+    seed = opt.warm_start
+
+    def scaled(inst, caps):
+        chi = f * seed(inst, caps)[0]
+        return chi, opt.dual_point_eval(inst, chi)[0], None
+
+    monkeypatch.setattr(opt, "warm_start", scaled)
+
+
+@pytest.mark.parametrize("f", [0.5, 1.1])
+def test_perturbed_warm_start_certifies_after_an_improvement(f, monkeypatch):
+    # a warm start off the optimum leaves the ellipsoid to close the gap: the
+    # certificate comes from a completion at improved multipliers, and the
+    # recovered schedule matches the unperturbed solve's to the tolerance
+    inst = make_synthetic_instance(n_vehicles=2, n_slots=2)
+    eps = 1e-4
+    base = opt.algorithm1(inst, eps)
+    _scaled_warm_start(monkeypatch, f)
+    calls, states, finish = {}, [], opt.finish_from_duals
+    _count_calls(monkeypatch, calls, "blended_completion")
+    monkeypatch.setattr(opt, "finish_from_duals", lambda inst, state: states.append(state) or finish(inst, state))
+    report = opt.algorithm1(inst, eps, max_iterations=400)
+    (state,) = states
+    assert state.converged and state.iterations > 0
+    # only an improvement certifies past iteration 0, so the gap that
+    # certified was set after one
+    assert state.log[0]["gap"] >= eps and calls["blended_completion"] > 1
+    assert state.log[-1]["gap"] == state.gap < eps
+    assert report.feasible and abs(report.wtec - base.wtec) <= 2 * eps * base.wtec
+
+
 def test_signed_gap_is_kept_below_zero(monkeypatch):
     # a dual bound 1e-13 above the primal is within the tolerance: the gap
     # stays negative instead of being clipped to 0
@@ -608,8 +642,7 @@ def _rate_cases():
             ("unequal download caps", build_instance(validate(ScenarioConfig(power_max_down_uav=0.5,
                                                                              power_max_down_rsu=3.0)))),
             ("dead relay rows", dataclasses.replace(stock, gains=[stock.gains[0], relay, *stock.gains[2:]])),
-            ("dead links", make_synthetic_instance(n_slots=2, gain=0.0)),
-            ("own download table", make_synthetic_instance(n_slots=2, gain=[5000.0, 5000.0, 0.0, 5000.0]))]
+            ("dead links", make_synthetic_instance(n_slots=2, gain=0.0))]
 
 
 @pytest.mark.parametrize("name, inst", _rate_cases())
@@ -1227,41 +1260,13 @@ def test_random_draws_certify_or_name_an_infeasible_block():
     assert infeasible == 4
 
 
-def test_blended_completion_falls_back_to_the_greedy_split(monkeypatch):
-    # the warm start with no doubling past the power-cap ceiling stops there,
-    # at multipliers whose closed-form split cannot be completed
-    inst = build_instance(load_scenario(UNCERTIFIED_4_VEHICLES))
-    caps = opt._at_caps(inst)
-    assert caps.feasible.all()
-    monkeypatch.setattr(opt, "_TIME_PRICE_DOUBLINGS", 0)
-    chi = warm_start(inst, caps)[0]
-    closed = _split_bits(inst, chi)
-    retry = opt.complete_primal(inst, caps, closed, chi[..., opt.D_SUBSLOT])[3]
-    assert retry.tolist() == [[True] * 4] * 2 + [[False] * 4] * 2
-    calls = {}
-    _count_calls(monkeypatch, calls, "_log_root")
-    bits, (_, times), energy, infeasible = opt.blended_completion(inst, chi, caps)
-    for got, g, c in zip(bits, caps.greedy, closed):
-        assert np.array_equal(got[retry], g[retry])
-        assert np.array_equal(got[~retry], c[~retry])
-    assert not infeasible.any()
-    # the retried blocks miss the budget at the warm start's price, so each
-    # of the two completions solves the time-price root for them
-    assert calls["_log_root"] == 2
-    need, budget = _carry_need(inst, bits)
-    mu = _bisected_time_price(need, budget, caps.ceiling)
-    ref_times, ref_energy = _times_at_price(inst, bits, mu)
-    assert (np.abs(times - ref_times) <= 1e-12 * ref_times)[:, retry].all()
-    assert (np.abs(energy - ref_energy) <= 1e-12 * ref_energy)[retry].all()
-
-
-@pytest.mark.parametrize("case", ["stock", "unequal download caps", "greedy fallback"])
+@pytest.mark.parametrize("case", ["stock", "unequal download caps", "no doubling"])
 def test_cap_facts_are_settled_once_per_solve(case, monkeypatch):
-    # the cap pass and the greedy split run once per solve, also when the
-    # completion falls back to that split, and no phi is evaluated at the
-    # smaller download cap, whose power root is shared: every phi call takes
-    # the three roots' stacked tables
-    if case == "greedy fallback":
+    # the cap pass and the feasibility split run once per solve, also when
+    # no completion fits, and no phi is evaluated at the smaller download
+    # cap, whose power root is shared: every phi call takes the three roots'
+    # stacked tables
+    if case == "no doubling":
         inst = build_instance(load_scenario(UNCERTIFIED_4_VEHICLES))
         monkeypatch.setattr(opt, "_TIME_PRICE_DOUBLINGS", 0)
     else:
@@ -1275,11 +1280,14 @@ def test_cap_facts_are_settled_once_per_solve(case, monkeypatch):
     _count_calls(monkeypatch, calls, "_at_caps", "feasible_split", "blended_completion", "complete_primal")
     tables, phi = [], opt._phi
     monkeypatch.setattr(opt, "_phi", lambda gains, *args: tables.append(gains) or phi(gains, *args))
-    if case == "greedy fallback":
-        with pytest.raises(opt.IterationCapExceeded):
+    if case == "no doubling":
+        # the warm start stops at the power-cap ceiling, where the closed-form
+        # split of some blocks does not fit: each completion runs once, and a
+        # block it cannot complete keeps the capped run's gap at inf
+        with pytest.raises(opt.IterationCapExceeded) as err:
             ellipsoid_solve(inst, eps=1e-4, max_iterations=3)
-        # each completion retried the greedy split on the blocks it missed
-        assert calls["complete_primal"] == 2 * calls["blended_completion"] > 0
+        assert calls["complete_primal"] == calls["blended_completion"] > 0
+        assert err.value.report.iterations == 3 and err.value.report.gap == np.inf
     else:
         assert ellipsoid_solve(inst).converged
     assert calls["_at_caps"] == calls["feasible_split"] == 1
@@ -1401,22 +1409,33 @@ def test_dead_downloads_make_offloading_impossible():
 
 
 def test_feasible_split_oracle():
-    caps = opt._at_caps(make_synthetic_instance(min_bits=5e5))
-    ok, (bl, bu, br) = caps.feasible, caps.greedy
-    assert ok.all()
+    inst = make_synthetic_instance(min_bits=5e5)
+    caps = opt._at_caps(inst)
+    ok, (bl, bu, br) = opt.feasible_split(inst, caps.rates)
+    assert ok.all() and np.array_equal(ok, caps.feasible)
     assert np.isclose(bl[0, 0] + bu[0, 0] + br[0, 0], 5e5)
     assert not opt._at_caps(make_synthetic_instance(gain=10.0, min_bits=5e6)).feasible.any()
 
 
-@pytest.mark.parametrize("gain", [0.0, 1e-300])
-def test_dead_uav_result_link_leaves_the_ground_route(gain):
+@pytest.mark.parametrize("down_uav_rate", [0.0, 1e-300])
+def test_dead_uav_result_link_leaves_the_ground_route(down_uav_rate):
     # the UAV route carries no bits, so its dead download adds no time to the
-    # greedy split's need (no 0 * inf): the block stays feasible and certifies
-    # like one whose UAV download is merely weak
-    inst = make_synthetic_instance(gain=[5000.0, 5000.0, gain, 5000.0], min_bits=5e5)
-    assert opt._at_caps(inst).feasible.all()
-    report = opt.algorithm1(inst)
-    weak = opt.algorithm1(make_synthetic_instance(gain=[5000.0, 5000.0, 1e-9, 5000.0], min_bits=5e5))
-    assert report.iterations == 0 and report.feasible
-    assert abs(report.wtec - weak.wtec) <= 1e-12 * weak.wtec
+    # greedy split's need (no 0 * inf): the block stays feasible, with the
+    # split of one whose UAV download is merely weak
+    inst = make_synthetic_instance(min_bits=5e5)
+    rates = opt._at_caps(inst).rates
+    dead, weak = rates.copy(), rates.copy()
+    dead[opt.PHASE_DOWN_UAV], weak[opt.PHASE_DOWN_UAV] = down_uav_rate, 1e-9
+    (ok, bits), (weak_ok, weak_bits) = opt.feasible_split(inst, dead), opt.feasible_split(inst, weak)
+    assert ok.all() and weak_ok.all()
+    assert bits[1].max() == 0.0 and bits[2].min() > 0.0
+    assert all(np.array_equal(b, w) for b, w in zip(bits, weak_bits))
+
+
+def test_unequal_download_tables_are_refused():
+    # both download phases send over the vehicle-UAV link in reverse, so the
+    # solver's one download root takes one table for the two of them
+    inst = make_synthetic_instance(n_slots=2, gain=[5000.0, 5000.0, 0.0, 5000.0])
+    with pytest.raises(ValueError, match="both download phases must share one gain table"):
+        opt.algorithm1(inst)
 

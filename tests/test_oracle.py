@@ -167,7 +167,7 @@ def _slsqp_optimum(inst, k, n):
     caps = opt._at_caps(inst)
     assert caps.feasible[k, n]
     z0 = np.zeros(11)
-    z0[:3] = np.array([bits[k, n] for bits in caps.greedy]) / b_s
+    z0[:3] = np.array([bits[k, n] for bits in opt.feasible_split(inst, caps.rates)[1]]) / b_s
     z0[7:] = 0.2
     for ph in range(4):
         p = pmax[ph] * 0.5
