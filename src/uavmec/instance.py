@@ -85,10 +85,6 @@ class ProblemInstance:
         """Achievable rate (bits/s) of `phase` at per-(k, n) powers."""
         return rate(self.gains[phase], self.bandwidth, power)
 
-    def rate_derivative(self, phase: int, power: np.ndarray) -> np.ndarray:
-        """d rate / d power at per-(k, n) powers."""
-        return rate_derivative(self.gains[phase], self.bandwidth, power)
-
     def flight_energy_total(self) -> float:
         """Propulsion energy over the whole horizon (0 without a UAV model)."""
         if self.flight is None or self.uav_velocity is None:

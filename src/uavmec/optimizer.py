@@ -11,17 +11,19 @@ deep-cut ellipsoid; convergence is certified by the signed weak-duality gap
 between the best dual value and one completion of the closed-form split at
 the best multipliers (inf while a block's split does not fit), and a gap
 below -WEAK_DUALITY_RTOL raises.  The completion takes the multipliers' time
-price as its candidate, and at the warm start its powers too, and solves the
-time-price root only for the blocks that price does not fill.  The power at
-a time price inverts phi(p) = w*(r/r' - p) by a safeguarded Newton iteration
-on log(phi) against log(p), with phi's ln(1 + p*g) terms taken by log1p; the
-uplink, relay and download roots (both download phases share one table)
-step in one loop over a leading phase axis, from p_max (phi there comes
-from the cap pass) or, inside the warm start's time-price root, from the
-tangent at the previous iterate's powers.  Rates come from the root's last
-phi sums, so a time price passes over the spectra only there.  The minimum-bits price is closed form; the
-time prices and `power_opt`'s powers come from one safeguarded Newton root
-on analytic slopes, `_log_root`.
+price as its candidate, and at the warm start its powers and rates too, and
+solves the time-price root only for the blocks that price does not fill.
+The power at a time price inverts phi(p) = w*(r/r' - p) by a safeguarded
+Newton iteration on log(phi) against log(p), with phi's ln(1 + p*g) terms
+taken by log1p; the uplink, relay and download roots (both download phases
+share one table) step in one loop over a leading phase axis, from p_max or,
+inside the warm start's time-price root, from the tangent at the previous
+iterate's powers.  A time price is (K, N), one value per block.  Every rate
+and r' of the warm start and the completions is B/ln2 times a sum of phi's,
+from the cap pass's one call or a power root's last call, and the warm start
+hands its kept price's powers and rates on.  The minimum-bits price is
+closed form; the time prices and `power_opt`'s powers come from one
+safeguarded Newton root on analytic slopes, `_log_root`.
 
 Multiplier order inside every length-6 vector: the prices of the
 minimum-bits constraint, the sub-slot time budget, and the four link
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import (PHASE_DOWN_RSU, PHASE_DOWN_UAV, PHASE_OFFLOAD, PHASE_RELAY,
-                       ProblemInstance, rate, rate_derivative, spectral_sum)
+                       ProblemInstance, spectral_sum)
 # no solver path calls it: perfbench/tracing.py wraps this name, its only reader
 from .lp import solve_lp
 from .energy import compute_energy, compute_time
@@ -215,17 +217,12 @@ def _phase_weights(inst: ProblemInstance) -> np.ndarray:
     return np.stack([k_w] + [np.full(inst.min_bits.shape, inst.weight_uav)] * 3)
 
 
-def _lead(table, ndim):
-    """A phase-leading table (P, K, N, ...) with singleton axes after the phase
-    axis, to line up with (P, ..., K, N) arrays at a time price of `ndim` axes."""
-    return table.reshape(table.shape[:1] + (1,) * (ndim - 2) + table.shape[1:])
-
-
 def _phi(gains, w, p):
     """Time price at which power p is stationary, w*(r/r' - p), its slope
     w*(r/r')*sum_l q_l^2/sum_l q_l >= 0 with q_l = g_l/(1 + p*g_l), and the
-    sums sum_l log1p(p*g_l) and sum_l q_l, r and r' over B/ln2.  The roots'
-    phase axis leads `gains` (..., L), `w` and `p`; a zero gain adds 0.
+    sums sum_l log1p(p*g_l) and sum_l q_l, r and r' over B/ln2 (0 on a dead
+    link: a zero gain adds 0, and only the divisions floor sum_l q_l).  The
+    roots' phase axis leads `gains` (..., L), `w` and `p`.
 
     r/r' is sum_l log1p(p*g_l) / sum_l q_l (the bandwidth and ln 2 cancel).
     log1p keeps the low bits of p*g_l that log(1 + p*g_l) rounds away, so phi
@@ -235,18 +232,18 @@ def _phi(gains, w, p):
     x = p[..., None] * gains
     q = 1.0 + x
     np.divide(gains, q, out=q)  # in place: a fresh (..., L) array costs more than the pass
-    sum_q = np.maximum(spectral_sum(q), 1e-300)
-    ratio = (sum_log := spectral_sum(np.log1p(x, out=x))) / sum_q
-    return w * (ratio - p), w * ratio * spectral_sum(q, q) / sum_q, sum_log, sum_q
+    floor = np.maximum(sum_q := spectral_sum(q), 1e-300)
+    ratio = (sum_log := spectral_sum(np.log1p(x, out=x))) / floor
+    return w * (ratio - p), w * ratio * spectral_sum(q, q) / floor, sum_log, sum_q
 
 
 def _power_from_time_price(gains, w, pmax, at_cap, mu, start=None):
     """Invert w*(r/r' - p) = mu elementwise on [0, p_max] (clamped above) for
     the power roots stacked on a leading axis, `gains` (P, K, N, L), `w` (P,
     K, N), `pmax` (P,) and `at_cap`, `_phi` at p_max, each (P, K, N), at a
-    time price `mu` (..., K, N); returns the powers, their slopes dp/dmu and
-    the last `_phi` call's two sums, each (P, ..., K, N): 1/phi'(p) and the
-    sums at p inside (0, p_max), a 0 slope and stale sums where p clamps.
+    time price `mu` (K, N); returns the powers, their slopes dp/dmu and the
+    last `_phi` call's two sums, each (P, K, N): 1/phi'(p) and the sums at p
+    inside (0, p_max), a 0 slope and stale sums where p clamps.
 
     mu <= 0 gives 0 and phi(p_max) <= mu gives p_max.  Elsewhere a
     safeguarded Newton iteration on log(phi) against log(p), where phi is
@@ -259,21 +256,18 @@ def _power_from_time_price(gains, w, pmax, at_cap, mu, start=None):
     when |phi(p) - mu| is within phi's rounding floor 8e-16*w*(r/r' + p) or
     its Newton step is at most 5e-15 in log(p), on the iterate it evaluated,
     so a start on the root confirms in one call.  At most 60 iterations run,
-    one stacked `_phi` call each; a root whose blocks have all stopped keeps
-    its last values, as a loop of its own would.  It is not a `_log_root`:
+    one stacked `_phi` call each; a stopped block's power does not move, so
+    each root returns the bits of a loop of its own.  It is not a `_log_root`:
     phi cancels r/r' against p, so near that root's bracket bottom p_max *
     2**-80 it reads rounding noise that steers the completion off its
     optimum; Newton starts at p_max or near the root.
     """
-    n = np.ndim(mu)
-    gains, w, pmax = _lead(gains, n), _lead(w, n), np.reshape(pmax, (-1,) + (1,) * n)
-    at_cap = [_lead(a, n) for a in at_cap]
-    shape = np.broadcast_shapes(w.shape, np.shape(mu))
-    p = np.broadcast_to(pmax, shape) if start is None else np.where(start > 0.0, start, pmax)
-    values = [np.broadcast_to(a, shape) for a in at_cap] if start is None else _phi(gains, w, p)
+    pmax = pmax[:, None, None]
+    p = np.broadcast_to(pmax, w.shape) if start is None else np.where(start > 0.0, start, pmax)
+    values = at_cap if start is None else _phi(gains, w, p)
     at_max = at_cap[0] <= mu
     done = (mu <= 0.0) | at_max
-    lo, hi = np.zeros(shape), np.full(shape, pmax)
+    lo, hi = np.zeros(w.shape), np.full(w.shape, pmax)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(60):
             phi, slope = values[:2]
@@ -288,10 +282,9 @@ def _power_from_time_price(gains, w, pmax, at_cap, mu, start=None):
             # bracket end and so leaves the bracket
             done |= np.abs(step) <= 5e-15
             p = np.where(done, p, np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi)))
-            stopped = done.reshape(len(done), -1).all(axis=1).reshape(pmax.shape)
-            if stopped.all():
+            if done.all():
                 break
-            values = [np.where(stopped, a, b) for a, b in zip(values, _phi(gains, w, p))]
+            values = _phi(gains, w, p)
     interior = (mu > 0.0) & ~at_max
     with np.errstate(divide="ignore"):  # phi' = 0 only on a dead link, which clamps
         dp = np.where(interior, 1.0 / values[1], 0.0)
@@ -299,8 +292,8 @@ def _power_from_time_price(gains, w, pmax, at_cap, mu, start=None):
 
 
 def _phase_powers(inst, caps, mu, start=None):
-    """Stationary power of each phase at the time price, dp/dmu, the rate
-    and r', each (4, ..., K, N), by one stacked `_power_from_time_price` on
+    """Stationary power of each phase at the (K, N) time price, the rate,
+    dp/dmu and r', each (4, K, N), by one stacked `_power_from_time_price` on
     `caps`' three roots from p_max or the warm start's `start`.  The download
     root serves both download phases, clamped at each cap, over their one
     table.  Rate and r' are B/ln2 times the root's sums inside (0, p_max),
@@ -308,13 +301,11 @@ def _phase_powers(inst, caps, mu, start=None):
     roots = _power_from_time_price(caps.root_gains, caps.root_weights, caps.root_caps, caps.phi, mu,
                                    None if start is None else start[caps.roots])
     p, dp, sum_log, sum_q = (a[[0, 1, 2, 2]] for a in roots)
-    n, scale = np.ndim(mu), inst.bandwidth / np.log(2.0)
-    cap = np.reshape(inst.power_max, (4,) + (1,) * n)
+    scale, cap = inst.bandwidth / np.log(2.0), inst.power_max[:, None, None]
     powers, dpowers = np.minimum(p, cap), np.where(p < cap, dp, 0.0)
-    rates = np.where(powers >= cap, _lead(caps.rates, n), np.where(powers > 0.0, scale * sum_log, 0.0))
-    r_prime = np.where(powers >= cap, _lead(caps.slopes[1], n),
-                       np.where(powers > 0.0, scale * sum_q, _lead(caps.slopes[0], n)))
-    return powers, dpowers, rates, r_prime
+    rates = np.where(powers >= cap, caps.rates, np.where(powers > 0.0, scale * sum_log, 0.0))
+    r_prime = np.where(powers >= cap, caps.slopes[1], np.where(powers > 0.0, scale * sum_q, caps.slopes[0]))
+    return powers, rates, dpowers, r_prime
 
 
 def _split_terms(inst, chi_subslot, chi_uplink, chi_down_uav):
@@ -394,12 +385,11 @@ def _candidate(inst, caps, mu, start=None):
     piece the bits'.  `caps` is the solve's `CapFacts`; `start` and the
     rates are `_phase_powers`'.  Returns the (K, N, 6) dual point, the (K, N)
     sub-slot time its split needs, that need's slope d need/dmu, and the (4,
-    ..., K, N) phase powers and their slopes dp/dmu.
+    K, N) phase powers, their slopes dp/dmu and their rates.
     """
-    powers, dpowers, rates, r_prime = _phase_powers(inst, caps, mu, start)
-    n, xi, uc = np.ndim(mu), inst.output_ratio[:, None], inst.uav_compute
-    wv, pmax = _lead(caps.weights, n), np.reshape(inst.power_max, (4,) + (1,) * n)
-    chis = np.where(powers >= pmax * (1.0 - 1e-12), (wv * pmax + mu) / np.maximum(_lead(caps.rates, n), 1e-300),
+    powers, rates, dpowers, r_prime = _phase_powers(inst, caps, mu, start)
+    xi, uc, wv, pmax = inst.output_ratio[:, None], inst.uav_compute, caps.weights, inst.power_max[:, None, None]
+    chis = np.where(powers >= pmax * (1.0 - 1e-12), (wv * pmax + mu) / np.maximum(caps.rates, 1e-300),
                     wv / np.maximum(r_prime, 1e-300))
     drates = r_prime * dpowers
     inv = 1.0 / np.maximum(rates, 1e-300)  # d(chi_ph)/dmu
@@ -423,7 +413,7 @@ def _candidate(inst, caps, mu, start=None):
         slope = _carry_slope(loads, phase_loads(inst, dbu, dbr), rates, drates) + compute_time(dbu, uc)
 
     chi = np.stack([chi1, mu, *chis], axis=-1)
-    return chi, need, slope, powers, dpowers
+    return chi, need, slope, powers, dpowers, rates
 
 
 @dataclass(frozen=True)
@@ -431,7 +421,6 @@ class CapFacts:
     """Each block's facts at the power caps, settled once per solve, stacked
     on a leading phase axis: the four phases, then the three power roots."""
 
-    gains: np.ndarray  # (4, K, N, L) each phase's gain table, zero-padded to one L
     weights: np.ndarray  # (4, K, N) each phase's objective weight
     rates: np.ndarray  # (4, K, N) each phase's rate at its cap
     slopes: np.ndarray  # (2, 4, K, N) each phase's r' at power 0 and at its cap
@@ -440,32 +429,31 @@ class CapFacts:
     root_gains: np.ndarray  # (3, K, N, L)
     root_weights: np.ndarray  # (3, K, N)
     root_caps: np.ndarray  # (3,)
-    phi: tuple  # `_phi`'s values at the root caps, each (3, K, N)
+    phi: tuple  # the cap call's `_phi` values on the root rows, each (3, K, N)
     ceiling: np.ndarray  # (K, N) time price above which every power clamps
     feasible: np.ndarray  # (K, N) `feasible_split`'s mask
 
 
 def _at_caps(inst) -> CapFacts:
-    """The cap facts of every block: the stacked tables, the rates and r' at
-    the caps (r' at 0 too), `_phi` at each power root's cap in one call (phi
-    is the price from which a power clamps), their ceiling, and
-    `feasible_split`'s mask at those rates.  Both download phases share one
-    root at the larger cap, where phi is higher, so none is taken at the
-    smaller.  Raises ValueError when the two download tables differ: both
-    send over the vehicle-UAV link in reverse (`ProblemInstance`)."""
+    """The cap facts of every block from one `_phi` call over the four phases
+    at their caps: rates and r' are B/ln2 times its sums (r' at 0 is
+    B/ln2*sum_l g_l), its root rows are phi at the power roots' caps (the
+    price from which a power clamps) and set the ceiling, and
+    `feasible_split` runs at those rates.  Both download phases share one
+    root at the larger cap.  Raises ValueError when the two download tables
+    differ: both send over the vehicle-UAV link in reverse (`ProblemInstance`)."""
     pmax, width = inst.power_max, max(g.shape[-1] for g in inst.gains)
     gains = np.stack([np.pad(g, [(0, 0)] * (g.ndim - 1) + [(0, width - g.shape[-1])]) for g in inst.gains])
     if not np.array_equal(gains[PHASE_DOWN_UAV], gains[PHASE_DOWN_RSU]):
         raise ValueError("both download phases must share one gain table (the vehicle-UAV link in reverse)")
-    weights = _phase_weights(inst)
-    at_cap = np.broadcast_to(pmax[:, None, None], weights.shape)
-    rates = rate(gains, inst.bandwidth, at_cap)
-    slopes = np.stack([rate_derivative(gains, inst.bandwidth, p) for p in (0.0, at_cap)])
+    weights, scale = _phase_weights(inst), inst.bandwidth / np.log(2.0)
+    phi = _phi(gains, weights, np.broadcast_to(pmax[:, None, None], weights.shape))
+    rates, slopes = scale * phi[2], np.stack([scale * spectral_sum(gains), scale * phi[3]])
     roots = [PHASE_OFFLOAD, PHASE_RELAY,
              PHASE_DOWN_UAV if pmax[PHASE_DOWN_UAV] >= pmax[PHASE_DOWN_RSU] else PHASE_DOWN_RSU]
-    phi = _phi(gains[roots], weights[roots], np.broadcast_to(pmax[roots, None, None], weights[roots].shape))
-    ceiling = np.maximum(phi[0].max(axis=0), 0.0)
-    return CapFacts(gains, weights, rates, slopes, roots, gains[roots], weights[roots], pmax[roots], phi,
+    root_phi = tuple(a[roots] for a in phi)
+    ceiling = np.maximum(root_phi[0].max(axis=0), 0.0)
+    return CapFacts(weights, rates, slopes, roots, gains[roots], weights[roots], pmax[roots], root_phi,
                     ceiling, feasible_split(inst, rates)[0])
 
 
@@ -511,19 +499,19 @@ def warm_start(inst: ProblemInstance, caps: CapFacts):
     root starts on the tangent at the last evaluation, p*exp(dlog(mu) *
     mu*(dp/dmu)/p) capped at p_max (an Euler predictor), or at p_max past a
     clamped or zero power, so an unchanged price costs one `_phi` call.  The
-    kept price takes its last evaluation's dual point and powers; one more
-    `_candidate` runs only where a block was last evaluated elsewhere (after
-    the doubling).  Returns (multipliers, dual values, phase powers at the
-    kept price), zeroed on the blocks without load.
+    kept price takes its last evaluation's dual point, powers and rates; one
+    more `_candidate` runs only where a block was last evaluated elsewhere
+    (after the doubling).  Returns (multipliers, dual values, (powers,
+    rates)) at the kept price, zeroed on the blocks without load.
     """
-    pmax, last = np.reshape(inst.power_max, (4, 1, 1)), None  # (mu, chi, powers, dp/dmu) last evaluated
+    pmax, last = inst.power_max[:, None, None], None  # (mu, chi, powers, dp/dmu, rates) last evaluated
 
     def need(mu):
         nonlocal last
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # nan, so p_max, after a zero power
             start = last and np.minimum(last[2] * (mu / last[0]) ** (last[0] * last[3] / last[2]), pmax)
-        chi, value, slope, powers, dpowers = _candidate(inst, caps, mu, start)
-        last = mu, chi, powers, dpowers
+        chi, value, slope, powers, dpowers, rates = _candidate(inst, caps, mu, start)
+        last = mu, chi, powers, dpowers, rates
         return value, slope
 
     mu = _log_root(need, inst.subslot, caps.ceiling)
@@ -539,11 +527,11 @@ def warm_start(inst: ProblemInstance, caps: CapFacts):
         mu = np.where(raised, _log_root(need, inst.subslot, np.where(raised, top, 0.0)), mu)
     if (last[0] != mu).any():  # a block last evaluated at another price
         need(mu)
-    _, chi, powers, _ = last
+    _, chi, powers, _, rates = last
     idle = inst.min_bits <= 0.0
-    chi, powers = np.where(idle[..., None], 0.0, chi), np.where(idle, 0.0, powers)
-    value, _ = dual_point_eval(inst, chi, powers)
-    return chi, value, powers
+    chi, kept = np.where(idle[..., None], 0.0, chi), tuple(np.where(idle, 0.0, a) for a in (powers, rates))
+    value, _ = dual_point_eval(inst, chi, kept)
+    return chi, value, kept
 
 
 def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
@@ -551,12 +539,13 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
 
     Inner minimizers follow the closed forms and sign rules; indeterminate
     ground-unit bits and transmit times take their recovery-problem values so
-    the subgradient vanishes at the optimum.  The phase powers are
-    `power_opt`'s at the rate prices, or `powers` when given: the warm
-    start's, from which its rate prices came.  A block whose minimum-bits
-    price exceeds its ground-route price lies outside the dual domain: its
-    ground-unit term is unbounded below, so its value is -inf.  Returns
-    (values (K, N), subgradients (K, N, 6)).
+    the subgradient vanishes at the optimum.  The phase powers and rates are
+    `power_opt`'s at the rate prices and `ProblemInstance.rate` there, or
+    `powers`, a (powers, rates) pair, when given: the warm start's, from which
+    its rate prices came.  A block whose minimum-bits price exceeds its
+    ground-route price lies outside the dual domain: its ground-unit term is
+    unbounded below, so its value is -inf.  Returns (values (K, N),
+    subgradients (K, N, 6)).
     """
     vc, uc = inst.vehicle_compute, inst.uav_compute
     xi = inst.output_ratio[:, None]
@@ -580,9 +569,10 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
 
     loads, chir = phase_loads(inst, bu, br), np.moveaxis(chi[..., _PHASE_RATE_DUAL], -1, 0)  # (4, K, N)
     if powers is None:
-        powers = np.stack([power_opt(inst.gains[ph], wv[ph], chir[ph], inst.bandwidth, cap)
-                           for ph, cap in enumerate(inst.power_max)])
-    rates = np.stack([inst.rate(ph, p) for ph, p in enumerate(powers)])
+        p = np.stack([power_opt(inst.gains[ph], wv[ph], chir[ph], inst.bandwidth, cap)
+                      for ph, cap in enumerate(inst.power_max)])
+        powers = p, np.stack([inst.rate(ph, a) for ph, a in enumerate(p)])
+    powers, rates = powers
     s = wv * powers + chi2 - chir * rates
     s_scale = wv * powers + chi2 + chir * rates + 1e-300
     full = s < -SIGN_RTOL * s_scale
@@ -603,12 +593,13 @@ def complete_primal(inst: ProblemInstance, caps: CapFacts, bits, mu, powers=None
 
     Powers and times follow from the time price at which the carry times of
     the fixed bits fill the sub-slot left after UAV compute.  `mu` is a
-    candidate price, such as the multipliers' own, with its phase `powers`
-    when known (the warm start's), else `_phase_powers`': a block keeps it
-    when its carry times there fit that budget and fill it to within 1e-12
-    relative, or when it carries no load.  Only the blocks that fail this
-    take the price from the time-price root (the warm start's, up to
-    `caps.ceiling`), and the root runs only when some block fails.  Returns
+    (K, N) candidate price, such as the multipliers' own, with `powers`, its
+    (powers, rates) pair, when known (the warm start's), else
+    `_phase_powers`': a block keeps it when its carry times there fit that
+    budget and fill it to within 1e-12 relative, or when it carries no load.
+    Only the blocks that fail this take the price from the time-price root
+    (the warm start's, up to `caps.ceiling`), with `_phase_powers`' powers
+    and rates there, and the root runs only when some block fails.  Returns
     (powers (4,K,N), times (4,K,N), per-block weighted energy, infeasible
     mask).
     """
@@ -616,21 +607,17 @@ def complete_primal(inst: ProblemInstance, caps: CapFacts, bits, mu, powers=None
     loads = phase_loads(inst, bu, br)
     budget = inst.subslot - compute_time(bu, inst.uav_compute)
 
-    def carry_times(powers):  # the (4, K, N) carry times at the phase powers
-        return carry_time(loads, rate(caps.gains, inst.bandwidth, powers))
-
     def carry(mu):  # sum of the carry times and its slope in mu, bits fixed
-        _, dpowers, rates, r_prime = _phase_powers(inst, caps, mu)
+        _, rates, dpowers, r_prime = _phase_powers(inst, caps, mu)
         return sum(carry_time(loads, rates)), _carry_slope(loads, 0.0, rates, r_prime * dpowers)
 
-    if powers is None:
-        powers = _phase_powers(inst, caps, mu)[0]
-    times = carry_times(powers)
+    powers, rates = _phase_powers(inst, caps, mu)[:2] if powers is None else powers
+    times = carry_time(loads, rates)
     retry = ~((np.abs(sum(times) - budget) <= 1e-12 * budget) | (loads[0] <= 0.0))
     if retry.any():
         # a zero bracket top leaves the kept blocks out of the root
-        p_root = _phase_powers(inst, caps, _log_root(carry, budget, np.where(retry, caps.ceiling, 0.0)))[0]
-        times = np.where(retry, carry_times(p_root), times)
+        p_root, r_root = _phase_powers(inst, caps, _log_root(carry, budget, np.where(retry, caps.ceiling, 0.0)))[:2]
+        times = np.where(retry, carry_time(loads, r_root), times)
         powers = np.where(retry, p_root, powers)
     # the root is mu_hi wherever even that price is short
     infeasible = (sum(times) > budget * (1.0 + 1e-12)) | (budget < -1e-15)
@@ -645,9 +632,10 @@ def blended_completion(inst: ProblemInstance, chi: np.ndarray, caps: CapFacts, p
     shortfall) and its energy-minimal schedule, by one `complete_primal`; a
     block whose split cannot fit the budget stays in `inf_mask`.  The
     completion takes the multipliers' time price as its candidate, with
-    `powers` when given: at the warm start, whose powers they are, the split
-    fills the budget at that price, so neither a time-price root nor a power
-    root runs.  Returns (bits, (powers, times), energy, inf_mask)."""
+    `powers`, a (powers, rates) pair, when given: at the warm start, whose
+    pair it is, the split fills the budget at that price, so neither a
+    time-price root nor a power root runs.  Returns (bits, (powers, times),
+    energy, inf_mask)."""
     mu = chi[..., D_SUBSLOT]
     bl, bu = _split(_split_terms(inst, mu, chi[..., D_UPLINK], chi[..., D_DOWN_UAV]), chi[..., D_MIN_BITS])
     bits = bl, bu, np.maximum(inst.min_bits - bl - bu, 0.0)

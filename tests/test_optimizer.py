@@ -8,7 +8,8 @@ import pytest
 
 from conftest import load_perfbench, make_synthetic_instance
 from uavmec import optimizer as opt
-from uavmec.instance import rate_derivative
+from uavmec import instance
+from uavmec.instance import rate, rate_derivative
 from uavmec.optimizer import (
     SIGN_RTOL,
     InfeasibleAllocation,
@@ -473,6 +474,13 @@ def _root_instance(spectrum):
     return dataclasses.replace(make_synthetic_instance(), gains=[g.reshape(1, 1, 36)] * 4)
 
 
+def _over_prices(f, mu, *grids):
+    """f at each (K, N) time price of the grid `mu` (T, K, N), one call per
+    price with the matching rows of any further (T, ...) `grids`; each of
+    f's results is stacked on a leading grid axis, (T, ...)."""
+    return tuple(np.stack(a) for a in zip(*(f(*row) for row in zip(mu, *grids))))
+
+
 def _root_alone(inst, ph, mu, start=None):
     """Power root of phase `ph` alone (a phase axis of 1) at the time price,
     from phi and phi' at its own cap: (power, dp/dmu)."""
@@ -504,7 +512,7 @@ def test_power_from_time_price_inverts_phi(spectrum):
     mu = mu_hi * t[:, None, None]
     for ph in range(4):
         pmax, w = inst.power_max[ph], wv[ph]
-        p = _root_alone(inst, ph, mu)[0]
+        p = _over_prices(lambda m: _root_alone(inst, ph, m), mu)[0]
         assert ((p >= 0.0) & (p <= pmax)).all()
         assert (p[0] == 0.0).all()
         phi_max = opt._phi(inst.gains[ph], w, np.full(mu.shape, pmax))[0]
@@ -538,9 +546,10 @@ def test_power_from_time_price_evaluates_phi_a_few_times(spectrum, monkeypatch):
     monkeypatch.setattr(opt, "_phi", lambda *args: calls.append(1) or phi(*args))
     t = np.geomspace(2.0**-60, 2.0, 245)
     for ph in range(4):
-        calls.clear()
-        _root_alone(inst, ph, mu_hi * t[:, None, None])
-        assert len(calls) <= 8
+        for mu in mu_hi * t[:, None, None]:
+            calls.clear()
+            _root_alone(inst, ph, mu)
+            assert len(calls) <= 8
         calls.clear()
         _root_alone(inst, ph, mu_hi * 2.0**-80)
         assert len(calls) <= 25
@@ -557,28 +566,30 @@ def test_download_phases_share_one_power_root(caps):
     # the solver's time prices lie above mu_hi*2**-20, where both Newton runs
     # converge to the same root
     mu = mu_hi * np.concatenate([[0.0], np.geomspace(2.0**-20, 2.0, 200)])[:, None, None]
-    powers = opt._phase_powers(inst, facts, mu)[0]
+    powers = _over_prices(lambda m: opt._phase_powers(inst, facts, m), mu)[0]
     for ph in range(4):
-        alone = _root_alone(inst, ph, mu)[0]
-        assert (np.abs(powers[ph] - alone) <= 1e-14 * alone).all()
+        alone = _over_prices(lambda m: _root_alone(inst, ph, m), mu)[0]
+        assert (np.abs(powers[:, ph] - alone) <= 1e-14 * alone).all()
         pmax = inst.power_max[ph]
         assert (alone == pmax).any() and ((alone > 0.0) & (alone < pmax)).any()
     # lower down each stops inside phi's rounding floor, and both still
     # match a fine bisection
     low = mu_hi * np.geomspace(2.0**-80, 2.0**-20, 40)[:, None, None]
-    for ph, p in enumerate(opt._phase_powers(inst, facts, low)[0]):
+    powers = _over_prices(lambda m: opt._phase_powers(inst, facts, m), low)[0]
+    for ph, p in enumerate(np.moveaxis(powers, 1, 0)):
         ref = _bisected_power(inst, ph, wv[ph], low)
         assert (np.abs(p - ref) <= 1e-12 * inst.power_max[ph]).all()
 
 
 def _stacked_cases(stock_points):
-    """(instance, time prices, start prices) on which the stacked power root
-    is checked, the start price None for roots from p_max: the spectrum
-    fixtures over a grid from -mu_hi to 4*mu_hi, so mu <= 0 and mu above
-    phi(p_max) too; the stock rank-1 slots with dead (zero-gain) relay rows;
-    a 1 mW relay cap that clamps from the first step while the other roots
-    iterate; and stock points started from the powers at the warm start's
-    time price, where the roots stop after different steps."""
+    """(instance, time prices, start prices), each price grid (T, K, N), on
+    which the stacked power root is checked, the start prices None for roots
+    from p_max: the spectrum fixtures over a grid from -mu_hi to 4*mu_hi, so
+    mu <= 0 and mu above phi(p_max) too; the stock rank-1 slots with dead
+    (zero-gain) relay rows; a 1 mW relay cap that clamps from the first step
+    while the other roots iterate; and stock points started from the powers
+    at the warm start's time price, where the roots stop after different
+    steps."""
     t = np.concatenate([[-1.0, 0.0], np.geomspace(2.0**-80, 4.0, 120)])[:, None, None]
     cases = []
     for spectrum in ("rank1_stock", "spread"):
@@ -595,8 +606,20 @@ def _stacked_cases(stock_points):
     for task_bits in (1e5, 5e5):
         inst = stock_points[task_bits]
         mu = warm_start(inst, opt._at_caps(inst))[0][..., opt.D_SUBSLOT]
-        cases += [(inst, f * mu, mu) for f in (0.1, 0.5, 2.0)]
+        cases.append((inst, np.stack([f * mu for f in (0.1, 0.5, 2.0)]), np.stack([mu] * 3)))
     return cases
+
+
+def _stacked_roots(inst, mu, start_mu):
+    """Cap facts, the starts and the stacked power root's results at each
+    price of the grid `mu`, from p_max or from the root at the matching price
+    of `start_mu`: the starts (None from p_max) and each result (T, 3, K, N)."""
+    caps = opt._at_caps(inst)
+    args = (caps.root_gains, caps.root_weights, caps.root_caps, caps.phi)
+    if start_mu is None:
+        return caps, None, _over_prices(lambda m: opt._power_from_time_price(*args, m), mu)
+    start = _over_prices(lambda m: opt._power_from_time_price(*args, m), start_mu)[0]
+    return caps, start, _over_prices(lambda m, s: opt._power_from_time_price(*args, m, s), mu, start)
 
 
 def test_stacked_power_root_matches_each_phase_alone(stock_points):
@@ -604,16 +627,14 @@ def test_stacked_power_root_matches_each_phase_alone(stock_points):
     # their own, from p_max and from a start, also where a root stops first
     clamped = []
     for inst, mu, start_mu in _stacked_cases(stock_points):
-        caps = opt._at_caps(inst)
-        args = (caps.root_gains, caps.root_weights, caps.root_caps, caps.phi)
-        start = None if start_mu is None else opt._power_from_time_price(*args, start_mu)[0]
-        p, dp = opt._power_from_time_price(*args, mu, start)[:2]
+        caps, start, (p, dp, *_) = _stacked_roots(inst, mu, start_mu)
         for row, ph in enumerate(caps.roots):
-            alone = _root_alone(inst, ph, mu, None if start is None else start[row])
-            assert np.array_equal(p[row], alone[0]) and np.array_equal(dp[row], alone[1])
-        clamped.append(p == np.reshape(caps.root_caps, (3,) + (1,) * mu.ndim))
+            starts = [] if start is None else [start[:, row]]
+            alone = _over_prices(lambda m, *s: _root_alone(inst, ph, m, *s), mu, *starts)
+            assert np.array_equal(p[:, row], alone[0]) and np.array_equal(dp[:, row], alone[1])
+        clamped.append(p == np.reshape(caps.root_caps, (3, 1, 1)))
     # the weak relay clamps everywhere while the uplink root iterates
-    assert clamped[5][1].all() and not clamped[5][0].any()
+    assert clamped[5][:, 1].all() and not clamped[5][:, 0].any()
 
 
 def test_power_root_returns_the_iterate_it_evaluated(stock_points):
@@ -621,13 +642,9 @@ def test_power_root_returns_the_iterate_it_evaluated(stock_points):
     # returned power bit for bit: a root whose last Newton step is at most
     # 1e-14 stops on the iterate it evaluated instead of taking that step
     for inst, mu, start_mu in _stacked_cases(stock_points):
-        caps = opt._at_caps(inst)
-        args = (caps.root_gains, caps.root_weights, caps.root_caps, caps.phi)
-        start = None if start_mu is None else opt._power_from_time_price(*args, start_mu)[0]
-        p, dp, *sums = opt._power_from_time_price(*args, mu, start)
-        n = mu.ndim
-        phi, slope, *at_p = opt._phi(opt._lead(caps.root_gains, n), opt._lead(caps.root_weights, n), p)
-        interior = (p > 0.0) & (p < np.reshape(caps.root_caps, (3,) + (1,) * n))
+        caps, _, (p, dp, *sums) = _stacked_roots(inst, mu, start_mu)
+        phi, slope, *at_p = opt._phi(caps.root_gains, caps.root_weights, p)
+        interior = (p > 0.0) & (p < np.reshape(caps.root_caps, (3, 1, 1)))
         assert interior.any()
         assert np.array_equal(dp[interior], 1.0 / slope[interior])
         assert all(np.array_equal(a[interior], b[interior]) for a, b in zip(sums, at_p))
@@ -656,21 +673,22 @@ def test_phase_powers_rates_match_the_rate_at_their_powers(name, inst):
     caps = opt._at_caps(inst)
     t = np.concatenate([[-1.0, 0.0], np.geomspace(2.0**-80, 4.0, 120)])[:, None, None]
     mu = np.where(caps.ceiling > 0.0, caps.ceiling, 1e-3) * t
-    powers, _, rates, r_prime = opt._phase_powers(inst, caps, mu)
+    powers, rates, _, r_prime = _over_prices(lambda m: opt._phase_powers(inst, caps, m), mu)
     for ph in range(4):
         ulp = 4 * inst.gains[ph].shape[-1]
-        for got, want in ((rates[ph], inst.rate(ph, powers[ph])), (r_prime[ph], inst.rate_derivative(ph, powers[ph]))):
+        p = powers[:, ph]
+        for got, want in ((rates[:, ph], inst.rate(ph, p)), (r_prime[:, ph], rate_derivative(inst.gains[ph], inst.bandwidth, p))):
             assert (np.abs(got - want) <= ulp * np.spacing(np.abs(want))).all()
     # a zero power carries exactly nothing; a dead root clamps at its cap at
     # mu = 0, so only the live fixtures have zero powers at every mu <= 0
     assert (rates[powers == 0.0] == 0.0).all()
-    pmax = np.reshape(inst.power_max, (4, 1, 1, 1))
+    pmax = np.reshape(inst.power_max, (4, 1, 1))
     interior, capped = (powers > 0.0) & (powers < pmax), powers == pmax
     if name in ("stock", "unequal download caps"):
-        assert (powers[:, t[:, 0, 0] <= 0.0] == 0.0).all()
+        assert (powers[t[:, 0, 0] <= 0.0] == 0.0).all()
     if name == "unequal download caps":
         # the smaller download cap clamps where the shared root is interior
-        assert (capped[opt.PHASE_DOWN_UAV] & interior[opt.PHASE_DOWN_RSU]).any()
+        assert (capped[:, opt.PHASE_DOWN_UAV] & interior[:, opt.PHASE_DOWN_RSU]).any()
     elif name != "dead links":
         assert interior.any() and capped.any()
 
@@ -795,11 +813,17 @@ def _carry_need(inst, bits):
         roots = [_root_alone(inst, ph, mu) for ph in range(4)]
         rates = [inst.rate(ph, p) for ph, (p, _) in enumerate(roots)]
         with np.errstate(divide="ignore", invalid="ignore"):  # inf on a dead link
-            slope = sum(np.where(loads[ph] > 0.0, -loads[ph] * inst.rate_derivative(ph, p) * dp / rates[ph]**2, 0.0)
+            slope = sum(np.where(loads[ph] > 0.0,
+                                 -loads[ph] * rate_derivative(inst.gains[ph], inst.bandwidth, p) * dp / rates[ph]**2, 0.0)
                         for ph, (p, dp) in enumerate(roots))
         return sum(carry_time(loads[ph], rates[ph]) for ph in range(4)), slope
 
     return need, inst.subslot - uc.cycles_per_bit * bu / uc.cpu_freq
+
+
+def _candidate_over(inst, caps, mu):
+    """`_candidate`'s results at each price of the grid `mu` (T, K, N)."""
+    return _over_prices(lambda m: opt._candidate(inst, caps, m), mu)
 
 
 def _split_bits(inst, chi):
@@ -848,13 +872,14 @@ def test_complete_primal_time_price_matches_fine_bisection(stock_points, task_bi
 def test_completion_at_the_warm_start_reuses_its_time_price(stock_points, task_bits, monkeypatch):
     inst = stock_points[task_bits]
     caps = opt._at_caps(inst)
-    chi, _, powers = warm_start(inst, caps)
+    chi, _, kept = warm_start(inst, caps)
     bits = _split_bits(inst, chi)
     mu = chi[..., opt.D_SUBSLOT]
     calls = {}
     _count_calls(monkeypatch, calls, "_power_from_time_price", "_log_root")
-    # handed the warm start's powers, it solves no power root and no time-price root
-    completed = opt.complete_primal(inst, caps, bits, mu, powers)
+    # handed the warm start's powers and rates, it solves no power root and
+    # no time-price root
+    completed = opt.complete_primal(inst, caps, bits, mu, kept)
     assert calls == {"_power_from_time_price": 0, "_log_root": 0}
     # without them, one stacked root from p_max solves the same powers up to
     # where each root stopped (the warm start's started on its tangent):
@@ -910,19 +935,51 @@ def test_time_price_searches_evaluate_need_at_most_7_times(stock_points, monkeyp
     # call solved the kept price from p_max; 13-14 with an Illinois root over
     # [ceiling * 2**-80, ceiling]
     calls = {}
-    _count_calls(monkeypatch, calls, "_candidate", "_power_from_time_price", "rate", "rate_derivative")
+    _count_calls(monkeypatch, calls, "_candidate", "_power_from_time_price")
     for inst in stock_points.values():
         caps = opt._at_caps(inst)
-        calls.update(_candidate=0, _power_from_time_price=0, rate=0, rate_derivative=0)
-        chi, _, powers = warm_start(inst, caps)
+        calls.update(_candidate=0, _power_from_time_price=0)
+        chi, _, kept = warm_start(inst, caps)
         assert calls["_candidate"] <= 7
-        # the rates come from the power roots' sums and the cap facts
-        assert calls["rate"] == calls["rate_derivative"] == 0
         # at the warm start's time price the completion reads the warm
-        # start's powers and inverts none
+        # start's powers and rates and inverts none
         calls["_power_from_time_price"] = 0
-        opt.complete_primal(inst, caps, _split_bits(inst, chi), chi[..., opt.D_SUBSLOT], powers)
+        opt.complete_primal(inst, caps, _split_bits(inst, chi), chi[..., opt.D_SUBSLOT], kept)
         assert calls["_power_from_time_price"] == 0
+
+
+@pytest.mark.parametrize("task_bits", [1e5, 5e5, 9e5])
+def test_stock_solve_makes_no_rate_pass(stock_points, task_bits, monkeypatch):
+    # every rate and r' the solver picks comes from phi's sums: the cap pass,
+    # the power roots, and the warm start's kept price, whose rates its dual
+    # value and its completion read.  4 `ProblemInstance.rate` calls when
+    # the warm start's dual value took its rates again
+    calls = []
+    for name in ("rate", "rate_derivative"):
+        inner = getattr(instance, name)
+        monkeypatch.setattr(instance, name, lambda *args, _inner=inner, _name=name: calls.append(_name) or _inner(*args))
+    assert ellipsoid_solve(stock_points[task_bits]).iterations == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ["stock", "unequal download caps", "dead links"])
+def test_cap_pass_rates_and_slopes_are_rate_and_rate_derivative(case):
+    # the cap pass reads the four rates and r' at the caps, and r' at 0, from
+    # one phi call: bit for bit `rate` and `rate_derivative` there.  On a dead
+    # link r' is exactly 0 (phi floors its sum of q only where it divides)
+    if case == "dead links":
+        inst = make_synthetic_instance(gain=0.0)
+    else:
+        caps = (0.5, 3.0) if case == "unequal download caps" else (STOCK_CAP, STOCK_CAP)
+        inst = build_instance(validate(ScenarioConfig(power_max_down_uav=caps[0], power_max_down_rsu=caps[1])))
+    facts = opt._at_caps(inst)
+    for ph in range(4):
+        gains, at_cap = inst.gains[ph], np.full(inst.min_bits.shape, inst.power_max[ph])
+        assert np.array_equal(facts.rates[ph], rate(gains, inst.bandwidth, at_cap))
+        assert np.array_equal(facts.slopes[0, ph], rate_derivative(gains, inst.bandwidth, np.zeros(at_cap.shape)))
+        assert np.array_equal(facts.slopes[1, ph], rate_derivative(gains, inst.bandwidth, at_cap))
+    if case == "dead links":
+        assert (facts.slopes == 0.0).all() and (facts.rates == 0.0).all()
 
 
 def test_warm_start_power_roots_confirm_an_unchanged_price_in_one_phi_call(stock_points, monkeypatch):
@@ -950,10 +1007,11 @@ def test_warm_start_power_roots_confirm_an_unchanged_price_in_one_phi_call(stock
 
 
 def test_stock_solve_evaluates_phi_in_at_most_24_calls_on_72_phase_rows(stock_points, monkeypatch):
-    # 22 stacked calls on 66 phase rows measured: the cap pass and 21 calls
-    # on the three power roots.  32 on 96 when the kept price was solved
-    # again from p_max and each root started on the previous powers, not on
-    # their tangent; one root per phase took 119 single-phase calls, 120
+    # 22 stacked calls on 67 phase rows measured: the cap pass on the four
+    # phases and 21 calls on the three power roots (66 rows when the cap
+    # pass took the three roots alone).  32 on 96 when the kept price was
+    # solved again from p_max and each root started on the previous powers,
+    # not on their tangent; one root per phase took 119 single-phase calls, 120
     # when the completion solved the warm start's powers again and the roots
     # from p_max evaluated phi there; 215 with an Illinois time-price root,
     # 1,188 with a plain Newton step on a log(1 + p*g_l) phi and one root per
@@ -964,7 +1022,7 @@ def test_stock_solve_evaluates_phi_in_at_most_24_calls_on_72_phase_rows(stock_po
     cfg = validate(ScenarioConfig(task_bits=5e5))
     state = ellipsoid_solve(stock_points[5e5], eps=cfg.epsilon, max_iterations=cfg.max_iterations)
     assert state.converged
-    assert set(rows) == {3}
+    assert rows[0] == 4 and set(rows[1:]) == {3}
     assert len(rows) <= 24 and sum(rows) <= 72
 
 
@@ -973,8 +1031,7 @@ def _bisected_min_bits_price(inst, mu):
     closed-form split carries the minimum bits, by 300 halvings (0 where the
     split carries them at price 0), or the ground-route price where even that
     price falls short.  Also returns the route price and the split's terms."""
-    caps = opt._at_caps(inst)
-    chi = opt._candidate(inst, caps, mu)[0]
+    chi = _candidate_over(inst, opt._at_caps(inst), mu)[0]
     route = chi[..., opt.D_UPLINK] + chi[..., opt.D_RELAY] + inst.output_ratio[:, None] * chi[..., opt.D_DOWN_RSU]
     terms = opt._split_terms(inst, mu, chi[..., opt.D_UPLINK], chi[..., opt.D_DOWN_UAV])
 
@@ -1037,7 +1094,7 @@ def test_min_bits_price_matches_fine_bisection(stock_points, task_bits):
         grid = np.geomspace(1e-8, 1.0, 40)
     caps = opt._at_caps(inst)
     mu = caps.ceiling * grid[:, None, None]
-    chi1 = opt._candidate(inst, caps, mu)[0][..., opt.D_MIN_BITS]
+    chi1 = _candidate_over(inst, caps, mu)[0][..., opt.D_MIN_BITS]
     ref, route, terms = _bisected_min_bits_price(inst, mu)
     assert (np.abs(chi1 - ref) <= 1e-12 * ref).all()
     # under the route price the split at chi1 carries the minimum bits
@@ -1084,12 +1141,12 @@ def test_min_bits_price_is_bitwise_the_select_form(monkeypatch):
     monkeypatch.setattr(opt, "_min_bits_price", lambda *args: seen.append(args) or price_at(*args))
     inst = _piece_instance()
     caps = opt._at_caps(inst)
-    opt._candidate(inst, caps, caps.ceiling * np.geomspace(1e-8, 1e3, 45)[:, None, None])
+    _candidate_over(inst, caps, caps.ceiling * np.geomspace(1e-8, 1e3, 45)[:, None, None])
     for task_bits in np.linspace(1e5, 9e5, 9):
         inst = build_instance(validate(ScenarioConfig(task_bits=task_bits)))
         caps = opt._at_caps(inst)
         warm_start(inst, caps)
-        opt._candidate(inst, caps, caps.ceiling * np.geomspace(1e-8, 1.0, 40)[:, None, None])
+        _candidate_over(inst, caps, caps.ceiling * np.geomspace(1e-8, 1.0, 40)[:, None, None])
     assert len(seen) >= 9 * 8
     for args in seen:
         for got, want in zip(price_at(*args), _min_bits_price_by_select(*args)):
@@ -1108,8 +1165,8 @@ def test_need_slope_matches_a_central_difference(task_bits):
     inst = build_instance(validate(ScenarioConfig(task_bits=task_bits)))
     caps = opt._at_caps(inst)
     mu = warm_start(inst, caps)[0][..., opt.D_SUBSLOT] * np.exp([-1.0, 0.0, 1.0])[:, None, None]
-    slope = opt._candidate(inst, caps, mu)[2]
-    ref = _log_difference(lambda m: opt._candidate(inst, caps, m)[1], mu)
+    slope = _candidate_over(inst, caps, mu)[2]
+    ref = _log_difference(lambda m: _candidate_over(inst, caps, m)[1], mu)
     assert (ref[1] < 0.0).all()
     assert (np.abs(slope - ref) <= 1e-5 * np.abs(ref)).all()
 
@@ -1122,8 +1179,8 @@ def test_need_slope_matches_a_central_difference_on_every_piece():
     caps = opt._at_caps(inst)
     ceiling = caps.ceiling
     mu = ceiling * np.geomspace(1.1e-8, 1.1e3, 45)[:, None, None]
-    chi, need, slope = opt._candidate(inst, caps, mu)[:3]
-    ref = _log_difference(lambda m: opt._candidate(inst, caps, m)[1], mu)
+    chi, need, slope = _candidate_over(inst, caps, mu)[:3]
+    ref = _log_difference(lambda m: _candidate_over(inst, caps, m)[1], mu)
     # where the need is flat the difference reads its rounding, about
     # 1e-14*need/h per unit of log(mu)
     assert (np.abs(slope - ref) <= 1e-5 * np.abs(ref) + 1e-7 * need / mu).all()
@@ -1140,7 +1197,7 @@ def test_need_slope_matches_a_central_difference_past_the_ceiling():
     caps = opt._at_caps(inst)
     mu = warm_start(inst, caps)[0][..., opt.D_SUBSLOT]
     raised = mu > caps.ceiling
-    _, _, slope, powers, _ = opt._candidate(inst, caps, mu)
+    slope, powers = opt._candidate(inst, caps, mu)[2:4]
     ref = _log_difference(lambda m: opt._candidate(inst, caps, m)[1], mu)
     assert raised[:2].all()
     assert all((p[raised] == pmax).all() for p, pmax in zip(powers, inst.power_max))
@@ -1155,9 +1212,10 @@ def test_rate_prices_rise_at_one_over_the_rate(stock_points, task_bits):
     inst = stock_points[task_bits]
     caps = opt._at_caps(inst)
     mu = caps.ceiling * np.geomspace(0.01, 2.0, 12)[:, None, None]
-    rates = [inst.rate(ph, p) for ph, p in enumerate(opt._candidate(inst, caps, mu)[3])]
+    powers = _candidate_over(inst, caps, mu)[3]
+    rates = [inst.rate(ph, powers[:, ph]) for ph in range(4)]
     for ph in range(4):
-        d_chi = _log_difference(lambda m: opt._candidate(inst, caps, m)[0][..., opt._PHASE_RATE_DUAL[ph]], mu)
+        d_chi = _log_difference(lambda m: _candidate_over(inst, caps, m)[0][..., opt._PHASE_RATE_DUAL[ph]], mu)
         assert (np.abs(rates[ph] * d_chi - 1.0) <= 1e-6).all()
 
 
@@ -1263,8 +1321,9 @@ def test_random_draws_certify_or_name_an_infeasible_block():
 @pytest.mark.parametrize("case", ["stock", "unequal download caps", "no doubling"])
 def test_cap_facts_are_settled_once_per_solve(case, monkeypatch):
     # the cap pass and the feasibility split run once per solve, also when
-    # no completion fits, and no phi is evaluated at the smaller download
-    # cap, whose power root is shared: every phi call takes the three roots'
+    # no completion fits, and phi is evaluated at the smaller download cap,
+    # whose power root is shared, only in the cap pass: its one phi call
+    # takes the four phases at their caps, every later call the three roots'
     # stacked tables
     if case == "no doubling":
         inst = build_instance(load_scenario(UNCERTIFIED_4_VEHICLES))
@@ -1279,7 +1338,7 @@ def test_cap_facts_are_settled_once_per_solve(case, monkeypatch):
     calls = {}
     _count_calls(monkeypatch, calls, "_at_caps", "feasible_split", "blended_completion", "complete_primal")
     tables, phi = [], opt._phi
-    monkeypatch.setattr(opt, "_phi", lambda gains, *args: tables.append(gains) or phi(gains, *args))
+    monkeypatch.setattr(opt, "_phi", lambda gains, w, p: tables.append((gains, p)) or phi(gains, w, p))
     if case == "no doubling":
         # the warm start stops at the power-cap ceiling, where the closed-form
         # split of some blocks does not fit: each completion runs once, and a
@@ -1291,7 +1350,9 @@ def test_cap_facts_are_settled_once_per_solve(case, monkeypatch):
     else:
         assert ellipsoid_solve(inst).converged
     assert calls["_at_caps"] == calls["feasible_split"] == 1
-    assert tables and all(np.array_equal(g.reshape(caps.root_gains.shape), caps.root_gains) for g in tables)
+    (gains, p), *roots = tables
+    assert len(gains) == 4 and np.array_equal(p, np.broadcast_to(pmax[:, None, None], p.shape))
+    assert roots and all(np.array_equal(g, caps.root_gains) for g, _ in roots)
 
 
 def test_rejected_block_raises_before_the_warm_start(monkeypatch):
