@@ -3,7 +3,7 @@
 Each link is a complex matrix per slot whose entries all share the magnitude
 sqrt(path_loss); the per-entry phase combines a Doppler term and the
 element-to-element path phase.  Rates follow from the singular values, which
-`instance` turns into per-phase gain tables.  A link is built over a run of
+`instance` turns into one gain table.  A link is built over a run of
 slots at once, from per-slot and per-element dot products with no
 element-displacement tensor, and one batched SVD, of which only the spectra
 are kept.

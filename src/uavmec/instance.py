@@ -1,5 +1,5 @@
 """Assembled per-run problem data: each link's spectra over the horizon and
-the per-phase SNR-per-watt tables the solver and the feasibility checks
+the phase-stacked SNR-per-watt table the solver and the feasibility checks
 consume."""
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ def rate_derivative(gains, bandwidth: float, power) -> np.ndarray:
 class ProblemInstance:
     """Everything one optimization run needs, in SI units.
 
-    `gains[phase]` has shape (K, N, L) and holds squared singular values
-    scaled by 1/(B * N0 * L_tx), so that the rate of phase `ph` at power p is
-    B * sum_l log2(1 + p * gains[ph]).  Both download phases send over the
+    `gains` (4, K, N, L), phase first, holds squared singular values over
+    B * N0 * L_tx, so that phase `ph` has rate B * sum_l log2(1 + p *
+    gains[ph]) at power p; a spectrum shorter than L ends in zero gains, which
+    add exactly 0 to every sum.  Both download phases send over the
     vehicle-UAV link in reverse at the UAV's weight, so they share one table:
     the solver finds one stationary power for the two of them.
     """
@@ -63,7 +64,7 @@ class ProblemInstance:
     min_bits: np.ndarray  # (K, N)
     bandwidth: float
     power_max: np.ndarray  # (4,) cap per phase
-    gains: list  # 4 arrays of shape (K, N, L_phase)
+    gains: np.ndarray  # (4, K, N, L)
     flight: FlightPowerModel | None = None
     uav_velocity: np.ndarray | None = None  # (3,) constant over the horizon
     channel_sets: list = field(default_factory=list)  # K+1 LinkChannels: K uplinks, relay
@@ -81,9 +82,9 @@ class ProblemInstance:
     def bits_uav_cap(self) -> float:
         return self.subslot * self.uav_compute.cpu_freq / self.uav_compute.cycles_per_bit
 
-    def rate(self, phase: int, power: np.ndarray) -> np.ndarray:
-        """Achievable rate (bits/s) of `phase` at per-(k, n) powers."""
-        return rate(self.gains[phase], self.bandwidth, power)
+    def rate(self, powers: np.ndarray) -> np.ndarray:
+        """Achievable rate (bits/s) of each phase at stacked (4, K, N) powers."""
+        return rate(self.gains, self.bandwidth, powers)
 
     def flight_energy_total(self) -> float:
         """Propulsion energy over the whole horizon (0 without a UAV model)."""
@@ -94,23 +95,20 @@ class ProblemInstance:
         return per_slot * self.n_slots
 
 
-def _phase_gain(ch: LinkChannel, radio: RadioConfig, bound: str) -> np.ndarray:
-    """Squared singular values over noise for one link, (N, L), after bound
-    shaping.
+def _spectrum(ch: LinkChannel, bound: str) -> np.ndarray:
+    """A view of one link's squared singular values, (N, L), bound-shaped.
 
     bound "exact" keeps the spectrum; "rank1" collapses it to a single value
     carrying the whole trace power (the rate lower bound); "fullrank" spreads
     the trace power evenly over min(L_tx, L_rx) values (the upper bound).
     """
-    lam2 = ch.spectrum
-    lmin = lam2.shape[-1]
     if bound == "rank1":
-        lam2 = ch.trace_power[:, None]
-    elif bound == "fullrank":
-        lam2 = np.broadcast_to((ch.trace_power / lmin)[:, None], lam2.shape)
-    elif bound != "exact":
+        return ch.trace_power[:, None]
+    if bound == "fullrank":
+        return np.broadcast_to((ch.trace_power / ch.spectrum.shape[-1])[:, None], ch.spectrum.shape)
+    if bound != "exact":
         raise ValueError(f"unknown channel bound {bound!r}")
-    return lam2 / (radio.bandwidth * radio.noise_density * ch.n_tx)
+    return ch.spectrum
 
 
 # The last roll-out: (key, links).  A sweep moves one axis, so the links
@@ -144,15 +142,18 @@ def roll_out(state0: NetworkState, radio: RadioConfig) -> list:
     return list(_last_roll_out[1])
 
 
-def build_gain_tables(links: list, radio: RadioConfig, bound: str = "exact") -> list:
-    """Stack the links' spectra into the four (K, N, L) gain arrays.
-
-    Both download phases send over the vehicle-UAV link in reverse, so they
-    share one table made from the uplink spectrum; only the transmit array,
-    whose size divides each gain, becomes the UAV's.
-    """
+def build_gain_tables(links: list, radio: RadioConfig, bound: str = "exact") -> np.ndarray:
+    """The (4, K, N, L) gain table: each link's shaped spectrum over B * N0 *
+    L_tx, written into one zeroed array as wide as the longest spectrum.  Both
+    download rows are the uplink's with the UAV's transmit array, whose size
+    divides each gain: they send over the vehicle-UAV link in reverse."""
     *v2u, u2r = links
-    up = np.stack([_phase_gain(ch, radio, bound) for ch in v2u])
-    relay = np.repeat(_phase_gain(u2r, radio, bound)[None], len(v2u), axis=0)
-    down = up * (v2u[0].n_tx / v2u[0].n_rx)
-    return [up, relay, down, down]
+    *up, relay = spectra = [_spectrum(ch, bound) for ch in links]
+    gains = np.zeros((4, len(up), relay.shape[0], max(lam2.shape[-1] for lam2 in spectra)))
+    noise = radio.bandwidth * radio.noise_density
+    for k, (ch, lam2) in enumerate(zip(v2u, up)):
+        np.divide(lam2, noise * ch.n_tx, out=gains[PHASE_OFFLOAD, k, :, :lam2.shape[-1]])
+    np.divide(relay, noise * u2r.n_tx, out=gains[PHASE_RELAY, ..., :relay.shape[-1]])
+    np.multiply(gains[PHASE_OFFLOAD], v2u[0].n_tx / v2u[0].n_rx, out=gains[PHASE_DOWN_UAV])
+    gains[PHASE_DOWN_RSU] = gains[PHASE_DOWN_UAV]
+    return gains

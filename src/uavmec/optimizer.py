@@ -170,8 +170,9 @@ def _log_root(need, budget, hi):
 def power_opt(gains, weight, price_rate, bandwidth, power_max) -> np.ndarray:
     """Root of the power stationarity condition on [0, power_max], clamped.
 
-    `gains` has shape (..., L); `weight` and `price_rate` broadcast against
-    its leading shape.  The defining function weight - price_rate *
+    `gains` has shape (..., L), such as the (4, K, N, L) phase-stacked
+    tables; `weight`, `price_rate` and `power_max` broadcast against its
+    leading shape.  The defining function weight - price_rate *
     d(rate)/d(power) is strictly increasing in power, so the root is the
     `_log_root` of price_rate * r'(p) / weight against 1, whose slope comes
     from r''(p) = -B/ln2 * sum_l g_l^2/(1 + p*g_l)^2; endpoints clamp when no
@@ -436,14 +437,13 @@ class CapFacts:
 
 def _at_caps(inst) -> CapFacts:
     """The cap facts of every block from one `_phi` call over the four phases
-    at their caps: rates and r' are B/ln2 times its sums (r' at 0 is
-    B/ln2*sum_l g_l), its root rows are phi at the power roots' caps (the
-    price from which a power clamps) and set the ceiling, and
+    of `inst.gains` at their caps: rates and r' are B/ln2 times its sums (r'
+    at 0 is B/ln2*sum_l g_l), its root rows are phi at the power roots' caps
+    (the price from which a power clamps) and set the ceiling, and
     `feasible_split` runs at those rates.  Both download phases share one
     root at the larger cap.  Raises ValueError when the two download tables
     differ: both send over the vehicle-UAV link in reverse (`ProblemInstance`)."""
-    pmax, width = inst.power_max, max(g.shape[-1] for g in inst.gains)
-    gains = np.stack([np.pad(g, [(0, 0)] * (g.ndim - 1) + [(0, width - g.shape[-1])]) for g in inst.gains])
+    pmax, gains = inst.power_max, inst.gains
     if not np.array_equal(gains[PHASE_DOWN_UAV], gains[PHASE_DOWN_RSU]):
         raise ValueError("both download phases must share one gain table (the vehicle-UAV link in reverse)")
     weights, scale = _phase_weights(inst), inst.bandwidth / np.log(2.0)
@@ -540,21 +540,17 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
     Inner minimizers follow the closed forms and sign rules; indeterminate
     ground-unit bits and transmit times take their recovery-problem values so
     the subgradient vanishes at the optimum.  The phase powers and rates are
-    `power_opt`'s at the rate prices and `ProblemInstance.rate` there, or
-    `powers`, a (powers, rates) pair, when given: the warm start's, from which
-    its rate prices came.  A block whose minimum-bits price exceeds its
-    ground-route price lies outside the dual domain: its ground-unit term is
-    unbounded below, so its value is -inf.  Returns (values (K, N),
-    subgradients (K, N, 6)).
+    one `power_opt` call's over the four phases at the rate prices and one
+    `ProblemInstance.rate` call's there, or `powers`, a (powers, rates) pair,
+    when given: the warm start's, from which its rate prices came.  A block
+    whose minimum-bits price exceeds its ground-route price lies outside the
+    dual domain: its ground-unit term is unbounded below, so its value is
+    -inf.  Returns (values (K, N), subgradients (K, N, 6)).
     """
-    vc, uc = inst.vehicle_compute, inst.uav_compute
-    xi = inst.output_ratio[:, None]
-    tau, sub = inst.slot_len, inst.subslot
-    w_col = inst.weights_vehicle[:, None]
-    wv = _phase_weights(inst)
+    vc, uc, xi = inst.vehicle_compute, inst.uav_compute, inst.output_ratio[:, None]
+    tau, sub, w_col, wv = inst.slot_len, inst.subslot, inst.weights_vehicle[:, None], _phase_weights(inst)
 
-    chi1 = chi[..., D_MIN_BITS]
-    chi2 = chi[..., D_SUBSLOT]
+    chi1, chi2 = chi[..., D_MIN_BITS], chi[..., D_SUBSLOT]
     terms = _split_terms(inst, chi2, chi[..., D_UPLINK], chi[..., D_DOWN_UAV])
     bl, bu = _split(terms, chi1)
     l1 = w_col * compute_energy(bl, vc, tau) - chi1 * bl
@@ -569,9 +565,8 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
 
     loads, chir = phase_loads(inst, bu, br), np.moveaxis(chi[..., _PHASE_RATE_DUAL], -1, 0)  # (4, K, N)
     if powers is None:
-        p = np.stack([power_opt(inst.gains[ph], wv[ph], chir[ph], inst.bandwidth, cap)
-                      for ph, cap in enumerate(inst.power_max)])
-        powers = p, np.stack([inst.rate(ph, a) for ph, a in enumerate(p)])
+        p = power_opt(inst.gains, wv, chir, inst.bandwidth, inst.power_max[:, None, None])
+        powers = p, inst.rate(p)
     powers, rates = powers
     s = wv * powers + chi2 - chir * rates
     s_scale = wv * powers + chi2 + chir * rates + 1e-300
@@ -712,8 +707,7 @@ def ellipsoid_solve(inst: ProblemInstance, eps: float = 1e-4, max_iterations: in
     if not caps.feasible.all():
         k, n = np.argwhere(~caps.feasible)[0]
         raise InfeasibleAllocation(f"minimum bits unachievable within the sub-slot for vehicle {k}, slot {n}")
-    k, n = inst.min_bits.shape
-    d = 6
+    (k, n), d = inst.min_bits.shape, 6
     best_chi, best_value, warm_powers = warm_start(inst, caps)
     xi = inst.output_ratio[:, None]
 
@@ -791,7 +785,7 @@ def solve_p2(inst: ProblemInstance, bits_local, bits_uav, powers):
     """
     bits_rsu = np.maximum(inst.min_bits - bits_local - bits_uav, 0.0)
     loads = phase_loads(inst, bits_uav, bits_rsu)
-    times = carry_time(loads, np.stack([inst.rate(ph, powers[ph]) for ph in range(4)]))
+    times = carry_time(loads, inst.rate(powers))
     used = times.sum(axis=0) + compute_time(bits_uav, inst.uav_compute)
     over = used > inst.subslot * (1 + CHECK_RTOL)
     if over.any():

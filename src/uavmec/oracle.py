@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .energy import compute_time
+from .instance import rate
 from .protocol import Allocation, block_energy, carry_time, check_feasible, phase_loads, wtec
 
 # Grid steps of the brute-force search over [0, cap]: the UAV and local bits
@@ -30,7 +31,7 @@ def _rate_table(inst, phase: int, n_points: int = 4000):
     """Monotone (rate, power) table for inverting the rate curve."""
     pmax = inst.power_max[phase]
     p = np.concatenate([[0.0], np.geomspace(pmax * 1e-9, pmax, n_points)])
-    return inst.rate(phase, p.reshape(-1, 1, 1))[:, 0, 0], p
+    return rate(inst.gains[phase], inst.bandwidth, p.reshape(-1, 1, 1))[:, 0, 0], p
 
 
 def _exact_min_power(inst, phase: int, load: float, time: float, tol: float = 1e-13):
@@ -40,14 +41,14 @@ def _exact_min_power(inst, phase: int, load: float, time: float, tol: float = 1e
     if time <= 0:
         return np.inf
     target = load / time
-    shape = inst.min_bits.shape
+    shape, gains = inst.min_bits.shape, inst.gains[phase]
     pmax = inst.power_max[phase]
-    if float(inst.rate(phase, np.full(shape, pmax))[0, 0]) < target:
+    if float(rate(gains, inst.bandwidth, np.full(shape, pmax))[0, 0]) < target:
         return np.inf
     lo, hi = 0.0, pmax
     while hi - lo > tol * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if float(inst.rate(phase, np.full(shape, mid))[0, 0]) < target:
+        if float(rate(gains, inst.bandwidth, np.full(shape, mid))[0, 0]) < target:
             lo = mid
         else:
             hi = mid
@@ -167,7 +168,7 @@ def sample_feasible(inst, count: int, rng: np.random.Generator):
         for ph in range(4):
             p_new = inst.power_max[ph] * 10.0 ** rng.uniform(floor, 0.0, shape)
             powers[ph] = np.where(redo, p_new, powers[ph])
-            rates[ph] = np.where(redo, inst.rate(ph, powers[ph]), rates[ph])
+        rates = np.where(redo, rate(inst.gains[:, None], inst.bandwidth, powers), rates)  # (4, 1, K, N, L) gains
         ok = sum(carry_time(phase_loads(inst, bu, br), rates)) <= (sub - compute_time(bu, inst.uav_compute)) * 0.999
         keep = ok | ~redo
         bl = np.where(keep, bl, rng.uniform(0.0, inst.bits_local_cap, shape))
@@ -231,8 +232,8 @@ def constraint_residuals(inst, alloc: Allocation) -> np.ndarray:
         [
             inst.min_bits - alloc.bits_local - alloc.bits_uav - alloc.bits_rsu,
             times.sum(axis=0) + t_cu - inst.subslot,
-        ]
-        + [loads[ph] - times[ph] * inst.rate(ph, powers[ph]) for ph in range(4)],
+            *(loads - times * inst.rate(powers)),
+        ],
         axis=-1,
     )
 

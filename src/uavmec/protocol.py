@@ -104,9 +104,9 @@ def check_feasible(alloc: Allocation, inst) -> Verdict:
     cap_labels = ("uplink_capacity", "relay_capacity", "down_uav_capacity", "down_rsu_capacity")
     carried = phase_loads(inst, alloc.bits_uav, alloc.bits_rsu)
     powers = alloc.powers
+    capacity = times * inst.rate(powers)
     for ph in range(4):
-        capacity = times[ph] * inst.rate(ph, powers[ph])
-        report(carried[ph] > capacity + CHECK_RTOL * bits_scale, cap_labels[ph])
+        report(carried[ph] > capacity[ph] + CHECK_RTOL * bits_scale, cap_labels[ph])
         report(powers[ph] < -CHECK_RTOL, f"power_negative_{cap_labels[ph]}")
         report(powers[ph] > inst.power_max[ph] * (1 + CHECK_RTOL), f"power_cap_{cap_labels[ph]}")
 
@@ -128,7 +128,7 @@ def baseline_allocation(inst) -> Allocation:
     carried = phase_loads(inst, alloc.bits_uav, alloc.bits_rsu)
     pmax = np.broadcast_to(inst.power_max[:, None, None], carried.shape)
     alloc.powers = np.where(carried > 0, pmax, 0.0)
-    alloc.times = carry_time(carried, np.stack([inst.rate(ph, pmax[ph]) for ph in range(4)]))
+    alloc.times = carry_time(carried, inst.rate(pmax))
     return alloc
 
 

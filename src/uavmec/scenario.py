@@ -277,28 +277,30 @@ def _any(value, test) -> bool:
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     """Normalize per-vehicle arrays, check ranges, derive the slot count.
 
-    Every numeric key must hold finite numbers.  NaN fails every `<`/`<=`
-    comparison, so a range check alone lets it through, and a word, NaN or
-    inf in a key without a range check (an azimuth, a climb angle, the
-    bearing) fails later in the geometry or the SVD with an error that names
-    no key.  A key that fails here skips its range check.  The geometry checks
-    reject what would place a node wrongly: a UAV at or below the road, an
-    elevation angle outside (0, pi/2] that places a node, an array tilted past
-    a right angle, a negative speed.
+    Every switch must hold true or false, and every other numeric key finite
+    numbers.  NaN fails every `<`/`<=` comparison, so a range check alone lets
+    it through, and a word, NaN or inf in a key without a range check (an
+    azimuth, a climb angle, the bearing) fails later in the geometry or the
+    SVD with an error that names no key.  A key that fails here skips its
+    range check.  The geometry checks reject what would place a node wrongly:
+    a UAV at or below the road, an elevation angle outside (0, pi/2] that
+    places a node, an array tilted past a right angle, a negative speed.
     """
     errors, bad = [], set()
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if value is None or (isinstance(value, str) and isinstance(f.default, str)):
+        value, switch = getattr(cfg, f.name), isinstance(f.default, bool)
+        if not switch and (value is None or (isinstance(value, str) and isinstance(f.default, str))):
             continue  # an unset optional key, or a text key holding text
-        try:
-            ok = (math.isfinite(value) if isinstance(value, (int, float))
-                  else bool(np.all(np.isfinite(np.asarray(value, dtype=float)))))
+        try:  # only a switch holds a bool: True == 1 would pass as a number
+            ok = switch if isinstance(value, bool) else not switch and (
+                math.isfinite(value) if isinstance(value, (int, float))
+                else bool(np.all(np.isfinite(np.asarray(value, dtype=float)))))
         except (TypeError, ValueError):
             ok = False
         if not ok:
             bad.add(f.name)
-            errors.append(f"{_FIELD_SECTION[f.name]}.{f.name}: must be a finite number")
+            what = "true or false" if switch else "a finite number"
+            errors.append(f"{_FIELD_SECTION[f.name]}.{f.name}: must be {what}")
 
     # a count must be whole, not truncated; INI text and sweeps give 16.0
     for name in ("vehicles", "antennas_vehicle", "antennas_uav", "antennas_rsu",
@@ -471,7 +473,7 @@ def channel_bound(mode: str) -> str:
 
 def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
     """Roll the scenario geometry over the horizon and assemble the solver
-    inputs (link spectra, gain tables, caps and weights)."""
+    inputs (link spectra, gain table, caps and weights)."""
     spacing = cfg.resolved_spacing()
 
     def array_for(count: int) -> ArraySpec:

@@ -58,7 +58,7 @@ def make_synthetic_instance(
         min_bits=np.repeat(per_vehicle(min_bits)[:, None], n, axis=1),
         bandwidth=bandwidth,
         power_max=np.broadcast_to(np.asarray(power_max, dtype=float), (4,)).copy(),
-        gains=[np.repeat(gains_in[ph][:, None, None], n, axis=1) for ph in range(4)],
+        gains=np.repeat(gains_in[:, :, None, None], n, axis=2),
     )
 
 

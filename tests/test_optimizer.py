@@ -272,9 +272,9 @@ def test_slot_time_rule_three_cases():
     # bits, which the zero boundedness margin sets to the shortfall
     price = np.array([[2e-7]])
     p = power_opt(inst.gains[0], 1.0, price, inst.bandwidth, inst.power_max[0])
-    rate = inst.rate(0, p)[0, 0]
-    chi = np.array([[[2e-7, 2e-7 * rate - p[0, 0], 2e-7, 0.0, 0.0, 0.0]]])
-    carry = (5e5 - _local_bits(2e-7)) / rate
+    r0 = rate(inst.gains[0], inst.bandwidth, p)[0, 0]
+    chi = np.array([[[2e-7, 2e-7 * r0 - p[0, 0], 2e-7, 0.0, 0.0, 0.0]]])
+    carry = (5e5 - _local_bits(2e-7)) / r0
     assert 0.0 < carry < inst.subslot
     assert np.isclose(_uplink_time(inst, chi), carry, rtol=1e-9)
 
@@ -332,7 +332,7 @@ def test_dual_subgradients_track_constructed_residuals():
     chi_full = np.array([[[0.0, 0.0, 1.0, 1.0, 1.0, 1.0]]])
     value, g_full = dual_point_eval(inst, chi_full)
     sub = inst.subslot
-    r = [inst.rate(ph, np.full((1, 1), inst.power_max[ph]))[0, 0] for ph in range(4)]
+    r = inst.rate(np.reshape(inst.power_max, (4, 1, 1)))[:, 0, 0]
     assert np.allclose(g_full[0, 0], [5e5, 3 * sub, -sub * r[0], -sub * r[1],
                                       -sub * r[2], -sub * r[3]], rtol=1e-12)
     s = [inst.power_max[ph] * (1.0 if ph == 0 else inst.weight_uav) - r[ph] for ph in range(4)]
@@ -350,10 +350,10 @@ def test_dual_value_never_exceeds_feasible_energy():
     alloc.bits_local[:] = 2e5
     alloc.bits_rsu[:] = 2e5
     alloc.powers[[0, 1, 3]] = 1.0  # offload, relay, ground-result download
-    r0 = float(inst.rate(0, alloc.powers[0])[0, 0])
-    alloc.times[0] = 2e5 / r0 * 1.0001
-    alloc.times[1] = 2e5 / float(inst.rate(1, alloc.powers[1])[0, 0]) * 1.0001
-    alloc.times[3] = 0.8 * 2e5 / float(inst.rate(3, alloc.powers[3])[0, 0]) * 1.0001
+    r = inst.rate(alloc.powers)[:, 0, 0]
+    alloc.times[0] = 2e5 / r[0] * 1.0001
+    alloc.times[1] = 2e5 / r[1] * 1.0001
+    alloc.times[3] = 0.8 * 2e5 / r[3] * 1.0001
     assert check_feasible(alloc, inst).feasible
     assert state.dual_value <= wtec(alloc, inst) * (1 + 1e-9)
 
@@ -471,7 +471,7 @@ def _root_instance(spectrum):
         return build_instance(validate(ScenarioConfig(mode="rank1_bound")))
     # one dominant singular value and 35 small ones on every phase
     g = np.concatenate([[5000.0], np.geomspace(50.0, 1e-3, 35)])
-    return dataclasses.replace(make_synthetic_instance(), gains=[g.reshape(1, 1, 36)] * 4)
+    return dataclasses.replace(make_synthetic_instance(), gains=np.tile(g, (4, 1, 1, 1)))
 
 
 def _over_prices(f, mu, *grids):
@@ -597,9 +597,9 @@ def _stacked_cases(stock_points):
         mu = opt._at_caps(inst).ceiling * t
         cases += [(inst, mu, None), (inst, mu, 1.25 * mu)]
     inst = _root_instance("rank1_stock")
-    relay = inst.gains[opt.PHASE_RELAY].copy()
-    relay[:, ::7] = 0.0
-    dead = dataclasses.replace(inst, gains=[inst.gains[0], relay, *inst.gains[2:]])
+    gains = inst.gains.copy()
+    gains[opt.PHASE_RELAY, :, ::7] = 0.0
+    dead = dataclasses.replace(inst, gains=gains)
     cases.append((dead, opt._at_caps(dead).ceiling * t[2::5], None))
     weak = weak_relay_instance(WEAK_RELAY_GAINS[0])
     cases.append((weak, opt._at_caps(weak).ceiling * np.geomspace(1e-3, 0.5, 30)[:, None, None], None))
@@ -653,12 +653,12 @@ def test_power_root_returns_the_iterate_it_evaluated(stock_points):
 def _rate_cases():
     """(name, instance) pairs on which `_phase_powers`' rates are checked."""
     stock = build_instance(validate(ScenarioConfig()))
-    relay = stock.gains[opt.PHASE_RELAY].copy()
-    relay[:, ::7] = 0.0
+    gains = stock.gains.copy()
+    gains[opt.PHASE_RELAY, :, ::7] = 0.0
     return [("stock", stock),
             ("unequal download caps", build_instance(validate(ScenarioConfig(power_max_down_uav=0.5,
                                                                              power_max_down_rsu=3.0)))),
-            ("dead relay rows", dataclasses.replace(stock, gains=[stock.gains[0], relay, *stock.gains[2:]])),
+            ("dead relay rows", dataclasses.replace(stock, gains=gains)),
             ("dead links", make_synthetic_instance(n_slots=2, gain=0.0))]
 
 
@@ -677,7 +677,8 @@ def test_phase_powers_rates_match_the_rate_at_their_powers(name, inst):
     for ph in range(4):
         ulp = 4 * inst.gains[ph].shape[-1]
         p = powers[:, ph]
-        for got, want in ((rates[:, ph], inst.rate(ph, p)), (r_prime[:, ph], rate_derivative(inst.gains[ph], inst.bandwidth, p))):
+        for got, want in ((rates[:, ph], rate(inst.gains[ph], inst.bandwidth, p)),
+                          (r_prime[:, ph], rate_derivative(inst.gains[ph], inst.bandwidth, p))):
             assert (np.abs(got - want) <= ulp * np.spacing(np.abs(want))).all()
     # a zero power carries exactly nothing; a dead root clamps at its cap at
     # mu = 0, so only the live fixtures have zero powers at every mu <= 0
@@ -790,7 +791,7 @@ def _times_at_price(inst, bits, mu):
     bl, bu, br = bits
     loads = phase_loads(inst, bu, br)
     powers = np.stack([np.where(loads[ph] > 0.0, _root_alone(inst, ph, mu)[0], 0.0) for ph in range(4)])
-    times = np.stack([carry_time(loads[ph], inst.rate(ph, powers[ph])) for ph in range(4)])
+    times = carry_time(loads, inst.rate(powers))
     return times, block_energy(inst, bl, bu, powers, times)
 
 
@@ -811,7 +812,7 @@ def _carry_need(inst, bits):
 
     def need(mu):
         roots = [_root_alone(inst, ph, mu) for ph in range(4)]
-        rates = [inst.rate(ph, p) for ph, (p, _) in enumerate(roots)]
+        rates = inst.rate(np.stack([p for p, _ in roots]))
         with np.errstate(divide="ignore", invalid="ignore"):  # inf on a dead link
             slope = sum(np.where(loads[ph] > 0.0,
                                  -loads[ph] * rate_derivative(inst.gains[ph], inst.bandwidth, p) * dp / rates[ph]**2, 0.0)
@@ -1213,10 +1214,10 @@ def test_rate_prices_rise_at_one_over_the_rate(stock_points, task_bits):
     caps = opt._at_caps(inst)
     mu = caps.ceiling * np.geomspace(0.01, 2.0, 12)[:, None, None]
     powers = _candidate_over(inst, caps, mu)[3]
-    rates = [inst.rate(ph, powers[:, ph]) for ph in range(4)]
+    rates = rate(inst.gains, inst.bandwidth, powers)  # (T, 4, K, N)
     for ph in range(4):
         d_chi = _log_difference(lambda m: _candidate_over(inst, caps, m)[0][..., opt._PHASE_RATE_DUAL[ph]], mu)
-        assert (np.abs(rates[ph] * d_chi - 1.0) <= 1e-6).all()
+        assert (np.abs(rates[:, ph] * d_chi - 1.0) <= 1e-6).all()
 
 
 def test_warm_start_splits_at_most_250_times(stock_points, monkeypatch):
@@ -1385,6 +1386,30 @@ def test_dual_value_is_minus_inf_outside_the_domain(stock_points):
     assert (value[route > 0.0] == -np.inf).all()
 
 
+@pytest.mark.parametrize("text", ["", "[radio]\nantennas_vehicle = 16\nantennas_uav = 36\nantennas_rsu = 64\n"],
+                         ids=["stock", "16/36/64"])
+def test_dual_point_eval_matches_a_power_root_and_rate_per_phase(text):
+    # one power_opt and one rate call over the four stacked phases give the
+    # bits of one call per phase on its own spectrum, at zero, interior and
+    # capped powers, also where the uplink's 16 values are padded with zero
+    # gains to the relay's 36
+    inst = build_instance(load_scenario(text))
+    up, relay = (inst.channel_sets[i].spectrum.shape[-1] for i in (0, -1))
+    own = [inst.gains[ph][..., :length] for ph, length in enumerate((up, relay, up, up))]
+    wv, rng = opt._phase_weights(inst), np.random.default_rng(3)
+    chi0 = warm_start(inst, opt._at_caps(inst))[0]
+    for _ in range(6):
+        chi = chi0 * np.exp(rng.normal(0.0, 2.0, chi0.shape))
+        chir = np.moveaxis(chi[..., opt._PHASE_RATE_DUAL], -1, 0)
+        p = np.stack([power_opt(own[ph], wv[ph], chir[ph], inst.bandwidth, inst.power_max[ph]) for ph in range(4)])
+        rates = np.stack([rate(own[ph], inst.bandwidth, p[ph]) for ph in range(4)])
+        want = dual_point_eval(inst, chi, (p, rates))
+        assert all(np.array_equal(a, b) for a, b in zip(dual_point_eval(inst, chi), want))
+        pmax = np.reshape(inst.power_max, (4, 1, 1))
+        assert (p == 0.0).any() and ((p > 0.0) & (p < pmax)).any() and (p == pmax).any()
+    assert (up, relay) == ((36, 36) if text == "" else (16, 36))
+
+
 # --------------------------------------------------------------- recovery LP
 
 def test_solve_p2_skips_ground_unit_when_covered():
@@ -1394,7 +1419,7 @@ def test_solve_p2_skips_ground_unit_when_covered():
     powers = np.full((4, 1, 1), 0.5)
     bits_rsu, times = solve_p2(inst, bits_local, bits_uav, powers)
     assert np.isclose(bits_rsu[0, 0], 0.0, atol=1e-6)
-    r0 = float(inst.rate(0, powers[0])[0, 0])
+    r0 = float(inst.rate(powers)[0, 0, 0])
     assert np.isclose(times[0, 0, 0], 1e5 / r0, rtol=1e-6)
     assert np.isclose(times[1, 0, 0], 0.0, atol=1e-9)
 

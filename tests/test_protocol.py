@@ -128,7 +128,7 @@ def test_baseline_allocation_structure():
     assert np.allclose(alloc.bits_local, np.minimum(5e5 / 3, inst.bits_local_cap))
     assert (alloc.powers[0] == inst.power_max[0]).all()
     # durations exactly carry the bits
-    carried = alloc.times[0] * inst.rate(0, alloc.powers[0])
+    carried = alloc.times[0] * inst.rate(alloc.powers)[0]
     assert np.allclose(carried, alloc.bits_uav + alloc.bits_rsu, rtol=1e-9)
 
 

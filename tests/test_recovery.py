@@ -27,7 +27,7 @@ def p2_linprog(inst, k, n, bits_local, bits_uav, powers):
     b_scale = max(float(inst.min_bits.max()), 1.0)
     xi = inst.output_ratio[k]
     bl, bu = bits_local[k, n], bits_uav[k, n]
-    r = [float(inst.rate(ph, powers[ph])[k, n]) * sub / b_scale for ph in range(4)]
+    r = [float(c) * sub / b_scale for c in inst.rate(powers)[:, k, n]]
     w = [inst.weights_vehicle[k]] + [inst.weight_uav] * 3
     cost = np.array([0.0] + [w[ph] * powers[ph, k, n] for ph in range(4)])
     a_ub = np.array([
@@ -80,7 +80,7 @@ def random_blocks(seed, k=3, n=8):
     inst = dataclasses.replace(
         inst,
         min_bits=np.where(rng.uniform(size=(k, n)) < 0.15, 0.0, rng.uniform(0.0, 1e6, (k, n))),
-        gains=[10.0 ** rng.uniform(1.0, 4.0, (k, n, 1)) for _ in range(4)],
+        gains=10.0 ** rng.uniform(1.0, 4.0, (4, k, n, 1)),
     )
     bits_local = np.where(rng.uniform(size=(k, n)) < 0.25, inst.min_bits,
                           rng.uniform(0.0, inst.bits_local_cap, (k, n)))

@@ -205,6 +205,21 @@ def test_count_in_config_text_must_be_whole(section, key):
         assert getattr(cfg, key) == 16 and type(getattr(cfg, key)) is int
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("network", "vehicles", "true", "must be a finite number"),
+    ("radio", "antennas_uav", "on", "must be a finite number"),
+    ("solver", "seed", "yes", "must be a finite number"),
+    ("solver", "include_propulsion", "2", "must be true or false"),
+    ("solver", "tccd_include_local", "0.5", "must be true or false"),
+    ("solver", "include_propulsion", "maybe", "must be true or false"),
+])
+def test_switches_hold_booleans_and_numbers_do_not(section, key, value, message):
+    # True == 1, so a boolean would pass every numeric check of a count
+    with pytest.raises(ValidationError) as err:
+        load_scenario(f"[{section}]\n{key} = {value}\n")
+    assert err.value.errors == [f"{section}.{key}: {message}"]
+
+
 def test_all_errors_collected_together():
     bad = "[task]\nhorizon = 8 s\nslot = 0.3 s\ncpu_vehicle = 5 GHz\n"
     with pytest.raises(ValidationError) as err:
@@ -411,7 +426,9 @@ def test_download_table_with_unequal_arrays_matches_reversed_links(doppler):
 
 
 def _reference_gain_tables(cfg, inst):
-    """The four gain tables from one matrix and one SVD per slot and link."""
+    """The (4, K, N, L) gain table from one matrix and one SVD per slot and
+    link, each phase's spectra padded with zeros to the longest one, and each
+    phase's own spectrum length."""
     radio, bound = radio_config(cfg), channel_bound(cfg.mode)
 
     def gain(tx, rx, st):
@@ -429,7 +446,14 @@ def _reference_gain_tables(cfg, inst):
     relay = np.array([[gain(st.uav, st.rsu, st) for st in states]] * inst.n_vehicles)
     st = states[0]
     down = up * (st.vehicles[0].array.size / st.uav.array.size)
-    return [up, relay, down, down]
+    tables = [up, relay, down, down]
+    width = max(t.shape[-1] for t in tables)
+    padded = np.stack([np.pad(t, [(0, 0), (0, 0), (0, width - t.shape[-1])]) for t in tables])
+    return padded, [t.shape[-1] for t in tables]
+
+
+# an uplink spectrum of min(16, 36) values beside a relay one of min(36, 64)
+UNEQUAL_SPECTRA = "[radio]\nantennas_vehicle = 16\nantennas_rsu = 64\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -440,12 +464,19 @@ def _reference_gain_tables(cfg, inst):
     "[network]\nvehicles = 4\n",
     "[solver]\nmode = rank1_bound\n",
     "[solver]\nmode = fullrank_bound\n[radio]\nantennas_uav = 16\n",
+    UNEQUAL_SPECTRA,
 ])
 def test_gain_tables_equal_the_per_slot_per_link_build(text):
     cfg = load_scenario(text)
     inst = build_instance(cfg)
-    for got, want in zip(inst.gains, _reference_gain_tables(cfg, inst), strict=True):
-        assert np.array_equal(got, want)
+    want, lengths = _reference_gain_tables(cfg, inst)
+    assert np.array_equal(inst.gains, want)
+    # a shorter spectrum ends in exact zeros, and both download rows are one table
+    for row, length in zip(inst.gains, lengths, strict=True):
+        assert (row[..., length:] == 0.0).all()
+    assert np.array_equal(inst.gains[PHASE_DOWN_UAV], inst.gains[PHASE_DOWN_RSU])
+    if text == UNEQUAL_SPECTRA:
+        assert lengths == [16, 36, 16, 16] and inst.gains.shape[-1] == 36
 
 
 def test_rank1_mode_collapses_gain_tables():
@@ -469,7 +500,7 @@ def test_bound_mode_rates_match_rate_bound():
     tables = {"rank1_bound": np.array([snr]), "fullrank_bound": np.full(lmin, snr / lmin)}
     for mode, table in tables.items():
         inst = build_instance(load_scenario(f"[solver]\nmode = {mode}\n"))
-        got = float(inst.rate(0, np.full((3, 40), power))[0, 0])
+        got = float(inst.rate(np.full((4, 3, 40), power))[PHASE_OFFLOAD, 0, 0])
         want = instance.rate(table, exact.bandwidth, power)
         assert np.isclose(got, want, rtol=1e-9)
 
