@@ -3,10 +3,9 @@
 Each link is a complex matrix per slot whose entries all share the magnitude
 sqrt(path_loss); the per-entry phase combines a Doppler term and the
 element-to-element path phase.  Rates follow from the singular values, which
-`instance` turns into one gain table.  A link is built over a run of
-slots at once, from per-slot and per-element dot products with no
-element-displacement tensor, and one batched SVD, of which only the spectra
-are kept.
+`instance` turns into one gain table.  A link is prepared once from per-slot
+and per-element dot products (no element-displacement tensor), then built in
+whole-slot chunks under one byte budget, each put through a batched SVD.
 """
 
 from __future__ import annotations
@@ -23,6 +22,12 @@ class ZeroDistance(Exception):
 
 
 DOPPLER_PHASE_MODES = ("literal", "accumulated")
+
+# Complex matrix bytes per `build_channel` chunk: small, so the allocator reuses
+# a chunk's freed layers.  A chunk never splits a slot, whose peak per element
+# pair is a complex matrix (the last chunk's, or the SVD's copy) and four float64
+# layers (three of the chunk, and ||a_p - b_m||**2); `validate` caps a slot.
+CHUNK_BYTES, SLOT_PAIR_BYTES, SLOT_BYTES_MAX = 256 * 1024, 16 + 4 * 8, 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -82,14 +87,51 @@ def _dot3(x, y) -> np.ndarray:
     return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
-def los_matrix(
-    tx: NodeState,
-    rx: NodeState,
-    cfg: RadioConfig,
-    slot: int = 0,
-    slot_len: float | None = None,
-    n_slots: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
+def _los_chunks(tx, rx, cfg, slot, slot_len, n_slots, chunk):
+    """Path losses (n_slots,) and an iterator over (slots, matrices) of `los_matrix`,
+    `chunk` whole slots at a time; all but a chunk's own layers is prepared once."""
+    if cfg.doppler_phase_mode == "accumulated" and slot_len is None:
+        raise ValueError("accumulated Doppler phase needs slot_len")
+    c = trajectory(rx, n_slots, slot_len) - trajectory(tx, n_slots, slot_len)
+    beta = path_loss(c, cfg)
+    a, b, v = element_offsets(rx.array), element_offsets(tx.array), tx.velocity - rx.velocity
+    c2 = _dot3(c, c)
+    c_norm = np.sqrt(c2)
+    cv, av, bv = _dot3(c, v), _dot3(a, v), _dot3(b, v)
+    two_c = 2.0 * c[:, None]  # exact, and so is 2*(c.a) = (2c).a
+    ab2 = np.square(a[:, None] - b).sum(axis=-1)
+    k = 2.0 * np.pi / cfg.wavelength
+    common, amplitude = k * np.fmod(c_norm, cfg.wavelength), np.sqrt(beta)
+    elapsed = (slot + np.arange(n_slots)) * slot_len if cfg.doppler_phase_mode == "accumulated" else None
+
+    def chunks():
+        for s in (slice(start, start + chunk) for start in range(0, n_slots, chunk)):
+            theta = np.subtract((cv[s, None] + av)[:, :, None], bv)  # d.v
+            excess = np.subtract(_dot3(two_c[s], a)[:, :, None], _dot3(two_c[s], b)[:, None, :])
+            excess += ab2  # ||d||**2 - ||c||**2
+            dist = excess + c2[s, None, None]
+            np.sqrt(dist, out=dist)
+            theta /= dist
+            if elapsed is not None:
+                theta *= elapsed[s, None, None]
+            dist += c_norm[s, None, None]
+            excess /= dist  # ||d|| - ||c||
+            theta += excess
+            del excess, dist
+            theta *= k
+            theta += common[s, None, None]
+            matrix = np.empty(theta.shape, dtype=complex)
+            np.cos(theta, out=matrix.real)
+            np.sin(theta, out=matrix.imag)
+            del theta  # before the scaling's casting buffer
+            matrix *= amplitude[s, None, None]
+            yield s, matrix
+
+    return beta, chunks()
+
+
+def los_matrix(tx: NodeState, rx: NodeState, cfg: RadioConfig, slot: int = 0,
+               slot_len: float | None = None, n_slots: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Path losses (n_slots,) and LoS matrices (n_slots, L_rx, L_tx) of the
     link from `tx` to `rx` over `n_slots` slots from `slot`, both nodes moving
     on from their given positions as `advance` moves them.
@@ -103,55 +145,25 @@ def los_matrix(
     ||d||**2 - ||c_n||**2 = 2*(c_n.a_p - c_n.b_m) + ||a_p - b_m||**2 come from
     per-slot and per-element dot products, ||d|| - ||c_n|| is the latter
     over ||d|| + ||c_n||, and the common phase of ||c_n|| is reduced to one
-    wavelength exactly, which keeps a long link accurate.  At most three
-    float64 layers of n_slots*L_rx*L_tx are held, and every step is
-    elementwise, so a slot's matrix is bit for bit the same however many
-    slots are built with it.
+    wavelength exactly, which keeps a long link accurate.  The stack is one
+    chunk, holding at most three float64 layers of n_slots*L_rx*L_tx; each
+    step is elementwise, so a slot's matrix is the same bit for bit in any chunk.
     """
-    if cfg.doppler_phase_mode == "accumulated" and slot_len is None:
-        raise ValueError("accumulated Doppler phase needs slot_len")
-    c = trajectory(rx, n_slots, slot_len) - trajectory(tx, n_slots, slot_len)
-    beta = path_loss(c, cfg)
-    a, b = element_offsets(rx.array), element_offsets(tx.array)
-    v = tx.velocity - rx.velocity
-    c2 = _dot3(c, c)
-    c_norm = np.sqrt(c2)
-    theta = np.subtract((_dot3(c, v)[:, None] + _dot3(a, v))[:, :, None], _dot3(b, v))  # d.v
-    two_c = 2.0 * c[:, None]  # exact, and so is 2*(c.a) = (2c).a
-    excess = np.subtract(_dot3(two_c, a)[:, :, None], _dot3(two_c, b)[:, None, :])
-    excess += np.square(a[:, None] - b).sum(axis=-1)  # ||d||**2 - ||c||**2
-    dist = excess + c2[:, None, None]
-    np.sqrt(dist, out=dist)
-    theta /= dist
-    if cfg.doppler_phase_mode == "accumulated":
-        theta *= (slot + np.arange(n_slots))[:, None, None] * slot_len
-    dist += c_norm[:, None, None]
-    excess /= dist  # ||d|| - ||c||
-    theta += excess
-    del excess, dist
-    k = 2.0 * np.pi / cfg.wavelength
-    theta *= k
-    theta += (k * np.fmod(c_norm, cfg.wavelength))[:, None, None]
-    matrix = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=matrix.real)
-    np.sin(theta, out=matrix.imag)
-    del theta  # before the scaling's casting buffer
-    matrix *= np.sqrt(beta)[:, None, None]
-    return beta, matrix
+    beta, chunks = _los_chunks(tx, rx, cfg, slot, slot_len, n_slots, n_slots)
+    return beta, next(chunks)[1]
 
 
-def build_channel(
-    tx: NodeState,
-    rx: NodeState,
-    cfg: RadioConfig,
-    slot: int = 0,
-    slot_len: float | None = None,
-    n_slots: int = 1,
-) -> LinkChannel:
-    """The spectra of `los_matrix`'s matrices, from one batched SVD.  Both
-    arrays are read-only, since repeated roll-outs share the link."""
-    beta, matrix = los_matrix(tx, rx, cfg, slot, slot_len, n_slots)
-    spectrum = np.linalg.svd(matrix, compute_uv=False)
+def build_channel(tx: NodeState, rx: NodeState, cfg: RadioConfig, slot: int = 0,
+                  slot_len: float | None = None, n_slots: int = 1) -> LinkChannel:
+    """The spectra of `los_matrix`'s matrices, from one batched SVD per chunk of
+    whole slots, about `CHUNK_BYTES` of complex matrix each, so a build's peak
+    memory does not grow with the horizon.  Roll-outs share the link, so both
+    arrays are read-only."""
+    n_tx, n_rx = tx.array.size, rx.array.size
+    beta, chunks = _los_chunks(tx, rx, cfg, slot, slot_len, n_slots, max(1, CHUNK_BYTES // (16 * n_tx * n_rx)))
+    spectrum = np.empty((n_slots, min(n_tx, n_rx)))
+    for slots, matrix in chunks:
+        spectrum[slots] = np.linalg.svd(matrix, compute_uv=False)
     np.square(spectrum, out=spectrum)
     beta.flags.writeable = spectrum.flags.writeable = False
-    return LinkChannel(beta, spectrum, n_tx=tx.array.size, n_rx=rx.array.size)
+    return LinkChannel(beta, spectrum, n_tx=n_tx, n_rx=n_rx)

@@ -34,13 +34,6 @@ def rate(gains, bandwidth: float, power) -> np.ndarray:
     return bandwidth / np.log(2.0) * spectral_sum(np.log1p(snr))
 
 
-def rate_derivative(gains, bandwidth: float, power) -> np.ndarray:
-    """d rate / d power: B/ln2 * sum_l g_l / (1 + p * g_l), the per-link sum
-    a `spectral_sum` (einsum, no BLAS)."""
-    snr = 1.0 + np.asarray(power, dtype=float)[..., None] * gains
-    return bandwidth / np.log(2.0) * spectral_sum(np.divide(gains, snr, out=snr))
-
-
 @dataclass
 class ProblemInstance:
     """Everything one optimization run needs, in SI units.

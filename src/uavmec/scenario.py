@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import DOPPLER_PHASE_MODES, RadioConfig
+from .channel import DOPPLER_PHASE_MODES, SLOT_BYTES_MAX, SLOT_PAIR_BYTES, RadioConfig
 from .energy import UAV_KINDS, ComputeModel, FlightPowerModel
 from .geometry import ArraySpec, initial_state
 from .instance import ProblemInstance, build_gain_tables, roll_out
@@ -379,9 +379,16 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             errors.append(f"radio.spacing: {exc}")
     elif "spacing" not in bad and cfg.spacing <= 0:
         errors.append("radio.spacing: must be positive")
-    for name in ("antennas_vehicle", "antennas_uav", "antennas_rsu"):
+    arrays = ("antennas_vehicle", "antennas_uav", "antennas_rsu")
+    for name in arrays:
         if name not in bad and getattr(cfg, name) < 1:
+            bad.add(name)
             errors.append(f"radio.{name}: must be a positive antenna count")
+    if not bad & set(arrays):  # the largest of the uplink and the relay, (tx, rx) each
+        tx, rx = max(zip(arrays, arrays[1:]), key=lambda link: getattr(cfg, link[0]) * getattr(cfg, link[1]))
+        if (need := SLOT_PAIR_BYTES * getattr(cfg, tx) * getattr(cfg, rx)) > SLOT_BYTES_MAX:
+            errors.append(f"radio.{tx}/radio.{rx}: one slot of the {getattr(cfg, tx)} x {getattr(cfg, rx)} "
+                          f"(L_tx x L_rx) link needs {need:,} bytes to build, over the {SLOT_BYTES_MAX:,}-byte budget")
     if "path_loss_exponent" not in bad and cfg.path_loss_exponent < 1:
         errors.append("radio.path_loss_exponent: must be at least 1")
     # a UAV at or below the road coincides with, or flies under, the vehicles

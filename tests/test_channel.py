@@ -3,7 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uavmec.channel import RadioConfig, ZeroDistance, build_channel, los_matrix, path_loss
+from uavmec.channel import (
+    CHUNK_BYTES,
+    DOPPLER_PHASE_MODES,
+    RadioConfig,
+    ZeroDistance,
+    build_channel,
+    los_matrix,
+    path_loss,
+)
 from uavmec.geometry import ArraySpec, NodeState, element_offsets, make_velocity, trajectory
 from uavmec.instance import build_gain_tables, rate, spectral_sum
 
@@ -282,16 +290,39 @@ def test_los_matrix_matches_the_displacement_formula(link):
     assert np.all(np.abs(built - s).max(axis=1) <= 1e-13 * s[:, 0])
 
 
+@pytest.mark.parametrize("mode", DOPPLER_PHASE_MODES)
+def test_chunked_build_equals_the_per_slot_build(mode):
+    # 8x8 arrays build several slots per chunk, and 41 slots are no whole
+    # number of chunks; from slot 3 the accumulated Doppler phase's elapsed
+    # slot must carry across chunks
+    tx, rx = node(VEH_POS, VEH_VEL, 8, 8), node(UAV_POS, UAV_VEL, 8, 8)
+    cfg, (slot, slot_len, n_slots) = radio(doppler_phase_mode=mode), (3, 0.2, 41)
+    chunk = CHUNK_BYTES // (16 * 64 * 64)
+    assert chunk > 1 and n_slots % chunk != 0
+
+    def at(moving, n):
+        return NodeState(trajectory(moving, n_slots, slot_len)[n], moving.velocity, moving.array)
+
+    per_slot = np.array([los_matrix(at(tx, n), at(rx, n), cfg, slot + n, slot_len)[1][0] for n in range(n_slots)])
+    spectrum = np.array([np.linalg.svd(matrix, compute_uv=False) for matrix in per_slot]) ** 2
+    assert np.array_equal(build_channel(tx, rx, cfg, slot, slot_len, n_slots).spectrum, spectrum)
+    assert np.array_equal(los_matrix(tx, rx, cfg, slot, slot_len, n_slots)[1], per_slot)
+
+
 def test_build_peak_memory_stays_near_the_complex_matrix():
-    # L = 64 on every array over the stock 40-slot horizon: the complex
-    # matrices are two float64 layers of N * L_rx * L_tx; the build holds at
-    # most one more layer besides them
+    # L = 64 on every array: over the stock 40-slot horizon the complex
+    # matrices are two float64 layers of N * L_rx * L_tx, and a build holds
+    # at most 3.5 such layers; built in chunks of whole slots, its peak
+    # hardly grows with the horizon
     tx, rx = node(VEH_POS, VEH_VEL, 8, 8), node(UAV_POS, UAV_VEL, 8, 8)
     layer = 8 * 40 * 64 * 64
-    tracemalloc.start()
-    try:
-        build_channel(tx, rx, radio(), 0, 0.2, 40)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * layer
+    peaks = {}
+    for n_slots in (40, 160):
+        tracemalloc.start()
+        try:
+            build_channel(tx, rx, radio(), 0, 0.2, n_slots)
+            peaks[n_slots] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= 3.5 * layer
+    assert peaks[160] <= 1.2 * peaks[40]

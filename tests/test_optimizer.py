@@ -9,7 +9,7 @@ import pytest
 from conftest import load_perfbench, make_synthetic_instance
 from uavmec import optimizer as opt
 from uavmec import instance
-from uavmec.instance import rate, rate_derivative
+from uavmec.instance import rate, spectral_sum
 from uavmec.optimizer import (
     SIGN_RTOL,
     InfeasibleAllocation,
@@ -27,6 +27,14 @@ from uavmec.scenario import ScenarioConfig, build_instance, load_scenario, valid
 TAU, K = 0.2, 3
 KAPPA, CYC = 1e-27, 1e3
 F_UAV = 3e9
+
+
+def rate_derivative(gains, bandwidth: float, power) -> np.ndarray:
+    """d rate / d power: B/ln2 * sum_l g_l / (1 + p * g_l), the per-link sum
+    a `spectral_sum` (einsum, no BLAS).  The reference for the solver's r',
+    which it reads from phi's sums."""
+    snr = 1.0 + np.asarray(power, dtype=float)[..., None] * gains
+    return bandwidth / np.log(2.0) * spectral_sum(np.divide(gains, snr, out=snr))
 
 
 # ---------------------------------------------------------------- closed forms
@@ -956,9 +964,7 @@ def test_stock_solve_makes_no_rate_pass(stock_points, task_bits, monkeypatch):
     # value and its completion read.  4 `ProblemInstance.rate` calls when
     # the warm start's dual value took its rates again
     calls = []
-    for name in ("rate", "rate_derivative"):
-        inner = getattr(instance, name)
-        monkeypatch.setattr(instance, name, lambda *args, _inner=inner, _name=name: calls.append(_name) or _inner(*args))
+    monkeypatch.setattr(instance, "rate", lambda *args, _inner=instance.rate: calls.append("rate") or _inner(*args))
     assert ellipsoid_solve(stock_points[task_bits]).iterations == 0
     assert calls == []
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uavmec import channel, geometry, instance
-from uavmec.channel import los_matrix
+from uavmec.channel import SLOT_BYTES_MAX, SLOT_PAIR_BYTES, los_matrix
 from uavmec.instance import PHASE_DOWN_RSU, PHASE_DOWN_UAV, PHASE_OFFLOAD
 from uavmec.scenario import (
     ParseError,
@@ -193,6 +193,24 @@ def test_fractional_counts_rejected_not_truncated():
         validate(ScenarioConfig(antennas_uav=16.5, vehicles=2.7))
     assert err.value.errors == ["network.vehicles: must be a whole number",
                                 "radio.antennas_uav: must be a whole number"]
+
+
+def test_arrays_too_large_to_build_refused_from_the_estimate():
+    # validate refuses from the estimate alone: one slot of a 4096 x 4096
+    # link would need 48 bytes per element pair, about 0.8 GB, and nothing
+    # is built.  The largest link is named by its keys, L_tx x L_rx and bytes
+    for arrays, keys, link in [((4096, 4096, 36), "antennas_vehicle/radio.antennas_uav", "4096 x 4096"),
+                               ((36, 4096, 2048), "antennas_uav/radio.antennas_rsu", "4096 x 2048"),
+                               ((1024, 2048, 4096), "antennas_uav/radio.antennas_rsu", "2048 x 4096")]:
+        cfg = ScenarioConfig(**dict(zip(("antennas_vehicle", "antennas_uav", "antennas_rsu"), arrays)))
+        with pytest.raises(ValidationError) as err:
+            validate(cfg)
+        need = SLOT_PAIR_BYTES * math.prod(map(int, link.split(" x ")))
+        assert need > SLOT_BYTES_MAX
+        assert err.value.errors == [f"radio.{keys}: one slot of the {link} (L_tx x L_rx) link needs "
+                                    f"{need:,} bytes to build, over the {SLOT_BYTES_MAX:,}-byte budget"]
+    assert SLOT_PAIR_BYTES * 2048 * 2048 <= SLOT_BYTES_MAX
+    assert validate(ScenarioConfig(antennas_vehicle=2048, antennas_uav=2048)).antennas_uav == 2048
 
 
 @pytest.mark.parametrize("section, key", COUNT_KEYS)
