@@ -3,18 +3,18 @@
 Each link is a complex matrix per slot whose entries all share the magnitude
 sqrt(path_loss); the per-entry phase combines a Doppler term and the
 element-to-element path phase.  Rates follow from the singular values, which
-`instance` turns into one gain table.  A link is prepared once from per-slot
-and per-element dot products (no element-displacement tensor), then built in
-whole-slot chunks under one byte budget, each put through a batched SVD.
+`instance` turns into one gain table.  A link's phases run once per slot and
+distinct element displacement, on one lattice for alike arrays, and gather into
+whole-slot chunks of matrices under a byte budget, each put through a batched SVD.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import NodeState, element_offsets, trajectory
+from .geometry import ArraySpec, NodeState, element_offsets, trajectory
 
 
 class ZeroDistance(Exception):
@@ -24,10 +24,10 @@ class ZeroDistance(Exception):
 DOPPLER_PHASE_MODES = ("literal", "accumulated")
 
 # Complex matrix bytes per `build_channel` chunk: small, so the allocator reuses
-# a chunk's freed layers.  A chunk never splits a slot, whose peak per element
-# pair is a complex matrix (the last chunk's, or the SVD's copy) and four float64
-# layers (three of the chunk, and ||a_p - b_m||**2); `validate` caps a slot.
-CHUNK_BYTES, SLOT_PAIR_BYTES, SLOT_BYTES_MAX = 256 * 1024, 16 + 4 * 8, 256 * 2**20
+# a chunk's freed layers.  A chunk never splits a slot; at L = 256 to 1024 a lattice slot
+# peaks at 24-25 B per element pair under tracemalloc (matrix and index) and grows RSS by
+# ~41 B with the SVD's copy; `validate` caps 48 B (unlike arrays, no scenario's: 64 B).
+CHUNK_BYTES, SLOT_PAIR_BYTES, SLOT_BYTES_MAX = 256 * 1024, 48, 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,20 @@ def _dot3(x, y) -> np.ndarray:
     return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
+def _displacements(rx: ArraySpec, tx: ArraySpec) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct element displacements a_p - b_m (V, 3) and the (L_rx, L_tx) index
+    of each pair's row.  On arrays alike in spacing and angles a_p - b_m depends
+    only on the row and column index differences: the V = (R_rx+R_tx-1)(C_rx+C_tx-1)
+    rows are one such array's element offsets.  Other pairs list all L_rx*L_tx
+    rows in pair order, and their index is None."""
+    if replace(rx, rows=tx.rows, cols=tx.cols) != tx:
+        return (element_offsets(rx)[:, None] - element_offsets(tx)).reshape(-1, 3), None
+    p, p_col, m, m_col = np.ogrid[:rx.rows, :rx.cols, :tx.rows, :tx.cols]
+    lattice = replace(tx, rows=rx.rows + tx.rows - 1, cols=rx.cols + tx.cols - 1)
+    index = (p - m + tx.rows - 1) * lattice.cols + p_col - m_col + tx.cols - 1
+    return element_offsets(lattice), index.reshape(rx.size, tx.size)
+
+
 def _los_chunks(tx, rx, cfg, slot, slot_len, n_slots, chunk):
     """Path losses (n_slots,) and an iterator over (slots, matrices) of `los_matrix`,
     `chunk` whole slots at a time; all but a chunk's own layers is prepared once."""
@@ -94,38 +108,36 @@ def _los_chunks(tx, rx, cfg, slot, slot_len, n_slots, chunk):
         raise ValueError("accumulated Doppler phase needs slot_len")
     c = trajectory(rx, n_slots, slot_len) - trajectory(tx, n_slots, slot_len)
     beta = path_loss(c, cfg)
-    a, b, v = element_offsets(rx.array), element_offsets(tx.array), tx.velocity - rx.velocity
-    c2 = _dot3(c, c)
-    c_norm = np.sqrt(c2)
-    cv, av, bv = _dot3(c, v), _dot3(a, v), _dot3(b, v)
-    two_c = 2.0 * c[:, None]  # exact, and so is 2*(c.a) = (2c).a
-    ab2 = np.square(a[:, None] - b).sum(axis=-1)
+    (delta, index), v = _displacements(rx.array, tx.array), tx.velocity - rx.velocity
+    c2, cv, delta_v, delta2 = _dot3(c, c), _dot3(c, v), _dot3(delta, v), _dot3(delta, delta)
+    c_norm, two_c = np.sqrt(c2), 2.0 * c[:, None]  # 2c is exact, and so is 2*(c.delta) = (2c).delta
     k = 2.0 * np.pi / cfg.wavelength
     common, amplitude = k * np.fmod(c_norm, cfg.wavelength), np.sqrt(beta)
     elapsed = (slot + np.arange(n_slots)) * slot_len if cfg.doppler_phase_mode == "accumulated" else None
 
     def chunks():
         for s in (slice(start, start + chunk) for start in range(0, n_slots, chunk)):
-            theta = np.subtract((cv[s, None] + av)[:, :, None], bv)  # d.v
-            excess = np.subtract(_dot3(two_c[s], a)[:, :, None], _dot3(two_c[s], b)[:, None, :])
-            excess += ab2  # ||d||**2 - ||c||**2
-            dist = excess + c2[s, None, None]
+            theta = cv[s, None] + delta_v  # d.v
+            excess = _dot3(two_c[s], delta) + delta2  # ||d||**2 - ||c||**2
+            dist = excess + c2[s, None]
             np.sqrt(dist, out=dist)
             theta /= dist
             if elapsed is not None:
-                theta *= elapsed[s, None, None]
-            dist += c_norm[s, None, None]
+                theta *= elapsed[s, None]
+            dist += c_norm[s, None]
             excess /= dist  # ||d|| - ||c||
             theta += excess
             del excess, dist
             theta *= k
-            theta += common[s, None, None]
-            matrix = np.empty(theta.shape, dtype=complex)
+            theta += common[s, None]
+            matrix = np.empty(theta.shape, dtype=complex)  # one phasor per displacement
             np.cos(theta, out=matrix.real)
             np.sin(theta, out=matrix.imag)
             del theta  # before the scaling's casting buffer
-            matrix *= amplitude[s, None, None]
-            yield s, matrix
+            matrix *= amplitude[s, None]
+            if index is not None:  # the phasors go before the SVD's copy
+                matrix = matrix.take(index, axis=1)
+            yield s, matrix.reshape(len(matrix), rx.array.size, tx.array.size)
 
     return beta, chunks()
 
@@ -141,13 +153,13 @@ def los_matrix(tx: NodeState, rx: NodeState, cfg: RadioConfig, slot: int = 0,
     (center offset, receive and transmit element offsets) and the relative
     velocity v, so a static ground unit adds no Doppler.
 
-    The (n_slots, L_rx, L_tx, 3) tensor d is never formed: d.v and
-    ||d||**2 - ||c_n||**2 = 2*(c_n.a_p - c_n.b_m) + ||a_p - b_m||**2 come from
-    per-slot and per-element dot products, ||d|| - ||c_n|| is the latter
-    over ||d|| + ||c_n||, and the common phase of ||c_n|| is reduced to one
-    wavelength exactly, which keeps a long link accurate.  The stack is one
-    chunk, holding at most three float64 layers of n_slots*L_rx*L_tx; each
-    step is elementwise, so a slot's matrix is the same bit for bit in any chunk.
+    The phase runs once per slot and distinct displacement delta = a_p - b_m
+    (alike arrays have (R_rx+R_tx-1)(C_rx+C_tx-1), and one index gathers each
+    slot's matrix; other arrays hold every pair's delta): d.v = c_n.v + delta.v, ||d||**2 - ||c_n||**2 = 2*c_n.delta +
+    ||delta||**2, ||d|| - ||c_n|| is the latter over ||d|| + ||c_n||, and the
+    common phase of ||c_n|| is reduced to one wavelength exactly, which keeps a
+    long link accurate.  The stack is one chunk; each step is elementwise, so a
+    slot's matrix is the same bit for bit in any chunk.
     """
     beta, chunks = _los_chunks(tx, rx, cfg, slot, slot_len, n_slots, n_slots)
     return beta, next(chunks)[1]

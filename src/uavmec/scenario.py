@@ -37,6 +37,7 @@ class ValidationError(Exception):
 MODES = ("optimized", "baseline", "rank1_bound", "fullrank_bound")
 
 _STOCK_ELEVATIONS = np.array([math.pi / 3, math.pi / 4, math.pi / 6])
+HORIZON_BYTES_MAX = 256 * 2**20  # bytes of gain table and spectra that `validate` admits
 
 
 @dataclass
@@ -358,15 +359,17 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
                  "capacitance_uav", "epsilon"):
         if name not in bad and _any(getattr(cfg, name), lambda v: v <= 0):
             errors.append(f"{_FIELD_SECTION[name]}.{name}: must be positive")
-    timing_ok = not bad & {"horizon", "slot"}
+    timing_ok, n_slots = not bad & {"horizon", "slot"}, 0  # 0 unless horizon/slot is a slot count
     if timing_ok and (cfg.slot <= 0 or cfg.horizon <= 0):
         errors.append("task.horizon/task.slot: must be positive")
     elif timing_ok:
         ratio = cfg.horizon / cfg.slot
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             errors.append(
                 f"task.horizon: horizon/slot = {ratio} is not a positive integer slot count"
             )
+        else:
+            n_slots = round(ratio)
     if not bad & {"cpu_vehicle", "cpu_uav"} and cfg.cpu_vehicle >= cfg.cpu_uav:
         errors.append("task.cpu_vehicle: vehicle CPU must be slower than the UAV server")
     for name in ("bandwidth", "wavelength", "reference_gain", "noise_density"):
@@ -389,6 +392,11 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         if (need := SLOT_PAIR_BYTES * getattr(cfg, tx) * getattr(cfg, rx)) > SLOT_BYTES_MAX:
             errors.append(f"radio.{tx}/radio.{rx}: one slot of the {getattr(cfg, tx)} x {getattr(cfg, rx)} "
                           f"(L_tx x L_rx) link needs {need:,} bytes to build, over the {SLOT_BYTES_MAX:,}-byte budget")
+        # a build keeps the (4, K, N, L) float64 gain table and the K+1 (N, L) spectra
+        up, relay = (min(getattr(cfg, a), getattr(cfg, b)) for a, b in zip(arrays, arrays[1:]))
+        if (need := 8 * n_slots * (4 * k * max(up, relay) + k * up + relay)) > HORIZON_BYTES_MAX:
+            errors.append(f"task.horizon/task.slot: the gain table and spectra of N = {n_slots:,} slots need "
+                          f"{need:,} bytes, over the {HORIZON_BYTES_MAX:,}-byte budget")
     if "path_loss_exponent" not in bad and cfg.path_loss_exponent < 1:
         errors.append("radio.path_loss_exponent: must be at least 1")
     # a UAV at or below the road coincides with, or flies under, the vehicles

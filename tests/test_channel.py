@@ -8,6 +8,7 @@ from uavmec.channel import (
     DOPPLER_PHASE_MODES,
     RadioConfig,
     ZeroDistance,
+    _displacements,
     build_channel,
     los_matrix,
     path_loss,
@@ -273,7 +274,35 @@ DISPLACEMENT_LINKS = {
     # center distance 0.61 m against an aperture of 0.525 m per side
     "aperture-distance": (node([0, 0, 0], make_velocity(1, 0), 8, 8), node([0.1, 0, 0.6], [0, 0, 0], 8, 8),
                           "literal"),
+    # an odd-by-even lattice of 6 x 6 displacements
+    "3x5-to-4x2": (node(VEH_POS, VEH_VEL, 3, 5, **TILT), node(UAV_POS, UAV_VEL, 4, 2, **TILT), "accumulated"),
+    # no shared lattice: every element pair has its own displacement
+    "spacing-differs": (node(VEH_POS, VEH_VEL, 4, 4),
+                        NodeState(np.asarray(UAV_POS), UAV_VEL, ArraySpec(3, 3, 0.05)), "literal"),
 }
+
+
+def test_alike_arrays_displace_on_one_lattice():
+    # mixed parity and a shared tilt: rx 2 x 3 against tx 5 x 4 take
+    # (2+5-1)(3+4-1) = 36 distinct displacements for their 6 * 20 pairs
+    rx, tx = ArraySpec(2, 3, 0.075, **TILT), ArraySpec(5, 4, 0.075, **TILT)
+    delta, index = _displacements(rx, tx)
+    pairs = element_offsets(rx)[:, None] - element_offsets(tx)
+    assert delta.shape == (36, 3) and index.shape == (6, 20)
+    assert np.array_equal(np.unique(index), np.arange(36))
+    assert np.abs(delta[index] - pairs).max() <= 1e-15
+    # swapped, the roles of the two arrays' index differences swap too
+    delta, index = _displacements(tx, rx)
+    assert delta.shape == (36, 3) and np.abs(delta[index] + pairs.transpose(1, 0, 2)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("tx", [ArraySpec(5, 4, 0.05, **TILT), ArraySpec(5, 4, 0.075, slant=np.pi / 3),
+                                ArraySpec(5, 4, 0.075, **dict(TILT, bearing=1.0))])
+def test_arrays_unlike_in_spacing_or_angles_list_every_pair(tx):
+    rx = ArraySpec(2, 3, 0.075, **TILT)
+    delta, index = _displacements(rx, tx)
+    assert delta.shape == (6 * 20, 3) and index is None
+    assert np.array_equal(delta.reshape(6, 20, 3), element_offsets(rx)[:, None] - element_offsets(tx))
 
 
 @pytest.mark.parametrize("link", DISPLACEMENT_LINKS)

@@ -5,10 +5,13 @@ import operator
 import numpy as np
 import pytest
 
+from conftest import load_perfbench
 from uavmec import channel, geometry, instance
 from uavmec.channel import SLOT_BYTES_MAX, SLOT_PAIR_BYTES, los_matrix
 from uavmec.instance import PHASE_DOWN_RSU, PHASE_DOWN_UAV, PHASE_OFFLOAD
+from uavmec.runner import set_axis
 from uavmec.scenario import (
+    HORIZON_BYTES_MAX,
     ParseError,
     ScenarioConfig,
     ValidationError,
@@ -213,6 +216,37 @@ def test_arrays_too_large_to_build_refused_from_the_estimate():
     assert validate(ScenarioConfig(antennas_vehicle=2048, antennas_uav=2048)).antennas_uav == 2048
 
 
+def test_horizon_too_long_to_hold_refused_from_the_estimate():
+    # validate refuses from the estimate alone: 1,000,000 stock slots would
+    # keep a (4, 3, N, 36) float64 gain table and 4 (N, 36) spectra, about
+    # 4.6 GB, and nothing is built
+    with pytest.raises(ValidationError) as err:
+        validate(ScenarioConfig(horizon=2e5))
+    need = 8 * 10**6 * (4 * 3 * 36 + 4 * 36)
+    assert need > HORIZON_BYTES_MAX
+    assert err.value.errors == [f"task.horizon/task.slot: the gain table and spectra of N = 1,000,000 slots "
+                                f"need {need:,} bytes, over the {HORIZON_BYTES_MAX:,}-byte budget"]
+    # the shorter spectrum of each link sets its width: 64-element vehicles
+    # and UAV keep 64 values on the uplinks, and the 9-element ground unit 9
+    # on the relay, in a table 64 wide
+    with pytest.raises(ValidationError) as err:
+        validate(ScenarioConfig(horizon=2e5, antennas_vehicle=64, antennas_uav=64, antennas_rsu=9))
+    assert f"need {8 * 10**6 * (4 * 3 * 64 + 3 * 64 + 9):,} bytes" in err.value.errors[0]
+    # a slot count past the floats is named, not an OverflowError
+    with pytest.raises(ValidationError) as err:
+        validate(ScenarioConfig(horizon=1e300, slot=1e-300))
+    assert err.value.errors == ["task.horizon: horizon/slot = inf is not a positive integer slot count"]
+    # the stock config, every golden config and the benchmark's random
+    # draws of seeds 1-5 fit
+    stock = validate(ScenarioConfig())
+    golden = [set_axis(stock, "task_bits", bits) for bits in range(100_000, 900_001, 100_000)]
+    golden += [set_axis(stock, "antennas", count) for count in (9, 16, 25, 36, 49, 64)]
+    golden += [set_axis(stock, "uav_altitude", height) for height in (20, 30, 40, 50, 60)]
+    workloads = load_perfbench("workloads")
+    draws = [load_scenario(text) for seed in range(1, 6) for text in workloads.draw_block(np.random.default_rng(seed))]
+    assert len(golden) == 20 and len(draws) == 60
+
+
 @pytest.mark.parametrize("section, key", COUNT_KEYS)
 def test_count_in_config_text_must_be_whole(section, key):
     with pytest.raises(ValidationError) as err:
@@ -309,11 +343,11 @@ def test_roll_out_builds_each_link_once_per_slot(monkeypatch, built_links):
     monkeypatch.setattr(channel, "element_offsets", counting_offsets)
     inst = build_instance(load_scenario("[task]\nhorizon = 0.4 s\n"))
     # one call per link covers every slot: K vehicle-UAV links, read in both
-    # directions, and the UAV-to-ground-unit relay; each call places the
-    # elements of its two arrays once
+    # directions, and the UAV-to-ground-unit relay; the arrays of each share
+    # spacing and angles, so each call places its displacement lattice once
     assert inst.n_slots == 2
     assert len(built_links) == inst.n_vehicles + 1
-    assert len(offsets) == 2 * len(built_links)
+    assert len(offsets) == len(built_links)
     assert np.array_equal(inst.gains[PHASE_OFFLOAD], inst.gains[PHASE_DOWN_UAV])
     assert np.array_equal(inst.gains[PHASE_DOWN_UAV], inst.gains[PHASE_DOWN_RSU])
 
