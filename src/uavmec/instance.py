@@ -11,7 +11,7 @@ import numpy as np
 from .channel import LinkChannel, RadioConfig, build_channel
 from .energy import ComputeModel, FlightPowerModel, flight_energy
 # Nothing here calls `advance`; the benchmark's tracer wraps `instance.advance`,
-# so the name stays until the benchmark drops that layer (ROADMAP item 1).
+# so the name stays until the benchmark drops that layer (ROADMAP item 2).
 from .geometry import NetworkState, advance
 
 # Phase indices used throughout the solver: uplink offload, UAV-to-ground

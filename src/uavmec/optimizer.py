@@ -23,7 +23,8 @@ and r' of the warm start and the completions is B/ln2 times a sum of phi's,
 from the cap pass's one call or a power root's last call, and the warm start
 hands its kept price's powers and rates on.  The minimum-bits price is
 closed form; the time prices and `power_opt`'s powers come from one
-safeguarded Newton root on analytic slopes, `_log_root`.
+safeguarded Newton root on analytic slopes, `_log_root`, whose steps move at
+most 16 halvings down until a step lands below the root.
 
 Multiplier order inside every length-6 vector: the prices of the
 minimum-bits constraint, the sub-slot time budget, and the four link
@@ -127,18 +128,21 @@ def _log_root(need, budget, hi):
     |t| < 128) above the root, so the iterates settle on its feasible side.
     The first evaluation is at hi; the bottom hi * 2**-80 stays an open end
     until a step lands below the root, and the ends move by the sign of
-    need - budget.  A step that is not finite or leaves the bracket takes the
-    log-midpoint, or moves 16 halvings down (to the bottom at most) while the
-    low end is open.  A block stops at a feasible point that is the bottom or
-    whose step is at most 1e-14 down (there the need fills the budget to its
-    rounding), or when its bracket is narrower than 1e-13; at most 100 steps
-    run.
+    need - budget.  While the low end is open a step moves at most 16
+    halvings down: the slope at hi can leave out how the need's inputs
+    respond (every power clamped at the ceiling), and a full step from there
+    would land tens of e-folds below the root.  A step that is not finite or
+    leaves the bracket takes the log-midpoint, or moves those 16 halvings
+    down (to the bottom at most) while the low end is open.  A block stops at
+    a feasible point that is the bottom or whose step is at most 1e-14 down
+    (there the need fills the budget to its rounding), or when its bracket is
+    narrower than 1e-13; at most 100 steps run.
 
     Returns the feasible end of the bracket (need(x) <= budget): hi where even
     need(hi) exceeds the budget, hi * 2**-80 where the whole bracket fits, and
     0 where hi = 0.
     """
-    bottom, x = hi * 2.0**-80, hi
+    bottom, x, down = hi * 2.0**-80, hi, 16.0 * np.log(2.0)
     with np.errstate(divide="ignore"):
         t_lo = t_bottom = np.log(bottom)
         t = t_hi = np.log(hi)
@@ -158,10 +162,10 @@ def _log_root(need, budget, hi):
             done |= t_hi - t_lo <= 1e-13
         if done.all():
             break
-        t_new = t + step
+        t_new = t + np.where(closed, step, np.maximum(step, -down))
         t = np.where(done, t, np.where((t_new > t_lo) & (t_new < t_hi), t_new,
                                        np.where(closed, 0.5 * (t_lo + t_hi),
-                                                np.maximum(t - 16.0 * np.log(2.0), t_bottom))))
+                                                np.maximum(t - down, t_bottom))))
         x = np.where(done, hi, np.where(t <= t_bottom, bottom, np.exp(t)))
         value, slope = need(x)
     return hi
@@ -491,11 +495,14 @@ def warm_start(inst: ProblemInstance, caps: CapFacts):
     Finds the time price at which `_candidate`'s sub-slot need, which falls
     as the price rises, meets the sub-slot, by `_log_root`'s Newton steps on
     the analytic need' that `_candidate` returns, and zeroes the blocks
-    without load.  Past the power-cap ceiling the powers stay capped but the
-    rate prices rise and the split tends to `feasible_split`'s, so the need
-    keeps falling: every block carries its bits under that split (the solve
-    checks `caps.feasible` first), so where one needs more than the sub-slot
-    at the ceiling, the bracket top doubles until the need fits.  Each power
+    without load.  At the ceiling every power is clamped, so need' there
+    leaves out the powers' response; the root's first step moves at most 16
+    halvings down, so the power roots restart near their own roots.  Past
+    the ceiling the powers stay capped but the rate prices rise and the
+    split tends to `feasible_split`'s, so the need keeps falling: every
+    block carries its bits under that split (the solve checks
+    `caps.feasible` first), so where one needs more than the sub-slot at the
+    ceiling, the bracket top doubles until the need fits.  Each power
     root starts on the tangent at the last evaluation, p*exp(dlog(mu) *
     mu*(dp/dmu)/p) capped at p_max (an Euler predictor), or at p_max past a
     clamped or zero power, so an unchanged price costs one `_phi` call.  The

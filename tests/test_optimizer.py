@@ -926,6 +926,30 @@ def test_time_price_root_edges():
     assert infeasible.tolist() == [[False, False, True]]
 
 
+def test_time_price_root_bounds_its_steps_down_until_the_low_end_closes():
+    # need = budget * (root/x)**3, whose slope at hi reads 30x too shallow,
+    # as at the ceiling where every power is clamped: a full Newton step from
+    # hi lands 30 halvings below a root 1 halving down.  Until an evaluation
+    # lands below the root, each one lies at most 16 halvings below the last,
+    # and a root 70 halvings down is still reached inside the 100 steps
+    budget, hi = 2.0, np.ones(2)
+    root, xs = hi * 2.0 ** -np.array([1.0, 70.0]), []
+
+    def need(x):
+        value = budget * (root / x) ** 3
+        return value, -value / x * np.where(x >= hi, 0.1, 3.0)
+
+    x = opt._log_root(lambda x: xs.append(x) or need(x), budget, hi)
+    assert len(xs) <= 100  # a stopping rule ended the search
+    closed = np.zeros(2, dtype=bool)
+    for before, after in zip(xs, xs[1:]):
+        closed |= need(before)[0] > budget
+        assert (closed | (after >= before * 2.0**-16 * (1.0 - 1e-12))).all()
+    assert closed.all()
+    assert (need(x)[0] <= budget).all()
+    assert (np.abs(np.log(x / root)) <= 1e-13).all()
+
+
 def test_time_price_root_dead_links_give_zero():
     inst = make_synthetic_instance(gain=0.0)
     caps = opt._at_caps(inst)
@@ -939,10 +963,11 @@ def test_time_price_root_dead_links_give_zero():
 
 
 def test_time_price_searches_evaluate_need_at_most_7_times(stock_points, monkeypatch):
-    # 6 measured at task_bits 1e5 and 7 at 3e5-9e5: the kept price's dual
-    # point and powers are its last root evaluation's.  7-8 when one more
-    # call solved the kept price from p_max; 13-14 with an Illinois root over
-    # [ceiling * 2**-80, ceiling]
+    # 6 measured at task_bits 1e5 and 3e5 and 7 at 5e5-9e5, with the root's
+    # steps bounded to 16 halvings down while its low end is open (7 at
+    # 3e5 without the bound): the kept price's dual point and powers are its
+    # last root evaluation's.  7-8 when one more call solved the kept price
+    # from p_max; 13-14 with an Illinois root over [ceiling * 2**-80, ceiling]
     calls = {}
     _count_calls(monkeypatch, calls, "_candidate", "_power_from_time_price")
     for inst in stock_points.values():
@@ -1014,9 +1039,10 @@ def test_warm_start_power_roots_confirm_an_unchanged_price_in_one_phi_call(stock
 
 
 def test_stock_solve_evaluates_phi_in_at_most_24_calls_on_72_phase_rows(stock_points, monkeypatch):
-    # 22 stacked calls on 67 phase rows measured: the cap pass on the four
-    # phases and 21 calls on the three power roots (66 rows when the cap
-    # pass took the three roots alone).  32 on 96 when the kept price was
+    # 22 stacked calls on 67 phase rows measured, with and without the time
+    # price root's bound on its steps down: the cap pass on the four phases
+    # and 21 calls on the three power roots (66 rows when the cap pass took
+    # the three roots alone).  32 on 96 when the kept price was
     # solved again from p_max and each root started on the previous powers,
     # not on their tangent; one root per phase took 119 single-phase calls, 120
     # when the completion solved the warm start's powers again and the roots
@@ -1031,6 +1057,33 @@ def test_stock_solve_evaluates_phi_in_at_most_24_calls_on_72_phase_rows(stock_po
     assert state.converged
     assert rows[0] == 4 and set(rows[1:]) == {3}
     assert len(rows) <= 24 and sum(rows) <= 72
+
+
+def test_stock_trend_evaluates_phi_in_at_most_182_calls(monkeypatch):
+    # the 9 stock task_bits points: 17 stacked calls at 1e5-3e5, 21 at 4e5
+    # and 22 at 5e5-9e5, and 60 `_candidate` calls, 6 or 7 a point, measured
+    # with the time price root's steps bounded to 16 halvings down while its
+    # low end is open.  221 calls (22-32 a point) and 62 candidates without
+    # the bound, whose first step from the ceiling, where every power is
+    # clamped, fell 25 e-folds below the root at 5e5
+    calls = {}
+    _count_calls(monkeypatch, calls, "_candidate", "_phi")
+    for task_bits in range(100_000, 900_001, 100_000):
+        cfg = validate(ScenarioConfig(task_bits=float(task_bits)))
+        state = ellipsoid_solve(build_instance(cfg), eps=cfg.epsilon, max_iterations=cfg.max_iterations)
+        assert state.converged and state.iterations == 0
+    assert calls["_phi"] <= 182 and calls["_candidate"] <= 60
+
+
+def test_stock_warm_start_one_percent_short_certifies_within_the_cap(stock_points, monkeypatch):
+    # multipliers 1 % short of the warm start's leave the ellipsoid to close
+    # the gap: its cuts evaluate `power_opt`'s roots, and each completion the
+    # carry root, both `_log_root`s.  199 iterations measured, with and
+    # without that root's bound on its steps down; the stock cap is 200
+    cfg = validate(ScenarioConfig(task_bits=5e5))
+    _scaled_warm_start(monkeypatch, 0.99)
+    state = ellipsoid_solve(stock_points[5e5], eps=cfg.epsilon, max_iterations=cfg.max_iterations)
+    assert state.converged and 0 < state.iterations <= cfg.max_iterations
 
 
 def _bisected_min_bits_price(inst, mu):
