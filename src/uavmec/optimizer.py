@@ -140,7 +140,9 @@ def _log_root(need, budget, hi):
 
     Returns the feasible end of the bracket (need(x) <= budget): hi where even
     need(hi) exceeds the budget, hi * 2**-80 where the whole bracket fits, and
-    0 where hi = 0.
+    0 where hi = 0.  The last call of need is at that end, so a caller can
+    keep what need computed there: where a block's last iterate is another
+    point, one more call runs at the end.
     """
     bottom, x, down = hi * 2.0**-80, hi, 16.0 * np.log(2.0)
     with np.errstate(divide="ignore"):
@@ -168,6 +170,8 @@ def _log_root(need, budget, hi):
                                                 np.maximum(t - down, t_bottom))))
         x = np.where(done, hi, np.where(t <= t_bottom, bottom, np.exp(t)))
         value, slope = need(x)
+    if (x != hi).any():
+        need(hi)
     return hi
 
 
@@ -493,48 +497,42 @@ def warm_start(inst: ProblemInstance, caps: CapFacts):
     """Dual seed per block from the one-dimensional time-price reduction.
 
     Finds the time price at which `_candidate`'s sub-slot need, which falls
-    as the price rises, meets the sub-slot, by `_log_root`'s Newton steps on
-    the analytic need' that `_candidate` returns, and zeroes the blocks
-    without load.  At the ceiling every power is clamped, so need' there
-    leaves out the powers' response; the root's first step moves at most 16
-    halvings down, so the power roots restart near their own roots.  Past
-    the ceiling the powers stay capped but the rate prices rise and the
-    split tends to `feasible_split`'s, so the need keeps falling: every
-    block carries its bits under that split (the solve checks
-    `caps.feasible` first), so where one needs more than the sub-slot at the
-    ceiling, the bracket top doubles until the need fits.  Each power
-    root starts on the tangent at the last evaluation, p*exp(dlog(mu) *
-    mu*(dp/dmu)/p) capped at p_max (an Euler predictor), or at p_max past a
-    clamped or zero power, so an unchanged price costs one `_phi` call.  The
-    kept price takes its last evaluation's dual point, powers and rates; one
-    more `_candidate` runs only where a block was last evaluated elsewhere
-    (after the doubling).  Returns (multipliers, dual values, (powers,
-    rates)) at the kept price, zeroed on the blocks without load.
+    as the price rises, meets the sub-slot, by one `_log_root` on the
+    analytic need' that `_candidate` returns, and zeroes the blocks without
+    load.  It settles the bracket first.  Past the ceiling the powers stay
+    capped but the rate prices rise and the split tends to
+    `feasible_split`'s, so the need keeps falling: every block carries its
+    bits under that split (the solve checks `caps.feasible` first), so where
+    one needs more than the sub-slot at the ceiling, its bracket top doubles
+    until the need fits.  Every power is clamped at the ceiling, so need'
+    there leaves out the powers' response; the root's first step moves at
+    most 16 halvings down, so the power roots restart near their own roots.
+    Each power root starts on the tangent at the last evaluation,
+    p*exp(dlog(mu) * mu*(dp/dmu)/p) capped at p_max (an Euler predictor), or
+    at p_max past a clamped or zero power; a price equal to the last one
+    returns that evaluation, as at the root's first call.  Returns
+    (multipliers, dual values, (powers, rates)) from the root's last
+    evaluation, at its price, zeroed on the blocks without load.
     """
-    pmax, last = inst.power_max[:, None, None], None  # (mu, chi, powers, dp/dmu, rates) last evaluated
+    pmax, last = inst.power_max[:, None, None], None  # (mu, chi, powers, dp/dmu, rates, need, need') last evaluated
 
     def need(mu):
         nonlocal last
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # nan, so p_max, after a zero power
-            start = last and np.minimum(last[2] * (mu / last[0]) ** (last[0] * last[3] / last[2]), pmax)
-        chi, value, slope, powers, dpowers, rates = _candidate(inst, caps, mu, start)
-        last = mu, chi, powers, dpowers, rates
-        return value, slope
+        if last is None or not np.array_equal(mu, last[0]):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # nan, so p_max, after a zero power
+                start = last and np.minimum(last[2] * (mu / last[0]) ** (last[0] * last[3] / last[2]), pmax)
+            chi, value, slope, powers, dpowers, rates = _candidate(inst, caps, mu, start)
+            last = mu, chi, powers, dpowers, rates, value, slope
+        return last[5:]
 
-    mu = _log_root(need, inst.subslot, caps.ceiling)
-    # the root stops at its top where the need there exceeds the sub-slot
-    top, over = caps.ceiling, mu >= caps.ceiling
+    top, over = caps.ceiling, need(caps.ceiling)[0] > inst.subslot
     for _ in range(_TIME_PRICE_DOUBLINGS):
         if not over.any():
             break
         top = np.where(over, 2.0 * top, top)
         over &= need(top)[0] > inst.subslot
-    raised = top > caps.ceiling
-    if raised.any():  # a zero bracket top leaves the other blocks out of the root
-        mu = np.where(raised, _log_root(need, inst.subslot, np.where(raised, top, 0.0)), mu)
-    if (last[0] != mu).any():  # a block last evaluated at another price
-        need(mu)
-    _, chi, powers, _, rates = last
+    _log_root(need, inst.subslot, top)
+    _, chi, powers, _, rates = last[:5]
     idle = inst.min_bits <= 0.0
     chi, kept = np.where(idle[..., None], 0.0, chi), tuple(np.where(idle, 0.0, a) for a in (powers, rates))
     value, _ = dual_point_eval(inst, chi, kept)
@@ -600,27 +598,29 @@ def complete_primal(inst: ProblemInstance, caps: CapFacts, bits, mu, powers=None
     `_phase_powers`': a block keeps it when its carry times there fit that
     budget and fill it to within 1e-12 relative, or when it carries no load.
     Only the blocks that fail this take the price from the time-price root
-    (the warm start's, up to `caps.ceiling`), with `_phase_powers`' powers
-    and rates there, and the root runs only when some block fails.  Returns
-    (powers (4,K,N), times (4,K,N), per-block weighted energy, infeasible
-    mask).
+    (the warm start's, up to `caps.ceiling`), which runs only when some block
+    fails; they take the powers and carry times of the root's last carry
+    evaluation, which is at the price it returns.  Returns (powers (4,K,N),
+    times (4,K,N), per-block weighted energy, infeasible mask).
     """
     bl, bu, br = bits
     loads = phase_loads(inst, bu, br)
     budget = inst.subslot - compute_time(bu, inst.uav_compute)
+    last = None  # (powers, carry times) last evaluated
 
     def carry(mu):  # sum of the carry times and its slope in mu, bits fixed
-        _, rates, dpowers, r_prime = _phase_powers(inst, caps, mu)
-        return sum(carry_time(loads, rates)), _carry_slope(loads, 0.0, rates, r_prime * dpowers)
+        nonlocal last
+        p, rates, dpowers, r_prime = _phase_powers(inst, caps, mu)
+        last = p, carry_time(loads, rates)
+        return sum(last[1]), _carry_slope(loads, 0.0, rates, r_prime * dpowers)
 
     powers, rates = _phase_powers(inst, caps, mu)[:2] if powers is None else powers
     times = carry_time(loads, rates)
     retry = ~((np.abs(sum(times) - budget) <= 1e-12 * budget) | (loads[0] <= 0.0))
     if retry.any():
         # a zero bracket top leaves the kept blocks out of the root
-        p_root, r_root = _phase_powers(inst, caps, _log_root(carry, budget, np.where(retry, caps.ceiling, 0.0)))[:2]
-        times = np.where(retry, carry_time(loads, r_root), times)
-        powers = np.where(retry, p_root, powers)
+        _log_root(carry, budget, np.where(retry, caps.ceiling, 0.0))
+        powers, times = np.where(retry, last[0], powers), np.where(retry, last[1], times)
     # the root is mu_hi wherever even that price is short
     infeasible = (sum(times) > budget * (1.0 + 1e-12)) | (budget < -1e-15)
     times = np.where(np.isfinite(times), times, 0.0)

@@ -283,9 +283,10 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     it through, and a word, NaN or inf in a key without a range check (an
     azimuth, a climb angle, the bearing) fails later in the geometry or the
     SVD with an error that names no key.  A key that fails here skips its
-    range check.  The geometry checks reject what would place a node wrongly:
-    a UAV at or below the road, an elevation angle outside (0, pi/2] that
-    places a node, an array tilted past a right angle, a negative speed.
+    range check.  The geometry checks reject what would place or fly a node
+    wrongly: a UAV at or below the road, an elevation angle outside
+    (0, pi/2] that places a node, a position of the wrong shape, an array
+    tilted past a right angle, a negative speed, a fixed-wing UAV that stalls.
     """
     errors, bad = [], set()
     for f in fields(cfg):
@@ -408,6 +409,21 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     for name in ("slant", "downtilt"):
         if name not in bad and abs(getattr(cfg, name)) > math.pi / 2:
             errors.append(f"geometry.{name}: must lie in [-pi/2, pi/2]")
+    # a fixed-wing UAV's propulsion power grows as 1/v_xy, without bound at a stall
+    if cfg.uav_model == "fixed_wing" and not bad & {"uav_speed", "uav_climb"}:
+        if abs(cfg.uav_climb) >= math.pi / 2:
+            errors.append("geometry.uav_climb: a fixed-wing UAV needs |uav_climb| < pi/2")
+        elif cfg.uav_speed * math.cos(cfg.uav_climb) <= 0:
+            errors.append("geometry.uav_speed: a fixed-wing UAV needs uav_speed*cos(uav_climb) > 0")
+    # config text reads one row of coordinates flat, so one vehicle's may come as a 3-vector
+    if cfg.vehicle_positions is not None and "vehicle_positions" not in bad:
+        pos = np.asarray(cfg.vehicle_positions, dtype=float)
+        cfg.vehicle_positions = pos.reshape(1, 3) if k == 1 and pos.shape == (3,) else pos
+        if cfg.vehicle_positions.shape != (k, 3):
+            errors.append(f"geometry.vehicle_positions: expected shape ({k}, 3), one x,y,z row per vehicle, "
+                          f"got {pos.shape}")
+    if cfg.rsu_position is not None and "rsu_position" not in bad and np.shape(cfg.rsu_position) != (3,):
+        errors.append(f"geometry.rsu_position: expected shape (3,), one x,y,z, got {np.shape(cfg.rsu_position)}")
     # an elevation angle places its node only when no explicit position does
     for name, placed in (("vehicle_elevations", cfg.vehicle_positions),
                          ("rsu_elevation", cfg.rsu_position)):

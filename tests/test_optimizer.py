@@ -449,6 +449,38 @@ def test_perturbed_warm_start_certifies_after_an_improvement(f, monkeypatch):
     assert report.feasible and abs(report.wtec - base.wtec) <= 2 * eps * base.wtec
 
 
+@pytest.mark.parametrize("f", [0.5, 1.1])
+def test_retried_completion_reads_its_roots_last_evaluation(f, monkeypatch):
+    # each completion of a perturbed run solves the powers at its candidate
+    # price, then once per evaluation of its time-price root, whose last one
+    # gives the retried blocks' powers and times: no `_phase_powers` call
+    # runs after the root returns (one more ran per retried completion when
+    # it solved them again at the root's price)
+    inst = make_synthetic_instance(n_vehicles=2, n_slots=2)
+    _scaled_warm_start(monkeypatch, f)
+    counts, retried, root, complete = {"need": 0}, [], opt._log_root, opt.complete_primal
+
+    def counted_root(need, *args):
+        def counted(x):
+            counts["need"] += 1
+            return need(x)
+
+        return root(counted, *args)
+
+    def completion(*args):
+        counts.update(need=0, _phase_powers=0)
+        out = complete(*args)
+        assert counts["_phase_powers"] == 1 + counts["need"]
+        retried.append(counts["need"] > 0)
+        return out
+
+    _count_calls(monkeypatch, counts, "_phase_powers")
+    monkeypatch.setattr(opt, "_log_root", counted_root)
+    monkeypatch.setattr(opt, "complete_primal", completion)
+    assert opt.algorithm1(inst, 1e-4, max_iterations=400).converged
+    assert any(retried)
+
+
 def test_signed_gap_is_kept_below_zero(monkeypatch):
     # a dual bound 1e-13 above the primal is within the tolerance: the gap
     # stays negative instead of being clipped to 0
@@ -1014,28 +1046,37 @@ def test_cap_pass_rates_and_slopes_are_rate_and_rate_derivative(case):
         assert (facts.slopes == 0.0).all() and (facts.rates == 0.0).all()
 
 
-def test_warm_start_power_roots_confirm_an_unchanged_price_in_one_phi_call(stock_points, monkeypatch):
-    # evaluated again at the price it last took, the warm start's need starts
-    # each power root on that evaluation's powers (a zero tangent step): one
-    # phi call confirms them, and the need and its slope keep their bits.
-    # Also after the doubling, where the second root holds the other blocks
-    # at price 0
+def test_warm_start_runs_one_root_and_keeps_its_last_evaluation(stock_points, monkeypatch):
+    # the warm start settles its bracket, doubling it past the ceiling on the
+    # 4-vehicle reproducer, then runs one time-price root: its first call, at
+    # the bracket top, and a call again at the price it returns, where its
+    # last call was, read the kept evaluation with no phi call and the same
+    # bits.  Two roots on the 4-vehicle reproducer when a second one held the
+    # other blocks at price 0, and one phi call for an unchanged price
     root, phi, calls, roots = opt._log_root, opt._phi, [], []
 
-    def again(need, budget, hi):
-        mu = root(need, budget, hi)
-        first = need(mu)
-        calls.clear()
-        # (the slope is nan on the blocks held at price 0)
-        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(need(mu), first)) and len(calls) == 1
+    def once(need, budget, hi):
+        evaluated = []
+
+        def recorded(x):
+            before = len(calls)
+            evaluated.append((x, need(x), len(calls) - before))
+            return evaluated[-1][1]
+
+        mu = root(recorded, budget, hi)
+        x, last, _ = evaluated[-1]
+        before = len(calls)
+        assert np.array_equal(x, mu) and evaluated[0][2] == 0
+        assert all(np.array_equal(a, b) for a, b in zip(need(mu), last)) and len(calls) == before
         roots.append(mu)
         return mu
 
-    monkeypatch.setattr(opt, "_log_root", again)
+    monkeypatch.setattr(opt, "_log_root", once)
     monkeypatch.setattr(opt, "_phi", lambda *args: calls.append(1) or phi(*args))
     for inst in [*stock_points.values(), build_instance(load_scenario(UNCERTIFIED_4_VEHICLES))]:
+        roots.clear()
         warm_start(inst, opt._at_caps(inst))
-    assert len(roots) == len(stock_points) + 2
+        assert len(roots) == 1
 
 
 def test_stock_solve_evaluates_phi_in_at_most_24_calls_on_72_phase_rows(stock_points, monkeypatch):

@@ -317,6 +317,37 @@ def test_position_overrides_reach_geometry():
     assert np.allclose(inst.states[0].rsu.position, [-20, 0, 0])
 
 
+def test_one_vehicle_position_round_trips_through_the_echo():
+    # config text reads one row flat, and the echo writes a (1, 3) position as one row
+    cfg = load_scenario("[network]\nvehicles = 1\n[geometry]\nvehicle_positions = 5,1,0\n")
+    again = load_scenario(echo_config(cfg))
+    assert cfg.vehicle_positions.shape == (1, 3) and again.as_dict() == cfg.as_dict()
+    assert np.array_equal(build_instance(again).states[0].vehicles[0].position, [5, 1, 0])
+
+
+@pytest.mark.parametrize("line, message", [
+    ("vehicle_positions = 1,0,0; 2,0,0", "geometry.vehicle_positions: expected shape (3, 3)"),
+    ("vehicle_positions = 5,1,0", "geometry.vehicle_positions: expected shape (3, 3)"),
+    ("rsu_position = 1, 2", "geometry.rsu_position: expected shape (3,)"),
+], ids=["two rows", "one flat row", "two coordinates"])
+def test_position_of_the_wrong_shape_rejected(line, message):
+    with pytest.raises(ValidationError) as err:
+        load_scenario(f"[geometry]\n{line}\n")
+    assert any(e.startswith(message) for e in err.value.errors)
+
+
+@pytest.mark.parametrize("line, key", [("uav_speed = 0", "uav_speed"), ("uav_climb = pi/2", "uav_climb"),
+                                       ("uav_climb = -pi/2", "uav_climb")], ids=["hover", "up", "down"])
+def test_fixed_wing_stall_rejected(line, key):
+    # the fixed-wing propulsion power grows as 1/v_xy: a stalled or vertical
+    # flight has no finite flight energy
+    with pytest.raises(ValidationError) as err:
+        load_scenario(f"[uav]\nuav_model = fixed_wing\n[geometry]\n{line}\n")
+    assert any(e.startswith(f"geometry.{key}: a fixed-wing UAV") for e in err.value.errors)
+    # a rotary-wing UAV hovers
+    assert load_scenario(f"[geometry]\n{line}\n").uav_model == "rotary_wing"
+
+
 def test_mode_and_doppler_validation():
     with pytest.raises(ValidationError):
         load_scenario("[solver]\nmode = fancy\n")
