@@ -12,7 +12,7 @@ import numpy as np
 from . import optimizer, runner
 from .oracle import convexity_probe, grid_search_primal, kkt_residuals
 from .optimizer import algorithm1, phase1_closed_form, power_opt
-from .scenario import ScenarioConfig, build_instance, validate
+from .scenario import ScenarioConfig, build_instance, flight_model, validate
 
 
 @dataclass
@@ -33,7 +33,6 @@ def _single_vehicle(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
     out.vehicles = 1
     out.weight_vehicle = np.array([float(cfg.weight_vehicle[0])])
     out.task_bits = np.array([float(cfg.task_bits[0])])
-    out.min_bits = np.array([float(cfg.min_bits[0])])
     out.output_ratio = np.array([float(cfg.output_ratio[0])])
     out.vehicle_elevations = np.array([float(cfg.vehicle_elevations[0])])
     for key, value in overrides.items():
@@ -112,10 +111,8 @@ def criterion_oracle_equivalence(cfg: ScenarioConfig) -> CriterionResult:
     )
 
 
-def criterion_kkt(cfg: ScenarioConfig, report=None, inst=None) -> CriterionResult:
+def criterion_kkt(report, inst) -> CriterionResult:
     """Stationarity, feasibility and complementary slackness at the optimum."""
-    if report is None or inst is None:
-        report, inst = runner.solve_report(cfg)
     kkt = kkt_residuals(inst, report.allocation, report.duals)
     passed = (
         kkt["stationarity"] <= 1e-3
@@ -137,9 +134,7 @@ def criterion_kkt(cfg: ScenarioConfig, report=None, inst=None) -> CriterionResul
     )
 
 
-def criterion_strong_duality(cfg: ScenarioConfig, report=None, inst=None) -> CriterionResult:
-    if report is None or inst is None:
-        report, inst = runner.solve_report(cfg)
+def criterion_strong_duality(report) -> CriterionResult:
     return CriterionResult(
         name="strong_duality",
         passed=abs(report.gap) <= 1e-3,
@@ -208,7 +203,6 @@ def criterion_trends(cfg: ScenarioConfig) -> CriterionResult:
 
     single = _single_vehicle(cfg)
     single.task_bits = np.array([6e5])
-    single.min_bits = np.array([6e5])
     sweep_h = runner.run_sweep(validate(single), "uav_altitude", [10.0, 20.0, 40.0],
                                include_baseline=True)
     for mode in (cfg.mode, "baseline"):
@@ -221,7 +215,6 @@ def criterion_trends(cfg: ScenarioConfig) -> CriterionResult:
     fixed.uav_climb = 0.0
     fixed.uav_speed = 30.0
     fixed.task_bits = np.full(cfg.vehicles, 6e5)
-    fixed.min_bits = np.full(cfg.vehicles, 6e5)
     fixed = validate(fixed)
     for axis, values in (("horizon", [4.0, 8.0, 12.0]),
                          ("uav_speed", [30.0, 37.0, 44.0]),
@@ -247,9 +240,9 @@ def criterion_derived_constants(cfg: ScenarioConfig) -> CriterionResult:
     cap = inst.bits_local_cap
     if abs(cap - 2e5) > 1e-12 * 2e5:
         problems.append(f"local per-slot cap {cap} != 2e5")
-    from .energy import FlightPowerModel, compute_energy, flight_energy
+    from .energy import compute_energy, flight_energy
 
-    rotary = FlightPowerModel(kind="rotary_wing")
+    rotary = flight_model(ScenarioConfig())  # the stock rotary-wing UAV, whatever cfg flies
     hover = flight_energy(rotary, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], cfg.slot)
     if abs(hover - 33.7) > 0.01 * 33.7:
         problems.append(f"rotary hover slot energy {hover} not within 1% of 33.7 J")
@@ -293,8 +286,8 @@ def verify(cfg: ScenarioConfig | None = None, printer=print) -> list:
         criterion_convexity(cfg),
         criterion_closed_form_consistency(cfg),
         criterion_oracle_equivalence(cfg),
-        criterion_kkt(cfg, report, inst),
-        criterion_strong_duality(cfg, report, inst),
+        criterion_kkt(report, inst),
+        criterion_strong_duality(report),
         criterion_convergence(cfg),
         criterion_trends(cfg),
         criterion_derived_constants(cfg),

@@ -12,9 +12,9 @@ from .acceptance import verify
 
 
 def _load(args) -> ScenarioConfig:
-    """The scenario of --config (stock values without one), --seed applied before validation."""
+    """The scenario of --config (stock values without one), verify's --seed applied before validation."""
     cfg = load_scenario(args.config) if args.config else ScenarioConfig()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     return validate(cfg)
 
@@ -33,7 +33,7 @@ def main(argv=None) -> int:
 
     for p in (solve, sweep, check):
         p.add_argument("--config", help="scenario file (INI-style; empty = stock values)")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    check.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     for p in (solve, sweep):
         p.add_argument("--baseline", action="store_true",
                        help="also run (sweep) or switch to (solve) the non-optimized scheme")

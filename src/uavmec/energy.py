@@ -21,22 +21,23 @@ class FlightPowerModel:
     Fixed wing uses (c1, c2, c3); rotary wing uses blade-profile power p0,
     induced power p1 and climb power p2 together with the rotor constants
     (tip speed, mean induced velocity, fuselage drag ratio, solidity, air
-    density, disc area).
+    density, disc area).  `scenario.flight_model` builds one from a
+    scenario's `[uav]` keys, which hold the stock values.
     """
 
     kind: str  # one of UAV_KINDS
-    c1: float = 9.26e-4
-    c2: float = 2250.0
-    c3: float = 3.33
-    p0: float | None = None
-    p1: float | None = None
-    p2: float = 11.46
-    tip_speed: float = 120.0
-    induced_velocity: float = 4.3
-    drag_ratio: float = 0.6
-    solidity: float = 0.05
-    air_density: float = 1.225
-    disc_area: float = 0.503
+    c1: float
+    c2: float
+    c3: float
+    p0: float | None  # None: implied by the rotor constants, as is p1
+    p1: float | None
+    p2: float
+    tip_speed: float
+    induced_velocity: float
+    drag_ratio: float
+    solidity: float
+    air_density: float
+    disc_area: float
 
     def __post_init__(self):
         if self.kind not in UAV_KINDS:
@@ -109,9 +110,8 @@ def compute_time(bits, model: ComputeModel):
     return model.cycles_per_bit * bits / model.cpu_freq
 
 
-def rotary_defaults(air_density: float = 1.225, solidity: float = 0.05,
-                    disc_area: float = 0.503) -> tuple[float, float]:
-    """Blade-profile and induced power implied by the stock rotor constants."""
+def rotary_defaults(air_density: float, solidity: float, disc_area: float) -> tuple[float, float]:
+    """Blade-profile and induced power implied by the rotor constants."""
     p0 = 12.0 * 30.0**3 * 0.4**3 * air_density * solidity * disc_area / 8.0
     p1 = 1.1 * 20.0**1.5 / np.sqrt(2.0 * air_density * disc_area)
     return p0, p1

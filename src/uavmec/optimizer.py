@@ -667,7 +667,7 @@ def _apply_cut(center, shape, a, depth, mask):
     sel = ok[..., None]
     center = np.where(sel, new_center, center)
     shape = np.where(sel[..., None], new_shape, shape)
-    return center, shape, ok
+    return center, shape
 
 
 def _restore_feasibility(center, shape, xi, scale):
@@ -693,7 +693,7 @@ def _restore_feasibility(center, shape, xi, scale):
         a[rows[0], rows[1], worst] = -1.0
         a = np.where(any_neg[..., None], a, a3)
         depth = np.einsum("...i,...i->...", a, center)
-        center, shape, _ = _apply_cut(center, shape, a, depth, any_neg | bound_viol)
+        center, shape = _apply_cut(center, shape, a, depth, any_neg | bound_viol)
     return center, shape
 
 
@@ -755,7 +755,7 @@ def ellipsoid_solve(inst: ProblemInstance, eps: float = 1e-4, max_iterations: in
         best_value = np.where(improved, value, best_value)
         g_scaled = g * scale
         depth = best_value - value  # >= 0: deep objective cut
-        center, shape, _ = _apply_cut(center, shape, -g_scaled, depth, np.ones((k, n), bool))
+        center, shape = _apply_cut(center, shape, -g_scaled, depth, np.ones((k, n), bool))
         shape = 0.5 * (shape + np.swapaxes(shape, -1, -2))
         if improved.any():
             # the completion moves only when a block's best point moved

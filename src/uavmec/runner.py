@@ -50,7 +50,6 @@ COLUMNS = (
 # Sweep axes that fan out to several config fields.
 _AXIS_ALIASES = {
     "antennas": ("antennas_vehicle", "antennas_uav", "antennas_rsu"),
-    "task_bits": ("task_bits", "min_bits"),
 }
 
 

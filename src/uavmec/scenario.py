@@ -52,7 +52,6 @@ class ScenarioConfig:
     horizon: float = 8.0
     slot: float = 0.2
     task_bits: np.ndarray = field(default_factory=lambda: np.array([5e5]))
-    min_bits: np.ndarray | None = None
     output_ratio: np.ndarray = field(default_factory=lambda: np.array([0.8]))
     cpu_vehicle: float = 1e9
     cpu_uav: float = 3e9
@@ -140,7 +139,7 @@ class ScenarioConfig:
 _SECTIONS = {
     "network": ("vehicles", "weight_vehicle", "weight_uav"),
     "task": (
-        "horizon", "slot", "task_bits", "min_bits", "output_ratio",
+        "horizon", "slot", "task_bits", "output_ratio",
         "cpu_vehicle", "cpu_uav", "cycles_per_bit_vehicle", "cycles_per_bit_uav",
         "capacitance_vehicle", "capacitance_uav",
     ),
@@ -271,8 +270,32 @@ def load_scenario(path_or_text) -> ScenarioConfig:
 
 
 def _any(value, test) -> bool:
-    """Whether `test` holds for a Python number (without numpy's per-call cost) or any array element."""
-    return bool(test(value) if isinstance(value, (int, float)) else np.any(test(np.asarray(value))))
+    """Whether `test` holds for a Python number or text (without numpy's per-call cost) or any array element."""
+    return bool(test(value) if isinstance(value, (int, float, str)) else np.any(test(np.asarray(value))))
+
+
+# The range rules `validate` applies, one row per (keys, test that a bad value
+# or any of its elements fails, message); an unset optional key is not checked.
+_RANGE_RULES = (
+    (("task_bits", "output_ratio", "power_max_offload", "power_max_relay", "power_max_down_uav",
+      "power_max_down_rsu", "max_iterations", "seed", "vehicle_speed", "uav_speed"),
+     lambda v: v < 0, "must be non-negative"),
+    # a zero epsilon would certify only a gap that rounding pushed below 0;
+    # a UAV at or below the road coincides with, or flies under, the vehicles
+    (("weight_vehicle", "weight_uav", "cpu_vehicle", "cpu_uav", "cycles_per_bit_vehicle",
+      "cycles_per_bit_uav", "capacitance_vehicle", "capacitance_uav", "epsilon",
+      "bandwidth", "wavelength", "reference_gain", "noise_density", "uav_altitude",
+      "c1", "c2", "c3", "tip_speed", "induced_velocity", "drag_ratio", "solidity",
+      "air_density", "disc_area", "climb_power", "blade_power", "induced_power"),
+     lambda v: v <= 0, "must be positive"),
+    (("antennas_vehicle", "antennas_uav", "antennas_rsu"), lambda v: v < 1, "must be a positive antenna count"),
+    (("path_loss_exponent",), lambda v: v < 1, "must be at least 1"),
+    (("slant", "downtilt"), lambda v: abs(v) > math.pi / 2, "must lie in [-pi/2, pi/2]"),
+    (("vehicle_elevations", "rsu_elevation"), lambda v: (v <= 0) | (v > math.pi / 2), "must lie in (0, pi/2]"),
+    (("mode",), lambda v: str(v) not in MODES, f"{{!r}} not one of {MODES}"),
+    (("doppler_phase",), lambda v: str(v) not in DOPPLER_PHASE_MODES, "{!r} invalid"),
+    (("uav_model",), lambda v: str(v) not in UAV_KINDS, "{!r} invalid"),
+)
 
 
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -283,7 +306,10 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     it through, and a word, NaN or inf in a key without a range check (an
     azimuth, a climb angle, the bearing) fails later in the geometry or the
     SVD with an error that names no key.  A key that fails here skips its
-    range check.  The geometry checks reject what would place or fly a node
+    range check (its row of `_RANGE_RULES`), and a key that fails its range
+    check skips the checks that combine keys.  The rules cover every value
+    the built models check, the propulsion constants too, so no model's
+    constructor raises later.  The geometry checks reject what would place or fly a node
     wrongly: a UAV at or below the road, an elevation angle outside
     (0, pi/2] that places a node, a position of the wrong shape, an array
     tilted past a right angle, a negative speed, a fixed-wing UAV that stalls.
@@ -342,24 +368,17 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     if np.size(elev) != k and np.array_equal(elev, _STOCK_ELEVATIONS):
         cfg.vehicle_elevations = np.resize(_STOCK_ELEVATIONS, k)
     per_vehicle("vehicle_elevations")
-    if cfg.min_bits is None:
-        cfg.min_bits = np.array(cfg.task_bits)
-        if "task_bits" in bad:
-            bad.add("min_bits")
-    else:
-        per_vehicle("min_bits")
 
-    for name in ("task_bits", "min_bits", "output_ratio", "power_max_offload",
-                 "power_max_relay", "power_max_down_uav", "power_max_down_rsu",
-                 "max_iterations", "seed"):
-        if name not in bad and _any(getattr(cfg, name), lambda v: v < 0):
-            errors.append(f"{_FIELD_SECTION[name]}.{name}: must be non-negative")
-    # a zero epsilon would certify only a gap that rounding pushed below 0
-    for name in ("weight_vehicle", "weight_uav", "cpu_vehicle", "cpu_uav",
-                 "cycles_per_bit_vehicle", "cycles_per_bit_uav", "capacitance_vehicle",
-                 "capacitance_uav", "epsilon"):
-        if name not in bad and _any(getattr(cfg, name), lambda v: v <= 0):
-            errors.append(f"{_FIELD_SECTION[name]}.{name}: must be positive")
+    # an elevation angle places its node only when no explicit position does
+    placed = {name for name, position in (("vehicle_elevations", cfg.vehicle_positions),
+                                          ("rsu_elevation", cfg.rsu_position)) if position is not None}
+    for names, fails, message in _RANGE_RULES:
+        for name in names:
+            value = getattr(cfg, name)
+            if name in bad or name in placed or value is None or not _any(value, fails):
+                continue
+            bad.add(name)
+            errors.append(f"{_FIELD_SECTION[name]}.{name}: {message.format(value)}")
     timing_ok, n_slots = not bad & {"horizon", "slot"}, 0  # 0 unless horizon/slot is a slot count
     if timing_ok and (cfg.slot <= 0 or cfg.horizon <= 0):
         errors.append("task.horizon/task.slot: must be positive")
@@ -373,9 +392,6 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             n_slots = round(ratio)
     if not bad & {"cpu_vehicle", "cpu_uav"} and cfg.cpu_vehicle >= cfg.cpu_uav:
         errors.append("task.cpu_vehicle: vehicle CPU must be slower than the UAV server")
-    for name in ("bandwidth", "wavelength", "reference_gain", "noise_density"):
-        if name not in bad and getattr(cfg, name) <= 0:
-            errors.append(f"radio.{name}: must be positive")
     if isinstance(cfg.spacing, str):
         try:
             cfg.resolved_spacing()
@@ -384,10 +400,6 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     elif "spacing" not in bad and cfg.spacing <= 0:
         errors.append("radio.spacing: must be positive")
     arrays = ("antennas_vehicle", "antennas_uav", "antennas_rsu")
-    for name in arrays:
-        if name not in bad and getattr(cfg, name) < 1:
-            bad.add(name)
-            errors.append(f"radio.{name}: must be a positive antenna count")
     if not bad & set(arrays):  # the largest of the uplink and the relay, (tx, rx) each
         tx, rx = max(zip(arrays, arrays[1:]), key=lambda link: getattr(cfg, link[0]) * getattr(cfg, link[1]))
         if (need := SLOT_PAIR_BYTES * getattr(cfg, tx) * getattr(cfg, rx)) > SLOT_BYTES_MAX:
@@ -398,17 +410,6 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         if (need := 8 * n_slots * (4 * k * max(up, relay) + k * up + relay)) > HORIZON_BYTES_MAX:
             errors.append(f"task.horizon/task.slot: the gain table and spectra of N = {n_slots:,} slots need "
                           f"{need:,} bytes, over the {HORIZON_BYTES_MAX:,}-byte budget")
-    if "path_loss_exponent" not in bad and cfg.path_loss_exponent < 1:
-        errors.append("radio.path_loss_exponent: must be at least 1")
-    # a UAV at or below the road coincides with, or flies under, the vehicles
-    if "uav_altitude" not in bad and cfg.uav_altitude <= 0:
-        errors.append("geometry.uav_altitude: must be positive")
-    for name in ("vehicle_speed", "uav_speed"):
-        if name not in bad and getattr(cfg, name) < 0:
-            errors.append(f"geometry.{name}: must be non-negative")
-    for name in ("slant", "downtilt"):
-        if name not in bad and abs(getattr(cfg, name)) > math.pi / 2:
-            errors.append(f"geometry.{name}: must lie in [-pi/2, pi/2]")
     # a fixed-wing UAV's propulsion power grows as 1/v_xy, without bound at a stall
     if cfg.uav_model == "fixed_wing" and not bad & {"uav_speed", "uav_climb"}:
         if abs(cfg.uav_climb) >= math.pi / 2:
@@ -424,17 +425,6 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
                           f"got {pos.shape}")
     if cfg.rsu_position is not None and "rsu_position" not in bad and np.shape(cfg.rsu_position) != (3,):
         errors.append(f"geometry.rsu_position: expected shape (3,), one x,y,z, got {np.shape(cfg.rsu_position)}")
-    # an elevation angle places its node only when no explicit position does
-    for name, placed in (("vehicle_elevations", cfg.vehicle_positions),
-                         ("rsu_elevation", cfg.rsu_position)):
-        if name not in bad and placed is None and _any(getattr(cfg, name), lambda v: (v <= 0) | (v > math.pi / 2)):
-            errors.append(f"geometry.{name}: must lie in (0, pi/2]")
-    if cfg.mode not in MODES:
-        errors.append(f"solver.mode: {cfg.mode!r} not one of {MODES}")
-    if cfg.doppler_phase not in DOPPLER_PHASE_MODES:
-        errors.append(f"radio.doppler_phase: {cfg.doppler_phase!r} invalid")
-    if cfg.uav_model not in UAV_KINDS:
-        errors.append(f"uav.uav_model: {cfg.uav_model!r} invalid")
     if errors:
         raise ValidationError(errors)
     return cfg
@@ -534,7 +524,7 @@ def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
     links = roll_out(state0, radio)
     gains = build_gain_tables(links, radio, channel_bound(cfg.mode))
 
-    min_bits = np.broadcast_to(cfg.min_bits[:, None], (cfg.vehicles, cfg.n_slots)).copy()
+    min_bits = np.broadcast_to(cfg.task_bits[:, None], (cfg.vehicles, cfg.n_slots)).copy()
     return ProblemInstance(
         n_vehicles=cfg.vehicles,
         n_slots=cfg.n_slots,

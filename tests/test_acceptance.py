@@ -39,13 +39,13 @@ def test_criterion_3_oracle_equivalence(stock):
 
 
 def test_criterion_4_kkt_at_optimum(stock):
-    cfg, report, inst = stock
-    _check(acceptance.criterion_kkt(cfg, report, inst))
+    _, report, inst = stock
+    _check(acceptance.criterion_kkt(report, inst))
 
 
 def test_criterion_5_strong_duality(stock):
-    cfg, report, inst = stock
-    _check(acceptance.criterion_strong_duality(cfg, report, inst))
+    _, report, _ = stock
+    _check(acceptance.criterion_strong_duality(report))
 
 
 def test_criterion_6_convergence(stock):

@@ -4,35 +4,41 @@ import pytest
 from uavmec.energy import (
     ComputeModel,
     FixedWingStall,
-    FlightPowerModel,
     compute_energy,
     flight_energy,
     rotary_defaults,
 )
+from uavmec.scenario import ScenarioConfig, flight_model
+
+
+def stock_model(kind):
+    """The stock UAV of the given kind, built as a scenario builds it."""
+    return flight_model(ScenarioConfig(uav_model=kind))
 
 
 def test_rotary_defaults_match_stock_rotor_constants():
-    p0, p1 = rotary_defaults()
+    stock = ScenarioConfig()
+    p0, p1 = rotary_defaults(stock.air_density, stock.solidity, stock.disc_area)
     assert np.isclose(p0, 79.85628, rtol=1e-6)
     assert np.isclose(p1, 88.6279, rtol=1e-4)
 
 
 def test_rotary_hover_energy():
-    model = FlightPowerModel(kind="rotary_wing")
+    model = stock_model("rotary_wing")
     e = flight_energy(model, [0, 0, 0], [0, 0, 0], 0.2)
     assert np.isclose(e, 0.2 * (model.p0 + model.p1), rtol=1e-12)
     assert np.isclose(e, 33.7, rtol=0.01)
 
 
 def test_fixed_wing_energy_at_ten_mps():
-    model = FlightPowerModel(kind="fixed_wing")
+    model = stock_model("fixed_wing")
     e = flight_energy(model, [10, 0, 0], [0, 0, 0], 0.2)
     assert np.isclose(e, 0.2 * (9.26e-4 * 1000 + 2250 / 10), rtol=1e-12)
     assert np.isclose(e, 45.19, rtol=1e-3)
 
 
 def test_rotary_vertical_speed_term_is_linear():
-    model = FlightPowerModel(kind="rotary_wing")
+    model = stock_model("rotary_wing")
     tau = 0.2
     base = flight_energy(model, [5, 2, 0], [0, 0, 1.0], tau)
     doubled = flight_energy(model, [5, 2, 0], [0, 0, 2.0], tau)
@@ -40,13 +46,13 @@ def test_rotary_vertical_speed_term_is_linear():
 
 
 def test_fixed_wing_stall():
-    model = FlightPowerModel(kind="fixed_wing")
+    model = stock_model("fixed_wing")
     with pytest.raises(FixedWingStall):
         flight_energy(model, [0, 0, 0], [0, 0, 1.0], 0.2)
 
 
 def test_fixed_wing_energy_convex_in_horizontal_speed():
-    model = FlightPowerModel(kind="fixed_wing")
+    model = stock_model("fixed_wing")
     v = np.linspace(1.0, 60.0, 120)
     e = np.array([flight_energy(model, [x, 0, 0], [0, 0, 0], 0.2) for x in v])
     second = np.diff(np.diff(e))

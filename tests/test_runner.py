@@ -7,7 +7,7 @@ import pytest
 import uavmec
 from uavmec import acceptance, cli, runner
 from uavmec.runner import COLUMNS, SweepResult, emit_results, run_sweep, set_axis
-from uavmec.scenario import MODES, ScenarioConfig, ValidationError, validate
+from uavmec.scenario import MODES, ScenarioConfig, ValidationError, build_instance, validate
 
 
 def test_every_public_name_resolves():
@@ -44,10 +44,9 @@ def test_set_axis_rejects_a_fractional_count():
     assert out.antennas_uav == 16 and type(out.antennas_uav) is int
 
 
-def test_set_axis_task_bits_updates_min_bits():
-    out = set_axis(small_cfg(), "task_bits", 2e5)
-    assert np.allclose(out.task_bits, 2e5)
-    assert np.allclose(out.min_bits, 2e5)
+def test_set_axis_task_bits_sets_every_blocks_min_bits():
+    inst = build_instance(set_axis(small_cfg(), "task_bits", 2e5))
+    assert inst.min_bits.shape == (3, 2) and np.all(inst.min_bits == 2e5)
 
 
 def test_vehicle_count_sweep():
@@ -185,6 +184,24 @@ def test_cli_rejects_bad_config(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[task]\nslot = 0.3 s\n")
     assert cli.main(["solve", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("text, key", [("[uav]\nblade_power = -3\n", "uav.blade_power"),
+                                       ("[uav]\ndisc_area = -1\n", "uav.disc_area"),
+                                       ("[task]\nmin_bits = 5e5\n", "task.min_bits")])
+def test_cli_solve_refuses_a_config_by_its_key(tmp_path, capsys, text, key):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert f"error: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--axis", "task_bits", "--values", "2e5"]])
+def test_only_verify_takes_a_seed(command):
+    # nothing solve or sweep runs reads the seed
+    with pytest.raises(SystemExit) as err:
+        cli.main(command + ["--seed", "3"])
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("source", ["config", "flag"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import load_perfbench
-from uavmec import channel, geometry, instance
+from uavmec import channel, geometry, instance, scenario
 from uavmec.channel import SLOT_BYTES_MAX, SLOT_PAIR_BYTES, los_matrix
 from uavmec.instance import PHASE_DOWN_RSU, PHASE_DOWN_UAV, PHASE_OFFLOAD
 from uavmec.runner import set_axis
@@ -98,11 +98,15 @@ def test_sign_tolerance_is_not_a_config_key():
     assert "solver.sign_tolerance: unknown key" in err.value.errors
 
 
+UAV_CONSTANTS = ("c1", "c2", "c3", "tip_speed", "induced_velocity", "drag_ratio", "solidity",
+                 "air_density", "disc_area", "climb_power", "blade_power", "induced_power")
+
+
 # Every key `validate` range-checks or converts to int; NaN passes any `<`
 # or `<=` check, and int() of NaN or inf raises an unnamed error.
 RANGE_CHECKED_KEYS = [
     ("network", "vehicles"), ("network", "weight_vehicle"), ("network", "weight_uav"),
-    ("task", "horizon"), ("task", "slot"), ("task", "task_bits"), ("task", "min_bits"),
+    ("task", "horizon"), ("task", "slot"), ("task", "task_bits"),
     ("task", "output_ratio"), ("task", "cpu_vehicle"), ("task", "cpu_uav"),
     ("task", "cycles_per_bit_vehicle"), ("task", "cycles_per_bit_uav"),
     ("task", "capacitance_vehicle"), ("task", "capacitance_uav"),
@@ -111,14 +115,13 @@ RANGE_CHECKED_KEYS = [
     ("radio", "power_max_down_uav"), ("radio", "power_max_down_rsu"),
     ("radio", "antennas_vehicle"), ("radio", "antennas_uav"), ("radio", "antennas_rsu"),
     ("solver", "epsilon"), ("solver", "max_iterations"), ("solver", "seed"),
-]
+] + [("uav", key) for key in UAV_CONSTANTS]
 
 
 @pytest.mark.parametrize(
     "section, key, value",
     [
         ("task", "task_bits", "-1"),
-        ("task", "min_bits", "-1"),
         ("task", "output_ratio", "-0.5"),
         ("radio", "power_max_offload", "-1 W"),
         ("radio", "power_max_relay", "-1 W"),
@@ -154,7 +157,9 @@ RANGE_CHECKED_KEYS = [
         ("geometry", "downtilt", "-2"),
         ("geometry", "vehicle_speed", "-1 m/s"),
         ("geometry", "uav_speed", "-10"),
+        ("solver", "mode", "1, 2"),
     ]
+    + [("uav", key, "-1") for key in UAV_CONSTANTS]
     + [
         (section, key, value)
         for section, key in RANGE_CHECKED_KEYS
@@ -168,6 +173,34 @@ def test_out_of_range_value_rejected_with_its_key(section, key, value):
     with pytest.raises(ValidationError) as err:
         load_scenario(text)
     assert any(e.startswith(f"{section}.{key}:") for e in err.value.errors)
+
+
+# Every key whose stock value is a number or an array, with its section
+NUMERIC_KEYS = [(section, key) for section, keys in scenario._SECTIONS.items() for key in keys
+                if not isinstance(getattr(ScenarioConfig(), key), (str, bool))]
+
+
+@pytest.mark.parametrize("value", [-1, 0])
+@pytest.mark.parametrize("section, key", NUMERIC_KEYS)
+def test_numeric_key_is_refused_by_name_or_builds(section, key, value):
+    # a value `validate` accepts must not fail later in a model's constructor,
+    # whose error names no key; a refusal names the key before its colon
+    cfg = ScenarioConfig(horizon=0.2, antennas_vehicle=4, antennas_uav=4, antennas_rsu=4)
+    setattr(cfg, key, value)
+    try:
+        cfg = validate(cfg)
+    except ValidationError as err:
+        named = {name for e in err.errors for name in e.split(":")[0].split("/")}
+        assert f"{section}.{key}" in named, err.errors
+    else:
+        build_instance(cfg)
+
+
+def test_retired_min_bits_key_is_refused():
+    # task_bits is every block's minimum bits; a second key for it is not read
+    with pytest.raises(ValidationError) as err:
+        load_scenario("[task]\nmin_bits = 5e5\n")
+    assert err.value.errors == ["task.min_bits: unknown key"]
 
 
 @pytest.mark.parametrize("key, value", [("seed", -1), ("max_iterations", -3)])
