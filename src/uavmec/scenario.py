@@ -274,6 +274,9 @@ def _any(value, test) -> bool:
     return bool(test(value) if isinstance(value, (int, float, str)) else np.any(test(np.asarray(value))))
 
 
+_OPTIONAL_KEYS = frozenset(f.name for f in fields(ScenarioConfig) if f.default is None)
+_CHOICE_KEYS = ("mode", "doppler_phase", "uav_model")  # checked against their choices alone
+
 # The range rules `validate` applies, one row per (keys, test that a bad value
 # or any of its elements fails, message); an unset optional key is not checked.
 _RANGE_RULES = (
@@ -317,8 +320,9 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     errors, bad = [], set()
     for f in fields(cfg):
         value, switch = getattr(cfg, f.name), isinstance(f.default, bool)
-        if not switch and (value is None or (isinstance(value, str) and isinstance(f.default, str))):
-            continue  # an unset optional key, or a text key holding text
+        if f.name in _CHOICE_KEYS or not switch and (
+                value is None if f.default is None else isinstance(value, str) and isinstance(f.default, str)):
+            continue  # a key with a set of choices, an unset optional key, or a text key holding text
         try:  # only a switch holds a bool: True == 1 would pass as a number
             ok = switch if isinstance(value, bool) else not switch and (
                 math.isfinite(value) if isinstance(value, (int, float))
@@ -375,7 +379,7 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     for names, fails, message in _RANGE_RULES:
         for name in names:
             value = getattr(cfg, name)
-            if name in bad or name in placed or value is None or not _any(value, fails):
+            if name in bad or name in placed or value is None and name in _OPTIONAL_KEYS or not _any(value, fails):
                 continue
             bad.add(name)
             errors.append(f"{_FIELD_SECTION[name]}.{name}: {message.format(value)}")

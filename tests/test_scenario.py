@@ -158,6 +158,10 @@ RANGE_CHECKED_KEYS = [
         ("geometry", "vehicle_speed", "-1 m/s"),
         ("geometry", "uav_speed", "-10"),
         ("solver", "mode", "1, 2"),
+        ("solver", "mode", ""),
+        ("radio", "doppler_phase", "none"),
+        ("uav", "uav_model", ""),
+        ("uav", "c1", "none"),
     ]
     + [("uav", key, "-1") for key in UAV_CONSTANTS]
     + [
