@@ -4,8 +4,7 @@ suite."""
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,18 +25,6 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status}  {self.name}: measured {self.measured:.6g} vs threshold {self.threshold:.6g}  {self.detail}"
-
-
-def _single_vehicle(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
-    out = copy.deepcopy(cfg)
-    out.vehicles = 1
-    out.weight_vehicle = np.array([float(cfg.weight_vehicle[0])])
-    out.task_bits = np.array([float(cfg.task_bits[0])])
-    out.output_ratio = np.array([float(cfg.output_ratio[0])])
-    out.vehicle_elevations = np.array([float(cfg.vehicle_elevations[0])])
-    for key, value in overrides.items():
-        setattr(out, key, value)
-    return validate(out)
 
 
 def criterion_convexity(cfg: ScenarioConfig, samples: int = 1000) -> CriterionResult:
@@ -96,7 +83,7 @@ def criterion_closed_form_consistency(cfg: ScenarioConfig, trials: int = 100) ->
 
 def criterion_oracle_equivalence(cfg: ScenarioConfig) -> CriterionResult:
     """Desk-scale brute force vs the dual pipeline, plus weak duality."""
-    small = _single_vehicle(cfg, horizon=cfg.slot)
+    small = runner.set_axis(runner.set_axis(cfg, "vehicles", 1), "horizon", cfg.slot)
     inst = build_instance(small)
     report = algorithm1(inst, eps=small.epsilon, max_iterations=small.max_iterations)
     grid_value, _ = grid_search_primal(inst)
@@ -201,21 +188,15 @@ def criterion_trends(cfg: ScenarioConfig) -> CriterionResult:
             if modes[cfg.mode] > modes["baseline"] * (1 + 1e-6):
                 problems.append(f"(b) optimized above baseline at {value}: {modes}")
 
-    single = _single_vehicle(cfg)
-    single.task_bits = np.array([6e5])
-    sweep_h = runner.run_sweep(validate(single), "uav_altitude", [10.0, 20.0, 40.0],
-                               include_baseline=True)
+    single = runner.set_axis(runner.set_axis(cfg, "vehicles", 1), "task_bits", 6e5)
+    sweep_h = runner.run_sweep(single, "uav_altitude", [10.0, 20.0, 40.0], include_baseline=True)
     for mode in (cfg.mode, "baseline"):
         ws = [r["wtec_J"] for r in sweep_h.rows if r["mode"] == mode]
         if not all(b >= a * (1 - 1e-9) for a, b in zip(ws, ws[1:])):
             problems.append(f"(c) {mode} energy decreasing in altitude: {ws}")
 
-    fixed = copy.deepcopy(cfg)
-    fixed.uav_model = "fixed_wing"
-    fixed.uav_climb = 0.0
-    fixed.uav_speed = 30.0
-    fixed.task_bits = np.full(cfg.vehicles, 6e5)
-    fixed = validate(fixed)
+    fixed = validate(replace(cfg, uav_model="fixed_wing", uav_climb=0.0, uav_speed=30.0,
+                             task_bits=np.array([6e5])))
     for axis, values in (("horizon", [4.0, 8.0, 12.0]),
                          ("uav_speed", [30.0, 37.0, 44.0]),
                          ("weight_uav", [0.05, 0.1, 0.2])):

@@ -8,7 +8,6 @@ import sys
 
 from . import runner
 from .scenario import ParseError, ScenarioConfig, ValidationError, load_scenario, validate
-from .acceptance import verify
 
 
 def _load(args) -> ScenarioConfig:
@@ -52,6 +51,8 @@ def main(argv=None) -> int:
         return 2
 
     if args.command == "verify":
+        from .acceptance import verify  # the acceptance suite and its oracle load only here
+
         return 0 if all(res.passed for res in verify(cfg)) else 1
 
     try:
@@ -64,6 +65,9 @@ def main(argv=None) -> int:
             values = [float(v) for v in args.values.split(",")]
             include_baseline = args.baseline
             result = runner.run_sweep(cfg, args.axis, values, include_baseline)
+    except ValidationError as exc:  # a refused sweep value or axis, before any point is solved
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # hard per-run errors -> nonzero exit for solve
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -190,10 +190,8 @@ def initial_state(
     UAV; the ground unit sits symmetrically on the -x side.  Explicit
     positions, when given, override the angle-derived ones.
     """
-    elevations = np.atleast_1d(np.asarray(vehicle_elevations, dtype=float))
-    if elevations.size == 1:
-        elevations = np.repeat(elevations, n_vehicles)
-    if elevations.size != n_vehicles:
+    elevations = np.asarray(vehicle_elevations, dtype=float)
+    if elevations.shape != (n_vehicles,):
         raise ValueError("need one elevation angle per vehicle")
 
     uav = NodeState(

@@ -8,9 +8,8 @@ unchanged either way.
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .protocol import (
     time_breakdown,
     wtec,
 )
-from .scenario import ScenarioConfig, build_instance, echo_config, validate
+from .scenario import PER_VEHICLE_KEYS, ScenarioConfig, ValidationError, build_instance, echo_config, validate
 
 COLUMNS = (
     "sweep_value",
@@ -101,27 +100,33 @@ def solve_report(cfg: ScenarioConfig):
 
 
 def set_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
-    """Fresh config with one sweep axis changed and revalidated (`validate`
-    turns the integer fields back into int)."""
-    out = copy.deepcopy(cfg)
-    names = _AXIS_ALIASES.get(axis, (axis,))
+    """A validated copy of `cfg` with one sweep axis set to `value`; the input
+    is unchanged, and an axis that names no config field is refused.
+
+    A per-vehicle list is set to the value for every vehicle.  A new vehicle
+    count cycles each per-vehicle list to that many values; a count that
+    `validate` refuses leaves the lists as they are, for `validate` to name.
+    """
+    value, names = float(value), _AXIS_ALIASES.get(axis, (axis,))
+    if not set(names) <= {f.name for f in fields(cfg)}:
+        raise ValidationError([f"unknown sweep axis {axis!r}"])
+    changes = {}
     for name in names:
-        if not hasattr(out, name):
-            raise ValueError(f"unknown sweep axis {axis!r}")
-        current = getattr(out, name)
-        if isinstance(current, np.ndarray):
-            setattr(out, name, np.full_like(current, float(value)))
-        else:
-            setattr(out, name, float(value))
-    return validate(out)
+        current = getattr(cfg, name)
+        changes[name] = np.full_like(current, value) if isinstance(current, np.ndarray) else value
+    if axis == "vehicles" and value >= 1 and value.is_integer():
+        changes.update({name: np.resize(getattr(cfg, name), int(value)) for name in PER_VEHICLE_KEYS})
+    return validate(replace(cfg, **changes))
 
 
 def run_sweep(cfg: ScenarioConfig, axis: str, values, include_baseline: bool = False) -> SweepResult:
     """Solve the scenario at each axis value; solver failures at a point are
-    recorded as infeasible rows instead of aborting the sweep."""
+    recorded as infeasible rows instead of aborting the sweep.  Every point's
+    config is derived first, so a refused value stops the sweep before it
+    solves any point."""
     result = SweepResult(axis=axis, values=[float(v) for v in values], config=cfg)
-    for value in sorted(float(v) for v in values):
-        point_cfg = set_axis(cfg, axis, value)
+    points = [(value, set_axis(cfg, axis, value)) for value in sorted(result.values)]
+    for value, point_cfg in points:
         try:
             row = solve_scenario(point_cfg, value)
         except (optimizer.InfeasibleAllocation, optimizer.IterationCapExceeded) as exc:
@@ -134,9 +139,7 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, include_baseline: bool = F
             )
         result.rows.append(row)
         if include_baseline and point_cfg.mode != "baseline":
-            base_cfg = copy.deepcopy(point_cfg)
-            base_cfg.mode = "baseline"
-            result.rows.append(solve_scenario(base_cfg, value))
+            result.rows.append(solve_scenario(replace(point_cfg, mode="baseline"), value))
     return result
 
 

@@ -37,6 +37,8 @@ class ValidationError(Exception):
 MODES = ("optimized", "baseline", "rank1_bound", "fullrank_bound")
 
 _STOCK_ELEVATIONS = np.array([math.pi / 3, math.pi / 4, math.pi / 6])
+# the keys that hold one value per vehicle; `validate` also takes one value for all
+PER_VEHICLE_KEYS = ("weight_vehicle", "task_bits", "output_ratio", "vehicle_elevations")
 HORIZON_BYTES_MAX = 256 * 2**20  # bytes of gain table and spectra that `validate` admits
 
 
@@ -353,25 +355,15 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         errors.append("network.vehicles: need at least one vehicle")
         raise ValidationError(errors)
 
-    def per_vehicle(name):
-        if name in bad:
-            return
+    # one value per vehicle, or one for all; the stock elevation angles cycle
+    # when the vehicle count differs
+    for name in (name for name in PER_VEHICLE_KEYS if name not in bad):
         v = np.atleast_1d(np.asarray(getattr(cfg, name), dtype=float))
-        if v.size == 1 or (v.size != k and np.all(v == v[0])):
-            v = np.repeat(v[:1], k)
-        if v.size != k:
+        if v.size == 1 or name == "vehicle_elevations" and np.array_equal(v, _STOCK_ELEVATIONS):
+            v = np.resize(v, k)
+        elif v.size != k:
             errors.append(f"{_FIELD_SECTION[name]}.{name}: expected 1 or {k} values, got {v.size}")
-            v = np.repeat(v[:1], k)
         setattr(cfg, name, v)
-
-    per_vehicle("weight_vehicle")
-    per_vehicle("task_bits")
-    per_vehicle("output_ratio")
-    # the stock elevation angles cycle when the vehicle count differs
-    elev = cfg.vehicle_elevations
-    if np.size(elev) != k and np.array_equal(elev, _STOCK_ELEVATIONS):
-        cfg.vehicle_elevations = np.resize(_STOCK_ELEVATIONS, k)
-    per_vehicle("vehicle_elevations")
 
     # an elevation angle places its node only when no explicit position does
     placed = {name for name, position in (("vehicle_elevations", cfg.vehicle_positions),

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ def test_set_axis_task_bits_sets_every_blocks_min_bits():
     assert inst.min_bits.shape == (3, 2) and np.all(inst.min_bits == 2e5)
 
 
-def test_vehicle_count_sweep():
+def test_vehicle_count_sweep(monkeypatch):
     cfg = small_cfg()
     result = run_sweep(cfg, "vehicles", [1, 2, 3], include_baseline=True)
     assert len(result.rows) == 6
@@ -58,6 +59,53 @@ def test_vehicle_count_sweep():
     ws = [r["wtec_J"] for r in opt_rows]
     assert ws[0] < ws[1] < ws[2]
     assert all(r["feasible"] for r in opt_rows)
+    # a list of one value per vehicle cycles to each point's count
+    weights, solve = [], runner.solve_scenario
+
+    def recording(point, value):
+        weights.append(point.weight_vehicle)
+        return solve(point, value)
+
+    monkeypatch.setattr(runner, "solve_scenario", recording)
+    result = run_sweep(small_cfg(weight_vehicle=np.array([1.0, 2.0, 3.0])), "vehicles", [2, 4])
+    assert [w.tolist() for w in weights] == [[1, 2], [1, 2, 3, 1]]
+    assert all(r["feasible"] for r in result.rows)
+
+
+def test_one_vehicle_takes_each_lists_first_value():
+    stock = validate(ScenarioConfig(weight_vehicle=np.array([1.5, 1.0, 0.5]), task_bits=np.array([2e5, 5e5, 8e5]),
+                                    output_ratio=np.array([0.8, 0.6, 0.4])))
+    # the hand-sliced single-vehicle scenario that `set_axis` replaces
+    sliced = validate(replace(stock, vehicles=1, weight_vehicle=stock.weight_vehicle[:1], task_bits=stock.task_bits[:1],
+                              output_ratio=stock.output_ratio[:1], vehicle_elevations=stock.vehicle_elevations[:1]))
+    want, got = build_instance(sliced), build_instance(set_axis(stock, "vehicles", 1))
+    arrays = [name for name, value in vars(want).items() if isinstance(value, np.ndarray)]
+    assert {"gains", "min_bits", "weights_vehicle", "output_ratio"} <= set(arrays)
+    for name in arrays:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5])
+def test_set_axis_refuses_a_bad_vehicle_count_by_its_key(count):
+    with pytest.raises(ValidationError) as err:
+        set_axis(small_cfg(), "vehicles", count)
+    assert [error.split(":")[0] for error in err.value.errors] == ["network.vehicles"]
+
+
+def test_deriving_points_leaves_the_input_config_unchanged():
+    cfg = small_cfg(weight_vehicle=np.array([1.0, 2.0, 3.0]))
+    before = {name: np.copy(value) if isinstance(value, np.ndarray) else value for name, value in vars(cfg).items()}
+    for axis, value in (("vehicles", 2), ("vehicles", 4), ("task_bits", 2e5), ("antennas", 16), ("mode", 1.0)):
+        try:
+            set_axis(cfg, axis, value)
+        except ValidationError:
+            pass
+    run_sweep(cfg, "vehicles", [1, 2], include_baseline=True)
+    run_sweep(cfg, "task_bits", [2e5], include_baseline=True)
+    after = vars(cfg)
+    assert after.keys() == before.keys()
+    for name, value in before.items():
+        assert type(after[name]) is type(value) and np.array_equal(after[name], value), name
 
 
 def test_sweep_rows_ordered_and_complete(tmp_path):
@@ -194,6 +242,15 @@ def test_cli_solve_refuses_a_config_by_its_key(tmp_path, capsys, text, key):
     path.write_text(text)
     assert cli.main(["solve", "--config", str(path)]) == 2
     assert f"error: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, values, key", [("antennas", "16,36,16.5", "radio.antennas_uav"),
+                                               ("nosuch", "1", "unknown sweep axis 'nosuch'")])
+def test_cli_sweep_refuses_a_value_or_axis_before_solving(monkeypatch, capsys, axis, values, key):
+    solved = []
+    monkeypatch.setattr(runner, "solve_scenario", lambda *args: solved.append(args))
+    assert cli.main(["sweep", "--axis", axis, "--values", values]) == 2
+    assert key in capsys.readouterr().err and not solved
 
 
 @pytest.mark.parametrize("command", [["solve"], ["sweep", "--axis", "task_bits", "--values", "2e5"]])

@@ -1,6 +1,6 @@
-import copy
 import math
 import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,8 +323,17 @@ def test_vehicle_array_broadcasting():
 
 
 def test_wrong_per_vehicle_length_rejected():
-    with pytest.raises(ValidationError):
-        load_scenario("[network]\nvehicles = 2\n[geometry]\nvehicle_elevations = pi/3, pi/4, pi/5\n")
+    # a list of neither 1 nor K values is refused, its values equal or not
+    for text, key in (("[network]\nvehicles = 2\n[geometry]\nvehicle_elevations = pi/3, pi/4, pi/5\n",
+                       "geometry.vehicle_elevations"),
+                      ("[task]\ntask_bits = 5e5, 5e5\n", "task.task_bits"),
+                      ("[geometry]\nvehicle_elevations = 1.0, 1.0\n", "geometry.vehicle_elevations")):
+        with pytest.raises(ValidationError) as err:
+            load_scenario(text)
+        assert [error.split(":")[0] for error in err.value.errors] == [key], err.value.errors
+    with pytest.raises(ValidationError) as err:
+        load_scenario("[task]\ntask_bits = 5e5, 5e5\n")
+    assert err.value.errors == ["task.task_bits: expected 1 or 3 values, got 2"]
 
 
 def test_stock_elevations_cycle_with_vehicle_count():
@@ -481,9 +490,8 @@ ROLL_OUT_INPUTS = (
 @pytest.mark.parametrize("name, value", ROLL_OUT_INPUTS, ids=[n for n, _ in ROLL_OUT_INPUTS])
 def test_roll_out_memo_misses_when_an_input_changes(built_links, name, value):
     base = load_scenario("[task]\nhorizon = 0.4 s\n")
-    changed = copy.deepcopy(base)
-    setattr(changed, name, value)
-    changed = validate(changed)
+    # only `set_axis` resizes the validated per-vehicle lists to a new count
+    changed = set_axis(base, name, value) if name == "vehicles" else validate(replace(base, **{name: value}))
     cold = build_instance(changed)
     build_instance(base)
     built_links.clear()
