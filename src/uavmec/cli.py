@@ -62,9 +62,7 @@ def main(argv=None) -> int:
             result = runner.SweepResult(axis="none", values=[0.0], config=cfg)
             result.rows.append(runner.solve_scenario(cfg))
         else:
-            values = [float(v) for v in args.values.split(",")]
-            include_baseline = args.baseline
-            result = runner.run_sweep(cfg, args.axis, values, include_baseline)
+            result = runner.run_sweep(cfg, args.axis, args.values.split(","), args.baseline)
     except ValidationError as exc:  # a refused sweep value or axis, before any point is solved
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,8 @@ from .protocol import (
     time_breakdown,
     wtec,
 )
-from .scenario import PER_VEHICLE_KEYS, ScenarioConfig, ValidationError, build_instance, echo_config, validate
+from .scenario import (_FIELD_SECTION, PER_VEHICLE_KEYS, ScenarioConfig, ValidationError, build_instance,
+                       echo_config, validate)
 
 COLUMNS = (
     "sweep_value",
@@ -101,15 +102,20 @@ def solve_report(cfg: ScenarioConfig):
 
 def set_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     """A validated copy of `cfg` with one sweep axis set to `value`; the input
-    is unchanged, and an axis that names no config field is refused.
+    is unchanged, and an axis that names no config field or a value that is
+    not a number is refused.
 
     A per-vehicle list is set to the value for every vehicle.  A new vehicle
     count cycles each per-vehicle list to that many values; a count that
     `validate` refuses leaves the lists as they are, for `validate` to name.
     """
-    value, names = float(value), _AXIS_ALIASES.get(axis, (axis,))
+    names = _AXIS_ALIASES.get(axis, (axis,))
     if not set(names) <= {f.name for f in fields(cfg)}:
         raise ValidationError([f"unknown sweep axis {axis!r}"])
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError([f"{_FIELD_SECTION[name]}.{name}: {value!r} is not a number" for name in names]) from None
     changes = {}
     for name in names:
         current = getattr(cfg, name)
@@ -124,9 +130,9 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, include_baseline: bool = F
     recorded as infeasible rows instead of aborting the sweep.  Every point's
     config is derived first, so a refused value stops the sweep before it
     solves any point."""
-    result = SweepResult(axis=axis, values=[float(v) for v in values], config=cfg)
-    points = [(value, set_axis(cfg, axis, value)) for value in sorted(result.values)]
-    for value, point_cfg in points:
+    points = [(set_axis(cfg, axis, value), float(value)) for value in values]
+    result = SweepResult(axis=axis, values=[value for _, value in points], config=cfg)
+    for point_cfg, value in sorted(points, key=lambda point: point[1]):
         try:
             row = solve_scenario(point_cfg, value)
         except (optimizer.InfeasibleAllocation, optimizer.IterationCapExceeded) as exc:

@@ -13,6 +13,7 @@ import io
 import math
 import re
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,14 +45,17 @@ HORIZON_BYTES_MAX = 256 * 2**20  # bytes of gain table and spectra that `validat
 
 @dataclass
 class ScenarioConfig:
-    """Fully resolved run parameters, all in SI units."""
+    """Fully resolved run parameters, all in SI units.
 
-    # network
-    vehicles: int = 3
+    Each field is one config key, in the section named on the nearest field
+    at or above it.  A key whose stock value is an int is a count, a bool a
+    switch, and None an optional key that may stay unset.
+    """
+
+    vehicles: int = field(default=3, metadata={"section": "network"})
     weight_vehicle: np.ndarray = field(default_factory=lambda: np.array([1.0]))
     weight_uav: float = 0.1
-    # task / compute
-    horizon: float = 8.0
+    horizon: float = field(default=8.0, metadata={"section": "task"})
     slot: float = 0.2
     task_bits: np.ndarray = field(default_factory=lambda: np.array([5e5]))
     output_ratio: np.ndarray = field(default_factory=lambda: np.array([0.8]))
@@ -61,8 +65,7 @@ class ScenarioConfig:
     cycles_per_bit_uav: float = 1e3
     capacitance_vehicle: float = 1e-27
     capacitance_uav: float = 1e-27
-    # geometry / mobility
-    uav_altitude: float = 10.0
+    uav_altitude: float = field(default=10.0, metadata={"section": "geometry"})
     vehicle_elevations: np.ndarray = field(default_factory=_STOCK_ELEVATIONS.copy)
     rsu_elevation: float = math.pi / 3
     slant: float = math.pi / 3
@@ -75,8 +78,7 @@ class ScenarioConfig:
     uav_climb: float = math.pi / 9
     vehicle_positions: np.ndarray | None = None
     rsu_position: np.ndarray | None = None
-    # radio
-    wavelength: float = 0.15
+    wavelength: float = field(default=0.15, metadata={"section": "radio"})
     path_loss_exponent: float = 2.0
     bandwidth: float = 5e6
     reference_gain: float = 1e-5
@@ -90,8 +92,7 @@ class ScenarioConfig:
     antennas_rsu: int = 36
     spacing: float | str = "lambda/2"
     doppler_phase: str = "literal"
-    # uav propulsion
-    uav_model: str = "rotary_wing"
+    uav_model: str = field(default="rotary_wing", metadata={"section": "uav"})
     c1: float = 9.26e-4
     c2: float = 2250.0
     c3: float = 3.33
@@ -104,8 +105,7 @@ class ScenarioConfig:
     climb_power: float = 11.46
     blade_power: float | None = None
     induced_power: float | None = None
-    # solver / run
-    epsilon: float = 1e-4
+    epsilon: float = field(default=1e-4, metadata={"section": "solver"})
     max_iterations: int = 200
     mode: str = "optimized"
     include_propulsion: bool = True
@@ -137,37 +137,10 @@ class ScenarioConfig:
         return out
 
 
-# section -> field names; used both for parsing and for echoing configs
-_SECTIONS = {
-    "network": ("vehicles", "weight_vehicle", "weight_uav"),
-    "task": (
-        "horizon", "slot", "task_bits", "output_ratio",
-        "cpu_vehicle", "cpu_uav", "cycles_per_bit_vehicle", "cycles_per_bit_uav",
-        "capacitance_vehicle", "capacitance_uav",
-    ),
-    "geometry": (
-        "uav_altitude", "vehicle_elevations", "rsu_elevation", "slant", "downtilt",
-        "bearing", "vehicle_speed", "vehicle_azimuth", "uav_speed", "uav_azimuth",
-        "uav_climb", "vehicle_positions", "rsu_position",
-    ),
-    "radio": (
-        "wavelength", "path_loss_exponent", "bandwidth", "reference_gain",
-        "noise_density", "power_max_offload", "power_max_relay",
-        "power_max_down_uav", "power_max_down_rsu", "antennas_vehicle",
-        "antennas_uav", "antennas_rsu", "spacing", "doppler_phase",
-    ),
-    "uav": (
-        "uav_model", "c1", "c2", "c3", "tip_speed", "induced_velocity",
-        "drag_ratio", "solidity", "air_density", "disc_area", "climb_power",
-        "blade_power", "induced_power",
-    ),
-    "solver": (
-        "epsilon", "max_iterations", "mode",
-        "include_propulsion", "tccd_include_local", "seed",
-    ),
-}
-
-_FIELD_SECTION = {name: sec for sec, names in _SECTIONS.items() for name in names}
+_FIELD_SECTION = dict(zip((f.name for f in fields(ScenarioConfig)), accumulate(
+    (f.metadata.get("section") for f in fields(ScenarioConfig)), lambda above, own: own or above)))
+_SECTIONS = {section: tuple(name for name in _FIELD_SECTION if _FIELD_SECTION[name] == section)
+             for section in dict.fromkeys(_FIELD_SECTION.values())}  # section -> its keys, in field order
 
 _UNIT_SCALE = {
     "s": 1.0, "ms": 1e-3, "us": 1e-6,
@@ -232,7 +205,7 @@ def _parse_value(text: str):
 
 
 def load_scenario(path_or_text) -> ScenarioConfig:
-    """Read a config file (or literal text) into a fully resolved scenario.
+    """Read a config file path, or config text, into a fully resolved scenario.
 
     Unspecified keys keep their stock defaults; all validation problems are
     reported together, each with its section.key path.
@@ -240,9 +213,7 @@ def load_scenario(path_or_text) -> ScenarioConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         text = str(path_or_text)
-        if hasattr(path_or_text, "read"):
-            parser.read_file(path_or_text)
-        elif text.strip() == "" or "\n" in text or "=" in text:
+        if text.strip() == "" or "\n" in text or "=" in text:
             parser.read_string(text)
         else:
             with open(path_or_text, "r", encoding="utf-8") as fh:
@@ -277,6 +248,7 @@ def _any(value, test) -> bool:
 
 
 _OPTIONAL_KEYS = frozenset(f.name for f in fields(ScenarioConfig) if f.default is None)
+_COUNT_KEYS = tuple(f.name for f in fields(ScenarioConfig) if type(f.default) is int)  # a bool is a switch
 _CHOICE_KEYS = ("mode", "doppler_phase", "uav_model")  # checked against their choices alone
 
 # The range rules `validate` applies, one row per (keys, test that a bad value
@@ -337,10 +309,7 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             errors.append(f"{_FIELD_SECTION[f.name]}.{f.name}: must be {what}")
 
     # a count must be whole, not truncated; INI text and sweeps give 16.0
-    for name in ("vehicles", "antennas_vehicle", "antennas_uav", "antennas_rsu",
-                 "max_iterations", "seed"):
-        if name in bad:
-            continue
+    for name in (name for name in _COUNT_KEYS if name not in bad):
         value = getattr(cfg, name)
         if value != int(value):
             bad.add(name)

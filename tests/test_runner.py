@@ -245,7 +245,9 @@ def test_cli_solve_refuses_a_config_by_its_key(tmp_path, capsys, text, key):
 
 
 @pytest.mark.parametrize("axis, values, key", [("antennas", "16,36,16.5", "radio.antennas_uav"),
-                                               ("nosuch", "1", "unknown sweep axis 'nosuch'")])
+                                               ("nosuch", "1", "unknown sweep axis 'nosuch'"),
+                                               ("task_bits", "2e5,abc", "task.task_bits: 'abc' is not a number"),
+                                               ("antennas", "16,abc", "radio.antennas_rsu: 'abc' is not a number")])
 def test_cli_sweep_refuses_a_value_or_axis_before_solving(monkeypatch, capsys, axis, values, key):
     solved = []
     monkeypatch.setattr(runner, "solve_scenario", lambda *args: solved.append(args))

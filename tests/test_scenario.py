@@ -1,6 +1,6 @@
 import math
 import operator
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -225,6 +225,14 @@ COUNT_KEYS = [("network", "vehicles"), ("radio", "antennas_vehicle"), ("radio", 
               ("radio", "antennas_rsu"), ("solver", "max_iterations"), ("solver", "seed")]
 
 
+def test_count_keys_are_the_keys_whose_stock_value_is_an_int():
+    # every key set to 16.5: a whole-number refusal names exactly the counts
+    with pytest.raises(ValidationError) as err:
+        validate(ScenarioConfig(**{f.name: 16.5 for f in fields(ScenarioConfig)}))
+    whole = [e.split(":")[0] for e in err.value.errors if e.endswith(": must be a whole number")]
+    assert whole == [f"{section}.{key}" for section, key in COUNT_KEYS]
+
+
 def test_fractional_counts_rejected_not_truncated():
     with pytest.raises(ValidationError) as err:
         validate(ScenarioConfig(antennas_uav=16.5))
@@ -347,11 +355,33 @@ def test_unparseable_text_raises_parse_error():
         load_scenario("just some words\nwith = broken\n[missing")
 
 
+# A value for every key that differs from its stock value and that
+# `validate` accepts, the four optional keys set
+NON_STOCK = dict(
+    vehicles=2, weight_vehicle=np.array([1.5, 0.5]), weight_uav=0.2,
+    horizon=0.4, slot=0.1, task_bits=np.array([2e5, 3e5]), output_ratio=np.array([0.5, 0.7]),
+    cpu_vehicle=2e9, cpu_uav=4e9, cycles_per_bit_vehicle=500.0, cycles_per_bit_uav=700.0,
+    capacitance_vehicle=2e-27, capacitance_uav=3e-27,
+    uav_altitude=20.0, vehicle_elevations=np.array([1.0, 0.5]), rsu_elevation=1.1, slant=0.1,
+    downtilt=0.2, bearing=0.3, vehicle_speed=10.0, vehicle_azimuth=0.4, uav_speed=5.0, uav_azimuth=0.6,
+    uav_climb=0.05, vehicle_positions=np.array([[5.0, 1.0, 0.0], [8.0, 2.0, 0.0]]),
+    rsu_position=np.array([-20.0, 0.0, 0.0]),
+    wavelength=0.1, path_loss_exponent=2.5, bandwidth=1e7, reference_gain=2e-5, noise_density=2e-16,
+    power_max_offload=1.0, power_max_relay=2.0, power_max_down_uav=3.0, power_max_down_rsu=4.0,
+    antennas_vehicle=16, antennas_uav=9, antennas_rsu=25, spacing="lambda/4", doppler_phase="accumulated",
+    uav_model="fixed_wing", c1=1e-3, c2=2000.0, c3=3.0, tip_speed=100.0, induced_velocity=4.0,
+    drag_ratio=0.5, solidity=0.06, air_density=1.2, disc_area=0.4, climb_power=10.0,
+    blade_power=80.0, induced_power=90.0,
+    epsilon=1e-3, max_iterations=50, mode="baseline", include_propulsion=False, tccd_include_local=True,
+    seed=7,
+)
+
+
 def test_echo_config_round_trips():
-    cfg = validate(ScenarioConfig())
-    text = echo_config(cfg)
-    again = load_scenario(text)
-    assert again.as_dict() == cfg.as_dict()
+    stock, changed = validate(ScenarioConfig()), validate(ScenarioConfig(**NON_STOCK))
+    assert [key for key, value in changed.as_dict().items() if value == stock.as_dict()[key]] == []
+    for cfg in (stock, changed):
+        assert load_scenario(echo_config(cfg)).as_dict() == cfg.as_dict()
 
 
 def test_position_overrides_reach_geometry():
