@@ -5,17 +5,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import runner
 from .scenario import ParseError, ScenarioConfig, ValidationError, load_scenario, validate
 
 
 def _load(args) -> ScenarioConfig:
-    """The scenario of --config (stock values without one), verify's --seed applied before validation."""
-    cfg = load_scenario(args.config) if args.config else ScenarioConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    return validate(cfg)
+    """The scenario of --config (stock values without one), validated again only when verify's --seed sets the seed."""
+    cfg = load_scenario(args.config or "")
+    return cfg if getattr(args, "seed", None) is None else validate(replace(cfg, seed=args.seed))
 
 
 def main(argv=None) -> int:
@@ -57,8 +56,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "solve":
-            if args.baseline:
-                cfg.mode = "baseline"
+            cfg = replace(cfg, mode="baseline") if args.baseline else cfg
             result = runner.SweepResult(axis="none", values=[0.0], config=cfg)
             result.rows.append(runner.solve_scenario(cfg))
         else:

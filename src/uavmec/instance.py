@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import LinkChannel, RadioConfig, build_channel
-from .energy import ComputeModel, FlightPowerModel, flight_energy
+from .energy import ComputeModel
 # Nothing here calls `advance`; the benchmark's tracer wraps `instance.advance`,
 # so the name stays until the benchmark drops that layer (ROADMAP item 2).
 from .geometry import NetworkState, advance
@@ -58,8 +58,6 @@ class ProblemInstance:
     bandwidth: float
     power_max: np.ndarray  # (4,) cap per phase
     gains: np.ndarray  # (4, K, N, L)
-    flight: FlightPowerModel | None = None
-    uav_velocity: np.ndarray | None = None  # (3,) constant over the horizon
     channel_sets: list = field(default_factory=list)  # K+1 LinkChannels: K uplinks, relay
     states: list = field(default_factory=list)  # the slot-0 NetworkState
 
@@ -78,14 +76,6 @@ class ProblemInstance:
     def rate(self, powers: np.ndarray) -> np.ndarray:
         """Achievable rate (bits/s) of each phase at stacked (4, K, N) powers."""
         return rate(self.gains, self.bandwidth, powers)
-
-    def flight_energy_total(self) -> float:
-        """Propulsion energy over the whole horizon (0 without a UAV model)."""
-        if self.flight is None or self.uav_velocity is None:
-            return 0.0
-        v = self.uav_velocity
-        per_slot = flight_energy(self.flight, v[:2], v[2:], self.slot_len)
-        return per_slot * self.n_slots
 
 
 def _spectrum(ch: LinkChannel, bound: str) -> np.ndarray:

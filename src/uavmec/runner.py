@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import optimizer
+from .energy import flight_energy
 from .protocol import (
     baseline_allocation,
     check_feasible,
@@ -23,7 +24,7 @@ from .protocol import (
     wtec,
 )
 from .scenario import (_FIELD_SECTION, PER_VEHICLE_KEYS, ScenarioConfig, ValidationError, build_instance,
-                       echo_config, validate)
+                       echo_config, flight_model, validate)
 
 COLUMNS = (
     "sweep_value",
@@ -63,34 +64,28 @@ class SweepResult:
     config: ScenarioConfig | None = None
 
 
-def _row(sweep_value, mode, alloc, inst, cfg, iterations, feasible, extra_energy) -> dict:
-    row = {
-        "sweep_value": float(sweep_value),
-        "mode": mode,
-        "wtec_J": wtec(alloc, inst) + extra_energy,
-        "tccd_s": tccd(alloc, inst, include_local=cfg.tccd_include_local),
-        "feasible": bool(feasible),
-        "iterations": int(iterations),
-    }
-    row.update(energy_breakdown(alloc, inst))
-    row["e_flight_J"] = inst.flight_energy_total()
-    row.update(time_breakdown(alloc, inst))
-    return row
-
-
 def solve_scenario(cfg: ScenarioConfig, sweep_value: float = 0.0) -> dict:
     """Run one scenario in its configured mode and return a result row."""
     inst = build_instance(cfg)
-    extra = cfg.weight_uav * inst.flight_energy_total() if cfg.include_propulsion else 0.0
     if cfg.mode == "baseline":
         alloc = baseline_allocation(inst)
-        verdict = check_feasible(alloc, inst)
-        return _row(sweep_value, "baseline", alloc, inst, cfg, 0, verdict.feasible, extra)
-    report = optimizer.algorithm1(
-        inst, eps=cfg.epsilon, max_iterations=cfg.max_iterations
-    )
-    return _row(sweep_value, cfg.mode, report.allocation, inst, cfg,
-                report.iterations, report.feasible, extra)
+        iterations, feasible = 0, check_feasible(alloc, inst).feasible
+    else:
+        report = optimizer.algorithm1(inst, eps=cfg.epsilon, max_iterations=cfg.max_iterations)
+        alloc, iterations, feasible = report.allocation, report.iterations, report.feasible
+    v = inst.states[0].uav.velocity  # the velocity the roll-out flew, constant over the horizon
+    e_flight = flight_energy(flight_model(cfg), v[:2], v[2:], cfg.slot) * cfg.n_slots
+    return {
+        "sweep_value": float(sweep_value),
+        "mode": cfg.mode,
+        "wtec_J": wtec(alloc, inst) + (cfg.weight_uav * e_flight if cfg.include_propulsion else 0.0),
+        "tccd_s": tccd(alloc, inst, include_local=cfg.tccd_include_local),
+        "feasible": bool(feasible),
+        "iterations": int(iterations),
+        **energy_breakdown(alloc, inst),
+        "e_flight_J": e_flight,
+        **time_breakdown(alloc, inst),
+    }
 
 
 def solve_report(cfg: ScenarioConfig):

@@ -388,8 +388,10 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         if cfg.vehicle_positions.shape != (k, 3):
             errors.append(f"geometry.vehicle_positions: expected shape ({k}, 3), one x,y,z row per vehicle, "
                           f"got {pos.shape}")
-    if cfg.rsu_position is not None and "rsu_position" not in bad and np.shape(cfg.rsu_position) != (3,):
-        errors.append(f"geometry.rsu_position: expected shape (3,), one x,y,z, got {np.shape(cfg.rsu_position)}")
+    if cfg.rsu_position is not None and "rsu_position" not in bad:
+        cfg.rsu_position = np.asarray(cfg.rsu_position, dtype=float)
+        if cfg.rsu_position.shape != (3,):
+            errors.append(f"geometry.rsu_position: expected shape (3,), one x,y,z, got {cfg.rsu_position.shape}")
     if errors:
         raise ValidationError(errors)
     return cfg
@@ -506,8 +508,6 @@ def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
             cfg.power_max_down_uav, cfg.power_max_down_rsu,
         ]),
         gains=gains,
-        flight=flight_model(cfg),
-        uav_velocity=state0.uav.velocity,
         channel_sets=links,
         states=[state0],
     )

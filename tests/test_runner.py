@@ -191,6 +191,17 @@ def test_propulsion_flag_shifts_reported_energy():
     )
 
 
+def test_fixed_wing_flight_energy_is_level_flight_power_over_the_horizon():
+    # at uav_climb = 0 the fixed-wing UAV draws c1*V^3 + c2/V in every slot, whatever the mode
+    speed = 30.0
+    cfg = small_cfg(uav_model="fixed_wing", uav_climb=0.0, uav_speed=speed)
+    expected = cfg.horizon * (cfg.c1 * speed**3 + cfg.c2 / speed)
+    for mode in ("optimized", "baseline", "rank1_bound", "fullrank_bound"):
+        row = runner.solve_scenario(replace(cfg, mode=mode))
+        assert row["mode"] == mode
+        assert row["e_flight_J"] == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_baseline_mode_rows():
     cfg = small_cfg()
     cfg.mode = "baseline"

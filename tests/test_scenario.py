@@ -380,7 +380,10 @@ NON_STOCK = dict(
 def test_echo_config_round_trips():
     stock, changed = validate(ScenarioConfig()), validate(ScenarioConfig(**NON_STOCK))
     assert [key for key, value in changed.as_dict().items() if value == stock.as_dict()[key]] == []
-    for cfg in (stock, changed):
+    # positions given as Python lists are echoed as numbers, not as list text
+    listed = validate(ScenarioConfig(**{**NON_STOCK, "vehicle_positions": NON_STOCK["vehicle_positions"].tolist(),
+                                        "rsu_position": NON_STOCK["rsu_position"].tolist()}))
+    for cfg in (stock, changed, listed):
         assert load_scenario(echo_config(cfg)).as_dict() == cfg.as_dict()
 
 
