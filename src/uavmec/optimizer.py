@@ -18,13 +18,15 @@ Newton iteration on log(phi) against log(p), with phi's ln(1 + p*g) terms
 taken by log1p; the uplink, relay and download roots (both download phases
 share one table) step in one loop over a leading phase axis, from p_max or,
 inside the warm start's time-price root, from the tangent at the previous
-iterate's powers.  A time price is (K, N), one value per block.  Every rate
-and r' of the warm start and the completions is B/ln2 times a sum of phi's,
-from the cap pass's one call or a power root's last call, and the warm start
-hands its kept price's powers and rates on.  The minimum-bits price is
+iterate's powers and to a forcing tolerance (inexact Newton) that tightens
+as the need nears its budget.  A time price is (K, N), one value per block.
+Every rate and r' of the warm start and the completions is B/ln2 times a sum
+of phi's, from the cap pass's one call or a power root's last call, and the
+warm start hands its kept price's powers and rates on.  The minimum-bits price is
 closed form; the time prices and `power_opt`'s powers come from one
 safeguarded Newton root on analytic slopes, `_log_root`, whose steps move at
-most 16 halvings down until a step lands below the root.
+most 16 halvings down until a step lands below the root and then take
+Halley's correction from two slopes.
 
 Multiplier order inside every length-6 vector: the prices of the
 minimum-bits constraint, the sub-slot time budget, and the four link
@@ -124,7 +126,9 @@ def _log_root(need, budget, hi):
     Safeguarded Newton steps run in t = log(x) on g = log(need/budget), which
     is nearly linear in t for the solver's prices and powers; below a tenth
     of the budget g steepens, so there the step is at least Newton's step on
-    the need itself.  Each step aims 4e-14 (above the spacing of floats near
+    the need itself.  Once the low end is closed, Halley's factor 1 -
+    g*g''/(2*g'**2), g'' from the last two slopes, divides a step where it
+    lies in (0.5, 2).  Each step aims 4e-14 (above the spacing of floats near
     |t| < 128) above the root, so the iterates settle on its feasible side.
     The first evaluation is at hi; the bottom hi * 2**-80 stays an open end
     until a step lands below the root, and the ends move by the sign of
@@ -150,14 +154,17 @@ def _log_root(need, budget, hi):
         t = t_hi = np.log(hi)
     closed = np.zeros(hi.shape, dtype=bool)  # the low end was evaluated
     value, slope = need(x)
-    done = (value > budget) | (hi <= 0.0)
+    done, t_last, dg_last = (value > budget) | (hi <= 0.0), np.nan, np.nan  # no last iterate yet
     for _ in range(100):
         over = value > budget
         live_over, live_fits = ~done & over, ~done & ~over
         t_lo, closed = np.where(live_over, t, t_lo), closed | live_over
         t_hi, hi = np.where(live_fits, t, t_hi), np.where(live_fits, x, hi)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = -np.log(value / budget) * value / (x * slope)
+            g, dg = np.log(value / budget), x * slope / value
+            halley = 1.0 - g * (dg - dg_last) / (2.0 * (t - t_last) * dg * dg)
+            step = -g / dg / np.where(closed & (halley > 0.5) & (halley < 2.0), halley, 1.0)
+            t_last, dg_last = t, dg
             step = 4e-14 + np.where(value < 0.1 * budget,
                                     np.minimum(step, (budget - value) / (x * slope)), step)
             done |= live_fits & (((step >= -1e-14) & (step <= 4e-14)) | (t <= t_bottom))
@@ -246,13 +253,14 @@ def _phi(gains, w, p):
     return w * (ratio - p), w * ratio * spectral_sum(q, q) / floor, sum_log, sum_q
 
 
-def _power_from_time_price(gains, w, pmax, at_cap, mu, start=None):
+def _power_from_time_price(gains, w, pmax, at_cap, mu, start=None, tol=5e-15):
     """Invert w*(r/r' - p) = mu elementwise on [0, p_max] (clamped above) for
     the power roots stacked on a leading axis, `gains` (P, K, N, L), `w` (P,
     K, N), `pmax` (P,) and `at_cap`, `_phi` at p_max, each (P, K, N), at a
     time price `mu` (K, N); returns the powers, their slopes dp/dmu and the
     last `_phi` call's two sums, each (P, K, N): 1/phi'(p) and the sums at p
-    inside (0, p_max), a 0 slope and stale sums where p clamps.
+    inside (0, p_max), a 0 slope and stale sums where p clamps; and the
+    powers' error per block (K, N), the largest last Newton step (0 clamped).
 
     mu <= 0 gives 0 and phi(p_max) <= mu gives p_max.  Elsewhere a
     safeguarded Newton iteration on log(phi) against log(p), where phi is
@@ -263,13 +271,13 @@ def _power_from_time_price(gains, w, pmax, at_cap, mu, start=None):
     keeps a bracket [lo, hi] from the sign of phi(p) - mu; a step that is not
     finite or leaves the bracket halves the bracket instead.  A block stops
     when |phi(p) - mu| is within phi's rounding floor 8e-16*w*(r/r' + p) or
-    its Newton step is at most 5e-15 in log(p), on the iterate it evaluated,
-    so a start on the root confirms in one call.  At most 60 iterations run,
-    one stacked `_phi` call each; a stopped block's power does not move, so
-    each root returns the bits of a loop of its own.  It is not a `_log_root`:
-    phi cancels r/r' against p, so near that root's bracket bottom p_max *
-    2**-80 it reads rounding noise that steers the completion off its
-    optimum; Newton starts at p_max or near the root.
+    its Newton step is at most `tol` (per block) in log(p), on the iterate it
+    evaluated, so a start on the root confirms in one call.  At most 60
+    iterations run, one stacked `_phi` call each; a stopped block's power does
+    not move, so each root returns the bits of a loop of its own.  It is not
+    a `_log_root`: phi cancels r/r' against p, so near that root's bracket
+    bottom p_max * 2**-80 it reads rounding noise that steers the completion
+    off its optimum; Newton starts at p_max or near the root.
     """
     pmax = pmax[:, None, None]
     p = np.broadcast_to(pmax, w.shape) if start is None else np.where(start > 0.0, start, pmax)
@@ -289,7 +297,7 @@ def _power_from_time_price(gains, w, pmax, at_cap, mu, start=None):
             newton = p * np.exp(-step)
             # a step that small has converged, also where it rounds onto a
             # bracket end and so leaves the bracket
-            done |= np.abs(step) <= 5e-15
+            done |= np.abs(step) <= tol
             p = np.where(done, p, np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi)))
             if done.all():
                 break
@@ -297,24 +305,26 @@ def _power_from_time_price(gains, w, pmax, at_cap, mu, start=None):
     interior = (mu > 0.0) & ~at_max
     with np.errstate(divide="ignore"):  # phi' = 0 only on a dead link, which clamps
         dp = np.where(interior, 1.0 / values[1], 0.0)
-    return np.where(interior, p, np.where(at_max, pmax, 0.0)), dp, *values[2:]
+    return (np.where(interior, p, np.where(at_max, pmax, 0.0)), dp, *values[2:],
+            np.where(interior, np.abs(step), 0.0).max(axis=0))
 
 
-def _phase_powers(inst, caps, mu, start=None):
+def _phase_powers(inst, caps, mu, start=None, tol=5e-15):
     """Stationary power of each phase at the (K, N) time price, the rate,
-    dp/dmu and r', each (4, K, N), by one stacked `_power_from_time_price` on
-    `caps`' three roots from p_max or the warm start's `start`.  The download
-    root serves both download phases, clamped at each cap, over their one
-    table.  Rate and r' are B/ln2 times the root's sums inside (0, p_max),
-    `caps`' at the cap, 0 and B/ln2*sum_l g_l at 0."""
-    roots = _power_from_time_price(caps.root_gains, caps.root_weights, caps.root_caps, caps.phi, mu,
-                                   None if start is None else start[caps.roots])
+    dp/dmu and r', each (4, K, N), and the powers' error, by one stacked
+    `_power_from_time_price` to `tol` on `caps`' three roots from p_max or the
+    warm start's `start`.  The download root serves both download phases,
+    clamped at each cap, over their one table.  Rate and r' are B/ln2 times
+    the root's sums inside (0, p_max), `caps`' at the cap, 0 and B/ln2*sum_l
+    g_l at 0."""
+    *roots, error = _power_from_time_price(caps.root_gains, caps.root_weights, caps.root_caps, caps.phi, mu,
+                                           None if start is None else start[caps.roots], tol)
     p, dp, sum_log, sum_q = (a[[0, 1, 2, 2]] for a in roots)
     scale, cap = inst.bandwidth / np.log(2.0), inst.power_max[:, None, None]
     powers, dpowers = np.minimum(p, cap), np.where(p < cap, dp, 0.0)
     rates = np.where(powers >= cap, caps.rates, np.where(powers > 0.0, scale * sum_log, 0.0))
     r_prime = np.where(powers >= cap, caps.slopes[1], np.where(powers > 0.0, scale * sum_q, caps.slopes[0]))
-    return powers, rates, dpowers, r_prime
+    return powers, rates, dpowers, r_prime, error
 
 
 def _split_terms(inst, chi_subslot, chi_uplink, chi_down_uav):
@@ -326,8 +336,13 @@ def _split_terms(inst, chi_subslot, chi_uplink, chi_down_uav):
     vc, uc = inst.vehicle_compute, inst.uav_compute
     a = inst.slot_len / np.sqrt(3.0 * inst.weights_vehicle[:, None] * vc.capacitance * vc.cycles_per_bit**3)
     b = inst.subslot / np.sqrt(3.0 * inst.weight_uav * uc.capacitance * uc.cycles_per_bit**3)
-    c0 = chi_subslot * uc.cycles_per_bit / uc.cpu_freq + chi_uplink + inst.output_ratio[:, None] * chi_down_uav
-    return a, inst.bits_local_cap, b, c0, inst.bits_uav_cap
+    return a, inst.bits_local_cap, b, _uav_price(inst, chi_subslot, chi_uplink, chi_down_uav), inst.bits_uav_cap
+
+
+def _uav_price(inst, chi_subslot, chi_uplink, chi_down_uav):
+    """c0, the UAV route's price per bit, per block."""
+    uc = inst.uav_compute
+    return chi_subslot * uc.cycles_per_bit / uc.cpu_freq + chi_uplink + inst.output_ratio[:, None] * chi_down_uav
 
 
 def _split(terms, chi1):
@@ -337,9 +352,10 @@ def _split(terms, chi1):
             np.minimum(b * np.sqrt(np.maximum(chi1 - c0, 0.0)), cap_u))
 
 
-def _min_bits_price(terms, min_bits, d_c0):
+def _min_bits_price(terms, min_bits, d_c0, fixed):
     """Lowest price at which `_split` carries min_bits m, per block (inf where
-    both CPU caps fall short), and its slope in mu given d_c0 = dc0/dmu.  The
+    both CPU caps fall short), and its slope in mu given d_c0 = dc0/dmu and
+    `fixed`, its terms that no price moves (`CapFacts.price_terms`).  The
     split's total rises continuously with the price; its values at the
     breakpoints (cap_L/A)^2, c0 and c0 + (cap_U/B)^2 pick the piece that
     holds the root: (m/A)^2 with no UAV bits, c0 + ((m - cap_L)/B)^2 past the
@@ -350,16 +366,17 @@ def _min_bits_price(terms, min_bits, d_c0):
     m, the price steps up float by float to the first one that carries m."""
     a, cap_l, b, c0, cap_u = terms
     m = min_bits
-    local_knee, uav_knee = (cap_l / a) ** 2, c0 + (cap_u / b) ** 2
+    local_knee, uav_width, over, mm, am, bb_aa, no_uav, past_local, past_uav = fixed
+    uav_knee = c0 + uav_width
     at_c0, at_local_cap, at_uav_cap = (sum(_split(terms, knee)) for knee in (c0, local_knee, uav_knee))
     local_capped, uav_capped = m >= at_local_cap, m >= at_uav_cap
-    over, low = m > cap_l + cap_u, m <= at_c0  # the route price; no UAV bits
+    low = m <= at_c0  # no UAV bits; `over` takes the route price
     # every piece is evaluated on every block: 0/0 or overflow only off its piece
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = (m * m + b * b * c0) / (a * m + b * np.sqrt(np.maximum(m * m + (b * b - a * a) * c0, 0.0)))
-        price = np.where(over, np.inf, np.where(low, (m / a) ** 2, np.where(
-            local_capped, np.where(uav_capped, np.maximum(local_knee, uav_knee), c0 + ((m - cap_l) / b) ** 2),
-            np.where(uav_capped, ((m - cap_u) / a) ** 2, s * s))))
+        s = (mm + b * b * c0) / (am + b * np.sqrt(np.maximum(mm + bb_aa * c0, 0.0)))
+        price = np.where(over, np.inf, np.where(low, no_uav, np.where(
+            local_capped, np.where(uav_capped, np.maximum(local_knee, uav_knee), c0 + past_local),
+            np.where(uav_capped, past_uav, s * s))))
         # on the interior piece s_U/(s_L + s_U) = B^2*b_L/(A^2*b_U + B^2*b_L) with b_L = A*s
         slope = np.where(over | low, 0.0, np.where(
             local_capped, np.where(~uav_capped | (uav_knee >= local_knee), d_c0, 0.0),
@@ -379,7 +396,7 @@ def _carry_slope(loads, dloads, rates, drates):
         return sum(np.where((loads > 0.0) | (dloads != 0.0), (dloads - loads * drates / rates) / rates, 0.0))
 
 
-def _candidate(inst, caps, mu, start=None):
+def _candidate(inst, caps, mu, start=None, tol=5e-15):
     """Dual point and primal quantities implied by the sub-slot time price.
 
     At the block optimum, power stationarity plus the time-sign balance make
@@ -391,22 +408,22 @@ def _candidate(inst, caps, mu, start=None):
     ground unit carries the shortfall.  The need's slope is analytic:
     dp/dmu = 1/phi'(p) gives dr/dmu, the envelope theorem d(chi_ph)/dmu =
     1/r_ph (clamped powers too), and the minimum-bits price's slope on its
-    piece the bits'.  `caps` is the solve's `CapFacts`; `start` and the
-    rates are `_phase_powers`'.  Returns the (K, N, 6) dual point, the (K, N)
-    sub-slot time its split needs, that need's slope d need/dmu, and the (4,
-    K, N) phase powers, their slopes dp/dmu and their rates.
+    piece the bits'.  `caps` is the solve's `CapFacts`; `start`, `tol` and
+    the rates are `_phase_powers`'.  Returns the (K, N, 6) dual point, the
+    (K, N) sub-slot time its split needs, that need's slope d need/dmu, the
+    (4, K, N) phase powers, their slopes dp/dmu and rates, and their error.
     """
-    powers, rates, dpowers, r_prime = _phase_powers(inst, caps, mu, start)
-    xi, uc, wv, pmax = inst.output_ratio[:, None], inst.uav_compute, caps.weights, inst.power_max[:, None, None]
-    chis = np.where(powers >= pmax * (1.0 - 1e-12), (wv * pmax + mu) / np.maximum(caps.rates, 1e-300),
-                    wv / np.maximum(r_prime, 1e-300))
+    powers, rates, dpowers, r_prime, error = _phase_powers(inst, caps, mu, start, tol)
+    xi, uc, pmax = inst.output_ratio[:, None], inst.uav_compute, inst.power_max[:, None, None]
+    chis = np.where(powers >= pmax * (1.0 - 1e-12), (caps.cap_energy + mu) / caps.rate_floor,
+                    caps.weights / np.maximum(r_prime, 1e-300))
     drates = r_prime * dpowers
     inv = 1.0 / np.maximum(rates, 1e-300)  # d(chi_ph)/dmu
     route, d_route = chis[0] + chis[1] + xi * chis[3], inv[0] + inv[1] + xi * inv[3]
-    terms = _split_terms(inst, mu, chis[0], chis[2])
-    _, cap_l, _, c0, cap_u = terms
-    d_c0 = uc.cycles_per_bit / uc.cpu_freq + inv[0] + xi * inv[2]
-    price, d_price = _min_bits_price(terms, inst.min_bits, d_c0)
+    a, cap_l, b, cap_u = caps.split
+    terms = a, cap_l, b, (c0 := _uav_price(inst, mu, chis[0], chis[2])), cap_u
+    d_c0 = caps.cpu_time + inv[0] + xi * inv[2]
+    price, d_price = _min_bits_price(terms, inst.min_bits, d_c0, caps.price_terms)
     chi1, d_chi1 = np.minimum(price, route), np.where(price < route, d_price, d_route)
     bl, bu = _split(terms, chi1)
     br = np.maximum(inst.min_bits - bl - bu, 0.0)
@@ -422,16 +439,19 @@ def _candidate(inst, caps, mu, start=None):
         slope = _carry_slope(loads, phase_loads(inst, dbu, dbr), rates, drates) + compute_time(dbu, uc)
 
     chi = np.stack([chi1, mu, *chis], axis=-1)
-    return chi, need, slope, powers, dpowers, rates
+    return chi, need, slope, powers, dpowers, rates, error
 
 
 @dataclass(frozen=True)
 class CapFacts:
-    """Each block's facts at the power caps, settled once per solve, stacked
-    on a leading phase axis: the four phases, then the three power roots."""
+    """Each block's facts at the power caps and its split's terms that no
+    price moves, settled once per solve; phase axes lead: the four phases,
+    then the three power roots."""
 
     weights: np.ndarray  # (4, K, N) each phase's objective weight
+    cap_energy: np.ndarray  # (4, K, N) w * p_max
     rates: np.ndarray  # (4, K, N) each phase's rate at its cap
+    rate_floor: np.ndarray  # (4, K, N) those rates floored at 1e-300
     slopes: np.ndarray  # (2, 4, K, N) each phase's r' at power 0 and at its cap
     roots: list  # the phases whose tables, weights and caps the power roots take:
     # the uplink, the relay and the download phase with the larger cap
@@ -441,6 +461,9 @@ class CapFacts:
     phi: tuple  # the cap call's `_phi` values on the root rows, each (3, K, N)
     ceiling: np.ndarray  # (K, N) time price above which every power clamps
     feasible: np.ndarray  # (K, N) `feasible_split`'s mask
+    split: tuple  # `_split_terms`' (A, cap_L, B, cap_U): the prices move only c0
+    price_terms: tuple  # `_min_bits_price`'s `fixed`: its terms in m, A, B and the CPU caps
+    cpu_time: float  # c_u/f_u, the UAV's compute seconds per bit
 
 
 def _at_caps(inst) -> CapFacts:
@@ -461,8 +484,13 @@ def _at_caps(inst) -> CapFacts:
              PHASE_DOWN_UAV if pmax[PHASE_DOWN_UAV] >= pmax[PHASE_DOWN_RSU] else PHASE_DOWN_RSU]
     root_phi = tuple(a[roots] for a in phi)
     ceiling = np.maximum(root_phi[0].max(axis=0), 0.0)
-    return CapFacts(weights, rates, slopes, roots, gains[roots], weights[roots], pmax[roots], root_phi,
-                    ceiling, feasible_split(inst, rates)[0])
+    a, cap_l, b, _, cap_u = _split_terms(inst, 0.0, 0.0, 0.0)
+    m = inst.min_bits  # `_min_bits_price`'s terms that no price moves
+    fixed = ((cap_l / a) ** 2, (cap_u / b) ** 2, m > cap_l + cap_u, m * m, a * m, b * b - a * a, (m / a) ** 2,
+             ((m - cap_l) / b) ** 2, ((m - cap_u) / a) ** 2)
+    return CapFacts(weights, weights * pmax[:, None, None], rates, np.maximum(rates, 1e-300), slopes, roots,
+                    gains[roots], weights[roots], pmax[roots], root_phi, ceiling, feasible_split(inst, rates)[0],
+                    (a, cap_l, b, cap_u), fixed, compute_time(1.0, inst.uav_compute))
 
 
 def feasible_split(inst, rates):
@@ -510,20 +538,30 @@ def warm_start(inst: ProblemInstance, caps: CapFacts):
     Each power root starts on the tangent at the last evaluation,
     p*exp(dlog(mu) * mu*(dp/dmu)/p) capped at p_max (an Euler predictor), or
     at p_max past a clamped or zero power; a price equal to the last one
-    returns that evaluation, as at the root's first call.  Returns
-    (multipliers, dual values, (powers, rates)) from the root's last
-    evaluation, at its price, zeroed on the blocks without load.
+    returns that evaluation, as at the root's first call.  The power roots
+    stop at a forcing tolerance, 1e-3*g**2 in log(p) within [5e-15, 1e-3]
+    with g = |log(need/sub-slot)| at the last price; a block whose sign the
+    powers' error can flip is solved again exactly, as is a loose evaluation
+    at the root's price.  Returns (multipliers, dual values, (powers, rates))
+    from that evaluation, zeroed on the blocks without load.
     """
-    pmax, last = inst.power_max[:, None, None], None  # (mu, chi, powers, dp/dmu, rates, need, need') last evaluated
+    pmax, last = inst.power_max[:, None, None], None  # mu, chi, powers, dp/dmu, rates, need, need', g, tol
 
-    def need(mu):
+    def need(mu, exact=False):
         nonlocal last
-        if last is None or not np.array_equal(mu, last[0]):
+        if exact or last is None or not np.array_equal(mu, last[0]):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # nan, so p_max, after a zero power
                 start = last and np.minimum(last[2] * (mu / last[0]) ** (last[0] * last[3] / last[2]), pmax)
-            chi, value, slope, powers, dpowers, rates = _candidate(inst, caps, mu, start)
-            last = mu, chi, powers, dpowers, rates, value, slope
-        return last[5:]
+            tol = 5e-15 if exact or last is None else np.fmax(np.minimum(1e-3 * last[7] ** 2, 1e-3), 5e-15)
+            unsure = True
+            while np.any(unsure):  # a block whose sign the powers' error can flip is solved again, exactly
+                chi, value, slope, powers, dpowers, rates, error = _candidate(inst, caps, mu, start, tol)
+                with np.errstate(divide="ignore"):
+                    g = np.abs(np.log(value / inst.subslot))
+                unsure = (2.0 * error >= g) & (tol > 5e-15)  # the need moved 0.77 of that step at most
+                start, tol = powers, np.where(unsure, 5e-15, tol)
+            last = mu, chi, powers, dpowers, rates, value, slope, g, tol
+        return last[5:7]
 
     top, over = caps.ceiling, need(caps.ceiling)[0] > inst.subslot
     for _ in range(_TIME_PRICE_DOUBLINGS):
@@ -531,7 +569,9 @@ def warm_start(inst: ProblemInstance, caps: CapFacts):
             break
         top = np.where(over, 2.0 * top, top)
         over &= need(top)[0] > inst.subslot
-    _log_root(need, inst.subslot, top)
+    mu = _log_root(need, inst.subslot, top)
+    if (last[8] > 5e-15).any():
+        need(mu, True)
     _, chi, powers, _, rates = last[:5]
     idle = inst.min_bits <= 0.0
     chi, kept = np.where(idle[..., None], 0.0, chi), tuple(np.where(idle, 0.0, a) for a in (powers, rates))
@@ -610,7 +650,7 @@ def complete_primal(inst: ProblemInstance, caps: CapFacts, bits, mu, powers=None
 
     def carry(mu):  # sum of the carry times and its slope in mu, bits fixed
         nonlocal last
-        p, rates, dpowers, r_prime = _phase_powers(inst, caps, mu)
+        p, rates, dpowers, r_prime, _ = _phase_powers(inst, caps, mu)
         last = p, carry_time(loads, rates)
         return sum(last[1]), _carry_slope(loads, 0.0, rates, r_prime * dpowers)
 

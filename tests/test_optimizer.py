@@ -713,7 +713,7 @@ def test_phase_powers_rates_match_the_rate_at_their_powers(name, inst):
     caps = opt._at_caps(inst)
     t = np.concatenate([[-1.0, 0.0], np.geomspace(2.0**-80, 4.0, 120)])[:, None, None]
     mu = np.where(caps.ceiling > 0.0, caps.ceiling, 1e-3) * t
-    powers, rates, _, r_prime = _over_prices(lambda m: opt._phase_powers(inst, caps, m), mu)
+    powers, rates, _, r_prime, _ = _over_prices(lambda m: opt._phase_powers(inst, caps, m), mu)
     for ph in range(4):
         ulp = 4 * inst.gains[ph].shape[-1]
         p = powers[:, ph]
@@ -817,9 +817,9 @@ def _count_calls(monkeypatch, calls, *names):
     for name in names:
         inner = getattr(opt, name)
 
-        def wrapper(*args, _name=name, _inner=inner):
+        def wrapper(*args, _name=name, _inner=inner, **kwargs):
             calls[_name] += 1
-            return _inner(*args)
+            return _inner(*args, **kwargs)
 
         calls[name] = 0
         monkeypatch.setattr(opt, name, wrapper)
@@ -1079,10 +1079,12 @@ def test_warm_start_runs_one_root_and_keeps_its_last_evaluation(stock_points, mo
         assert len(roots) == 1
 
 
-def test_stock_solve_evaluates_phi_in_at_most_24_calls_on_72_phase_rows(stock_points, monkeypatch):
-    # 22 stacked calls on 67 phase rows measured, with and without the time
-    # price root's bound on its steps down: the cap pass on the four phases
-    # and 21 calls on the three power roots (66 rows when the cap pass took
+def test_stock_solve_evaluates_phi_in_at_most_15_calls_on_46_phase_rows(stock_points, monkeypatch):
+    # 15 stacked calls on 46 phase rows measured: the cap pass on the four
+    # phases and 14 calls on the three power roots, which stop at the warm
+    # start's forcing tolerance while the time price is far from its root.
+    # 22 on 67 when every power root ran to 5e-15, with and without the time
+    # price root's bound on its steps down (66 rows when the cap pass took
     # the three roots alone).  32 on 96 when the kept price was
     # solved again from p_max and each root started on the previous powers,
     # not on their tangent; one root per phase took 119 single-phase calls, 120
@@ -1097,23 +1099,28 @@ def test_stock_solve_evaluates_phi_in_at_most_24_calls_on_72_phase_rows(stock_po
     state = ellipsoid_solve(stock_points[5e5], eps=cfg.epsilon, max_iterations=cfg.max_iterations)
     assert state.converged
     assert rows[0] == 4 and set(rows[1:]) == {3}
-    assert len(rows) <= 24 and sum(rows) <= 72
+    assert len(rows) <= 15 and sum(rows) <= 46
 
 
-def test_stock_trend_evaluates_phi_in_at_most_182_calls(monkeypatch):
-    # the 9 stock task_bits points: 17 stacked calls at 1e5-3e5, 21 at 4e5
-    # and 22 at 5e5-9e5, and 60 `_candidate` calls, 6 or 7 a point, measured
-    # with the time price root's steps bounded to 16 halvings down while its
-    # low end is open.  221 calls (22-32 a point) and 62 candidates without
-    # the bound, whose first step from the ceiling, where every power is
-    # clamped, fell 25 e-folds below the root at 5e5
+def test_stock_trend_evaluates_phi_in_at_most_134_calls(monkeypatch):
+    # the 9 stock task_bits points: 13 stacked calls at 1e5-4e5, 15 at
+    # 5e5-7e5, 20 at 8e5 and 17 at 9e5, and 60 `_candidate` calls, 6-8 a
+    # point, measured with the warm start's power roots stopped at its
+    # forcing tolerance and the time-price root's two-slope steps.  131 calls
+    # and 59 candidates without the exact re-solve of a block whose sign the
+    # powers' error could flip (it runs once, at 8e5).  182 calls (17-22 a
+    # point) and 60 candidates with every power root run to 5e-15; 221 calls
+    # (22-32 a point) and 62 candidates before the time-price root's steps
+    # were bounded to 16 halvings down while its low end is open, when its
+    # first step from the ceiling, where every power is clamped, fell 25
+    # e-folds below the root at 5e5
     calls = {}
     _count_calls(monkeypatch, calls, "_candidate", "_phi")
     for task_bits in range(100_000, 900_001, 100_000):
         cfg = validate(ScenarioConfig(task_bits=float(task_bits)))
         state = ellipsoid_solve(build_instance(cfg), eps=cfg.epsilon, max_iterations=cfg.max_iterations)
         assert state.converged and state.iterations == 0
-    assert calls["_phi"] <= 182 and calls["_candidate"] <= 60
+    assert calls["_phi"] <= 134 and calls["_candidate"] <= 60
 
 
 def test_stock_warm_start_one_percent_short_certifies_within_the_cap(stock_points, monkeypatch):
@@ -1210,9 +1217,10 @@ def test_min_bits_price_matches_fine_bisection(stock_points, task_bits):
         assert [name for name, blocks in pieces.items() if not blocks.any()] == []
 
 
-def _min_bits_price_by_select(terms, min_bits, d_c0):
+def _min_bits_price_by_select(terms, min_bits, d_c0, fixed=None):
     """Reference: `_min_bits_price` with broadcast knees and `np.select` over
-    the pieces, in the precedence the solver's nested `np.where` keeps."""
+    the pieces, in the precedence the solver's nested `np.where` keeps.  It
+    reads no `fixed` terms the solve settled: it computes every term here."""
     a, cap_l, b, c0, cap_u = terms
     m = min_bits
     knees = np.stack(np.broadcast_arrays(c0, (cap_l / a) ** 2, c0 + (cap_u / b) ** 2))
@@ -1417,6 +1425,127 @@ def test_random_draws_certify_or_name_an_infeasible_block():
             assert want["outcome"] == "certified" and outcome.iterations == want["iterations"] == 0
             assert abs(outcome.wtec - want["wtec"]) <= 1e-12 * want["wtec"]
     assert infeasible == 4
+
+
+def test_random_draws_evaluate_phi_in_at_most_626_calls(monkeypatch):
+    # the 48 locked draws: 289 `_candidate`, 626 stacked `_phi` and 44
+    # `_log_root` calls measured, one root per certified draw, with the warm
+    # start's power roots stopped at its forcing tolerance and the time-price
+    # root's two-slope steps; 299, 897 and 44 with every power root run to
+    # 5e-15
+    calls = {}
+    _count_calls(monkeypatch, calls, "_candidate", "_phi", "_log_root")
+    outcomes = [outcome for _, _, outcome in _random_draws()]
+    assert sum(isinstance(outcome, InfeasibleAllocation) for outcome in outcomes) == 4
+    assert calls["_candidate"] <= 289 and calls["_phi"] <= 626 and calls["_log_root"] <= 44
+
+
+def _certified_instances():
+    """The 9 stock task_bits points and the 44 locked draws that certify."""
+    stock = [build_instance(validate(ScenarioConfig(task_bits=float(tb)))) for tb in range(100_000, 900_001, 100_000)]
+    return stock + [inst for _, inst, outcome in _random_draws() if not isinstance(outcome, InfeasibleAllocation)]
+
+
+def test_warm_start_keeps_powers_that_pass_the_exact_stop_rule():
+    # the warm start's last evaluation is exact: every interior power it
+    # keeps stops the power root at its price within phi's rounding floor or
+    # a Newton step of at most 5e-15 in log(p), however loose its root ran
+    # on the way
+    checked = 0
+    for inst in _certified_instances():
+        caps = opt._at_caps(inst)
+        chi, _, (powers, _) = warm_start(inst, caps)
+        mu, p, w = chi[..., opt.D_SUBSLOT], powers[caps.roots], caps.root_weights
+        interior = (p > 0.0) & (p < np.reshape(caps.root_caps, (3, 1, 1)))
+        phi, slope = opt._phi(caps.root_gains, w, p)[:2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.log(phi / mu) * phi / (p * slope)
+        exact = (np.abs(step) <= 5e-15) | (np.abs(phi - mu) <= 8e-16 * (phi + 2.0 * w * p))
+        assert exact[interior].all()
+        checked += interior.sum()
+    assert checked > 0
+
+
+def _reading_root(monkeypatch, evaluated):
+    """Wrap `_log_root` so that each need it reads checks the last
+    `_candidate` call in `evaluated` (`_recording_candidate`'s)."""
+    root = opt._log_root
+
+    def reading(need, budget, hi):
+        def read(x):
+            out = need(x)
+            _, tol, (_, value, *_, error) = evaluated[-1]
+            # exact, or the sign of log(need/budget) lies outside twice the
+            # powers' error (a zero need's log is -inf)
+            with np.errstate(divide="ignore"):
+                assert ((tol <= 5e-15) | (2.0 * error < np.abs(np.log(value / budget)))).all()
+            return out
+
+        return root(read, budget, hi)
+
+    monkeypatch.setattr(opt, "_log_root", reading)
+
+
+def _recording_candidate(monkeypatch, evaluated, inflate=False):
+    """Wrap `_candidate` to record each call's (price, tol, results) into
+    `evaluated`; with `inflate`, a loose block reports an infinite error for
+    its powers."""
+    candidate = opt._candidate
+
+    def recorded(inst, caps, mu, start=None, tol=5e-15, **kwargs):
+        out = candidate(inst, caps, mu, start, tol, **kwargs)
+        tol = np.broadcast_to(tol, mu.shape)
+        if inflate:
+            out = (*out[:6], np.where(tol > 5e-15, np.inf, out[6]))
+        evaluated.append((mu, tol, out))
+        return out
+
+    monkeypatch.setattr(opt, "_candidate", recorded)
+
+
+def test_time_price_root_reads_no_sign_inside_the_powers_error(monkeypatch):
+    # over the stock trend every need the root reads comes from an exact
+    # evaluation or from loose powers whose error cannot flip its sign
+    evaluated = []
+    _recording_candidate(monkeypatch, evaluated)
+    _reading_root(monkeypatch, evaluated)
+    for task_bits in range(100_000, 900_001, 100_000):
+        inst = build_instance(validate(ScenarioConfig(task_bits=float(task_bits))))
+        warm_start(inst, opt._at_caps(inst))
+    assert any((tol > 5e-15).any() for _, tol, _ in evaluated)
+
+
+def test_loose_sign_inside_its_error_is_solved_again_before_the_root_reads_it(stock_points, monkeypatch):
+    # every loose block reports an infinite error, so each loose evaluation
+    # is solved again at its price, exactly on those blocks, before the root
+    # reads its need; the price moves by rounding only
+    inst = stock_points[5e5]
+    caps = opt._at_caps(inst)
+    want = warm_start(inst, caps)[0]
+    evaluated = []
+    _recording_candidate(monkeypatch, evaluated, inflate=True)
+    _reading_root(monkeypatch, evaluated)
+    got = warm_start(inst, caps)[0]
+    loose = [i for i, (_, tol, _) in enumerate(evaluated) if (tol > 5e-15).any()]
+    assert loose and all((evaluated[i + 1][1] <= 5e-15).all() for i in loose)
+    assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
+
+
+def test_root_ending_on_a_loose_evaluation_is_evaluated_again_exactly(monkeypatch):
+    # draw 9 of the second block of seed 2 (the benchmark's random
+    # scenarios): the time-price root ends on an evaluation loose on one
+    # block, so the warm start evaluates once more at the root's price,
+    # exactly, and keeps that evaluation
+    rng = np.random.default_rng(2)
+    workloads = load_perfbench("workloads")
+    workloads.draw_block(rng)
+    inst = build_instance(load_scenario(workloads.draw_block(rng)[9]))
+    calls = []
+    _recording_candidate(monkeypatch, calls)
+    chi = warm_start(inst, opt._at_caps(inst))[0]
+    (mu_loose, tol_loose, _), (mu_last, tol_last, last) = calls[-2:]
+    assert np.array_equal(mu_loose, mu_last) and (tol_loose > 5e-15).any() and (tol_last <= 5e-15).all()
+    assert np.array_equal(chi, last[0])
 
 
 @pytest.mark.parametrize("case", ["stock", "unequal download caps", "no doubling"])
