@@ -53,6 +53,9 @@ D_MIN_BITS, D_SUBSLOT, D_UPLINK, D_RELAY, D_DOWN_UAV, D_DOWN_RSU = range(6)
 
 _PHASE_RATE_DUAL = (D_UPLINK, D_RELAY, D_DOWN_UAV, D_DOWN_RSU)
 
+# The power root of each phase: both download phases share the third.
+_PHASE_ROOT = np.array([0, 1, 2, 2])
+
 # Relative tolerance of the sign rules (ground-unit bits, transmit times).
 SIGN_RTOL = 1e-6
 
@@ -156,17 +159,16 @@ def _log_root(need, budget, hi):
     value, slope = need(x)
     done, t_last, dg_last = (value > budget) | (hi <= 0.0), np.nan, np.nan  # no last iterate yet
     for _ in range(100):
-        over = value > budget
-        live_over, live_fits = ~done & over, ~done & ~over
+        live_over = (live := ~done) & (value > budget)
+        live_fits = live ^ live_over
         t_lo, closed = np.where(live_over, t, t_lo), closed | live_over
         t_hi, hi = np.where(live_fits, t, t_hi), np.where(live_fits, x, hi)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g, dg = np.log(value / budget), x * slope / value
+            g, dg = np.log(value / budget), (xs := x * slope) / value
             halley = 1.0 - g * (dg - dg_last) / (2.0 * (t - t_last) * dg * dg)
             step = -g / dg / np.where(closed & (halley > 0.5) & (halley < 2.0), halley, 1.0)
             t_last, dg_last = t, dg
-            step = 4e-14 + np.where(value < 0.1 * budget,
-                                    np.minimum(step, (budget - value) / (x * slope)), step)
+            step = 4e-14 + np.where(value < 0.1 * budget, np.minimum(step, (budget - value) / xs), step)
             done |= live_fits & (((step >= -1e-14) & (step <= 4e-14)) | (t <= t_bottom))
             done |= t_hi - t_lo <= 1e-13
         if done.all():
@@ -284,26 +286,21 @@ def _power_from_time_price(gains, w, pmax, at_cap, mu, start=None, tol=5e-15):
     values = at_cap if start is None else _phi(gains, w, p)
     at_max = at_cap[0] <= mu
     done = (mu <= 0.0) | at_max
-    lo, hi = np.zeros(w.shape), np.full(w.shape, pmax)
+    lo, hi, w2 = np.zeros(w.shape), np.full(w.shape, pmax), 2.0 * w
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(60):
             phi, slope = values[:2]
             f = phi - mu
-            lo = np.where(f < 0.0, p, lo)
-            hi = np.where(f > 0.0, p, hi)
-            # phi's rounding floor, with w*(r/r' + p) = phi + 2*w*p
-            done |= np.abs(f) <= 8e-16 * (phi + 2.0 * w * p)
             step = np.log(phi / mu) * phi / (p * slope)  # Newton step down in log(p)
-            newton = p * np.exp(-step)
-            # a step that small has converged, also where it rounds onto a
-            # bracket end and so leaves the bracket
-            done |= np.abs(step) <= tol
-            p = np.where(done, p, np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi)))
+            # phi's rounding floor, with w*(r/r' + p) = phi + 2*w*p; a step that
+            # small has converged, also where it rounds onto a bracket end
+            done |= (np.abs(f) <= 8e-16 * (phi + w2 * p)) | (np.abs(step) <= tol)
             if done.all():
                 break
+            lo, hi, newton = np.where(f < 0.0, p, lo), np.where(f > 0.0, p, hi), p * np.exp(-step)
+            p = np.where(done, p, np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi)))
             values = _phi(gains, w, p)
-    interior = (mu > 0.0) & ~at_max
-    with np.errstate(divide="ignore"):  # phi' = 0 only on a dead link, which clamps
+        interior = (mu > 0.0) & ~at_max  # phi' = 0 only on a dead link, which clamps
         dp = np.where(interior, 1.0 / values[1], 0.0)
     return (np.where(interior, p, np.where(at_max, pmax, 0.0)), dp, *values[2:],
             np.where(interior, np.abs(step), 0.0).max(axis=0))
@@ -319,11 +316,12 @@ def _phase_powers(inst, caps, mu, start=None, tol=5e-15):
     g_l at 0."""
     *roots, error = _power_from_time_price(caps.root_gains, caps.root_weights, caps.root_caps, caps.phi, mu,
                                            None if start is None else start[caps.roots], tol)
-    p, dp, sum_log, sum_q = (a[[0, 1, 2, 2]] for a in roots)
+    p, dp, sum_log, sum_q = (a.take(_PHASE_ROOT, axis=0) for a in roots)
     scale, cap = inst.bandwidth / np.log(2.0), inst.power_max[:, None, None]
     powers, dpowers = np.minimum(p, cap), np.where(p < cap, dp, 0.0)
-    rates = np.where(powers >= cap, caps.rates, np.where(powers > 0.0, scale * sum_log, 0.0))
-    r_prime = np.where(powers >= cap, caps.slopes[1], np.where(powers > 0.0, scale * sum_q, caps.slopes[0]))
+    capped, on = powers >= cap, powers > 0.0
+    rates = np.where(capped, caps.rates, np.where(on, scale * sum_log, 0.0))
+    r_prime = np.where(capped, caps.slopes[1], np.where(on, scale * sum_q, caps.slopes[0]))
     return powers, rates, dpowers, r_prime, error
 
 
@@ -368,19 +366,21 @@ def _min_bits_price(terms, min_bits, d_c0, fixed):
     m = min_bits
     local_knee, uav_width, over, mm, am, bb_aa, no_uav, past_local, past_uav = fixed
     uav_knee = c0 + uav_width
-    at_c0, at_local_cap, at_uav_cap = (sum(_split(terms, knee)) for knee in (c0, local_knee, uav_knee))
+    at_c0, at_local_cap, at_uav_cap = sum(_split(terms, np.array([c0, local_knee, uav_knee])))  # one pass
     local_capped, uav_capped = m >= at_local_cap, m >= at_uav_cap
-    low = m <= at_c0  # no UAV bits; `over` takes the route price
-    # every piece is evaluated on every block: 0/0 or overflow only off its piece
+    off = over | (low := m <= at_c0)  # low: no UAV bits; `over` takes the route price
+    # a piece some block lies on is evaluated on every block: 0/0 or overflow only off its piece
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = (mm + b * b * c0) / (am + b * np.sqrt(np.maximum(mm + bb_aa * c0, 0.0)))
+        interior = 0.0, 0.0  # the interior piece's price and slope
+        if not (off | local_capped | uav_capped).all():
+            s = (mm + b * b * c0) / (am + b * np.sqrt(np.maximum(mm + bb_aa * c0, 0.0)))
+            # s_U/(s_L + s_U) = B^2*b_L/(A^2*b_U + B^2*b_L) with b_L = A*s
+            interior = s * s, d_c0 * b * b * s / (a * (m - a * s) + b * b * s)
         price = np.where(over, np.inf, np.where(low, no_uav, np.where(
             local_capped, np.where(uav_capped, np.maximum(local_knee, uav_knee), c0 + past_local),
-            np.where(uav_capped, past_uav, s * s))))
-        # on the interior piece s_U/(s_L + s_U) = B^2*b_L/(A^2*b_U + B^2*b_L) with b_L = A*s
-        slope = np.where(over | low, 0.0, np.where(
-            local_capped, np.where(~uav_capped | (uav_knee >= local_knee), d_c0, 0.0),
-            np.where(uav_capped, 0.0, d_c0 * b * b * s / (a * (m - a * s) + b * b * s))))
+            np.where(uav_capped, past_uav, interior[0]))))
+        slope = np.where(off, 0.0, np.where(local_capped, np.where(~uav_capped | (uav_knee >= local_knee), d_c0, 0.0),
+                                             np.where(uav_capped, 0.0, interior[1])))
     # the float total rises with the price and reaches cap_L + cap_U >= m
     short = (sum(_split(terms, price)) < m) & np.isfinite(price)
     while short.any():
@@ -409,9 +409,10 @@ def _candidate(inst, caps, mu, start=None, tol=5e-15):
     dp/dmu = 1/phi'(p) gives dr/dmu, the envelope theorem d(chi_ph)/dmu =
     1/r_ph (clamped powers too), and the minimum-bits price's slope on its
     piece the bits'.  `caps` is the solve's `CapFacts`; `start`, `tol` and
-    the rates are `_phase_powers`'.  Returns the (K, N, 6) dual point, the
-    (K, N) sub-slot time its split needs, that need's slope d need/dmu, the
-    (4, K, N) phase powers, their slopes dp/dmu and rates, and their error.
+    the rates are `_phase_powers`'.  Returns the dual point but its time
+    price, as (chi1 (K, N), the (4, K, N) rate prices), the (K, N) sub-slot
+    time its split needs, that need's slope d need/dmu, the (4, K, N) phase
+    powers, their slopes dp/dmu and rates, and their error.
     """
     powers, rates, dpowers, r_prime, error = _phase_powers(inst, caps, mu, start, tol)
     xi, uc, pmax = inst.output_ratio[:, None], inst.uav_compute, inst.power_max[:, None, None]
@@ -429,7 +430,7 @@ def _candidate(inst, caps, mu, start=None, tol=5e-15):
     br = np.maximum(inst.min_bits - bl - bu, 0.0)
     loads = phase_loads(inst, bu, br)
     times = carry_time(loads, rates)
-    need = times[0] + times[1] + times[2] + times[3] + compute_time(bu, uc)
+    need = np.add.reduce(times) + compute_time(bu, uc)  # ((t0 + t1) + t2) + t3
     # a split off its interior has slope 0; slopes overflow only beside a
     # dead link, where the need is inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -437,9 +438,7 @@ def _candidate(inst, caps, mu, start=None, tol=5e-15):
         dbu = np.where((bu < cap_u) & (chi1 > c0), bu / (2.0 * (chi1 - c0)) * (d_chi1 - d_c0), 0.0)
         dbr = np.where(br > 0.0, -dbl - dbu, 0.0)
         slope = _carry_slope(loads, phase_loads(inst, dbu, dbr), rates, drates) + compute_time(dbu, uc)
-
-    chi = np.stack([chi1, mu, *chis], axis=-1)
-    return chi, need, slope, powers, dpowers, rates, error
+    return (chi1, chis), need, slope, powers, dpowers, rates, error
 
 
 @dataclass(frozen=True)
@@ -462,7 +461,7 @@ class CapFacts:
     ceiling: np.ndarray  # (K, N) time price above which every power clamps
     feasible: np.ndarray  # (K, N) `feasible_split`'s mask
     split: tuple  # `_split_terms`' (A, cap_L, B, cap_U): the prices move only c0
-    price_terms: tuple  # `_min_bits_price`'s `fixed`: its terms in m, A, B and the CPU caps
+    price_terms: tuple  # `_min_bits_price`'s `fixed`: its terms in m, A, B and the CPU caps; the local knee (K, N)
     cpu_time: float  # c_u/f_u, the UAV's compute seconds per bit
 
 
@@ -486,8 +485,8 @@ def _at_caps(inst) -> CapFacts:
     ceiling = np.maximum(root_phi[0].max(axis=0), 0.0)
     a, cap_l, b, _, cap_u = _split_terms(inst, 0.0, 0.0, 0.0)
     m = inst.min_bits  # `_min_bits_price`'s terms that no price moves
-    fixed = ((cap_l / a) ** 2, (cap_u / b) ** 2, m > cap_l + cap_u, m * m, a * m, b * b - a * a, (m / a) ** 2,
-             ((m - cap_l) / b) ** 2, ((m - cap_u) / a) ** 2)
+    fixed = (np.broadcast_to((cap_l / a) ** 2, m.shape), (cap_u / b) ** 2, m > cap_l + cap_u, m * m, a * m,
+             b * b - a * a, (m / a) ** 2, ((m - cap_l) / b) ** 2, ((m - cap_u) / a) ** 2)
     return CapFacts(weights, weights * pmax[:, None, None], rates, np.maximum(rates, 1e-300), slopes, roots,
                     gains[roots], weights[roots], pmax[roots], root_phi, ceiling, feasible_split(inst, rates)[0],
                     (a, cap_l, b, cap_u), fixed, compute_time(1.0, inst.uav_compute))
@@ -543,24 +542,26 @@ def warm_start(inst: ProblemInstance, caps: CapFacts):
     with g = |log(need/sub-slot)| at the last price; a block whose sign the
     powers' error can flip is solved again exactly, as is a loose evaluation
     at the root's price.  Returns (multipliers, dual values, (powers, rates))
-    from that evaluation, zeroed on the blocks without load.
+    from that evaluation, whose dual point alone is stacked, zeroed on the
+    blocks without load.
     """
-    pmax, last = inst.power_max[:, None, None], None  # mu, chi, powers, dp/dmu, rates, need, need', g, tol
+    pmax, last = inst.power_max[:, None, None], None  # mu, prices, powers, dp/dmu, rates, need, need', g, tol
 
     def need(mu, exact=False):
         nonlocal last
-        if exact or last is None or not np.array_equal(mu, last[0]):
+        if exact or last is None or mu is not last[0] and not np.array_equal(mu, last[0]):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # nan, so p_max, after a zero power
                 start = last and np.minimum(last[2] * (mu / last[0]) ** (last[0] * last[3] / last[2]), pmax)
             tol = 5e-15 if exact or last is None else np.fmax(np.minimum(1e-3 * last[7] ** 2, 1e-3), 5e-15)
-            unsure = True
-            while np.any(unsure):  # a block whose sign the powers' error can flip is solved again, exactly
-                chi, value, slope, powers, dpowers, rates, error = _candidate(inst, caps, mu, start, tol)
+            while True:  # a block whose sign the powers' error can flip is solved again, exactly
+                prices, value, slope, powers, dpowers, rates, error = _candidate(inst, caps, mu, start, tol)
                 with np.errstate(divide="ignore"):
                     g = np.abs(np.log(value / inst.subslot))
                 unsure = (2.0 * error >= g) & (tol > 5e-15)  # the need moved 0.77 of that step at most
+                if not unsure.any():
+                    break
                 start, tol = powers, np.where(unsure, 5e-15, tol)
-            last = mu, chi, powers, dpowers, rates, value, slope, g, tol
+            last = mu, prices, powers, dpowers, rates, value, slope, g, tol
         return last[5:7]
 
     top, over = caps.ceiling, need(caps.ceiling)[0] > inst.subslot
@@ -570,16 +571,17 @@ def warm_start(inst: ProblemInstance, caps: CapFacts):
         top = np.where(over, 2.0 * top, top)
         over &= need(top)[0] > inst.subslot
     mu = _log_root(need, inst.subslot, top)
-    if (last[8] > 5e-15).any():
+    if np.any(last[8] > 5e-15):
         need(mu, True)
-    _, chi, powers, _, rates = last[:5]
+    mu, (chi1, chis), powers, _, rates = last[:5]
     idle = inst.min_bits <= 0.0
-    chi, kept = np.where(idle[..., None], 0.0, chi), tuple(np.where(idle, 0.0, a) for a in (powers, rates))
-    value, _ = dual_point_eval(inst, chi, kept)
+    chi = np.where(idle[..., None], 0.0, np.stack([chi1, mu, *chis], axis=-1))
+    kept = tuple(np.where(idle, 0.0, a) for a in (powers, rates))
+    value, _ = dual_point_eval(inst, chi, kept, subgradient=False)
     return chi, value, kept
 
 
-def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
+def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None, subgradient=True):
     """Dual value and subgradient at a multiplier point, per block.
 
     Inner minimizers follow the closed forms and sign rules; indeterminate
@@ -590,7 +592,8 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
     when given: the warm start's, from which its rate prices came.  A block
     whose minimum-bits price exceeds its ground-route price lies outside the
     dual domain: its ground-unit term is unbounded below, so its value is
-    -inf.  Returns (values (K, N), subgradients (K, N, 6)).
+    -inf.  Returns (values (K, N), subgradients (K, N, 6), None unless
+    `subgradient`).
     """
     vc, uc, xi = inst.vehicle_compute, inst.uav_compute, inst.output_ratio[:, None]
     tau, sub, w_col, wv = inst.slot_len, inst.subslot, inst.weights_vehicle[:, None], _phase_weights(inst)
@@ -603,12 +606,9 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
 
     route = chi[..., D_UPLINK] + chi[..., D_RELAY] + xi * chi[..., D_DOWN_RSU]
     margin, margin_scale = route - chi1, route + chi1 + 1e-300
-    indeterminate = margin <= SIGN_RTOL * margin_scale
-    br = np.where(indeterminate, np.maximum(inst.min_bits - bl - bu, 0.0), 0.0)
-
     value = l1 + l2 + chi1 * inst.min_bits - chi2 * sub
 
-    loads, chir = phase_loads(inst, bu, br), np.moveaxis(chi[..., _PHASE_RATE_DUAL], -1, 0)  # (4, K, N)
+    chir = np.moveaxis(chi[..., _PHASE_RATE_DUAL], -1, 0)  # (4, K, N)
     if powers is None:
         p = power_opt(inst.gains, wv, chir, inst.bandwidth, inst.power_max[:, None, None])
         powers = p, inst.rate(p)
@@ -616,12 +616,16 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None):
     s = wv * powers + chi2 - chir * rates
     s_scale = wv * powers + chi2 + chir * rates + 1e-300
     full = s < -SIGN_RTOL * s_scale
-    interval = np.abs(s) <= SIGN_RTOL * s_scale
+    # the full phases' terms join the value phase by phase
+    value = np.where(margin < -SIGN_RTOL * margin_scale, -np.inf, sum(np.where(full, sub * s, 0.0), value))
+    if not subgradient:
+        return value, None
+    indeterminate = margin <= SIGN_RTOL * margin_scale
+    br = np.where(indeterminate, np.maximum(inst.min_bits - bl - bu, 0.0), 0.0)
+    loads, interval = phase_loads(inst, bu, br), np.abs(s) <= SIGN_RTOL * s_scale
     with np.errstate(divide="ignore", invalid="ignore"):
         carry = np.where(rates > 0.0, loads / rates, 0.0)
     times = np.where(full, sub, np.where(interval, np.minimum(carry, sub), 0.0))
-    # the full phases' terms join the value phase by phase
-    value = np.where(margin < -SIGN_RTOL * margin_scale, -np.inf, sum(np.where(full, sub * s, 0.0), value))
     g = np.stack([inst.min_bits - bl - bu - br,
                   times[0] + times[1] + compute_time(bu, uc) + times[2] + times[3] - sub,
                   *(loads - times * rates)], axis=-1)
@@ -758,11 +762,6 @@ def ellipsoid_solve(inst: ProblemInstance, eps: float = 1e-4, max_iterations: in
     best_chi, best_value, warm_powers = warm_start(inst, caps)
     xi = inst.output_ratio[:, None]
 
-    scale = np.maximum(np.abs(best_chi), np.max(np.abs(best_chi), axis=-1, keepdims=True) * 1e-9)
-    scale = np.maximum(scale, 1e-30)  # floor keeps norms of scaled cuts above underflow
-    center = best_chi / scale
-    shape = np.broadcast_to(np.eye(d) * _ELLIPSOID_RADIUS**2 * d, (k, n, d, d)).copy()
-
     def certify(chi, powers=None):
         bits, (powers, _), energy, inf_mask = blended_completion(inst, chi, caps, powers)
         total_primal = float(np.where(inf_mask, 0.0, energy).sum())
@@ -783,8 +782,12 @@ def ellipsoid_solve(inst: ProblemInstance, eps: float = 1e-4, max_iterations: in
     log = []
     gap, primal, dual_total, completion = certify(best_chi, warm_powers)
     log.append({"iteration": 0, "dual": dual_total, "wtec": primal, "gap": gap})
-    converged = gap < eps
-    it = 0
+    converged, it = gap < eps, 0
+    if not converged:  # the ellipsoids start at the warm start
+        scale = np.maximum(np.abs(best_chi), np.max(np.abs(best_chi), axis=-1, keepdims=True) * 1e-9)
+        scale = np.maximum(scale, 1e-30)  # floor keeps norms of scaled cuts above underflow
+        center = best_chi / scale
+        shape = np.broadcast_to(np.eye(d) * _ELLIPSOID_RADIUS**2 * d, (k, n, d, d)).copy()
     while not converged and it < max_iterations:
         it += 1
         center, shape = _restore_feasibility(center, shape, xi, scale)

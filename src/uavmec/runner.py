@@ -24,7 +24,7 @@ from .protocol import (
     wtec,
 )
 from .scenario import (_FIELD_SECTION, PER_VEHICLE_KEYS, ScenarioConfig, ValidationError, build_instance,
-                       echo_config, flight_model, validate)
+                       channel_bound, echo_config, flight_model, validate)
 
 COLUMNS = (
     "sweep_value",
@@ -64,21 +64,23 @@ class SweepResult:
     config: ScenarioConfig | None = None
 
 
-def solve_scenario(cfg: ScenarioConfig, sweep_value: float = 0.0) -> dict:
-    """Run one scenario in its configured mode and return a result row."""
-    inst = build_instance(cfg)
+def solve_scenario(cfg: ScenarioConfig, sweep_value: float = 0.0, inst=None) -> dict:
+    """Run one scenario in its configured mode and return a result row; `inst`
+    is the scenario's built instance, built here when not given.  An
+    optimized row's WTEC is its report's."""
+    inst = build_instance(cfg) if inst is None else inst
     if cfg.mode == "baseline":
         alloc = baseline_allocation(inst)
-        iterations, feasible = 0, check_feasible(alloc, inst).feasible
+        iterations, feasible, energy = 0, check_feasible(alloc, inst).feasible, wtec(alloc, inst)
     else:
         report = optimizer.algorithm1(inst, eps=cfg.epsilon, max_iterations=cfg.max_iterations)
-        alloc, iterations, feasible = report.allocation, report.iterations, report.feasible
+        alloc, iterations, feasible, energy = report.allocation, report.iterations, report.feasible, report.wtec
     v = inst.states[0].uav.velocity  # the velocity the roll-out flew, constant over the horizon
     e_flight = flight_energy(flight_model(cfg), v[:2], v[2:], cfg.slot) * cfg.n_slots
     return {
         "sweep_value": float(sweep_value),
         "mode": cfg.mode,
-        "wtec_J": wtec(alloc, inst) + (cfg.weight_uav * e_flight if cfg.include_propulsion else 0.0),
+        "wtec_J": energy + (cfg.weight_uav * e_flight if cfg.include_propulsion else 0.0),
         "tccd_s": tccd(alloc, inst, include_local=cfg.tccd_include_local),
         "feasible": bool(feasible),
         "iterations": int(iterations),
@@ -124,12 +126,15 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, include_baseline: bool = F
     """Solve the scenario at each axis value; solver failures at a point are
     recorded as infeasible rows instead of aborting the sweep.  Every point's
     config is derived first, so a refused value stops the sweep before it
-    solves any point."""
+    solves any point.  Each point's instance is built once, and its baseline
+    row shares it unless the point's mode shapes the gain table another way
+    (`channel_bound`)."""
     points = [(set_axis(cfg, axis, value), float(value)) for value in values]
     result = SweepResult(axis=axis, values=[value for _, value in points], config=cfg)
     for point_cfg, value in sorted(points, key=lambda point: point[1]):
+        inst = build_instance(point_cfg)
         try:
-            row = solve_scenario(point_cfg, value)
+            row = solve_scenario(point_cfg, value, inst)
         except (optimizer.InfeasibleAllocation, optimizer.IterationCapExceeded) as exc:
             row = {c: float("nan") for c in COLUMNS}
             row.update(
@@ -140,7 +145,8 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, include_baseline: bool = F
             )
         result.rows.append(row)
         if include_baseline and point_cfg.mode != "baseline":
-            result.rows.append(solve_scenario(replace(point_cfg, mode="baseline"), value))
+            shared = channel_bound(point_cfg.mode) == channel_bound("baseline")
+            result.rows.append(solve_scenario(replace(point_cfg, mode="baseline"), value, inst if shared else None))
     return result
 
 

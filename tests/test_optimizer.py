@@ -863,8 +863,13 @@ def _carry_need(inst, bits):
 
 
 def _candidate_over(inst, caps, mu):
-    """`_candidate`'s results at each price of the grid `mu` (T, K, N)."""
-    return _over_prices(lambda m: opt._candidate(inst, caps, m), mu)
+    """`_candidate`'s results at each price of the grid `mu` (T, K, N), its
+    dual point stacked as the (T, K, N, 6) multipliers."""
+    def at(m):
+        (chi1, chis), *rest = opt._candidate(inst, caps, m)
+        return np.stack([chi1, m, *chis], axis=-1), *rest
+
+    return _over_prices(at, mu)
 
 
 def _split_bits(inst, chi):
@@ -1217,10 +1222,12 @@ def test_min_bits_price_matches_fine_bisection(stock_points, task_bits):
         assert [name for name, blocks in pieces.items() if not blocks.any()] == []
 
 
-def _min_bits_price_by_select(terms, min_bits, d_c0, fixed=None):
-    """Reference: `_min_bits_price` with broadcast knees and `np.select` over
-    the pieces, in the precedence the solver's nested `np.where` keeps.  It
-    reads no `fixed` terms the solve settled: it computes every term here."""
+def _closed_form_min_bits_price(terms, min_bits, d_c0):
+    """Reference closed form of the minimum-bits price before any float step:
+    broadcast knees and `np.select` over the pieces, in the precedence the
+    solver's nested `np.where` keeps.  It reads no `fixed` terms the solve
+    settled: it computes every term here.  Returns the price, its slope and
+    the blocks on the interior piece."""
     a, cap_l, b, c0, cap_u = terms
     m = min_bits
     knees = np.stack(np.broadcast_arrays(c0, (cap_l / a) ** 2, c0 + (cap_u / b) ** 2))
@@ -1233,6 +1240,14 @@ def _min_bits_price_by_select(terms, min_bits, d_c0, fixed=None):
                                    ((m - cap_u) / a) ** 2], s * s)
         slope = np.select(pieces, [0.0, 0.0, np.where(knees[2] >= knees[1], d_c0, 0.0), d_c0, 0.0],
                           d_c0 * b * b * s / (a * (m - a * s) + b * b * s))
+    return price, slope, ~np.logical_or.reduce(pieces)
+
+
+def _min_bits_price_by_select(terms, min_bits, d_c0, fixed=None):
+    """Reference: `_closed_form_min_bits_price`, then float-by-float steps up
+    to the first price whose split carries the minimum bits."""
+    m = min_bits
+    price, slope, _ = _closed_form_min_bits_price(terms, m, d_c0)
     short = (sum(opt._split(terms, price)) < m) & np.isfinite(price)
     while short.any():
         price = np.where(short, np.nextafter(price, np.inf), price)
@@ -1261,6 +1276,32 @@ def test_min_bits_price_is_bitwise_the_select_form(monkeypatch):
         for got, want in zip(price_at(*args), _min_bits_price_by_select(*args)):
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_min_bits_price_is_bitwise_the_stepped_form_on_every_solve(monkeypatch):
+    # every evaluation of the 9 stock trend solves and the 48 locked draws
+    # against the reference, which computes every term and knee itself and
+    # steps float by float from the closed-form piece price.  Some calls have
+    # no block on the interior piece, which the solver then skips; some have
+    # blocks there, and some prices step past their closed form
+    seen = []
+    price_at = opt._min_bits_price
+    monkeypatch.setattr(opt, "_min_bits_price", lambda *args: seen.append(args) or price_at(*args))
+    for task_bits in range(100_000, 900_001, 100_000):
+        cfg = validate(ScenarioConfig(task_bits=float(task_bits)))
+        ellipsoid_solve(build_instance(cfg), eps=cfg.epsilon, max_iterations=cfg.max_iterations)
+    stock = len(seen)
+    assert sum(isinstance(outcome, InfeasibleAllocation) for *_, outcome in _random_draws()) == 4
+    assert stock >= 9 and len(seen) > stock
+    interior = stepped = 0
+    for args in seen:
+        got = price_at(*args)
+        for a, b in zip(got, _min_bits_price_by_select(*args)):
+            assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+        closed, _, on_interior = _closed_form_min_bits_price(*args[:3])
+        interior += on_interior.any()
+        stepped += (got[0] > closed).any()
+    assert 0 < interior < len(seen) and stepped > 0
 
 
 def _log_difference(f, mu, h=1e-6):
@@ -1545,7 +1586,8 @@ def test_root_ending_on_a_loose_evaluation_is_evaluated_again_exactly(monkeypatc
     chi = warm_start(inst, opt._at_caps(inst))[0]
     (mu_loose, tol_loose, _), (mu_last, tol_last, last) = calls[-2:]
     assert np.array_equal(mu_loose, mu_last) and (tol_loose > 5e-15).any() and (tol_last <= 5e-15).all()
-    assert np.array_equal(chi, last[0])
+    chi1, chis = last[0]  # the warm start stacks the kept evaluation's dual point
+    assert np.array_equal(chi, np.stack([chi1, mu_last, *chis], axis=-1))
 
 
 @pytest.mark.parametrize("case", ["stock", "unequal download caps", "no doubling"])

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import uavmec
-from uavmec import acceptance, cli, runner
+from conftest import load_perfbench
+from uavmec import acceptance, cli, optimizer, runner
+from uavmec.protocol import wtec
 from uavmec.runner import COLUMNS, SweepResult, emit_results, run_sweep, set_axis
-from uavmec.scenario import MODES, ScenarioConfig, ValidationError, build_instance, validate
+from uavmec.scenario import MODES, ScenarioConfig, ValidationError, build_instance, load_scenario, validate
 
 
 def test_every_public_name_resolves():
@@ -62,9 +64,9 @@ def test_vehicle_count_sweep(monkeypatch):
     # a list of one value per vehicle cycles to each point's count
     weights, solve = [], runner.solve_scenario
 
-    def recording(point, value):
+    def recording(point, value, inst=None):
         weights.append(point.weight_vehicle)
-        return solve(point, value)
+        return solve(point, value, inst)
 
     monkeypatch.setattr(runner, "solve_scenario", recording)
     result = run_sweep(small_cfg(weight_vehicle=np.array([1.0, 2.0, 3.0])), "vehicles", [2, 4])
@@ -119,16 +121,49 @@ def test_sweep_rows_ordered_and_complete(tmp_path):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_sweep_with_baselines_builds_its_links_once(built_links, mode):
+def test_sweep_with_baselines_builds_its_links_once(built_links, mode, monkeypatch):
     values = [2e5, 6e5]
+    builds, build = [], runner.build_instance
+    monkeypatch.setattr(runner, "build_instance", lambda cfg: builds.append(cfg.mode) or build(cfg))
     result = run_sweep(small_cfg(mode=mode), "task_bits", values, include_baseline=True)
     # K + 1 links in total: every later build repeats the geometry
     assert len(built_links) == small_cfg().vehicles + 1
+    # a point's baseline row shares its instance unless the point's rate
+    # bound shapes the gain table another way
+    per_point = [mode, "baseline"] if mode in ("rank1_bound", "fullrank_bound") else [mode]
+    assert builds == per_point * len(values)
     base_rows = result.rows if mode == "baseline" else result.rows[1::2]
     assert [row["mode"] for row in base_rows] == ["baseline"] * len(values)
     for value, row in zip(values, base_rows):
         base_cfg = set_axis(small_cfg(mode="baseline"), "task_bits", value)
         assert row == runner.solve_scenario(base_cfg, sweep_value=value)
+
+
+def test_optimized_row_wtec_is_the_reports_energy_plus_propulsion(monkeypatch):
+    # the stock task_bits trend and the 44 locked random draws that certify:
+    # an optimized row's wtec_J is its report's WTEC plus the weighted
+    # propulsion, bit for bit protocol.wtec of the report's allocation
+    solves, solve = [], optimizer.algorithm1
+
+    def recording(inst, **kwargs):
+        solves.append((inst, solve(inst, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(optimizer, "algorithm1", recording)
+    workloads = load_perfbench("workloads")
+    cfgs = [set_axis(validate(ScenarioConfig()), "task_bits", tb) for tb in range(100_000, 900_001, 100_000)]
+    cfgs += [load_scenario(text) for seed in range(1, 5) for text in workloads.draw_block(np.random.default_rng(seed))]
+    rows = 0
+    for cfg in cfgs:
+        try:
+            row = runner.solve_scenario(cfg)
+        except optimizer.InfeasibleAllocation:
+            continue
+        (inst, report), rows = solves[-1], rows + 1
+        propulsion = cfg.weight_uav * row["e_flight_J"] if cfg.include_propulsion else 0.0
+        assert row["wtec_J"] == wtec(report.allocation, inst) + propulsion
+        assert report.wtec == wtec(report.allocation, inst)
+    assert rows == 9 + 44
 
 
 def test_sweep_survives_infeasible_point():
