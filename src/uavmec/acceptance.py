@@ -262,7 +262,8 @@ def criterion_determinism(cfg: ScenarioConfig) -> CriterionResult:
 def verify(cfg: ScenarioConfig | None = None, printer=print) -> list:
     """Run every acceptance criterion, printing one pass/fail line each."""
     cfg = cfg or validate(ScenarioConfig())
-    report, inst = runner.solve_report(cfg)
+    inst = build_instance(cfg)
+    report = algorithm1(inst, eps=cfg.epsilon, max_iterations=cfg.max_iterations)
     results = [
         criterion_convexity(cfg),
         criterion_closed_form_consistency(cfg),

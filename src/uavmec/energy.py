@@ -91,18 +91,13 @@ def flight_energy(model: FlightPowerModel, v_xy, v_z, duration: float) -> float:
     return duration * (blade + parasite + induced + climb)
 
 
-def compute_energy(bits, model: ComputeModel, slot_len: float,
-                   n_vehicles: int | None = None):
-    """CPU energy to process `bits` (scalar or array) within one timeslot.
-
-    Local form: kappa * c^3 * b^3 / tau^2.  When `n_vehicles` is given the
-    node is the shared UAV server and the energy picks up the K^2 factor of
-    the per-vehicle sub-slot split.
-    """
+def compute_energy(bits, model: ComputeModel, duration):
+    """CPU energy to process `bits` (scalar or array) within `duration`
+    seconds: kappa * c^3 * b^3 / d^2, over the slot for a vehicle's local
+    CPU and over the vehicle's sub-slot for the shared UAV server."""
     if np.any(bits < 0):
         raise ValueError("bits must be non-negative")
-    k2 = 1.0 if n_vehicles is None else float(n_vehicles) ** 2
-    return model.capacitance * model.cycles_per_bit**3 * k2 * bits**3 / slot_len**2
+    return model.capacitance * model.cycles_per_bit**3 * bits**3 / duration**2
 
 
 def compute_time(bits, model: ComputeModel):

@@ -46,8 +46,6 @@ class ProblemInstance:
     the solver finds one stationary power for the two of them.
     """
 
-    n_vehicles: int
-    n_slots: int
     slot_len: float
     weights_vehicle: np.ndarray  # (K,)
     weight_uav: float
@@ -63,7 +61,8 @@ class ProblemInstance:
 
     @property
     def subslot(self) -> float:
-        return self.slot_len / self.n_vehicles
+        """Each vehicle's equal share of the slot, slot_len / K."""
+        return self.slot_len / self.min_bits.shape[0]
 
     @property
     def bits_local_cap(self) -> float:

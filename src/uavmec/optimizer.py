@@ -328,9 +328,9 @@ def _phase_powers(inst, caps, mu, start=None, tol=5e-15):
 def _split_terms(inst, chi_subslot, chi_uplink, chi_down_uav):
     """Terms (A, cap_L, B, c0, cap_U) of the closed-form split at the given
     prices, per block: local bits minimize w*kappa*c^3*b^3/tau^2 - chi1*b and
-    UAV bits w_u*kappa_u*c_u^3*K^2*b^3/tau^2 + (c0 - chi1)*b within their CPU
-    caps, so b_local = min(A*sqrt(chi1), cap_L) and b_uav = min(B*sqrt((chi1 -
-    c0)+), cap_U), with c0 the UAV route's price per bit."""
+    UAV bits w_u*kappa_u*c_u^3*b^3/s^2 + (c0 - chi1)*b, s the sub-slot, within
+    their CPU caps, so b_local = min(A*sqrt(chi1), cap_L) and b_uav =
+    min(B*sqrt((chi1 - c0)+), cap_U), with c0 the UAV route's price per bit."""
     vc, uc = inst.vehicle_compute, inst.uav_compute
     a = inst.slot_len / np.sqrt(3.0 * inst.weights_vehicle[:, None] * vc.capacitance * vc.cycles_per_bit**3)
     b = inst.subslot / np.sqrt(3.0 * inst.weight_uav * uc.capacitance * uc.cycles_per_bit**3)
@@ -602,7 +602,7 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None, subgrad
     terms = _split_terms(inst, chi2, chi[..., D_UPLINK], chi[..., D_DOWN_UAV])
     bl, bu = _split(terms, chi1)
     l1 = w_col * compute_energy(bl, vc, tau) - chi1 * bl
-    l2 = inst.weight_uav * compute_energy(bu, uc, tau, inst.n_vehicles) + (terms[3] - chi1) * bu
+    l2 = inst.weight_uav * compute_energy(bu, uc, sub) + (terms[3] - chi1) * bu
 
     route = chi[..., D_UPLINK] + chi[..., D_RELAY] + xi * chi[..., D_DOWN_RSU]
     margin, margin_scale = route - chi1, route + chi1 + 1e-300

@@ -62,7 +62,7 @@ def grid_search_primal(inst):
     combinatorial).  Returns (best WTEC, best Allocation); raises
     NoFeasiblePoint when nothing on the grid is feasible.
     """
-    if inst.n_vehicles != 1 or inst.n_slots != 1:
+    if inst.min_bits.shape != (1, 1):
         raise ValueError("grid search is a desk-scale oracle: need K=1, N=1")
 
     sub = inst.subslot

@@ -1,8 +1,8 @@
 """Five-phase sub-slot schedule, feasibility and the two metrics.
 
-Per timeslot each vehicle owns an equal share tau/K of the slot and runs up
-to five phases inside it: uplink offload, relay to the ground unit, UAV
-compute, download of UAV results, download of ground-unit results.  Local
+Per timeslot each vehicle owns its sub-slot, `ProblemInstance.subslot`, and
+runs up to five phases inside it: uplink offload, relay to the ground unit,
+UAV compute, download of UAV results, download of ground-unit results.  Local
 computing runs in parallel and may span the whole slot.
 """
 
@@ -35,8 +35,8 @@ class Allocation:
     times: np.ndarray
 
     @classmethod
-    def zeros(cls, n_vehicles: int, n_slots: int) -> "Allocation":
-        z = lambda *lead: np.zeros(lead + (n_vehicles, n_slots))
+    def zeros(cls, k: int, n: int) -> "Allocation":
+        z = lambda *lead: np.zeros(lead + (k, n))
         return cls(z(), z(), z(), z(4), z(4))
 
     def copy(self) -> "Allocation":
@@ -47,7 +47,7 @@ def phase_loads(inst, bits_uav, bits_rsu) -> np.ndarray:
     """Bits each transmit phase carries, stacked (4, ...) in phase order:
     uplink, relay, UAV-result download, ground-result download."""
     xi = inst.output_ratio[:, None]
-    return np.stack([bits_uav + bits_rsu, bits_rsu, xi * bits_uav, xi * bits_rsu])
+    return np.array([bits_uav + bits_rsu, bits_rsu, xi * bits_uav, xi * bits_rsu])
 
 
 def carry_time(load, rate):
@@ -77,39 +77,25 @@ def check_feasible(alloc: Allocation, inst) -> Verdict:
     allocation's own powers, and the transmit power caps.  Returns all
     violations rather than stopping at the first.
     """
-    v: list[str] = []
-    sub = inst.subslot
-    bits_scale = max(1.0, float(np.max(inst.min_bits)))
-
-    def report(mask, label):
-        for k, n in zip(*np.nonzero(mask)):
-            v.append(f"{label}[k={k},n={n}]")
-
-    total = alloc.bits_local + alloc.bits_uav + alloc.bits_rsu
-    report(total < inst.min_bits - CHECK_RTOL * bits_scale, "min_bits")
-    for name in ("bits_local", "bits_uav", "bits_rsu"):
-        report(getattr(alloc, name) < -CHECK_RTOL * bits_scale, f"sign_{name}")
-
+    sub, cap_tol = inst.subslot, 1 + CHECK_RTOL
+    bits_tol = CHECK_RTOL * max(1.0, float(np.max(inst.min_bits)))
+    times, powers = alloc.times, alloc.powers
     t_uav = compute_time(alloc.bits_uav, inst.uav_compute)
-    t_local = compute_time(alloc.bits_local, inst.vehicle_compute)
-    times = alloc.times
-    report(np.any(times < -CHECK_RTOL * sub, axis=0), "time_negative")
-    report(np.any(times > sub * (1 + CHECK_RTOL), axis=0), "time_over_subslot")
-    report(t_uav > sub * (1 + CHECK_RTOL), "uav_compute_over_subslot")
-    report(t_local > inst.slot_len * (1 + CHECK_RTOL), "local_compute_over_slot")
-
-    budget = times.sum(axis=0) + t_uav
-    report(budget > sub * (1 + CHECK_RTOL), "subslot_budget")
-
-    cap_labels = ("uplink_capacity", "relay_capacity", "down_uav_capacity", "down_rsu_capacity")
-    carried = phase_loads(inst, alloc.bits_uav, alloc.bits_rsu)
-    powers = alloc.powers
-    capacity = times * inst.rate(powers)
-    for ph in range(4):
-        report(carried[ph] > capacity[ph] + CHECK_RTOL * bits_scale, cap_labels[ph])
-        report(powers[ph] < -CHECK_RTOL, f"power_negative_{cap_labels[ph]}")
-        report(powers[ph] > inst.power_max[ph] * (1 + CHECK_RTOL), f"power_cap_{cap_labels[ph]}")
-
+    carried, capacity = phase_loads(inst, alloc.bits_uav, alloc.bits_rsu), times * inst.rate(powers)
+    checks = [
+        ("min_bits", alloc.bits_local + alloc.bits_uav + alloc.bits_rsu < inst.min_bits - bits_tol),
+        *((f"sign_{name}", getattr(alloc, name) < -bits_tol) for name in ("bits_local", "bits_uav", "bits_rsu")),
+        ("time_negative", np.any(times < -CHECK_RTOL * sub, axis=0)),
+        ("time_over_subslot", np.any(times > sub * cap_tol, axis=0)),
+        ("uav_compute_over_subslot", t_uav > sub * cap_tol),
+        ("local_compute_over_slot", compute_time(alloc.bits_local, inst.vehicle_compute) > inst.slot_len * cap_tol),
+        ("subslot_budget", times.sum(axis=0) + t_uav > sub * cap_tol),
+    ]
+    for ph, cap in enumerate(("uplink_capacity", "relay_capacity", "down_uav_capacity", "down_rsu_capacity")):
+        checks += [(cap, carried[ph] > capacity[ph] + bits_tol),
+                   (f"power_negative_{cap}", powers[ph] < -CHECK_RTOL),
+                   (f"power_cap_{cap}", powers[ph] > inst.power_max[ph] * cap_tol)]
+    v = [f"{label}[k={k},n={n}]" for label, mask in checks if mask.any() for k, n in zip(*np.nonzero(mask))]
     return Verdict(feasible=not v, violations=v)
 
 
@@ -145,22 +131,25 @@ def tccd(alloc: Allocation, inst, include_local: bool = False) -> float:
     return total
 
 
+def energy_terms(inst, bits_local, bits_uav, powers, times):
+    """Unweighted energy terms of every block: the local CPU energy over the
+    slot (K, N), the radiated energy `powers * times` (4, K, N) of the stacked
+    per-phase arrays, and the UAV CPU energy over the sub-slot (K, N)."""
+    return (compute_energy(bits_local, inst.vehicle_compute, inst.slot_len), powers * times,
+            compute_energy(bits_uav, inst.uav_compute, inst.subslot))
+
+
 def block_energy(inst, bits_local, bits_uav, powers, times) -> np.ndarray:
     """Weighted energy of every (vehicle, slot) block, shape (K, N).
 
     Vehicle side: local CPU energy plus phase-1 radiated energy, weighted per
     vehicle.  UAV side: relay and download radiated energy plus its CPU
-    energy (with the K^2 sub-slot factor), weighted by the UAV weight.
-    `powers` and `times` are the stacked (4, K, N) per-phase arrays.
+    energy over the sub-slot, weighted by the UAV weight.  `powers` and
+    `times` are the stacked (4, K, N) per-phase arrays.
     """
-    tau = inst.slot_len
-    e_local = compute_energy(bits_local, inst.vehicle_compute, tau)
-    e_uav_cpu = compute_energy(bits_uav, inst.uav_compute, tau, inst.n_vehicles)
-    vehicle_side = inst.weights_vehicle[:, None] * (e_local + powers[0] * times[0])
-    uav_side = inst.weight_uav * (
-        powers[1] * times[1] + e_uav_cpu + powers[2] * times[2] + powers[3] * times[3]
-    )
-    return vehicle_side + uav_side
+    e_local, radiated, e_uav_cpu = energy_terms(inst, bits_local, bits_uav, powers, times)
+    vehicle_side = inst.weights_vehicle[:, None] * (e_local + radiated[0])
+    return vehicle_side + inst.weight_uav * (radiated[1] + e_uav_cpu + radiated[2] + radiated[3])
 
 
 def wtec(alloc: Allocation, inst) -> float:
@@ -174,10 +163,7 @@ def wtec(alloc: Allocation, inst) -> float:
 
 def energy_breakdown(alloc: Allocation, inst) -> dict:
     """Unweighted per-phase energy totals in joules."""
-    tau = inst.slot_len
-    e_local = compute_energy(alloc.bits_local, inst.vehicle_compute, tau)
-    e_uav_cpu = compute_energy(alloc.bits_uav, inst.uav_compute, tau, inst.n_vehicles)
-    radiated = alloc.powers * alloc.times
+    e_local, radiated, e_uav_cpu = energy_terms(inst, alloc.bits_local, alloc.bits_uav, alloc.powers, alloc.times)
     return {
         "e_local_J": float(e_local.sum()),
         "e_offload_J": float(radiated[PHASE_OFFLOAD].sum()),

@@ -90,13 +90,6 @@ def solve_scenario(cfg: ScenarioConfig, sweep_value: float = 0.0, inst=None) -> 
     }
 
 
-def solve_report(cfg: ScenarioConfig):
-    """Full optimizer report plus the built instance (for verification)."""
-    inst = build_instance(cfg)
-    report = optimizer.algorithm1(inst, eps=cfg.epsilon, max_iterations=cfg.max_iterations)
-    return report, inst
-
-
 def set_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     """A validated copy of `cfg` with one sweep axis set to `value`; the input
     is unchanged, and an axis that names no config field or a value that is

@@ -493,8 +493,6 @@ def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
 
     min_bits = np.broadcast_to(cfg.task_bits[:, None], (cfg.vehicles, cfg.n_slots)).copy()
     return ProblemInstance(
-        n_vehicles=cfg.vehicles,
-        n_slots=cfg.n_slots,
         slot_len=cfg.slot,
         weights_vehicle=np.asarray(cfg.weight_vehicle, dtype=float),
         weight_uav=float(cfg.weight_uav),

@@ -47,8 +47,6 @@ def make_synthetic_instance(
     gains_in = np.broadcast_to(gain.reshape(gain.shape + (1,) * (2 - gain.ndim)), (4, k))
     per_vehicle = lambda v: np.broadcast_to(np.asarray(v, dtype=float), (k,)).copy()
     return ProblemInstance(
-        n_vehicles=k,
-        n_slots=n,
         slot_len=slot_len,
         weights_vehicle=per_vehicle(weight_vehicle),
         weight_uav=weight_uav,

@@ -9,12 +9,14 @@ import pytest
 
 from conftest import ROOT
 from uavmec import acceptance
-from uavmec.runner import solve_report
+from uavmec.optimizer import algorithm1
+from uavmec.scenario import build_instance
 
 
 @pytest.fixture(scope="module")
 def stock(table1_cfg):
-    report, inst = solve_report(table1_cfg)
+    inst = build_instance(table1_cfg)
+    report = algorithm1(inst, eps=table1_cfg.epsilon, max_iterations=table1_cfg.max_iterations)
     return table1_cfg, report, inst
 
 

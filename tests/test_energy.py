@@ -71,7 +71,7 @@ def test_local_compute_energy_example():
 
 def test_uav_compute_energy_squares_vehicle_count():
     model = ComputeModel(3e9, 1e3, 1e-27)
-    assert np.isclose(compute_energy(2e5, model, 0.2, n_vehicles=3), 1.8, rtol=1e-12)
+    assert np.isclose(compute_energy(2e5, model, 0.2 / 3), 1.8, rtol=1e-12)
 
 
 def test_compute_energy_strictly_convex():

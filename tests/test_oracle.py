@@ -130,7 +130,7 @@ def _slsqp_optimum(inst, k, n):
     xi = float(inst.output_ratio[k])
     w_k = float(inst.weights_vehicle[k])
     w_u = inst.weight_uav
-    k2 = float(inst.n_vehicles) ** 2
+    k2 = float(inst.min_bits.shape[0]) ** 2
     b_min = float(inst.min_bits[k, n])
     sub, tau = inst.subslot, inst.slot_len
     pmax = inst.power_max

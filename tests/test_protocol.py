@@ -192,3 +192,7 @@ def test_wtec_is_sum_of_block_energy_and_weighted_breakdown():
         e["e_relay_J"] + e["e_uav_compute_J"] + e["e_down_uav_J"] + e["e_down_rsu_J"]
     )
     assert np.isclose(total, weighted, rtol=1e-12, atol=0.0)
+    # the UAV CPU energy over the sub-slot tau/K is the K^2 form over the slot
+    uc = inst.uav_compute
+    k2_form = 3**2 * uc.capacitance * uc.cycles_per_bit**3 * (alloc.bits_uav**3).sum() / inst.slot_len**2
+    assert np.isclose(e["e_uav_compute_J"], k2_form, rtol=1e-12, atol=0.0)

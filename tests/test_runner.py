@@ -324,7 +324,8 @@ def test_cli_verify_exits_1_when_a_criterion_fails(monkeypatch, capsys):
     def stub(passed):
         return lambda *args, **kwargs: acceptance.CriterionResult("stub", passed, 0.0, 0.0)
 
-    monkeypatch.setattr(acceptance.runner, "solve_report", lambda cfg: (None, None))
+    monkeypatch.setattr(acceptance, "build_instance", lambda cfg: None)
+    monkeypatch.setattr(acceptance, "algorithm1", lambda inst, **kwargs: None)
     for name in dir(acceptance):
         if name.startswith("criterion_"):
             monkeypatch.setattr(acceptance, name, stub(True))

@@ -455,8 +455,9 @@ def test_roll_out_builds_each_link_once_per_slot(monkeypatch, built_links):
     # one call per link covers every slot: K vehicle-UAV links, read in both
     # directions, and the UAV-to-ground-unit relay; the arrays of each share
     # spacing and angles, so each call places its displacement lattice once
-    assert inst.n_slots == 2
-    assert len(built_links) == inst.n_vehicles + 1
+    k, n = inst.min_bits.shape
+    assert n == 2
+    assert len(built_links) == k + 1
     assert len(offsets) == len(built_links)
     assert np.array_equal(inst.gains[PHASE_OFFLOAD], inst.gains[PHASE_DOWN_UAV])
     assert np.array_equal(inst.gains[PHASE_DOWN_UAV], inst.gains[PHASE_DOWN_RSU])
@@ -544,7 +545,7 @@ def _slot_states(inst):
     """The network state of every slot, advanced from the instance's slot-0
     state."""
     states = list(inst.states)
-    while len(states) < inst.n_slots:
+    while len(states) < inst.min_bits.shape[1]:
         states.append(geometry.advance(states[-1]))
     return states
 
@@ -562,7 +563,7 @@ def _reversed_links(doppler, antennas_uav=36):
         for n, st in enumerate(_slot_states(inst))
         for k, veh in enumerate(st.vehicles)
     ]
-    assert len(links) == inst.n_slots * inst.n_vehicles
+    assert len(links) == inst.min_bits.size
     return inst, radio, links
 
 
@@ -603,8 +604,8 @@ def _reference_gain_tables(cfg, inst):
 
     states = _slot_states(inst)
     up = np.array([[gain(st.vehicles[k], st.uav, st) for st in states]
-                   for k in range(inst.n_vehicles)])
-    relay = np.array([[gain(st.uav, st.rsu, st) for st in states]] * inst.n_vehicles)
+                   for k in range(inst.min_bits.shape[0])])
+    relay = np.array([[gain(st.uav, st.rsu, st) for st in states]] * inst.min_bits.shape[0])
     st = states[0]
     down = up * (st.vehicles[0].array.size / st.uav.array.size)
     tables = [up, relay, down, down]
