@@ -3,16 +3,17 @@ time-sign rules, ellipsoid dual ascent and the closed-form recovery of the
 schedule.
 
 The dual problem separates into one 6-multiplier block per (vehicle, slot).
-Each block's facts at the power caps are settled once per solve, and a block
-that no split carries at full power raises before the dual stage.  Each
-block is warm-started from a one-dimensional reduction (all stationarity
-conditions collapse onto the sub-slot time price) and then refined by a
-deep-cut ellipsoid; convergence is certified by the signed weak-duality gap
-between the best dual value and one completion of the closed-form split at
-the best multipliers (inf while a block's split does not fit), and a gap
-below -WEAK_DUALITY_RTOL raises.  The completion takes the multipliers' time
-price as its candidate, and at the warm start its powers and rates too, and
-solves the time-price root only for the blocks that price does not fill.
+Each block's facts at the power caps, phase weights and split terms are
+settled once per solve (`CapFacts`), and a block that no split carries at
+full power raises before the dual stage.  Each block is warm-started from a
+one-dimensional reduction (all stationarity conditions collapse onto the
+sub-slot time price) and then refined by a deep-cut ellipsoid; convergence
+is certified by the signed weak-duality gap between the best dual value and
+one completion of the closed-form split at the best multipliers (inf while a
+block's split does not fit), and a gap below -WEAK_DUALITY_RTOL raises.  The
+completion takes the multipliers' time price as its candidate, and at the
+warm start its powers and rates too, and solves the time-price root only for
+the blocks that price does not fill.
 The power at a time price inverts phi(p) = w*(r/r' - p) by a safeguarded
 Newton iteration on log(phi) against log(p), with phi's ln(1 + p*g) terms
 taken by log1p; the uplink, relay and download roots (both download phases
@@ -229,12 +230,6 @@ def phase1_closed_form(trace_power, n_tx, n_rx, bound, weight, price_rate,
 # vectorized block machinery (arrays over all (k, n) blocks)
 # ---------------------------------------------------------------------------
 
-def _phase_weights(inst: ProblemInstance) -> np.ndarray:
-    """Objective weight multiplying each phase's radiated energy, (4, K, N)."""
-    k_w = np.broadcast_to(inst.weights_vehicle[:, None], inst.min_bits.shape)
-    return np.stack([k_w] + [np.full(inst.min_bits.shape, inst.weight_uav)] * 3)
-
-
 def _phi(gains, w, p):
     """Time price at which power p is stationary, w*(r/r' - p), its slope
     w*(r/r')*sum_l q_l^2/sum_l q_l >= 0 with q_l = g_l/(1 + p*g_l), and the
@@ -325,32 +320,29 @@ def _phase_powers(inst, caps, mu, start=None, tol=5e-15):
     return powers, rates, dpowers, r_prime, error
 
 
-def _split_terms(inst, chi_subslot, chi_uplink, chi_down_uav):
-    """Terms (A, cap_L, B, c0, cap_U) of the closed-form split at the given
-    prices, per block: local bits minimize w*kappa*c^3*b^3/tau^2 - chi1*b and
-    UAV bits w_u*kappa_u*c_u^3*b^3/s^2 + (c0 - chi1)*b, s the sub-slot, within
-    their CPU caps, so b_local = min(A*sqrt(chi1), cap_L) and b_uav =
-    min(B*sqrt((chi1 - c0)+), cap_U), with c0 the UAV route's price per bit."""
-    vc, uc = inst.vehicle_compute, inst.uav_compute
-    a = inst.slot_len / np.sqrt(3.0 * inst.weights_vehicle[:, None] * vc.capacitance * vc.cycles_per_bit**3)
-    b = inst.subslot / np.sqrt(3.0 * inst.weight_uav * uc.capacitance * uc.cycles_per_bit**3)
-    return a, inst.bits_local_cap, b, _uav_price(inst, chi_subslot, chi_uplink, chi_down_uav), inst.bits_uav_cap
+def _route_prices(inst, per_second, per_bit):
+    """Per block, the UAV route's price per bit c0 = per_second*c_u/f_u + chi_up
+    + xi*chi_down-UAV and the ground route's chi_up + chi_relay + xi*chi_down-RSU
+    from the (4, ...) phase prices per bit `per_bit`: rate prices, their slopes
+    in the time price or times per bit, with per_second the time price or 1."""
+    uc, xi = inst.uav_compute, inst.output_ratio[:, None]
+    return (per_second * uc.cycles_per_bit / uc.cpu_freq + per_bit[0] + xi * per_bit[2],
+            per_bit[0] + per_bit[1] + xi * per_bit[3])
 
 
-def _uav_price(inst, chi_subslot, chi_uplink, chi_down_uav):
-    """c0, the UAV route's price per bit, per block."""
-    uc = inst.uav_compute
-    return chi_subslot * uc.cycles_per_bit / uc.cpu_freq + chi_uplink + inst.output_ratio[:, None] * chi_down_uav
-
-
-def _split(terms, chi1):
-    """Closed-form local and UAV bits at the minimum-bits price, per block."""
-    a, cap_l, b, c0, cap_u = terms
+def _split(split, c0, chi1):
+    """Closed-form local and UAV bits at the minimum-bits price, per block:
+    local bits minimize w*kappa*c^3*b^3/tau^2 - chi1*b and UAV bits
+    w_u*kappa_u*c_u^3*b^3/s^2 + (c0 - chi1)*b, s the sub-slot, within their
+    CPU caps, so b_local = min(A*sqrt(chi1), cap_L) and b_uav =
+    min(B*sqrt((chi1 - c0)+), cap_U), from `CapFacts.split`'s (A, cap_L, B,
+    cap_U) and c0, the UAV route's price per bit."""
+    a, cap_l, b, cap_u = split
     return (np.minimum(a * np.sqrt(np.maximum(chi1, 0.0)), cap_l),
             np.minimum(b * np.sqrt(np.maximum(chi1 - c0, 0.0)), cap_u))
 
 
-def _min_bits_price(terms, min_bits, d_c0, fixed):
+def _min_bits_price(split, c0, min_bits, d_c0, fixed):
     """Lowest price at which `_split` carries min_bits m, per block (inf where
     both CPU caps fall short), and its slope in mu given d_c0 = dc0/dmu and
     `fixed`, its terms that no price moves (`CapFacts.price_terms`).  The
@@ -362,11 +354,11 @@ def _min_bits_price(terms, min_bits, d_c0, fixed):
     = m, whose slope s_U*d_c0/(s_L + s_U) keeps b_L + b_U = m (s_L, s_U: the
     splits' slopes in the price).  Where rounding leaves that split short of
     m, the price steps up float by float to the first one that carries m."""
-    a, cap_l, b, c0, cap_u = terms
+    a, cap_l, b, cap_u = split
     m = min_bits
     local_knee, uav_width, over, mm, am, bb_aa, no_uav, past_local, past_uav = fixed
     uav_knee = c0 + uav_width
-    at_c0, at_local_cap, at_uav_cap = sum(_split(terms, np.array([c0, local_knee, uav_knee])))  # one pass
+    at_c0, at_local_cap, at_uav_cap = sum(_split(split, c0, np.array([c0, local_knee, uav_knee])))  # one pass
     local_capped, uav_capped = m >= at_local_cap, m >= at_uav_cap
     off = over | (low := m <= at_c0)  # low: no UAV bits; `over` takes the route price
     # a piece some block lies on is evaluated on every block: 0/0 or overflow only off its piece
@@ -382,10 +374,10 @@ def _min_bits_price(terms, min_bits, d_c0, fixed):
         slope = np.where(off, 0.0, np.where(local_capped, np.where(~uav_capped | (uav_knee >= local_knee), d_c0, 0.0),
                                              np.where(uav_capped, 0.0, interior[1])))
     # the float total rises with the price and reaches cap_L + cap_U >= m
-    short = (sum(_split(terms, price)) < m) & np.isfinite(price)
+    short = (sum(_split(split, c0, price)) < m) & np.isfinite(price)
     while short.any():
         price = np.where(short, np.nextafter(price, np.inf), price)
-        short &= sum(_split(terms, price)) < m
+        short &= sum(_split(split, c0, price)) < m
     return price, slope
 
 
@@ -415,18 +407,16 @@ def _candidate(inst, caps, mu, start=None, tol=5e-15):
     powers, their slopes dp/dmu and rates, and their error.
     """
     powers, rates, dpowers, r_prime, error = _phase_powers(inst, caps, mu, start, tol)
-    xi, uc, pmax = inst.output_ratio[:, None], inst.uav_compute, inst.power_max[:, None, None]
+    uc, pmax = inst.uav_compute, inst.power_max[:, None, None]
     chis = np.where(powers >= pmax * (1.0 - 1e-12), (caps.cap_energy + mu) / caps.rate_floor,
                     caps.weights / np.maximum(r_prime, 1e-300))
     drates = r_prime * dpowers
     inv = 1.0 / np.maximum(rates, 1e-300)  # d(chi_ph)/dmu
-    route, d_route = chis[0] + chis[1] + xi * chis[3], inv[0] + inv[1] + xi * inv[3]
-    a, cap_l, b, cap_u = caps.split
-    terms = a, cap_l, b, (c0 := _uav_price(inst, mu, chis[0], chis[2])), cap_u
-    d_c0 = caps.cpu_time + inv[0] + xi * inv[2]
-    price, d_price = _min_bits_price(terms, inst.min_bits, d_c0, caps.price_terms)
+    (c0, route), (d_c0, d_route) = _route_prices(inst, mu, chis), _route_prices(inst, 1.0, inv)
+    price, d_price = _min_bits_price(caps.split, c0, inst.min_bits, d_c0, caps.price_terms)
     chi1, d_chi1 = np.minimum(price, route), np.where(price < route, d_price, d_route)
-    bl, bu = _split(terms, chi1)
+    bl, bu = _split(caps.split, c0, chi1)
+    _, cap_l, _, cap_u = caps.split
     br = np.maximum(inst.min_bits - bl - bu, 0.0)
     loads = phase_loads(inst, bu, br)
     times = carry_time(loads, rates)
@@ -460,9 +450,8 @@ class CapFacts:
     phi: tuple  # the cap call's `_phi` values on the root rows, each (3, K, N)
     ceiling: np.ndarray  # (K, N) time price above which every power clamps
     feasible: np.ndarray  # (K, N) `feasible_split`'s mask
-    split: tuple  # `_split_terms`' (A, cap_L, B, cap_U): the prices move only c0
+    split: tuple  # `_split`'s (A, cap_L, B, cap_U): the prices move only c0
     price_terms: tuple  # `_min_bits_price`'s `fixed`: its terms in m, A, B and the CPU caps; the local knee (K, N)
-    cpu_time: float  # c_u/f_u, the UAV's compute seconds per bit
 
 
 def _at_caps(inst) -> CapFacts:
@@ -473,23 +462,24 @@ def _at_caps(inst) -> CapFacts:
     `feasible_split` runs at those rates.  Both download phases share one
     root at the larger cap.  Raises ValueError when the two download tables
     differ: both send over the vehicle-UAV link in reverse (`ProblemInstance`)."""
-    pmax, gains = inst.power_max, inst.gains
+    pmax, gains, m = inst.power_max, inst.gains, inst.min_bits
     if not np.array_equal(gains[PHASE_DOWN_UAV], gains[PHASE_DOWN_RSU]):
         raise ValueError("both download phases must share one gain table (the vehicle-UAV link in reverse)")
-    weights, scale = _phase_weights(inst), inst.bandwidth / np.log(2.0)
-    phi = _phi(gains, weights, np.broadcast_to(pmax[:, None, None], weights.shape))
+    weights = np.stack(np.broadcast_arrays(inst.weights_vehicle[:, None], *[np.full(m.shape, inst.weight_uav)] * 3))
+    scale, phi = inst.bandwidth / np.log(2.0), _phi(gains, weights, np.broadcast_to(pmax[:, None, None], weights.shape))
     rates, slopes = scale * phi[2], np.stack([scale * spectral_sum(gains), scale * phi[3]])
     roots = [PHASE_OFFLOAD, PHASE_RELAY,
              PHASE_DOWN_UAV if pmax[PHASE_DOWN_UAV] >= pmax[PHASE_DOWN_RSU] else PHASE_DOWN_RSU]
     root_phi = tuple(a[roots] for a in phi)
     ceiling = np.maximum(root_phi[0].max(axis=0), 0.0)
-    a, cap_l, b, _, cap_u = _split_terms(inst, 0.0, 0.0, 0.0)
-    m = inst.min_bits  # `_min_bits_price`'s terms that no price moves
+    vc, uc, cap_l, cap_u = inst.vehicle_compute, inst.uav_compute, inst.bits_local_cap, inst.bits_uav_cap
+    a = inst.slot_len / np.sqrt(3.0 * inst.weights_vehicle[:, None] * vc.capacitance * vc.cycles_per_bit**3)
+    b = inst.subslot / np.sqrt(3.0 * inst.weight_uav * uc.capacitance * uc.cycles_per_bit**3)
     fixed = (np.broadcast_to((cap_l / a) ** 2, m.shape), (cap_u / b) ** 2, m > cap_l + cap_u, m * m, a * m,
              b * b - a * a, (m / a) ** 2, ((m - cap_l) / b) ** 2, ((m - cap_u) / a) ** 2)
     return CapFacts(weights, weights * pmax[:, None, None], rates, np.maximum(rates, 1e-300), slopes, roots,
                     gains[roots], weights[roots], pmax[roots], root_phi, ceiling, feasible_split(inst, rates)[0],
-                    (a, cap_l, b, cap_u), fixed, compute_time(1.0, inst.uav_compute))
+                    (a, cap_l, b, cap_u), fixed)
 
 
 def feasible_split(inst, rates):
@@ -500,10 +490,8 @@ def feasible_split(inst, rates):
     ground-unit routes by per-bit budget cost; exact for the linear cost.
     Returns (feasible mask, (local, uav, rsu) bits).
     """
-    uc, xi = inst.uav_compute, inst.output_ratio[:, None]
-    inv = carry_time(1.0, rates)  # time per bit, inf on a dead link
-    cost_uav = inv[0] + uc.cycles_per_bit / uc.cpu_freq + xi * inv[2]
-    cost_rsu = inv[0] + inv[1] + xi * inv[3]
+    # time per bit of each route, inf over a dead link
+    cost_uav, cost_rsu = _route_prices(inst, 1.0, carry_time(1.0, rates))
 
     bl = np.minimum(inst.min_bits, inst.bits_local_cap)
     rem = inst.min_bits - bl
@@ -577,16 +565,17 @@ def warm_start(inst: ProblemInstance, caps: CapFacts):
     idle = inst.min_bits <= 0.0
     chi = np.where(idle[..., None], 0.0, np.stack([chi1, mu, *chis], axis=-1))
     kept = tuple(np.where(idle, 0.0, a) for a in (powers, rates))
-    value, _ = dual_point_eval(inst, chi, kept, subgradient=False)
+    value, _ = dual_point_eval(inst, caps, chi, kept, subgradient=False)
     return chi, value, kept
 
 
-def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None, subgradient=True):
+def dual_point_eval(inst: ProblemInstance, caps: CapFacts, chi: np.ndarray, powers=None, subgradient=True):
     """Dual value and subgradient at a multiplier point, per block.
 
-    Inner minimizers follow the closed forms and sign rules; indeterminate
-    ground-unit bits and transmit times take their recovery-problem values so
-    the subgradient vanishes at the optimum.  The phase powers and rates are
+    Inner minimizers follow the closed forms and sign rules, with the split's
+    terms and the phase weights from `caps`, the solve's `CapFacts`;
+    indeterminate ground-unit bits and transmit times take their
+    recovery-problem values so the subgradient vanishes at the optimum.  The phase powers and rates are
     one `power_opt` call's over the four phases at the rate prices and one
     `ProblemInstance.rate` call's there, or `powers`, a (powers, rates) pair,
     when given: the warm start's, from which its rate prices came.  A block
@@ -595,20 +584,17 @@ def dual_point_eval(inst: ProblemInstance, chi: np.ndarray, powers=None, subgrad
     -inf.  Returns (values (K, N), subgradients (K, N, 6), None unless
     `subgradient`).
     """
-    vc, uc, xi = inst.vehicle_compute, inst.uav_compute, inst.output_ratio[:, None]
-    tau, sub, w_col, wv = inst.slot_len, inst.subslot, inst.weights_vehicle[:, None], _phase_weights(inst)
+    vc, uc, tau, sub, wv = inst.vehicle_compute, inst.uav_compute, inst.slot_len, inst.subslot, caps.weights
 
     chi1, chi2 = chi[..., D_MIN_BITS], chi[..., D_SUBSLOT]
-    terms = _split_terms(inst, chi2, chi[..., D_UPLINK], chi[..., D_DOWN_UAV])
-    bl, bu = _split(terms, chi1)
-    l1 = w_col * compute_energy(bl, vc, tau) - chi1 * bl
-    l2 = inst.weight_uav * compute_energy(bu, uc, sub) + (terms[3] - chi1) * bu
-
-    route = chi[..., D_UPLINK] + chi[..., D_RELAY] + xi * chi[..., D_DOWN_RSU]
+    chir = np.moveaxis(chi[..., _PHASE_RATE_DUAL], -1, 0)  # (4, K, N)
+    c0, route = _route_prices(inst, chi2, chir)
+    bl, bu = _split(caps.split, c0, chi1)
+    l1 = inst.weights_vehicle[:, None] * compute_energy(bl, vc, tau) - chi1 * bl
+    l2 = inst.weight_uav * compute_energy(bu, uc, sub) + (c0 - chi1) * bu
     margin, margin_scale = route - chi1, route + chi1 + 1e-300
     value = l1 + l2 + chi1 * inst.min_bits - chi2 * sub
 
-    chir = np.moveaxis(chi[..., _PHASE_RATE_DUAL], -1, 0)  # (4, K, N)
     if powers is None:
         p = power_opt(inst.gains, wv, chir, inst.bandwidth, inst.power_max[:, None, None])
         powers = p, inst.rate(p)
@@ -683,7 +669,8 @@ def blended_completion(inst: ProblemInstance, chi: np.ndarray, caps: CapFacts, p
     time-price root nor a power root runs.  Returns (bits, (powers, times),
     energy, inf_mask)."""
     mu = chi[..., D_SUBSLOT]
-    bl, bu = _split(_split_terms(inst, mu, chi[..., D_UPLINK], chi[..., D_DOWN_UAV]), chi[..., D_MIN_BITS])
+    c0 = _route_prices(inst, mu, [chi[..., d] for d in _PHASE_RATE_DUAL])[0]
+    bl, bu = _split(caps.split, c0, chi[..., D_MIN_BITS])
     bits = bl, bu, np.maximum(inst.min_bits - bl - bu, 0.0)
     powers, times, energy, inf_mask = complete_primal(inst, caps, bits, mu, powers)
     return bits, (powers, times), energy, inf_mask
@@ -714,28 +701,18 @@ def _apply_cut(center, shape, a, depth, mask):
     return center, shape
 
 
-def _restore_feasibility(center, shape, xi, scale):
-    """Constraint cuts until every center satisfies chi >= 0 and boundedness."""
-    k, n, d = center.shape
-    a3 = np.zeros((k, n, d))
-    a3[..., D_MIN_BITS] = 1.0
-    a3[..., D_UPLINK] = -1.0
-    a3[..., D_RELAY] = -1.0
-    a3[..., D_DOWN_RSU] = -xi
-    a3 = a3 * scale
-    a3 /= np.linalg.norm(a3, axis=-1, keepdims=True)
+def _restore_feasibility(center, shape, cut):
+    """Constraint cuts until every center satisfies chi >= 0 and boundedness,
+    whose half-space cut.center <= 0 has the unit normal `cut` (K, N, 6)."""
     for _ in range(60):
         neg = center < -1e-15
         any_neg = neg.any(axis=-1)
-        bound_viol = np.einsum("...i,...i->...", a3, center) > 1e-15
+        bound_viol = np.einsum("...i,...i->...", cut, center) > 1e-15
         bound_viol &= ~any_neg
         if not (any_neg.any() or bound_viol.any()):
             break
-        a = np.zeros_like(center)
-        worst = np.argmin(center, axis=-1)
-        rows = np.arange(k)[:, None], np.arange(n)[None, :]
-        a[rows[0], rows[1], worst] = -1.0
-        a = np.where(any_neg[..., None], a, a3)
+        worst = np.arange(center.shape[-1]) == np.argmin(center, axis=-1)[..., None]  # its most negative price
+        a = np.where(any_neg[..., None], np.where(worst, -1.0, 0.0), cut)
         depth = np.einsum("...i,...i->...", a, center)
         center, shape = _apply_cut(center, shape, a, depth, any_neg | bound_viol)
     return center, shape
@@ -760,7 +737,6 @@ def ellipsoid_solve(inst: ProblemInstance, eps: float = 1e-4, max_iterations: in
         raise InfeasibleAllocation(f"minimum bits unachievable within the sub-slot for vehicle {k}, slot {n}")
     (k, n), d = inst.min_bits.shape, 6
     best_chi, best_value, warm_powers = warm_start(inst, caps)
-    xi = inst.output_ratio[:, None]
 
     def certify(chi, powers=None):
         bits, (powers, _), energy, inf_mask = blended_completion(inst, chi, caps, powers)
@@ -788,11 +764,14 @@ def ellipsoid_solve(inst: ProblemInstance, eps: float = 1e-4, max_iterations: in
         scale = np.maximum(scale, 1e-30)  # floor keeps norms of scaled cuts above underflow
         center = best_chi / scale
         shape = np.broadcast_to(np.eye(d) * _ELLIPSOID_RADIUS**2 * d, (k, n, d, d)).copy()
+        # boundedness, chi1 <= chi_up + chi_relay + xi*chi_down-RSU, as a unit normal in the scaled coordinates
+        cut = scale * np.stack(np.broadcast_arrays(1.0, 0.0, -1.0, -1.0, 0.0, -inst.output_ratio[:, None]), axis=-1)
+        cut /= np.linalg.norm(cut, axis=-1, keepdims=True)
     while not converged and it < max_iterations:
         it += 1
-        center, shape = _restore_feasibility(center, shape, xi, scale)
+        center, shape = _restore_feasibility(center, shape, cut)
         chi = np.maximum(center, 0.0) * scale
-        value, g = dual_point_eval(inst, chi)
+        value, g = dual_point_eval(inst, caps, chi)
         improved = value > best_value
         best_chi = np.where(improved[..., None], chi, best_chi)
         best_value = np.where(improved, value, best_value)

@@ -19,22 +19,23 @@ from .protocol import Allocation, block_energy, carry_time, check_feasible, phas
 # axes and the four transmit-time axes.  Ground-unit bits take their minimal
 # feasible value and each transmit power the minimal value that carries its
 # phase's bits in the allotted time; both reductions are exact for the
-# minimum, so only these six axes are gridded.
-BIT_STEPS, TIME_STEPS = 14, 12
+# minimum, so only these six axes are gridded.  Then the powers per rate table
+# and the relative tolerances of a bisected power and of the boundedness margin.
+BIT_STEPS, TIME_STEPS, RATE_POINTS, POWER_RTOL, MARGIN_RTOL = 14, 12, 4000, 1e-13, 1e-9
 
 
 class NoFeasiblePoint(Exception):
     """The grid contains no point satisfying every constraint."""
 
 
-def _rate_table(inst, phase: int, n_points: int = 4000):
+def _rate_table(inst, phase: int):
     """Monotone (rate, power) table for inverting the rate curve."""
     pmax = inst.power_max[phase]
-    p = np.concatenate([[0.0], np.geomspace(pmax * 1e-9, pmax, n_points)])
+    p = np.concatenate([[0.0], np.geomspace(pmax * 1e-9, pmax, RATE_POINTS)])
     return rate(inst.gains[phase], inst.bandwidth, p.reshape(-1, 1, 1))[:, 0, 0], p
 
 
-def _exact_min_power(inst, phase: int, load: float, time: float, tol: float = 1e-13):
+def _exact_min_power(inst, phase: int, load: float, time: float):
     """Bisected minimal power carrying `load` bits in `time` seconds."""
     if load <= 0:
         return 0.0
@@ -46,7 +47,7 @@ def _exact_min_power(inst, phase: int, load: float, time: float, tol: float = 1e
     if float(rate(gains, inst.bandwidth, np.full(shape, pmax))[0, 0]) < target:
         return np.inf
     lo, hi = 0.0, pmax
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > POWER_RTOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if float(rate(gains, inst.bandwidth, np.full(shape, mid))[0, 0]) < target:
             lo = mid
@@ -244,8 +245,7 @@ def _lagrangian_blocks(inst, alloc: Allocation, duals: np.ndarray) -> np.ndarray
     return blocks + (duals * constraint_residuals(inst, alloc)).sum(axis=-1)
 
 
-def kkt_residuals(inst, alloc: Allocation, duals: np.ndarray,
-                  boundedness_margin_tol: float = 1e-9) -> dict:
+def kkt_residuals(inst, alloc: Allocation, duals: np.ndarray) -> dict:
     """Four-block KKT summary at a solver output.
 
     Stationarity uses finite differences of the Lagrangian with steps
@@ -288,7 +288,7 @@ def kkt_residuals(inst, alloc: Allocation, duals: np.ndarray,
     xi = inst.output_ratio[:, None]
     margin = (duals[..., 2] + duals[..., 3] + xi * duals[..., 5] - duals[..., 0])
     margin_scale = (duals[..., 2] + duals[..., 3] + xi * duals[..., 5] + duals[..., 0] + 1e-300)
-    dual_ok = bool((duals >= -1e-15).all() and (margin >= -boundedness_margin_tol * margin_scale).all())
+    dual_ok = bool((duals >= -1e-15).all() and (margin >= -MARGIN_RTOL * margin_scale).all())
     return {
         "stationarity": stationarity,
         "complementary_slackness": comp_slack,

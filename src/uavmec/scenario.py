@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import os
 import re
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
@@ -171,10 +172,9 @@ def parse_quantity(text: str):
     m = _PI_RE.match(low)
     if m:
         factor = float(m.group(1)) if m.group(1) not in ("", "-") else (-1.0 if m.group(1) == "-" else 1.0)
-        value = factor * math.pi
-        if m.group(2):
-            value /= float(m.group(2))
-        return value
+        if (divisor := float(m.group(2) or 1.0)) == 0.0:
+            raise ValueError(f"{text!r} divides by zero")
+        return factor * math.pi / divisor
     if low.startswith("lambda"):
         return s  # resolved against the wavelength later
     parts = s.split()
@@ -185,23 +185,31 @@ def parse_quantity(text: str):
             return s  # bare word: mode names and the like
     if len(parts) == 2:
         value, unit = float(parts[0]), parts[1].lower()
-        if unit == "db":
-            return 10.0 ** (value / 10.0)
-        if unit in ("dbm", "dbm/hz"):
-            return 10.0 ** (value / 10.0) / 1000.0
+        if unit in ("db", "dbm", "dbm/hz"):
+            try:
+                return 10.0 ** (value / 10.0) / (1.0 if unit == "db" else 1000.0)
+            except OverflowError:
+                raise ValueError(f"{text!r} exceeds the float range") from None
         if unit in _UNIT_SCALE:
             return value * _UNIT_SCALE[unit]
         raise ValueError(f"unknown unit {unit!r}")
     raise ValueError(f"cannot parse value {text!r}")
 
 
+def _number(text: str) -> float:
+    """One element of a comma or semicolon list, which must be a number."""
+    value = parse_quantity(text)
+    if type(value) is not float:
+        raise ValueError(f"list element {text.strip()!r} is not a number")
+    return value
+
+
 def _parse_value(text: str):
     s = str(text).strip()
-    if ";" in s:
-        return np.array([[parse_quantity(x) for x in row.split(",")] for row in s.split(";")], dtype=float)
-    if "," in s:
-        return np.array([parse_quantity(x) for x in s.split(",")], dtype=float)
-    return parse_quantity(s)
+    if ";" not in s and "," not in s:
+        return parse_quantity(s)
+    rows = [[_number(x) for x in row.split(",")] for row in s.split(";")]
+    return np.array(rows if ";" in s else rows[0])
 
 
 def load_scenario(path_or_text) -> ScenarioConfig:
@@ -213,7 +221,7 @@ def load_scenario(path_or_text) -> ScenarioConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         text = str(path_or_text)
-        if text.strip() == "" or "\n" in text or "=" in text:
+        if text.strip() == "" or "\n" in text or "=" in text and not os.path.isfile(text):
             parser.read_string(text)
         else:
             with open(path_or_text, "r", encoding="utf-8") as fh:

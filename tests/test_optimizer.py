@@ -41,8 +41,8 @@ def rate_derivative(gains, bandwidth: float, power) -> np.ndarray:
 
 def _split_at(inst, chi1, chi_subslot=0.0, chi_uplink=0.0, chi_down_uav=0.0):
     """Closed-form (local, UAV) bits of every block at scalar prices."""
-    terms = opt._split_terms(inst, chi_subslot, chi_uplink, chi_down_uav)
-    return opt._split(terms, np.full(inst.min_bits.shape, chi1))
+    c0 = opt._route_prices(inst, chi_subslot, [chi_uplink, 0.0, chi_down_uav, 0.0])[0]
+    return opt._split(opt._at_caps(inst).split, c0, np.full(inst.min_bits.shape, chi1))
 
 
 def _local_bits(chi1, weight=1.0):
@@ -126,7 +126,7 @@ def test_remark1_monotonicity_in_weights():
 def _ground_bits(inst, chi):
     """Ground-unit bits chosen by the dual evaluation, read off the
     minimum-bits residual."""
-    _, g = dual_point_eval(inst, chi)
+    _, g = dual_point_eval(inst, opt._at_caps(inst), chi)
     bl, bu, _ = _split_bits(inst, chi)
     return (inst.min_bits - bl - bu - g[..., 0])[0, 0]
 
@@ -265,7 +265,7 @@ def test_power_opt_root_slope_matches_a_central_difference(monkeypatch):
 def _uplink_time(inst, chi):
     """Uplink time chosen by the dual evaluation, read off the sub-slot
     budget residual: at these prices every other phase takes zero time."""
-    _, g = dual_point_eval(inst, chi)
+    _, g = dual_point_eval(inst, opt._at_caps(inst), chi)
     return g[0, 0, 1] + inst.subslot
 
 
@@ -321,8 +321,8 @@ def test_remark2_bound_power_ordering():
 
 def test_dual_subgradients_track_constructed_residuals():
     inst = make_synthetic_instance(min_bits=5e5)
-    chi = np.zeros((1, 1, 6))
-    value, g = dual_point_eval(inst, chi)
+    caps, chi = opt._at_caps(inst), np.zeros((1, 1, 6))
+    value, g = dual_point_eval(inst, caps, chi)
     # zero multipliers: the boundedness margin is exactly zero, so the inner
     # minimizer routes the whole shortfall to the ground unit with zero times;
     # the capacity residuals then expose the violated rate constraints
@@ -333,12 +333,12 @@ def test_dual_subgradients_track_constructed_residuals():
     # away from the boundedness boundary the ground-unit bits stay at zero
     chi_strict = np.zeros((1, 1, 6))
     chi_strict[..., 2] = 1e-6  # uplink price alone keeps the margin positive
-    _, g_strict = dual_point_eval(inst, chi_strict)
+    _, g_strict = dual_point_eval(inst, caps, chi_strict)
     assert np.isclose(g_strict[0, 0, 0], 5e5)
     # large rate prices: every phase runs at full power for the full
     # sub-slot, so the budget is over-filled by three sub-slots
     chi_full = np.array([[[0.0, 0.0, 1.0, 1.0, 1.0, 1.0]]])
-    value, g_full = dual_point_eval(inst, chi_full)
+    value, g_full = dual_point_eval(inst, caps, chi_full)
     sub = inst.subslot
     r = inst.rate(np.reshape(inst.power_max, (4, 1, 1)))[:, 0, 0]
     assert np.allclose(g_full[0, 0], [5e5, 3 * sub, -sub * r[0], -sub * r[1],
@@ -422,7 +422,7 @@ def _scaled_warm_start(monkeypatch, f):
 
     def scaled(inst, caps):
         chi = f * seed(inst, caps)[0]
-        return chi, opt.dual_point_eval(inst, chi)[0], None
+        return chi, opt.dual_point_eval(inst, caps, chi)[0], None
 
     monkeypatch.setattr(opt, "warm_start", scaled)
 
@@ -524,7 +524,7 @@ def _over_prices(f, mu, *grids):
 def _root_alone(inst, ph, mu, start=None):
     """Power root of phase `ph` alone (a phase axis of 1) at the time price,
     from phi and phi' at its own cap: (power, dp/dmu)."""
-    gains, w, pmax = inst.gains[ph][None], opt._phase_weights(inst)[ph][None], inst.power_max[ph:ph + 1]
+    gains, w, pmax = inst.gains[ph][None], opt._at_caps(inst).weights[ph][None], inst.power_max[ph:ph + 1]
     at_cap = opt._phi(gains, w, np.full(w.shape, pmax[0]))
     p, dp = opt._power_from_time_price(gains, w, pmax, at_cap, mu, None if start is None else start[None])[:2]
     return p[0], dp[0]
@@ -545,8 +545,8 @@ def _bisected_power(inst, ph, w, mu):
 @pytest.mark.parametrize("spectrum", ["rank1_stock", "spread"])
 def test_power_from_time_price_inverts_phi(spectrum):
     inst = _root_instance(spectrum)
-    wv = opt._phase_weights(inst)
-    mu_hi = opt._at_caps(inst).ceiling
+    caps = opt._at_caps(inst)
+    wv, mu_hi = caps.weights, caps.ceiling
     # the grid runs along a leading axis: mu[0] = 0, then mu_hi*2**-80 .. 2*mu_hi
     t = np.concatenate([[0.0], np.geomspace(2.0**-80, 2.0, 325)])
     mu = mu_hi * t[:, None, None]
@@ -601,8 +601,7 @@ def test_download_phases_share_one_power_root(caps):
     cfg = ScenarioConfig(power_max_down_uav=caps[0], power_max_down_rsu=caps[1])
     inst = build_instance(validate(cfg))
     facts = opt._at_caps(inst)
-    wv = opt._phase_weights(inst)
-    mu_hi = facts.ceiling
+    wv, mu_hi = facts.weights, facts.ceiling
     # the solver's time prices lie above mu_hi*2**-20, where both Newton runs
     # converge to the same root
     mu = mu_hi * np.concatenate([[0.0], np.geomspace(2.0**-20, 2.0, 200)])[:, None, None]
@@ -872,10 +871,15 @@ def _candidate_over(inst, caps, mu):
     return _over_prices(at, mu)
 
 
+def _split_and_c0(inst, chi):
+    """`CapFacts.split` and the UAV route's price c0 at the multipliers `chi`
+    (..., 6), `_split`'s first two arguments."""
+    rate_prices = np.moveaxis(chi[..., opt._PHASE_RATE_DUAL], -1, 0)
+    return opt._at_caps(inst).split, opt._route_prices(inst, chi[..., opt.D_SUBSLOT], rate_prices)[0]
+
+
 def _split_bits(inst, chi):
-    terms = opt._split_terms(inst, chi[..., opt.D_SUBSLOT], chi[..., opt.D_UPLINK],
-                             chi[..., opt.D_DOWN_UAV])
-    bl, bu = opt._split(terms, chi[..., opt.D_MIN_BITS])
+    bl, bu = opt._split(*_split_and_c0(inst, chi), chi[..., opt.D_MIN_BITS])
     return bl, bu, np.maximum(inst.min_bits - bl - bu, 0.0)
 
 
@@ -985,6 +989,23 @@ def test_time_price_root_bounds_its_steps_down_until_the_low_end_closes():
     assert closed.all()
     assert (need(x)[0] <= budget).all()
     assert (np.abs(np.log(x / root)) <= 1e-13).all()
+
+
+def test_log_root_last_evaluates_need_at_the_point_it_returns():
+    # a step-shaped need, 2.0 below x = 0.3 and 0.5 above against a budget of
+    # 1, has no slope to follow: the bracket halves onto the step until it is
+    # narrower than 1e-13, and its last iterate lies below the step, where the
+    # need exceeds the budget, so the root evaluates the end it returns again
+    xs = []
+
+    def need(x):
+        xs.append(x)
+        return np.where(x < 0.3, 2.0, 0.5), np.zeros_like(x)
+
+    x = opt._log_root(need, 1.0, np.ones(1))
+    assert not np.array_equal(xs[-2], x)  # the closing evaluation ran
+    assert np.array_equal(xs[-1], x) and (need(x)[0] <= 1.0).all()
+    assert (np.abs(np.log(x / 0.3)) <= 1e-13).all()
 
 
 def test_time_price_root_dead_links_give_zero():
@@ -1146,10 +1167,10 @@ def _bisected_min_bits_price(inst, mu):
     price falls short.  Also returns the route price and the split's terms."""
     chi = _candidate_over(inst, opt._at_caps(inst), mu)[0]
     route = chi[..., opt.D_UPLINK] + chi[..., opt.D_RELAY] + inst.output_ratio[:, None] * chi[..., opt.D_DOWN_RSU]
-    terms = opt._split_terms(inst, mu, chi[..., opt.D_UPLINK], chi[..., opt.D_DOWN_UAV])
+    terms = _split_and_c0(inst, chi)
 
     def short(chi1):
-        return sum(opt._split(terms, chi1)) < inst.min_bits
+        return sum(opt._split(*terms, chi1)) < inst.min_bits
 
     lo, hi = np.zeros_like(route), route
     for _ in range(300):
@@ -1178,7 +1199,7 @@ def _piece_instance():
 
 def _price_pieces(inst, chi1, route, terms):
     """Blocks of each piece of the closed-form minimum-bits price."""
-    a, cap_l, b, c0, cap_u = terms
+    (a, cap_l, b, cap_u), c0 = terms
     m = inst.min_bits
     below = (m > 0.0) & (chi1 < route)
     local_capped = chi1 >= (cap_l / a) ** 2
@@ -1211,7 +1232,7 @@ def test_min_bits_price_matches_fine_bisection(stock_points, task_bits):
     ref, route, terms = _bisected_min_bits_price(inst, mu)
     assert (np.abs(chi1 - ref) <= 1e-12 * ref).all()
     # under the route price the split at chi1 carries the minimum bits
-    carried = sum(opt._split(terms, chi1)) >= inst.min_bits
+    carried = sum(opt._split(*terms, chi1)) >= inst.min_bits
     assert carried[chi1 < route].all()
     if task_bits == 1e5:
         # below the CPU caps the split meets the bits under the route price
@@ -1222,16 +1243,16 @@ def test_min_bits_price_matches_fine_bisection(stock_points, task_bits):
         assert [name for name, blocks in pieces.items() if not blocks.any()] == []
 
 
-def _closed_form_min_bits_price(terms, min_bits, d_c0):
+def _closed_form_min_bits_price(split, c0, min_bits, d_c0):
     """Reference closed form of the minimum-bits price before any float step:
     broadcast knees and `np.select` over the pieces, in the precedence the
     solver's nested `np.where` keeps.  It reads no `fixed` terms the solve
     settled: it computes every term here.  Returns the price, its slope and
     the blocks on the interior piece."""
-    a, cap_l, b, c0, cap_u = terms
+    a, cap_l, b, cap_u = split
     m = min_bits
     knees = np.stack(np.broadcast_arrays(c0, (cap_l / a) ** 2, c0 + (cap_u / b) ** 2))
-    at_c0, at_local_cap, at_uav_cap = sum(opt._split(terms, knees))
+    at_c0, at_local_cap, at_uav_cap = sum(opt._split(split, c0, knees))
     local_capped, uav_capped = m >= at_local_cap, m >= at_uav_cap
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = (m * m + b * b * c0) / (a * m + b * np.sqrt(np.maximum(m * m + (b * b - a * a) * c0, 0.0)))
@@ -1243,15 +1264,15 @@ def _closed_form_min_bits_price(terms, min_bits, d_c0):
     return price, slope, ~np.logical_or.reduce(pieces)
 
 
-def _min_bits_price_by_select(terms, min_bits, d_c0, fixed=None):
+def _min_bits_price_by_select(split, c0, min_bits, d_c0, fixed=None):
     """Reference: `_closed_form_min_bits_price`, then float-by-float steps up
     to the first price whose split carries the minimum bits."""
     m = min_bits
-    price, slope, _ = _closed_form_min_bits_price(terms, m, d_c0)
-    short = (sum(opt._split(terms, price)) < m) & np.isfinite(price)
+    price, slope, _ = _closed_form_min_bits_price(split, c0, m, d_c0)
+    short = (sum(opt._split(split, c0, price)) < m) & np.isfinite(price)
     while short.any():
         price = np.where(short, np.nextafter(price, np.inf), price)
-        short &= sum(opt._split(terms, price)) < m
+        short &= sum(opt._split(split, c0, price)) < m
     return price, slope
 
 
@@ -1298,7 +1319,7 @@ def test_min_bits_price_is_bitwise_the_stepped_form_on_every_solve(monkeypatch):
         got = price_at(*args)
         for a, b in zip(got, _min_bits_price_by_select(*args)):
             assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-        closed, _, on_interior = _closed_form_min_bits_price(*args[:3])
+        closed, _, on_interior = _closed_form_min_bits_price(*args[:4])
         interior += on_interior.any()
         stepped += (got[0] > closed).any()
     assert 0 < interior < len(seen) and stepped > 0
@@ -1335,8 +1356,7 @@ def test_need_slope_matches_a_central_difference_on_every_piece():
     # 1e-14*need/h per unit of log(mu)
     assert (np.abs(slope - ref) <= 1e-5 * np.abs(ref) + 1e-7 * need / mu).all()
     route = chi[..., opt.D_UPLINK] + chi[..., opt.D_RELAY] + inst.output_ratio[:, None] * chi[..., opt.D_DOWN_RSU]
-    terms = opt._split_terms(inst, mu, chi[..., opt.D_UPLINK], chi[..., opt.D_DOWN_UAV])
-    pieces = _price_pieces(inst, chi[..., opt.D_MIN_BITS], route, terms)
+    pieces = _price_pieces(inst, chi[..., opt.D_MIN_BITS], route, _split_and_c0(inst, chi))
     assert [name for name, blocks in pieces.items() if not blocks.any()] == []
 
 
@@ -1647,13 +1667,13 @@ def test_dual_value_is_minus_inf_outside_the_domain(stock_points):
     inst = stock_points[5e5]
     caps = opt._at_caps(inst)
     chi = warm_start(inst, caps)[0]
-    assert np.isfinite(dual_point_eval(inst, chi)[0]).all()
+    assert np.isfinite(dual_point_eval(inst, caps, chi)[0]).all()
     xi = inst.output_ratio[:, None]
     route = chi[..., opt.D_UPLINK] + chi[..., opt.D_RELAY] + xi * chi[..., opt.D_DOWN_RSU]
     assert (route > 0.0).any()
     outside = chi.copy()
     outside[..., opt.D_MIN_BITS] = 2.0 * route
-    value, _ = dual_point_eval(inst, outside)
+    value, _ = dual_point_eval(inst, caps, outside)
     assert (value[route > 0.0] == -np.inf).all()
 
 
@@ -1667,15 +1687,15 @@ def test_dual_point_eval_matches_a_power_root_and_rate_per_phase(text):
     inst = build_instance(load_scenario(text))
     up, relay = (inst.channel_sets[i].spectrum.shape[-1] for i in (0, -1))
     own = [inst.gains[ph][..., :length] for ph, length in enumerate((up, relay, up, up))]
-    wv, rng = opt._phase_weights(inst), np.random.default_rng(3)
-    chi0 = warm_start(inst, opt._at_caps(inst))[0]
+    caps, rng = opt._at_caps(inst), np.random.default_rng(3)
+    wv, chi0 = caps.weights, warm_start(inst, caps)[0]
     for _ in range(6):
         chi = chi0 * np.exp(rng.normal(0.0, 2.0, chi0.shape))
         chir = np.moveaxis(chi[..., opt._PHASE_RATE_DUAL], -1, 0)
         p = np.stack([power_opt(own[ph], wv[ph], chir[ph], inst.bandwidth, inst.power_max[ph]) for ph in range(4)])
         rates = np.stack([rate(own[ph], inst.bandwidth, p[ph]) for ph in range(4)])
-        want = dual_point_eval(inst, chi, (p, rates))
-        assert all(np.array_equal(a, b) for a, b in zip(dual_point_eval(inst, chi), want))
+        want = dual_point_eval(inst, caps, chi, (p, rates))
+        assert all(np.array_equal(a, b) for a, b in zip(dual_point_eval(inst, caps, chi), want))
         pmax = np.reshape(inst.power_max, (4, 1, 1))
         assert (p == 0.0).any() and ((p > 0.0) & (p < pmax)).any() and (p == pmax).any()
     assert (up, relay) == ((36, 36) if text == "" else (16, 36))

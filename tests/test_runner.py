@@ -282,7 +282,11 @@ def test_cli_rejects_bad_config(tmp_path):
 
 @pytest.mark.parametrize("text, key", [("[uav]\nblade_power = -3\n", "uav.blade_power"),
                                        ("[uav]\ndisc_area = -1\n", "uav.disc_area"),
-                                       ("[task]\nmin_bits = 5e5\n", "task.min_bits")])
+                                       ("[task]\nmin_bits = 5e5\n", "task.min_bits"),
+                                       ("[geometry]\nslant = pi/0\n", "geometry.slant"),
+                                       ("[radio]\nreference_gain = 4000 dB\n", "radio.reference_gain"),
+                                       ("[network]\nvehicles = 2\n[task]\ntask_bits = 5e5, no\n",
+                                        "task.task_bits")])
 def test_cli_solve_refuses_a_config_by_its_key(tmp_path, capsys, text, key):
     path = tmp_path / "bad.ini"
     path.write_text(text)

@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -78,6 +79,28 @@ reference_gain = -50 dB
     assert np.allclose(cfg.task_bits, 8e5)
     assert cfg.n_slots == 20
     assert cfg.antennas_uav == 16
+
+
+def test_config_path_holding_an_equals_sign_is_read_as_that_file(tmp_path):
+    path = tmp_path / "k=2.ini"
+    path.write_text("[network]\nvehicles = 2\n")
+    assert load_scenario(str(path)).vehicles == 2
+
+
+@pytest.mark.parametrize("text", ["pi/0", "-2pi/0.0", "4000 dB", "3100 dBm", "3082.55 dB"])
+def test_quantity_past_the_float_range_is_a_value_error(text):
+    # not a ZeroDivisionError or OverflowError, which no refusal catches
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        parse_quantity(text)
+
+
+@pytest.mark.parametrize("value, word", [("5e5, no", "no"), ("yes, 5e5", "yes"), ("5e5, none", "none"),
+                                         ("5e5; off", "off"), ("5e5, 2e5, fast", "fast")])
+def test_list_element_that_is_not_a_number_is_refused(value, word):
+    # a switch word or `none` read as 0, 1 or nan would pass as a task size
+    with pytest.raises(ValidationError) as err:
+        load_scenario(f"[network]\nvehicles = 2\n[task]\ntask_bits = {value}\n")
+    assert err.value.errors == [f"task.task_bits: list element {word!r} is not a number"]
 
 
 def test_non_integer_slot_count_rejected():
