@@ -1,16 +1,20 @@
-"""Line-of-sight massive-MIMO channel matrices and their spectra.
+"""Line-of-sight massive-MIMO channel matrices, their spectra and their
+log-determinants.
 
 Each link is a complex matrix per slot whose entries all share the magnitude
 sqrt(path_loss); the per-entry phase combines a Doppler term and the
-element-to-element path phase.  Rates follow from the singular values, which
-`instance` turns into one gain table.  A link's phases run once per slot and
+element-to-element path phase.  A solver's rates follow from the singular
+values, which `instance` turns into one gain table; a rate at one fixed power
+needs only ln det(I + c H^H H) (Telatar 1999), which takes one Gram product and
+one LU factorization and no SVD.  A link's phases run once per slot and
 distinct element displacement, on one lattice for alike arrays, and gather into
-whole-slot chunks of matrices under a byte budget, each put through a batched SVD.
+whole-slot chunks of matrices under a byte budget, each put through a batched
+SVD, a Gram product and `slogdet`, or both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,9 +28,13 @@ class ZeroDistance(Exception):
 DOPPLER_PHASE_MODES = ("literal", "accumulated")
 
 # Complex matrix bytes per `build_channel` chunk: small, so the allocator reuses
-# a chunk's freed layers.  A chunk never splits a slot; at L = 256 to 1024 a lattice slot
-# peaks at 24-25 B per element pair under tracemalloc (matrix and index) and grows RSS by
-# ~41 B with the SVD's copy; `validate` caps 48 B (unlike arrays, no scenario's: 64 B).
+# a chunk's freed layers.  A chunk never splits a slot.  At L = 256 to 1024 a lattice
+# slot peaks under tracemalloc at 24-25 B per element pair for the SVD (matrix and
+# index) and at 40-47 B for the log-determinants (matrix, index, Gram and one block
+# of conjugated columns), and either grows RSS by 43-47 B at L >= 576 with LAPACK's
+# copies; `validate` caps 48 B.  Arrays unlike in spacing or angles, which no
+# scenario builds, hold every pair's displacement: 64 B traced for the SVD, 72-78 B
+# with the Gram, and 81-83 B of RSS either way.
 CHUNK_BYTES, SLOT_PAIR_BYTES, SLOT_BYTES_MAX = 256 * 1024, 48, 256 * 2**20
 
 
@@ -58,14 +66,16 @@ class RadioConfig:
 
 @dataclass(frozen=True)
 class LinkChannel:
-    """One link over a run of slots: per slot its path loss and its squared
-    singular values, largest first.  The matrices are not kept;
-    `los_matrix` rebuilds them."""
+    """One link over a run of slots: per slot its path loss, its squared
+    singular values, largest first (None in a build that took no spectra), and
+    ln det(I + c * H^H H) for each coefficient c the build took.  The matrices
+    are not kept; `los_matrix` rebuilds them."""
 
     path_loss: np.ndarray  # (N,)
-    spectrum: np.ndarray  # (N, min(n_tx, n_rx))
+    spectrum: np.ndarray | None  # (N, min(n_tx, n_rx))
     n_tx: int
     n_rx: int
+    log_dets: dict = field(default_factory=dict)  # coefficient -> (N,)
 
     @property
     def trace_power(self) -> np.ndarray:
@@ -101,9 +111,10 @@ def _displacements(rx: ArraySpec, tx: ArraySpec) -> tuple[np.ndarray, np.ndarray
     return element_offsets(lattice), index.reshape(rx.size, tx.size)
 
 
-def _los_chunks(tx, rx, cfg, slot, slot_len, n_slots, chunk):
-    """Path losses (n_slots,) and an iterator over (slots, matrices) of `los_matrix`,
-    `chunk` whole slots at a time; all but a chunk's own layers is prepared once."""
+def _los_slots(tx, rx, cfg, slot, slot_len, n_slots):
+    """Path losses (n_slots,) and a function from a slice of the slots to their
+    `los_matrix` matrices; all but a chunk's own layers is prepared once, and
+    the function keeps no reference to a matrix it returned."""
     if cfg.doppler_phase_mode == "accumulated" and slot_len is None:
         raise ValueError("accumulated Doppler phase needs slot_len")
     c = trajectory(rx, n_slots, slot_len) - trajectory(tx, n_slots, slot_len)
@@ -115,31 +126,30 @@ def _los_chunks(tx, rx, cfg, slot, slot_len, n_slots, chunk):
     common, amplitude = k * np.fmod(c_norm, cfg.wavelength), np.sqrt(beta)
     elapsed = (slot + np.arange(n_slots)) * slot_len if cfg.doppler_phase_mode == "accumulated" else None
 
-    def chunks():
-        for s in (slice(start, start + chunk) for start in range(0, n_slots, chunk)):
-            theta = cv[s, None] + delta_v  # d.v
-            excess = _dot3(two_c[s], delta) + delta2  # ||d||**2 - ||c||**2
-            dist = excess + c2[s, None]
-            np.sqrt(dist, out=dist)
-            theta /= dist
-            if elapsed is not None:
-                theta *= elapsed[s, None]
-            dist += c_norm[s, None]
-            excess /= dist  # ||d|| - ||c||
-            theta += excess
-            del excess, dist
-            theta *= k
-            theta += common[s, None]
-            matrix = np.empty(theta.shape, dtype=complex)  # one phasor per displacement
-            np.cos(theta, out=matrix.real)
-            np.sin(theta, out=matrix.imag)
-            del theta  # before the scaling's casting buffer
-            matrix *= amplitude[s, None]
-            if index is not None:  # the phasors go before the SVD's copy
-                matrix = matrix.take(index, axis=1)
-            yield s, matrix.reshape(len(matrix), rx.array.size, tx.array.size)
+    def matrices(s):
+        theta = cv[s, None] + delta_v  # d.v
+        excess = _dot3(two_c[s], delta) + delta2  # ||d||**2 - ||c||**2
+        dist = excess + c2[s, None]
+        np.sqrt(dist, out=dist)
+        theta /= dist
+        if elapsed is not None:
+            theta *= elapsed[s, None]
+        dist += c_norm[s, None]
+        excess /= dist  # ||d|| - ||c||
+        theta += excess
+        del excess, dist
+        theta *= k
+        theta += common[s, None]
+        matrix = np.empty(theta.shape, dtype=complex)  # one phasor per displacement
+        np.cos(theta, out=matrix.real)
+        np.sin(theta, out=matrix.imag)
+        del theta  # before the scaling's casting buffer
+        matrix *= amplitude[s, None]
+        if index is not None:
+            matrix = matrix.take(index, axis=1)
+        return matrix.reshape(len(matrix), rx.array.size, tx.array.size)
 
-    return beta, chunks()
+    return beta, matrices
 
 
 def los_matrix(tx: NodeState, rx: NodeState, cfg: RadioConfig, slot: int = 0,
@@ -161,21 +171,74 @@ def los_matrix(tx: NodeState, rx: NodeState, cfg: RadioConfig, slot: int = 0,
     long link accurate.  The stack is one chunk; each step is elementwise, so a
     slot's matrix is the same bit for bit in any chunk.
     """
-    beta, chunks = _los_chunks(tx, rx, cfg, slot, slot_len, n_slots, n_slots)
-    return beta, next(chunks)[1]
+    beta, matrices = _los_slots(tx, rx, cfg, slot, slot_len, n_slots)
+    return beta, matrices(slice(None))
+
+
+def _gram(matrix) -> np.ndarray:
+    """The Gram matrices M^H M of a stack of matrices on their smaller side: M is
+    the matrix or its transpose, whose Gram is the conjugate of H H^H and has its
+    determinant.  The conjugated columns go in blocks of at most `CHUNK_BYTES`,
+    so the product holds no whole conjugate copy."""
+    m = matrix if matrix.shape[-1] <= matrix.shape[-2] else matrix.swapaxes(-1, -2)
+    n_slots, rows, size = m.shape
+    gram = np.empty((n_slots, size, size), dtype=complex)
+    step = max(1, CHUNK_BYTES // (16 * n_slots * rows))
+    for i in range(0, size, step):
+        np.matmul(m[..., i:i + step].conj().swapaxes(-1, -2), m, out=gram[:, i:i + step])
+    return gram
+
+
+def _log_dets(gram, coefficients) -> list:
+    """ln det(I + c*G) of each Gram matrix G for each positive coefficient c in
+    turn, from one LU factorization (`slogdet`) each.  `gram` is scaled in place
+    from one coefficient to the next and its diagonal restored after each, so no
+    copy is made beside the factorization's own."""
+    diagonal = gram.reshape(len(gram), -1)[:, ::gram.shape[-1] + 1]
+    scale, out = 1.0, []
+    for c in coefficients:
+        gram *= c / scale
+        scale, kept = c, diagonal.copy()
+        diagonal += 1.0
+        out.append(np.linalg.slogdet(gram)[1])
+        diagonal[...] = kept
+    return out
 
 
 def build_channel(tx: NodeState, rx: NodeState, cfg: RadioConfig, slot: int = 0,
-                  slot_len: float | None = None, n_slots: int = 1) -> LinkChannel:
-    """The spectra of `los_matrix`'s matrices, from one batched SVD per chunk of
-    whole slots, about `CHUNK_BYTES` of complex matrix each, so a build's peak
-    memory does not grow with the horizon.  Roll-outs share the link, so both
-    arrays are read-only."""
+                  slot_len: float | None = None, n_slots: int = 1, coefficients=(),
+                  spectrum: bool = True) -> LinkChannel:
+    """A link's path losses and, from `los_matrix`'s matrices H, each slot's
+    spectrum when `spectrum` is set and ln det(I + c * H^H H) for each distinct
+    non-negative coefficient c in `coefficients`.
+
+    The matrices come in chunks of whole slots, about `CHUNK_BYTES` of complex
+    matrix each, so a build's peak memory does not grow with the horizon.  A
+    chunk goes through one batched SVD for the spectra, and through one Gram
+    product and one `slogdet` per positive coefficient for the log-determinants
+    (det(I + c H^H H) = det(I + c H H^H), so the Gram is taken on the smaller
+    side); the matrix is freed before the log-determinants.  Roll-outs share the
+    link, so its arrays are read-only."""
     n_tx, n_rx = tx.array.size, rx.array.size
-    beta, chunks = _los_chunks(tx, rx, cfg, slot, slot_len, n_slots, max(1, CHUNK_BYTES // (16 * n_tx * n_rx)))
-    spectrum = np.empty((n_slots, min(n_tx, n_rx)))
-    for slots, matrix in chunks:
-        spectrum[slots] = np.linalg.svd(matrix, compute_uv=False)
-    np.square(spectrum, out=spectrum)
-    beta.flags.writeable = spectrum.flags.writeable = False
-    return LinkChannel(beta, spectrum, n_tx=n_tx, n_rx=n_rx)
+    beta, matrices = _los_slots(tx, rx, cfg, slot, slot_len, n_slots)
+    chunk = max(1, CHUNK_BYTES // (16 * n_tx * n_rx))
+    spectra = np.empty((n_slots, min(n_tx, n_rx))) if spectrum else None
+    log_dets = {c: np.zeros(n_slots) for c in coefficients}
+    positive = [c for c in coefficients if c > 0]
+    for start in range(0, n_slots, chunk):
+        slots = slice(start, start + chunk)
+        matrix = matrices(slots)
+        if spectra is not None:
+            spectra[slots] = np.linalg.svd(matrix, compute_uv=False)
+        if positive:
+            gram = _gram(matrix)
+            del matrix  # before the log-determinants' copies
+            for c, values in zip(positive, _log_dets(gram, positive)):
+                log_dets[c][slots] = values
+            del gram  # before the next chunk's matrix
+    if spectra is not None:
+        np.square(spectra, out=spectra)
+        spectra.flags.writeable = False
+    for values in (beta, *log_dets.values()):
+        values.flags.writeable = False
+    return LinkChannel(beta, spectra, n_tx=n_tx, n_rx=n_rx, log_dets=log_dets)

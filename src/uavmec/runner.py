@@ -23,8 +23,8 @@ from .protocol import (
     time_breakdown,
     wtec,
 )
-from .scenario import (_FIELD_SECTION, PER_VEHICLE_KEYS, ScenarioConfig, ValidationError, build_instance,
-                       channel_bound, echo_config, flight_model, validate)
+from .scenario import (_FIELD_SECTION, PER_VEHICLE_KEYS, ScenarioConfig, ValidationError, baseline_row,
+                       build_instance, channel_bound, echo_config, flight_model, validate)
 
 COLUMNS = (
     "sweep_value",
@@ -119,13 +119,14 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, include_baseline: bool = F
     """Solve the scenario at each axis value; solver failures at a point are
     recorded as infeasible rows instead of aborting the sweep.  Every point's
     config is derived first, so a refused value stops the sweep before it
-    solves any point.  Each point's instance is built once, and its baseline
-    row shares it unless the point's mode shapes the gain table another way
-    (`channel_bound`)."""
+    solves any point.  Each point's instance is built once, with the cap rates
+    of its baseline row, and that row shares it unless the point's mode shapes
+    the gain table another way (`channel_bound`)."""
     points = [(set_axis(cfg, axis, value), float(value)) for value in values]
     result = SweepResult(axis=axis, values=[value for _, value in points], config=cfg)
     for point_cfg, value in sorted(points, key=lambda point: point[1]):
-        inst = build_instance(point_cfg)
+        with baseline_row(include_baseline and point_cfg.mode != "baseline"):
+            inst = build_instance(point_cfg)
         try:
             row = solve_scenario(point_cfg, value, inst)
         except (optimizer.InfeasibleAllocation, optimizer.IterationCapExceeded) as exc:

@@ -9,10 +9,12 @@ stock default, so an empty file is a valid full scenario.
 from __future__ import annotations
 
 import configparser
+import contextvars
 import io
 import math
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
 
@@ -21,7 +23,7 @@ import numpy as np
 from .channel import DOPPLER_PHASE_MODES, SLOT_BYTES_MAX, SLOT_PAIR_BYTES, RadioConfig
 from .energy import UAV_KINDS, ComputeModel, FlightPowerModel
 from .geometry import ArraySpec, initial_state
-from .instance import ProblemInstance, build_gain_tables, roll_out
+from .instance import ProblemInstance, build_cap_rates, build_gain_tables, roll_out
 
 
 class ParseError(Exception):
@@ -212,13 +214,31 @@ def _parse_value(text: str):
     return np.array(rows if ";" in s else rows[0])
 
 
+# configparser reads a ';' after whitespace as an inline comment to the line's
+# end; group 1 holds its start when that is a number
+_SEMICOLON_COMMENT = re.compile(r"[^\S\n];([^\S\n]*[-+]?\.?\d)?.*")
+
+
+def _uncommented(raw: str) -> str:
+    """`raw` without its ';' inline comments.  One that starts with a number is
+    a row separator written with a space, whose row the comment would drop, so
+    it raises ValueError."""
+    def drop(comment):
+        if comment.group(1) is not None:
+            raise ValueError(f"{comment.group().strip()!r} would be dropped as a comment; "
+                             "rows are separated by ';' with no space before it")
+        return ""
+
+    return _SEMICOLON_COMMENT.sub(drop, raw)
+
+
 def load_scenario(path_or_text) -> ScenarioConfig:
     """Read a config file path, or config text, into a fully resolved scenario.
 
     Unspecified keys keep their stock defaults; all validation problems are
     reported together, each with its section.key path.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))  # ';' comments: `_uncommented`
     try:
         text = str(path_or_text)
         if text.strip() == "" or "\n" in text or "=" in text and not os.path.isfile(text):
@@ -240,7 +260,7 @@ def load_scenario(path_or_text) -> ScenarioConfig:
                 errors.append(f"{section}.{key}: unknown key")
                 continue
             try:
-                value = _parse_value(raw)
+                value = _parse_value(_uncommented(raw))
             except ValueError as exc:
                 errors.append(f"{section}.{key}: {exc}")
                 continue
@@ -336,7 +356,10 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     # when the vehicle count differs
     for name in (name for name in PER_VEHICLE_KEYS if name not in bad):
         v = np.atleast_1d(np.asarray(getattr(cfg, name), dtype=float))
-        if v.size == 1 or name == "vehicle_elevations" and np.array_equal(v, _STOCK_ELEVATIONS):
+        if v.ndim > 1:  # config text reads `a;b` as rows
+            errors.append(f"{_FIELD_SECTION[name]}.{name}: expected one row of values, comma-separated, "
+                          f"got shape {v.shape}")
+        elif v.size == 1 or name == "vehicle_elevations" and np.array_equal(v, _STOCK_ELEVATIONS):
             v = np.resize(v, k)
         elif v.size != k:
             errors.append(f"{_FIELD_SECTION[name]}.{name}: expected 1 or {k} values, got {v.size}")
@@ -467,9 +490,27 @@ def channel_bound(mode: str) -> str:
     return {"rank1_bound": "rank1", "fullrank_bound": "fullrank"}.get(mode, "exact")
 
 
+# Set while `runner.run_sweep` builds a point that also emits a baseline row:
+# the build then takes the cap rates that row reads too.
+_BASELINE_ROW = contextvars.ContextVar("baseline_row", default=False)
+
+
+@contextmanager
+def baseline_row(emitted: bool):
+    """Within the block, `build_instance` also takes the cap rates of a baseline
+    row when `emitted`."""
+    token = _BASELINE_ROW.set(emitted)
+    try:
+        yield
+    finally:
+        _BASELINE_ROW.reset(token)
+
+
 def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
-    """Roll the scenario geometry over the horizon and assemble the solver
-    inputs (link spectra, gain table, caps and weights)."""
+    """Roll the scenario geometry over the horizon and assemble the inputs of
+    its mode: a solver mode's link spectra and gain table, the baseline's rates
+    at the power caps (no spectra, so no SVD), then caps and weights.  A solver
+    build inside `baseline_row` takes both."""
     spacing = cfg.resolved_spacing()
 
     def array_for(count: int) -> ArraySpec:
@@ -496,8 +537,13 @@ def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
         rsu_position=cfg.rsu_position,
     )
     radio = radio_config(cfg)
-    links = roll_out(state0, radio)
-    gains = build_gain_tables(links, radio, channel_bound(cfg.mode))
+    power_max = np.array([cfg.power_max_offload, cfg.power_max_relay, cfg.power_max_down_uav, cfg.power_max_down_rsu])
+    solver, coefficients = cfg.mode != "baseline", ()
+    if not solver or _BASELINE_ROW.get():  # p_cap / (B * N0 * L_tx); only the uplink sends from a vehicle
+        tx_sizes = (cfg.antennas_vehicle, cfg.antennas_uav, cfg.antennas_uav, cfg.antennas_uav)
+        coefficients = tuple(float(p) / (cfg.bandwidth * cfg.noise_density * n) for p, n in zip(power_max, tx_sizes))
+    links = roll_out(state0, radio, coefficients, spectra=solver)
+    gains = build_gain_tables(links, radio, channel_bound(cfg.mode)) if solver else None
 
     min_bits = np.broadcast_to(cfg.task_bits[:, None], (cfg.vehicles, cfg.n_slots)).copy()
     return ProblemInstance(
@@ -509,11 +555,9 @@ def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
         output_ratio=np.asarray(cfg.output_ratio, dtype=float),
         min_bits=min_bits,
         bandwidth=cfg.bandwidth,
-        power_max=np.array([
-            cfg.power_max_offload, cfg.power_max_relay,
-            cfg.power_max_down_uav, cfg.power_max_down_rsu,
-        ]),
+        power_max=power_max,
         gains=gains,
+        cap_rates=build_cap_rates(links, radio, coefficients) if coefficients else None,
         channel_sets=links,
         states=[state0],
     )

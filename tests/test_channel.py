@@ -6,6 +6,7 @@ import pytest
 from uavmec.channel import (
     CHUNK_BYTES,
     DOPPLER_PHASE_MODES,
+    SLOT_PAIR_BYTES,
     RadioConfig,
     ZeroDistance,
     _displacements,
@@ -319,6 +320,24 @@ def test_los_matrix_matches_the_displacement_formula(link):
     assert np.all(np.abs(built - s).max(axis=1) <= 1e-13 * s[:, 0])
 
 
+@pytest.mark.parametrize("link", DISPLACEMENT_LINKS)
+def test_log_determinants_match_the_spectral_sums(link):
+    # ln det(I + c H^H H) = sum_l log1p(c * sigma_l**2) at each coefficient,
+    # from a Gram on the smaller side (16-to-64, 64-to-36), off the lattice
+    # (spacing-differs) and with the Gram scaled from one coefficient to the next
+    tx, rx, mode = DISPLACEMENT_LINKS[link]
+    cfg = radio(doppler_phase_mode=mode)
+    c = 1.0 / (cfg.bandwidth * cfg.noise_density * tx.array.size)  # 1 W over the transmit array
+    coefficients = (c, 0.0, c / 3)
+    built = build_channel(tx, rx, cfg, 3, 0.2, 5, coefficients, spectrum=False)
+    spectrum = build_channel(tx, rx, cfg, 3, 0.2, 5).spectrum
+    assert built.spectrum is None and list(built.log_dets) == list(coefficients)
+    assert np.array_equal(built.log_dets[0.0], np.zeros(5))
+    for coefficient in (c, c / 3):
+        want = np.log1p(coefficient * spectrum).sum(axis=-1)
+        assert np.all(np.abs(built.log_dets[coefficient] - want) <= 1e-12 * want)
+
+
 @pytest.mark.parametrize("mode", DOPPLER_PHASE_MODES)
 def test_chunked_build_equals_the_per_slot_build(mode):
     # 8x8 arrays build several slots per chunk, and 41 slots are no whole
@@ -355,3 +374,19 @@ def test_build_peak_memory_stays_near_the_complex_matrix():
             tracemalloc.stop()
     assert max(peaks.values()) <= 3.5 * layer
     assert peaks[160] <= 1.2 * peaks[40]
+
+
+@pytest.mark.parametrize("spectrum", [False, True])
+def test_log_determinant_slot_stays_within_the_pair_budget(spectrum):
+    # one slot of 24 x 24 arrays on one lattice, three cap coefficients: the
+    # matrix, its index, the Gram and one block of conjugated columns stay
+    # within `validate`'s bytes per element pair (tracemalloc does not see
+    # LAPACK's own copies)
+    tx, rx = node(VEH_POS, VEH_VEL, 24, 24), node(UAV_POS, UAV_VEL, 24, 24)
+    tracemalloc.start()
+    try:
+        build_channel(tx, rx, radio(), 0, 0.2, 1, (1e7, 3e6, 0.0), spectrum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SLOT_PAIR_BYTES * 24 ** 4

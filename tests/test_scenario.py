@@ -12,7 +12,9 @@ from uavmec.channel import SLOT_BYTES_MAX, SLOT_PAIR_BYTES, los_matrix
 from uavmec.instance import PHASE_DOWN_RSU, PHASE_DOWN_UAV, PHASE_OFFLOAD
 from uavmec.runner import set_axis
 from uavmec.scenario import (
+    _FIELD_SECTION,
     HORIZON_BYTES_MAX,
+    PER_VEHICLE_KEYS,
     ParseError,
     ScenarioConfig,
     ValidationError,
@@ -367,6 +369,29 @@ def test_wrong_per_vehicle_length_rejected():
     assert err.value.errors == ["task.task_bits: expected 1 or 3 values, got 2"]
 
 
+@pytest.mark.parametrize("name", PER_VEHICLE_KEYS)
+def test_per_vehicle_key_written_as_rows_is_refused(name):
+    # `a;b` reads as two rows of one value; with two vehicles its size matched
+    # the count, and the (2, 1) array failed later in the build or the solver
+    with pytest.raises(ValidationError) as err:
+        validate(ScenarioConfig(vehicles=2, **{name: np.array([[0.5], [0.7]])}))
+    assert err.value.errors == [f"{_FIELD_SECTION[name]}.{name}: expected one row of values, comma-separated, "
+                                "got shape (2, 1)"]
+    with pytest.raises(ValidationError) as err:
+        load_scenario("[network]\nvehicles = 2\n[task]\ntask_bits = 5e5;2e5\n")
+    assert [error.split(":")[0] for error in err.value.errors] == ["task.task_bits"]
+
+
+@pytest.mark.parametrize("value", ["5e5 ; 2e5", "5e5\t;2e5", "5e5 ; -2e5", "5e5 ; .5"])
+def test_semicolon_comment_that_starts_with_a_number_is_refused(value):
+    # a row separator written with a space before it would start a comment
+    # and silently drop its row
+    with pytest.raises(ValidationError) as err:
+        load_scenario(f"[network]\nvehicles = 2\n[task]\ntask_bits = {value}\n")
+    assert len(err.value.errors) == 1
+    assert err.value.errors[0].startswith("task.task_bits: ") and "dropped as a comment" in err.value.errors[0]
+
+
 def test_stock_elevations_cycle_with_vehicle_count():
     cfg = load_scenario("[network]\nvehicles = 5\n")
     assert cfg.vehicle_elevations.shape == (5,)
@@ -689,3 +714,58 @@ def test_bound_mode_rates_match_rate_bound():
         want = instance.rate(table, exact.bandwidth, power)
         assert np.isclose(got, want, rtol=1e-9)
 
+
+
+# The perfbench geometry points, and links whose cap rates take other paths:
+# unequal arrays (a Gram on each link's smaller side), the accumulated Doppler
+# phase, one and four vehicles, a high-SNR geometry (the UAV 1 m up, about 500
+# bits/s/Hz), and unequal caps (three distinct coefficients on every
+# vehicle-UAV link, one of them zero).  The Gram's rounding, about eps times
+# its largest eigenvalue, reaches the rate through the weak modes, so the two
+# drift apart as the strongest mode's SNR grows: 4e-12 at a noise density of
+# 1e-18 W/Hz (top SNR 1.7e6).
+CAP_RATE_SCENARIOS = [""] + [f"[radio]\nantennas_vehicle = {n}\nantennas_uav = {n}\nantennas_rsu = {n}\n"
+                             for n in (9, 16, 25, 36, 49, 64)] + [
+    f"[geometry]\nuav_altitude = {h}\n" for h in (20, 30, 40, 50, 60)] + [
+    "[radio]\nantennas_vehicle = 16\nantennas_uav = 36\nantennas_rsu = 64\n",
+    "[radio]\nantennas_vehicle = 64\nantennas_uav = 36\nantennas_rsu = 16\n",
+    "[radio]\ndoppler_phase = accumulated\n",
+    "[network]\nvehicles = 1\n",
+    "[network]\nvehicles = 4\n",
+    "[geometry]\nuav_altitude = 1\n",
+    "[radio]\npower_max_offload = 2\npower_max_down_uav = 0.5\npower_max_down_rsu = 0\n",
+]
+
+
+@pytest.mark.parametrize("text", CAP_RATE_SCENARIOS)
+def test_cap_rates_match_the_spectral_sums(text):
+    # B/ln2 * ln det(I + c H^H H) against B * sum_l log2(1 + p_cap * g_l) of
+    # the exact gain table
+    base = build_instance(load_scenario(text + "[solver]\nmode = baseline\n"))
+    want = build_instance(load_scenario(text)).rate_at_caps()
+    assert base.gains is None and base.cap_rates.shape == want.shape
+    assert np.all(np.abs(base.cap_rates - want) <= 1e-12 * want)
+
+
+def _counted(monkeypatch, name):
+    calls, real = [], getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs))
+    return calls
+
+
+def test_baseline_build_takes_no_svd_and_optimized_build_no_log_determinant(monkeypatch, built_links):
+    svds, log_dets = _counted(monkeypatch, "svd"), _counted(monkeypatch, "slogdet")
+    build_instance(load_scenario("[solver]\nmode = baseline\n"))
+    assert len(built_links) == 4 and svds == [] and log_dets
+    log_dets.clear()
+    inst = build_instance(load_scenario(""))
+    assert len(built_links) == 8 and svds and log_dets == [] and inst.cap_rates is None
+
+
+def test_baseline_instance_rates_only_at_zero_or_the_caps():
+    inst = build_instance(load_scenario("[task]\nhorizon = 0.4 s\n[solver]\nmode = baseline\n"))
+    caps = np.broadcast_to(inst.power_max[:, None, None], inst.cap_rates.shape)
+    powers = np.where(np.arange(2) == 0, caps, 0.0)  # slot 0 at the caps, slot 1 silent
+    assert np.array_equal(inst.rate(powers), np.where(powers > 0, inst.cap_rates, 0.0))
+    with pytest.raises(ValueError, match="only at 0 or at the power caps"):
+        inst.rate(np.where(np.arange(2) == 0, caps, caps / 2))
