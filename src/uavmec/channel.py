@@ -224,7 +224,7 @@ def build_channel(tx: NodeState, rx: NodeState, cfg: RadioConfig, slot: int = 0,
     chunk = max(1, CHUNK_BYTES // (16 * n_tx * n_rx))
     spectra = np.empty((n_slots, min(n_tx, n_rx))) if spectrum else None
     log_dets = {c: np.zeros(n_slots) for c in coefficients}
-    positive = [c for c in coefficients if c > 0]
+    positive = [c for c in log_dets if c > 0]
     for start in range(0, n_slots, chunk):
         slots = slice(start, start + chunk)
         matrix = matrices(slots)

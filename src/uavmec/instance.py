@@ -46,8 +46,8 @@ class ProblemInstance:
     the solver finds one stationary power for the two of them.
 
     `cap_rates` (4, K, N), when the build took them, is each phase's rate at its
-    power cap from one log-determinant per link and slot (`build_cap_rates`).
-    A baseline instance has them and no gain table, so its `rate` serves only
+    power cap from one log-determinant per link and slot (`roll_out`).  A
+    baseline instance has them and no gain table, so its `rate` serves only
     powers at 0 or at a cap.
     """
 
@@ -88,13 +88,6 @@ class ProblemInstance:
             raise ValueError("an instance without a gain table has rates only at 0 or at the power caps")
         return np.where(powers == 0.0, 0.0, self.cap_rates)
 
-    def rate_at_caps(self) -> np.ndarray:
-        """Rate (bits/s) of each phase at its power cap, (4, K, N): the build's
-        `cap_rates`, or else the gain table's at the caps."""
-        if self.cap_rates is not None:
-            return self.cap_rates
-        return self.rate(np.broadcast_to(self.power_max[:, None, None], (4,) + self.min_bits.shape))
-
 
 def _spectrum(ch: LinkChannel, bound: str) -> np.ndarray:
     """A view of one link's squared singular values, (N, L), bound-shaped.
@@ -112,55 +105,51 @@ def _spectrum(ch: LinkChannel, bound: str) -> np.ndarray:
     return ch.spectrum
 
 
-# The last roll-out: (key, coefficients, spectra, links).  A sweep moves one
-# axis, so the links either repeat at every point or change at every point;
-# one entry is all that can hit.
+# The last roll-out: (request, links).  A sweep moves one axis, so the links
+# either repeat at every point or change at every point; one entry is all that
+# can hit.
 _last_roll_out = None
 
 
-def roll_out(state0: NetworkState, radio: RadioConfig, coefficients=(), spectra: bool = True) -> list:
+def roll_out(state0: NetworkState, radio: RadioConfig, power_max=None, spectra: bool = True):
     """Build each link over the horizon from the slot-0 state at once: the K
-    vehicle-to-UAV links, then the UAV-to-ground-unit relay.  With `spectra`
-    each link takes its spectra; with the four phases' full-power
-    coefficients p_cap / (B * N0 * L_tx) it takes, per slot, the
-    log-determinant of each phase it carries at that phase's coefficient.
+    vehicle-to-UAV links, then the UAV-to-ground-unit relay, each with its
+    spectra when `spectra` is set.  Returns the links and, given the four
+    phases' power caps `power_max`, their (4, K, N) rates at the caps, else
+    None: B/ln2 * ln det(I + c * H^H H) of each phase's link at c = p_cap /
+    (B * N0 * L_tx) (Telatar's MIMO capacity with equal power per transmit
+    element), for the uplink and both downloads on a vehicle-UAV link and the
+    relay on the UAV-to-ground link.
 
     No UAV-to-vehicle link is built: swapping a link's ends reverses every
     element-to-element distance and the relative velocity, so its matrix is
     the transpose of the vehicle-to-UAV one and has the same spectrum and
     log-determinants.
 
-    A call whose arguments repeat the last call's (every node's position,
-    velocity and array, the horizon and the radio) shares its read-only
-    links instead of building them again, when those links took what the
-    call asks for: the spectra, and log-determinants at the same coefficients.
+    A call that repeats the last call's request (every node's position,
+    velocity and array, the horizon, the radio, the cap coefficients and
+    `spectra`) shares its read-only links instead of building them again.
     """
     global _last_roll_out
     nodes = (*state0.vehicles, state0.uav, state0.rsu)
-    key = (tuple((n.position.tobytes(), n.velocity.tobytes(), n.array) for n in nodes),
-           state0.slot, state0.slot_len, state0.n_slots, radio)
-    coefficients = tuple(coefficients)
-    cached = _last_roll_out
-    if cached is None or cached[0] != key or coefficients not in ((), cached[1]) or spectra and not cached[2]:
-        _last_roll_out = cached = None  # free the stale links before this build's temporaries
+    noise, sizes = radio.bandwidth * radio.noise_density, (state0.vehicles[0].array.size, *[state0.uav.array.size] * 3)
+    coefficients = () if power_max is None else tuple(float(p) / (noise * n) for p, n in zip(power_max, sizes))
+    request = (tuple((n.position.tobytes(), n.velocity.tobytes(), n.array) for n in nodes),
+               state0.slot, state0.slot_len, state0.n_slots, radio, coefficients, spectra)
+    if _last_roll_out is None or _last_roll_out[0] != request:
+        _last_roll_out = None  # free the stale links before this build's temporaries
         horizon = (state0.slot, state0.slot_len, state0.n_slots)
-        up = tuple(dict.fromkeys(coefficients[ph] for ph in (PHASE_OFFLOAD, PHASE_DOWN_UAV, PHASE_DOWN_RSU))
-                   if coefficients else ())
+        up = [coefficients[ph] for ph in (PHASE_OFFLOAD, PHASE_DOWN_UAV, PHASE_DOWN_RSU)] if coefficients else ()
         links = [build_channel(veh, state0.uav, radio, *horizon, up, spectra) for veh in state0.vehicles]
         relay = coefficients[PHASE_RELAY:PHASE_RELAY + 1]
         links.append(build_channel(state0.uav, state0.rsu, radio, *horizon, relay, spectra))
-        _last_roll_out = (key, coefficients, spectra, links)
-    return list(_last_roll_out[3])
-
-
-def build_cap_rates(links: list, radio: RadioConfig, coefficients) -> np.ndarray:
-    """The (4, K, N) rates at the power caps, B/ln2 * ln det(I + c * H^H H) of
-    each phase's link at its coefficient c from `roll_out` (Telatar's MIMO
-    capacity with equal power per transmit element): the uplink and both
-    downloads on a vehicle-UAV link, the relay on the UAV-to-ground link."""
+        _last_roll_out = (request, links)
+    links = list(_last_roll_out[1])
+    if not coefficients:
+        return links, None
     *v2u, u2r = links
     log_dets = [[(u2r if ph == PHASE_RELAY else ch).log_dets[c] for ch in v2u] for ph, c in enumerate(coefficients)]
-    return radio.bandwidth / np.log(2.0) * np.array(log_dets)
+    return links, radio.bandwidth / np.log(2.0) * np.array(log_dets)
 
 
 def build_gain_tables(links: list, radio: RadioConfig, bound: str = "exact") -> np.ndarray:

@@ -114,7 +114,7 @@ def baseline_allocation(inst) -> Allocation:
     carried = phase_loads(inst, alloc.bits_uav, alloc.bits_rsu)
     pmax = np.broadcast_to(inst.power_max[:, None, None], carried.shape)
     alloc.powers = np.where(carried > 0, pmax, 0.0)
-    alloc.times = carry_time(carried, inst.rate_at_caps())
+    alloc.times = carry_time(carried, inst.rate(pmax))
     return alloc
 
 

@@ -23,8 +23,8 @@ from .protocol import (
     time_breakdown,
     wtec,
 )
-from .scenario import (_FIELD_SECTION, PER_VEHICLE_KEYS, ScenarioConfig, ValidationError, baseline_row,
-                       build_instance, channel_bound, echo_config, flight_model, validate)
+from .scenario import (_FIELD_SECTION, PER_VEHICLE_KEYS, ScenarioConfig, ValidationError, build_instance,
+                       echo_config, flight_model, validate)
 
 COLUMNS = (
     "sweep_value",
@@ -66,10 +66,13 @@ class SweepResult:
 
 def solve_scenario(cfg: ScenarioConfig, sweep_value: float = 0.0, inst=None) -> dict:
     """Run one scenario in its configured mode and return a result row; `inst`
-    is the scenario's built instance, built here when not given.  An
-    optimized row's WTEC is its report's."""
-    inst = build_instance(cfg) if inst is None else inst
+    is the scenario's built instance, built here when not given or, for a
+    baseline row, when it took no rates at the caps.  A baseline row reads only
+    those rates; an optimized row's WTEC is its report's."""
+    if inst is None or cfg.mode == "baseline" and inst.cap_rates is None:
+        inst = build_instance(cfg)
     if cfg.mode == "baseline":
+        inst = replace(inst, gains=None)
         alloc = baseline_allocation(inst)
         iterations, feasible, energy = 0, check_feasible(alloc, inst).feasible, wtec(alloc, inst)
     else:
@@ -120,13 +123,11 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, include_baseline: bool = F
     recorded as infeasible rows instead of aborting the sweep.  Every point's
     config is derived first, so a refused value stops the sweep before it
     solves any point.  Each point's instance is built once, with the cap rates
-    of its baseline row, and that row shares it unless the point's mode shapes
-    the gain table another way (`channel_bound`)."""
+    of its baseline row, which shares it."""
     points = [(set_axis(cfg, axis, value), float(value)) for value in values]
     result = SweepResult(axis=axis, values=[value for _, value in points], config=cfg)
     for point_cfg, value in sorted(points, key=lambda point: point[1]):
-        with baseline_row(include_baseline and point_cfg.mode != "baseline"):
-            inst = build_instance(point_cfg)
+        inst = build_instance(point_cfg, include_baseline)
         try:
             row = solve_scenario(point_cfg, value, inst)
         except (optimizer.InfeasibleAllocation, optimizer.IterationCapExceeded) as exc:
@@ -139,8 +140,7 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, include_baseline: bool = F
             )
         result.rows.append(row)
         if include_baseline and point_cfg.mode != "baseline":
-            shared = channel_bound(point_cfg.mode) == channel_bound("baseline")
-            result.rows.append(solve_scenario(replace(point_cfg, mode="baseline"), value, inst if shared else None))
+            result.rows.append(solve_scenario(replace(point_cfg, mode="baseline"), value, inst))
     return result
 
 

@@ -9,12 +9,10 @@ stock default, so an empty file is a valid full scenario.
 from __future__ import annotations
 
 import configparser
-import contextvars
 import io
 import math
 import os
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
 
@@ -23,7 +21,7 @@ import numpy as np
 from .channel import DOPPLER_PHASE_MODES, SLOT_BYTES_MAX, SLOT_PAIR_BYTES, RadioConfig
 from .energy import UAV_KINDS, ComputeModel, FlightPowerModel
 from .geometry import ArraySpec, initial_state
-from .instance import ProblemInstance, build_cap_rates, build_gain_tables, roll_out
+from .instance import ProblemInstance, build_gain_tables, roll_out
 
 
 class ParseError(Exception):
@@ -490,27 +488,12 @@ def channel_bound(mode: str) -> str:
     return {"rank1_bound": "rank1", "fullrank_bound": "fullrank"}.get(mode, "exact")
 
 
-# Set while `runner.run_sweep` builds a point that also emits a baseline row:
-# the build then takes the cap rates that row reads too.
-_BASELINE_ROW = contextvars.ContextVar("baseline_row", default=False)
-
-
-@contextmanager
-def baseline_row(emitted: bool):
-    """Within the block, `build_instance` also takes the cap rates of a baseline
-    row when `emitted`."""
-    token = _BASELINE_ROW.set(emitted)
-    try:
-        yield
-    finally:
-        _BASELINE_ROW.reset(token)
-
-
-def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
+def build_instance(cfg: ScenarioConfig, baseline_row: bool = False) -> ProblemInstance:
     """Roll the scenario geometry over the horizon and assemble the inputs of
     its mode: a solver mode's link spectra and gain table, the baseline's rates
     at the power caps (no spectra, so no SVD), then caps and weights.  A solver
-    build inside `baseline_row` takes both."""
+    build for a point that also emits a baseline row (`baseline_row`) takes
+    both."""
     spacing = cfg.resolved_spacing()
 
     def array_for(count: int) -> ArraySpec:
@@ -538,11 +521,8 @@ def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
     )
     radio = radio_config(cfg)
     power_max = np.array([cfg.power_max_offload, cfg.power_max_relay, cfg.power_max_down_uav, cfg.power_max_down_rsu])
-    solver, coefficients = cfg.mode != "baseline", ()
-    if not solver or _BASELINE_ROW.get():  # p_cap / (B * N0 * L_tx); only the uplink sends from a vehicle
-        tx_sizes = (cfg.antennas_vehicle, cfg.antennas_uav, cfg.antennas_uav, cfg.antennas_uav)
-        coefficients = tuple(float(p) / (cfg.bandwidth * cfg.noise_density * n) for p, n in zip(power_max, tx_sizes))
-    links = roll_out(state0, radio, coefficients, spectra=solver)
+    solver = cfg.mode != "baseline"
+    links, cap_rates = roll_out(state0, radio, power_max if baseline_row or not solver else None, spectra=solver)
     gains = build_gain_tables(links, radio, channel_bound(cfg.mode)) if solver else None
 
     min_bits = np.broadcast_to(cfg.task_bits[:, None], (cfg.vehicles, cfg.n_slots)).copy()
@@ -557,7 +537,7 @@ def build_instance(cfg: ScenarioConfig) -> ProblemInstance:
         bandwidth=cfg.bandwidth,
         power_max=power_max,
         gains=gains,
-        cap_rates=build_cap_rates(links, radio, coefficients) if coefficients else None,
+        cap_rates=cap_rates,
         channel_sets=links,
         states=[state0],
     )

@@ -321,17 +321,21 @@ def test_los_matrix_matches_the_displacement_formula(link):
 
 
 @pytest.mark.parametrize("link", DISPLACEMENT_LINKS)
-def test_log_determinants_match_the_spectral_sums(link):
+def test_log_determinants_match_the_spectral_sums(link, monkeypatch):
     # ln det(I + c H^H H) = sum_l log1p(c * sigma_l**2) at each coefficient,
     # from a Gram on the smaller side (16-to-64, 64-to-36), off the lattice
-    # (spacing-differs) and with the Gram scaled from one coefficient to the next
+    # (spacing-differs) and with the Gram scaled from one coefficient to the
+    # next; a repeated coefficient is taken once
     tx, rx, mode = DISPLACEMENT_LINKS[link]
     cfg = radio(doppler_phase_mode=mode)
     c = 1.0 / (cfg.bandwidth * cfg.noise_density * tx.array.size)  # 1 W over the transmit array
-    coefficients = (c, 0.0, c / 3)
+    coefficients = (c, 0.0, c / 3, c)
+    calls, slogdet = [], np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(len(a)) or slogdet(a))
     built = build_channel(tx, rx, cfg, 3, 0.2, 5, coefficients, spectrum=False)
+    assert sum(calls) == 2 * 5  # each slot once per distinct positive coefficient
     spectrum = build_channel(tx, rx, cfg, 3, 0.2, 5).spectrum
-    assert built.spectrum is None and list(built.log_dets) == list(coefficients)
+    assert built.spectrum is None and list(built.log_dets) == [c, 0.0, c / 3]
     assert np.array_equal(built.log_dets[0.0], np.zeros(5))
     for coefficient in (c, c / 3):
         want = np.log1p(coefficient * spectrum).sum(axis=-1)

@@ -124,19 +124,28 @@ def test_sweep_rows_ordered_and_complete(tmp_path):
 def test_sweep_with_baselines_builds_its_links_once(built_links, mode, monkeypatch):
     values = [2e5, 6e5]
     builds, build = [], runner.build_instance
-    monkeypatch.setattr(runner, "build_instance", lambda cfg: builds.append(cfg.mode) or build(cfg))
+    monkeypatch.setattr(runner, "build_instance", lambda cfg, *rest: builds.append(cfg.mode) or build(cfg, *rest))
     result = run_sweep(small_cfg(mode=mode), "task_bits", values, include_baseline=True)
     # K + 1 links in total: every later build repeats the geometry
     assert len(built_links) == small_cfg().vehicles + 1
-    # a point's baseline row shares its instance unless the point's rate
-    # bound shapes the gain table another way
-    per_point = [mode, "baseline"] if mode in ("rank1_bound", "fullrank_bound") else [mode]
-    assert builds == per_point * len(values)
+    # a point's baseline row shares its instance, whatever shape the point's
+    # mode gives the gain table
+    assert builds == [mode] * len(values)
     base_rows = result.rows if mode == "baseline" else result.rows[1::2]
     assert [row["mode"] for row in base_rows] == ["baseline"] * len(values)
     for value, row in zip(values, base_rows):
         base_cfg = set_axis(small_cfg(mode="baseline"), "task_bits", value)
         assert row == runner.solve_scenario(base_cfg, sweep_value=value)
+
+
+@pytest.mark.parametrize("task_bits", [2e5, 5e5])
+def test_baseline_row_on_a_solver_instance_equals_its_own_solve(task_bits):
+    # an instance built for a solver without the rates at the caps: the
+    # baseline row builds its own instead of reading the gain table
+    cfg = set_axis(small_cfg(), "task_bits", task_bits)
+    base = replace(cfg, mode="baseline")
+    row = runner.solve_scenario(base, 0.0, build_instance(cfg))
+    assert row == runner.solve_scenario(base)
 
 
 def test_optimized_row_wtec_is_the_reports_energy_plus_propulsion(monkeypatch):

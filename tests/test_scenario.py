@@ -582,6 +582,28 @@ def test_roll_out_memo_misses_when_an_input_changes(built_links, name, value):
     assert all(np.array_equal(a, b) for a, b in zip(again.gains, cold.gains))
 
 
+def test_roll_out_memo_keys_on_the_caps_and_the_spectra(built_links):
+    # a baseline build asks for log-determinants at the cap coefficients: a
+    # changed uplink or relay cap misses, and its repeat hits
+    base = load_scenario("[task]\nhorizon = 0.4 s\n[solver]\nmode = baseline\n")
+    build_instance(base)
+    for name in ("power_max_offload", "power_max_relay"):
+        built_links.clear()
+        changed = validate(replace(base, **{name: 2.0}))
+        cold, again = build_instance(changed), build_instance(changed)
+        assert len(built_links) == base.vehicles + 1
+        assert np.array_equal(again.cap_rates, cold.cap_rates)
+        build_instance(base)
+    # only an identical request hits: a solver build without cap rates does
+    # not share the links of one that also took them
+    cfg = load_scenario("[task]\nhorizon = 0.4 s\n")
+    with_caps = build_instance(cfg, baseline_row=True)
+    built_links.clear()
+    plain = build_instance(cfg)
+    assert len(built_links) == cfg.vehicles + 1
+    assert plain.cap_rates is None and np.array_equal(plain.gains, with_caps.gains)
+
+
 def test_shared_link_arrays_are_read_only(table1_inst):
     link = table1_inst.channel_sets[0]
     for values in (link.spectrum, link.path_loss):
@@ -742,7 +764,8 @@ def test_cap_rates_match_the_spectral_sums(text):
     # B/ln2 * ln det(I + c H^H H) against B * sum_l log2(1 + p_cap * g_l) of
     # the exact gain table
     base = build_instance(load_scenario(text + "[solver]\nmode = baseline\n"))
-    want = build_instance(load_scenario(text)).rate_at_caps()
+    exact = build_instance(load_scenario(text))
+    want = exact.rate(np.broadcast_to(exact.power_max[:, None, None], exact.gains.shape[:-1]))
     assert base.gains is None and base.cap_rates.shape == want.shape
     assert np.all(np.abs(base.cap_rates - want) <= 1e-12 * want)
 
